@@ -24,8 +24,7 @@ from repro.analysis import MethodResult, Testbed, get_testbed, run_methods
 BENCH_METRICS_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenario_stress.json"
 
 #: Append-run metrics ledger of the evaluation/scenario throughput benchmarks
-#: (wall-clock, plans/sec, engine, workers — the perf trajectory the fused tier
-#: is gated on; rendered by ``benchmarks/report.py``).
+#: (wall-clock, plans/sec, engine, workers; rendered by ``benchmarks/report.py``).
 BENCH_EVAL_THROUGHPUT_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_eval_throughput.json"
 )
@@ -72,7 +71,11 @@ def social_testbed() -> Testbed:
 
 
 def fused_testbed() -> Testbed:
-    """The 3-site social-network testbed the fused-engine bar is measured on."""
+    """The 3-site social-network testbed of the warm-path and serving benchmarks.
+
+    (The name is historical: it was introduced for the since-deleted fused replay
+    engines; ``benchmarks/e2e`` restates its parameters under this name.)
+    """
     return get_testbed(**_TESTBED_KWARGS, n_locations=3)
 
 

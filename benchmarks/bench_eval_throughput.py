@@ -2,21 +2,15 @@
 
 The DRL-guided GA visits up to 10,000 plans per recommendation, so evaluated-plans-
 per-second *is* Atlas's wall-clock cost.  This benchmark scores the same random plan
-sample on the social-network testbed three ways:
+sample on the social-network testbed two ways:
 
 * **per-plan recursive** — ``performance_engine="reference"``, ``evaluate`` plan by
   plan: the fully scalar PR 0 path (recursive ``DelayInjector`` per trace).
-* **per-plan scoring tail** — the compiled engine with QPerf pre-primed, then
-  ``evaluate`` plan by plan: what ``evaluate_batch`` amounted to after PR 1, when the
-  batched pipeline stopped at QPerf priming and cost/availability/constraints still
-  ran as per-plan Python.
 * **plan-matrix end-to-end** — one ``evaluate_batch`` call: dedup → matrix → one
   compiled replay per API *plus* batched cost/availability/constraint passes.
 
-All three must agree exactly.  Regression bars: the end-to-end batched path must be
-at least 5x faster than the recursive path and at least 3x faster than the per-plan
-scoring tail alone (which excludes the tail's own priming cost, so the bar is
-conservative).
+Both must agree exactly.  Regression bar: the end-to-end batched path must be at
+least 5x faster than the recursive path.
 
 **K-objective mode (problem engine).**  The evaluator executes a pluggable
 :class:`~repro.quality.problem.PlacementProblem` instead of a hardcoded triple, so
@@ -43,7 +37,6 @@ import pytest
 
 from _shared import (
     BENCH_EVAL_THROUGHPUT_PATH,
-    fused_testbed,
     persist_run_metrics,
     run_once,
     social_testbed,
@@ -53,14 +46,7 @@ from repro.analysis import format_table
 from repro.cluster import MigrationPlan
 from repro.cluster.topology import ON_PREM
 from repro.optimizer import AtlasGA, GAConfig
-from repro.quality import (
-    HAS_NUMBA,
-    EgressTrafficObjective,
-    PlacementProblem,
-    PlanQuality,
-    ScenarioSet,
-    ScenarioSpec,
-)
+from repro.quality import EgressTrafficObjective, PlacementProblem, PlanQuality
 
 #: Random candidate plans scored by all paths (distinct plans, like a GA sample).
 N_PLANS = 1_500
@@ -181,14 +167,6 @@ def test_eval_throughput(benchmark):
         ]
         reference_s = time.perf_counter() - start
 
-        # Per-plan scoring tail: QPerf fully primed first (the PR 1 state), so the
-        # timed loop is exactly the per-plan Python the plan-matrix pipeline removes.
-        tail = build()
-        tail.performance.prime(plans)
-        start = time.perf_counter()
-        tail_qualities = [tail.evaluate(plan) for plan in plans]
-        tail_s = time.perf_counter() - start
-
         batched = build()
         start = time.perf_counter()
         batched_qualities = batched.evaluate_batch(plans)
@@ -246,41 +224,31 @@ def test_eval_throughput(benchmark):
         k4_s = time.perf_counter() - start
         return {
             "reference_s": reference_s,
-            "tail_s": tail_s,
             "batched_s": batched_s,
             "problem_s": problem_s,
             "kernel_s": kernel_s,
             "k4_s": k4_s,
             "reference_objectives": [q.objectives() for q in reference_qualities],
-            "tail_objectives": [q.objectives() for q in tail_qualities],
             "batched_objectives": [q.objectives() for q in batched_qualities],
+            "reference_violations": [q.violations for q in reference_qualities],
+            "batched_violations": [q.violations for q in batched_qualities],
             "kernel_objectives": [q.objectives() for q in kernel_qualities],
             "problem_objectives": [q.objectives() for q in problem_qualities],
             "kernel_violations": [q.violations for q in kernel_qualities],
             "problem_violations": [q.violations for q in problem_qualities],
             "k4_objectives": [q.objectives() for q in k4_qualities],
-            "tail_violations": [q.violations for q in tail_qualities],
-            "batched_violations": [q.violations for q in batched_qualities],
         }
 
     result = run_once(benchmark, measure)
     reference_rate = N_PLANS_REFERENCE / result["reference_s"]
-    tail_rate = N_PLANS / result["tail_s"]
     batched_rate = N_PLANS / result["batched_s"]
     reference_speedup = batched_rate / reference_rate
-    tail_speedup = batched_rate / tail_rate
     rows = [
         {
             "path": "per-plan recursive (DelayInjector)",
             "plans": N_PLANS_REFERENCE,
             "seconds": round(result["reference_s"], 3),
             "plans_per_s": round(reference_rate, 1),
-        },
-        {
-            "path": "per-plan scoring tail (primed)",
-            "plans": N_PLANS,
-            "seconds": round(result["tail_s"], 3),
-            "plans_per_s": round(tail_rate, 1),
         },
         {
             "path": "plan-matrix end-to-end (evaluate_batch)",
@@ -311,9 +279,8 @@ def test_eval_throughput(benchmark):
     print(format_table(rows, title="Plan-evaluation throughput (social-network testbed)"))
     overhead = result["problem_s"] / result["kernel_s"]
     print(
-        f"speedup vs recursive: {reference_speedup:.1f}x, vs scoring tail: "
-        f"{tail_speedup:.1f}x; problem-engine overhead vs raw kernels: "
-        f"{(overhead - 1.0) * 100.0:+.1f}%"
+        f"speedup vs recursive: {reference_speedup:.1f}x; problem-engine overhead "
+        f"vs raw kernels: {(overhead - 1.0) * 100.0:+.1f}%"
     )
     persist_run_metrics(
         "eval_throughput",
@@ -324,17 +291,14 @@ def test_eval_throughput(benchmark):
             "batched_s": round(result["batched_s"], 4),
             "batched_plans_per_s": round(batched_rate, 1),
             "reference_plans_per_s": round(reference_rate, 1),
-            "tail_plans_per_s": round(tail_rate, 1),
             "speedup_vs_reference": round(reference_speedup, 2),
-            "speedup_vs_tail": round(tail_speedup, 2),
             "problem_overhead": round(overhead, 4),
         },
         path=BENCH_EVAL_THROUGHPUT_PATH,
     )
-    # All paths must produce identical objective vectors (and violations) per plan.
+    # Both paths must produce identical objective vectors (and violations) per plan.
     assert result["batched_objectives"][:N_PLANS_REFERENCE] == result["reference_objectives"]
-    assert result["batched_objectives"] == result["tail_objectives"]
-    assert result["batched_violations"] == result["tail_violations"]
+    assert result["batched_violations"][:N_PLANS_REFERENCE] == result["reference_violations"]
     # The problem engine is the raw-kernel pipeline plus dispatch: same results...
     assert result["problem_objectives"] == result["kernel_objectives"]
     assert result["problem_violations"] == result["kernel_violations"]
@@ -344,7 +308,6 @@ def test_eval_throughput(benchmark):
     ]
     assert all(len(tuple(o)) == 4 for o in result["k4_objectives"])
     assert reference_speedup >= 5.0
-    assert tail_speedup >= 3.0
     # Dispatch-overhead bar: the default K=3 stack must stay within 5% of PR 4.
     assert overhead <= K3_OVERHEAD_BAR, (
         f"problem-engine overhead {overhead:.3f}x exceeds the {K3_OVERHEAD_BAR}x bar"
@@ -459,263 +422,3 @@ def test_parallel_search_speedup(benchmark, workers):
             f"island search speedup {speedup:.2f}x at {workers} workers is below "
             f"the {PARALLEL_SPEEDUP_BAR}x bar"
         )
-
-
-#: Plans scored by the fused-engine bar (distinct plans over the 3-site topology).
-N_PLANS_FUSED = 1_024
-#: GA-generation granularity of the fused bar: the island-model search evaluates
-#: ~16-plan batches per island generation (population 60 across 4 islands), so the
-#: QPerf pass is timed in chunks of this size — the regime where per-API kernel
-#: dispatch dominates and the fused tier earns its keep.
-FUSED_CHUNK = 16
-#: Interleaved timing trials per engine; each engine is scored by its best trial.
-FUSED_TRIALS = 5
-#: Required speedup of the fused tier's fast path (engine="fused32") over
-#: engine="compiled" on the S×P QPerf evaluation pass at S=4 on the 3-site
-#: testbed (CI-enforced).
-FUSED_SPEEDUP_BAR = 1.5
-#: The S=4 scenario axis of the fused bar: two payload-scaled scenarios create two
-#: extra distinct performance views, so the fused pass has real cross-view work.
-FUSED_SCENARIOS = ScenarioSet(
-    (
-        ScenarioSpec(name="observed"),
-        ScenarioSpec(name="burst-x5", rate_scale=5.0),
-        ScenarioSpec(name="chatty-posts", payload_factors={"/composePost": 2.5}),
-        ScenarioSpec(name="media-heavy", payload_factors={"/uploadMedia": 3.0}),
-    )
-)
-#: Plans entering the O(n^2)-per-front Pareto-rank agreement check.
-N_PLANS_RANKED = 300
-
-
-def _random_location_vectors(testbed, count: int, seed: int = 987):
-    """Random plan vectors over every location of the testbed topology (pins kept)."""
-    rng = np.random.default_rng(seed)
-    components = testbed.application.component_names
-    locations = testbed.locations
-    pins = testbed.preferences.pinned_placement
-    pinned_columns = {components.index(c): loc for c, loc in pins.items()}
-    vectors = []
-    for _ in range(count):
-        vector = rng.choice(locations, size=len(components)).tolist()
-        for column, location in pinned_columns.items():
-            vector[column] = location
-        vectors.append([int(v) for v in vector])
-    return vectors
-
-
-def _pareto_ranks(points):
-    """Non-domination rank per point by front peeling (rank 0 = first front).
-
-    Deliberately rank-only — no crowding distances — so the float32 agreement law
-    checks exactly the ordering structure the survival selection consumes.
-    """
-
-    def dominates(a, b):
-        return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
-
-    remaining = set(range(len(points)))
-    ranks = [0] * len(points)
-    rank = 0
-    while remaining:
-        front = [
-            i
-            for i in remaining
-            if not any(dominates(points[j], points[i]) for j in remaining if j != i)
-        ]
-        for i in front:
-            ranks[i] = rank
-        remaining -= set(front)
-        rank += 1
-    return ranks
-
-
-def _build_fused_arm(testbed, engine):
-    """One engine's evaluator plus its compiled S=4 scenario contexts."""
-    evaluator = testbed.atlas.build_evaluator(
-        expected_scale=testbed.expected_scale,
-        preferences=testbed.preferences,
-        performance_engine=engine,
-    )
-    contexts = [evaluator._scenario_context(spec) for spec in FUSED_SCENARIOS]
-    return evaluator, contexts
-
-
-def _qperf_pass(evaluator, contexts, chunk, components):
-    """One S×P QPerf evaluation of a plan chunk — the pass the engines differ on.
-
-    Mirrors ``QPerfObjective._impacts`` exactly: the fused engines collapse every
-    scenario view into one cross-API ``impact_matrices_multi`` launch, the compiled
-    engine seeds the base model's impact matrix and lets payload-scaled views copy
-    their unchanged rows from it (the ``base_impacts`` path).  QCost/QAvai and the
-    robust aggregation are engine-independent and excluded, as is the plan-dedup
-    front door — this times exactly the work the engine seam owns.
-    """
-    performance = evaluator.performance
-    if performance.is_fused:
-        views = [context.performance for context in contexts]
-        impacts = performance.impact_matrices_multi(views, chunk, components)
-        return [
-            context.performance.qperf_from_impacts(
-                impacts[id(context.performance)], context.weights
-            )
-            for context in contexts
-        ]
-    cache = {id(performance): performance.impact_matrix(chunk, components)}
-    scores = []
-    for context in contexts:
-        view = context.performance
-        impacts = cache.get(id(view))
-        if impacts is None:
-            impacts = view.impact_matrix(
-                chunk, components, base_impacts=cache[id(performance)]
-            )
-            cache[id(view)] = impacts
-        scores.append(view.qperf_from_impacts(impacts, context.weights))
-    return scores
-
-
-def test_fused_engine_throughput(benchmark):
-    """Fused cross-API engine tier vs the per-API compiled engine at S=4, 3 sites.
-
-    Correctness runs through the full robust pipeline (``evaluate_vectors`` over
-    the S=4 scenario set): ``fused`` must be bitwise identical to ``compiled`` —
-    objectives, feasibility, violation strings — and ``fused32`` within rtol=1e-5
-    with identical feasibility masks and Pareto ranks.  The speed bar times the
-    S×P QPerf evaluation pass itself at GA-generation granularity (``FUSED_CHUNK``
-    plans per call, the per-island batch size of the parallel search): the fused
-    tier's fast path (``fused32``) must clear ``FUSED_SPEEDUP_BAR`` over the
-    compiled engine.  ``fused-jit`` joins both checks when numba is importable
-    (the optional-deps CI job).
-    """
-    testbed = fused_testbed()
-    components = testbed.application.component_names
-    vectors = _random_location_vectors(testbed, N_PLANS_FUSED)
-    matrix = np.asarray(vectors, dtype=np.int64)
-    chunks = [
-        matrix[index : index + FUSED_CHUNK]
-        for index in range(0, N_PLANS_FUSED, FUSED_CHUNK)
-    ]
-    engines = ["compiled", "fused", "fused32"] + (["fused-jit"] if HAS_NUMBA else [])
-
-    def run_pipeline(engine):
-        evaluator, _ = _build_fused_arm(testbed, engine)
-        return evaluator.evaluate_vectors(vectors, scenarios=FUSED_SCENARIOS)
-
-    def time_qperf_pass(engine):
-        # A fresh evaluator per trial: every trial replays every chunk from cold
-        # caches.  The first chunk runs untimed as warm-up — it pays the lazy
-        # trace compilation / program fusion / JIT compilation, which are one-time
-        # costs amortized over a whole search, not per-generation work.
-        evaluator, contexts = _build_fused_arm(testbed, engine)
-        _qperf_pass(evaluator, contexts, chunks[0], components)
-        start = time.perf_counter()
-        for chunk in chunks:
-            _qperf_pass(evaluator, contexts, chunk, components)
-        return time.perf_counter() - start
-
-    def measure():
-        qualities = {engine: run_pipeline(engine) for engine in engines}
-        # Interleaved best-of-FUSED_TRIALS with the collector parked — frequency
-        # scaling or a noisy neighbour hits every engine alike instead of
-        # whichever happens to run later.
-        times = {engine: float("inf") for engine in engines}
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(FUSED_TRIALS):
-                for engine in engines:
-                    times[engine] = min(times[engine], time_qperf_pass(engine))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return {
-            "times": times,
-            "objectives": {
-                engine: [tuple(q.objectives()) for q in qualities[engine]]
-                for engine in engines
-            },
-            "feasible": {
-                engine: [q.feasible for q in qualities[engine]] for engine in engines
-            },
-            "violations": {
-                engine: [q.violations for q in qualities[engine]] for engine in engines
-            },
-        }
-
-    result = run_once(benchmark, measure)
-    times = result["times"]
-    plan_scenarios = N_PLANS_FUSED * len(FUSED_SCENARIOS)
-    rate = {engine: plan_scenarios / times[engine] for engine in engines}
-    speedup = {engine: times["compiled"] / times[engine] for engine in engines}
-    rows = [
-        {
-            "engine": engine,
-            "plan_scenarios": plan_scenarios,
-            "chunk": FUSED_CHUNK,
-            "seconds": round(times[engine], 4),
-            "per_s": round(rate[engine], 1),
-            "speedup": f"{speedup[engine]:.2f}x",
-        }
-        for engine in engines
-    ]
-    print()
-    print(
-        format_table(
-            rows,
-            title=(
-                f"Fused replay engines: S x P QPerf pass at S={len(FUSED_SCENARIOS)}, "
-                f"chunks of {FUSED_CHUNK} (3-site social network)"
-            ),
-        )
-    )
-    persist_run_metrics(
-        "fused_eval_throughput",
-        {
-            "engine": "fused32",
-            # The QPerf pass is timed in GA-generation chunks; early ledger runs
-            # timed whole-batch passes — the mode tag keeps their trends separate
-            # (see report.py: bench[mode] grouping).
-            "mode": "chunked",
-            "workers": 1,
-            "scenarios": len(FUSED_SCENARIOS),
-            "plans": N_PLANS_FUSED,
-            "chunk": FUSED_CHUNK,
-            **{f"{engine}_s": round(times[engine], 4) for engine in engines},
-            **{f"{engine}_per_s": round(rate[engine], 1) for engine in engines},
-            **{f"{engine}_speedup": round(speedup[engine], 3) for engine in engines},
-        },
-        path=BENCH_EVAL_THROUGHPUT_PATH,
-    )
-    # Contract 1: fused float64 is bitwise identical to the compiled engine on the
-    # whole robust pipeline (objectives, feasibility, violation strings).
-    assert [repr(o) for o in result["objectives"]["fused"]] == [
-        repr(o) for o in result["objectives"]["compiled"]
-    ]
-    assert result["feasible"]["fused"] == result["feasible"]["compiled"]
-    assert result["violations"]["fused"] == result["violations"]["compiled"]
-    if HAS_NUMBA:
-        assert [repr(o) for o in result["objectives"]["fused-jit"]] == [
-            repr(o) for o in result["objectives"]["compiled"]
-        ]
-    # Contract 2: fused32 objective values within rtol=1e-5 of the float64 oracle,
-    # identical feasibility masks and identical Pareto ranks (rank-only peeling on
-    # the feasible subsample — the structure survival selection consumes).
-    oracle = np.asarray(result["objectives"]["compiled"], dtype=np.float64)
-    fast = np.asarray(result["objectives"]["fused32"], dtype=np.float64)
-    assert np.allclose(fast, oracle, rtol=1e-5)
-    assert result["feasible"]["fused32"] == result["feasible"]["compiled"]
-    ranked = [
-        index
-        for index in range(N_PLANS_RANKED)
-        if result["feasible"]["compiled"][index]
-    ]
-    assert _pareto_ranks([tuple(oracle[i]) for i in ranked]) == _pareto_ranks(
-        [tuple(fast[i]) for i in ranked]
-    )
-    # Contract 3: the speed bar, on the tier's fast path.
-    assert speedup["fused32"] >= FUSED_SPEEDUP_BAR, (
-        f"fused32 QPerf-pass speedup {speedup['fused32']:.2f}x is below the "
-        f"{FUSED_SPEEDUP_BAR}x bar"
-    )

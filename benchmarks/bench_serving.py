@@ -83,6 +83,7 @@ def test_durable_serving(benchmark):
                 "cold_s": cold_s,
                 "warm_s": warm_s,
                 "preview_s": preview_s,
+                "engine": cold.evaluator.performance.engine,
                 "cold_front": _front_payload(cold),
                 "warm_front": _front_payload(warm),
                 "journal": warm_service.stats()["journal"],
@@ -120,7 +121,7 @@ def test_durable_serving(benchmark):
     persist_run_metrics(
         "serving",
         {
-            "engine": "fused",
+            "engine": result["engine"],
             "store_objects": result["objects"],
             "cold_recommend_s": round(result["cold_s"], 4),
             "warm_restart_recommend_s": round(result["warm_s"], 6),

@@ -1,7 +1,7 @@
 """Warm-path serving: fingerprint-keyed artifact reuse + incremental splice.
 
 The replay kernels made plan *evaluation* cheap, so for repeated / multi-tenant
-serving the per-request compile step (trace compilation, Δ tables, program fusion)
+serving the per-request compile step (trace compilation, Δ tables)
 and the search itself dominate recommend latency.  This benchmark measures the two
 warm-path mechanisms on the 3-site social-network testbed:
 
@@ -14,10 +14,9 @@ warm-path mechanisms on the 3-site social-network testbed:
   recommendation fronts identical.
 
 * **splice vs full rebuild** — after 1 of N APIs drifts, ``ApiPerformanceModel.splice``
-  recompiles only that API's fragments and re-concatenates the fused program, versus
-  building a fresh model and compiling everything from scratch.  Bar: splice at
-  least ``SPLICE_SPEEDUP_BAR``x faster, with every compiled array and the fused
-  program bitwise identical to the from-scratch build.
+  recompiles only that API's fragments, versus building a fresh model and
+  compiling everything from scratch.  Bar: splice at least ``SPLICE_SPEEDUP_BAR``x
+  faster, with every compiled array bitwise identical to the from-scratch build.
 
 Both bars append to the ``BENCH_warm_path.json`` ledger (headline:
 ``splice_speedup``) rendered and gated by ``benchmarks/report.py``.
@@ -59,7 +58,7 @@ def _perturb(trace, scale):
     return trace.with_spans(spans)
 
 
-def _fresh_model(testbed, traces_by_api, engine="fused"):
+def _fresh_model(testbed, traces_by_api):
     """A cold performance model over the given traces (no artifact cache)."""
     knowledge = testbed.atlas.knowledge
     return ApiPerformanceModel(
@@ -68,16 +67,13 @@ def _fresh_model(testbed, traces_by_api, engine="fused"):
         network=testbed.atlas.network,
         baseline_plan=testbed.atlas.current_plan,
         traces_per_api=testbed.atlas.config.traces_per_api,
-        engine=engine,
     )
 
 
 def _compile_all(model):
-    """Force every lazily-compiled artifact: per-API sets + the fused program."""
+    """Force every lazily-compiled per-API trace set."""
     for api in model.apis:
         model._compiled_set(api)
-    if model.is_fused:
-        model._fused_program()
 
 
 def _front_payload(recommendation):
@@ -89,10 +85,8 @@ def _front_payload(recommendation):
 
 
 def _program_arrays(program):
-    """Every float/index array of a compiled/fused program, in deterministic order."""
-    arrays = [a for a in (getattr(program, name, None) for name in
-                          ("root_idx", "root_start", "_root_idx", "_root_start"))
-              if isinstance(a, np.ndarray)]
+    """Every float/index array of a compiled trace set, in deterministic order."""
+    arrays = [program._root_idx, program._root_start]
     for level in program._levels:
         for slot in level.__slots__:
             value = getattr(level, slot)
@@ -174,20 +168,14 @@ def test_warm_path(benchmark):
             if gc_was_enabled:
                 gc.enable()
 
-        # Bitwise contract: the spliced model's compiled arrays and fused program
-        # equal the from-scratch build of the same final traces, byte for byte.
+        # Bitwise contract: the spliced model's compiled arrays equal the
+        # from-scratch build of the same final traces, byte for byte.
         bitwise = True
         for api in spliced_model.apis:
             a, b = spliced_model._compiled_set(api), rebuilt_model._compiled_set(api)
             for left, right in zip(_program_arrays(a), _program_arrays(b)):
                 if left.tobytes() != right.tobytes():
                     bitwise = False
-        for left, right in zip(
-            _program_arrays(spliced_model._fused_program()),
-            _program_arrays(rebuilt_model._fused_program()),
-        ):
-            if left.tobytes() != right.tobytes():
-                bitwise = False
 
         return {
             "cold_s": cold_s,
@@ -196,6 +184,7 @@ def test_warm_path(benchmark):
             "splice_s": splice_s,
             "rebuild_s": rebuild_s,
             "bitwise": bitwise,
+            "engine": cold_rec.evaluator.performance.engine,
             "apis": len(base_traces),
             "target": target,
             "cold_front": _front_payload(cold_rec),
@@ -244,7 +233,11 @@ def test_warm_path(benchmark):
     persist_run_metrics(
         "warm_path",
         {
-            "engine": "fused",
+            "engine": result["engine"],
+            # Earlier ledger rows spliced/rebuilt a model that also carried the
+            # since-removed cross-API program; the mode tag keeps the trends apart
+            # (see report.py: bench[mode] grouping).
+            "mode": "per-api",
             "apis": result["apis"],
             "spliced_apis": 1,
             "spliced_api": result["target"],

@@ -13,6 +13,7 @@ Run with ``python examples/seasonal_burst_advisor.py``.
 """
 
 from repro.analysis import build_testbed, format_table, run_methods
+from repro.quality import PlacementProblem
 
 
 def main() -> None:
@@ -34,7 +35,7 @@ def main() -> None:
     recommendation = testbed.atlas.recommend(
         expected_scale=1.0,
         preferences=testbed.preferences,
-        scenarios=scenario_set,
+        problem=PlacementProblem.default(scenarios=scenario_set),
     )
     atlas_quality = recommendation.performance_optimized()
     atlas_plan = atlas_quality.plan

@@ -30,6 +30,7 @@ from ..optimizer.baselines import (
 from ..optimizer.drl.agent import CrossoverAgent
 from ..optimizer.pareto import pareto_front
 from ..quality.evaluator import PlanQuality, QualityEvaluator
+from ..quality.problem import PlacementProblem
 from ..quality.scenarios import ScenarioSet, ScenarioSpec
 from ..recommend.advisor import Recommendation
 from ..simulator.run import simulate_workload
@@ -525,7 +526,9 @@ def figure17_drift_detection(
         current_plan=executed,
     )
     new_atlas.learn(drifted.telemetry)
-    new_recommendation = new_atlas.recommend(expected_scale=1.0, scenarios=scenarios)
+    new_recommendation = new_atlas.recommend(
+        expected_scale=1.0, problem=PlacementProblem.default(scenarios=scenarios)
+    )
     new_plan = new_recommendation.performance_optimized().plan
     reoptimized = testbed.measure_plan(new_plan, requests=drift_requests, seed_offset=3)
     reoptimized_after = [

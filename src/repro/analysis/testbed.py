@@ -150,7 +150,8 @@ class Testbed:
         Defaults to the paper's evaluation setting expressed as scenarios: the
         observed workload plus one burst scenario at ``expected_scale``.  Use it with
         an evaluator built at scale 1 (``testbed.evaluator(scale=1.0)``) or
-        ``atlas.recommend(expected_scale=1.0, scenarios=...)`` so the burst rides the
+        ``atlas.recommend(expected_scale=1.0,
+        problem=PlacementProblem.default(scenarios=...))`` so the burst rides the
         scenario axis instead of being baked into the period of interest.
         """
         scales = tuple(scales) if scales is not None else (self.expected_scale,)

@@ -92,7 +92,8 @@ class DriftScenarioUpdate:
     drifted behaviour (``None`` when nothing drifted) — the bridge from monitoring
     into the scenario axis: feed it to
     :meth:`~repro.quality.scenarios.ScenarioSpec.from_workload` /
-    ``Atlas.recommend(scenarios=...)`` for a scenario-robust re-recommendation, after
+    ``Atlas.recommend(problem=PlacementProblem.default(scenarios=...))`` for a
+    scenario-robust re-recommendation, after
     invalidating the stale evaluator caches via
     :meth:`~repro.quality.evaluator.QualityEvaluator.invalidate_for_scenario`.
     """

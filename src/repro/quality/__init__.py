@@ -21,7 +21,7 @@ from .artifacts import (
     fingerprint_traces,
 )
 from .availability import ApiAvailabilityModel, AvailabilityEstimate
-from .compiled import CompiledTraceSet, compile_traces
+from .compiled import CompiledTraceSet
 from .cost import CloudCostModel, CostEstimate, PricingCatalog
 from .evaluator import PlanQuality, QualityEvaluator
 from .faults import (
@@ -32,7 +32,6 @@ from .faults import (
     LocationOutage,
     PriceShock,
 )
-from .fused import HAS_NUMBA, FusedProgram
 from .performance import ApiPerformanceModel, DelayInjector, PerformanceEstimate
 from .preferences import MigrationPreferences
 from .problem import (
@@ -75,9 +74,6 @@ __all__ = [
     "fingerprint_network",
     "fingerprint_footprint",
     "CompiledTraceSet",
-    "compile_traces",
-    "FusedProgram",
-    "HAS_NUMBA",
     "DelayInjector",
     "ApiPerformanceModel",
     "PerformanceEstimate",

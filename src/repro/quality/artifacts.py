@@ -2,8 +2,7 @@
 
 Every :class:`~repro.recommend.advisor.Atlas` recommendation today compiles the
 same artifacts from scratch: per-API :class:`~repro.quality.compiled.CompiledTraceSet`
-programs, per-API Δ lookup tables and the merged
-:class:`~repro.quality.fused.FusedProgram`.  The replay kernels made *evaluation*
+programs and per-API Δ lookup tables.  The replay kernels made *evaluation*
 fast, so for repeated / multi-tenant serving the compile step now dominates
 recommend latency.  :class:`ArtifactCache` amortizes it: artifacts are keyed by
 **content fingerprints** of exactly the inputs their construction consumes —
@@ -13,7 +12,7 @@ compile, and a changed input can never serve a stale artifact (the key changes
 with the content).
 
 The cache composes with :class:`~repro.quality.compiled.ShmArena`: a cached
-``CompiledTraceSet`` or ``FusedProgram`` that one evaluator exports to shared
+``CompiledTraceSet`` that one evaluator exports to shared
 memory is the *same object* every other evaluator replays, so parallel islands
 of different recommend calls map the same physical pages.
 
@@ -121,8 +120,7 @@ class ArtifactCache:
 
     The cache is thread-safe with **single-flight** builds: one short-critical-
     section mutex guards the LRU map and the counters, while compiles run with
-    no lock held (compiles nest — a fused-program build compiles per-API sets
-    through the same cache).  N threads racing on one fingerprint trigger
+    no lock held.  N threads racing on one fingerprint trigger
     exactly one ``build()``; the racers park on the flight and are served its
     result as hits.  A failed build releases the flight so a parked racer
     becomes the next builder (an exception is never cached).

@@ -38,7 +38,7 @@ from ..apps.model import ExecutionMode
 from ..learning.api_profile import classify_background, classify_sibling
 from ..telemetry.tracing import Trace
 
-__all__ = ["CompiledTraceSet", "compile_traces", "ShmArena"]
+__all__ = ["CompiledTraceSet", "ShmArena"]
 
 
 class ShmArena:
@@ -525,28 +525,6 @@ class CompiledTraceSet:
                 row[index] = delta
         return row
 
-    def delta_rows(self, delay_maps: Sequence[Mapping[Edge, float]]) -> np.ndarray:
-        """A batch of plans' Δ vectors as one matrix — the vectorized :meth:`delta_row`.
-
-        One zeroed ``(plans, edges)`` allocation plus a single fancy-index scatter
-        instead of per-plan row construction; each row is bitwise identical to
-        ``delta_row`` of the corresponding map.
-        """
-        rows = np.zeros((len(delay_maps), self.n_edges), dtype=np.float64)
-        row_idx: List[int] = []
-        col_idx: List[int] = []
-        values: List[float] = []
-        for row, edge_delays in enumerate(delay_maps):
-            for edge, delta in edge_delays.items():
-                index = self.edge_index.get(edge)
-                if index is not None and delta > 0.0:
-                    row_idx.append(row)
-                    col_idx.append(index)
-                    values.append(delta)
-        if values:
-            rows[row_idx, col_idx] = values
-        return rows
-
     def replay_batch(self, delta_rows: np.ndarray) -> np.ndarray:
         """Latency matrix ``(plans, traces)`` for a batch of per-edge delay vectors."""
         deltas = np.atleast_2d(np.asarray(delta_rows, dtype=np.float64))
@@ -613,10 +591,3 @@ def _topological_value_order(
         for child in reversed(children.get(pos, [])):
             stack.append((child, False))
     return order
-
-
-def compile_traces(
-    traces: Sequence[Trace], edge_order: Sequence[Edge]
-) -> CompiledTraceSet:
-    """Compile one API's sample traces against its invocation-edge vocabulary."""
-    return CompiledTraceSet(traces, edge_order)

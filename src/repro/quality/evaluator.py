@@ -51,7 +51,6 @@ from .performance import ApiPerformanceModel
 from .preferences import MigrationPreferences
 from .problem import (
     DEFAULT_OBJECTIVE_NAMES,
-    ONPREM_RESOURCES,
     ConstraintCheck,
     EvalContext,
     PlacementProblem,
@@ -66,9 +65,6 @@ from .scenarios import (
 )
 
 __all__ = ["PlanQuality", "QualityEvaluator"]
-
-#: Backwards-compatible alias (the table moved to :mod:`repro.quality.problem`).
-_ONPREM_RESOURCES = ONPREM_RESOURCES
 
 
 @dataclass(frozen=True)
@@ -376,49 +372,31 @@ class QualityEvaluator:
         bound scenario set), plans are scored robustly over the scenario axis.
         """
         scenario_set, aggregator = self._resolve_scenarios(scenarios, aggregator)
-        if scenario_set is not None:
-            keys = [self._key(plan) for plan in plans]
-            cache = self._robust_cache(scenario_set, aggregator)
-            missing: Dict[Tuple[int, ...], MigrationPlan] = {}
-            for key, plan in zip(keys, plans):
-                if key not in cache and key not in missing:
-                    missing[key] = plan
-            if missing:
-                # Keys are already canonical-order vectors, so mixed component orders
-                # lower onto one matrix for free.
-                matrix = np.asarray(list(missing), dtype=np.int64)
-                qualities = self._score_matrix_scenarios(
-                    matrix,
-                    list(self._canonical),
-                    list(missing.values()),
-                    scenario_set,
-                    aggregator,
-                )
-                for key, quality in zip(missing, qualities):
-                    cache[key] = quality
-            return [cache[key] for key in keys]
+        cache = (
+            self._robust_cache(scenario_set, aggregator)
+            if scenario_set is not None
+            else self._cache
+        )
         keys = [self._key(plan) for plan in plans]
-        missing = {}
+        missing: Dict[Tuple[int, ...], MigrationPlan] = {}
         for key, plan in zip(keys, plans):
-            if key not in self._cache and key not in missing:
+            if key not in cache and key not in missing:
                 missing[key] = plan
         if missing:
-            plans_list = list(missing.values())
-            orders = {tuple(plan.components) for plan in plans_list}
-            if len(orders) == 1:
-                matrix = np.asarray([plan.to_vector() for plan in plans_list])
-                components = plans_list[0].components
-                for key, quality in zip(
-                    missing, self._score_matrix(matrix, components, plans_list)
-                ):
-                    self._cache[key] = quality
+            # Keys are already canonical-order vectors, so mixed component orders
+            # lower onto one matrix for free.
+            matrix = np.asarray(list(missing), dtype=np.int64)
+            components = list(self._canonical)
+            distinct = list(missing.values())
+            if scenario_set is not None:
+                qualities = self._score_matrix_scenarios(
+                    matrix, components, distinct, scenario_set, aggregator
+                )
             else:
-                # Mixed component orders cannot share one matrix; score through the
-                # per-plan reference path.
-                self.performance.prime(plans_list)
-                for key, plan in missing.items():
-                    self._cache[key] = self._evaluate_uncached(plan)
-        return [self._cache[key] for key in keys]
+                qualities = self._score_matrix(matrix, components, distinct)
+            for key, quality in zip(missing, qualities):
+                cache[key] = quality
+        return [cache[key] for key in keys]
 
     def evaluate_vectors(
         self,
@@ -467,9 +445,6 @@ class QualityEvaluator:
             for key, quality in zip(missing, qualities):
                 cache[key] = quality
         return [cache[key] for key in keys]
-
-    def evaluate_many(self, plans: Sequence[MigrationPlan]) -> List[PlanQuality]:
-        return self.evaluate_batch(plans)
 
     # -- the K-objective execution engine --------------------------------------------------
     def _score_matrix(

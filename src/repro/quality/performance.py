@@ -32,10 +32,11 @@ three invariants:
   touches hit the cache instead of replaying.  Edge delays are further keyed by the
   cut-edge signature (the exact Δ map), which collapses distinct projections that
   induce identical delays.
-* **Batched evaluation** — :meth:`ApiPerformanceModel.prime` resolves a whole
-  generation of plans at once: dedup → project → one vectorized replay per API for all
-  cache-missing delay signatures.  :class:`~repro.quality.evaluator.QualityEvaluator`
-  drives it from ``evaluate_batch``.
+* **Batched evaluation** — :meth:`ApiPerformanceModel.qperf_batch` scores a whole
+  generation as one plan matrix: project → gather Δ rows from per-API lookup tables →
+  dedup by raw row bytes → one vectorized replay per API for all cache-missing rows.
+  :class:`~repro.quality.evaluator.QualityEvaluator` drives it from
+  ``evaluate_vectors`` / ``evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -56,16 +57,10 @@ from ..apps.model import ExecutionMode
 from ..telemetry.tracing import Span, Trace
 from .artifacts import ArtifactCache, fingerprint_network, fingerprint_traces
 from .compiled import CompiledTraceSet, ShmArena
-from .fused import HAS_NUMBA, FusedProgram
 
 __all__ = ["DelayInjector", "ApiPerformanceModel", "PerformanceEstimate"]
 
-#: Engines that evaluate plan matrices through the fused cross-API program.
-#: ``"fused"`` replays in float64 (bitwise equal to ``"compiled"``), ``"fused32"``
-#: in float32 (tolerance-contracted against the float64 oracle), ``"fused-jit"``
-#: through the optional numba kernel (float64, bitwise equal to ``"fused"``).
-_FUSED_ENGINES = ("fused", "fused32", "fused-jit")
-_ENGINES = ("compiled", "reference") + _FUSED_ENGINES
+_ENGINES = ("compiled", "reference")
 
 Edge = Tuple[str, str]
 #: Canonical cache key for one plan's per-edge delays: the cut-edge signature.
@@ -169,22 +164,12 @@ class ApiPerformanceModel:
 
     ``engine`` selects how cache-missing delay signatures are replayed:
 
-    * ``"compiled"`` (default) — vectorized per-API compiled trace sets;
-    * ``"reference"`` — the recursive :class:`DelayInjector` oracle, trace by trace;
-    * ``"fused"`` — all APIs concatenated into one cross-API program
-      (:class:`~repro.quality.fused.FusedProgram`); plan-matrix evaluation becomes a
-      single replay pass per generation, bitwise identical to ``"compiled"``;
-    * ``"fused32"`` — the fused program in float32: objective values agree with the
-      float64 oracle within ``rtol=1e-5`` on the testbeds (feasibility masks and
-      Pareto ranks must agree exactly — enforced by the test suite), means are
-      cached separately so float32 never leaks into the float64 caches;
-    * ``"fused-jit"`` — the fused program through an optional numba kernel (raises
-      ``RuntimeError`` at construction when numba is not installed); float64 and
-      bitwise identical to ``"fused"``.
+    * ``"compiled"`` (default) — vectorized per-API compiled trace sets, the one
+      production engine;
+    * ``"reference"`` — the recursive :class:`DelayInjector` oracle, trace by trace,
+      which the tests and the end-to-end benchmark re-score against.
 
-    All engines share the projection/signature caches; the scalar per-plan paths
-    (``estimate``, ``qperf``) always go through the float64 compiled oracle, so the
-    fused engines only change how whole plan matrices are scored.
+    Both engines share the projection/signature caches and are bitwise identical.
     """
 
     def __init__(
@@ -201,17 +186,12 @@ class ApiPerformanceModel:
             raise ValueError("traces_per_api must be positive")
         if engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}")
-        if engine == "fused-jit" and not HAS_NUMBA:
-            raise RuntimeError(
-                "engine='fused-jit' requires the optional numba dependency; "
-                "install numba or use engine='fused'"
-            )
         self.footprint = footprint
         self.network = network
         self.baseline_plan = baseline_plan
         self.engine = engine
-        # Warm-path artifact cache (opt-in): compiled sets, fused programs and Δ
-        # tables are fetched/stored by content fingerprint so repeated builds over
+        # Warm-path artifact cache (opt-in): compiled sets and Δ tables are
+        # fetched/stored by content fingerprint so repeated builds over
         # the same testbed share one physical compile.  ``None`` keeps the default
         # cold path byte-identical to a cache-free build.
         self._artifact_cache = artifact_cache
@@ -257,20 +237,10 @@ class ApiPerformanceModel:
         self._delta_tables: Dict[
             str, Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = {}
-        # Fused-engine whole-row Δ gather state, per component order: the per-API
-        # tables concatenated along the fused edge axis (view-owned, like the
-        # tables it derives from).
-        self._fused_deltas: Dict[Tuple[str, ...], Tuple] = {}
         # Matrix-pipeline result cache: per API, raw Δ-row bytes -> mean latency.
         # (The replay is deterministic, so this holds the same numbers as the
         # signature cache without paying for per-row signature tuples.)
         self._row_means: Dict[str, Dict[bytes, float]] = {}
-        # Fused-engine state, shared by reference with every scenario view (the
-        # fused program depends only on the compiled trace sets, which views
-        # share): "program" -> FusedProgram, "row_means32" -> per-API float32
-        # mean caches (kept apart from _row_means — float32 means must never
-        # leak into the float64 oracle caches).
-        self._fused_state: Dict[str, object] = {}
         # Set on scenario views: APIs whose footprint bytes differ from the base
         # model's (None = unknown/all).  The base model changes nothing.
         self._changed_apis: Optional[frozenset] = frozenset()
@@ -321,7 +291,6 @@ class ApiPerformanceModel:
             view.network = network
         view._delays_by_projection = {}
         view._delta_tables = {}
-        view._fused_deltas = {}
         view._shm_locations = 0
         view._changed_apis = (
             frozenset(changed_apis) if changed_apis is not None else None
@@ -347,11 +316,6 @@ class ApiPerformanceModel:
             if model is not None:
                 members.append(model)
         self._family[:] = [weakref.ref(model) for model in members]
-        # The fused program concatenates every API's compiled arrays, so any
-        # invalidation obsoletes it wholesale; the float32 mean caches go with it
-        # (conservative for targeted invalidations, always correct).  The dict is
-        # shared by reference with every view — one clear reaches the family.
-        self._fused_state.clear()
         if apis is None:
             self._compiled.clear()
             self._by_signature.clear()
@@ -359,7 +323,6 @@ class ApiPerformanceModel:
             for model in members:
                 model._delays_by_projection.clear()
                 model._delta_tables.clear()
-                model._fused_deltas.clear()
                 model._shm_locations = 0
             return
         targets = set(apis)
@@ -374,9 +337,6 @@ class ApiPerformanceModel:
         for model in members:
             purge(model._delays_by_projection, lambda key: key[0])
             purge(model._delta_tables, lambda key: key)
-            # The fused gather concatenates the per-API tables — derived state,
-            # dropped wholesale and rebuilt cheaply on the next fused evaluation.
-            model._fused_deltas.clear()
             model._shm_locations = 0
 
     def splice(self, new_traces_by_api: Mapping[str, Sequence[Trace]]) -> None:
@@ -387,17 +347,15 @@ class ApiPerformanceModel:
         APIs' traces, baseline means, edge vocabularies and touched sets are
         recomputed exactly as the constructor would, their compiled sets are rebuilt
         through :meth:`CompiledTraceSet.splice` (reusing every unchanged trace's
-        fragment when the edge vocabulary held still), and the fused program — when
-        this family runs a fused engine — re-concatenates around the K fresh sets
-        instead of recompiling all N.  Every other API's compiled arrays and replay
-        caches survive untouched, so a K-of-N refresh costs O(K) compile work while
-        staying bitwise-identical to a from-scratch model over the updated traces.
+        fragment when the edge vocabulary held still).  Every other API's compiled
+        arrays and replay caches survive untouched, so a K-of-N refresh costs O(K)
+        compile work while staying bitwise-identical to a from-scratch model over
+        the updated traces.
         """
         targets = sorted(new_traces_by_api)
         unknown = [api for api in targets if api not in self._traces]
         if unknown:
             raise KeyError(f"cannot splice unknown APIs: {unknown}")
-        old_program = self._fused_state.get("program")
         old_compiled = {api: self._compiled.get(api) for api in targets}
         old_edges = {api: self._edges[api] for api in targets}
         for api in targets:
@@ -438,10 +396,6 @@ class ApiPerformanceModel:
                 self._compiled[api] = compiled
             # else: the edge vocabulary moved (or the set was never compiled) —
             # _compiled_set recompiles from scratch on first use.
-        if old_program is not None and self.is_fused:
-            self._fused_state["program"] = old_program.splice(
-                {api: self._compiled_set(api) for api in targets}
-            )
 
     # -- shared-memory export --------------------------------------------------------------
     def share_memory(self, arena: "ShmArena", n_locations: int) -> None:
@@ -469,8 +423,6 @@ class ApiPerformanceModel:
                 arena.share(src_pos),
                 arena.share(dst_pos),
             )
-        if self.is_fused:
-            self._fused_program().share_memory(arena, float32=self.engine == "fused32")
         self._shm_locations = n_locations
 
     # -- public API ------------------------------------------------------------------------
@@ -556,13 +508,6 @@ class ApiPerformanceModel:
             DelayInjector(trace).injected_latency_ms(delays) for trace in self._traces[api]
         ]
 
-    def _store_signature(
-        self, api: str, signature: DelaySignature, latencies: List[float]
-    ) -> Tuple[List[float], float]:
-        entry = (latencies, float(statistics.fmean(latencies)))
-        self._by_signature[(api, signature)] = entry
-        return entry
-
     def _resolve(self, api: str, plan: MigrationPlan) -> Tuple[List[float], float]:
         """(latencies, mean) of one API under one plan, through both cache layers."""
         delays = self.edge_delays(api, plan)
@@ -570,55 +515,12 @@ class ApiPerformanceModel:
         cached = self._by_signature.get((api, signature))
         if cached is None:
             if self.engine != "reference":
-                # All vectorized engines resolve scalar queries through the float64
-                # compiled oracle — fused engines only change matrix evaluation.
                 latencies = self._compiled_set(api).latencies(delays)
             else:
                 latencies = self._replay_reference(api, delays)
-            cached = self._store_signature(api, signature, latencies)
+            cached = (latencies, float(statistics.fmean(latencies)))
+            self._by_signature[(api, signature)] = cached
         return cached
-
-    def _resolve_pending(
-        self, api: str, pending: Mapping[DelaySignature, Dict[Edge, float]]
-    ) -> None:
-        """Replay every cache-missing delay signature of one API (batched when compiled)."""
-        if not pending:
-            return
-        if self.engine == "reference":
-            for signature, delays in pending.items():
-                self._store_signature(api, signature, self._replay_reference(api, delays))
-            return
-        compiled = self._compiled_set(api)
-        signatures = list(pending)
-        rows = compiled.delta_rows([pending[s] for s in signatures])
-        matrix = compiled.replay_batch(rows)
-        for signature, row in zip(signatures, matrix):
-            self._store_signature(api, signature, [float(v) for v in row])
-
-    # -- batched evaluation --------------------------------------------------------------------
-    def prime(self, plans: Sequence[MigrationPlan]) -> None:
-        """Resolve a batch of plans in one pass: dedup → project → vectorized replay.
-
-        After priming, per-plan queries (:meth:`qperf`, :meth:`estimate`, ...) for the
-        same plans are pure cache hits.  With the reference engine this degrades to the
-        per-plan walk, preserving semantics.
-        """
-        if not plans:
-            return
-        for api in self._apis:
-            pending: Dict[DelaySignature, Dict[Edge, float]] = {}
-            seen_projections = set()
-            for plan in plans:
-                projection = self.projection_key(api, plan)
-                if projection in seen_projections:
-                    continue
-                seen_projections.add(projection)
-                delays = self.edge_delays(api, plan)
-                signature = self._signature(delays)
-                if (api, signature) in self._by_signature or signature in pending:
-                    continue
-                pending[signature] = delays
-            self._resolve_pending(api, pending)
 
     # -- plan-matrix pipeline ---------------------------------------------------------------
     def _columns_for(self, components: Sequence[str]) -> Dict[str, np.ndarray]:
@@ -737,62 +639,6 @@ class ApiPerformanceModel:
             return np.where(deltas > 0.0, deltas, 0.0)
         return np.zeros((matrix.shape[0], 0), dtype=np.float64)
 
-    def _fused_delta_rows(
-        self,
-        matrix: np.ndarray,
-        components: Sequence[str],
-        program: FusedProgram,
-    ) -> Optional[np.ndarray]:
-        """Whole-row fused Δ gather: every API's Δ rows in one table lookup.
-
-        Concatenates the per-API Δ tables along the fused edge axis (cached per
-        component order, regrown with the location count) so a full
-        ``(plans, total_edges)`` Δ matrix is one fancy-indexed gather instead of
-        one :meth:`_delta_rows_for` call per API.  Segment ``lo:hi`` of the result
-        is bitwise identical to the per-API gather — same table entries, same
-        zero clip.  Returns None when a plan touches a linkless location pair;
-        callers then fall back to the per-API path, which raises the exact
-        missing-link error of the scalar pipeline.
-        """
-        n_locations = int(matrix.max()) + 1
-        key = tuple(components)
-        cached = self._fused_deltas.get(key)
-        if cached is None or cached[0] < n_locations:
-            for api in self._apis:
-                table_cached = self._delta_tables.get(api)
-                if table_cached is not None:
-                    n_locations = max(n_locations, table_cached[0])
-            columns = self._columns_for(components)
-            tables: List[np.ndarray] = []
-            missing_parts: List[np.ndarray] = []
-            src_cols: List[np.ndarray] = []
-            dst_cols: List[np.ndarray] = []
-            for api in self._apis:
-                _size, table, missing, src_pos, dst_pos = self._delta_table(
-                    api, n_locations
-                )
-                tables.append(table)
-                missing_parts.append(missing)
-                src_cols.append(columns[api][src_pos])
-                dst_cols.append(columns[api][dst_pos])
-            fused_missing = np.concatenate(missing_parts)
-            cached = (
-                n_locations,
-                np.concatenate(tables),
-                fused_missing if fused_missing.any() else None,
-                np.concatenate(src_cols),
-                np.concatenate(dst_cols),
-                np.arange(program.total_edges)[None, :],
-            )
-            self._fused_deltas[key] = cached
-        _size, table, missing, src, dst, edge_axis = cached
-        src_locs = matrix[:, src]
-        dst_locs = matrix[:, dst]
-        deltas = table[edge_axis, src_locs, dst_locs]
-        if missing is not None and missing[edge_axis, src_locs, dst_locs].any():
-            return None
-        return np.where(deltas > 0.0, deltas, 0.0)
-
     def _means_for(
         self, api: str, matrix: np.ndarray, columns: np.ndarray
     ) -> np.ndarray:
@@ -838,225 +684,12 @@ class ApiPerformanceModel:
                 ]
             for key, latencies in zip(unknown, replayed):
                 # fmean is fsum-based, so feeding it np.float64 values directly is
-                # bit-identical to _store_signature's float-converted arithmetic —
+                # bit-identical to _resolve's float-converted arithmetic —
                 # mixed scalar/batched use of one evaluator yields the same means.
                 cache[key] = float(statistics.fmean(latencies))
         for plan_index, key in enumerate(keys):
             means[plan_index] = cache[key]
         return means
-
-    # -- fused cross-API pipeline -----------------------------------------------------------
-    @property
-    def is_fused(self) -> bool:
-        """Whether plan matrices are evaluated through the fused cross-API program."""
-        return self.engine in _FUSED_ENGINES
-
-    def _fused_program(self) -> FusedProgram:
-        """The cross-API fused program, built lazily and shared with every view."""
-        program = self._fused_state.get("program")
-        if program is None:
-            if self._artifact_cache is not None:
-                # The program is determined by the per-API compiled identities plus
-                # the API order, so the fused key composes the per-API keys.
-                key = (
-                    "fused",
-                    tuple(self._apis),
-                    tuple(self._trace_fingerprint(api) for api in self._apis),
-                )
-                program = self._artifact_cache.get_or_build(
-                    key,
-                    lambda: FusedProgram(
-                        {api: self._compiled_set(api) for api in self._apis},
-                        self._apis,
-                    ),
-                )
-            else:
-                program = FusedProgram(
-                    {api: self._compiled_set(api) for api in self._apis}, self._apis
-                )
-            self._fused_state["program"] = program
-        return program
-
-    def _fused_mean_cache(self, api: str) -> Dict[bytes, float]:
-        """The Δ-row-bytes -> mean cache a fused replay fills for one API.
-
-        float64 fused engines share ``_row_means`` with the compiled path (their
-        replayed segments are bitwise identical, so the cached numbers coincide);
-        ``fused32`` keeps its approximate means in a separate family-shared cache.
-        """
-        if self.engine == "fused32":
-            caches = self._fused_state.setdefault("row_means32", {})
-            return caches.setdefault(api, {})
-        return self._row_means.setdefault(api, {})
-
-    def _fused_replay(self, program: FusedProgram, rows: np.ndarray) -> np.ndarray:
-        if self.engine == "fused32":
-            return program.replay32(rows)
-        if self.engine == "fused-jit":
-            return program.replay_jit(rows)
-        return program.replay(rows)
-
-    def impact_matrices_multi(
-        self,
-        views: Sequence["ApiPerformanceModel"],
-        plan_matrix: np.ndarray,
-        components: Sequence[str],
-    ) -> Dict[int, np.ndarray]:
-        """Impact matrices of every distinct view over one plan matrix, in one pass.
-
-        The fused engines' core: each distinct view's per-API Δ rows are gathered
-        into one ``(plans, total_edges)`` fused matrix, every cache-missing
-        ``(api, Δ-row)`` combination across *all* views and APIs replays in a single
-        fused kernel launch, and the per-API mean caches broadcast the results back.
-        Returns ``{id(view): (apis, plans) impact matrix}`` — the cache layout of
-        the robust-evaluation pipeline.  Payload-neutral APIs of a scenario view
-        produce byte-identical Δ segments, so they hit the cache instead of
-        replaying, which subsumes the ``base_impacts`` row-copy optimization of
-        :meth:`impact_matrix`.
-        """
-        matrix = np.asarray(plan_matrix, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(components):
-            raise ValueError("plan matrix must be (plans, len(components))")
-        distinct: List["ApiPerformanceModel"] = []
-        for view in views:
-            if all(view is not seen for seen in distinct):
-                distinct.append(view)
-        n_plans = matrix.shape[0]
-        n_apis = len(self._apis)
-        if n_plans == 0:
-            return {
-                id(view): np.empty((n_apis, 0), dtype=np.float64) for view in distinct
-            }
-        program = self._fused_program()
-        caches = {api: self._fused_mean_cache(api) for api in self._apis}
-        # Cache-missing (api, Δ-row) tasks, deduped per API across every view —
-        # the same projection dedup the compiled path exploits.  API segments of
-        # the fused program never interact, so independent tasks of different APIs
-        # pack into the *same* replay row: the batch height is the largest per-API
-        # task count, not the number of distinct plans.
-        pending_keys: Dict[str, List[bytes]] = {api: [] for api in self._apis}
-        pending_fill: Dict[str, List[Tuple[np.ndarray, List[int]]]] = {
-            api: [] for api in self._apis
-        }
-        # An API a view's scenario does not payload-scale has Δ rows byte-identical
-        # to the base model's, so its gather, plan keys and mean vector are shared
-        # across every such view (the fused analogue of impact_matrix's
-        # base_impacts row copy).  Views on a faulted network report
-        # _changed_apis=None and opt out of the sharing.
-        segment_keys: Dict[object, List[bytes]] = {}
-        view_groups: List[Tuple["ApiPerformanceModel", List[object]]] = []
-        for view in distinct:
-            columns: Optional[Dict[str, np.ndarray]] = None
-            groups: List[object] = []
-            fresh: List[Tuple[str, object]] = []
-            for api in self._apis:
-                shared = (
-                    view._changed_apis is not None and api not in view._changed_apis
-                )
-                group = api if shared else (api, id(view))
-                groups.append(group)
-                if group not in segment_keys:
-                    fresh.append((api, group))
-            view_groups.append((view, groups))
-            # A view needing every API (typically the base view) gathers all its
-            # Δ rows in one fused table lookup; views needing only their changed
-            # APIs gather per API.
-            full_rows = (
-                view._fused_delta_rows(matrix, components, program)
-                if len(fresh) == n_apis
-                else None
-            )
-            if full_rows is not None:
-                # One serialization of the whole fused matrix; per-API keys are
-                # byte slices of it (C-contiguous, so segment columns are
-                # contiguous within each row's byte span).
-                row_bytes = full_rows.tobytes()
-                row_size = full_rows.shape[1] * 8
-            for api, group in fresh:
-                if full_rows is not None:
-                    lo, hi = program.edge_segment(api)
-                    seg_rows = full_rows[:, lo:hi]
-                    keys = [
-                        row_bytes[plan * row_size + lo * 8 : plan * row_size + hi * 8]
-                        for plan in range(n_plans)
-                    ]
-                else:
-                    if columns is None:
-                        columns = view._columns_for(components)
-                    seg_rows = np.ascontiguousarray(
-                        view._delta_rows_for(api, matrix, columns[api])
-                    )
-                    buffer = seg_rows.tobytes()
-                    width = seg_rows.shape[1] * 8  # float64 bytes per Δ segment
-                    keys = [
-                        buffer[plan * width : (plan + 1) * width]
-                        for plan in range(n_plans)
-                    ]
-                segment_keys[group] = keys
-                cache = caches[api]
-                queued = set(pending_keys[api])
-                misses: List[int] = []
-                for plan, key in enumerate(keys):
-                    if key not in cache and key not in queued:
-                        queued.add(key)
-                        misses.append(plan)
-                if misses:
-                    pending_fill[api].append((seg_rows, misses))
-                    pending_keys[api].extend(keys[plan] for plan in misses)
-        n_batch = max((len(keys) for keys in pending_keys.values()), default=0)
-        if n_batch:
-            batch_dtype = np.float32 if self.engine == "fused32" else np.float64
-            batch = np.zeros((n_batch, program.total_edges), dtype=batch_dtype)
-            for api, blocks in pending_fill.items():
-                lo, hi = program.edge_segment(api)
-                index = 0
-                for seg_rows, plans in blocks:
-                    batch[index : index + len(plans), lo:hi] = seg_rows[plans]
-                    index += len(plans)
-            latencies = self._fused_replay(program, batch)
-            for api, keys in pending_keys.items():
-                if not keys:
-                    continue
-                t0, t1 = program.trace_segment(api)
-                cache = caches[api]
-                if self.engine == "fused32":
-                    # The float32 tier is bound by the rtol contract, not bitwise
-                    # identity — one vectorized float64-accumulated mean per API.
-                    means = latencies[: len(keys), t0:t1].mean(
-                        axis=1, dtype=np.float64
-                    )
-                    for index, key in enumerate(keys):
-                        cache[key] = float(means[index])
-                else:
-                    for index, key in enumerate(keys):
-                        # fmean is fsum-based over np.float64 scalars, matching
-                        # _means_for bit for bit on the float64 engines.
-                        cache[key] = float(statistics.fmean(latencies[index, t0:t1]))
-        # One impact row per distinct Δ segment; views sharing a segment share it.
-        impact_rows: Dict[object, np.ndarray] = {}
-        for index, api in enumerate(self._apis):
-            baseline = self._baseline_mean[api]
-            cache = caches[api]
-            for group, keys in segment_keys.items():
-                if (group if isinstance(group, str) else group[0]) != api:
-                    continue
-                if baseline > 0:
-                    row = np.fromiter(
-                        (cache[key] for key in keys),
-                        dtype=np.float64,
-                        count=n_plans,
-                    )
-                    row /= baseline
-                else:
-                    row = np.ones(n_plans, dtype=np.float64)
-                impact_rows[group] = row
-        results: Dict[int, np.ndarray] = {}
-        for view, groups in view_groups:
-            impacts = np.empty((n_apis, n_plans), dtype=np.float64)
-            for index, group in enumerate(groups):
-                impacts[index] = impact_rows[group]
-            results[id(view)] = impacts
-        return results
 
     def impact_matrix(
         self,
@@ -1076,10 +709,6 @@ class ApiPerformanceModel:
         (``scenario_view(..., changed_apis=...)``), unchanged APIs' rows are copied
         from it — their Δ rows would be byte-identical anyway.
         """
-        if self.is_fused:
-            # Fused engines score matrices through the cross-API program; the
-            # byte-keyed mean caches subsume the base_impacts row copy.
-            return self.impact_matrices_multi([self], plan_matrix, components)[id(self)]
         matrix = np.asarray(plan_matrix, dtype=np.int64)
         if matrix.ndim != 2 or matrix.shape[1] != len(components):
             raise ValueError("plan matrix must be (plans, len(components))")
@@ -1112,18 +741,7 @@ class ApiPerformanceModel:
 
         Accumulates API by API in the scalar iteration order, so the result is
         bitwise equal to :meth:`qperf_batch` (and per-plan ``qperf``) whatever the
-        weights.  The float32 tier is bound by the rtol contract instead and takes
-        one BLAS-reassociated weighted sum."""
-        if self.engine == "fused32":
-            weights = np.fromiter(
-                (
-                    api_weights.get(api, 1.0) if api_weights else 1.0
-                    for api in self._apis
-                ),
-                dtype=np.float64,
-                count=len(self._apis),
-            )
-            return (weights @ impacts) / len(self._apis)
+        weights."""
         totals = np.zeros(impacts.shape[1], dtype=np.float64)
         for index, api in enumerate(self._apis):
             weight = api_weights.get(api, 1.0) if api_weights else 1.0

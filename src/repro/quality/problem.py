@@ -322,19 +322,6 @@ class QPerfObjective(Objective):
     def _impacts(self, ctx: EvalContext) -> np.ndarray:
         cache: Dict[int, np.ndarray] = ctx.shared.setdefault("qperf.impacts", {})
         base = ctx.base_performance
-        if (
-            not cache
-            and ctx.scenario_performances is not None
-            and getattr(ctx.performance, "is_fused", False)
-        ):
-            # Fused engines collapse the whole scenario set into one cross-API,
-            # cross-view replay: every distinct view's impact matrix lands in the
-            # shared cache at once, so later scenario contexts are pure hits.
-            cache.update(
-                ctx.performance.impact_matrices_multi(
-                    ctx.scenario_performances, ctx.matrix, ctx.components
-                )
-            )
         if not cache and base is not None and ctx.scenario_performances is not None:
             # Seed the base model's impacts whenever (a) a payload-scaled view could
             # copy unchanged rows from them and (b) some scenario uses the base view

@@ -465,10 +465,12 @@ class CVaR(RobustAggregator):
         combined = (sorted_values * used).sum(axis=0) / tail_mass
         # Boundary law: a tail that never spills past a column's worst scenario is
         # exactly that scenario's value — return it without the (v*t)/t round-trip
-        # so CVaR(alpha→0⁺) matches WorstCase bitwise.
+        # so CVaR(alpha→0⁺) matches WorstCase bitwise (WorstCase's own ``max``
+        # expression: a stable sort and ``max`` may pick different zeros of a
+        # +0.0/-0.0 tie).
         within_worst = tail_mass <= sorted_weights[0]
         if np.any(within_worst):
-            combined = np.where(within_worst, sorted_values[0], combined)
+            combined = np.where(within_worst, values.max(axis=0), combined)
         return combined
 
 

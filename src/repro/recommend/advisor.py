@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
@@ -58,7 +57,7 @@ from ..quality.performance import ApiPerformanceModel, PerformanceEstimate
 from ..quality.preferences import MigrationPreferences
 from ..quality.problem import PlacementProblem
 from ..quality.scenario_factory import ScenarioFactory
-from ..quality.scenarios import RobustAggregator, ScenarioSet, ScenarioSpec, WorstCase
+from ..quality.scenarios import RobustAggregator, ScenarioSet, ScenarioSpec
 from ..telemetry.server import TelemetryServer
 from .hierarchy import PlanHierarchy
 
@@ -76,28 +75,6 @@ __all__ = [
 #: Scenario-evaluation budget of ``Atlas.recommend(certify=True)`` — enough for the
 #: stress-family seeds plus a couple of coordinate-descent passes on small testbeds.
 DEFAULT_CERTIFY_BUDGET = 48
-
-#: One-shot flag of the legacy-kwarg deprecation shim (warn once per process).
-_LEGACY_KWARGS_WARNED = False
-
-
-def _warn_legacy_kwargs(kwargs: str) -> None:
-    """Deprecation shim: legacy problem-level kwargs compile into a default problem.
-
-    Warns exactly once per process; see README "Migrating to PlacementProblem".
-    """
-    global _LEGACY_KWARGS_WARNED
-    if _LEGACY_KWARGS_WARNED:
-        return
-    _LEGACY_KWARGS_WARNED = True
-    warnings.warn(
-        f"Atlas.recommend({kwargs}=...) is deprecated: pass "
-        "problem=PlacementProblem.default(...) instead (the declarative front "
-        "door; legacy kwargs are compiled into a default problem for now)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 @dataclass
 class AtlasConfig:
@@ -145,9 +122,8 @@ class Recommendation:
     is the :class:`~repro.quality.problem.PlacementProblem` the search optimized (the
     default paper triple unless ``Atlas.recommend(problem=...)`` declared otherwise).
 
-    Scenario-robust rounds (a problem with scenarios, or legacy
-    ``Atlas.recommend(scenarios=...)``) additionally carry the scenario set and
-    aggregator the search ran under; every recommended plan's
+    Scenario-robust rounds (a problem with scenarios) additionally carry the
+    scenario set and aggregator the search ran under; every recommended plan's
     :attr:`~repro.quality.evaluator.PlanQuality.scenarios` holds its per-scenario
     objective breakdown, and :meth:`scenario_regret` / :meth:`scenario_report`
     quantify how far each plan sits from the per-scenario optimum.
@@ -364,25 +340,21 @@ class Atlas:
         ``artifact_cache`` (opt-in) is the warm path: a
         :class:`~repro.quality.artifacts.ArtifactCache` shared across evaluator
         builds — typically owned by an :class:`AdvisorService` — lets repeated
-        builds over the same testbed reuse compiled trace sets, fused programs and
-        Δ tables by content fingerprint instead of recompiling.  ``None`` (the
-        default) compiles from scratch, byte-identical to previous releases.
+        builds over the same testbed reuse compiled trace sets and Δ tables by
+        content fingerprint instead of recompiling.  ``None`` (the default)
+        compiles from scratch, byte-identical to previous releases.
 
         ``expected_scale`` scales the observed traffic (the paper's 5x burst); passing
         explicit ``api_rates`` overrides it with any expected traffic forecast.
         ``performance_engine`` selects the delay-injection engine: the vectorized
-        ``"compiled"`` replay (default), the recursive ``"reference"`` oracle (both
-        produce identical numbers; the benchmarks use the oracle as the per-plan
-        comparison point), or the fused cross-API tier — ``"fused"`` (one replay
-        pass per generation, bitwise identical to ``"compiled"``), ``"fused32"``
-        (float32 scoring within rtol=1e-5 of the float64 oracle) and
-        ``"fused-jit"`` (optional numba kernel, bitwise identical to ``"fused"``,
-        raises ``RuntimeError`` when numba is not installed).
+        ``"compiled"`` replay (default, the production engine) or the recursive
+        ``"reference"`` oracle (both produce identical numbers; the tests and
+        benchmarks re-score through the oracle).
 
         ``problem`` declares the objective/constraint stack the evaluator executes
-        (default: the paper's three objectives under the Eq. 4 constraints — the
-        legacy signature is a shim that compiles into exactly that default
-        :class:`~repro.quality.problem.PlacementProblem`).  A problem with its own
+        (default: :meth:`PlacementProblem.default()
+        <repro.quality.problem.PlacementProblem.default>`, the paper's three
+        objectives under the Eq. 4 constraints).  A problem with its own
         preferences overrides ``preferences``; a problem with a scenario set returns
         the evaluator pre-bound to it.
         """
@@ -444,10 +416,6 @@ class Atlas:
         api_rates: Optional[Mapping[str, Sequence[float]]] = None,
         preferences: Optional[MigrationPreferences] = None,
         ga_config: Optional[GAConfig] = None,
-        scenarios: Optional[
-            Union[ScenarioSet, ScenarioSpec, Sequence[ScenarioSpec]]
-        ] = None,
-        aggregator: Optional[RobustAggregator] = None,
         problem: Optional[PlacementProblem] = None,
         certify: Union[None, bool, int] = None,
         parallel: Optional[int] = None,
@@ -473,11 +441,8 @@ class Atlas:
         they describe the period of interest the quality models are compiled for,
         not the problem.
 
-        The legacy ``scenarios`` / ``aggregator`` kwargs are a deprecation shim
-        (warns once): they compile into ``PlacementProblem.default(...)`` with the
-        same scenario axis, byte-identical to the historical behavior.  Robust
-        recommendations carry per-scenario objective breakdowns and report regret
-        against the per-scenario optima.
+        Robust recommendations (a problem with scenarios) carry per-scenario
+        objective breakdowns and report regret against the per-scenario optima.
 
         ``certify`` attaches an adversarial worst-case certificate for the knee
         point: after the search, a :class:`~repro.quality.adversary.ScenarioAdversary`
@@ -486,12 +451,7 @@ class Atlas:
         :attr:`Recommendation.certificate`.  ``certify=True`` uses the default
         evaluation budget; an integer sets the budget explicitly.
         """
-        problem, preferences = self._resolve_problem(
-            preferences=preferences,
-            scenarios=scenarios,
-            aggregator=aggregator,
-            problem=problem,
-        )
+        problem, preferences = self._resolve_problem(preferences, problem)
         evaluator = self.build_evaluator(
             expected_scale=expected_scale,
             api_rates=api_rates,
@@ -533,41 +493,19 @@ class Atlas:
     def _resolve_problem(
         self,
         preferences: Optional[MigrationPreferences] = None,
-        scenarios: Optional[
-            Union[ScenarioSet, ScenarioSpec, Sequence[ScenarioSpec]]
-        ] = None,
-        aggregator: Optional[RobustAggregator] = None,
         problem: Optional[PlacementProblem] = None,
     ) -> Tuple[PlacementProblem, MigrationPreferences]:
-        """Validate the problem/preferences arguments and apply the legacy shim.
+        """Validate the problem/preferences arguments of one recommend request.
 
         The single definition of what :meth:`recommend` optimizes for a given set
         of request arguments — shared with the :class:`AdvisorService` durable
         journal, whose revive path must rebuild the *same* evaluator a journaled
         search ran under.
         """
-        if problem is not None:
-            if scenarios is not None or aggregator is not None:
-                raise ValueError(
-                    "pass scenarios/aggregator on the problem "
-                    "(PlacementProblem.with_scenarios) when using problem=..."
-                )
-            if preferences is not None and problem.preferences is not None:
-                raise ValueError(
-                    "preferences were given both directly and on the problem"
-                )
-        else:
-            if aggregator is not None and scenarios is None:
-                raise ValueError(
-                    "aggregator only applies to scenario-robust recommendation; "
-                    "pass scenarios=... as well"
-                )
-            if scenarios is not None:
-                _warn_legacy_kwargs("scenarios" if aggregator is None else "scenarios/aggregator")
-            problem = PlacementProblem.default(
-                scenarios=scenarios,
-                aggregator=(aggregator or WorstCase()) if scenarios is not None else None,
-            )
+        if problem is None:
+            problem = PlacementProblem.default()
+        elif preferences is not None and problem.preferences is not None:
+            raise ValueError("preferences were given both directly and on the problem")
         preferences = (
             problem.preferences
             if problem.preferences is not None
@@ -772,8 +710,8 @@ class AdvisorService:
 
     One service instance owns a single :class:`~repro.quality.artifacts.ArtifactCache`
     and threads it through every :meth:`recommend` call, so N tenants advising over
-    the same testbed share one physical compile of every trace set, Δ table and
-    fused program — and a second request with an identical content fingerprint is
+    the same testbed share one physical compile of every trace set and Δ table —
+    and a second request with an identical content fingerprint is
     answered from the request memo without re-running the search at all (sound
     because the seeded search is deterministic: identical inputs ⇒ identical
     recommendation).
@@ -806,8 +744,6 @@ class AdvisorService:
             "api_rates",
             "preferences",
             "ga_config",
-            "scenarios",
-            "aggregator",
             "problem",
             "certify",
             "parallel",
@@ -920,10 +856,7 @@ class AdvisorService:
             if kwargs.get("certify") and certificate is None:
                 return None
             problem, preferences = atlas._resolve_problem(
-                preferences=kwargs.get("preferences"),
-                scenarios=kwargs.get("scenarios"),
-                aggregator=kwargs.get("aggregator"),
-                problem=kwargs.get("problem"),
+                kwargs.get("preferences"), kwargs.get("problem")
             )
             evaluator = atlas.build_evaluator(
                 expected_scale=kwargs.get("expected_scale", 1.0),

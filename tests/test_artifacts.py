@@ -64,15 +64,8 @@ def _perturb(trace: Trace, scale: float) -> Trace:
 
 
 def _arrays_of(program):
-    """Every numpy array of a compiled set / fused program, in deterministic order."""
-    arrays = [
-        a
-        for a in (
-            getattr(program, name, None)
-            for name in ("root_idx", "root_start", "_root_idx", "_root_start")
-        )
-        if isinstance(a, np.ndarray)
-    ]
+    """Every numpy array of a compiled set, in deterministic order."""
+    arrays = [program._root_idx, program._root_start]
     for level in program._levels:
         for slot in level.__slots__:
             value = getattr(level, slot)
@@ -216,17 +209,6 @@ class TestCrossInstanceReuse:
         # Δ tables are shared too (same traces, plan, bytes, network, locations).
         assert one._delta_table(one.apis[0], 2) is two._delta_table(two.apis[0], 2)
 
-    def test_fused_program_shared_and_results_cache_independent(self, tiny_model_factory):
-        app, build = tiny_model_factory
-        cache = ArtifactCache()
-        one, two = build("fused", cache=cache), build("fused", cache=cache)
-        assert one._fused_program() is two._fused_program()
-        plain = build("fused")
-        for plan in _random_plans(app, 6):
-            want = plain.qperf(plan)
-            assert one.qperf(plan) == want  # cached artifacts are bitwise the fresh ones
-            assert two.qperf(plan) == want
-
     def test_distinct_content_never_false_shares(self, tiny_model_factory):
         app, build = tiny_model_factory
         cache = ArtifactCache()
@@ -268,7 +250,7 @@ class TestSpliceEquivalence:
         delays = random_delays(rng, edges)
         assert spliced.latencies(delays) == rebuilt.latencies(delays)
 
-    @pytest.mark.parametrize("engine", ["compiled", "fused"])
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
     def test_model_splice_bitwise_vs_fresh_model(self, tiny_model_factory, engine):
         app, build = tiny_model_factory
         rng = np.random.default_rng(5)
@@ -284,8 +266,6 @@ class TestSpliceEquivalence:
         rebuilt = build(engine, traces=new_traces)
         for api in apis:
             _assert_bitwise(model._compiled_set(api), rebuilt._compiled_set(api))
-        if engine == "fused":
-            _assert_bitwise(model._fused_program(), rebuilt._fused_program())
         for plan in _random_plans(app, 8, seed=23):
             assert model.qperf(plan) == rebuilt.qperf(plan)
             for api in apis:

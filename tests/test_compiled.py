@@ -91,24 +91,6 @@ class TestCompiledEquivalence:
         for row, delays in zip(matrix, delay_maps):
             assert [float(v) for v in row] == compiled.latencies(delays)
 
-    @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=20, deadline=None)
-    def test_delta_rows_bitwise_equals_per_plan_delta_row(self, seed):
-        """The vectorized Δ-matrix constructor is the per-plan ``delta_row``
-        stacked — bitwise, including the zero-clipping and unknown-edge drops."""
-        rng = np.random.default_rng(seed)
-        traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(1, 4)))]
-        edges = sorted({edge for trace in traces for edge in trace.invocation_edges()})
-        compiled = CompiledTraceSet(traces, edges)
-        delay_maps = [random_delays(rng, edges) for _ in range(int(rng.integers(0, 7)))]
-        # Unknown edges must be dropped identically on both paths.
-        for delays in delay_maps:
-            delays[("X-not-a-component", "Y")] = 12.5
-        stacked = np.asarray([compiled.delta_row(d) for d in delay_maps]).reshape(
-            len(delay_maps), compiled.n_edges
-        )
-        assert np.array_equal(compiled.delta_rows(delay_maps), stacked)
-
     def test_no_delay_replay_is_identity(self):
         rng = np.random.default_rng(7)
         traces = [random_trace(rng, f"t{k}") for k in range(3)]
@@ -220,6 +202,23 @@ class TestProjectionCache:
         with pytest.raises(ValueError):
             performance("interpreted")
 
+    @pytest.mark.parametrize("engine", ["fused", "fused32", "fused-jit"])
+    def test_removed_engines_rejected_naming_the_valid_two(
+        self, tiny_models, tiny_telemetry, engine
+    ):
+        """The fused tier is deleted, not aliased: both front doors refuse its
+        names and say which engines exist."""
+        from repro.recommend import Atlas, AtlasConfig
+
+        _app, performance, _evaluator = tiny_models
+        with pytest.raises(ValueError, match=r"'compiled', 'reference'"):
+            performance(engine)
+        app, result = tiny_telemetry
+        atlas = Atlas(app, MigrationPreferences(), config=AtlasConfig(traces_per_api=10))
+        atlas.learn(result.telemetry)
+        with pytest.raises(ValueError, match=r"'compiled', 'reference'"):
+            atlas.build_evaluator(performance_engine=engine)
+
 
 class TestEvaluateBatch:
     def test_matches_sequential_evaluate(self, tiny_models):
@@ -253,6 +252,39 @@ class TestEvaluateBatch:
         assert len(recorded) == batched.evaluations
         distinct = {tuple(plan.to_vector()) for plan in plans}
         assert {tuple(q.plan.to_vector()) for q in recorded} == distinct
+
+    def test_mixed_component_orders_lower_onto_the_canonical_matrix(self, tiny_models):
+        """Plans expressed under different component orders share one matrix pass:
+        the batch returns the very objects ``evaluate_vectors`` cached for the
+        canonical lowering and counts one evaluation per distinct plan."""
+        app, _performance, evaluator = tiny_models
+        names = app.component_names
+        plans = _random_plans(app, 12, seed=17)
+        mixed = [
+            MigrationPlan.from_vector(names[::-1], plan.to_vector()[::-1])
+            if index % 2
+            else plan
+            for index, plan in enumerate(plans)
+        ]
+        assert len({tuple(plan.components) for plan in mixed}) == 2
+        distinct = len({tuple(plan.to_vector()) for plan in plans})
+
+        scored_first = evaluator("compiled")
+        by_vector = scored_first.evaluate_vectors([plan.to_vector() for plan in plans])
+        assert scored_first.evaluations == distinct
+        by_batch = scored_first.evaluate_batch(mixed + mixed)
+        assert scored_first.evaluations == distinct  # pure cache hits
+        assert all(a is b for a, b in zip(by_batch, by_vector + by_vector))
+
+        cold = evaluator("compiled")
+        got = cold.evaluate_batch(mixed + mixed)
+        assert cold.evaluations == distinct
+        assert [q.objectives() for q in got] == [q.objectives() for q in by_batch]
+        assert [q.violations for q in got] == [q.violations for q in by_batch]
+        sequential = evaluator("compiled")
+        assert [q.objectives() for q in got[: len(mixed)]] == [
+            sequential.evaluate(plan).objectives() for plan in mixed
+        ]
 
     def test_batch_across_engines_identical(self, tiny_models):
         app, _performance, evaluator = tiny_models

@@ -51,6 +51,7 @@ from repro.quality import (
     QualityEvaluator,
     ScenarioSet,
     ScenarioSpec,
+    WorstCase,
     make_objective,
     registered_constraints,
     registered_objectives,
@@ -541,43 +542,28 @@ class TestProblemApi:
 
 
 class TestLegacyShim:
-    def test_recommend_legacy_scenarios_kwarg_warns_once(self, tiny_telemetry):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"scenarios": ScenarioSpec(name="burst", rate_scale=1.5)},
+            {"aggregator": WorstCase()},
+            {
+                "problem": PlacementProblem.default(),
+                "scenarios": ScenarioSpec(name="x", rate_scale=2.0),
+            },
+        ],
+        ids=["scenarios", "aggregator", "problem+scenarios"],
+    )
+    def test_removed_kwargs_raise_type_error(self, tiny_telemetry, kwargs):
+        """The ``scenarios=`` / ``aggregator=`` shim is gone: the scenario axis is
+        declared on the problem (``PlacementProblem.default(scenarios=...)``)."""
         from repro.recommend import Atlas, AtlasConfig
-        from repro.recommend import advisor as advisor_module
 
         app, result = tiny_telemetry
-        ga = GAConfig(
-            population_size=8,
-            offspring_per_generation=4,
-            evaluation_budget=60,
-            train_iterations=5,
-            train_batch_size=2,
-            train_pairs=4,
-            max_generations=3,
-            seed=0,
-        )
-        atlas = Atlas(
-            app, MigrationPreferences(), config=AtlasConfig(traces_per_api=10, ga=ga)
-        )
+        atlas = Atlas(app, MigrationPreferences(), config=AtlasConfig(traces_per_api=10))
         atlas.learn(result.telemetry)
-        advisor_module._LEGACY_KWARGS_WARNED = False
-        try:
-            with pytest.warns(DeprecationWarning, match="PlacementProblem"):
-                first = atlas.recommend(
-                    scenarios=ScenarioSpec(name="burst", rate_scale=1.5)
-                )
-            assert first.problem is not None and first.problem.scenarios is not None
-            # Second legacy call: the shim warns only once per process.
-            import warnings as warnings_module
-
-            with warnings_module.catch_warnings():
-                warnings_module.simplefilter("error", DeprecationWarning)
-                second = atlas.recommend(
-                    scenarios=ScenarioSpec(name="burst", rate_scale=1.5)
-                )
-            assert second.scenario_set is not None
-        finally:
-            advisor_module._LEGACY_KWARGS_WARNED = False
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            atlas.recommend(**kwargs)
 
     def test_problem_front_door_rejects_conflicting_kwargs(self, tiny_telemetry):
         from repro.recommend import Atlas, AtlasConfig
@@ -585,11 +571,6 @@ class TestLegacyShim:
         app, result = tiny_telemetry
         atlas = Atlas(app, MigrationPreferences(), config=AtlasConfig(traces_per_api=10))
         atlas.learn(result.telemetry)
-        with pytest.raises(ValueError, match="with_scenarios"):
-            atlas.recommend(
-                problem=PlacementProblem.default(),
-                scenarios=ScenarioSpec(name="x", rate_scale=2.0),
-            )
         with pytest.raises(ValueError, match="both"):
             atlas.recommend(
                 problem=PlacementProblem.default(

@@ -3,7 +3,7 @@
 Three contracts from the serving tier:
 
 * **Store round-trip is bitwise** — ``load(save(artifact))`` reproduces compiled
-  trace sets, fused programs and Δ tables bit for bit on random topologies, and
+  trace sets and Δ tables bit for bit on random topologies, and
   any damaged frame (truncation, corruption, version skew) degrades to ``None``
   — a clean recompile, never an exception.
 * **Single-flight concurrency** — N threads racing on one fingerprint run
@@ -29,7 +29,7 @@ from test_artifacts import TINY_GA, _assert_bitwise, _perturb
 from test_compiled import random_delays, random_trace
 
 from repro.optimizer.atlas_ga import AtlasGA
-from repro.quality import CompiledTraceSet, FusedProgram, MigrationPreferences
+from repro.quality import CompiledTraceSet, MigrationPreferences
 from repro.quality.artifacts import ArtifactCache
 from repro.quality.compiled import ShmArena
 from repro.recommend import AdvisorService, Atlas, AtlasConfig
@@ -46,13 +46,6 @@ def _random_compiled(rng):
     traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(1, 5)))]
     edges = sorted({edge for trace in traces for edge in trace.invocation_edges()})
     return CompiledTraceSet(traces, edges)
-
-
-def _random_program(rng):
-    compiled_by_api = {
-        f"/api{k}": _random_compiled(rng) for k in range(int(rng.integers(2, 5)))
-    }
-    return FusedProgram(compiled_by_api, sorted(compiled_by_api))
 
 
 # -- the store itself -------------------------------------------------------------------------
@@ -108,21 +101,6 @@ class TestStoreRoundTripBitwise:
         delays = random_delays(rng, list(compiled.edge_index))
         assert loaded.latencies(delays) == compiled.latencies(delays)
 
-    @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=15, deadline=None)
-    def test_fused_program_round_trips_bitwise(self, seed):
-        rng = np.random.default_rng(seed)
-        program = _random_program(rng)
-        with tempfile.TemporaryDirectory() as root:
-            store = ArtifactStore(root)
-            assert store.save(("f",), program)
-            loaded = store.load(("f",))
-        assert isinstance(loaded, FusedProgram)
-        _assert_bitwise(program, loaded)
-        rows = rng.uniform(0.0, 60.0, size=(3, program.total_edges))
-        assert np.array_equal(loaded.replay(rows), program.replay(rows))
-        assert loaded.replay(rows).tobytes() == program.replay(rows).tobytes()
-
     def test_delta_table_round_trips_bitwise(self, tiny_telemetry, tmp_path):
         app, result = tiny_telemetry
         evaluator = build_tiny_evaluator(app, result.telemetry)
@@ -141,31 +119,24 @@ class TestStoreRoundTripBitwise:
         rng = np.random.default_rng(11)
         compiled = _random_compiled(rng)
         pristine = _random_compiled(np.random.default_rng(11))
-        program = _random_program(rng)
         arena = ShmArena()
         try:
             compiled.share_memory(arena)
-            program.share_memory(arena, float32=True)
-            assert compiled._shm_backed and program._shm_backed
+            assert compiled._shm_backed
             with tempfile.TemporaryDirectory() as root:
                 store = ArtifactStore(root)
                 assert store.save(("c",), compiled)
-                assert store.save(("f",), program)
                 loaded_compiled = store.load(("c",))
-                loaded_program = store.load(("f",))
         finally:
             arena.release()
         # Deserialized artifacts own private pages: flags reset, contents bitwise.
         assert loaded_compiled._shm_backed is False
-        assert loaded_program._shm_backed is False
-        assert loaded_program._shm_float32 is False
         _assert_bitwise(pristine, loaded_compiled)
         # ...and they are freshly shareable into a new arena.
         arena2 = ShmArena()
         try:
             loaded_compiled.share_memory(arena2)
-            loaded_program.share_memory(arena2)
-            assert loaded_compiled._shm_backed and loaded_program._shm_backed
+            assert loaded_compiled._shm_backed
         finally:
             arena2.release()
 
