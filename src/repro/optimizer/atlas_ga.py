@@ -444,22 +444,35 @@ class AtlasGA:
     # -- reward (Eq. 5) ----------------------------------------------------------------------
     def reward(
         self,
-        child_vector: Sequence[int],
-        parent_a: Sequence[int],
-        parent_b: Sequence[int],
-    ) -> float:
-        child, qa, qb = self.evaluator.evaluate_vectors(
-            [list(child_vector), list(parent_a), list(parent_b)], self.components
-        )
-        improved = 0
-        for child_value, a_value, b_value in zip(
-            child.objectives(), qa.objectives(), qb.objectives()
-        ):
-            if min(a_value, b_value) > child_value:
-                improved += 1
-        if child.feasible:
-            return float(improved)
-        return -float(max(improved, 1))
+        children: Sequence[Sequence[int]],
+        parents_a: Sequence[Sequence[int]],
+        parents_b: Sequence[Sequence[int]],
+    ) -> List[float]:
+        """Eq. 5 reward of every ``(child, parent_a, parent_b)`` row of a block.
+
+        The whole block is scored by one ``evaluate_vectors`` call over the rows
+        ``child_0, a_0, b_0, child_1, ...``: first-occurrence dedup visits the plans
+        in the order row-by-row scoring would, so ``evaluations`` and the
+        ``evaluated_qualities()`` order do not depend on the block size.
+        """
+        rows = [
+            vector
+            for triple in zip(children, parents_a, parents_b)
+            for vector in triple
+        ]
+        qualities = self.evaluator.evaluate_vectors(rows, self.components)
+        rewards: List[float] = []
+        for child, qa, qb in zip(qualities[0::3], qualities[1::3], qualities[2::3]):
+            improved = 0
+            for child_value, a_value, b_value in zip(
+                child.objectives(), qa.objectives(), qb.objectives()
+            ):
+                if min(a_value, b_value) > child_value:
+                    improved += 1
+            rewards.append(
+                float(improved) if child.feasible else -float(max(improved, 1))
+            )
+        return rewards
 
     # -- agent training ------------------------------------------------------------------------
     def train_agent(self) -> TrainingHistory:

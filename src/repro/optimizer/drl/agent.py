@@ -36,8 +36,13 @@ from .mlp import MLP, AdamOptimizer
 
 __all__ = ["CrossoverAgent", "RewardFunction", "TrainingHistory"]
 
-#: reward_fn(child_vector, parent_a_vector, parent_b_vector) -> float
-RewardFunction = Callable[[Sequence[int], Sequence[int], Sequence[int]], float]
+#: reward_fn(children, parents_a, parents_b) -> one reward per (child, a, b) row.
+#: Called once per training iteration with the whole ``batch_size`` block; it must
+#: consume none of the agent's RNG.
+RewardFunction = Callable[
+    [Sequence[Sequence[int]], Sequence[Sequence[int]], Sequence[Sequence[int]]],
+    Sequence[float],
+]
 
 _PROB_CLIP = 1e-6
 
@@ -205,16 +210,22 @@ class CrossoverAgent:
         iterations: int = 1_000,
         batch_size: int = 4,
     ) -> TrainingHistory:
-        """Train the agent on a dataset ``D`` of parent pairs with the given reward."""
+        """Train the agent on a dataset ``D`` of parent pairs with the given reward.
+
+        The weights are frozen within an iteration, so its ``batch_size`` children
+        are all sampled first (pair index, then gene draws, per sample) and scored
+        by one ``reward_fn`` call over the block; the critic and the gradients then
+        run per sample in sampling order.
+        """
         if not parent_pairs:
             raise ValueError("training requires at least one parent pair")
         if iterations <= 0 or batch_size <= 0:
             raise ValueError("iterations and batch_size must be positive")
         for _ in range(iterations):
-            batch_rewards: List[float] = []
-            feasible = 0
-            actor_grads = None
-            critic_grads = None
+            children: List[List[int]] = []
+            parents_a: List[Sequence[int]] = []
+            parents_b: List[Sequence[int]] = []
+            sampled = []
             for _ in range(batch_size):
                 idx = int(self._rng.integers(0, len(parent_pairs)))
                 parent_a, parent_b = parent_pairs[idx]
@@ -232,8 +243,18 @@ class CrossoverAgent:
                         [self.locations[int(i)] for i in indices], dtype=int
                     )
                 self._apply_constraints(child)
-                reward = float(reward_fn([int(v) for v in child], parent_a, parent_b))
-                batch_rewards.append(reward)
+                children.append([int(v) for v in child])
+                parents_a.append(parent_a)
+                parents_b.append(parent_b)
+                sampled.append((state, actor_cache, probs, child))
+            rewards = [float(r) for r in reward_fn(children, parents_a, parents_b)]
+            if len(rewards) != batch_size:
+                raise ValueError("reward_fn must return one reward per child")
+
+            feasible = 0
+            actor_grads = None
+            critic_grads = None
+            for (state, actor_cache, probs, child), reward in zip(sampled, rewards):
                 if reward > 0:
                     feasible += 1
 
@@ -263,7 +284,7 @@ class CrossoverAgent:
 
             self.actor.apply_gradients(actor_grads, self._actor_opt)
             self.critic.apply_gradients(critic_grads, self._critic_opt)
-            self.history.mean_rewards.append(float(np.mean(batch_rewards)))
+            self.history.mean_rewards.append(float(np.mean(rewards)))
             self.history.feasible_fractions.append(feasible / batch_size)
         return self.history
 

@@ -7,7 +7,7 @@ All objectives are minimized.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-Objectives = Tuple[float, ...]
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -33,23 +32,54 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
+#: Rows per block of :func:`pareto_front`'s comparison against the whole set: the
+#: kernel's temporaries are (n, block) booleans, not (n, n).
+_FRONT_BLOCK = 256
+
+
+def _objective_matrix(objectives: Sequence[Sequence[float]]) -> np.ndarray:
+    """The ``(n, K)`` float matrix of ``n`` equally long objective vectors."""
+    rows = [tuple(row) for row in objectives]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("objective vectors must have the same length")
+    width = len(rows[0]) if rows else 0
+    return np.asarray(rows, dtype=float).reshape(len(rows), width)
+
+
+def _compare(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(all_le, any_lt)`` boolean ``(len(a), len(b))`` matrices of ``a[i]`` vs ``b[j]``.
+
+    ``all_le & any_lt`` is ``dominates(a[i], b[j])`` and ``all_le & ~any_lt`` is
+    equality of the two vectors.  Accumulated objective by objective, so the
+    temporaries stay two-dimensional.  IEEE comparisons give the scalar helper's
+    semantics for free: a NaN row neither dominates nor is dominated (nor equals
+    anything), ``-0.0 == 0.0``, and ``inf`` orders normally.
+    """
+    all_le = np.ones((a.shape[0], b.shape[0]), dtype=bool)
+    any_lt = np.zeros((a.shape[0], b.shape[0]), dtype=bool)
+    for k in range(a.shape[1]):
+        ours, theirs = a[:, k, None], b[None, :, k]
+        all_le &= ours <= theirs
+        any_lt |= ours < theirs
+    return all_le, any_lt
+
+
 def pareto_front(items: Sequence[T], key: Callable[[T], Sequence[float]]) -> List[T]:
-    """The non-dominated subset of ``items`` under the objective extractor ``key``."""
-    objectives = [tuple(key(item)) for item in items]
-    front: List[T] = []
-    for i, item in enumerate(items):
-        dominated = False
-        for j, other in enumerate(objectives):
-            if i != j and dominates(other, objectives[i]):
-                dominated = True
-                break
-            # Deduplicate identical objective vectors, keeping the first occurrence.
-            if j < i and other == objectives[i]:
-                dominated = True
-                break
-        if not dominated:
-            front.append(item)
-    return front
+    """The non-dominated subset of ``items`` under the objective extractor ``key``.
+
+    Input order is kept; of several items with equal objective vectors only the
+    first occurrence survives.
+    """
+    matrix = _objective_matrix([key(item) for item in items])
+    n = matrix.shape[0]
+    index = np.arange(n)
+    keep = np.ones(n, dtype=bool)
+    for start in range(0, n, _FRONT_BLOCK):
+        block = slice(start, start + _FRONT_BLOCK)
+        all_le, any_lt = _compare(matrix, matrix[block])
+        earlier_equal = all_le & ~any_lt & (index[:, None] < index[None, block])
+        keep[block] = ~((all_le & any_lt) | earlier_equal).any(axis=0)
+    return [items[i] for i in np.flatnonzero(keep).tolist()]
 
 
 def merge_fronts(
@@ -57,66 +87,38 @@ def merge_fronts(
 ) -> List[T]:
     """Merge per-island Pareto fronts into one non-dominated front.
 
-    Equivalent to :func:`pareto_front` over the concatenation of all fronts (same
-    dominance rule, same first-occurrence deduplication of identical objective
-    vectors, same concatenation-order output), but maintained incrementally: each
-    incoming item is compared against the merged set only, dominated survivors are
-    evicted as better items arrive.  This is the K-dim merge the island-model
-    parallel search applies to the per-worker fronts, and the law the property
-    suite in ``tests/test_parallel.py`` pins down.
+    :func:`pareto_front` over the concatenation of all fronts: same dominance rule,
+    same first-occurrence deduplication of identical objective vectors, same
+    concatenation-order output.  This is the K-dim merge the island-model parallel
+    search applies to the per-worker fronts, and the law the property suite in
+    ``tests/test_parallel.py`` pins down.
     """
-    merged: List[T] = []
-    merged_objectives: List[Objectives] = []
-    for front in fronts:
-        for item in front:
-            objectives = tuple(float(v) for v in key(item))
-            skip = False
-            for kept in merged_objectives:
-                if kept == objectives or dominates(kept, objectives):
-                    skip = True
-                    break
-            if skip:
-                continue
-            survivors = [
-                i
-                for i, kept in enumerate(merged_objectives)
-                if not dominates(objectives, kept)
-            ]
-            if len(survivors) != len(merged):
-                merged = [merged[i] for i in survivors]
-                merged_objectives = [merged_objectives[i] for i in survivors]
-            merged.append(item)
-            merged_objectives.append(objectives)
-    return merged
+    return pareto_front([item for front in fronts for item in front], key)
 
 
 def non_dominated_sort(objectives: Sequence[Sequence[float]]) -> List[List[int]]:
-    """NSGA-II fast non-dominated sort: indices grouped into fronts (front 0 is best)."""
-    n = len(objectives)
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: List[List[int]] = [[]]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if dominates(objectives[i], objectives[j]):
-                dominated_by[i].append(j)
-            elif dominates(objectives[j], objectives[i]):
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    next_front.append(j)
-        current += 1
-        fronts.append(next_front)
-    return [front for front in fronts if front]
+    """NSGA-II fast non-dominated sort: indices grouped into fronts (front 0 is best).
+
+    Front 0 is in ascending index order.  A member of a later front is released by
+    the last of its dominators in the previous front, so every later front is
+    ordered by (position of that dominator in the previous front, then index).
+    Survival selection and the stable crowding sorts consume fronts in this order,
+    which makes it part of every fixed-seed trajectory.
+    """
+    matrix = _objective_matrix(objectives)
+    all_le, any_lt = _compare(matrix, matrix)
+    dominated = all_le & any_lt
+    waiting_on = dominated.sum(axis=0)
+    front = np.flatnonzero(waiting_on == 0)
+    fronts: List[List[int]] = []
+    while front.size:
+        fronts.append(front.tolist())
+        beaten = dominated[front]
+        waiting_on -= beaten.sum(axis=0)
+        released = np.flatnonzero((waiting_on == 0) & beaten.any(axis=0))
+        last_dominator = front.size - 1 - np.argmax(beaten[::-1, released], axis=0)
+        front = released[np.argsort(last_dominator, kind="stable")]
+    return fronts
 
 
 def crowding_distance(objectives: Sequence[Sequence[float]]) -> List[float]:
@@ -126,23 +128,21 @@ def crowding_distance(objectives: Sequence[Sequence[float]]) -> List[float]:
         return []
     if n <= 2:
         return [float("inf")] * n
-    m = len(objectives[0])
-    distance = [0.0] * n
     arr = np.asarray(objectives, dtype=float)
-    for k in range(m):
-        order = np.argsort(arr[:, k], kind="stable")
-        lo, hi = arr[order[0], k], arr[order[-1], k]
-        distance[order[0]] = float("inf")
-        distance[order[-1]] = float("inf")
-        span = hi - lo
+    distance = np.zeros(n)
+    for k in range(arr.shape[1]):
+        column = arr[:, k]
+        order = np.argsort(column, kind="stable")
+        distance[order[0]] = np.inf
+        distance[order[-1]] = np.inf
+        span = column[order[-1]] - column[order[0]]
         if span <= 0:
             continue
-        for idx in range(1, n - 1):
-            i = order[idx]
-            if distance[i] == float("inf"):
-                continue
-            distance[i] += (arr[order[idx + 1], k] - arr[order[idx - 1], k]) / span
-    return distance
+        inner = order[1:-1]
+        open_ = distance[inner] != np.inf
+        gaps = (column[order[2:]] - column[order[:-2]]) / span
+        distance[inner[open_]] += gaps[open_]
+    return distance.tolist()
 
 
 def distance_to_ideal(points: Sequence[Sequence[float]]) -> np.ndarray:
@@ -192,8 +192,6 @@ def hypervolume_2d(
         return 0.0
     points.sort()
     volume = 0.0
-    prev_x = None
-    best_y = reference[1]
     # Sweep in increasing x; each point contributes a rectangle up to the reference.
     filtered: List[Tuple[float, float]] = []
     for x, y in points:

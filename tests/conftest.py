@@ -8,6 +8,7 @@ through a session-scoped simulated telemetry fixture.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.apps import (
     ApiEndpoint,
@@ -23,6 +24,12 @@ from repro.apps import (
 from repro.cluster import MigrationPlan, default_hybrid_cluster, default_network_model
 from repro.simulator import simulate_workload
 from repro.workload import WorkloadGenerator, default_scenario
+
+
+#: ``--hypothesis-profile=ci``: the deeper, reproducible budget CI gives the oracle
+#: suites (tests that pin their own ``max_examples`` keep it).  Tier-1 runs the
+#: default profile.
+settings.register_profile("ci", max_examples=500, derandomize=True, deadline=None)
 
 
 def make_tiny_app() -> Application:

@@ -295,9 +295,9 @@ class TestMultiLocationSearch:
         )
         pairs = [([0, 1, 0, 2, 1, 0], [2, 0, 1, 0, 2, 1])]
 
-        def reward(child, _a, _b):
-            assert child[2] == ON_PREM
-            return 1.0 if child.count(ON_PREM) >= 2 else -1.0
+        def reward(children, _parents_a, _parents_b):
+            assert all(child[2] == ON_PREM for child in children)
+            return [1.0 if child.count(ON_PREM) >= 2 else -1.0 for child in children]
 
         history = agent.train(pairs, reward, iterations=5, batch_size=2)
         assert len(history.mean_rewards) == 5

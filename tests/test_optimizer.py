@@ -185,8 +185,8 @@ class TestCrossoverAgent:
         agent = CrossoverAgent(n_components=6, hidden_dims=(16, 16), learning_rate=5e-3, seed=2)
         pairs = [([0] * 6, [1] * 6), ([1] * 6, [0] * 6)]
 
-        def reward(child, _pa, _pb):
-            return float(sum(child)) - 3.0
+        def reward(children, _parents_a, _parents_b):
+            return [float(sum(child)) - 3.0 for child in children]
 
         history = agent.train(pairs, reward, iterations=150, batch_size=4)
         assert len(history.mean_rewards) == 150
@@ -198,7 +198,7 @@ class TestCrossoverAgent:
 
     def test_smoothed_rewards_length(self):
         agent = CrossoverAgent(n_components=3, hidden_dims=(8,), seed=3)
-        history = agent.train([([0, 0, 0], [1, 1, 1])], lambda c, a, b: 1.0, iterations=10, batch_size=1)
+        history = agent.train([([0, 0, 0], [1, 1, 1])], lambda children, a, b: [1.0] * len(children), iterations=10, batch_size=1)
         assert len(history.smoothed_rewards()) == 10
 
 

@@ -164,10 +164,21 @@ class TestGACrossoverVariants:
         ga = AtlasGA(evaluator, app.component_names, SMALL_GA)
         all_cloud = [CLOUD] * len(app.component_names)
         all_onprem = [ON_PREM] * len(app.component_names)
-        reward = ga.reward(all_onprem, all_cloud, all_cloud)
-        assert isinstance(reward, float)
+        rewards = ga.reward(
+            [all_onprem, all_cloud], [all_cloud, all_onprem], [all_cloud, all_onprem]
+        )
+        assert len(rewards) == 2 and all(isinstance(r, float) for r in rewards)
         # The all-on-prem child violates the CPU limit -> negative reward.
-        assert reward < 0
+        assert rewards[0] < 0
+        # Eq. 5 row by row: aspects in which the child beats both parents, negated
+        # (and floored at -1) when the child is infeasible.
+        child, parent = evaluator.evaluate_vectors(
+            [all_cloud, all_onprem], app.component_names
+        )
+        improved = sum(c < p for c, p in zip(child.objectives(), parent.objectives()))
+        assert rewards[1] == (
+            float(improved) if child.feasible else -float(max(improved, 1))
+        )
 
 
 class TestBaselines:
