@@ -19,11 +19,22 @@ separately).
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .topology import CLOUD, ON_PREM
 
 __all__ = ["MigrationPlan"]
+
+
+@lru_cache(maxsize=256)
+def _shared_order(components: Tuple[str, ...]) -> Tuple[Tuple[str, ...], Dict[str, int]]:
+    """The one ``(components tuple, component -> position)`` pair of a component order.
+
+    A search builds thousands of plans over a handful of orders; plans are immutable
+    and never write to the index, so all plans of one order share both objects.
+    """
+    return components, {c: i for i, c in enumerate(components)}
 
 
 class MigrationPlan(Mapping[str, int]):
@@ -44,12 +55,18 @@ class MigrationPlan(Mapping[str, int]):
             missing = set(order) ^ set(assignment)
             if missing:
                 raise ValueError(f"order and assignment disagree on components: {sorted(missing)}")
-        self._components: Tuple[str, ...] = tuple(order)
-        self._locations: Tuple[int, ...] = tuple(int(assignment[c]) for c in self._components)
-        for comp, loc in zip(self._components, self._locations):
-            if loc < 0:
-                raise ValueError(f"negative location for component {comp!r}")
-        self._index: Dict[str, int] = {c: i for i, c in enumerate(self._components)}
+        self._fill(tuple(order), tuple(int(assignment[c]) for c in order))
+
+    def _fill(self, components: Tuple[str, ...], locations: Tuple[int, ...]) -> None:
+        """Slot assignment and validation — where every construction route ends."""
+        self._components, self._index = _shared_order(components)
+        if len(self._index) != len(locations):
+            # A repeated name is one component: its last location wins everywhere.
+            locations = tuple(locations[self._index[c]] for c in components)
+        if locations and min(locations) < 0:
+            comp = next(c for c, loc in zip(components, locations) if loc < 0)
+            raise ValueError(f"negative location for component {comp!r}")
+        self._locations = locations
 
     # -- Mapping interface --------------------------------------------------------
     def __getitem__(self, component: str) -> int:
@@ -110,7 +127,10 @@ class MigrationPlan(Mapping[str, int]):
             raise ValueError(
                 f"vector length {len(vector)} does not match component count {len(components)}"
             )
-        return cls({c: int(v) for c, v in zip(components, vector)}, order=components)
+        # Straight to the slots: no assignment dict, no order/assignment cross-check.
+        plan = cls.__new__(cls)
+        plan._fill(tuple(components), tuple(map(int, vector)))
+        return plan
 
     # -- views -----------------------------------------------------------------------
     @property

@@ -27,6 +27,50 @@ __all__ = ["ResourceEstimate", "ResourceEstimator"]
 #: database's on-disk size is not proportional to the instantaneous request rate.
 MODELED_RESOURCES = ("cpu_millicores", "memory_mb")
 
+#: Plans per block of :func:`ordered_masked_sum`: its temporary is a
+#: ``(terms, block, ...)`` stack — 0.5 MB for 29 components x 18 steps — whatever the
+#: batch size.  Internal, like the primitive: shared with ``quality.cost`` only.
+PLAN_BLOCK = 128
+
+
+def ordered_masked_sum(terms: "np.ndarray", mask: "np.ndarray") -> "np.ndarray":
+    """Per-plan sums of the selected terms, accumulated in term order from ``+0.0``.
+
+    ``mask`` is a ``(K, P)`` boolean selection and ``terms`` a ``(K, P, ...)`` float64
+    array, or ``(K, 1, ...)`` when every plan shares the term values.  Row ``p`` of
+    the ``(P, ...)`` result is bitwise what the scalar cost loops compute::
+
+        total = 0.0
+        for k in range(K):
+            if mask[k, p]:
+                total += terms[k, p]
+
+    Unselected terms enter as ``+0.0``, which a running total that started at
+    ``+0.0`` absorbs without changing a bit (it can never be ``-0.0``).  The order
+    rests on how ``np.add.reduce`` walks memory: it adds one ``stack[k]`` slab after
+    another only while the reduced axis is the outermost axis of a C-ordered stack
+    with more than one element behind it — when the reduced axis *is* the contiguous
+    inner loop (a transposed stack, or one plan x one step) numpy switches to
+    pairwise summation and the last bits move.  Hence the term axis leads, the stack
+    is allocated here, and a lone plan is padded with a second, all-zero one.
+
+    Not part of the package's public surface (the cost kernels of this module and of
+    ``quality.cost`` are its only callers): numpy does not document that walk, so
+    ``tests/test_cost_kernels.py`` pins it and is what a numpy upgrade has to pass.
+    """
+    n_terms, n_plans = mask.shape
+    inner = terms.shape[2:]
+    where = mask.reshape(mask.shape + (1,) * len(inner))
+    out = np.empty((n_plans,) + inner, dtype=np.float64)
+    for start in range(0, n_plans, PLAN_BLOCK):
+        stop = min(start + PLAN_BLOCK, n_plans)
+        width = stop - start
+        stack = np.zeros((n_terms, max(width, 2)) + inner, dtype=np.float64)
+        block = terms if terms.shape[1] == 1 else terms[:, start:stop]
+        np.copyto(stack[:, :width], block, where=where[:, start:stop])
+        out[start:stop] = np.add.reduce(stack, axis=0, initial=0.0)[:width]
+    return out
+
 
 @dataclass
 class ResourceEstimate:
@@ -44,6 +88,12 @@ class ResourceEstimate:
     _matrices: Dict[str, Tuple[Dict[str, int], "np.ndarray"]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: Lazily-built lowering of one resource onto one column order for
+    #: :meth:`aggregate_matrix`: the columns of the estimate's components, in storage
+    #: order, and their ``(components, 1, steps)`` series.
+    _lowerings: Dict[
+        Tuple[str, Tuple[str, ...]], Tuple["np.ndarray", "np.ndarray"]
+    ] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def steps(self) -> int:
@@ -94,23 +144,24 @@ class ResourceEstimate:
 
         ``members`` is a ``(plans, len(columns))`` boolean matrix selecting, per plan,
         the components (named by ``columns``) to sum; returns ``(plans, steps)``.
-        Rows are accumulated one component at a time in the same storage order as
-        :meth:`aggregate_series`, so every output row is bitwise equal to the scalar
-        aggregation of that plan's subset.
+        One :func:`ordered_masked_sum` over the estimate's components in the same
+        storage order as :meth:`aggregate_series`, so every output row is bitwise
+        equal to the scalar aggregation of that plan's subset.
         """
-        rows, matrix = self._matrix(resource)
+        key = (resource, tuple(columns))
+        lowering = self._lowerings.get(key)
+        if lowering is None:
+            rows, matrix = self._matrix(resource)
+            column_of = {name: i for i, name in enumerate(key[1])}
+            shared = [name for name in rows if name in column_of]
+            lowering = (
+                np.asarray([column_of[name] for name in shared], dtype=np.intp),
+                matrix[[rows[name] for name in shared]][:, None, :],
+            )
+            self._lowerings[key] = lowering
+        estimate_columns, series = lowering
         members = np.asarray(members, dtype=bool)
-        steps = matrix.shape[1] if matrix.size else self.steps
-        totals = np.zeros((members.shape[0], steps), dtype=np.float64)
-        column_of = {name: i for i, name in enumerate(columns)}
-        for component, row in rows.items():
-            column = column_of.get(component)
-            if column is None:
-                continue
-            selected = members[:, column]
-            if selected.any():
-                totals[selected] += matrix[row]
-        return totals
+        return ordered_masked_sum(series, members[:, estimate_columns].T)
 
     def peak_matrix(
         self, resource: str, members: "np.ndarray", columns: Sequence[str]

@@ -24,14 +24,14 @@ and billed independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster.autoscaler import AutoscalerConfig, ClusterAutoscaler, StorageAutoscaler
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import CLOUD, NodeSpec, ON_PREM
-from ..learning.estimator import ResourceEstimate
+from ..learning.estimator import PLAN_BLOCK, ResourceEstimate, ordered_masked_sum
 from ..learning.footprint import NetworkFootprint
 
 __all__ = ["PricingCatalog", "CostEstimate", "CloudCostModel"]
@@ -39,6 +39,18 @@ __all__ = ["PricingCatalog", "CostEstimate", "CloudCostModel"]
 _MS_PER_HOUR = 3_600_000.0
 _MS_PER_MONTH = 30.0 * 24.0 * _MS_PER_HOUR
 _BYTES_PER_GB = 1e9
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """``values`` added first to last from ``+0.0``.
+
+    Not the builtin: ``sum()`` over floats is Neumaier-compensated from CPython 3.12
+    on, and the batched kernels reproduce this plain left fold on every version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -92,18 +104,29 @@ class CostEstimate:
 
 @dataclass
 class _CostLowering:
-    """Reusable arrays lowering one component order for the plan-matrix pipeline."""
+    """One component order lowered onto arrays for the plan-matrix pipeline.
 
-    columns: Dict[str, int]
-    baseline_row: np.ndarray
-    storage_gb: np.ndarray
+    The storage term reads only the stateful columns (``storage_gb > 0``), so those
+    are lowered on their own: ``stateful_gb`` is the ``(S, 1)`` term column of the
+    migrated-size sum.  ``src_cols`` / ``dst_cols`` / ``total_bytes`` describe the
+    ``(API, edge)`` entries in scalar iteration order; the ``entry_*`` arrays are the
+    billed contributions of the model's billing arm in the same order — the entries
+    themselves, or under ``charge_cloud_egress_only`` the request (caller's site)
+    and response (callee's site) halves interleaved, ``entry_site`` naming the
+    column whose location is billed (``None``: the link's own rate).
+    """
+
     stateful_columns: np.ndarray
-    stateful_row_mask: np.ndarray
+    stateful_names: Tuple[str, ...]
+    stateful_baseline: np.ndarray
+    stateful_gb: np.ndarray
     src_cols: np.ndarray
     dst_cols: np.ndarray
     total_bytes: np.ndarray
-    request_bytes: np.ndarray
-    response_bytes: np.ndarray
+    entry_src: np.ndarray
+    entry_dst: np.ndarray
+    entry_site: Optional[np.ndarray]
+    entry_bytes: np.ndarray
 
 
 class CloudCostModel:
@@ -153,13 +176,17 @@ class CloudCostModel:
         # Lowered views of the estimate/footprint for the plan-matrix pipeline,
         # keyed by the component order of the matrices.
         self._lowerings: Dict[Tuple[str, ...], "_CostLowering"] = {}
-        self._rate_table_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]] = {}
+        self._rate_table_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         # Batched-path memo: per component order, raw plan-row bytes -> total USD.
         # Rows are scored independently, so cached values are bitwise stable no
         # matter which batch first computed them; this keeps feasibility masks and
         # objective scoring (and NSGA-II survivors across generations) from paying
         # the cost passes twice for the same plan.
         self._batch_cost_cache: Dict[Tuple[str, ...], Dict[bytes, float]] = {}
+        # Same memo for the storage term alone, keyed by the bytes of a row's
+        # *stateful* columns — all Eq. 9 reads — so rows that differ only in where
+        # stateless components run share one capacity walk.
+        self._storage_cost_cache: Dict[Tuple[str, ...], Dict[bytes, float]] = {}
 
     def derive(
         self,
@@ -249,15 +276,15 @@ class CloudCostModel:
             ]
             if not site_stateful:
                 continue
-            migrated_gb = sum(self.storage_by_component[c] for c in moved_stateful)
+            migrated_gb = _left_sum(self.storage_by_component[c] for c in moved_stateful)
             usage_series = self.estimate.aggregate_series("storage_gb", site_stateful)
             if not usage_series:
-                usage_series = [sum(self.storage_by_component[c] for c in site_stateful)]
+                usage_series = [_left_sum(self.storage_by_component[c] for c in site_stateful)]
             capacity = self._storage_autoscalers[location].capacity_series(
                 usage_series, migrated_gb
             )
             total += (
-                sum(capacity)
+                _left_sum(capacity)
                 * self.catalogs[location].storage_usd_per_gb_month
                 * step_months
             )
@@ -312,7 +339,7 @@ class CloudCostModel:
                 bytes_by_rate[rate] = (
                     bytes_by_rate.get(rate, 0.0) + count * edge.total_bytes
                 )
-        return sum(
+        return _left_sum(
             total_bytes / _BYTES_PER_GB * rate
             for rate, total_bytes in bytes_by_rate.items()
         )
@@ -323,28 +350,46 @@ class CloudCostModel:
         lowering = self._lowerings.get(key)
         if lowering is None:
             columns = {c: i for i, c in enumerate(key)}
-            baseline_row = np.asarray(
-                [self.baseline_plan[c] for c in key], dtype=np.int64
-            )
-            storage_gb = np.asarray(
-                [self.storage_by_component.get(c, 0.0) for c in key], dtype=np.float64
-            )
-            stateful_columns = np.nonzero(storage_gb > 0.0)[0]
-            stateful_row_mask = storage_gb > 0.0
+            stateful = [
+                i for i, c in enumerate(key) if self.storage_by_component.get(c, 0.0) > 0.0
+            ]
             total_requests = {
                 api: sum(series) for api, series in self.estimate.api_rates.items()
             }
-            arrays = self.footprint.edge_arrays(total_requests, columns)
+            src_cols, dst_cols, total_bytes, request_bytes, response_bytes = (
+                self.footprint.edge_arrays(total_requests, columns)
+            )
+            if self.charge_cloud_egress_only:
+                entry_src, entry_dst = np.repeat(src_cols, 2), np.repeat(dst_cols, 2)
+                entry_site = np.column_stack((src_cols, dst_cols)).ravel()
+                entry_bytes = np.column_stack((request_bytes, response_bytes))
+            else:
+                entry_src, entry_dst, entry_site = src_cols, dst_cols, None
+                entry_bytes = total_bytes
             lowering = _CostLowering(
-                columns, baseline_row, storage_gb, stateful_columns, stateful_row_mask,
-                *arrays,
+                stateful_columns=np.asarray(stateful, dtype=np.intp),
+                stateful_names=tuple(key[i] for i in stateful),
+                stateful_baseline=np.asarray(
+                    [self.baseline_plan[key[i]] for i in stateful], dtype=np.int64
+                ),
+                stateful_gb=np.asarray(
+                    [self.storage_by_component[key[i]] for i in stateful],
+                    dtype=np.float64,
+                ).reshape(-1, 1),
+                src_cols=src_cols,
+                dst_cols=dst_cols,
+                total_bytes=total_bytes,
+                entry_src=entry_src,
+                entry_dst=entry_dst,
+                entry_site=entry_site,
+                entry_bytes=entry_bytes.reshape(-1, 1),
             )
             self._lowerings[key] = lowering
         return lowering
 
     def _rate_tables_for(
         self, max_location: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Egress-rate lookup tables over location ids ``0..max_location``.
 
         Returns ``(pair_bucket, site_bucket, billable, rates)``: the bucket index of
@@ -371,9 +416,38 @@ class CloudCostModel:
             site_bucket = np.asarray(
                 [index_of.get(rate, 0) for rate in site_rate], dtype=np.int64
             )
-            cached = (pair_bucket, site_bucket, billable, rates)
+            cached = (
+                pair_bucket, site_bucket, billable, np.asarray(rates, dtype=np.float64)
+            )
             self._rate_table_cache[max_location] = cached
         return cached
+
+    @staticmethod
+    def _memoized_rows(
+        cache: Dict[bytes, float],
+        matrix: np.ndarray,
+        score: Callable[[np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """Per-row scores of ``matrix`` through a memo keyed by the rows' raw bytes.
+
+        ``score`` sees each distinct unknown row once, as one sub-matrix.  Every
+        kernel scores rows independently, so a memoized value carries the same bits
+        no matter which batch first computed it.
+        """
+        row_size = matrix.shape[1] * matrix.itemsize
+        buffer = matrix.tobytes()
+        keys = [
+            buffer[start : start + row_size]
+            for start in range(0, matrix.shape[0] * row_size, row_size)
+        ]
+        unknown: Dict[bytes, int] = {}
+        for row, key in enumerate(keys):
+            if key not in cache and key not in unknown:
+                unknown[key] = row
+        if unknown:
+            scores = score(matrix[list(unknown.values())])
+            cache.update(zip(unknown, scores.tolist()))
+        return np.asarray([cache[key] for key in keys], dtype=np.float64)
 
     def _compute_batch(
         self, matrix: np.ndarray, components: Sequence[str]
@@ -398,29 +472,40 @@ class CloudCostModel:
     def _storage_batch(
         self, matrix: np.ndarray, components: Sequence[str], lowering: _CostLowering
     ) -> np.ndarray:
-        """Eq. 9 over a plan matrix: one vectorized capacity walk per billable site."""
-        step_months = self.real_step_ms / _MS_PER_MONTH
-        n_plans = matrix.shape[0]
-        totals = np.zeros(n_plans, dtype=np.float64)
+        """Eq. 9 over a plan matrix, memoized on each row's stateful placements."""
         if lowering.stateful_columns.size == 0:
-            return totals
+            return np.zeros(matrix.shape[0], dtype=np.float64)
+        return self._memoized_rows(
+            self._storage_cost_cache.setdefault(tuple(components), {}),
+            matrix[:, lowering.stateful_columns],
+            lambda placements: self._storage_rows(placements, lowering),
+        )
+
+    def _storage_rows(
+        self, placements: np.ndarray, lowering: _CostLowering
+    ) -> np.ndarray:
+        """Eq. 9 for ``(rows, stateful components)`` placements: one capacity walk per site.
+
+        The migrated size sums the moved components' GB in column order, the
+        provisioned total sums the capacity series in step order — the scalar path's
+        two :func:`_left_sum` folds.
+        """
+        step_months = self.real_step_ms / _MS_PER_MONTH
+        n_rows = placements.shape[0]
+        totals = np.zeros(n_rows, dtype=np.float64)
+        moved = placements != lowering.stateful_baseline
         for location in sorted(self._storage_autoscalers):
-            site_stateful = (matrix == location) & lowering.stateful_row_mask
-            if not site_stateful.any():
+            at_site = placements == location
+            if not at_site.any():
                 continue
-            moved = site_stateful & (matrix != lowering.baseline_row)
-            # Accumulate migrated GB one stateful component at a time, in canonical
-            # column order — the same summation sequence as the scalar path.
-            migrated = np.zeros(n_plans, dtype=np.float64)
-            for column in lowering.stateful_columns:
-                selected = moved[:, column]
-                if selected.any():
-                    migrated[selected] += lowering.storage_gb[column]
-            usage = self.estimate.aggregate_matrix("storage_gb", site_stateful, components)
+            migrated = ordered_masked_sum(lowering.stateful_gb, (at_site & moved).T)
+            usage = self.estimate.aggregate_matrix(
+                "storage_gb", at_site, lowering.stateful_names
+            )
             capacity = self._storage_autoscalers[location].capacity_matrix(usage, migrated)
-            provisioned = np.zeros(n_plans, dtype=np.float64)
-            for step in range(capacity.shape[1]):
-                provisioned += capacity[:, step]
+            provisioned = ordered_masked_sum(
+                capacity.T, np.ones((capacity.shape[1], n_rows), dtype=bool)
+            )
             totals += (
                 provisioned
                 * self.catalogs[location].storage_usd_per_gb_month
@@ -431,65 +516,65 @@ class CloudCostModel:
     def _traffic_batch(
         self, matrix: np.ndarray, lowering: _CostLowering
     ) -> np.ndarray:
-        """Eq. 10 over a plan matrix with per-rate bucket accounting.
+        """Eq. 10 over a plan matrix, ``PLAN_BLOCK`` rows at a time.
 
-        Buckets accumulate in the scalar entry order, and each plan's final sum walks
-        its buckets in first-contribution order (the scalar dict's insertion order),
-        so multi-rate topologies keep the exact float summation sequence.
+        Rows are billed independently, so blocking the plan axis changes no bit; it
+        keeps the ``(entries, buckets, plans)`` temporaries of :meth:`_traffic_rows`
+        at a fixed size whatever the batch.
         """
         n_plans = matrix.shape[0]
-        totals = np.zeros(n_plans, dtype=np.float64)
-        if lowering.src_cols.size == 0 or n_plans == 0:
-            return totals
-        pair_bucket, site_bucket, billable, rates = self._rate_tables_for(
-            int(matrix.max())
-        )
-        never = np.iinfo(np.int64).max
-        sums = np.zeros((len(rates), n_plans), dtype=np.float64)
-        first_seen = np.full((len(rates), n_plans), never, dtype=np.int64)
-        src_locs = matrix[:, lowering.src_cols]
-        dst_locs = matrix[:, lowering.dst_cols]
-        crossing = src_locs != dst_locs
-        if self.charge_cloud_egress_only:
-            # Request bytes bill at the caller's site, response bytes at the callee's;
-            # the two contributions of one entry keep their scalar order (2e, 2e+1).
-            for entry in range(lowering.src_cols.size):
-                src_side = crossing[:, entry] & billable[src_locs[:, entry]]
-                if src_side.any():
-                    plans = np.nonzero(src_side)[0]
-                    buckets = site_bucket[src_locs[plans, entry]]
-                    np.add.at(sums, (buckets, plans), lowering.request_bytes[entry])
-                    np.minimum.at(first_seen, (buckets, plans), 2 * entry)
-                dst_side = crossing[:, entry] & billable[dst_locs[:, entry]]
-                if dst_side.any():
-                    plans = np.nonzero(dst_side)[0]
-                    buckets = site_bucket[dst_locs[plans, entry]]
-                    np.add.at(sums, (buckets, plans), lowering.response_bytes[entry])
-                    np.minimum.at(first_seen, (buckets, plans), 2 * entry + 1)
-        else:
-            bucket_matrix = pair_bucket[src_locs, dst_locs]
-            for entry in range(lowering.src_cols.size):
-                cross = crossing[:, entry]
-                if not cross.any():
-                    continue
-                plans = np.nonzero(cross)[0]
-                buckets = bucket_matrix[plans, entry]
-                np.add.at(sums, (buckets, plans), lowering.total_bytes[entry])
-                np.minimum.at(first_seen, (buckets, plans), entry)
-        touched = first_seen < never
-        bucket_counts = touched.sum(axis=0)
-        single = bucket_counts <= 1
-        for bucket in range(len(rates)):
-            selected = single & touched[bucket]
-            if selected.any():
-                totals[selected] = sums[bucket, selected] / _BYTES_PER_GB * rates[bucket]
-        for plan in np.nonzero(~single)[0]:
-            order = np.argsort(first_seen[:, plan], kind="stable")
-            value = 0.0
-            for bucket in order[: bucket_counts[plan]]:
-                value += sums[bucket, plan] / _BYTES_PER_GB * rates[bucket]
-            totals[plan] = value
+        if lowering.entry_bytes.shape[0] == 0 or n_plans == 0:
+            return np.zeros(n_plans, dtype=np.float64)
+        tables = self._rate_tables_for(int(matrix.max()))
+        totals = np.empty(n_plans, dtype=np.float64)
+        for start in range(0, n_plans, PLAN_BLOCK):
+            stop = start + PLAN_BLOCK
+            totals[start:stop] = self._traffic_rows(matrix[start:stop], lowering, tables)
         return totals
+
+    @staticmethod
+    def _traffic_rows(
+        matrix: np.ndarray,
+        lowering: _CostLowering,
+        tables: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ) -> np.ndarray:
+        """Eq. 10 for one block of plans with per-rate bucket accounting.
+
+        Every bucket sums its contributions in the scalar entry order, and each
+        plan's final sum walks its buckets in first-contribution order (the scalar
+        dict's insertion order), so multi-rate topologies keep the exact float
+        summation sequence.
+        """
+        pair_bucket, site_bucket, billable, rates = tables
+        n_plans = matrix.shape[0]
+        n_entries = lowering.entry_bytes.shape[0]
+        src_locs = matrix[:, lowering.entry_src]
+        dst_locs = matrix[:, lowering.entry_dst]
+        billed = src_locs != dst_locs
+        if lowering.entry_site is None:
+            buckets = pair_bucket[src_locs, dst_locs]
+        else:
+            site_locs = matrix[:, lowering.entry_site]
+            billed &= billable[site_locs]
+            buckets = site_bucket[site_locs]
+        # (entries, buckets, plans): which bucket each billed contribution lands in.
+        into = (buckets.T[:, None, :] == np.arange(rates.size)[:, None]) & billed.T[
+            :, None, :
+        ]
+        usd = (
+            ordered_masked_sum(
+                lowering.entry_bytes, into.reshape(n_entries, -1)
+            ).reshape(rates.size, n_plans)
+            / _BYTES_PER_GB
+            * rates[:, None]
+        )
+        touched = into.any(axis=0)
+        first_seen = np.where(touched, into.argmax(axis=0), n_entries)
+        order = np.argsort(first_seen, axis=0, kind="stable")
+        return ordered_masked_sum(
+            np.take_along_axis(usd, order, axis=0),
+            np.take_along_axis(touched, order, axis=0),
+        )
 
     def qcost_batch(
         self, plan_matrix: np.ndarray, components: Sequence[str]
@@ -520,27 +605,14 @@ class CloudCostModel:
                     for row in matrix.tolist()
                 ]
             )
-        cache = self._batch_cost_cache.setdefault(tuple(components), {})
-        n_plans = matrix.shape[0]
-        row_size = matrix.shape[1] * matrix.itemsize
-        buffer = matrix.tobytes()
-        keys = [buffer[p * row_size : (p + 1) * row_size] for p in range(n_plans)]
-        unknown: Dict[bytes, int] = {}
-        for plan_index, key in enumerate(keys):
-            if key not in cache and key not in unknown:
-                unknown[key] = plan_index
-        if unknown:
-            # Every pass scores rows independently, so computing only the unknown
-            # sub-matrix yields the same bits as scoring them inside the full batch.
-            submatrix = matrix[list(unknown.values())]
-            lowering = self._lowering(components)
-            compute = self._compute_batch(submatrix, components)
-            storage = self._storage_batch(submatrix, components, lowering)
-            traffic = self._traffic_batch(submatrix, lowering)
-            totals = compute + storage + traffic
-            for key, total in zip(unknown, totals):
-                cache[key] = float(total)
-        return np.asarray([cache[key] for key in keys])
+        lowering = self._lowering(components)
+        return self._memoized_rows(
+            self._batch_cost_cache.setdefault(tuple(components), {}),
+            matrix,
+            lambda rows: self._compute_batch(rows, components)
+            + self._storage_batch(rows, components, lowering)
+            + self._traffic_batch(rows, lowering),
+        )
 
     # -- combined --------------------------------------------------------------------------
     def qcost(self, plan: MigrationPlan) -> float:

@@ -27,6 +27,7 @@ from repro.cluster import (
 )
 from repro.cluster.autoscaler import AutoscalerConfig, ClusterAutoscaler, StorageAutoscaler
 from repro.learning import ApiProfiler, FootprintLearner, ResourceEstimator
+from repro.learning.footprint import EdgeFootprint, NetworkFootprint
 from repro.optimizer import AtlasGA, GAConfig
 from repro.optimizer.baselines import (
     BaselineContext,
@@ -74,6 +75,7 @@ def matrix_stack(tiny_telemetry):
         preferences=None,
         engine="compiled",
         charge_cloud_egress_only=False,
+        cost_footprint=footprint,
     ):
         if len(locations) == 2:
             network = default_network_model()
@@ -95,7 +97,7 @@ def matrix_stack(tiny_telemetry):
         cost = CloudCostModel(
             PricingCatalog(),
             estimate,
-            footprint,
+            cost_footprint,
             {c.name: c.resources.storage_gb for c in app.components},
             baseline,
             time_compression=288.0,
@@ -264,13 +266,37 @@ class TestBatchedEquivalence:
 
     def test_traffic_batch_with_endpoint_billing(self, matrix_stack):
         app, build_evaluator = matrix_stack
-        scalar = build_evaluator(charge_cloud_egress_only=True, **THREE_DC_KWARGS)
-        batched = build_evaluator(charge_cloud_egress_only=True, **THREE_DC_KWARGS)
+        # The learned byte sizes sum exactly in any order, which would let a
+        # reordered traffic kernel through: bill every component pair of both APIs
+        # at sizes that use the whole mantissa.
+        rng = np.random.default_rng(23)
+        names = app.component_names
+        edges = {
+            api: [
+                EdgeFootprint(api, src, dst, *(rng.random(2) * 2.0 ** rng.integers(4, 24, 2)))
+                for src in names
+                for dst in names
+                if src != dst
+            ]
+            for api in ("/read", "/write")
+        }
+
+        def cost_model(edges_of):
+            footprint = NetworkFootprint([e for api in edges for e in edges_of(api)])
+            return build_evaluator(
+                charge_cloud_egress_only=True, cost_footprint=footprint, **THREE_DC_KWARGS
+            ).cost
+
+        scalar, batched = cost_model(edges.get), cost_model(edges.get)
+        backwards = cost_model(lambda api: reversed(edges[api]))
         vectors = self._vectors(app, 3, count=80, seed=9)
-        costs = batched.cost.qcost_batch(vectors, app.component_names)
+        costs = batched.qcost_batch(vectors, names)
+        order_sensitive = 0
         for vector, cost in zip(vectors.tolist(), costs):
-            plan = MigrationPlan.from_vector(app.component_names, vector)
-            assert cost == scalar.cost.qcost(plan)
+            plan = MigrationPlan.from_vector(names, vector)
+            assert cost == scalar.qcost(plan)
+            order_sensitive += backwards.traffic_cost(plan) != scalar.traffic_cost(plan)
+        assert order_sensitive > len(vectors) // 2  # the data tells summation orders apart
 
     def test_footprint_cross_location_bytes_batch(self, matrix_stack):
         app, build_evaluator = matrix_stack
