@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from ..apps.model import Application
+from ..digest import sha_parts
 from ..telemetry.server import TelemetryServer
 
 __all__ = ["ResourceEstimate", "ResourceEstimator"]
@@ -181,6 +182,9 @@ class ResourceEstimator:
     ``A`` observed in window ``t``.
     """
 
+    #: Memo of :meth:`content_digest`; dropped by :meth:`fit`, never copied or pickled.
+    _digest: Optional[str] = None
+
     def __init__(self, application: Application, telemetry: TelemetryServer) -> None:
         self.application = application
         self.telemetry = telemetry
@@ -189,9 +193,15 @@ class ResourceEstimator:
         self._models: Dict[Tuple[str, str], Tuple[float, np.ndarray]] = {}
         self._fitted = False
 
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
+
     # -- fitting --------------------------------------------------------------------------
     def fit(self) -> "ResourceEstimator":
         """Fit attribution models from the telemetry collected during application learning."""
+        self._digest = None  # before the first write, so a failed fit leaves no stale memo
         rates = self.telemetry.api_request_rates()
         if not rates:
             raise ValueError("telemetry contains no API traffic to fit on")
@@ -217,6 +227,19 @@ class ResourceEstimator:
                 self._models[(resource, component)] = (float(coef[0]), coef[1:])
         self._fitted = True
         return self
+
+    def content_digest(self) -> str:
+        """Content fingerprint of the fitted attribution models (idle + coefficients).
+
+        Computed once per fit: :meth:`fit` is the only writer of ``_apis`` and
+        ``_models``, and it drops the memo.
+        """
+        if self._digest is None:
+            parts = [repr(self._apis)]
+            for (resource, component), (idle, coef) in sorted(self._models.items()):
+                parts.append(f"{resource}|{component}|{idle!r}|{coef.tobytes().hex()}")
+            self._digest = sha_parts(parts)
+        return self._digest
 
     @property
     def apis(self) -> List[str]:

@@ -20,6 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import nnls
 
+from ..digest import sha_parts
 from ..telemetry.server import TelemetryServer
 
 __all__ = ["EdgeFootprint", "NetworkFootprint", "FootprintLearner"]
@@ -43,12 +44,37 @@ class EdgeFootprint:
 
 
 class NetworkFootprint:
-    """The learned footprints of all APIs: ``footprint[api][(src, dst)] -> EdgeFootprint``."""
+    """The learned footprints of all APIs: ``footprint[api][(src, dst)] -> EdgeFootprint``.
+
+    Immutable after construction (frozen edges, no mutator, ``edges_of`` hands out
+    copies), which is what lets it own its content digest.
+    """
+
+    #: Memo of :meth:`content_digest`; set on first use, never pickled.
+    _digest: Optional[str] = None
 
     def __init__(self, edges: Sequence[EdgeFootprint]) -> None:
         self._by_api: Dict[str, Dict[Pair, EdgeFootprint]] = {}
         for edge in edges:
             self._by_api.setdefault(edge.api, {})[(edge.source, edge.destination)] = edge
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
+
+    def content_digest(self) -> str:
+        """Content fingerprint of every learned edge size (computed once)."""
+        if self._digest is None:
+            parts = []
+            for api in self.apis:
+                for (source, destination), edge in sorted(self._by_api[api].items()):
+                    parts.append(
+                        f"{api}|{source}|{destination}|"
+                        f"{edge.request_bytes!r}|{edge.response_bytes!r}"
+                    )
+            self._digest = sha_parts(parts)
+        return self._digest
 
     @property
     def apis(self) -> List[str]:

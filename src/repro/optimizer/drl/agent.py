@@ -194,7 +194,7 @@ class CrossoverAgent:
             indices = self._sample_categorical(probs, rng)
             child = np.asarray([self.locations[int(i)] for i in indices], dtype=int)
         self._apply_constraints(child)
-        return [int(v) for v in child]
+        return child.tolist()
 
     def _apply_constraints(self, child: np.ndarray) -> None:
         """Pin forced genes, then repair any whitelist-violating draw (no RNG)."""
@@ -243,7 +243,7 @@ class CrossoverAgent:
                         [self.locations[int(i)] for i in indices], dtype=int
                     )
                 self._apply_constraints(child)
-                children.append([int(v) for v in child])
+                children.append(child.tolist())
                 parents_a.append(parent_a)
                 parents_b.append(parent_b)
                 sampled.append((state, actor_cache, probs, child))
@@ -293,6 +293,14 @@ class CrossoverAgent:
         total: Optional[List[Tuple[np.ndarray, np.ndarray]]],
         grads: List[Tuple[np.ndarray, np.ndarray]],
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Running per-layer gradient sums, in sampling order.
+
+        ``backward`` hands out fresh arrays, so the first sample's are adopted as the
+        totals and every later sample is added into them in place.
+        """
         if total is None:
-            return [(gw.copy(), gb.copy()) for gw, gb in grads]
-        return [(tw + gw, tb + gb) for (tw, tb), (gw, gb) in zip(total, grads)]
+            return grads
+        for (tw, tb), (gw, gb) in zip(total, grads):
+            tw += gw
+            tb += gb
+        return total

@@ -28,7 +28,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
+
+from ..digest import sha_parts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.network import NetworkModel
@@ -44,14 +46,6 @@ __all__ = [
 ]
 
 
-def _sha(parts: Iterable[str]) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x1f")
-    return digest.hexdigest()
-
-
 def fingerprint_traces(traces: Sequence["Trace"]) -> str:
     """Content fingerprint of an ordered trace set — the compiled-replay identity.
 
@@ -61,30 +55,17 @@ def fingerprint_traces(traces: Sequence["Trace"]) -> str:
     positions and root position.  Equal fingerprints therefore imply bitwise-equal
     compiled arrays; ids (trace/span ids) are excluded beyond their effect on the
     canonical order, so re-profiled-but-identical traces still hit.
+
+    Only composes: every trace keeps the bytes of its own export
+    (:meth:`~repro.telemetry.tracing.Trace.content_stream`), while the sequence
+    itself — a plain, mutable list on every caller's side — is walked on each call.
     """
-    parts = []
-    for trace in traces:
-        structure = trace.structure()
-        parts.append(trace.api)
-        parts.append(str(structure.root_index))
-        parts.append(",".join(str(i) for i in structure.parent_index))
-        for span in structure.spans:
-            parts.append(
-                f"{span.component}|{span.operation}|{span.start_ms!r}|{span.duration_ms!r}"
-            )
-    return _sha(parts)
+    return hashlib.sha256(b"".join([trace.content_stream() for trace in traces])).hexdigest()
 
 
 def fingerprint_footprint(footprint: "NetworkFootprint") -> str:
     """Content fingerprint of a learned network footprint (all edge byte sizes)."""
-    parts = []
-    for api in footprint.apis:
-        for (source, destination), edge in sorted(footprint.edges_of(api).items()):
-            parts.append(
-                f"{api}|{source}|{destination}|"
-                f"{edge.request_bytes!r}|{edge.response_bytes!r}"
-            )
-    return _sha(parts)
+    return footprint.content_digest()
 
 
 def fingerprint_network(network: "NetworkModel") -> str:
@@ -92,7 +73,7 @@ def fingerprint_network(network: "NetworkModel") -> str:
     parts = []
     for (a, b), link in sorted(network._links.items()):
         parts.append(f"{a}-{b}|{link.latency_ms!r}|{link.bandwidth_mbps!r}")
-    return _sha(parts)
+    return sha_parts(parts)
 
 
 class _Flight:

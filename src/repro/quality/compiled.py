@@ -217,6 +217,47 @@ _SPAN_INDEX_SLOTS = frozenset(
 )
 
 
+#: `_LevelOps.__slots__` with, per slot, whether a packed set keeps it in the intp blob.
+_PACKED_SLOTS = tuple((name, name in _INTP_SLOTS) for name in _LevelOps.__slots__)
+
+
+def _pack_ops(bundles: Sequence[_LevelOps]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frozen op bundles as one intp blob, one float64 blob and a length table.
+
+    The blobs are the bundles' arrays back to back in bundle order, slot order; row
+    ``b`` of the ``(bundles, slots)`` table holds the lengths of bundle ``b``'s slots.
+    Concatenation copies, so packing an shm-backed set yields private arrays.
+    """
+    ints: List[np.ndarray] = []
+    floats: List[np.ndarray] = []
+    lengths = np.empty((len(bundles), len(_PACKED_SLOTS)), dtype=np.intp)
+    for row, ops in enumerate(bundles):
+        for col, (name, is_intp) in enumerate(_PACKED_SLOTS):
+            block = getattr(ops, name)
+            lengths[row, col] = len(block)
+            (ints if is_intp else floats).append(block)
+    return np.concatenate(ints), np.concatenate(floats), lengths
+
+
+def _unpack_ops(
+    ints: np.ndarray, floats: np.ndarray, lengths: np.ndarray
+) -> List[_LevelOps]:
+    """Inverse of :func:`_pack_ops`: the bundles again, their arrays views of the blobs."""
+    bundles: List[_LevelOps] = []
+    int_at = float_at = 0
+    for row in lengths.tolist():
+        ops = object.__new__(_LevelOps)
+        for (name, is_intp), length in zip(_PACKED_SLOTS, row):
+            if is_intp:
+                setattr(ops, name, ints[int_at : int_at + length])
+                int_at += length
+            else:
+                setattr(ops, name, floats[float_at : float_at + length])
+                float_at += length
+        bundles.append(ops)
+    return bundles
+
+
 class _TraceFragment:
     """One trace compiled at local span offset 0 — the reusable unit of :meth:`splice`.
 
@@ -380,15 +421,49 @@ class CompiledTraceSet:
         self._shm_backed = True
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickled sets are private copies: shm backing does not survive a process.
+        """The durable form: every op bundle of the set packed into two blobs.
 
-        Serializing an shm-backed set copies the array contents into the payload
-        (numpy pickles by value), so the deserialized set must not claim — and,
-        via the idempotence guard, must not refuse — a fresh ``share_memory``.
+        A set holds ~1 200 tiny arrays (14 slots per level, for the assembled levels
+        and for each fragment's), and pickling them one by one is what a restart used
+        to spend its time on.  ``_packed`` replaces ``_levels`` and ``_fragments``:
+        the blobs and length table of :func:`_pack_ops` over the assembled levels
+        followed by every fragment's levels, the number of assembled levels, and per
+        fragment its scalars and depth keys (in dict order).  There is no reader for
+        the unpacked layout: the store's frame version keeps such payloads away.
+
+        Pickled sets are private copies — shm backing does not survive a process, so
+        the deserialized set must not claim (and, via the idempotence guard, must
+        not refuse) a fresh ``share_memory``.
         """
         state = dict(self.__dict__)
         state["_shm_backed"] = False
+        levels = state.pop("_levels")
+        fragments = state.pop("_fragments")
+        bundles = list(levels)
+        for fragment in fragments:
+            bundles.extend(fragment.levels.values())
+        state["_packed"] = _pack_ops(bundles) + (
+            len(levels),
+            [
+                (frag.n_spans, frag.root_idx, frag.root_start, tuple(frag.levels))
+                for frag in fragments
+            ],
+        )
         return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        ints, floats, lengths, n_levels, heads = state.pop("_packed")
+        bundles = _unpack_ops(ints, floats, lengths)
+        self.__dict__.update(state)
+        self._levels = bundles[:n_levels]
+        self._fragments = []
+        at = n_levels
+        for n_spans, root_idx, root_start, depths in heads:
+            ops = bundles[at : at + len(depths)]
+            at += len(depths)
+            self._fragments.append(
+                _TraceFragment(n_spans, root_idx, root_start, dict(zip(depths, ops)))
+            )
 
     # -- compilation -----------------------------------------------------------------------
     def _compile_one(

@@ -30,6 +30,7 @@ from ..apps.model import Application
 from ..cluster.network import NetworkModel, default_network_model
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import CLOUD, ON_PREM, HybridCluster
+from ..digest import sha_parts
 from ..learning.api_profile import ApiProfile, ApiProfiler
 from ..learning.component_profile import ComponentProfile, ComponentProfiler
 from ..learning.estimator import ResourceEstimate, ResourceEstimator
@@ -45,8 +46,6 @@ from ..quality.adversary import (
 )
 from ..quality.artifacts import (
     ArtifactCache,
-    _sha,
-    fingerprint_footprint,
     fingerprint_network,
     fingerprint_traces,
 )
@@ -693,14 +692,16 @@ class Atlas:
 def _describe(value: object) -> Optional[str]:
     """Content-stable description of one request argument, or ``None`` if there is none.
 
-    Dataclass/value-object reprs describe content; a default ``object.__repr__``
-    (recognizable by its ``" object at 0x"`` id) describes only identity, so a key
-    built from it would collide across distinct contents once ids are reused.
+    Dataclass/value-object reprs describe content; a repr that carries an address
+    (``" at 0x"``: a default ``object.__repr__``, a function, a lambda, a
+    ``functools.partial`` — at any depth of a container) describes only identity, so
+    a key built from it would collide across distinct contents once ids are reused,
+    and a journal entry under it could never be hit by another process.
     Returning ``None`` marks the request unmemoizable — a miss is sound, a
     collision is not.
     """
     text = repr(value)
-    if " object at 0x" in text:
+    if " at 0x" in text:
         return None
     return text
 
@@ -917,8 +918,8 @@ class AdvisorService:
             parts.append(api)
             parts.append(fingerprint_traces(profile.sample_traces))
             parts.append(",".join(sorted(profile.stateful_components)))
-        parts.append(fingerprint_footprint(knowledge.footprint))
-        parts.append(self._estimator_fingerprint(knowledge.estimator))
+        parts.append(knowledge.footprint.content_digest())
+        parts.append(knowledge.estimator.content_digest())
         parts.append(fingerprint_network(atlas.network))
         parts.append(repr(sorted(atlas.current_plan.items())))
         parts.append(repr(list(atlas.locations)))
@@ -948,12 +949,4 @@ class AdvisorService:
             if text is None:
                 return None
             parts.append(f"{name}={text}")
-        return ("recommend", _sha(parts))
-
-    @staticmethod
-    def _estimator_fingerprint(estimator: ResourceEstimator) -> str:
-        """Content fingerprint of the fitted attribution models (idle + coefficients)."""
-        parts = [repr(estimator.apis)]
-        for (resource, component), (idle, coef) in sorted(estimator._models.items()):
-            parts.append(f"{resource}|{component}|{idle!r}|{coef.tobytes().hex()}")
-        return _sha(parts)
+        return ("recommend", sha_parts(parts))

@@ -46,7 +46,14 @@ __all__ = ["ArtifactStore", "STORE_DIR_DEFAULT"]
 STORE_DIR_DEFAULT = ".atlas_store"
 
 _MAGIC = "atlas-store"
-_VERSION = 1
+#: Frame version: bumped whenever a stored class changes its pickled layout, so a
+#: frame written by older code is a clean miss and is never unpickled into the new
+#: class.  The version is per store, not per class: a bump also retires the journal
+#: entries and daemon samples older code wrote, so the first process after an upgrade
+#: searches each journaled request once more (and writes it back) and a cycle killed
+#: before the upgrade is abandoned and re-polled.
+#: 2 = packed ``CompiledTraceSet`` state (1 pickled every level array).
+_VERSION = 2
 
 
 def _key_digest(key: Tuple) -> str:

@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..digest import part_stream
+
 __all__ = ["Span", "Trace", "TraceStructure", "TraceStore", "new_trace_id"]
 
 _trace_counter = itertools.count(1)
@@ -86,11 +88,14 @@ class TraceStructure(NamedTuple):
 class Trace:
     """All spans created while serving one API request."""
 
+    #: Memo of :meth:`content_stream`; set on first use, never pickled.
+    _content_stream: Optional[bytes] = None
+
     def __init__(self, trace_id: str, api: str, spans: Sequence[Span]) -> None:
         if not spans:
             raise ValueError("a trace must contain at least one span")
         self.trace_id = trace_id
-        self.api = api
+        self._api = api
         self._spans: List[Span] = sorted(spans, key=lambda s: (s.start_ms, s.span_id))
         self._by_id: Dict[str, Span] = {s.span_id: s for s in self._spans}
         if len(self._by_id) != len(self._spans):
@@ -111,7 +116,18 @@ class Trace:
             children.sort(key=lambda s: (s.start_ms, s.span_id))
         self._structure: Optional[TraceStructure] = None
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickled traces carry content only: the digest memo is process-local."""
+        state = dict(self.__dict__)
+        state.pop("_content_stream", None)
+        return state
+
     # -- accessors -----------------------------------------------------------------
+    @property
+    def api(self) -> str:
+        """The API this trace served; read-only, it is part of the trace's content."""
+        return self._api
+
     @property
     def root(self) -> Span:
         return self._root
@@ -199,6 +215,29 @@ class Trace:
                 children_index=children_index,
             )
         return self._structure
+
+    def content_stream(self) -> bytes:
+        """The bytes this trace contributes to a trace-set fingerprint (computed once).
+
+        The fingerprint wire encoding (:mod:`repro.digest`) of the API name and the
+        :meth:`structure` export — root position, parent positions, then per span the
+        component, operation and ``repr``-exact start/duration.  Kept next to the
+        export it is derived from, under the same soundness argument: ``Span`` is
+        frozen, ``_spans`` never changes after construction and ``api`` is read-only.
+        """
+        if self._content_stream is None:
+            structure = self.structure()
+            parts = [
+                self.api,
+                str(structure.root_index),
+                ",".join(str(i) for i in structure.parent_index),
+            ]
+            for span in structure.spans:
+                parts.append(
+                    f"{span.component}|{span.operation}|{span.start_ms!r}|{span.duration_ms!r}"
+                )
+            self._content_stream = part_stream(parts)
+        return self._content_stream
 
     def with_spans(self, spans: Sequence[Span]) -> "Trace":
         """A new trace with the same identity but replaced spans (delay injection output)."""

@@ -14,6 +14,8 @@ Four contracts guard the warm path:
 """
 
 import dataclasses
+import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from fingerprints import build_tiny_evaluator
 from test_compiled import _random_plans, random_delays, random_trace
 
 from repro.cluster import MigrationPlan, default_network_model
-from repro.learning import ApiProfiler, FootprintLearner
+from repro.learning import ApiProfiler, FootprintLearner, NetworkFootprint
 from repro.monitoring.drift import DriftDetector, DriftReport, DriftScenarioUpdate
 from repro.optimizer import GAConfig
 from repro.quality import (
@@ -38,6 +40,7 @@ from repro.quality import (
     fingerprint_traces,
 )
 from repro.recommend import AdvisorService, Atlas, AtlasConfig
+from repro.recommend.advisor import _describe
 from repro.telemetry import Span, Trace
 from repro.workload import default_scenario
 
@@ -162,12 +165,11 @@ class TestFingerprints:
         one = FootprintLearner(result.telemetry).learn()
         two = FootprintLearner(result.telemetry).learn()
         assert fingerprint_footprint(one) == fingerprint_footprint(two)
-        api = one.apis[0]
-        pair, edge = next(iter(sorted(two._by_api[api].items())))
-        two._by_api[api][pair] = dataclasses.replace(
-            edge, request_bytes=edge.request_bytes + 1.0
-        )
-        assert fingerprint_footprint(one) != fingerprint_footprint(two)
+        # A footprint is immutable (it owns its digest), so "an edge changed" is a
+        # new footprint over the changed edge list.
+        edges = [edge for api in two.apis for edge in two.edges_of(api).values()]
+        edges[0] = dataclasses.replace(edges[0], request_bytes=edges[0].request_bytes + 1.0)
+        assert fingerprint_footprint(one) != fingerprint_footprint(NetworkFootprint(edges))
 
 
 # -- cross-instance artifact reuse ------------------------------------------------------------
@@ -249,6 +251,12 @@ class TestSpliceEquivalence:
                 assert spliced._fragments[pos] is base._fragments[pos]
         delays = random_delays(rng, edges)
         assert spliced.latencies(delays) == rebuilt.latencies(delays)
+        # The same law from the durable form: a set that came back from a pickle
+        # (its fragments unpacked from the blobs) splices to the same bits.
+        reloaded = pickle.loads(pickle.dumps(base))
+        respliced = reloaded.splice(new_traces)
+        _assert_bitwise(respliced, rebuilt)
+        assert respliced.latencies(delays) == rebuilt.latencies(delays)
 
     @pytest.mark.parametrize("engine", ["compiled", "reference"])
     def test_model_splice_bitwise_vs_fresh_model(self, tiny_model_factory, engine):
@@ -394,7 +402,32 @@ class TestAdvisorService:
             (q.plan.to_vector(), repr(tuple(q.objectives()))) for q in served.plans
         ] == [(q.plan.to_vector(), repr(tuple(q.objectives()))) for q in direct.plans]
 
-    def test_unmemoizable_arguments_bypass_the_memo(self, tiny_telemetry):
+    def test_unmemoizable_arguments_bypass_the_memo(self, tiny_telemetry, tiny_atlas_pair):
+        # Anything whose repr carries an address describes identity, not content: a
+        # default object repr, but also a function, a lambda or a partial — at any
+        # depth of a request argument.  Such a key could collide once the id is
+        # reused, and a journal entry under it could never be hit by another process.
+        def hook(rate):
+            return rate
+
+        describable, _twin = tiny_atlas_pair
+        probe = AdvisorService()
+        assert probe._request_key(describable, {"expected_scale": 2.0}) is not None
+        for opaque in (
+            object(),
+            hook,
+            lambda rate: rate,
+            functools.partial(hook, 2.0),
+            {"a": lambda rate: rate},
+            [("nested", {"deep": functools.partial(hook, 1)})],
+        ):
+            assert " at 0x" in repr(opaque)
+            assert _describe(opaque) is None
+            assert probe._request_key(describable, {"expected_scale": 2.0, "hook": opaque}) is None
+        assert _describe({"a": [1.5, "at 0"], "b": ("x", None)}) == repr(
+            {"a": [1.5, "at 0"], "b": ("x", None)}
+        )
+
         app, result = tiny_telemetry
         atlas = Atlas(
             app,

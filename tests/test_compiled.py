@@ -5,6 +5,9 @@ The compiled engine must be *bitwise* identical to the recursive ``DelayInjector
 caches must never change results — only skip work.
 """
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,3 +324,125 @@ class TestEngineDeterminism:
         ]
         assert compiled_result.evaluations == reference_result.evaluations
         assert compiled_result.generations == reference_result.generations
+
+
+def _edges_of(traces):
+    return sorted({edge for trace in traces for edge in trace.invocation_edges()})
+
+
+def _assert_same_ops(left, right):
+    """Two op bundles hold equal arrays slot for slot, dtype included."""
+    for slot in left.__slots__:
+        a, b = getattr(left, slot), getattr(right, slot)
+        assert isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _assert_same_set(left, right):
+    """Every array of two compiled sets — assembled levels and fragments — is equal."""
+    assert left.edge_index == right.edge_index and left.n_edges == right.n_edges
+    assert (left.n_traces, left.n_spans) == (right.n_traces, right.n_spans)
+    for a, b in ((left._root_idx, right._root_idx), (left._root_start, right._root_start)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert len(left._levels) == len(right._levels)
+    for a, b in zip(left._levels, right._levels):
+        _assert_same_ops(a, b)
+    assert len(left._fragments) == len(right._fragments)
+    for a, b in zip(left._fragments, right._fragments):
+        assert (a.n_spans, a.root_idx) == (b.n_spans, b.root_idx)
+        assert repr(a.root_start) == repr(b.root_start)
+        assert list(a.levels) == list(b.levels)  # depth keys, in the same dict order
+        for depth in a.levels:
+            _assert_same_ops(a.levels[depth], b.levels[depth])
+
+
+class TestPackedDurableForm:
+    """``pickle`` round trips a set through two blobs and a length table; what comes
+    back must be the same program, and must keep obeying the splice law."""
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_is_array_for_array_equal_and_replays_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(1, 6)))]
+        edges = _edges_of(traces)
+        compiled = CompiledTraceSet(traces, edges)
+        loaded = pickle.loads(pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL))
+        _assert_same_set(compiled, loaded)
+        assert loaded._shm_backed is False
+        rows = np.vstack([compiled.delta_row(random_delays(rng, edges)) for _ in range(4)])
+        assert loaded.replay_batch(rows).tobytes() == compiled.replay_batch(rows).tobytes()
+        # A second trip (what a store-loaded set written back goes through) is stable.
+        _assert_same_set(loaded, pickle.loads(pickle.dumps(loaded)))
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_splice_on_a_loaded_set_is_bitwise_a_rebuild(self, seed):
+        rng = np.random.default_rng(seed)
+        traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(2, 7)))]
+        edges = _edges_of(traces)
+        loaded = pickle.loads(pickle.dumps(CompiledTraceSet(traces, edges)))
+        dirty = {pos for pos in range(len(traces)) if rng.random() < 0.5} or {0}
+        new_traces = [
+            trace.with_spans(
+                [
+                    dataclasses.replace(
+                        span, start_ms=span.start_ms * 1.01, duration_ms=span.duration_ms * 1.01
+                    )
+                    for span in trace.spans
+                ]
+            )
+            if pos in dirty
+            else trace
+            for pos, trace in enumerate(traces)
+        ]
+        spliced = loaded.splice(new_traces)
+        _assert_same_set(spliced, CompiledTraceSet(new_traces, edges))
+        for pos in range(len(traces)):
+            if pos not in dirty:  # clean positions reuse the *unpacked* fragment
+                assert spliced._fragments[pos] is loaded._fragments[pos]
+        # ...and the spliced set packs again like any other.
+        _assert_same_set(spliced, pickle.loads(pickle.dumps(spliced)))
+
+    def test_degenerate_sets_survive(self):
+        leaf = Trace("leaf", "/api", [Span("leaf", "s0", None, "A", "op", 3.0, 7.5)])
+        chain = Trace(
+            "chain",
+            "/api",
+            [
+                Span("chain", "s0", None, "A", "op", 0.0, 10.0),
+                Span("chain", "s1", "s0", "B", "op", 1.0, 4.0),
+                Span("chain", "s2", "s1", "C", "op", 2.0, 1.0),
+            ],
+        )
+        # A lone leaf root: one level, every slot but the leaf-end pair empty.  Leaf +
+        # chain: the leaf's fragment has no ops at the deeper levels, so the assembled
+        # levels hold slots some fragments contribute nothing to.
+        for traces in ([leaf], [chain], [leaf, chain], [chain, leaf, leaf]):
+            edges = _edges_of(traces)
+            compiled = CompiledTraceSet(traces, edges)
+            loaded = pickle.loads(pickle.dumps(compiled))
+            _assert_same_set(compiled, loaded)
+            delays = {edge: 2.5 for edge in edges}
+            assert loaded.latencies(delays) == compiled.latencies(delays)
+            assert loaded.latencies(delays) == [
+                DelayInjector(trace).injected_latency_ms(delays) for trace in traces
+            ]
+        lone = pickle.loads(pickle.dumps(CompiledTraceSet([leaf], [])))
+        assert len(lone._levels) == 1 and lone.n_edges == 0
+        assert [len(getattr(lone._levels[0], slot)) for slot in lone._levels[0].__slots__].count(0) == 12
+
+    def test_packed_state_is_two_blobs_not_a_thousand_arrays(self):
+        rng = np.random.default_rng(2)
+        traces = [random_trace(rng, f"t{k}") for k in range(4)]
+        compiled = CompiledTraceSet(traces, _edges_of(traces))
+        state = compiled.__getstate__()
+        assert "_levels" not in state and "_fragments" not in state
+        ints, floats, lengths, n_levels, heads = state["_packed"]
+        assert ints.dtype == np.intp and floats.dtype == np.float64
+        assert n_levels == len(compiled._levels) and len(heads) == len(traces)
+        n_bundles = n_levels + sum(len(depths) for *_scalars, depths in heads)
+        assert lengths.shape == (n_bundles, 14)
+        assert len(ints) + len(floats) == int(lengths.sum())
+        # Packing does not disturb the live set.
+        assert compiled._levels and compiled._fragments

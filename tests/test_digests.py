@@ -1,0 +1,393 @@
+"""Memoised content digests ≡ the span-walking hashers they replaced, exactly.
+
+The three content objects that never change after construction own their digest:
+``Trace`` keeps the bytes it contributes to a trace-set fingerprint,
+``NetworkFootprint`` and a fitted ``ResourceEstimator`` keep their hex, and
+``fingerprint_traces`` / ``AdvisorService._request_key`` only compose those pieces
+while still walking every mutable container per call.  The hashers as they stood
+before — walking every span, edge and coefficient on every request — live on below as
+the oracles.  The law is on *values*: the hex names objects in the durable store and
+keys the request journal, so it must not move by a bit, first call and cached call.
+
+Run deeper with ``--hypothesis-profile=ci`` (see ``tests/conftest.py``).
+"""
+
+import copy
+import dataclasses
+import hashlib
+import pickle
+from typing import Mapping
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_artifacts import TINY_GA, _perturb
+from test_compiled import random_trace
+
+from repro.learning import EdgeFootprint, NetworkFootprint, ResourceEstimator
+from repro.quality import CompiledTraceSet, MigrationPreferences
+from repro.quality.artifacts import (
+    fingerprint_footprint,
+    fingerprint_network,
+    fingerprint_traces,
+)
+from repro.recommend import AdvisorService, Atlas, AtlasConfig
+from repro.recommend.advisor import _describe
+from repro.serving import AdvisorDaemon, MonitorSample
+from repro.simulator import simulate_workload
+from repro.telemetry.tracing import Trace
+from repro.workload import WorkloadGenerator, default_scenario
+
+
+# -- the references: the hashers as they stood before the digests were memoised ---------------
+def oracle_sha(parts):
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\x1f")
+    return digest.hexdigest()
+
+
+def oracle_fingerprint_traces(traces):
+    parts = []
+    for trace in traces:
+        structure = trace.structure()
+        parts.append(trace.api)
+        parts.append(str(structure.root_index))
+        parts.append(",".join(str(i) for i in structure.parent_index))
+        for span in structure.spans:
+            parts.append(
+                f"{span.component}|{span.operation}|{span.start_ms!r}|{span.duration_ms!r}"
+            )
+    return oracle_sha(parts)
+
+
+def oracle_fingerprint_footprint(footprint):
+    parts = []
+    for api in footprint.apis:
+        for (source, destination), edge in sorted(footprint.edges_of(api).items()):
+            parts.append(
+                f"{api}|{source}|{destination}|"
+                f"{edge.request_bytes!r}|{edge.response_bytes!r}"
+            )
+    return oracle_sha(parts)
+
+
+def oracle_estimator_fingerprint(estimator):
+    parts = [repr(estimator.apis)]
+    for (resource, component), (idle, coef) in sorted(estimator._models.items()):
+        parts.append(f"{resource}|{component}|{idle!r}|{coef.tobytes().hex()}")
+    return oracle_sha(parts)
+
+
+def oracle_request_parts(atlas, kwargs):
+    """The part list of the former ``_request_key`` (its hex is ``oracle_sha`` of it)."""
+    knowledge = atlas.knowledge
+    parts = []
+    for api in knowledge.apis:
+        profile = knowledge.api_profiles[api]
+        parts.append(api)
+        parts.append(oracle_fingerprint_traces(profile.sample_traces))
+        parts.append(",".join(sorted(profile.stateful_components)))
+    parts.append(oracle_fingerprint_footprint(knowledge.footprint))
+    parts.append(oracle_estimator_fingerprint(knowledge.estimator))
+    parts.append(fingerprint_network(atlas.network))
+    parts.append(repr(sorted(atlas.current_plan.items())))
+    parts.append(repr(list(atlas.locations)))
+    parts.append(repr(atlas.application.component_names))
+    parts.append(
+        repr([(comp.name, comp.resources.storage_gb) for comp in atlas.application.components])
+    )
+    for described in (
+        atlas.preferences,
+        atlas.config,
+        sorted(atlas._pricing_catalogs().items()),
+    ):
+        parts.append(_describe(described))
+    for name in sorted(kwargs):
+        value = kwargs[name]
+        if name == "api_rates" and isinstance(value, Mapping):
+            value = sorted((api, list(series)) for api, series in value.items())
+        parts.append(f"{name}={_describe(value)}")
+    return parts
+
+
+# -- inputs -----------------------------------------------------------------------------------
+#: ``repr`` is the wire encoding of a float, so the values that stress it: both zeros,
+#: the smallest subnormal, the smallest normal, full-mantissa and huge magnitudes.
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 1.0 / 3.0,
+    1.0 + 2.0**-52, 123456789.12345679, 1.7976931348623157e308,
+]
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_starts = st.one_of(st.sampled_from(_EDGE_FLOATS + [-1.5, -5e-324]), _finite)
+_durations = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+)
+_timings = st.lists(st.tuples(_starts, _durations), min_size=0, max_size=16)
+
+
+def retimed(trace, timings, api="/api"):
+    """``trace``'s topology with the drawn (start, duration) pairs laid over its spans."""
+    spans = [
+        dataclasses.replace(span, start_ms=start, duration_ms=duration)
+        for span, (start, duration) in zip(trace.spans, timings)
+    ] + trace.spans[len(timings) :]
+    return Trace(trace.trace_id, api, spans)
+
+
+def _learn_tiny(app, telemetry):
+    atlas = Atlas(
+        app,
+        MigrationPreferences.pin_on_prem(["Database"]),
+        config=AtlasConfig(traces_per_api=15, ga=TINY_GA),
+    )
+    atlas.learn(telemetry)
+    return atlas
+
+
+@pytest.fixture()
+def tiny_atlas(tiny_telemetry):
+    app, result = tiny_telemetry
+    return _learn_tiny(app, result.telemetry)
+
+
+@pytest.fixture(scope="module")
+def other_telemetry(tiny_telemetry):
+    """The tiny app observed under a different workload (what a re-fit would see)."""
+    app, _result = tiny_telemetry
+    scenario = default_scenario(app, base_rps=12.0, peak_rps=40.0, duration_ms=40_000.0)
+    requests = WorkloadGenerator(app, scenario, seed=8).generate(40_000.0)
+    return simulate_workload(app, requests, seed=8).telemetry
+
+
+# -- (a) the oracle ---------------------------------------------------------------------------
+class TestOracle:
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.lists(st.tuples(_timings, st.sampled_from(["/api", "/other", "/ünï"])), max_size=3),
+    )
+    def test_trace_set_fingerprint_first_call_and_cached(self, seed, overlays):
+        rng = np.random.default_rng(seed)
+        traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(1, 5)))]
+        for position, (timings, api) in enumerate(overlays[: len(traces)]):
+            traces[position] = retimed(traces[position], timings, api)
+        want = oracle_fingerprint_traces(traces)
+        assert fingerprint_traces(traces) == want  # builds every trace's stream
+        assert fingerprint_traces(traces) == want  # composes the kept streams
+        assert fingerprint_traces(tuple(traces)) == want
+        # A kept stream serves the trace in any other set it appears in.
+        assert fingerprint_traces(traces[::-1]) == oracle_fingerprint_traces(traces[::-1])
+        assert fingerprint_traces(traces[:1]) == oracle_fingerprint_traces(traces[:1])
+        assert fingerprint_traces([]) == oracle_fingerprint_traces([])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["/a", "/b", "/c"]),
+                st.sampled_from(["X", "Y", "Z"]),
+                st.sampled_from(["X", "Y", "Z"]),
+                _starts,
+                _starts,
+            ),
+            max_size=12,
+        )
+    )
+    def test_footprint_fingerprint_first_call_and_cached(self, rows):
+        footprint = NetworkFootprint([EdgeFootprint(*row) for row in rows])
+        want = oracle_fingerprint_footprint(footprint)
+        assert fingerprint_footprint(footprint) == want
+        assert fingerprint_footprint(footprint) == want
+        assert footprint.content_digest() == want
+
+    @given(
+        st.lists(st.sampled_from(["/a", "/b", "/c"]), unique=True, max_size=3),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["cpu_millicores", "memory_mb"]),
+                st.sampled_from(["X", "Y", "Z"]),
+                _starts,
+                st.lists(_starts, min_size=3, max_size=3),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_estimator_fingerprint_first_call_and_cached(self, tiny_telemetry, apis, models):
+        app, result = tiny_telemetry
+        estimator = ResourceEstimator(app, result.telemetry)
+        estimator._apis = sorted(apis)
+        estimator._models = {
+            (resource, component): (idle, np.asarray(coef[: len(apis)], dtype=float))
+            for resource, component, idle, coef in models
+        }
+        want = oracle_estimator_fingerprint(estimator)
+        assert estimator.content_digest() == want
+        assert estimator.content_digest() == want
+
+    def test_fitted_estimator_and_learned_footprint(self, tiny_atlas):
+        knowledge = tiny_atlas.knowledge
+        assert knowledge.estimator.content_digest() == oracle_estimator_fingerprint(
+            knowledge.estimator
+        )
+        assert fingerprint_footprint(knowledge.footprint) == oracle_fingerprint_footprint(
+            knowledge.footprint
+        )
+
+    def test_request_key_is_the_oracle_composition(self, tiny_atlas):
+        service = AdvisorService()
+        for kwargs in (
+            {},
+            {"expected_scale": 2.0},
+            {"expected_scale": 5.0, "certify": 8, "ga_config": TINY_GA},
+            {"api_rates": {"/write": (1.0, 2.5), "/read": [3.0, 0.1 + 0.2]}},
+        ):
+            want = ("recommend", oracle_sha(oracle_request_parts(tiny_atlas, kwargs)))
+            assert service._request_key(tiny_atlas, kwargs) == want
+            assert service._request_key(tiny_atlas, kwargs) == want
+
+
+# -- (b) what must move a digest, and what must not ---------------------------------------------
+class TestInvalidation:
+    def test_with_spans_is_a_new_object_with_a_new_digest(self):
+        trace = random_trace(np.random.default_rng(3), "t")
+        before = fingerprint_traces([trace])
+        changed = _perturb(trace, 1.0000001)
+        assert changed is not trace
+        assert fingerprint_traces([changed]) == oracle_fingerprint_traces([changed]) != before
+        assert fingerprint_traces([trace]) == before  # the original keeps its own
+
+    def test_a_trace_cannot_be_renamed_under_its_memo(self):
+        trace = random_trace(np.random.default_rng(4), "t")
+        before = fingerprint_traces([trace])
+        with pytest.raises(AttributeError):
+            trace.api = "/renamed"
+        renamed = Trace(trace.trace_id, "/renamed", trace.spans)
+        assert fingerprint_traces([renamed]) == oracle_fingerprint_traces([renamed]) != before
+        assert fingerprint_traces([trace]) == before
+
+    def test_refit_on_other_telemetry_moves_the_estimator_digest(
+        self, tiny_telemetry, other_telemetry
+    ):
+        app, result = tiny_telemetry
+        estimator = ResourceEstimator(app, result.telemetry).fit()
+        first = estimator.content_digest()
+        assert estimator.fit().content_digest() == first  # same telemetry, same content
+        estimator.telemetry = other_telemetry
+        second = estimator.fit().content_digest()
+        assert second == oracle_estimator_fingerprint(estimator) != first
+
+    def test_failed_refit_leaves_no_stale_digest(self, tiny_telemetry):
+        app, result = tiny_telemetry
+        estimator = ResourceEstimator(app, result.telemetry).fit()
+        estimator.content_digest()
+        estimator.telemetry = type(result.telemetry)(window_ms=result.telemetry.window_ms)
+        with pytest.raises(ValueError):
+            estimator.fit()
+        assert estimator.content_digest() == oracle_estimator_fingerprint(estimator)
+
+    def test_daemon_splice_moves_exactly_the_spliced_api(self, tiny_atlas):
+        service = AdvisorService()
+        knowledge = tiny_atlas.knowledge
+        kwargs = {"expected_scale": 2.0}
+        key_before = service._request_key(tiny_atlas, kwargs)
+        parts_before = {
+            api: fingerprint_traces(knowledge.api_profiles[api].sample_traces)
+            for api in knowledge.apis
+        }
+        target = knowledge.apis[0]
+        window = [_perturb(t, 1.2) for t in knowledge.api_profiles[target].sample_traces]
+        spliced = AdvisorDaemon._splice(
+            tiny_atlas,
+            {"drifted": [target]},
+            MonitorSample(recent_latencies={}, traces_by_api={target: window}),
+        )
+        assert spliced == [target]
+        key_after = service._request_key(tiny_atlas, kwargs)
+        assert key_after != key_before
+        assert key_after == ("recommend", oracle_sha(oracle_request_parts(tiny_atlas, kwargs)))
+        for api in knowledge.apis:
+            part = fingerprint_traces(knowledge.api_profiles[api].sample_traces)
+            assert (part != parts_before[api]) == (api == target)
+
+    def test_content_equal_advisors_learned_apart_share_a_key(self, tiny_telemetry):
+        app, result = tiny_telemetry
+        one, two = _learn_tiny(app, result.telemetry), _learn_tiny(app, result.telemetry)
+        assert one.knowledge.footprint is not two.knowledge.footprint
+        assert one.knowledge.estimator is not two.knowledge.estimator
+        # Learning samples the telemetry's own Trace objects; a restarted process
+        # would hold equal copies instead, so give the twin those.
+        for api, profile in two.knowledge.api_profiles.items():
+            two.knowledge.api_profiles[api] = dataclasses.replace(
+                profile, sample_traces=pickle.loads(pickle.dumps(profile.sample_traces))
+            )
+        service = AdvisorService()
+        kwargs = {"expected_scale": 3.0}
+        assert service._request_key(one, kwargs) == service._request_key(two, kwargs)
+
+    def test_containers_are_walked_on_every_request(self, tiny_atlas):
+        """No "nobody mutates this list" convention: in-place edits move the key."""
+        service = AdvisorService()
+        kwargs = {"expected_scale": 2.0}
+        api = tiny_atlas.knowledge.apis[-1]
+        traces = tiny_atlas.knowledge.api_profiles[api].sample_traces
+        seen = {service._request_key(tiny_atlas, kwargs)}
+
+        traces.append(_perturb(traces[0], 1.5))  # appended in place
+        seen.add(service._request_key(tiny_atlas, kwargs))
+        traces[1] = _perturb(traces[1], 0.75)  # replaced in place
+        seen.add(service._request_key(tiny_atlas, kwargs))
+        traces[0], traces[2] = traces[2], traces[0]  # reordered in place
+        seen.add(service._request_key(tiny_atlas, kwargs))
+        del traces[-1]  # shrunk in place
+        seen.add(service._request_key(tiny_atlas, kwargs))
+        assert len(seen) == 5
+        assert service._request_key(tiny_atlas, kwargs) == (
+            "recommend",
+            oracle_sha(oracle_request_parts(tiny_atlas, kwargs)),
+        )
+
+
+# -- (c) the memos are process-local ------------------------------------------------------------
+class TestMemosStayOutOfPickles:
+    def test_trace_pickle_is_the_same_with_and_without_a_warm_memo(self):
+        trace = random_trace(np.random.default_rng(5), "t")
+        trace.structure()  # pickled either way; only the digest memo is dropped
+        cold = pickle.dumps(trace)
+        fingerprint_traces([trace])
+        assert trace._content_stream is not None
+        warm = pickle.dumps(trace)
+        assert len(warm) == len(cold) and warm == cold
+        assert b"_content_stream" not in warm
+        loaded = pickle.loads(warm)
+        assert loaded._content_stream is None
+        assert fingerprint_traces([loaded]) == fingerprint_traces([trace])
+
+    def test_estimator_copy_carries_no_digest(self, tiny_atlas):
+        # An estimator holds its telemetry server, whose stores do not pickle; a deep
+        # copy goes through the same ``__getstate__``.
+        estimator = tiny_atlas.knowledge.estimator
+        digest = estimator.content_digest()
+        clone = copy.deepcopy(estimator)
+        assert "_digest" not in vars(clone) and clone.content_digest() == digest
+
+    def test_footprint_pickle_carries_no_digest(self, tiny_atlas):
+        footprint = tiny_atlas.knowledge.footprint
+        cold = pickle.dumps(footprint)
+        digest = footprint.content_digest()
+        assert footprint._digest == digest
+        warm = pickle.dumps(footprint)
+        assert len(warm) == len(cold) and b"_digest" not in warm
+        loaded = pickle.loads(warm)
+        assert loaded._digest is None and loaded.content_digest() == digest
+
+    def test_stored_compiled_set_carries_no_digest(self):
+        rng = np.random.default_rng(6)
+        traces = [random_trace(rng, f"t{k}") for k in range(3)]
+        edges = sorted({edge for trace in traces for edge in trace.invocation_edges()})
+        compiled = CompiledTraceSet(traces, edges)
+        cold = pickle.dumps(compiled)
+        fingerprint_traces(traces)
+        warm = pickle.dumps(compiled)
+        assert len(warm) == len(cold)
+        assert b"_content_stream" not in warm

@@ -16,6 +16,8 @@ Three contracts from the serving tier:
 """
 
 import copy
+import hashlib
+import pickle
 import tempfile
 import threading
 
@@ -199,6 +201,94 @@ class TestStoreDegradation:
         )
         _assert_bitwise(compiled, loaded)
         assert cold.stats()["store_hits"] == 1
+
+
+# -- frames written before the packed layout are a miss, not a stale object --------------------
+class TestOldLayoutFramesMiss:
+    """Store version 2 packs a compiled set's op arrays into two blobs; a version-1
+    frame holds the former layout (``_levels`` / ``_fragments`` pickled array by
+    array) and must never reach ``CompiledTraceSet.__setstate__``."""
+
+    @staticmethod
+    def _parent_frame(compiled, monkeypatch):
+        """The bytes the parent commit's store wrote for ``compiled`` (built here)."""
+
+        def old_getstate(self):
+            state = dict(self.__dict__)
+            state["_shm_backed"] = False
+            return state
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CompiledTraceSet, "__getstate__", old_getstate)
+            payload = pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
+        header = f"atlas-store/1 {hashlib.sha256(payload).hexdigest()} {len(payload)}\n"
+        return header.encode("ascii") + payload, payload
+
+    def test_parent_version_frame_misses_and_the_cache_recompiles(self, tmp_path, monkeypatch):
+        compiled = _random_compiled(np.random.default_rng(13))
+        frame, payload = self._parent_frame(compiled, monkeypatch)
+        store = ArtifactStore(tmp_path / "store")
+        key = ("compiled", "sha", ())
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(frame)
+
+        unpacked = []
+        real_setstate = CompiledTraceSet.__setstate__
+
+        def spying_setstate(self, state):
+            unpacked.append(sorted(state))
+            real_setstate(self, state)
+
+        monkeypatch.setattr(CompiledTraceSet, "__setstate__", spying_setstate)
+        assert store.load(key) is None
+        assert unpacked == []  # rejected on the header, before any payload byte is read
+
+        builds = []
+        cache = ArtifactCache(store=store)
+        rebuilt = cache.get_or_build(key, lambda: builds.append(1) or compiled)
+        assert rebuilt is compiled and builds == [1]
+        assert cache.stats()["store_hits"] == 0
+        # The rebuild was written through in the current layout: the next process loads.
+        current = path.read_bytes().split(b" ", 1)[0]
+        assert current.startswith(b"atlas-store/") and current != b"atlas-store/1"
+        loaded = ArtifactCache(store=store).get_or_build(
+            key, lambda: pytest.fail("a current-version frame must load")
+        )
+        _assert_bitwise(compiled, loaded)
+        assert len(unpacked) == 1 and "_packed" in unpacked[0] and "_levels" not in unpacked[0]
+
+        # The old layout has no reader at all: even relabelled as current it degrades.
+        path.write_bytes(frame.replace(b"atlas-store/1", current, 1))
+        assert store.load(key) is None
+        with pytest.raises(KeyError):
+            pickle.loads(payload)
+
+    def test_loaded_set_is_private_reshareable_and_splices_like_a_rebuild(self):
+        rng = np.random.default_rng(17)
+        traces = [random_trace(rng, f"t{k}") for k in range(4)]
+        edges = sorted({edge for trace in traces for edge in trace.invocation_edges()})
+        compiled = CompiledTraceSet(traces, edges)
+        arena = ShmArena()
+        try:
+            compiled.share_memory(arena)
+            with tempfile.TemporaryDirectory() as root:
+                store = ArtifactStore(root)
+                assert store.save(("c",), compiled)
+                loaded = store.load(("c",))
+        finally:
+            arena.release()
+        assert loaded._shm_backed is False
+        new_traces = [_perturb(traces[0], 1.02)] + traces[1:]
+        rebuilt = CompiledTraceSet(new_traces, edges)
+        _assert_bitwise(loaded.splice(new_traces), rebuilt)
+        arena2 = ShmArena()
+        try:
+            loaded.share_memory(arena2)
+            assert loaded._shm_backed
+            _assert_bitwise(loaded.splice(new_traces), rebuilt)
+        finally:
+            arena2.release()
 
 
 # -- single-flight concurrency ----------------------------------------------------------------
