@@ -123,22 +123,33 @@ class ApiProfiler:
 
     # -- profiling ---------------------------------------------------------------------
     def profile(self, api: str) -> ApiProfile:
-        """Profile one API from its recorded traces."""
+        """Profile one API from its recorded traces.
+
+        The traces of an API fall into a few shapes, and everything but the timing
+        classification is a function of the shape: components, edges and workflow
+        keys are taken once per shape group, weighted by the group's size.  The
+        classification is "last observation wins", and the last trace to write a
+        key is the last trace of *some* shape, so replaying each group's last trace
+        in trace order leaves exactly what replaying every trace would.
+        """
         traces = self.telemetry.get_traces(api=api)
         if not traces:
             raise ValueError(f"no traces recorded for API {api!r}")
+        groups = self.telemetry.traces.shape_groups(api)
+        latencies = self.telemetry.api_latencies(api)
         components: List[str] = []
-        latencies: List[float] = []
         edge_counts: Dict[Tuple[str, str], int] = {}
-        workflow: Dict[Tuple[str, str, str], ExecutionMode] = {}
-        for trace in traces:
-            latencies.append(trace.latency_ms)
-            for comp in trace.components():
+        for group in groups:
+            for comp in group.shape.components:
                 if comp not in components:
                     components.append(comp)
-            for edge in trace.invocation_edges():
-                edge_counts[edge] = edge_counts.get(edge, 0) + 1
-            self._classify_trace(trace, workflow)
+            for edge, per_trace in group.shape.edge_counts:
+                edge_counts[edge] = edge_counts.get(edge, 0) + per_trace * group.count
+        modes: Dict[Tuple[str, str, str], ExecutionMode] = {}
+        for group in sorted(groups, key=lambda g: g.last_position):
+            self._classify_trace(group.last, modes)
+        # Key order is first-write order: the shapes by first trace, keys as visited.
+        workflow = {key: modes[key] for group in groups for key in group.shape.workflow_keys}
         n = len(traces)
         invocations = {edge: count / n for edge, count in edge_counts.items()}
         stateful = [c for c in components if c in self.stateful_components]

@@ -3,11 +3,21 @@
 from .mesh import PairwiseNetworkMetrics
 from .metrics import ComponentMetricsStore, MetricSample
 from .server import TelemetryServer
-from .tracing import Span, Trace, TraceStore, TraceStructure, new_trace_id
+from .tracing import (
+    ShapeGroup,
+    Span,
+    Trace,
+    TraceShape,
+    TraceStore,
+    TraceStructure,
+    new_trace_id,
+)
 
 __all__ = [
     "Span",
     "Trace",
+    "TraceShape",
+    "ShapeGroup",
     "TraceStore",
     "TraceStructure",
     "new_trace_id",

@@ -11,7 +11,7 @@ counts.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["PairwiseNetworkMetrics"]
 
@@ -23,8 +23,11 @@ class PairwiseNetworkMetrics:
         if window_ms <= 0:
             raise ValueError("window_ms must be positive")
         self.window_ms = window_ms
-        # (src, dst, window) -> [request_bytes, response_bytes]
-        self._data: Dict[Tuple[str, str, int], List[float]] = defaultdict(lambda: [0.0, 0.0])
+        # (src, dst, window) -> [request_bytes, response_bytes], in creation order (the
+        # order the cross-pair totals add in); the pairs and windows seen, kept beside.
+        self._data: Dict[Tuple[str, str, int], List[float]] = {}
+        self._pairs: Set[Tuple[str, str]] = set()
+        self._windows: Set[int] = set()
 
     # -- writes ----------------------------------------------------------------
     def window_of(self, time_ms: float) -> int:
@@ -41,24 +44,31 @@ class PairwiseNetworkMetrics:
         """Accumulate one invocation's request/response bytes into its window."""
         if request_bytes < 0 or response_bytes < 0:
             raise ValueError("byte counts must be non-negative")
-        cell = self._data[(source, destination, self.window_of(time_ms))]
+        window = self.window_of(time_ms)
+        cell = self._data.get((source, destination, window))
+        if cell is None:
+            cell = self._data[(source, destination, window)] = [0.0, 0.0]
+            self._pairs.add((source, destination))
+            self._windows.add(window)
         cell[0] += request_bytes
         cell[1] += response_bytes
 
     # -- reads ------------------------------------------------------------------
     def pairs(self) -> List[Tuple[str, str]]:
         """All (source, destination) pairs with recorded traffic."""
-        return sorted({(s, d) for (s, d, _w) in self._data})
+        return sorted(self._pairs)
 
     def windows(self) -> List[int]:
-        return sorted({w for (_s, _d, w) in self._data})
+        return sorted(self._windows)
 
     def request_bytes(self, source: str, destination: str, window: int) -> float:
         """Total request-direction bytes for one pair in one window (``U^req`` in Eq. 1)."""
-        return self._data.get((source, destination, window), [0.0, 0.0])[0]
+        cell = self._data.get((source, destination, window))
+        return 0.0 if cell is None else cell[0]
 
     def response_bytes(self, source: str, destination: str, window: int) -> float:
-        return self._data.get((source, destination, window), [0.0, 0.0])[1]
+        cell = self._data.get((source, destination, window))
+        return 0.0 if cell is None else cell[1]
 
     def request_series(
         self, source: str, destination: str, windows: Optional[Sequence[int]] = None

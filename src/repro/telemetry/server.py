@@ -56,7 +56,11 @@ class TelemetryServer:
         return self.traces.latencies(api, start_ms=start_ms, end_ms=end_ms)
 
     def api_request_rates(self, window_ms: Optional[float] = None) -> Dict[str, List[float]]:
-        """Requests per window for every API, over the observed window range."""
+        """Requests per window for every API, over the observed window range.
+
+        The counts come from the trace census, so asking again between ingests (every
+        ``ResourceEstimator.predict_scaled``) does not bucket the traces again.
+        """
         window_ms = window_ms or self.window_ms
         counts = self.traces.request_counts(window_ms)
         if not counts:

@@ -14,12 +14,24 @@ problem (Eq. 1) exists.
 from __future__ import annotations
 
 import itertools
+import weakref
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..digest import part_stream
 
-__all__ = ["Span", "Trace", "TraceStructure", "TraceStore", "new_trace_id"]
+__all__ = [
+    "Span",
+    "Trace",
+    "TraceShape",
+    "TraceStructure",
+    "ShapeGroup",
+    "TraceStore",
+    "new_trace_id",
+]
 
 _trace_counter = itertools.count(1)
 
@@ -27,10 +39,6 @@ _trace_counter = itertools.count(1)
 def new_trace_id() -> str:
     """Generate a process-unique trace id."""
     return f"trace-{next(_trace_counter):08d}"
-
-
-#: Shared empty child list returned for leaf spans (callers treat children as read-only).
-_NO_CHILDREN: List["Span"] = []
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,11 +93,77 @@ class TraceStructure(NamedTuple):
     children_index: Tuple[Tuple[int, ...], ...]
 
 
+class TraceShape:
+    """What every trace of one request shape has in common (interned, read-only).
+
+    A shape is the part of a trace that does not carry time: each span's parent
+    position and ``(component, operation)`` label, in the trace's canonical span order.
+    The requests of an API fall into a handful of shapes, so everything derivable
+    from the shape alone is derived here, once per *shape*, and shared by every trace
+    that has it: the topology half of :class:`TraceStructure`, the component and
+    invocation-edge lists, and the workflow keys in the order
+    :class:`~repro.learning.api_profile.ApiProfiler` visits them.
+    """
+
+    __slots__ = (
+        "parent_index",
+        "labels",
+        "root_index",
+        "children_index",
+        "components",
+        "invocation_edges",
+        "edge_counts",
+        "workflow_keys",
+        "__weakref__",
+    )
+
+    def __init__(
+        self, parent_index: Tuple[int, ...], labels: Tuple[Tuple[str, str], ...]
+    ) -> None:
+        self.parent_index = parent_index
+        self.labels = labels
+        self.root_index = parent_index.index(-1)
+        # Spans and child lists are both ordered by (start, span id), so a span's
+        # children in child-list order are its child positions in ascending order.
+        children: List[List[int]] = [[] for _ in parent_index]
+        for position, parent in enumerate(parent_index):
+            if parent >= 0:
+                children[parent].append(position)
+        self.children_index = tuple(tuple(c) for c in children)
+        #: Distinct components, first-seen order (:meth:`Trace.components`).
+        self.components = tuple(dict.fromkeys(component for component, _op in labels))
+        #: ``(caller, callee)`` per non-root span (:meth:`Trace.invocation_edges`).
+        self.invocation_edges = tuple(
+            (labels[parent][0], labels[position][0])
+            for position, parent in enumerate(parent_index)
+            if parent >= 0
+        )
+        #: Distinct edges, first-seen order, with their multiplicity in one trace.
+        self.edge_counts = tuple(Counter(self.invocation_edges).items())
+        #: ``(parent component, component, operation)`` of every parent/child pair,
+        #: parents in span order and children in child-list order; repeats kept.
+        self.workflow_keys = tuple(
+            (labels[parent][0],) + labels[child]
+            for parent, child_positions in enumerate(self.children_index)
+            for child in child_positions
+        )
+
+
+#: Intern table of :class:`TraceShape`: equal shapes are one object for as long as a
+#: trace holds it.  Process-wide like any intern table, and safe to be: entries are
+#: immutable and keyed by their whole content.  Grouping by shape identity stays exact
+#: even if a race interned two equal shapes, since every consumer works group by group.
+_SHAPES: "weakref.WeakValueDictionary[tuple, TraceShape]" = weakref.WeakValueDictionary()
+
+
 class Trace:
     """All spans created while serving one API request."""
 
     #: Memo of :meth:`content_stream`; set on first use, never pickled.
     _content_stream: Optional[bytes] = None
+    #: Memo of :meth:`shape`; set on first use, never pickled (a trace unpickled from
+    #: a frame written before shapes existed simply has none yet).
+    _shape: Optional[TraceShape] = None
 
     def __init__(self, trace_id: str, api: str, spans: Sequence[Span]) -> None:
         if not spans:
@@ -117,9 +191,10 @@ class Trace:
         self._structure: Optional[TraceStructure] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickled traces carry content only: the digest memo is process-local."""
+        """Pickled traces carry content only: digest and shape memos are process-local."""
         state = dict(self.__dict__)
         state.pop("_content_stream", None)
+        state.pop("_shape", None)
         return state
 
     # -- accessors -----------------------------------------------------------------
@@ -170,49 +245,49 @@ class Trace:
         """End-to-end latency of the API request (duration of the root span)."""
         return self._root.duration_ms
 
+    def shape(self) -> TraceShape:
+        """The interned :class:`TraceShape` of this trace (looked up once, cached).
+
+        Sound for the reason :meth:`structure` is: spans are frozen and ``_spans``
+        never changes after construction.
+        """
+        shape = self._shape
+        if shape is None:
+            spans = self._spans
+            position = dict(zip(self._by_id, range(len(spans))))  # _by_id is in span order
+            key = (
+                tuple([position.get(span.parent_id, -1) for span in spans]),
+                tuple([(span.component, span.operation) for span in spans]),
+            )
+            shape = _SHAPES.get(key)
+            if shape is None:
+                shape = _SHAPES.setdefault(key, TraceShape(*key))
+            self._shape = shape
+        return shape
+
     def components(self) -> List[str]:
         """Distinct components touched by the request."""
-        seen: List[str] = []
-        for span in self._spans:
-            if span.component not in seen:
-                seen.append(span.component)
-        return seen
+        return list(self.shape().components)
 
     def invocation_edges(self) -> List[Tuple[str, str]]:
         """(caller component, callee component) for every parent/child span pair."""
-        edges: List[Tuple[str, str]] = []
-        for span in self._spans:
-            if span.parent_id is None:
-                continue
-            parent = self._by_id[span.parent_id]
-            edges.append((parent.component, span.component))
-        return edges
+        return list(self.shape().invocation_edges)
 
     def structure(self) -> TraceStructure:
         """Index-based topology export (computed once, cached) for compiled replay.
 
         Compiling a trace into flat arrays needs positions, not span ids: this returns
         every span's parent position and ordered child positions in the canonical span
-        order, so downstream consumers never re-walk the id maps.
+        order, so downstream consumers never re-walk the id maps.  The positions are
+        the shape's; only the span tuple is this trace's own.
         """
         if self._structure is None:
-            position = {span.span_id: i for i, span in enumerate(self._spans)}
-            parent_index = tuple(
-                -1 if span.parent_id is None else position[span.parent_id]
-                for span in self._spans
-            )
-            children_index = tuple(
-                tuple(
-                    position[child.span_id]
-                    for child in self._children.get(span.span_id, _NO_CHILDREN)
-                )
-                for span in self._spans
-            )
+            shape = self.shape()
             self._structure = TraceStructure(
                 spans=tuple(self._spans),
-                root_index=position[self._root.span_id],
-                parent_index=parent_index,
-                children_index=children_index,
+                root_index=shape.root_index,
+                parent_index=shape.parent_index,
+                children_index=shape.children_index,
             )
         return self._structure
 
@@ -226,13 +301,13 @@ class Trace:
         frozen, ``_spans`` never changes after construction and ``api`` is read-only.
         """
         if self._content_stream is None:
-            structure = self.structure()
+            shape = self.shape()
             parts = [
                 self.api,
-                str(structure.root_index),
-                ",".join(str(i) for i in structure.parent_index),
+                str(shape.root_index),
+                ",".join(str(i) for i in shape.parent_index),
             ]
-            for span in structure.spans:
+            for span in self._spans:
                 parts.append(
                     f"{span.component}|{span.operation}|{span.start_ms!r}|{span.duration_ms!r}"
                 )
@@ -250,16 +325,112 @@ class Trace:
         )
 
 
+class ShapeGroup(NamedTuple):
+    """The traces of one API that share one :class:`TraceShape`."""
+
+    shape: TraceShape
+    count: int
+    #: The group's last trace in time order, and its position among the API's traces.
+    last: Trace
+    last_position: int
+
+
+class _TimeView:
+    """One API's traces (or every trace) in time order, with what is counted per shape."""
+
+    __slots__ = ("traces", "starts", "latencies", "_groups", "_windowed")
+
+    def __init__(self, pool: Sequence[Trace]) -> None:
+        # Stable, like the per-query sort it replaces: ties keep ingestion order.
+        self.traces: List[Trace] = sorted(pool, key=attrgetter("start_ms"))
+        self.starts: List[float] = [trace.start_ms for trace in self.traces]
+        self.latencies: List[float] = [trace.latency_ms for trace in self.traces]
+        self._groups: Optional[List[ShapeGroup]] = None
+        self._windowed: Tuple[Optional[tuple], Dict[TraceShape, Dict[int, int]]] = (None, {})
+
+    def bounds(self, start_ms: Optional[float], end_ms: Optional[float]) -> Tuple[int, int]:
+        """``[lo, hi)`` of the traces with ``start_ms <= start < end_ms``."""
+        lo = 0 if start_ms is None else bisect_left(self.starts, start_ms)
+        hi = len(self.starts) if end_ms is None else bisect_left(self.starts, end_ms)
+        return lo, hi
+
+    def groups(self) -> List[ShapeGroup]:
+        """The distinct shapes, ordered by their first trace."""
+        if self._groups is None:
+            tally: Dict[TraceShape, List[int]] = {}  # shape -> [count, last position]
+            for position, trace in enumerate(self.traces):
+                shape = trace.shape()
+                entry = tally.get(shape)
+                if entry is None:
+                    tally[shape] = [1, position]
+                else:
+                    entry[0] += 1
+                    entry[1] = position
+            self._groups = [
+                ShapeGroup(shape, count, self.traces[last], last)
+                for shape, (count, last) in tally.items()
+            ]
+        return self._groups
+
+    def shape_windows(
+        self, window_ms: float, start_ms: float, end_ms: Optional[float]
+    ) -> Dict[TraceShape, Dict[int, int]]:
+        """Traces per shape and window; shapes by first trace in range, windows rising.
+
+        Only the latest ``(window_ms, start_ms, end_ms)`` is kept: learning asks for
+        one windowing, and a second slot would be a cache to bound.
+        """
+        key = (window_ms, start_ms, end_ms)
+        if self._windowed[0] != key:
+            lo, hi = self.bounds(start_ms, end_ms)
+            counts: Dict[TraceShape, Dict[int, int]] = {}
+            for start, trace in zip(self.starts[lo:hi], self.traces[lo:hi]):
+                bucket = int((start - start_ms) // window_ms)
+                shape = trace.shape()
+                buckets = counts.get(shape)
+                if buckets is None:
+                    buckets = counts[shape] = {}
+                buckets[bucket] = buckets.get(bucket, 0) + 1
+            self._windowed = (key, counts)
+        return self._windowed[1]
+
+
+class _Census:
+    """What a :class:`TraceStore` has counted since its last ``add``."""
+
+    __slots__ = ("views", "requests")
+
+    def __init__(self) -> None:
+        #: Time views by API (``None``: every trace), each built on first use.
+        self.views: Dict[Optional[str], _TimeView] = {}
+        #: The latest ``request_counts`` bucketing and its key (one slot, like a
+        #: view's windowing).
+        self.requests: Tuple[Optional[tuple], Dict[str, Dict[int, int]]] = (None, {})
+
+
 class TraceStore:
-    """Queryable archive of traces, indexed by API and time."""
+    """Queryable archive of traces, indexed by API and time.
+
+    Queries are answered from a lazily built *census* — per API the time-sorted
+    traces, their shape groups and per-shape window counts — which :meth:`add` drops,
+    so an answer is always what walking the traces one by one would give.
+    """
 
     def __init__(self) -> None:
         self._traces: List[Trace] = []
         self._by_api: Dict[str, List[Trace]] = {}
+        self._census: Optional[_Census] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickles and deep copies carry the traces only, never the census."""
+        state = dict(self.__dict__)
+        state["_census"] = None
+        return state
 
     def add(self, trace: Trace) -> None:
         self._traces.append(trace)
         self._by_api.setdefault(trace.api, []).append(trace)
+        self._census = None
 
     def extend(self, traces: Iterable[Trace]) -> None:
         for trace in traces:
@@ -272,6 +443,24 @@ class TraceStore:
     def apis(self) -> List[str]:
         return sorted(self._by_api)
 
+    def _ensure_census(self) -> "_Census":
+        if self._census is None:
+            self._census = _Census()
+        return self._census
+
+    def _view(self, api: Optional[str]) -> _TimeView:
+        views = self._ensure_census().views
+        view = views.get(api)
+        if view is None:
+            if api is None:
+                view = _TimeView(self._traces)
+            elif api in self._by_api:
+                view = _TimeView(self._by_api[api])
+            else:
+                return _TimeView(())  # unknown API: nothing worth keeping
+            views[api] = view
+        return view
+
     def traces(
         self,
         api: Optional[str] = None,
@@ -280,17 +469,11 @@ class TraceStore:
         limit: Optional[int] = None,
     ) -> List[Trace]:
         """Traces filtered by API and root start time, most-recent last."""
-        pool = self._by_api.get(api, []) if api is not None else self._traces
-        selected = [
-            t
-            for t in pool
-            if (start_ms is None or t.start_ms >= start_ms)
-            and (end_ms is None or t.start_ms < end_ms)
-        ]
-        selected.sort(key=lambda t: t.start_ms)
+        view = self._view(api)
+        lo, hi = view.bounds(start_ms, end_ms)
         if limit is not None and limit >= 0:
-            selected = selected[-limit:]
-        return selected
+            lo = max(lo, hi - limit)
+        return view.traces[lo:hi]
 
     def latencies(
         self,
@@ -299,7 +482,18 @@ class TraceStore:
         end_ms: Optional[float] = None,
     ) -> List[float]:
         """End-to-end latencies of an API's requests within a time range."""
-        return [t.latency_ms for t in self.traces(api, start_ms, end_ms)]
+        view = self._view(api)
+        lo, hi = view.bounds(start_ms, end_ms)
+        return view.latencies[lo:hi]
+
+    def shape_groups(self, api: str) -> List[ShapeGroup]:
+        """One :class:`ShapeGroup` per distinct shape of an API's traces.
+
+        Ordered by each shape's first trace in time order.  Anything that is a
+        function of the shape alone can be computed once per group and weighted by
+        ``count``; anything where the last observation wins needs ``last`` only.
+        """
+        return list(self._view(api).groups())
 
     def request_counts(
         self, window_ms: float, start_ms: float = 0.0, end_ms: Optional[float] = None
@@ -307,16 +501,21 @@ class TraceStore:
         """Per-API request counts bucketed into windows of ``window_ms``."""
         if window_ms <= 0:
             raise ValueError("window_ms must be positive")
-        counts: Dict[str, Dict[int, int]] = {}
-        for trace in self._traces:
-            if trace.start_ms < start_ms:
-                continue
-            if end_ms is not None and trace.start_ms >= end_ms:
-                continue
-            bucket = int((trace.start_ms - start_ms) // window_ms)
-            counts.setdefault(trace.api, {}).setdefault(bucket, 0)
-            counts[trace.api][bucket] += 1
-        return counts
+        census = self._ensure_census()
+        key = (window_ms, start_ms, end_ms)
+        if census.requests[0] != key:
+            # Ingestion order, not time order: it fixes the key order of both levels.
+            counts: Dict[str, Dict[int, int]] = {}
+            for trace in self._traces:
+                if trace.start_ms < start_ms:
+                    continue
+                if end_ms is not None and trace.start_ms >= end_ms:
+                    continue
+                bucket = int((trace.start_ms - start_ms) // window_ms)
+                counts.setdefault(trace.api, {}).setdefault(bucket, 0)
+                counts[trace.api][bucket] += 1
+            census.requests = (key, counts)
+        return {api: dict(buckets) for api, buckets in census.requests[1].items()}
 
     def invocation_counts(
         self,
@@ -327,14 +526,17 @@ class TraceStore:
     ) -> Dict[Tuple[str, str], Dict[int, int]]:
         """Per-(caller, callee) invocation counts of one API, bucketed by window.
 
-        This is the quantity ``I^A_{ci->cj}[t]`` used by footprint learning (Eq. 1).
+        This is the quantity ``I^A_{ci->cj}[t]`` used by footprint learning (Eq. 1):
+        per shape, the traces per window times the edge's multiplicity in the shape.
         """
         if window_ms <= 0:
             raise ValueError("window_ms must be positive")
         counts: Dict[Tuple[str, str], Dict[int, int]] = {}
-        for trace in self.traces(api, start_ms, end_ms):
-            bucket = int((trace.start_ms - start_ms) // window_ms)
-            for edge in trace.invocation_edges():
-                counts.setdefault(edge, {}).setdefault(bucket, 0)
-                counts[edge][bucket] += 1
-        return counts
+        windowed = self._view(api).shape_windows(window_ms, start_ms, end_ms)
+        for shape, buckets in windowed.items():
+            for edge, per_trace in shape.edge_counts:
+                per_edge = counts.setdefault(edge, {})
+                for bucket, traces in buckets.items():
+                    per_edge[bucket] = per_edge.get(bucket, 0) + per_trace * traces
+        # A trace-by-trace walk meets windows in rising order; merging shapes does not.
+        return {edge: dict(sorted(per_edge.items())) for edge, per_edge in counts.items()}

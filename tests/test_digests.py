@@ -36,7 +36,7 @@ from repro.recommend import AdvisorService, Atlas, AtlasConfig
 from repro.recommend.advisor import _describe
 from repro.serving import AdvisorDaemon, MonitorSample
 from repro.simulator import simulate_workload
-from repro.telemetry.tracing import Trace
+from repro.telemetry.tracing import Trace, TraceStore
 from repro.workload import WorkloadGenerator, default_scenario
 
 
@@ -391,3 +391,79 @@ class TestMemosStayOutOfPickles:
         warm = pickle.dumps(compiled)
         assert len(warm) == len(cold)
         assert b"_content_stream" not in warm
+
+    #: What a pickled ``Trace`` carries: the frame layout store version 2 was cut for.
+    #: A key added here changes what stored frames hold — bump ``serving.store._VERSION``.
+    TRACE_STATE = {"trace_id", "_api", "_spans", "_by_id", "_root", "_children", "_structure"}
+
+    def test_trace_pickle_and_deep_copy_carry_no_shape(self):
+        trace = random_trace(np.random.default_rng(7), "t")
+        cold = pickle.dumps(trace)
+        shape = trace.shape()
+        assert vars(trace)["_shape"] is shape
+        warm = pickle.dumps(trace)
+        assert warm == cold and b"_shape" not in warm
+        assert set(trace.__getstate__()) == self.TRACE_STATE
+        for clone in (pickle.loads(warm), copy.deepcopy(trace)):
+            assert "_shape" not in vars(clone)  # what a frame written before shapes holds
+            assert clone.invocation_edges() == trace.invocation_edges()
+            assert clone.shape() is shape  # interned again on first use
+            assert fingerprint_traces([clone]) == fingerprint_traces([trace])
+
+    def test_trace_store_pickle_and_deep_copy_carry_no_census(self, tiny_telemetry):
+        _app, result = tiny_telemetry
+        store = TraceStore()
+        store.extend(result.telemetry.get_traces())
+        cold = pickle.dumps(store)
+        api = store.apis[0]
+        answers = (
+            store.request_counts(5_000.0),
+            store.invocation_counts(api, 5_000.0),
+            store.latencies(api),
+            [group.count for group in store.shape_groups(api)],
+        )
+        assert store._census is not None
+        warm = pickle.dumps(store)
+        assert len(warm) == len(cold) and b"_shape" not in warm
+        for clone in (pickle.loads(warm), copy.deepcopy(store)):
+            assert clone._census is None
+            assert all("_shape" not in vars(trace) for trace in clone.traces())
+            assert answers == (
+                clone.request_counts(5_000.0),
+                clone.invocation_counts(api, 5_000.0),
+                clone.latencies(api),
+                [group.count for group in clone.shape_groups(api)],
+            )
+
+    def test_learning_from_memoless_telemetry_is_identical(self, tiny_telemetry, tiny_atlas):
+        """Traces as a frame written before shapes existed holds them (no ``_shape``, no
+        census on their store) learn to the same knowledge, digest for digest."""
+        app, result = tiny_telemetry
+        reread = copy.deepcopy(result.telemetry)
+        assert reread.traces._census is None
+        assert all(set(vars(t)) <= self.TRACE_STATE for t in reread.get_traces())
+        twin = _learn_tiny(app, reread)
+        ours, theirs = tiny_atlas.knowledge, twin.knowledge
+        assert list(theirs.api_profiles) == list(ours.api_profiles)
+        for api, profile in ours.api_profiles.items():
+            other = theirs.api_profiles[api]
+            for name in (
+                "request_count",
+                "components",
+                "stateful_components",
+                "latencies_ms",
+            ):
+                assert getattr(other, name) == getattr(profile, name)
+            assert list(other.invocations_per_request.items()) == list(
+                profile.invocations_per_request.items()
+            )
+            assert list(other.workflow_modes.items()) == list(profile.workflow_modes.items())
+            assert fingerprint_traces(other.sample_traces) == fingerprint_traces(
+                profile.sample_traces
+            )
+        assert list(theirs.component_profiles.items()) == list(ours.component_profiles.items())
+        assert theirs.footprint.content_digest() == ours.footprint.content_digest()
+        assert theirs.estimator.content_digest() == ours.estimator.content_digest()
+        service = AdvisorService()
+        kwargs = {"expected_scale": 3.0}
+        assert service._request_key(twin, kwargs) == service._request_key(tiny_atlas, kwargs)

@@ -35,6 +35,7 @@ from repro.quality import CompiledTraceSet, MigrationPreferences
 from repro.quality.artifacts import ArtifactCache
 from repro.quality.compiled import ShmArena
 from repro.recommend import AdvisorService, Atlas, AtlasConfig
+from repro.serving import store as store_module
 from repro.serving import (
     AdvisorDaemon,
     ArtifactStore,
@@ -416,6 +417,45 @@ class TestDurableJournal:
                 cold_preview[api].estimated_latencies_ms
             )
         assert warm_service.cache.stats()["store_hits"] > 0
+
+    def test_store_written_under_warm_learn_memos_serves_a_memoless_restart(
+        self, tmp_path, tiny_telemetry, monkeypatch
+    ):
+        """Shape memos and the trace census never reach a key or a frame: a store
+        written by an advisor that learned with them warm is hit by one that learned
+        from re-read telemetry (what a frame written before they existed holds), and
+        the store frame version did not move."""
+        app, result = tiny_telemetry
+
+        def learned(telemetry):
+            atlas = Atlas(
+                app,
+                MigrationPreferences.pin_on_prem(["Database"]),
+                config=AtlasConfig(traces_per_api=15, ga=TINY_GA),
+            )
+            atlas.learn(telemetry)
+            return atlas
+
+        learned(result.telemetry)  # census and every shape memo warm from here on
+        assert result.telemetry.traces._census is not None
+        store_dir = tmp_path / "store"
+        writer = AdvisorService(store=ArtifactStore(store_dir))
+        cold = writer.recommend(learned(result.telemetry), expected_scale=2.0)
+        assert writer.stats()["journal"] == {"hits": 0, "misses": 1}
+        assert store_module._VERSION == 2
+        frames = list(store_dir.rglob("*.art"))
+        assert frames and all(f.read_bytes().startswith(b"atlas-store/2 ") for f in frames)
+        assert not any(b"_shape" in f.read_bytes() for f in frames)
+
+        _poison_search(monkeypatch)
+        reread = copy.deepcopy(result.telemetry)
+        assert reread.traces._census is None
+        reader = AdvisorService(store=ArtifactStore(store_dir))
+        warm = reader.recommend(learned(reread), expected_scale=2.0)
+        assert reader.stats()["journal"] == {"hits": 1, "misses": 0}
+        assert front_digest(warm) == front_digest(cold)
+        warm.latency_preview(warm.knee_point().plan)
+        assert reader.cache.stats()["store_hits"] > 0  # compiled sets loaded, not rebuilt
 
     def test_corrupted_journal_falls_back_to_cold_search(
         self, tmp_path, tiny_learned_atlas

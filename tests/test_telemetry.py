@@ -115,6 +115,18 @@ class TestTraceStore:
         assert len(store.traces(end_ms=60.0)) == 2
         assert len(store.traces("/read", limit=1)) == 1
 
+    def test_limit_keeps_the_most_recent_and_zero_means_none(self):
+        store = TraceStore()
+        store.add(make_trace("b", "/read", 100.0))
+        store.add(make_trace("a", "/read", 0.0))
+        store.add(make_trace("c", "/write", 50.0))
+        assert [t.trace_id for t in store.traces("/read", limit=1)] == ["b"]
+        assert [t.trace_id for t in store.traces(limit=2)] == ["c", "b"]
+        # ``selected[-0:]`` used to hand back every trace.
+        assert store.traces("/read", limit=0) == []
+        assert store.traces(limit=0) == []
+        assert len(store.traces("/read", limit=-1)) == 2  # negative: no limit, as before
+
     def test_latencies(self):
         store = TraceStore()
         store.extend([make_trace("a"), make_trace("b", start=5.0)])
