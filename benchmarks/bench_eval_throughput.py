@@ -123,9 +123,8 @@ def _raw_kernel_batch(evaluator, plans):
         qualities.append(
             PlanQuality(
                 plan=plan,
-                perf=float(perf[row]),
-                avail=float(avail[row]),
-                cost=float(cost[row]),
+                values=(float(perf[row]), float(avail[row]), float(cost[row])),
+                names=("qperf", "qavai", "qcost"),
                 feasible=feasible,
                 violations=tuple(violations),
             )
@@ -163,7 +162,7 @@ def test_eval_throughput(benchmark):
         reference = build("reference")
         start = time.perf_counter()
         reference_qualities = [
-            reference.evaluate(plan) for plan in plans[:N_PLANS_REFERENCE]
+            reference.evaluate_reference(plan) for plan in plans[:N_PLANS_REFERENCE]
         ]
         reference_s = time.perf_counter() - start
 

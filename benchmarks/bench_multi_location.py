@@ -71,7 +71,7 @@ def _run_application(application: str):
         performance_engine="reference",
     )
     compiled_q = compiled.evaluate_batch(plans)
-    reference_q = [reference.evaluate(plan) for plan in plans]
+    reference_q = [reference.evaluate_reference(plan) for plan in plans]
     mismatches = sum(
         1 for a, b in zip(compiled_q, reference_q) if a.objectives() != b.objectives()
     )

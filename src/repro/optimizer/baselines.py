@@ -494,9 +494,6 @@ class AffinityNSGA2Baseline:
                 f"evaluation budget {self.evaluation_budget} is too small to shard "
                 f"across {islands} islands of {population} plans each"
             )
-        # Export the compiled evaluation state before forking, so the islands'
-        # qcost_vectors/feasible_mask passes score against shared pages.
-        evaluator.share_memory(n_locations=max(self.context.locations) + 1)
         n_genes = len(components)
         capacity = population  # an island's front is a subset of its population
         channels = ShmArena(chunk_bytes=1 << 20)
@@ -638,9 +635,6 @@ class RandomSearchBaseline:
             + (1 if worker < self.evaluation_budget % workers else 0)
             for worker in range(workers)
         ]
-        # Export the compiled evaluation state before forking, so the workers'
-        # feasible_mask/evaluate_vectors passes score against shared pages.
-        evaluator.share_memory(n_locations=max(self.context.locations) + 1)
         n_genes = len(components)
         capacity = max(max(shares), 1)  # a worker's front is a subset of its sample
         channels = ShmArena(chunk_bytes=1 << 20)

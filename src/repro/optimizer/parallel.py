@@ -1,15 +1,13 @@
-"""Island-model parallel search over shared-memory plan matrices.
+"""Island-model parallel search with shared-memory migration and result channels.
 
 The GA population is sharded into W independent subpopulations ("islands"), each
 running the unmodified serial loop of :class:`~repro.optimizer.atlas_ga.AtlasGA` in a
-forked worker process.  The heavy read-only state — the compiled trace arrays, the
-per-API Δ lookup tables and the scenario views' flat numpy state — is exported into
-``multiprocessing.shared_memory`` *before* the fork (see
-:meth:`~repro.quality.evaluator.QualityEvaluator.share_memory`), so every worker
-scores candidate plans through ``QualityEvaluator.evaluate_vectors`` against
-physically shared pages: no plan, trace or model is ever pickled.
+forked worker process.  A worker inherits the parent's evaluator — models, compiled
+trace sets, result cache — through ``fork`` (copy-on-write; whatever the parent had
+not compiled yet each island compiles for itself) and scores candidate plans through
+``QualityEvaluator.evaluate_vectors``: no plan, trace or model is ever pickled.
 
-Cross-island communication also goes through shared memory:
+Cross-island communication goes through :class:`ShmArena`-backed plan matrices:
 
 * **Migration** — every ``migration_period`` generations the islands meet at a
   barrier and exchange their top ``migration_elites`` plans on a fixed ring
@@ -42,11 +40,11 @@ import os
 import time
 import traceback
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
+from multiprocessing import shared_memory
+from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..quality.compiled import ShmArena
 from .nsga2 import survival_selection
 from .pareto import merge_fronts
 
@@ -76,6 +74,74 @@ _POLL_INTERVAL_S = 0.05
 
 class ParallelSearchError(RuntimeError):
     """A parallel search could not start or a worker died mid-run."""
+
+
+class ShmArena:
+    """A bump allocator over ``multiprocessing.shared_memory`` segments.
+
+    The parallel searches allocate the plan matrices of their migration and result
+    channels here before forking, so parent and workers read and write the same
+    pages.  Arrays are packed into large chunks (64-byte aligned) instead of one
+    POSIX shm object each.  Fork children inherit the mappings; only the creating
+    process should :meth:`release`.
+    """
+
+    def __init__(self, chunk_bytes: int = 1 << 24) -> None:
+        self._chunk_bytes = int(chunk_bytes)
+        self._segments: List[shared_memory.SharedMemory] = []
+        self._offset = 0
+        self.nbytes = 0
+
+    def _alloc(self, nbytes: int) -> Tuple[shared_memory.SharedMemory, int]:
+        offset = (self._offset + 63) & ~63
+        if not self._segments or offset + nbytes > self._segments[-1].size:
+            size = max(self._chunk_bytes, nbytes)
+            self._segments.append(shared_memory.SharedMemory(create=True, size=size))
+            offset = 0
+        self._offset = offset + nbytes
+        self.nbytes += nbytes
+        return self._segments[-1], offset
+
+    def empty(self, shape: Sequence[int], dtype) -> np.ndarray:
+        """A new shared-memory ndarray (uninitialized)."""
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        segment, offset = self._alloc(max(nbytes, 1))
+        return np.ndarray(tuple(shape), dtype=dtype, buffer=segment.buf, offset=offset)
+
+    def share(self, array: np.ndarray) -> np.ndarray:
+        """A shared-memory copy of ``array`` (same shape/dtype/contents)."""
+        array = np.ascontiguousarray(array)
+        view = self.empty(array.shape, array.dtype)
+        view[...] = array
+        return view
+
+    @property
+    def n_segments(self) -> int:
+        return len(self._segments)
+
+    def release(self, unlink: bool = True) -> None:
+        """Unlink and unmap every segment (best effort: live views keep their pages)."""
+        for segment in self._segments:
+            if unlink:
+                try:
+                    segment.unlink()
+                except FileNotFoundError:
+                    pass
+            try:
+                segment.close()
+            except BufferError:
+                # An ndarray view is still alive; the name is already unlinked,
+                # the mapping dies with the last view.
+                pass
+        self._segments = []
+        self._offset = 0
+
+    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
+        try:
+            self.release()
+        except Exception:
+            pass
 
 
 def _entry(task: Callable[[], None]) -> None:
@@ -284,10 +350,6 @@ def run_island_search(ga: "AtlasGA") -> "SearchResult":
         for island in range(islands)
     ]
     seed_shards = [list(ga.seed_vectors[island::islands]) for island in range(islands)]
-
-    # Export the compiled evaluation state (trace arrays, Δ tables, scenario views)
-    # into shared memory before forking, so worker pages are physically shared.
-    evaluator.share_memory(n_locations=max(ga.locations) + 1)
 
     n_genes = len(components)
     capacity = max(

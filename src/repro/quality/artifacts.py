@@ -11,11 +11,6 @@ network links — so N tenants working off the same testbed share one physical
 compile, and a changed input can never serve a stale artifact (the key changes
 with the content).
 
-The cache composes with :class:`~repro.quality.compiled.ShmArena`: a cached
-``CompiledTraceSet`` that one evaluator exports to shared
-memory is the *same object* every other evaluator replays, so parallel islands
-of different recommend calls map the same physical pages.
-
 Soundness: every cached artifact is a deterministic pure function of its key's
 content (compilation is replay-order preserving, IEEE-754 op order fixed), so a
 cache hit is bitwise-identical to a fresh build.  The cache is strictly opt-in —

@@ -29,7 +29,6 @@ keeps fixed-seed GA trajectories unchanged when switching engines.
 from __future__ import annotations
 
 import math
-from multiprocessing import shared_memory
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -38,78 +37,8 @@ from ..apps.model import ExecutionMode
 from ..learning.api_profile import classify_background, classify_sibling
 from ..telemetry.tracing import Trace
 
-__all__ = ["CompiledTraceSet", "ShmArena"]
+__all__ = ["CompiledTraceSet"]
 
-
-class ShmArena:
-    """A bump allocator over ``multiprocessing.shared_memory`` segments.
-
-    The island-model parallel search exports the compiled evaluation state — the
-    level-scheduled trace arrays below, the per-API Δ lookup tables and the plan
-    matrices of the migration/result channels — into shared memory before forking
-    its workers, so every process scores plans against physically shared pages.
-    Arrays are packed into large chunks (64-byte aligned) instead of one POSIX shm
-    object each, so exporting a compiled model — hundreds of small level arrays —
-    costs a handful of file descriptors, not hundreds.  Fork children inherit the
-    mappings; only the creating process should :meth:`release`.
-    """
-
-    def __init__(self, chunk_bytes: int = 1 << 24) -> None:
-        self._chunk_bytes = int(chunk_bytes)
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._offset = 0
-        self.nbytes = 0
-
-    def _alloc(self, nbytes: int) -> Tuple[shared_memory.SharedMemory, int]:
-        offset = (self._offset + 63) & ~63
-        if not self._segments or offset + nbytes > self._segments[-1].size:
-            size = max(self._chunk_bytes, nbytes)
-            self._segments.append(shared_memory.SharedMemory(create=True, size=size))
-            offset = 0
-        self._offset = offset + nbytes
-        self.nbytes += nbytes
-        return self._segments[-1], offset
-
-    def empty(self, shape: Sequence[int], dtype) -> np.ndarray:
-        """A new shared-memory ndarray (uninitialized)."""
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        segment, offset = self._alloc(max(nbytes, 1))
-        return np.ndarray(tuple(shape), dtype=dtype, buffer=segment.buf, offset=offset)
-
-    def share(self, array: np.ndarray) -> np.ndarray:
-        """A shared-memory copy of ``array`` (same shape/dtype/contents)."""
-        array = np.ascontiguousarray(array)
-        view = self.empty(array.shape, array.dtype)
-        view[...] = array
-        return view
-
-    @property
-    def n_segments(self) -> int:
-        return len(self._segments)
-
-    def release(self, unlink: bool = True) -> None:
-        """Unlink and unmap every segment (best effort: live views keep their pages)."""
-        for segment in self._segments:
-            if unlink:
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass
-            try:
-                segment.close()
-            except BufferError:
-                # An ndarray view is still alive (e.g. a model cache); the name is
-                # already unlinked, the mapping dies with the last view.
-                pass
-        self._segments = []
-        self._offset = 0
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.release()
-        except Exception:
-            pass
 
 Edge = Tuple[str, str]
 
@@ -226,7 +155,6 @@ def _pack_ops(bundles: Sequence[_LevelOps]) -> Tuple[np.ndarray, np.ndarray, np.
 
     The blobs are the bundles' arrays back to back in bundle order, slot order; row
     ``b`` of the ``(bundles, slots)`` table holds the lengths of bundle ``b``'s slots.
-    Concatenation copies, so packing an shm-backed set yields private arrays.
     """
     ints: List[np.ndarray] = []
     floats: List[np.ndarray] = []
@@ -367,7 +295,6 @@ class CompiledTraceSet:
                 )
                 setattr(ops, name, merged.astype(dtype, copy=False))
             self._levels.append(ops)
-        self._shm_backed = False
 
     def splice(self, new_traces: Sequence[Trace]) -> "CompiledTraceSet":
         """A new set over ``new_traces`` recompiling only the traces that changed.
@@ -403,23 +330,6 @@ class CompiledTraceSet:
         clone._assemble()
         return clone
 
-    def share_memory(self, arena: "ShmArena") -> None:
-        """Move every compiled array into ``arena``-backed shared memory (idempotent).
-
-        Called by the parallel search before forking workers so the replay state —
-        the read-only hot path of ``evaluate_vectors`` — is physically shared across
-        processes instead of copy-on-write duplicated.  Contents are unchanged;
-        replay results are bitwise identical.
-        """
-        if self._shm_backed:
-            return
-        self._root_idx = arena.share(self._root_idx)
-        self._root_start = arena.share(self._root_start)
-        for ops in self._levels:
-            for name in _LevelOps.__slots__:
-                setattr(ops, name, arena.share(getattr(ops, name)))
-        self._shm_backed = True
-
     def __getstate__(self) -> Dict[str, object]:
         """The durable form: every op bundle of the set packed into two blobs.
 
@@ -430,13 +340,8 @@ class CompiledTraceSet:
         followed by every fragment's levels, the number of assembled levels, and per
         fragment its scalars and depth keys (in dict order).  There is no reader for
         the unpacked layout: the store's frame version keeps such payloads away.
-
-        Pickled sets are private copies — shm backing does not survive a process, so
-        the deserialized set must not claim (and, via the idempotence guard, must
-        not refuse) a fresh ``share_memory``.
         """
         state = dict(self.__dict__)
-        state["_shm_backed"] = False
         levels = state.pop("_levels")
         fragments = state.pop("_fragments")
         bundles = list(levels)

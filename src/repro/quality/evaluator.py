@@ -7,13 +7,11 @@ query: ``evaluate(plan)`` returns a :class:`PlanQuality` with the K objective va
 feasibility and the list of violated constraints.  Evaluations are cached by plan,
 which matters because genetic search revisits plans frequently.
 
-**Problem-driven scoring.**  The evaluator no longer hardcodes the paper's QPerf /
-QAvai / QCost triple: it executes whatever
+**Problem-driven scoring.**  The evaluator executes whatever
 :class:`~repro.quality.problem.Objective` / :class:`~repro.quality.problem.Constraint`
-plugins its problem declares.  The default problem is the paper's exact stack
-(built-in plugins over the same batched kernels), byte-identical to the hardcoded
-pipeline it replaced; appending plugins widens every result to K dimensions with zero
-optimizer changes.
+plugins its problem declares.  The default problem is the paper's QPerf / QAvai /
+QCost stack (built-in plugins over the batched kernels); appending plugins widens
+every result to K dimensions with zero optimizer changes.
 
 **Plan-matrix pipeline.**  The unit of batched evaluation is a ``(plans, components)``
 integer location matrix, not a list of :class:`MigrationPlan` objects:
@@ -23,14 +21,18 @@ handful of vectorized passes — one ``score_matrix`` call per objective (one co
 replay per API for QPerf, one autoscaler pass per billable site for QCost, one
 stateful-column pass per API for QAvai) and one boolean mask per constraint.  Each
 plan's cost is computed exactly once per evaluation and reused by the budget check;
-violation strings are materialized lazily, only for infeasible plans.  The per-plan
-path (:meth:`evaluate`) is kept as the reference oracle: batched scores are bitwise
-identical to it, and the ``evaluations`` counter advances the same way.
+violation strings are materialized lazily, only for infeasible plans.  Every entry
+point — the single-plan ``evaluate`` / ``is_feasible`` / ``constraint_violations``
+included — goes through that one engine; the per-plan scalar kernels survive as
+:meth:`QualityEvaluator.evaluate_reference`, the named oracle the batched scores
+are bitwise identical to.
 
 **Scenario axis.**  With a scenario set (explicit, bound, or declared on the
 problem), every objective is scored once per compiled scenario into per-objective
 ``(S, P)`` tensors that collapse through the robust aggregator; a plan is feasible
-iff it is feasible under every scenario.
+iff it is feasible under every scenario.  Classic single-workload evaluation is the
+same loop with one pass over the evaluator's base models and the identity in place
+of the aggregator.
 """
 
 from __future__ import annotations
@@ -46,16 +48,11 @@ from ..telemetry.tracing import Trace
 from .availability import ApiAvailabilityModel
 from .cost import CloudCostModel
 from .faults import FaultedStack
-from .compiled import ShmArena
 from .performance import ApiPerformanceModel
 from .preferences import MigrationPreferences
-from .problem import (
-    DEFAULT_OBJECTIVE_NAMES,
-    ConstraintCheck,
-    EvalContext,
-    PlacementProblem,
-)
+from .problem import ConstraintCheck, EvalContext, PlacementProblem
 from .scenarios import (
+    ObjectiveVector,
     RobustAggregator,
     ScenarioQuality,
     ScenarioSet,
@@ -68,15 +65,12 @@ __all__ = ["PlanQuality", "QualityEvaluator"]
 
 
 @dataclass(frozen=True)
-class PlanQuality:
+class PlanQuality(ObjectiveVector):
     """Quality of one migration plan.
 
     ``values`` holds the K minimized objective values in the problem's column order
-    and ``names`` their labels; the legacy ``perf`` / ``avail`` / ``cost`` fields are
-    the paper-triple view of that vector (mapped by objective name, positional for
-    problems that replace the built-ins).  Results constructed the historical way —
-    just the triple, no ``values`` — behave identically: :meth:`objectives` falls
-    back to ``(perf, avail, cost)``.
+    and ``names`` their labels; ``perf`` / ``avail`` / ``cost`` are read-only views
+    of that vector (see :class:`~repro.quality.scenarios.ObjectiveVector`).
 
     Under scenario-robust evaluation the objective values are the *aggregated*
     ones (the :class:`~repro.quality.scenarios.RobustAggregator` output),
@@ -86,35 +80,18 @@ class PlanQuality:
     """
 
     plan: MigrationPlan
-    perf: float
-    avail: float
-    cost: float
+    values: Tuple[float, ...]
+    names: Tuple[str, ...]
     feasible: bool
     violations: Tuple[str, ...] = ()
     scenarios: Tuple[ScenarioQuality, ...] = ()
-    values: Optional[Tuple[float, ...]] = None
-    names: Optional[Tuple[str, ...]] = None
-
-    def objectives(self) -> Tuple[float, ...]:
-        """The K-vector of minimized objective values (the paper's triple by default)."""
-        if self.values is not None:
-            return self.values
-        return (self.perf, self.avail, self.cost)
 
     def objective_names(self) -> Tuple[str, ...]:
-        return self.names if self.names is not None else DEFAULT_OBJECTIVE_NAMES
-
-    def value(self, name: str) -> float:
-        """One objective value by name (e.g. ``quality.value("egress_gb")``)."""
-        names = self.objective_names()
-        try:
-            return self.objectives()[names.index(name)]
-        except ValueError:
-            raise KeyError(f"no objective named {name!r} in {names}") from None
+        return self.names
 
     def dominates(self, other: "PlanQuality") -> bool:
         """Pareto dominance on the objective vector (feasibility handled upstream)."""
-        mine, theirs = self.objectives(), other.objectives()
+        mine, theirs = self.values, other.values
         return all(a <= b for a, b in zip(mine, theirs)) and any(
             a < b for a, b in zip(mine, theirs)
         )
@@ -188,13 +165,6 @@ class QualityEvaluator:
         #: location tuple in THIS order, so plans expressed under a permuted
         #: component order never collide.
         self._canonical: Tuple[str, ...] = tuple(self._columns(None))
-        #: The paper-triple layout: exactly (qperf, qavai, qcost) in columns 0-2.
-        #: Results then leave PlanQuality.values/names at their defaults (the
-        #: triple fields carry the whole vector), matching the pre-problem results
-        #: field-for-field and skipping two tuple builds per evaluated plan.
-        self._triple_layout = (
-            self.problem.objective_names == DEFAULT_OBJECTIVE_NAMES
-        )
         self.evaluations = 0
         #: Scenario evaluations: one per (distinct plan, scenario) pair scored by the
         #: robust path (``evaluations`` counts plans, matching the paper's budget).
@@ -212,8 +182,6 @@ class QualityEvaluator:
         # evaluate_vectors/is_feasible/feasible_mask) defaults to robust evaluation
         # over this scenario set — how the optimizers become scenario-robust for free.
         self._bound: Optional[Tuple[ScenarioSet, RobustAggregator]] = None
-        # Shared-memory arena backing the compiled replay state (see share_memory).
-        self._shm_arena: Optional[ShmArena] = None
         if self.problem.scenarios is not None:
             self.bind_scenarios(self.problem.scenarios, self.problem.aggregator)
 
@@ -255,35 +223,6 @@ class QualityEvaluator:
         """Return to classic single-workload evaluation."""
         self._bound = None
 
-    # -- shared-memory export --------------------------------------------------------------
-    def share_memory(
-        self,
-        arena: Optional["ShmArena"] = None,
-        n_locations: Optional[int] = None,
-    ) -> "ShmArena":
-        """Export the compiled replay state into shared memory, for forked workers.
-
-        Moves the base performance model's compiled trace arrays and Δ lookup
-        tables — plus those of every bound scenario's view — into ``arena``-backed
-        shared memory, so worker processes forked afterwards score plan matrices
-        against physically shared read-only pages instead of copy-on-write
-        duplicates.  Results are bitwise identical to the private-memory path.
-        Returns the arena (creating one on first use and reusing it after); the
-        evaluator owns it for its lifetime.
-        """
-        if arena is None:
-            arena = self._shm_arena if self._shm_arena is not None else ShmArena()
-        if n_locations is None:
-            locations = self.performance.network.locations()
-            n_locations = (max(locations) + 1) if locations else 1
-        self.performance.share_memory(arena, n_locations)
-        if self._bound is not None:
-            for spec in self._bound[0]:
-                context = self._scenario_context(spec)
-                context.performance.share_memory(arena, n_locations)
-        self._shm_arena = arena
-        return arena
-
     @property
     def bound_scenarios(self) -> Optional[ScenarioSet]:
         return self._bound[0] if self._bound is not None else None
@@ -297,7 +236,7 @@ class QualityEvaluator:
         scenarios: "Optional[ScenarioSet | ScenarioSpec | Sequence[ScenarioSpec]]",
         aggregator: Optional[RobustAggregator],
     ) -> Tuple[Optional[ScenarioSet], Optional[RobustAggregator]]:
-        """Explicit arguments win; otherwise the bound set; otherwise the legacy path.
+        """Explicit arguments win; otherwise the bound set; otherwise the classic pass.
 
         An explicit scenario set gets the documented :class:`WorstCase` default —
         never the bound aggregator, which belongs to the bound set only."""
@@ -307,17 +246,18 @@ class QualityEvaluator:
             return self._bound[0], aggregator or self._bound[1]
         return None, None
 
-    def _robust_cache(
-        self, scenario_set: ScenarioSet, aggregator: RobustAggregator
+    def _cache_for(
+        self, scenario_set: Optional[ScenarioSet], aggregator: Optional[RobustAggregator]
     ) -> Dict[Tuple[int, ...], PlanQuality]:
+        """The result cache of one (scenario set, aggregator); the classic one without."""
+        if scenario_set is None:
+            return self._cache
         return self._robust_caches.setdefault(
             (scenario_set.key(), aggregator.key()), {}
         )
 
     def _active_cache(self) -> Dict[Tuple[int, ...], PlanQuality]:
-        if self._bound is not None:
-            return self._robust_cache(*self._bound)
-        return self._cache
+        return self._cache_for(*self._resolve_scenarios(None, None))
 
     # -- contexts --------------------------------------------------------------------------
     def _matrix_context(
@@ -342,20 +282,12 @@ class QualityEvaluator:
 
     def _plan_context(self, plan: MigrationPlan) -> EvalContext:
         """Scalar-oracle context: a one-row matrix plus the plan itself."""
-        matrix = np.asarray([list(self._key(plan))], dtype=np.int64)
-        return self._matrix_context(matrix, list(self._canonical), plans=[plan])
+        matrix = np.asarray([self._key(plan)], dtype=np.int64)
+        return self._matrix_context(matrix, self._canonical, plans=[plan])
 
     # -- evaluation ------------------------------------------------------------------------
     def evaluate(self, plan: MigrationPlan) -> PlanQuality:
-        if self._bound is not None:
-            return self.evaluate_batch([plan])[0]
-        key = self._key(plan)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        quality = self._evaluate_uncached(plan)
-        self._cache[key] = quality
-        return quality
+        return self.evaluate_batch([plan])[0]
 
     def evaluate_batch(
         self,
@@ -366,37 +298,21 @@ class QualityEvaluator:
         """Evaluate a whole generation in one call by lowering it onto a plan matrix.
 
         Distinct uncached plans are collected into one ``(plans, components)`` matrix
-        and scored by :meth:`evaluate_vectors`'s batched pipeline; duplicates and
-        cache hits cost nothing.  Results and the ``evaluations`` counter are
-        identical to calling :meth:`evaluate` plan by plan.  With ``scenarios`` (or a
-        bound scenario set), plans are scored robustly over the scenario axis.
+        and scored by the batched pipeline; duplicates and cache hits cost nothing.
+        With ``scenarios`` (or a bound scenario set), plans are scored robustly over
+        the scenario axis.
         """
-        scenario_set, aggregator = self._resolve_scenarios(scenarios, aggregator)
-        cache = (
-            self._robust_cache(scenario_set, aggregator)
-            if scenario_set is not None
-            else self._cache
+        # Keys are already canonical-order vectors, so mixed component orders
+        # lower onto one matrix for free.
+        return self._evaluate_keys(
+            [self._key(plan) for plan in plans],
+            scenarios,
+            aggregator,
+            lambda missing: (
+                np.asarray(list(missing), dtype=np.int64),
+                [plans[index] for index in missing.values()],
+            ),
         )
-        keys = [self._key(plan) for plan in plans]
-        missing: Dict[Tuple[int, ...], MigrationPlan] = {}
-        for key, plan in zip(keys, plans):
-            if key not in cache and key not in missing:
-                missing[key] = plan
-        if missing:
-            # Keys are already canonical-order vectors, so mixed component orders
-            # lower onto one matrix for free.
-            matrix = np.asarray(list(missing), dtype=np.int64)
-            components = list(self._canonical)
-            distinct = list(missing.values())
-            if scenario_set is not None:
-                qualities = self._score_matrix_scenarios(
-                    matrix, components, distinct, scenario_set, aggregator
-                )
-            else:
-                qualities = self._score_matrix(matrix, components, distinct)
-            for key, quality in zip(missing, qualities):
-                cache[key] = quality
-        return [cache[key] for key in keys]
 
     def evaluate_vectors(
         self,
@@ -416,110 +332,188 @@ class QualityEvaluator:
         once per scenario (per-objective S×P tensors built with shared dedup, shared
         compiled replays and per-scenario compiled artifacts) and the tensors are
         collapsed by ``aggregator`` into the scalar objectives; the per-scenario
-        breakdown rides along on :attr:`PlanQuality.scenarios`.  With ``scenarios=None``
-        and no bound set, this is byte-identical to the classic single-workload path.
+        breakdown rides along on :attr:`PlanQuality.scenarios`.
+        """
+        matrix, components = self._lower(vectors, components)
+        return self._evaluate_keys(
+            [tuple(row) for row in matrix.tolist()],
+            scenarios,
+            aggregator,
+            lambda missing: (
+                matrix[list(missing.values())],
+                [MigrationPlan.from_vector(components, list(key)) for key in missing],
+            ),
+        )
+
+    def _evaluate_keys(
+        self,
+        keys: Sequence[Tuple[int, ...]],
+        scenarios: "Optional[ScenarioSet | ScenarioSpec | Sequence[ScenarioSpec]]",
+        aggregator: Optional[RobustAggregator],
+        lower,
+    ) -> List[PlanQuality]:
+        """The one dedup-and-cache-fill: score each distinct uncached key once.
+
+        ``lower`` maps the missing keys (key -> first position, in first-seen order)
+        to their ``(matrix, plans)`` in the canonical column order.
         """
         scenario_set, aggregator = self._resolve_scenarios(scenarios, aggregator)
-        matrix, components = self._lower(vectors, components)
-        keys = [tuple(row) for row in matrix.tolist()]
-        cache = (
-            self._robust_cache(scenario_set, aggregator)
-            if scenario_set is not None
-            else self._cache
-        )
+        cache = self._cache_for(scenario_set, aggregator)
         missing: Dict[Tuple[int, ...], int] = {}
         for index, key in enumerate(keys):
             if key not in cache and key not in missing:
                 missing[key] = index
         if missing:
-            rows = matrix[list(missing.values())]
-            plans = [
-                MigrationPlan.from_vector(components, list(key)) for key in missing
-            ]
-            if scenario_set is not None:
-                qualities = self._score_matrix_scenarios(
-                    rows, components, plans, scenario_set, aggregator
-                )
-            else:
-                qualities = self._score_matrix(rows, components, plans)
+            matrix, plans = lower(missing)
+            qualities = self._score_matrix(
+                matrix, list(self._canonical), plans, scenario_set, aggregator
+            )
             for key, quality in zip(missing, qualities):
                 cache[key] = quality
         return [cache[key] for key in keys]
 
     # -- the K-objective execution engine --------------------------------------------------
+    def _contexts(
+        self,
+        matrix: np.ndarray,
+        components: Sequence[str],
+        scenario_set: Optional[ScenarioSet],
+    ) -> List[EvalContext]:
+        """One evaluation context per pass: the base models, or each compiled scenario."""
+        if scenario_set is None:
+            return [self._matrix_context(matrix, components)]
+        compiled = [self._scenario_context(spec) for spec in scenario_set]
+        # Call-wide: the QPerf plugin keeps its per-view impact matrices here, so
+        # payload-neutral scenarios share one Δ-row gather/replay per distinct view.
+        shared: Dict = {}
+        views = [context.performance for context in compiled]
+        return [
+            EvalContext(
+                matrix=matrix,
+                components=list(components),
+                performance=context.performance,
+                availability=context.availability,
+                cost=context.cost,
+                estimate=context.estimate,
+                weights=context.weights,
+                preferences=context.preferences,
+                evaluator=self,
+                scenario=context.spec,
+                base_performance=self.performance,
+                scenario_performances=views,
+                shared=shared,
+            )
+            for context in compiled
+        ]
+
+    @staticmethod
+    def _aggregate(
+        tensor: np.ndarray,
+        scenario_set: Optional[ScenarioSet],
+        aggregator: Optional[RobustAggregator],
+    ) -> np.ndarray:
+        """Collapse an ``(S, P)`` tensor: the identity on the classic single pass."""
+        if scenario_set is None:
+            return tensor[0]
+        return aggregator.combine(tensor, scenario_set.weight_array())
+
     def _score_matrix(
         self,
         matrix: np.ndarray,
         components: Sequence[str],
         plans: Sequence[MigrationPlan],
+        scenario_set: Optional[ScenarioSet] = None,
+        aggregator: Optional[RobustAggregator] = None,
     ) -> List[PlanQuality]:
-        """Score distinct, uncached plans in a handful of vectorized passes.
+        """Score distinct, uncached plans in S batched passes (S = 1 without a set).
 
-        One ``score_matrix`` call per objective, one ``check`` per constraint — the
-        K objective vectors, the feasibility mask and the numbers behind the
-        violation strings are each computed once for the whole matrix; results are
-        bitwise identical to the per-plan reference path.
+        Builds K per-objective ``(S, P)`` tensors — one ``score_matrix`` call per
+        objective and one ``check`` per constraint per pass, all passes sharing the
+        plan-level dedup and, through the QPerf plugin's impact cache on the
+        call-wide ``shared`` dict, the performance model's compiled trace sets /
+        replay caches — and collapses each with ``aggregator``.  Without a scenario
+        set the single pass runs over the evaluator's base models, aggregates by
+        identity and attaches no per-scenario breakdown.  A plan is feasible iff it
+        is feasible under every pass; violation strings are materialized lazily,
+        only for infeasible rows, and prefixed with the scenario name when S > 1.
+        Results are bitwise identical to :meth:`evaluate_reference`.
         """
-        ctx = self._matrix_context(matrix, components)
-        scores = [
-            objective.minimized(
-                np.asarray(objective.score_matrix(ctx), dtype=np.float64)
-            )
-            for objective in self.problem.objectives
-        ]
-        checks = [constraint.check(ctx) for constraint in self.problem.constraints]
-        feasible = self._feasible_from_checks(checks, matrix.shape[0])
-        legacy_triple = self.problem.legacy_triple
-        # Lower the score columns and mask to Python scalars once: the per-row loop
-        # below runs for every distinct plan of a generation, so per-element
-        # ndarray indexing would dominate the small-K dispatch budget.
-        columns = [score.tolist() for score in scores]
-        feasible_rows = feasible.tolist()
-        qualities: List[PlanQuality] = []
-        if self._triple_layout:
-            # The paper triple: perf/avail/cost ARE the whole vector, so the
-            # values/names fields stay at their defaults (objectives() falls back
-            # to the triple) — construction is exactly the pre-problem pipeline's.
-            perf_column, avail_column, cost_column = columns
-            for row, plan in enumerate(plans):
-                self.evaluations += 1
-                ok = feasible_rows[row]
-                violations: Tuple[str, ...] = ()
-                if not ok:
-                    violations = tuple(self._materialize_row(checks, row))
-                qualities.append(
-                    PlanQuality(
-                        plan=plan,
-                        perf=perf_column[row],
-                        avail=avail_column[row],
-                        cost=cost_column[row],
-                        feasible=ok,
-                        violations=violations,
-                    )
-                )
-            return qualities
+        objectives = self.problem.objectives
+        constraints = self.problem.constraints
         names = self.problem.objective_names
+        contexts = self._contexts(matrix, components, scenario_set)
+        n_scenarios, n_plans = len(contexts), matrix.shape[0]
+        scores = [
+            np.empty((n_scenarios, n_plans), dtype=np.float64) for _ in objectives
+        ]
+        checks: List[List[ConstraintCheck]] = []
+        for index, ctx in enumerate(contexts):
+            for k, objective in enumerate(objectives):
+                scores[k][index] = objective.minimized(
+                    np.asarray(objective.score_matrix(ctx), dtype=np.float64)
+                )
+            checks.append([constraint.check(ctx) for constraint in constraints])
+        # Lower the tensors and masks to Python scalars once: the per-row loop below
+        # runs for every distinct plan of a generation, so per-element ndarray
+        # indexing would dominate the small-K dispatch budget.
+        def rows(columns) -> List[Tuple[float, ...]]:
+            return list(zip(*(column.tolist() for column in columns)))
+
+        values = rows(
+            self._aggregate(tensor, scenario_set, aggregator) for tensor in scores
+        )
+        feasible = [
+            self._feasible_from_checks(passed, n_plans).tolist() for passed in checks
+        ]
+        self.evaluations += n_plans
+        breakdown: Optional[List[List[Tuple[float, ...]]]] = None
+        if scenario_set is not None:
+            self.scenario_evaluations += n_scenarios * n_plans
+            breakdown = [
+                rows(tensor[index] for tensor in scores) for index in range(n_scenarios)
+            ]
+        qualities: List[PlanQuality] = []
         for row, plan in enumerate(plans):
-            self.evaluations += 1
-            ok = feasible_rows[row]
-            violations: Tuple[str, ...] = ()
-            if not ok:
-                violations = tuple(self._materialize_row(checks, row))
-            values = tuple(column[row] for column in columns)
-            perf, avail, cost = legacy_triple(values)
+            feasible_all = True
+            violations: List[str] = []
+            per_scenario: List[ScenarioQuality] = []
+            for index, ctx in enumerate(contexts):
+                ok = feasible[index][row]
+                found: Tuple[str, ...] = ()
+                if not ok:
+                    feasible_all = False
+                    found = tuple(self._materialize_row(checks[index], row))
+                    violations.extend(self._labelled(found, ctx, n_scenarios))
+                if breakdown is not None:
+                    per_scenario.append(
+                        ScenarioQuality(
+                            scenario=ctx.scenario.name,
+                            values=breakdown[index][row],
+                            names=names,
+                            feasible=ok,
+                            violations=found,
+                        )
+                    )
             qualities.append(
                 PlanQuality(
                     plan=plan,
-                    perf=perf,
-                    avail=avail,
-                    cost=cost,
-                    feasible=ok,
-                    violations=violations,
-                    values=values,
+                    values=values[row],
                     names=names,
+                    feasible=feasible_all,
+                    violations=tuple(violations),
+                    scenarios=tuple(per_scenario),
                 )
             )
         return qualities
+
+    @staticmethod
+    def _labelled(
+        violations: Sequence[str], ctx: EvalContext, n_scenarios: int
+    ) -> Sequence[str]:
+        """Violation strings as reported: ``[scenario]``-prefixed when S > 1."""
+        if n_scenarios == 1:
+            return violations
+        return [f"[{ctx.scenario.name}] {violation}" for violation in violations]
 
     @staticmethod
     def _feasible_from_checks(
@@ -646,31 +640,6 @@ class QualityEvaluator:
                 f"known APIs are {sorted(known)}"
             )
 
-    def _scenario_eval_context(
-        self,
-        context: _ScenarioContext,
-        matrix: np.ndarray,
-        components: Sequence[str],
-        shared: Dict,
-        views: Optional[List[ApiPerformanceModel]] = None,
-    ) -> EvalContext:
-        """Scenario-resolved evaluation context for one compiled scenario."""
-        return EvalContext(
-            matrix=matrix,
-            components=list(components),
-            performance=context.performance,
-            availability=context.availability,
-            cost=context.cost,
-            estimate=context.estimate,
-            weights=context.weights,
-            preferences=context.preferences,
-            evaluator=self,
-            scenario=context.spec,
-            base_performance=self.performance,
-            scenario_performances=views,
-            shared=shared,
-        )
-
     def _scenario_estimate(self, spec: ScenarioSpec) -> ResourceEstimate:
         """The scenario's expected resource-usage series (per-API rate compilation)."""
         if not spec.changes_rates:
@@ -691,116 +660,6 @@ class QualityEvaluator:
         }
         return self.estimator.predict(rates, step_ms=self.estimate.step_ms)
 
-    def _score_matrix_scenarios(
-        self,
-        matrix: np.ndarray,
-        components: Sequence[str],
-        plans: Sequence[MigrationPlan],
-        scenario_set: ScenarioSet,
-        aggregator: RobustAggregator,
-    ) -> List[PlanQuality]:
-        """Score distinct plans over the whole scenario axis in S batched passes.
-
-        Builds K per-objective ``(S, P)`` tensors (one set of vectorized passes per
-        compiled scenario, all sharing the plan-level dedup and — through the QPerf
-        plugin's impact cache on the call-wide ``shared`` dict — the performance
-        model's compiled trace sets / replay caches), collapses each with
-        ``aggregator`` and attaches the per-scenario breakdown.  A plan is feasible
-        iff it is feasible under every scenario; each infeasible scenario's violation
-        strings are materialized lazily and prefixed with the scenario name when
-        S > 1.
-        """
-        contexts = [self._scenario_context(spec) for spec in scenario_set]
-        objectives = self.problem.objectives
-        n_objectives = len(objectives)
-        n_scenarios, n_plans = len(contexts), matrix.shape[0]
-        scores = [
-            np.empty((n_scenarios, n_plans), dtype=np.float64)
-            for _ in range(n_objectives)
-        ]
-        checks_by_scenario: List[List[ConstraintCheck]] = []
-        # The call-wide shared dict: the QPerf plugin keeps its per-view impact
-        # matrices here, so payload-neutral scenarios share one Δ-row gather/replay
-        # per distinct performance view instead of one per scenario.
-        shared: Dict = {}
-        views = [context.performance for context in contexts]
-        for index, context in enumerate(contexts):
-            ctx = self._scenario_eval_context(
-                context, matrix, components, shared, views
-            )
-            for k, objective in enumerate(objectives):
-                scores[k][index] = objective.minimized(
-                    np.asarray(objective.score_matrix(ctx), dtype=np.float64)
-                )
-            checks_by_scenario.append(
-                [constraint.check(ctx) for constraint in self.problem.constraints]
-            )
-        weights = scenario_set.weight_array()
-        aggregated = [
-            aggregator.combine(scores[k], weights) for k in range(n_objectives)
-        ]
-        feasible_by_scenario = [
-            self._feasible_from_checks(checks, n_plans)
-            for checks in checks_by_scenario
-        ]
-        feasible_all = feasible_by_scenario[0].copy()
-        for mask in feasible_by_scenario[1:]:
-            feasible_all &= mask
-        triple = self._triple_layout
-        names = None if triple else self.problem.objective_names
-        qualities: List[PlanQuality] = []
-        for row, plan in enumerate(plans):
-            self.evaluations += 1
-            self.scenario_evaluations += n_scenarios
-            per_scenario: List[ScenarioQuality] = []
-            violations: List[str] = []
-            for index, context in enumerate(contexts):
-                ok = bool(feasible_by_scenario[index][row])
-                scenario_violations: Tuple[str, ...] = ()
-                if not ok:
-                    scenario_violations = tuple(
-                        self._materialize_row(checks_by_scenario[index], row)
-                    )
-                    if n_scenarios == 1:
-                        violations.extend(scenario_violations)
-                    else:
-                        violations.extend(
-                            f"[{context.spec.name}] {violation}"
-                            for violation in scenario_violations
-                        )
-                scenario_values = tuple(
-                    float(scores[k][index, row]) for k in range(n_objectives)
-                )
-                s_perf, s_avail, s_cost = self.problem.legacy_triple(scenario_values)
-                per_scenario.append(
-                    ScenarioQuality(
-                        scenario=context.spec.name,
-                        perf=s_perf,
-                        avail=s_avail,
-                        cost=s_cost,
-                        feasible=ok,
-                        violations=scenario_violations,
-                        values=None if triple else scenario_values,
-                        names=names,
-                    )
-                )
-            values = tuple(float(aggregated[k][row]) for k in range(n_objectives))
-            perf, avail, cost = self.problem.legacy_triple(values)
-            qualities.append(
-                PlanQuality(
-                    plan=plan,
-                    perf=perf,
-                    avail=avail,
-                    cost=cost,
-                    feasible=bool(feasible_all[row]),
-                    violations=tuple(violations),
-                    scenarios=tuple(per_scenario),
-                    values=None if triple else values,
-                    names=names,
-                )
-            )
-        return qualities
-
     def qcost_vectors(
         self,
         vectors: Sequence[Sequence[int]],
@@ -814,16 +673,14 @@ class QualityEvaluator:
         become scenario-robust through the same door as the evaluators.
         """
         matrix, components = self._lower(vectors, components)
-        if self._bound is None:
-            return self.cost.qcost_batch(matrix, components)
-        scenario_set, aggregator = self._bound
+        scenario_set, aggregator = self._resolve_scenarios(None, None)
         costs = np.stack(
             [
-                self._scenario_context(spec).cost.qcost_batch(matrix, components)
-                for spec in scenario_set
+                ctx.cost.qcost_batch(matrix, components)
+                for ctx in self._contexts(matrix, components, scenario_set)
             ]
         )
-        return aggregator.combine(costs, scenario_set.weight_array())
+        return self._aggregate(costs, scenario_set, aggregator)
 
     def invalidate_for_scenario(
         self,
@@ -884,12 +741,14 @@ class QualityEvaluator:
         self._cache.clear()
         self._robust_caches.clear()
 
-    def _evaluate_uncached(self, plan: MigrationPlan) -> PlanQuality:
+    def evaluate_reference(self, plan: MigrationPlan) -> PlanQuality:
         """Per-plan reference oracle; the batched pipeline must match it bitwise.
 
         Objectives score through their scalar kernels (``score_plan``), constraints
         through ``violations_plan`` — the built-in plugins run the exact historical
         per-plan code paths (memoized ``qcost``, per-projection QPerf/QAvai caches).
+        Always the classic single-workload stack over the base models: no cache, no
+        bound scenario set.
         """
         self.evaluations += 1
         ctx = self._plan_context(plan)
@@ -900,34 +759,33 @@ class QualityEvaluator:
         violations: List[str] = []
         for constraint in self.problem.constraints:
             violations.extend(constraint.violations_plan(ctx, plan))
-        values_tuple = tuple(values)
-        perf, avail, cost = self.problem.legacy_triple(values_tuple)
         return PlanQuality(
             plan=plan,
-            perf=perf,
-            avail=avail,
-            cost=cost,
+            values=tuple(values),
+            names=self.problem.objective_names,
             feasible=not violations,
             violations=tuple(violations),
-            values=None if self._triple_layout else values_tuple,
-            names=None if self._triple_layout else self.problem.objective_names,
         )
 
-    def is_feasible(self, plan: MigrationPlan) -> bool:
-        if self._bound is not None:
-            # Robust feasibility: the plan must satisfy Eq. 4 under every scenario.
-            return bool(
-                self.feasible_mask([list(self._key(plan))], list(self._canonical))[0]
-            )
-        return not self.constraint_violations(plan)
-
     # -- constraints -----------------------------------------------------------------------
+    def is_feasible(self, plan: MigrationPlan) -> bool:
+        """Whether ``plan`` satisfies every constraint (under every bound scenario)."""
+        return bool(self.feasible_mask([self._key(plan)], self._canonical)[0])
+
     def constraint_violations(self, plan: MigrationPlan) -> List[str]:
-        """Human-readable descriptions of every violated constraint of the problem."""
-        ctx = self._plan_context(plan)
+        """Human-readable descriptions of every violated constraint of the problem.
+
+        The strings :meth:`evaluate` reports for the plan (scenario-prefixed over a
+        bound set of more than one scenario), from a constraint-only pass."""
+        matrix = np.asarray([self._key(plan)], dtype=np.int64)
+        scenario_set, _aggregator = self._resolve_scenarios(None, None)
+        contexts = self._contexts(matrix, self._canonical, scenario_set)
         violations: List[str] = []
-        for constraint in self.problem.constraints:
-            violations.extend(constraint.violations_plan(ctx, plan))
+        for ctx in contexts:
+            checks = [constraint.check(ctx) for constraint in self.problem.constraints]
+            violations.extend(
+                self._labelled(self._materialize_row(checks, 0), ctx, len(contexts))
+            )
         return violations
 
     def feasible_mask(
@@ -945,20 +803,11 @@ class QualityEvaluator:
         """
         scenario_set, _aggregator = self._resolve_scenarios(scenarios, None)
         matrix, components = self._lower(vectors, components)
-        if scenario_set is not None:
-            mask: Optional[np.ndarray] = None
-            for spec in scenario_set:
-                context = self._scenario_context(spec)
-                ctx = self._scenario_eval_context(context, matrix, components, {})
-                checks = [
-                    constraint.check(ctx) for constraint in self.problem.constraints
-                ]
-                feasible = self._feasible_from_checks(checks, matrix.shape[0])
-                mask = feasible if mask is None else (mask & feasible)
-            return mask
-        ctx = self._matrix_context(matrix, components)
-        checks = [constraint.check(ctx) for constraint in self.problem.constraints]
-        return self._feasible_from_checks(checks, matrix.shape[0])
+        mask = np.ones(matrix.shape[0], dtype=bool)
+        for ctx in self._contexts(matrix, components, scenario_set):
+            checks = [constraint.check(ctx) for constraint in self.problem.constraints]
+            mask &= self._feasible_from_checks(checks, matrix.shape[0])
+        return mask
 
     def _lower(
         self,

@@ -56,7 +56,7 @@ from ..learning.footprint import NetworkFootprint
 from ..apps.model import ExecutionMode
 from ..telemetry.tracing import Span, Trace
 from .artifacts import ArtifactCache, fingerprint_network, fingerprint_traces
-from .compiled import CompiledTraceSet, ShmArena
+from .compiled import CompiledTraceSet
 
 __all__ = ["DelayInjector", "ApiPerformanceModel", "PerformanceEstimate"]
 
@@ -248,9 +248,6 @@ class ApiPerformanceModel:
         # views share the same list), so invalidation reaches every member's
         # view-owned Δ caches, not just the callee's.
         self._family: List["weakref.ref[ApiPerformanceModel]"] = [weakref.ref(self)]
-        # Highest location count whose compiled state this model has exported into
-        # shared memory (0 = not exported); see :meth:`share_memory`.
-        self._shm_locations = 0
 
     # -- scenario views --------------------------------------------------------------------
     def scenario_view(
@@ -291,7 +288,6 @@ class ApiPerformanceModel:
             view.network = network
         view._delays_by_projection = {}
         view._delta_tables = {}
-        view._shm_locations = 0
         view._changed_apis = (
             frozenset(changed_apis) if changed_apis is not None else None
         )
@@ -323,7 +319,6 @@ class ApiPerformanceModel:
             for model in members:
                 model._delays_by_projection.clear()
                 model._delta_tables.clear()
-                model._shm_locations = 0
             return
         targets = set(apis)
 
@@ -337,7 +332,6 @@ class ApiPerformanceModel:
         for model in members:
             purge(model._delays_by_projection, lambda key: key[0])
             purge(model._delta_tables, lambda key: key)
-            model._shm_locations = 0
 
     def splice(self, new_traces_by_api: Mapping[str, Sequence[Trace]]) -> None:
         """Install refreshed sample traces for the named APIs — the O(K) drift path.
@@ -396,34 +390,6 @@ class ApiPerformanceModel:
                 self._compiled[api] = compiled
             # else: the edge vocabulary moved (or the set was never compiled) —
             # _compiled_set recompiles from scratch on first use.
-
-    # -- shared-memory export --------------------------------------------------------------
-    def share_memory(self, arena: "ShmArena", n_locations: int) -> None:
-        """Export this model's compiled replay state into shared memory (idempotent).
-
-        Compiles every API's trace set (if not already compiled), moves the compiled
-        arrays into ``arena``, builds each API's Δ lookup table for ``n_locations``
-        locations and moves its four arrays into ``arena`` too.  After this, a
-        forked worker evaluating plan matrices touches only shared read-only pages
-        for the replay hot path.  Re-invocations with the same or a smaller location
-        count are no-ops; :meth:`invalidate_for_scenario` resets the guard so
-        refreshed state is re-exported.
-        """
-        if self._shm_locations >= n_locations:
-            return
-        for api in self._apis:
-            self._compiled_set(api).share_memory(arena)
-            size, table, missing, src_pos, dst_pos = self._delta_table(
-                api, n_locations
-            )
-            self._delta_tables[api] = (
-                size,
-                arena.share(table),
-                arena.share(missing),
-                arena.share(src_pos),
-                arena.share(dst_pos),
-            )
-        self._shm_locations = n_locations
 
     # -- public API ------------------------------------------------------------------------
     @property

@@ -654,17 +654,6 @@ class PlacementProblem:
             )
         if self.scenarios is not None:
             object.__setattr__(self, "scenarios", ScenarioSet.coerce(self.scenarios))
-        # Column indices behind the legacy (perf, avail, cost) triple, resolved once:
-        # by name when the paper objectives are present, positionally otherwise
-        # (None = no column, the triple field reads NaN).  legacy_triple() runs once
-        # per evaluated plan, so this lookup must not re-scan names on the hot path.
-        legacy_indices = []
-        for name, fallback in (("qperf", 0), ("qavai", 1), ("qcost", 2)):
-            if name in names:
-                legacy_indices.append(names.index(name))
-            else:
-                legacy_indices.append(fallback if fallback < len(names) else None)
-        object.__setattr__(self, "_legacy_indices", tuple(legacy_indices))
 
     # -- introspection ---------------------------------------------------------------------
     @property
@@ -695,20 +684,6 @@ class PlacementProblem:
                 )
             )
             and tuple(type(c) for c in self.constraints) == _DEFAULT_CONSTRAINT_TYPES
-        )
-
-    def legacy_triple(self, values: Sequence[float]) -> Tuple[float, float, float]:
-        """(perf, avail, cost) view of a K-vector for the legacy result fields.
-
-        Maps by objective name when the paper objectives are present, falling back
-        positionally (NaN-padded) for problems that replace them outright.
-        """
-        i_perf, i_avail, i_cost = self._legacy_indices
-        nan = float("nan")
-        return (
-            values[i_perf] if i_perf is not None else nan,
-            values[i_avail] if i_avail is not None else nan,
-            values[i_cost] if i_cost is not None else nan,
         )
 
     # -- construction ----------------------------------------------------------------------

@@ -337,37 +337,58 @@ class ScenarioSet:
         return cls(tuple(specs))
 
 
-@dataclass(frozen=True)
-class ScenarioQuality:
-    """Quality of one plan under one scenario (one S-slice of the objective tensor).
+class ObjectiveVector:
+    """Read accessors over a result's ``values`` / ``names`` pair.
 
-    ``values`` holds the K minimized objective values in the problem's column order
-    (``names`` their labels); the legacy ``perf`` / ``avail`` / ``cost`` fields are
-    the paper-triple view of that vector.  Results built the historical way — just
-    the triple — behave identically through :meth:`objectives`.
+    Shared by :class:`ScenarioQuality` and
+    :class:`~repro.quality.evaluator.PlanQuality`: ``values`` holds the K minimized
+    objective values in the problem's column order, ``names`` their labels.
+    ``perf`` / ``avail`` / ``cost`` are the paper-triple view of that vector —
+    looked up by objective name (``qperf`` / ``qavai`` / ``qcost``), positionally
+    (columns 0-2) for problems that replace the built-ins, NaN past the end.
     """
 
-    scenario: str
-    perf: float
-    avail: float
-    cost: float
-    feasible: bool
-    violations: Tuple[str, ...] = ()
-    values: Optional[Tuple[float, ...]] = None
-    names: Optional[Tuple[str, ...]] = None
-
     def objectives(self) -> Tuple[float, ...]:
-        if self.values is not None:
-            return self.values
-        return (self.perf, self.avail, self.cost)
+        """The K-vector of minimized objective values (the paper's triple by default)."""
+        return self.values
 
     def value(self, name: str) -> float:
-        """One objective value by name (e.g. ``entry.value("egress_gb")``)."""
-        names = self.names if self.names is not None else ("qperf", "qavai", "qcost")
+        """One objective value by name (e.g. ``quality.value("egress_gb")``)."""
         try:
-            return self.objectives()[names.index(name)]
+            return self.values[self.names.index(name)]
         except ValueError:
-            raise KeyError(f"no objective named {name!r} in {names}") from None
+            raise KeyError(f"no objective named {name!r} in {self.names}") from None
+
+    def _triple(self, name: str, position: int) -> float:
+        if name in self.names:
+            return self.values[self.names.index(name)]
+        return self.values[position] if position < len(self.values) else float("nan")
+
+    perf = property(lambda self: self._triple("qperf", 0))
+    avail = property(lambda self: self._triple("qavai", 1))
+    cost = property(lambda self: self._triple("qcost", 2))
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Results pickled before store frame version 3 kept the triple as fields and
+        # left ``values`` unset on the default problem; there is no reader for that.
+        if state.get("values") is None:
+            raise TypeError(f"{type(self).__name__} pickled without 'values'")
+        # Key by key, as pickle itself would: ``__dict__.update`` leaves every loaded
+        # result with a private key table (+45% bytes per object in a revived journal).
+        attributes = self.__dict__
+        for name, value in state.items():
+            attributes[name] = value
+
+
+@dataclass(frozen=True)
+class ScenarioQuality(ObjectiveVector):
+    """Quality of one plan under one scenario (one S-slice of the objective tensor)."""
+
+    scenario: str
+    values: Tuple[float, ...]
+    names: Tuple[str, ...]
+    feasible: bool
+    violations: Tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------

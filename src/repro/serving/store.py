@@ -53,7 +53,8 @@ _MAGIC = "atlas-store"
 #: searches each journaled request once more (and writes it back) and a cycle killed
 #: before the upgrade is abandoned and re-polled.
 #: 2 = packed ``CompiledTraceSet`` state (1 pickled every level array).
-_VERSION = 2
+#: 3 = results store ``values`` + ``names`` only (2 kept perf/avail/cost as fields).
+_VERSION = 3
 
 
 def _key_digest(key: Tuple) -> str:

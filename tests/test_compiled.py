@@ -229,10 +229,13 @@ class TestEvaluateBatch:
         plans = _random_plans(app, 20, seed=3)
         sequential = evaluator("compiled")
         batched = evaluator("compiled")
-        expected = [sequential.evaluate(plan) for plan in plans]
+        oracle = evaluator("compiled")
+        expected = [oracle.evaluate_reference(plan) for plan in plans]
         got = batched.evaluate_batch(plans)
         assert [q.objectives() for q in got] == [q.objectives() for q in expected]
         assert [q.feasible for q in got] == [q.feasible for q in expected]
+        # Plan by plan, the single-plan route counts and caches like the batch.
+        assert [sequential.evaluate(plan) for plan in plans] == got
         assert batched.evaluations == sequential.evaluations
 
     def test_deduplicates_and_counts_like_evaluate(self, tiny_models):
@@ -286,7 +289,7 @@ class TestEvaluateBatch:
         assert [q.violations for q in got] == [q.violations for q in by_batch]
         sequential = evaluator("compiled")
         assert [q.objectives() for q in got[: len(mixed)]] == [
-            sequential.evaluate(plan).objectives() for plan in mixed
+            sequential.evaluate_reference(plan).objectives() for plan in mixed
         ]
 
     def test_batch_across_engines_identical(self, tiny_models):
@@ -369,7 +372,6 @@ class TestPackedDurableForm:
         compiled = CompiledTraceSet(traces, edges)
         loaded = pickle.loads(pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL))
         _assert_same_set(compiled, loaded)
-        assert loaded._shm_backed is False
         rows = np.vstack([compiled.delta_row(random_delays(rng, edges)) for _ in range(4)])
         assert loaded.replay_batch(rows).tobytes() == compiled.replay_batch(rows).tobytes()
         # A second trip (what a store-loaded set written back goes through) is stable.

@@ -204,7 +204,8 @@ class TestCrossoverAgent:
 
 def _quality(vector, perf, avail, cost, feasible=True):
     plan = MigrationPlan.from_vector([f"c{i}" for i in range(len(vector))], vector)
-    return PlanQuality(plan=plan, perf=perf, avail=avail, cost=cost, feasible=feasible,
+    return PlanQuality(plan=plan, values=(perf, avail, cost),
+                       names=("qperf", "qavai", "qcost"), feasible=feasible,
                        violations=() if feasible else ("v",))
 
 

@@ -224,15 +224,18 @@ class TestBatchedEquivalence:
             MigrationPlan.from_vector(app.component_names, v)
             for v in vectors.tolist()
         ]
-        want = [scalar.evaluate(plan) for plan in plans]
+        want = [scalar.evaluate_reference(plan) for plan in plans]
         got = batched.evaluate_vectors(vectors, app.component_names)
-        assert scalar.evaluations == batched.evaluations
         for w, g in zip(want, got):
             assert g.objectives() == w.objectives()  # bitwise
             assert g.feasible == w.feasible
             assert g.violations == w.violations
-        # Same distinct-plan cache, in the same evaluation order.
-        assert [q.plan.to_vector() for q in scalar.evaluated_qualities()] == [
+        # Plan by plan: same count, same distinct-plan cache, same evaluation order.
+        single = build_evaluator(preferences=prefs, **topology)
+        for plan in plans:
+            single.evaluate(plan)
+        assert single.evaluations == batched.evaluations
+        assert [q.plan.to_vector() for q in single.evaluated_qualities()] == [
             q.plan.to_vector() for q in batched.evaluated_qualities()
         ]
 
@@ -243,7 +246,7 @@ class TestBatchedEquivalence:
         scalar = build_evaluator(**THREE_DC_KWARGS)
         batched = build_evaluator(**THREE_DC_KWARGS)
         plan = MigrationPlan.from_vector(app.component_names, list(vector))
-        want = scalar.evaluate(plan)
+        want = scalar.evaluate_reference(plan)
         got = batched.evaluate_vectors([list(vector)], app.component_names)[0]
         assert got.objectives() == want.objectives()
         assert got.feasible == want.feasible
@@ -376,7 +379,7 @@ class TestCostScoredOnce:
 
         monkeypatch.setattr(type(evaluator.cost), "estimate_cost", counting)
         plan = MigrationPlan.from_offloaded(app.component_names, ["ServiceA", "Cache"])
-        quality = evaluator.evaluate(plan)
+        quality = evaluator.evaluate_reference(plan)
         assert not quality.feasible  # a 5-cent budget is blown
         # One uncached compute for the objective, reused by the budget check.
         assert calls.count(tuple(plan.to_vector())) == 1
@@ -433,7 +436,7 @@ class TestAllowedLocations:
         allowed_plan = base.with_location("Cache", 1)
         banned_plan = base.with_location("Cache", 2)
         assert scalar.is_feasible(allowed_plan)
-        want = scalar.evaluate(banned_plan)
+        want = scalar.evaluate_reference(banned_plan)
         assert not want.feasible
         assert any("Cache" in v and "location 2" in v for v in want.violations)
         got = batched.evaluate_vectors(

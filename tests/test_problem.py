@@ -47,8 +47,10 @@ from repro.quality import (
     MigrationPreferences,
     Objective,
     PlacementProblem,
+    PlanQuality,
     PricingCatalog,
     QualityEvaluator,
+    ScenarioQuality,
     ScenarioSet,
     ScenarioSpec,
     WorstCase,
@@ -180,7 +182,7 @@ class TestDefaultStackIdentity:
         components = list(batched._canonical)
         for vector, quality in zip(vectors, via_matrix):
             plan = MigrationPlan.from_vector(components, list(vector))
-            reference = scalar.evaluate(plan)
+            reference = scalar.evaluate_reference(plan)
             assert repr(tuple(reference.objectives())) == repr(
                 tuple(quality.objectives())
             )
@@ -527,13 +529,18 @@ class TestProblemApi:
         with pytest.raises(KeyError):
             make_objective("no-such-objective")
 
-    def test_legacy_triple_positional_fallback(self):
-        problem = PlacementProblem(
-            objectives=(OffloadCountObjective(),), constraints=()
+    def test_triple_view_positional_fallback(self):
+        plan = MigrationPlan.from_vector(["c0"], [1])
+        quality = PlanQuality(
+            plan=plan, values=(5.0,), names=("offload_count",), feasible=True
         )
-        perf, avail, cost = problem.legacy_triple((5.0,))
-        assert perf == 5.0
-        assert np.isnan(avail) and np.isnan(cost)
+        assert quality.perf == 5.0
+        assert np.isnan(quality.avail) and np.isnan(quality.cost)
+        # By name when the paper objectives are present, wherever their column is.
+        entry = ScenarioQuality(
+            scenario="s", values=(1.0, 2.0, 3.0), names=("qcost", "x", "qperf"), feasible=True
+        )
+        assert (entry.perf, entry.avail, entry.cost) == (3.0, 2.0, 1.0)
 
     def test_knee_index_balances_extremes(self):
         # Two extreme corners and one balanced point: the knee is the balanced one.

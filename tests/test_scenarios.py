@@ -38,7 +38,9 @@ from repro.quality import (
     ApiPerformanceModel,
     CloudCostModel,
     CVaR,
+    EgressTrafficObjective,
     MigrationPreferences,
+    PlacementProblem,
     PricingCatalog,
     QualityEvaluator,
     ScenarioSet,
@@ -76,7 +78,7 @@ def scenario_stack(tiny_telemetry):
     # burst scenarios' demand, so robust feasibility has something to disagree on.
     limit = estimate.peak("cpu_millicores", app.component_names) * 1.1
 
-    def build_evaluator(preferences=None, with_estimator=True):
+    def build_evaluator(preferences=None, with_estimator=True, problem=None):
         performance = ApiPerformanceModel(
             traces_by_api={api: p.sample_traces for api, p in profiles.items()},
             footprint=footprint,
@@ -106,6 +108,7 @@ def scenario_stack(tiny_telemetry):
             estimate=estimate,
             component_order=app.component_names,
             estimator=estimator if with_estimator else None,
+            problem=problem,
         )
 
     return app, telemetry, build_evaluator
@@ -130,21 +133,27 @@ class TestSingleScenarioIdentity:
     @given(vectors=vectors_strategy)
     def test_baseline_scenario_matches_classic_evaluation(self, scenario_stack, vectors):
         _app, _telemetry, build_evaluator = scenario_stack
-        classic = build_evaluator()
-        robust = build_evaluator()
-        classic_qualities = classic.evaluate_vectors(vectors)
-        robust_qualities = robust.evaluate_vectors(
-            vectors, scenarios=ScenarioSet.baseline()
-        )
-        for a, b in zip(classic_qualities, robust_qualities):
-            assert repr(a.objectives()) == repr(b.objectives())
-            assert a.feasible == b.feasible
-            assert a.violations == b.violations
-        assert classic.evaluations == robust.evaluations
-        # The breakdown of the single baseline scenario is the classic result itself.
-        for a, b in zip(classic_qualities, robust_qualities):
-            assert len(b.scenarios) == 1
-            assert repr(b.scenarios[0].objectives()) == repr(a.objectives())
+        k4 = PlacementProblem.default(extra_objectives=(EgressTrafficObjective(),))
+        for problem in (None, k4):  # the paper's K=3 stack and a K=4 one
+            classic = build_evaluator(problem=problem)
+            robust = build_evaluator(problem=problem)
+            classic_qualities = classic.evaluate_vectors(vectors)
+            robust_qualities = robust.evaluate_vectors(
+                vectors, scenarios=ScenarioSet.baseline()
+            )
+            for a, b in zip(classic_qualities, robust_qualities):
+                # One engine, S=1: the same bits in the same result shape.
+                assert repr(a.values) == repr(b.values) and a.names == b.names
+                assert len(a.values) == (3 if problem is None else 4)
+                assert a.feasible == b.feasible
+                assert a.violations == b.violations
+                assert a.scenarios == ()
+            assert classic.evaluations == robust.evaluations
+            # The breakdown of the single baseline scenario is the classic result itself.
+            for a, b in zip(classic_qualities, robust_qualities):
+                (only,) = b.scenarios
+                assert repr(only.values) == repr(a.values) and only.names == a.names
+                assert (only.feasible, only.violations) == (a.feasible, a.violations)
 
     def test_fixed_seed_ga_fingerprint_invariant(self, scenario_stack):
         """The GA trajectory under a bound baseline scenario is the classic one."""
@@ -551,3 +560,28 @@ class TestBoundEvaluatorDoors:
         assert all(q.scenarios for q in bound.evaluated_qualities())
         bound.unbind_scenarios()
         assert bound.cache_size() == 0  # classic cache is untouched
+
+    def test_single_plan_doors_agree_on_a_bound_evaluator(self, scenario_stack):
+        """``is_feasible``, ``constraint_violations`` and ``evaluate`` are one answer.
+
+        Regression: on a bound evaluator ``is_feasible`` judged the plan under every
+        scenario while ``constraint_violations`` checked the base workload only, so a
+        plan the burst scenario breaks was infeasible with no violation to show."""
+        app, _telemetry, build_evaluator = scenario_stack
+        bound = build_evaluator(problem=PlacementProblem.default(scenarios=S4))
+        unbound = build_evaluator()
+        rng = np.random.default_rng(2024)
+        disagreed = 0
+        for vector in rng.integers(0, 2, size=(40, len(app.component_names))).tolist():
+            plan = MigrationPlan.from_vector(app.component_names, vector)
+            evaluations = bound.evaluations
+            violations = bound.constraint_violations(plan)
+            assert bool(violations) == (not bound.is_feasible(plan))
+            assert bound.evaluations == evaluations  # constraint-only: no budget spent
+            assert violations == list(bound.evaluate(plan).violations)
+            assert all(v.startswith("[") for v in violations)  # scenario-prefixed
+            base = unbound.constraint_violations(plan)
+            assert base == list(unbound.evaluate_reference(plan).violations)
+            assert bool(base) == (not unbound.is_feasible(plan))
+            disagreed += bool(violations) and not base
+        assert disagreed  # the sample holds plans only a non-base scenario breaks

@@ -31,9 +31,9 @@ from test_artifacts import TINY_GA, _assert_bitwise, _perturb
 from test_compiled import random_delays, random_trace
 
 from repro.optimizer.atlas_ga import AtlasGA
-from repro.quality import CompiledTraceSet, MigrationPreferences
+from repro.quality import CompiledTraceSet, MigrationPreferences, PlanQuality
 from repro.quality.artifacts import ArtifactCache
-from repro.quality.compiled import ShmArena
+from repro.quality.scenarios import ObjectiveVector
 from repro.recommend import AdvisorService, Atlas, AtlasConfig
 from repro.serving import store as store_module
 from repro.serving import (
@@ -119,29 +119,17 @@ class TestStoreRoundTripBitwise:
             assert left.tobytes() == right.tobytes()
 
     def test_shared_memory_artifact_reloads_as_private_and_reshareable(self):
+        """A loaded artifact is a private copy: bitwise the set a fresh compile
+        produces, sharing no array with the one that was saved."""
         rng = np.random.default_rng(11)
         compiled = _random_compiled(rng)
         pristine = _random_compiled(np.random.default_rng(11))
-        arena = ShmArena()
-        try:
-            compiled.share_memory(arena)
-            assert compiled._shm_backed
-            with tempfile.TemporaryDirectory() as root:
-                store = ArtifactStore(root)
-                assert store.save(("c",), compiled)
-                loaded_compiled = store.load(("c",))
-        finally:
-            arena.release()
-        # Deserialized artifacts own private pages: flags reset, contents bitwise.
-        assert loaded_compiled._shm_backed is False
+        with tempfile.TemporaryDirectory() as root:
+            store = ArtifactStore(root)
+            assert store.save(("c",), compiled)
+            loaded_compiled = store.load(("c",))
         _assert_bitwise(pristine, loaded_compiled)
-        # ...and they are freshly shareable into a new arena.
-        arena2 = ShmArena()
-        try:
-            loaded_compiled.share_memory(arena2)
-            assert loaded_compiled._shm_backed
-        finally:
-            arena2.release()
+        assert not np.shares_memory(loaded_compiled._root_start, compiled._root_start)
 
 
 # -- damaged frames degrade, never crash ------------------------------------------------------
@@ -270,26 +258,18 @@ class TestOldLayoutFramesMiss:
         traces = [random_trace(rng, f"t{k}") for k in range(4)]
         edges = sorted({edge for trace in traces for edge in trace.invocation_edges()})
         compiled = CompiledTraceSet(traces, edges)
-        arena = ShmArena()
-        try:
-            compiled.share_memory(arena)
-            with tempfile.TemporaryDirectory() as root:
-                store = ArtifactStore(root)
-                assert store.save(("c",), compiled)
-                loaded = store.load(("c",))
-        finally:
-            arena.release()
-        assert loaded._shm_backed is False
+        with tempfile.TemporaryDirectory() as root:
+            store = ArtifactStore(root)
+            assert store.save(("c",), compiled)
+            loaded = store.load(("c",))
         new_traces = [_perturb(traces[0], 1.02)] + traces[1:]
         rebuilt = CompiledTraceSet(new_traces, edges)
         _assert_bitwise(loaded.splice(new_traces), rebuilt)
-        arena2 = ShmArena()
-        try:
-            loaded.share_memory(arena2)
-            assert loaded._shm_backed
-            _assert_bitwise(loaded.splice(new_traces), rebuilt)
-        finally:
-            arena2.release()
+        # ...and again after a second trip through the store.
+        with tempfile.TemporaryDirectory() as root:
+            store = ArtifactStore(root)
+            assert store.save(("c",), loaded)
+            _assert_bitwise(store.load(("c",)).splice(new_traces), rebuilt)
 
 
 # -- single-flight concurrency ----------------------------------------------------------------
@@ -390,6 +370,86 @@ def _poison_search(monkeypatch):
     monkeypatch.setattr(AtlasGA, "run", poisoned)
 
 
+# -- journal entries written before results became values + names are a miss ------------------
+class TestOldResultLayoutFramesMiss:
+    """Store version 3: ``PlanQuality`` / ``ScenarioQuality`` hold ``values`` +
+    ``names`` and derive ``perf`` / ``avail`` / ``cost``.  A version-2 journal entry
+    pickled the triple as fields and, on the default problem, ``values=None``; it
+    must be a clean miss that never reaches the new classes."""
+
+    KWARGS = {"expected_scale": 2.0}
+
+    @staticmethod
+    def _parent_frame(entry, monkeypatch, version=2):
+        """The bytes the parent commit's store wrote for journal ``entry`` (built here)."""
+
+        def old_getstate(self):
+            state = dict(self.__dict__)
+            state.update(perf=self.perf, avail=self.avail, cost=self.cost)
+            state.update(values=None, names=None)  # the paper-triple layout left both unset
+            return state
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ObjectiveVector, "__getstate__", old_getstate, raising=False)
+            payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+        header = (
+            f"atlas-store/{version} {hashlib.sha256(payload).hexdigest()} {len(payload)}\n"
+        )
+        return header.encode("ascii") + payload
+
+    def _store_with_parent_journal(self, tmp_path, atlas, monkeypatch):
+        store = ArtifactStore(tmp_path / "store")
+        writer = AdvisorService(store=store)
+        cold = writer.recommend(_clone(atlas), **self.KWARGS)
+        key = ("journal",) + writer._request_key(atlas, self.KWARGS)
+        entry = store.load(key)
+        assert isinstance(entry["result"].pareto[0], PlanQuality)
+        store.path_for(key).write_bytes(self._parent_frame(entry, monkeypatch))
+        return store, key, entry, cold
+
+    def test_parent_version_entry_misses_before_any_result_is_rebuilt(
+        self, tmp_path, tiny_learned_atlas, monkeypatch
+    ):
+        store, key, entry, _cold = self._store_with_parent_journal(
+            tmp_path, tiny_learned_atlas, monkeypatch
+        )
+        revived = []
+        real_setstate = ObjectiveVector.__setstate__
+
+        def spying_setstate(self, state):
+            revived.append(sorted(state))
+            real_setstate(self, state)
+
+        monkeypatch.setattr(ObjectiveVector, "__setstate__", spying_setstate)
+        assert store.load(key) is None
+        assert revived == []  # rejected on the header, before any payload byte is read
+
+        # Relabelled as current, the old layout still has no reader: it degrades to a
+        # miss instead of coming back as a result whose ``values`` is ``None``.
+        store.path_for(key).write_bytes(self._parent_frame(entry, monkeypatch, version=3))
+        assert store.load(key) is None
+        assert revived and {"perf", "avail", "cost", "values"} <= set(revived[0])
+
+    def test_service_over_a_parent_store_searches_once_then_serves_from_the_journal(
+        self, tmp_path, tiny_learned_atlas, monkeypatch
+    ):
+        store, key, _entry, cold = self._store_with_parent_journal(
+            tmp_path, tiny_learned_atlas, monkeypatch
+        )
+        upgraded = AdvisorService(store=store)
+        again = upgraded.recommend(_clone(tiny_learned_atlas), **self.KWARGS)
+        assert upgraded.stats()["journal"] == {"hits": 0, "misses": 1}  # one more search
+        assert front_digest(again) == front_digest(cold)
+        assert store.path_for(key).read_bytes().startswith(b"atlas-store/3 ")  # written back
+
+        _poison_search(monkeypatch)
+        restarted = AdvisorService(store=store)
+        warm = restarted.recommend(_clone(tiny_learned_atlas), **self.KWARGS)
+        assert restarted.stats()["journal"] == {"hits": 1, "misses": 0}
+        assert front_digest(warm) == front_digest(cold)
+        assert all(q.values is not None and q.names for q in warm.result.pareto)
+
+
 class TestDurableJournal:
     def test_warm_restart_revives_without_search(
         self, tmp_path, tiny_learned_atlas, monkeypatch
@@ -424,7 +484,8 @@ class TestDurableJournal:
         """Shape memos and the trace census never reach a key or a frame: a store
         written by an advisor that learned with them warm is hit by one that learned
         from re-read telemetry (what a frame written before they existed holds), and
-        the store frame version did not move."""
+        the memos never asked for a frame version of their own (3 is the result
+        shape's, see ``TestOldResultLayoutFramesMiss``)."""
         app, result = tiny_telemetry
 
         def learned(telemetry):
@@ -442,9 +503,9 @@ class TestDurableJournal:
         writer = AdvisorService(store=ArtifactStore(store_dir))
         cold = writer.recommend(learned(result.telemetry), expected_scale=2.0)
         assert writer.stats()["journal"] == {"hits": 0, "misses": 1}
-        assert store_module._VERSION == 2
+        assert store_module._VERSION == 3
         frames = list(store_dir.rglob("*.art"))
-        assert frames and all(f.read_bytes().startswith(b"atlas-store/2 ") for f in frames)
+        assert frames and all(f.read_bytes().startswith(b"atlas-store/3 ") for f in frames)
         assert not any(b"_shape" in f.read_bytes() for f in frames)
 
         _poison_search(monkeypatch)
