@@ -13,8 +13,10 @@ uninterrupted run produces.  This script proves it with real processes:
 * **check mode** (``--check``, the default) orchestrates three children:
   run A uninterrupted on store A; run B killed after the splice checkpoint on
   store B; run C resumed on store B.  It asserts the resumed front sha equals
-  the uninterrupted one and that the resumed compile streamed artifacts from
-  the store.
+  the uninterrupted one, that the resumed cycle 2 *reused* the crossover agent
+  the uninterrupted run recorded (same content digest — loaded from the store,
+  not trained again), and that the resumed compile streamed artifacts from the
+  store.
 
 Usage::
 
@@ -192,8 +194,11 @@ def run_child(store_dir: str, kill_after: Optional[str] = None) -> Dict:
 
         daemon._after_stage = die
 
+    drift_cycle_agent = None
     for _ in range(4):
-        daemon.run_cycle()
+        (report,) = daemon.run_cycle()
+        if report.cycle == 2 and report.recommended:
+            drift_cycle_agent = report.agent
         record = daemon.record(TENANT)
         if int(record["cycle"]) >= 2 and record["stage"] == "done" and record["front_sha"]:
             break
@@ -202,6 +207,8 @@ def run_child(store_dir: str, kill_after: Optional[str] = None) -> Dict:
         "front_sha": record["front_sha"],
         "cycle": record["cycle"],
         "store_hits": daemon.service.cache.stats().get("store_hits", 0),
+        "agent": drift_cycle_agent,
+        "agent_digest": record["agent"],
     }
 
 
@@ -241,14 +248,27 @@ def run_check(timeout_s: float = 600.0) -> Dict:
         f"{resumed['front_sha']} != {uninterrupted['front_sha']}"
     )
     assert resumed["store_hits"] > 0, "resumed process recompiled instead of reusing the store"
+    assert uninterrupted["agent"] == "reused" and uninterrupted["agent_digest"], (
+        f"the uninterrupted drift cycle did not reuse its agent: {uninterrupted}"
+    )
+    assert (resumed["agent"], resumed["agent_digest"]) == (
+        "reused",
+        uninterrupted["agent_digest"],
+    ), (
+        "the resumed drift cycle did not reuse the agent the uninterrupted run "
+        f"recorded: {resumed['agent']} {resumed['agent_digest']} != "
+        f"reused {uninterrupted['agent_digest']}"
+    )
     verdict = {
         "kill_stage": KILL_STAGE,
         "front_sha": uninterrupted["front_sha"],
         "resumed_store_hits": resumed["store_hits"],
+        "agent_digest": resumed["agent_digest"],
     }
     print(
         "daemon kill-and-restart smoke: PASS "
         f"(killed after '{KILL_STAGE}', resumed front {verdict['front_sha'][:12]}..., "
+        f"agent {verdict['agent_digest'][:12]}... reused, "
         f"{verdict['resumed_store_hits']} artifacts streamed from the store)"
     )
     return verdict

@@ -152,6 +152,9 @@ class DriftDetector:
         self._real = {api: list(v) for api, v in real_latencies.items()}
         self.threshold_factor = threshold_factor
         self.bins = bins
+        #: Memo of :meth:`baseline_divergence`: both distributions are frozen above,
+        #: so each API's baseline is a constant of the detector.
+        self._baseline: Dict[str, float] = {}
 
     @property
     def apis(self) -> List[str]:
@@ -172,21 +175,36 @@ class DriftDetector:
             "real": {api: [float(x) for x in v] for api, v in self._real.items()},
             "threshold_factor": float(self.threshold_factor),
             "bins": int(self.bins),
+            "baseline": {api: self.baseline_divergence(api) for api in self._real},
         }
 
     @classmethod
     def from_state(cls, state: Mapping[str, object]) -> "DriftDetector":
-        """Rebuild a detector from a :meth:`state` snapshot (bitwise-equivalent)."""
-        return cls(
+        """Rebuild a detector from a :meth:`state` snapshot (bitwise-equivalent).
+
+        The snapshot's baseline divergences are taken as they are (a JSON float
+        round-trips exactly); a snapshot without them computes each on first use.
+        """
+        detector = cls(
             approx_latencies=state["approx"],
             real_latencies=state["real"],
             threshold_factor=float(state["threshold_factor"]),
             bins=int(state["bins"]),
         )
+        detector._baseline = {
+            api: float(value)
+            for api, value in state.get("baseline", {}).items()
+            if api in detector._real
+        }
+        return detector
 
     def baseline_divergence(self, api: str) -> float:
         """D_KL(b_real, b_approx): the approximation error accepted at recommendation time."""
-        return kl_divergence(self._real[api], self._approx[api], bins=self.bins)
+        if api not in self._baseline:
+            self._baseline[api] = kl_divergence(
+                self._real[api], self._approx[api], bins=self.bins
+            )
+        return self._baseline[api]
 
     def check(self, api: str, recent_latencies: Sequence[float]) -> DriftReport:
         """Compare the most recent latency samples of one API against the baseline."""

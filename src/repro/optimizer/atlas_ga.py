@@ -275,6 +275,13 @@ class SearchResult:
     #: the front converged before the budget/generation limits were reached.  On
     #: island runs: whether any island exited early.
     early_stopped: bool = False
+    #: The crossover agent the serial DRL search bred with, stripped for inference
+    #: (:meth:`CrossoverAgent.for_inference`), and its content digest.  Trained by
+    #: this search when ``training_history`` is set, handed in otherwise; ``None``
+    #: for the uniform-crossover ablation and for island runs (one agent per island).
+    #: A journaled result keeps the digest only — the agent is its own store object.
+    agent: Optional[CrossoverAgent] = field(default=None, repr=False)
+    agent_digest: Optional[str] = None
 
     # -- plan selection shortcuts (Figures 12-14) ------------------------------------------
     def _best(self, index: int) -> PlanQuality:
@@ -337,7 +344,13 @@ class AtlasGA:
         seed_vectors: Optional[Sequence[Sequence[int]]] = None,
         locations: Optional[Sequence[int]] = None,
         islands: Optional[int] = None,
+        agent: Optional[CrossoverAgent] = None,
     ) -> None:
+        """``agent`` is a crossover agent an earlier search of this application
+        trained: when it fits this search (same component count, locations, pins
+        and whitelists) the serial DRL search breeds with it instead of training
+        its own, and the whole evaluation budget goes to generations.  One that
+        does not fit is ignored — the search then trains exactly as without it."""
         self.evaluator = evaluator
         self.components = list(components)
         self.config = config or GAConfig()
@@ -398,6 +411,13 @@ class AtlasGA:
         )
         self.seed_vectors = [self._apply_constraints(list(v)) for v in (seed_vectors or [])]
         self.agent: Optional[CrossoverAgent] = None
+        fits = agent is not None and (
+            agent.n_components == len(self.components)
+            and agent.locations == self.locations
+            and agent.pinned == self._pinned_indices
+            and agent.allowed == self._allowed_indices
+        )
+        self._learned_agent = agent.for_inference() if fits else None
 
     # -- plan helpers ---------------------------------------------------------------------
     def _apply_constraints(self, vector: List[int]) -> List[int]:
@@ -625,7 +645,10 @@ class AtlasGA:
         preexisting = self.evaluator.cache_size()
         history: Optional[TrainingHistory] = None
         if self.config.crossover == "drl":
-            history = self.train_agent()
+            if self._learned_agent is not None:
+                self.agent = self._learned_agent
+            else:
+                history = self.train_agent()
 
         population: List[List[int]] = [list(v) for v in self.seed_vectors]
         population += [
@@ -709,6 +732,7 @@ class AtlasGA:
         feasible = [q for q in qualities if q.feasible]
         front = pareto_front(feasible, key=lambda q: q.objectives())
         front.sort(key=lambda q: q.objectives())
+        used = self.agent.for_inference() if self.config.crossover == "drl" else None
         return SearchResult(
             pareto=front,
             generations=generations,
@@ -719,4 +743,6 @@ class AtlasGA:
             final_population=qualities,
             objective_names=self.evaluator.problem.objective_names,
             early_stopped=early_stopped,
+            agent=used,
+            agent_digest=used.content_digest() if used is not None else None,
         )

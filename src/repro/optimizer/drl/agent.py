@@ -26,11 +26,14 @@ consistently below zero.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...digest import part_stream
 from ..nsga2 import allowed_repair_targets, apply_allowed_repair
 from .mlp import MLP, AdamOptimizer
 
@@ -67,6 +70,9 @@ class TrainingHistory:
 
 class CrossoverAgent:
     """Actor–critic agent producing offspring plans from parent pairs."""
+
+    #: Memo of :meth:`content_digest`; dropped by :meth:`train`, never pickled.
+    _digest: Optional[str] = None
 
     def __init__(
         self,
@@ -132,6 +138,56 @@ class CrossoverAgent:
         self._critic_opt = AdamOptimizer(learning_rate=critic_learning_rate)
         self._rng = np.random.default_rng(seed)
         self.history = TrainingHistory()
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
+
+    # -- the agent as learned knowledge ----------------------------------------------------
+    def for_inference(self) -> "CrossoverAgent":
+        """This agent stripped to what :meth:`crossover` reads: actor + constraints.
+
+        The critic, both Adam states and the training history stay behind (about a
+        fifth of the pickled size remains), the actor's weights are copied so later
+        training of ``self`` cannot reach the copy, and the copy's own sampling
+        stream restarts from 0 — a search always passes its ``rng``.  An agent
+        that is already stripped is returned as is.
+        """
+        if self.critic is None:
+            return self
+        agent = copy.copy(self)
+        agent.actor = copy.deepcopy(self.actor)
+        agent.critic = agent._actor_opt = agent._critic_opt = None
+        agent.history = TrainingHistory()
+        agent._rng = np.random.default_rng(0)
+        return agent
+
+    def content_digest(self) -> str:
+        """Content fingerprint of everything :meth:`crossover` reads (computed once).
+
+        The search space and constraints as text parts in the package's wire
+        encoding, then the actor's raw parameter bytes (shapes are fixed by the
+        text parts and the layer order).
+        """
+        if self._digest is None:
+            digest = hashlib.sha256(
+                part_stream(
+                    [
+                        "crossover-agent",
+                        repr(self.n_components),
+                        repr(self.locations),
+                        repr(sorted(self.pinned.items())),
+                        repr(sorted(self.allowed.items())),
+                        self.actor.head,
+                        repr([w.shape for w in self.actor.weights]),
+                    ]
+                )
+            )
+            for parameter in self.actor.parameters():
+                digest.update(parameter.tobytes())
+            self._digest = digest.hexdigest()
+        return self._digest
 
     # -- inference -------------------------------------------------------------------------
     def state(self, parent_a: Sequence[int], parent_b: Sequence[int]) -> np.ndarray:
@@ -217,8 +273,11 @@ class CrossoverAgent:
         by one ``reward_fn`` call over the block; the critic and the gradients then
         run per sample in sampling order.
         """
+        if self.critic is None:
+            raise RuntimeError("an agent stripped by for_inference() cannot be trained")
         if not parent_pairs:
             raise ValueError("training requires at least one parent pair")
+        self._digest = None  # the weights move from here on
         if iterations <= 0 or batch_size <= 0:
             raise ValueError("iterations and batch_size must be positive")
         for _ in range(iterations):

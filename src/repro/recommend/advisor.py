@@ -39,6 +39,7 @@ from ..monitoring.drift import DriftDetector, DriftScenarioUpdate
 from ..monitoring.security import BreachDetector
 from ..optimizer.atlas_ga import AtlasGA, GAConfig, SearchResult
 from ..optimizer.baselines import BaselineContext
+from ..optimizer.drl.agent import CrossoverAgent
 from ..quality.adversary import (
     AdversaryBounds,
     RobustnessCertificate,
@@ -103,6 +104,10 @@ class ApplicationKnowledge:
     component_profiles: Dict[str, ComponentProfile]
     footprint: NetworkFootprint
     estimator: ResourceEstimator
+    #: The crossover agent a search of this application trained, once someone (the
+    #: daemon's drift cycle) installs it: :meth:`Atlas.recommend` then breeds with
+    #: it instead of training one.  Like everything here, dropped by ``learn``.
+    crossover_agent: Optional[CrossoverAgent] = None
 
     @property
     def apis(self) -> List[str]:
@@ -471,6 +476,7 @@ class Atlas:
             config=config,
             seed_vectors=self._seed_vectors(evaluator, config),
             locations=self.locations,
+            agent=self._require_knowledge().crossover_agent,
         )
         result = ga.run()
         recommendation = Recommendation(
@@ -821,11 +827,19 @@ class AdvisorService:
                 self.journal_misses += 1
         recommendation = atlas.recommend(artifact_cache=self.cache, **kwargs)
         if self.store is not None:
+            result = recommendation.result
+            if result.agent is not None:
+                # One object per distinct agent; the entry names it by digest only,
+                # so a revive nobody asks the agent of never reads it.
+                agent_key = ("agent", result.agent_digest)
+                if agent_key not in self.store:
+                    self.store.save(agent_key, result.agent)
+                result = dataclasses.replace(result, agent=None)
             self.store.save(
                 ("journal",) + key,
                 {
                     "version": 1,
-                    "result": recommendation.result,
+                    "result": result,
                     "certificate": recommendation.certificate,
                 },
             )
@@ -904,10 +918,11 @@ class AdvisorService:
 
         Covers everything the (deterministic, seeded) search consumes: the learned
         knowledge (per-API trace sets, stateful components, footprint, fitted
-        estimator state), the network, the baseline plan, the topology, the config
-        and the call's own arguments.  Equal keys therefore imply an identical
-        recommendation; any argument without a content-stable description makes the
-        whole request unmemoizable (a miss, never a wrong hit).
+        estimator state, an installed crossover agent), the network, the baseline
+        plan, the topology, the config and the call's own arguments.  Equal keys
+        therefore imply an identical recommendation; any argument without a
+        content-stable description makes the whole request unmemoizable (a miss,
+        never a wrong hit).
         """
         knowledge = atlas.knowledge
         if knowledge is None:
@@ -949,4 +964,7 @@ class AdvisorService:
             if text is None:
                 return None
             parts.append(f"{name}={text}")
+        if knowledge.crossover_agent is not None:
+            # Only when one is installed: every agent-less key keeps its hex.
+            parts.append(f"agent={knowledge.crossover_agent.content_digest()}")
         return ("recommend", sha_parts(parts))

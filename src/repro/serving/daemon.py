@@ -19,6 +19,12 @@ service over an :class:`~repro.recommend.advisor.AdvisorService`:
   durable journal — so the resumed run's answers are bitwise-identical to an
   uninterrupted run, and the compiled world is recovered from the artifact
   store instead of rebuilt.
+* **The agent is learned once** — a drift cycle's splice stage installs the
+  crossover agent of the tenant's previous answer next to the re-profiled
+  traces, so the re-recommend breeds with it instead of training a new one.
+  The checkpoint names that agent by content digest and the service keeps it
+  as one store object per distinct agent, which is how a resumed process uses
+  the agent the killed one would have.
 
 Monitors implement one method, ``poll(tenant, cycle) -> Optional[MonitorSample]``.
 The cycle index is passed so scripted monitors (tests, the kill-and-restart
@@ -37,6 +43,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, TYPE_CHECK
 
 from ..cluster.placement import MigrationPlan
 from ..monitoring.drift import DriftDetector
+from ..optimizer.drl.agent import CrossoverAgent
 from ..telemetry.tracing import Trace
 from ..workload.profiles import WorkloadScenario
 
@@ -107,6 +114,13 @@ class TenantCycleReport:
     recommended: bool = False
     front_sha: Optional[str] = None
     error: Optional[str] = None
+    #: The crossover agent behind this cycle's answer: ``"reused"`` (an earlier
+    #: search of the tenant trained it), ``"trained"`` (the answer's own search did),
+    #: ``None`` when the cycle produced no answer or the search breeds without one.
+    agent: Optional[str] = None
+    #: Why a drift cycle trained instead of reusing: ``"no previous answer"``,
+    #: ``"agent does not fit"`` or ``"agent object lost"``.
+    agent_reason: Optional[str] = None
 
 
 def front_digest(recommendation: "Recommendation") -> str:
@@ -127,6 +141,7 @@ def _new_record() -> Dict[str, object]:
         "detector": None,
         "drifted": [],
         "front_sha": None,
+        "agent": None,
     }
 
 
@@ -244,6 +259,8 @@ class AdvisorDaemon:
             record["stage"] = "poll"
         cycle = int(record["cycle"])
         report = TenantCycleReport(tenant=name, cycle=cycle)
+        # Set by a drift cycle: why its search trains, should it train.
+        if_trained: Optional[str] = None
 
         # poll: live monitors are consulted exactly once per cycle; a resumed
         # cycle replays from the persisted sample, never from a second poll.
@@ -272,6 +289,7 @@ class AdvisorDaemon:
                 # splice's effect lived in the dead process's knowledge, so it is
                 # re-applied here (idempotent by content) before continuing.
                 self._splice(tenant.atlas, record, sample)
+                if_trained = self._install_agent(name, tenant.atlas, record)
 
         if record["stage"] == "drift":
             report.stages.append("drift")
@@ -289,6 +307,7 @@ class AdvisorDaemon:
         if record["stage"] == "splice":
             report.stages.append("splice")
             report.spliced = self._splice(tenant.atlas, record, sample)
+            if_trained = self._install_agent(name, tenant.atlas, record)
             record["stage"] = "recertify"
             self._checkpoint(name, "splice")
 
@@ -308,12 +327,18 @@ class AdvisorDaemon:
                 tenant.atlas, recommendation, knee, sample
             )
             record["front_sha"] = front_digest(recommendation)
+            record["agent"] = recommendation.result.agent_digest
             record["drifted"] = []
             record["stage"] = "done"
             with self._mu:
                 self._live[name] = recommendation
             report.recommended = True
             report.front_sha = record["front_sha"]
+            if record["agent"] is not None:
+                if recommendation.result.training_history is None:
+                    report.agent = "reused"
+                else:
+                    report.agent, report.agent_reason = "trained", if_trained
             self._checkpoint(name, "recommend")
         return report
 
@@ -342,6 +367,28 @@ class AdvisorDaemon:
                 )
                 spliced.append(api)
         return spliced
+
+    def _install_agent(
+        self, name: str, atlas: "Atlas", record: Dict[str, object]
+    ) -> str:
+        """Install the crossover agent of the tenant's previous answer into its
+        learned state; returns why the re-recommend trains, should it still train.
+
+        The record's digest says which agent; the live previous answer has it in
+        memory, a resumed process (or a revived answer) loads the store object.
+        Not finding it is not an error: the re-recommend then trains its own.
+        """
+        digest = record["agent"]
+        if atlas.knowledge is None or digest is None:
+            return "no previous answer"
+        last = self._live.get(name)
+        agent = last.result.agent if last is not None else None
+        if agent is None and self.store is not None:
+            agent = self.store.load(("agent", digest))
+        if not isinstance(agent, CrossoverAgent) or agent.content_digest() != digest:
+            return "agent object lost"
+        atlas.knowledge.crossover_agent = agent
+        return "agent does not fit"
 
     def _recertify(
         self,

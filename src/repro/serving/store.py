@@ -54,7 +54,8 @@ _MAGIC = "atlas-store"
 #: before the upgrade is abandoned and re-polled.
 #: 2 = packed ``CompiledTraceSet`` state (1 pickled every level array).
 #: 3 = results store ``values`` + ``names`` only (2 kept perf/avail/cost as fields).
-_VERSION = 3
+#: 4 = ``SearchResult`` names its crossover agent (``agent`` + ``agent_digest``).
+_VERSION = 4
 
 
 def _key_digest(key: Tuple) -> str:

@@ -26,6 +26,7 @@ from test_artifacts import TINY_GA, _perturb
 from test_compiled import random_trace
 
 from repro.learning import EdgeFootprint, NetworkFootprint, ResourceEstimator
+from repro.optimizer import CrossoverAgent
 from repro.quality import CompiledTraceSet, MigrationPreferences
 from repro.quality.artifacts import (
     fingerprint_footprint,
@@ -34,7 +35,7 @@ from repro.quality.artifacts import (
 )
 from repro.recommend import AdvisorService, Atlas, AtlasConfig
 from repro.recommend.advisor import _describe
-from repro.serving import AdvisorDaemon, MonitorSample
+from repro.serving import AdvisorDaemon, ArtifactStore, MonitorSample
 from repro.simulator import simulate_workload
 from repro.telemetry.tracing import Trace, TraceStore
 from repro.workload import WorkloadGenerator, default_scenario
@@ -309,6 +310,32 @@ class TestInvalidation:
         for api in knowledge.apis:
             part = fingerprint_traces(knowledge.api_profiles[api].sample_traces)
             assert (part != parts_before[api]) == (api == target)
+
+    def test_an_installed_agent_moves_the_key_by_content(self, tiny_atlas, tmp_path):
+        """Agent-less keys keep their hex (the oracle composition above); an installed
+        crossover agent joins the key by its content digest, not its identity."""
+        service = AdvisorService()
+        kwargs = {"expected_scale": 2.0}
+        bare = service._request_key(tiny_atlas, kwargs)
+        assert bare == ("recommend", oracle_sha(oracle_request_parts(tiny_atlas, kwargs)))
+        agent = tiny_atlas.recommend(**kwargs).result.agent
+        tiny_atlas.knowledge.crossover_agent = agent
+        keyed = service._request_key(tiny_atlas, kwargs)
+        assert keyed != bare
+
+        store = ArtifactStore(tmp_path / "store")
+        assert store.save(("agent", agent.content_digest()), agent)
+        twin = store.load(("agent", agent.content_digest()))
+        assert twin is not agent
+        tiny_atlas.knowledge.crossover_agent = twin
+        assert service._request_key(tiny_atlas, kwargs) == keyed
+        tiny_atlas.knowledge.crossover_agent = CrossoverAgent(
+            n_components=agent.n_components, pinned=agent.pinned, seed=99
+        )
+        assert service._request_key(tiny_atlas, kwargs) not in (bare, keyed)
+        tiny_atlas.learn(tiny_atlas.telemetry)  # dropped, like everything learned
+        assert tiny_atlas.knowledge.crossover_agent is None
+        assert service._request_key(tiny_atlas, kwargs) == bare
 
     def test_content_equal_advisors_learned_apart_share_a_key(self, tiny_telemetry):
         app, result = tiny_telemetry

@@ -1,10 +1,13 @@
 """Tests for post-migration monitoring: KL drift detection and breach detection."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.learning.footprint import EdgeFootprint, NetworkFootprint
 from repro.monitoring import BreachDetector, DriftDetector, kl_divergence
+from repro.monitoring import drift as drift_module
 
 
 class TestKLDivergence:
@@ -61,6 +64,34 @@ class TestDriftDetector:
         reports = detector.check_all(recent)
         assert set(reports) == {"/a"}
         assert detector.drifted_apis(recent) == ["/a"]
+
+    def test_baseline_is_computed_once_and_travels_with_the_state(self, monkeypatch):
+        detector, rng = self._detector()
+        recent = list(rng.normal(101, 8, size=300))
+        want = kl_divergence(detector._real["/a"], detector._approx["/a"])
+        assert detector.check("/a", recent).baseline_divergence == want
+
+        calls = []
+        real_kl = drift_module.kl_divergence
+        monkeypatch.setattr(
+            drift_module,
+            "kl_divergence",
+            lambda *args, **kwargs: calls.append(1) or real_kl(*args, **kwargs),
+        )
+        for _ in range(3):
+            assert detector.check("/a", recent).baseline_divergence == want
+        assert len(calls) == 3  # the recent divergence only
+
+        state = json.loads(json.dumps(detector.state()))
+        assert state["baseline"] == {"/a": want}
+        revived = DriftDetector.from_state(state)
+        assert revived.check("/a", recent) == detector.check("/a", recent)
+        assert len(calls) == 5
+
+        del state["baseline"]  # a state written before the field existed computes it
+        older = DriftDetector.from_state(state)
+        assert older.check("/a", recent) == detector.check("/a", recent)
+        assert len(calls) == 8
 
     def test_unknown_api_rejected(self):
         detector, _rng = self._detector()

@@ -30,7 +30,7 @@ from fingerprints import build_tiny_evaluator
 from test_artifacts import TINY_GA, _assert_bitwise, _perturb
 from test_compiled import random_delays, random_trace
 
-from repro.optimizer.atlas_ga import AtlasGA
+from repro.optimizer.atlas_ga import AtlasGA, SearchResult
 from repro.quality import CompiledTraceSet, MigrationPreferences, PlanQuality
 from repro.quality.artifacts import ArtifactCache
 from repro.quality.scenarios import ObjectiveVector
@@ -43,6 +43,9 @@ from repro.serving import (
     ScriptedMonitor,
 )
 from repro.serving.daemon import front_digest
+
+
+CURRENT_FRAME = f"atlas-store/{store_module._VERSION} ".encode("ascii")
 
 
 def _random_compiled(rng):
@@ -426,7 +429,9 @@ class TestOldResultLayoutFramesMiss:
 
         # Relabelled as current, the old layout still has no reader: it degrades to a
         # miss instead of coming back as a result whose ``values`` is ``None``.
-        store.path_for(key).write_bytes(self._parent_frame(entry, monkeypatch, version=3))
+        store.path_for(key).write_bytes(
+            self._parent_frame(entry, monkeypatch, version=store_module._VERSION)
+        )
         assert store.load(key) is None
         assert revived and {"perf", "avail", "cost", "values"} <= set(revived[0])
 
@@ -440,7 +445,7 @@ class TestOldResultLayoutFramesMiss:
         again = upgraded.recommend(_clone(tiny_learned_atlas), **self.KWARGS)
         assert upgraded.stats()["journal"] == {"hits": 0, "misses": 1}  # one more search
         assert front_digest(again) == front_digest(cold)
-        assert store.path_for(key).read_bytes().startswith(b"atlas-store/3 ")  # written back
+        assert store.path_for(key).read_bytes().startswith(CURRENT_FRAME)  # written back
 
         _poison_search(monkeypatch)
         restarted = AdvisorService(store=store)
@@ -448,6 +453,68 @@ class TestOldResultLayoutFramesMiss:
         assert restarted.stats()["journal"] == {"hits": 1, "misses": 0}
         assert front_digest(warm) == front_digest(cold)
         assert all(q.values is not None and q.names for q in warm.result.pareto)
+
+
+class TestAgentlessResultFramesMiss:
+    """Store version 4: a ``SearchResult`` names the crossover agent it bred with
+    (``agent`` + ``agent_digest``; the journal keeps the digest, the agent is its own
+    object).  A version-3 entry has neither field and must be a clean miss."""
+
+    KWARGS = {"expected_scale": 2.0}
+
+    def test_version_3_entry_misses_and_is_searched_once_more(
+        self, tmp_path, tiny_learned_atlas, monkeypatch
+    ):
+        store = ArtifactStore(tmp_path / "store")
+        writer = AdvisorService(store=store)
+        cold = writer.recommend(_clone(tiny_learned_atlas), **self.KWARGS)
+        key = ("journal",) + writer._request_key(tiny_learned_atlas, self.KWARGS)
+        entry = store.load(key)
+
+        def old_getstate(self):
+            state = dict(self.__dict__)
+            del state["agent"], state["agent_digest"]
+            return state
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SearchResult, "__getstate__", old_getstate, raising=False)
+            payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"agent_digest" not in payload
+        header = f"atlas-store/3 {hashlib.sha256(payload).hexdigest()} {len(payload)}\n"
+        store.path_for(key).write_bytes(header.encode("ascii") + payload)
+
+        revived = []
+
+        def spying_setstate(self, state):
+            revived.append(sorted(state))
+            self.__dict__.update(state)
+
+        monkeypatch.setattr(SearchResult, "__setstate__", spying_setstate, raising=False)
+        assert store.load(key) is None
+        assert revived == []  # rejected on the header, before any payload byte is read
+
+        upgraded = AdvisorService(store=store)
+        again = upgraded.recommend(_clone(tiny_learned_atlas), **self.KWARGS)
+        assert upgraded.stats()["journal"] == {"hits": 0, "misses": 1}  # one more search
+        assert front_digest(again) == front_digest(cold)
+        assert store.path_for(key).read_bytes().startswith(CURRENT_FRAME)  # written back
+
+        _poison_search(monkeypatch)
+        loaded = []
+        real_load = ArtifactStore.load
+        monkeypatch.setattr(
+            ArtifactStore, "load", lambda self, k: loaded.append(k[0]) or real_load(self, k)
+        )
+        restarted = AdvisorService(store=store)
+        warm = restarted.recommend(_clone(tiny_learned_atlas), **self.KWARGS)
+        assert restarted.stats()["journal"] == {"hits": 1, "misses": 0}
+        assert front_digest(warm) == front_digest(cold)
+        assert revived and {"agent", "agent_digest"} <= set(revived[-1])
+        # The revive read the digest, not the agent: that object is for who asks.
+        assert ("agent", cold.result.agent_digest) in store
+        assert "journal" in loaded and "agent" not in loaded
+        assert warm.result.agent is None
+        assert warm.result.agent_digest == cold.result.agent_digest is not None
 
 
 class TestDurableJournal:
@@ -484,8 +551,9 @@ class TestDurableJournal:
         """Shape memos and the trace census never reach a key or a frame: a store
         written by an advisor that learned with them warm is hit by one that learned
         from re-read telemetry (what a frame written before they existed holds), and
-        the memos never asked for a frame version of their own (3 is the result
-        shape's, see ``TestOldResultLayoutFramesMiss``)."""
+        the memos never asked for a frame version of their own (3 was the result
+        shape's, 4 is the agent's: ``TestOldResultLayoutFramesMiss``,
+        ``TestAgentlessResultFramesMiss``)."""
         app, result = tiny_telemetry
 
         def learned(telemetry):
@@ -503,9 +571,9 @@ class TestDurableJournal:
         writer = AdvisorService(store=ArtifactStore(store_dir))
         cold = writer.recommend(learned(result.telemetry), expected_scale=2.0)
         assert writer.stats()["journal"] == {"hits": 0, "misses": 1}
-        assert store_module._VERSION == 3
+        assert store_module._VERSION == 4
         frames = list(store_dir.rglob("*.art"))
-        assert frames and all(f.read_bytes().startswith(b"atlas-store/3 ") for f in frames)
+        assert frames and all(f.read_bytes().startswith(CURRENT_FRAME) for f in frames)
         assert not any(b"_shape" in f.read_bytes() for f in frames)
 
         _poison_search(monkeypatch)
@@ -626,15 +694,12 @@ class TestAdvisorDaemon:
         bootstrap = daemon.run_cycle()[0]
         assert bootstrap.recommended
 
-    @pytest.mark.parametrize("crash_stage", ["poll", "splice", "recommend"])
-    def test_kill_after_any_checkpoint_resumes_bitwise(
-        self, tmp_path, tiny_learned_atlas, daemon_script, reference_run, crash_stage
-    ):
-        target, samples = daemon_script
-        _, (_, reference, _) = reference_run
-        store_dir = tmp_path / "store"
-        daemon = _make_daemon(store_dir, _clone(tiny_learned_atlas), samples)
-        daemon.run_cycle()  # cycle 1 bootstraps cleanly
+    @staticmethod
+    def _killed_in_cycle_two(store_dir, atlas, samples, crash_stage):
+        """A store left behind by a daemon that died right after ``crash_stage``'s
+        checkpoint of cycle 2 (cycle 1 bootstrapped cleanly)."""
+        daemon = _make_daemon(store_dir, _clone(atlas), samples)
+        daemon.run_cycle()
 
         def bomb(tenant, stage):
             if stage == crash_stage:
@@ -642,23 +707,107 @@ class TestAdvisorDaemon:
 
         daemon._after_stage = bomb
         with pytest.raises(_Crash):
-            daemon.run_cycle()  # cycle 2 dies right after the checkpoint
+            daemon.run_cycle()
+
+    @pytest.mark.parametrize("crash_stage", ["poll", "splice", "recommend"])
+    def test_kill_after_any_checkpoint_resumes_bitwise(
+        self,
+        tmp_path,
+        tiny_learned_atlas,
+        daemon_script,
+        reference_run,
+        crash_stage,
+        monkeypatch,
+    ):
+        target, samples = daemon_script
+        uninterrupted, (bootstrap, reference, _) = reference_run
+        assert (bootstrap.agent, reference.agent) == ("trained", "reused")
+        store_dir = tmp_path / "store"
+        self._killed_in_cycle_two(store_dir, tiny_learned_atlas, samples, crash_stage)
 
         # "Process restart": everything in memory is gone — new service, cache,
-        # daemon and a freshly learned (cloned) atlas over the same store.
+        # daemon and a freshly learned (cloned) atlas over the same store.  The
+        # agent is part of what resumes: training one now would be a different run.
+        def no_training(self):
+            raise AssertionError("a resumed drift cycle must reuse the stored agent")
+
+        monkeypatch.setattr(AtlasGA, "train_agent", no_training)
         resumed = _make_daemon(store_dir, _clone(tiny_learned_atlas), samples)
         report = resumed.run_cycle()[0]
         record = resumed.record("web")
         assert record["front_sha"] == reference.front_sha
+        assert record["agent"] == uninterrupted.record("web")["agent"] is not None
         assert record["executed"] is not None
         if crash_stage == "recommend":
             # The cycle had completed; the resumed process just finds it done.
-            assert report.idle and report.cycle == 3
+            assert report.idle and report.cycle == 3 and report.agent is None
         else:
             assert report.cycle == 2 and report.recommended
             assert report.front_sha == reference.front_sha
+            assert (report.agent, report.agent_reason) == ("reused", None)
             # The resumed compile streamed the untouched APIs from the store.
             assert resumed.service.cache.stats()["store_hits"] > 0
+
+    def test_after_a_drift_cycle_the_tenant_request_is_a_memo_hit(self, reference_run):
+        daemon, (bootstrap, drift, _) = reference_run
+        assert (bootstrap.agent, bootstrap.agent_reason) == ("trained", None)
+        assert (drift.agent, drift.agent_reason) == ("reused", None)
+        service, atlas = daemon.service, daemon._tenants["web"].atlas
+        record = daemon.record("web")
+        before = service.stats()["recommendations"]
+        answer = service.recommend(atlas, expected_scale=2.0)
+        after = service.stats()["recommendations"]
+        assert after["hits"] == before["hits"] + 1 and after["misses"] == before["misses"]
+        assert front_digest(answer) == record["front_sha"]
+        assert answer.result.agent_digest == record["agent"]
+        assert answer.result.agent is atlas.knowledge.crossover_agent
+
+        # One store object for the one agent; journal entries carry its digest only.
+        agent_path = service.store.path_for(("agent", record["agent"]))
+        others = [p for p in service.store.root.rglob("*.art") if p != agent_path]
+        assert all(p.stat().st_size < agent_path.stat().st_size for p in others)
+        entry = service.store.load(
+            ("journal",) + service._request_key(atlas, {"expected_scale": 2.0})
+        )
+        assert entry["result"].agent is None
+        assert entry["result"].agent_digest == record["agent"]
+
+    def test_lost_agent_object_degrades_to_training(
+        self, tmp_path, tiny_learned_atlas, daemon_script
+    ):
+        _, samples = daemon_script
+        store_dir = tmp_path / "store"
+        self._killed_in_cycle_two(store_dir, tiny_learned_atlas, samples, "splice")
+        resumed = _make_daemon(store_dir, _clone(tiny_learned_atlas), samples)
+        agent_key = ("agent", resumed.record("web")["agent"])
+        assert agent_key in resumed.store
+        resumed.store.discard(agent_key)
+        report = resumed.run_cycle()[0]
+        assert report.error is None and report.recommended and report.cycle == 2
+        assert (report.agent, report.agent_reason) == ("trained", "agent object lost")
+        record = resumed.record("web")
+        assert record["stage"] == "done" and record["front_sha"] == report.front_sha
+        assert record["agent"] is not None and ("agent", record["agent"]) in resumed.store
+
+    def test_checkpoint_written_before_records_named_an_agent_resumes(
+        self, tmp_path, tiny_learned_atlas, daemon_script
+    ):
+        """The checkpoint stays ``"version": 1``: a record without ``"agent"`` takes
+        the default and its next drift cycle trains, saying why."""
+        _, samples = daemon_script
+        store_dir = tmp_path / "store"
+        daemon = _make_daemon(store_dir, _clone(tiny_learned_atlas), samples)
+        daemon.run_cycle()
+        state = daemon.store.load_state("daemon-t")
+        assert state["version"] == 1 and state["tenants"]["web"].pop("agent")
+        daemon.store.save_state("daemon-t", state)
+
+        resumed = _make_daemon(store_dir, _clone(tiny_learned_atlas), samples)
+        assert resumed.record("web")["agent"] is None
+        assert resumed.record("web")["front_sha"] == daemon.record("web")["front_sha"]
+        report = resumed.run_cycle()[0]
+        assert report.stages[-1] == "recommend" and report.error is None
+        assert (report.agent, report.agent_reason) == ("trained", "no previous answer")
 
     def test_lost_sample_abandons_cycle_without_crashing(
         self, tmp_path, tiny_learned_atlas, daemon_script
