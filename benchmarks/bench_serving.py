@@ -14,6 +14,9 @@ measures the durable tier on the 3-site social-network testbed:
 * **first preview after restart** — forcing the revived evaluator's first
   latency preview streams the compiled trace sets from the store instead of
   recompiling them (``store_hits > 0``).
+* **a restart reads what it serves** — recommend + first preview unpickle the
+  front's results and nothing else: no archive, no fragment, no trace (the spies
+  of ``tests/test_durable_forms.py``; counted in a second, untimed restart).
 
 Appends to the ``BENCH_serving.json`` ledger (headline:
 ``warm_restart_speedup``) rendered and gated by ``benchmarks/report.py``.
@@ -22,8 +25,10 @@ kill-and-restart contract with real processes.
 """
 
 import shutil
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 from _shared import (
     BENCH_SERVING_PATH,
@@ -37,6 +42,10 @@ from repro.analysis import format_table
 from repro.recommend import AdvisorService, Atlas
 from repro.serving import ArtifactStore
 
+# The decode spies live with the tests that define the property they count.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from durable_spies import decode_spies  # noqa: E402
+
 #: Required speedup of a journal-revived recommend in a fresh process over the
 #: cold compile + search that populated the store.
 WARM_RESTART_SPEEDUP_BAR = 5.0
@@ -47,6 +56,21 @@ def test_durable_serving(benchmark):
     atlas = testbed.atlas
     kwargs = dict(expected_scale=testbed.expected_scale)
 
+    def relearned():
+        # A simulated process restart: nothing in memory survives — a fresh
+        # service, fresh artifact cache, and a fresh Atlas learned from the
+        # same telemetry.  Only the store directory is shared.
+        restarted = Atlas(
+            atlas.application,
+            atlas.preferences,
+            network=atlas.network,
+            config=atlas.config,
+            current_plan=atlas.current_plan,
+            cluster=atlas.cluster,
+        )
+        restarted.learn(testbed.telemetry)
+        return restarted
+
     def measure():
         root = tempfile.mkdtemp(prefix="atlas-store-bench-")
         try:
@@ -55,18 +79,7 @@ def test_durable_serving(benchmark):
             cold = cold_service.recommend(atlas, **kwargs)
             cold_s = time.perf_counter() - start
 
-            # A simulated process restart: nothing in memory survives — a fresh
-            # service, fresh artifact cache, and a fresh Atlas learned from the
-            # same telemetry.  Only the store directory is shared.
-            restarted = Atlas(
-                atlas.application,
-                atlas.preferences,
-                network=atlas.network,
-                config=atlas.config,
-                current_plan=atlas.current_plan,
-                cluster=atlas.cluster,
-            )
-            restarted.learn(testbed.telemetry)
+            restarted = relearned()
             warm_service = AdvisorService(store=ArtifactStore(root))
             start = time.perf_counter()
             warm = warm_service.recommend(restarted, **kwargs)
@@ -79,7 +92,16 @@ def test_durable_serving(benchmark):
             warm.latency_preview(knee)
             preview_s = time.perf_counter() - start
 
+            # Once more under the spies (untimed): what did serving that decode?
+            again = relearned()
+            with decode_spies() as decoded:
+                answer = AdvisorService(store=ArtifactStore(root)).recommend(again, **kwargs)
+                answer.latency_preview(answer.knee_point().plan)
+
             return {
+                "decoded": dict(decoded),
+                "front_size": len(cold.result.pareto),
+                "archive_size": len(cold.result.all_evaluated),
                 "cold_s": cold_s,
                 "warm_s": warm_s,
                 "preview_s": preview_s,
@@ -118,6 +140,10 @@ def test_durable_serving(benchmark):
         f"store objects: {result['objects']}, journal: {result['journal']}, "
         f"store hits after preview: {result['store_hits']}"
     )
+    print(
+        f"restart decoded: {result['decoded']} "
+        f"(front {result['front_size']}, archive {result['archive_size']})"
+    )
     persist_run_metrics(
         "serving",
         {
@@ -135,6 +161,9 @@ def test_durable_serving(benchmark):
     assert result["warm_front"] == result["cold_front"]
     assert result["journal"] == {"hits": 1, "misses": 0}
     assert result["store_hits"] > 0, "restart preview recompiled instead of loading"
+    # ...and read what it served: the front's results, no archive, no splice state.
+    assert result["archive_size"] > result["front_size"]
+    assert result["decoded"] == {"results": result["front_size"]}, result["decoded"]
     assert restart_speedup >= WARM_RESTART_SPEEDUP_BAR, (
         f"warm restart speedup {restart_speedup:.1f}x is below the "
         f"{WARM_RESTART_SPEEDUP_BAR}x bar"

@@ -27,6 +27,7 @@ three-objective problem reproduces the paper's search bit-for-bit.
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -252,6 +253,11 @@ class GAConfig:
             raise ValueError("patience must be >= 0")
 
 
+#: The fields of a :class:`SearchResult` that pickle as one inner blob — the archive:
+#: thousands of results no reader of the front ever looks at.
+_ARCHIVE_FIELDS = ("all_evaluated", "final_population")
+
+
 @dataclass
 class SearchResult:
     """Outcome of one recommendation run.
@@ -261,6 +267,11 @@ class SearchResult:
     visited" accounting of the paper); ``final_population`` is just the surviving
     population of the last generation.  ``objective_names`` labels the K columns of
     every objective vector (the problem's column order).
+
+    Pickled, those two lists travel as one inner pickle (``_archive``) beside the
+    front, and an unpickled result keeps the bytes until somebody reads either list:
+    reviving a journaled answer decodes the handful of plans it serves, not the
+    thousands the search visited.
     """
 
     pareto: List[PlanQuality]
@@ -282,6 +293,41 @@ class SearchResult:
     #: A journaled result keeps the digest only — the agent is its own store object.
     agent: Optional[CrossoverAgent] = field(default=None, repr=False)
     agent_digest: Optional[str] = None
+
+    # -- durable form ----------------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        if "_archive" in state:
+            # Loaded and never read: the bytes go out as they came in.
+            for name in _ARCHIVE_FIELDS:
+                state.pop(name, None)
+        else:
+            state["_archive"] = pickle.dumps(
+                tuple(state.pop(name) for name in _ARCHIVE_FIELDS),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Results pickled before store frame version 5 held the two lists as fields;
+        # there is no reader for that.
+        if "_archive" not in state:
+            raise TypeError("SearchResult pickled without its packed archive")
+        self.__dict__.update(state)
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails, i.e. for the archive of a loaded result.
+        if name in _ARCHIVE_FIELDS:
+            state = self.__dict__
+            archive = state.get("_archive")
+            if archive is not None:
+                # Publish before dropping the bytes: a racing reader finds one.
+                for field_name, value in zip(_ARCHIVE_FIELDS, pickle.loads(archive)):
+                    state.setdefault(field_name, value)
+                state.pop("_archive", None)
+            if name in state:
+                return state[name]
+        raise AttributeError(f"{type(self).__name__} object has no attribute {name!r}")
 
     # -- plan selection shortcuts (Figures 12-14) ------------------------------------------
     def _best(self, index: int) -> PlanQuality:

@@ -28,7 +28,6 @@ keeps fixed-seed GA trajectories unchanged when switching engines.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -41,40 +40,6 @@ __all__ = ["CompiledTraceSet"]
 
 
 Edge = Tuple[str, str]
-
-
-def _same_float(a: float, b: float) -> bool:
-    """Exact float equality including the sign of zero (bitwise-compile equality)."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
-def _trace_content_equal(a: Trace, b: Trace) -> bool:
-    """Structural equality of exactly what compilation consumes — the splice reuse test.
-
-    Compares the :meth:`~repro.telemetry.tracing.Trace.structure` exports field by
-    field (API, root/parent positions, per-span component, operation and exact
-    timings), so equal traces compile to bitwise-identical fragments.  A direct
-    comparison, not a hash: splice probes one specific (old, new) pair per position,
-    where equality is ~20x cheaper than fingerprinting both sides.
-    """
-    if a is b:
-        return True
-    if a.api != b.api:
-        return False
-    sa, sb = a.structure(), b.structure()
-    if sa.root_index != sb.root_index or list(sa.parent_index) != list(sb.parent_index):
-        return False
-    if len(sa.spans) != len(sb.spans):
-        return False
-    for x, y in zip(sa.spans, sb.spans):
-        if (
-            x.component != y.component
-            or x.operation != y.operation
-            or not _same_float(x.start_ms, y.start_ms)
-            or not _same_float(x.duration_ms, y.duration_ms)
-        ):
-            return False
-    return True
 
 
 class _LevelOps:
@@ -211,6 +176,33 @@ class _TraceFragment:
         self.levels = levels
 
 
+def _pack_fragments(fragments: Sequence[_TraceFragment]) -> tuple:
+    """The splice state's durable form: :func:`_pack_ops` over every fragment's levels,
+    plus per fragment its scalars and depth keys (in dict order)."""
+    bundles = [ops for fragment in fragments for ops in fragment.levels.values()]
+    heads = [
+        (frag.n_spans, frag.root_idx, frag.root_start, tuple(frag.levels))
+        for frag in fragments
+    ]
+    return _pack_ops(bundles) + (heads,)
+
+
+def _unpack_fragments(
+    ints: np.ndarray, floats: np.ndarray, lengths: np.ndarray, heads: Sequence[tuple]
+) -> List[_TraceFragment]:
+    """Inverse of :func:`_pack_fragments`."""
+    bundles = _unpack_ops(ints, floats, lengths)
+    fragments: List[_TraceFragment] = []
+    at = 0
+    for n_spans, root_idx, root_start, depths in heads:
+        ops = bundles[at : at + len(depths)]
+        at += len(depths)
+        fragments.append(
+            _TraceFragment(n_spans, root_idx, root_start, dict(zip(depths, ops)))
+        )
+    return fragments
+
+
 class CompiledTraceSet:
     """All sample traces of one API, compiled for batched delay injection.
 
@@ -225,6 +217,9 @@ class CompiledTraceSet:
     with index shifts.  The fragments are retained so :meth:`splice` can swap a
     drifted subset of traces and recompile only those — the warm-path incremental
     rebuild — at the cost of roughly doubling the (small) compiled-array footprint.
+    Beside them the set keeps each trace's
+    :meth:`~repro.telemetry.tracing.Trace.content_stream` bytes, not the trace: the
+    stream names exactly what compilation consumed, which is all splice asks.
     """
 
     def __init__(self, traces: Sequence[Trace], edge_order: Sequence[Edge]) -> None:
@@ -235,8 +230,8 @@ class CompiledTraceSet:
             if edge not in self.edge_index:
                 self.edge_index[edge] = len(self.edge_index)
         self.n_edges = len(self.edge_index)
-        self._traces = list(traces)
-        self._fragments = [self._compile_fragment(trace) for trace in self._traces]
+        self._contents = [trace.content_stream() for trace in traces]
+        self._fragments = [self._compile_fragment(trace) for trace in traces]
         self._assemble()
 
     def _compile_fragment(self, trace: Trace) -> _TraceFragment:
@@ -301,8 +296,9 @@ class CompiledTraceSet:
 
         The incremental half of the warm path: a drift refresh of one API typically
         replaces a handful of its sample traces, so positions whose trace content
-        (the :meth:`~repro.telemetry.tracing.Trace.structure` export — exactly what
-        compilation consumes) is unchanged reuse this set's already-compiled fragment
+        (:meth:`~repro.telemetry.tracing.Trace.content_stream` — the
+        :meth:`~repro.telemetry.tracing.Trace.structure` export compilation consumes,
+        floats ``repr``-exact) is unchanged reuse this set's already-compiled fragment
         verbatim and only genuinely new traces pay ``_compile_one``.  Assembly then
         re-concatenates fragments exactly as ``__init__`` does, so the result is
         bitwise-identical to ``CompiledTraceSet(new_traces, edge_order)`` over the
@@ -317,58 +313,54 @@ class CompiledTraceSet:
         clone = object.__new__(CompiledTraceSet)
         clone.edge_index = dict(self.edge_index)
         clone.n_edges = self.n_edges
-        fragments: List[_TraceFragment] = []
-        for pos, trace in enumerate(new_traces):
-            fragment = None
-            if pos < len(self._traces) and _trace_content_equal(trace, self._traces[pos]):
-                fragment = self._fragments[pos]
-            if fragment is None:
-                fragment = clone._compile_fragment(trace)
-            fragments.append(fragment)
-        clone._traces = list(new_traces)
-        clone._fragments = fragments
+        contents = [trace.content_stream() for trace in new_traces]
+        # A loaded set unpacks its fragments here, on the first splice anyone asks of it.
+        old_contents, old_fragments = self._contents, self._fragments
+        clone._contents = contents
+        clone._fragments = [
+            old_fragments[pos]
+            if pos < len(old_contents) and content == old_contents[pos]
+            else clone._compile_fragment(trace)
+            for pos, (trace, content) in enumerate(zip(new_traces, contents))
+        ]
         clone._assemble()
         return clone
 
     def __getstate__(self) -> Dict[str, object]:
-        """The durable form: every op bundle of the set packed into two blobs.
+        """The durable form: the replay state and the splice state, each packed apart.
 
         A set holds ~1 200 tiny arrays (14 slots per level, for the assembled levels
         and for each fragment's), and pickling them one by one is what a restart used
-        to spend its time on.  ``_packed`` replaces ``_levels`` and ``_fragments``:
-        the blobs and length table of :func:`_pack_ops` over the assembled levels
-        followed by every fragment's levels, the number of assembled levels, and per
-        fragment its scalars and depth keys (in dict order).  There is no reader for
-        the unpacked layout: the store's frame version keeps such payloads away.
+        to spend its time on.  ``_packed_levels`` replaces ``_levels`` (the blobs and
+        length table of :func:`_pack_ops`) and ``_packed_fragments`` replaces
+        ``_fragments`` (:func:`_pack_fragments`).  A loaded set still holds both as it
+        read them — its arrays are views of those blobs — and hands them on unchanged.
+        There is no reader for any other layout: the store's frame version keeps such
+        payloads away.
         """
         state = dict(self.__dict__)
         levels = state.pop("_levels")
-        fragments = state.pop("_fragments")
-        bundles = list(levels)
-        for fragment in fragments:
-            bundles.extend(fragment.levels.values())
-        state["_packed"] = _pack_ops(bundles) + (
-            len(levels),
-            [
-                (frag.n_spans, frag.root_idx, frag.root_start, tuple(frag.levels))
-                for frag in fragments
-            ],
+        fragments = state.pop("_fragments", None)
+        # Popped and re-inserted: a set pickles to the same bytes loaded or built.
+        state["_packed_levels"] = state.pop("_packed_levels", None) or _pack_ops(levels)
+        state["_packed_fragments"] = state.pop("_packed_fragments", None) or _pack_fragments(
+            fragments
         )
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        ints, floats, lengths, n_levels, heads = state.pop("_packed")
-        bundles = _unpack_ops(ints, floats, lengths)
+        """Unpack what a replay reads; the splice state stays packed until asked for."""
         self.__dict__.update(state)
-        self._levels = bundles[:n_levels]
-        self._fragments = []
-        at = n_levels
-        for n_spans, root_idx, root_start, depths in heads:
-            ops = bundles[at : at + len(depths)]
-            at += len(depths)
-            self._fragments.append(
-                _TraceFragment(n_spans, root_idx, root_start, dict(zip(depths, ops)))
+        self._levels = _unpack_ops(*state["_packed_levels"])
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails, i.e. for the fragments of a loaded set
+        # (racing readers may both unpack; one list is kept).
+        if name == "_fragments" and "_packed_fragments" in self.__dict__:
+            return self.__dict__.setdefault(
+                "_fragments", _unpack_fragments(*self._packed_fragments)
             )
+        raise AttributeError(f"{type(self).__name__} object has no attribute {name!r}")
 
     # -- compilation -----------------------------------------------------------------------
     def _compile_one(

@@ -830,7 +830,9 @@ class AdvisorService:
             result = recommendation.result
             if result.agent is not None:
                 # One object per distinct agent; the entry names it by digest only,
-                # so a revive nobody asks the agent of never reads it.
+                # so a revive nobody asks the agent of never reads it.  Written unless a
+                # frame this version can read is there: one left by older code (or a
+                # damaged one) would otherwise stay, and every resumed cycle retrain.
                 agent_key = ("agent", result.agent_digest)
                 if agent_key not in self.store:
                     self.store.save(agent_key, result.agent)

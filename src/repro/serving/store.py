@@ -55,7 +55,9 @@ _MAGIC = "atlas-store"
 #: 2 = packed ``CompiledTraceSet`` state (1 pickled every level array).
 #: 3 = results store ``values`` + ``names`` only (2 kept perf/avail/cost as fields).
 #: 4 = ``SearchResult`` names its crossover agent (``agent`` + ``agent_digest``).
-_VERSION = 4
+#: 5 = ``SearchResult`` packs its archive, ``CompiledTraceSet`` packs its splice state
+#: apart from its replay state and names its traces by content stream.
+_VERSION = 5
 
 
 def _key_digest(key: Tuple) -> str:
@@ -94,7 +96,12 @@ class ArtifactStore:
         return self._objects / digest[:2] / f"{digest}.art"
 
     def __contains__(self, key: Tuple) -> bool:
-        return self.path_for(key).exists()
+        """Whether ``key`` holds a frame :meth:`load` would unpickle (nothing is).
+
+        A file is not enough: a frame an older version wrote, or a damaged one, loads
+        as ``None`` for good unless whoever asks "is it there?" goes on to write it.
+        """
+        return self._verified_payload(key) is not None
 
     def __len__(self) -> int:
         return sum(1 for _ in self._objects.glob("*/*.art"))
@@ -118,6 +125,20 @@ class ArtifactStore:
 
     def load(self, key: Tuple) -> Optional[object]:
         """The stored artifact, or ``None`` on any defect (missing/corrupt/stale)."""
+        payload = self._verified_payload(key)
+        if payload is None:
+            return None
+        try:
+            return pickle.loads(payload)
+        except Exception:
+            return None
+
+    def _verified_payload(self, key: Tuple) -> Optional[memoryview]:
+        """The payload of ``key``'s frame once magic, version, length and checksum hold.
+
+        A view into the bytes read, not a slice of them: a frame is hashed and
+        unpickled where it was read.
+        """
         try:
             blob = self.path_for(key).read_bytes()
         except OSError:
@@ -126,7 +147,7 @@ class ArtifactStore:
             newline = blob.index(b"\n")
             magic_version, digest, length = blob[:newline].decode("ascii").split(" ")
             magic, _, version = magic_version.partition("/")
-            payload = blob[newline + 1 :]
+            payload = memoryview(blob)[newline + 1 :]
             if (
                 magic != _MAGIC
                 or int(version) != _VERSION
@@ -134,8 +155,8 @@ class ArtifactStore:
                 or hashlib.sha256(payload).hexdigest() != digest
             ):
                 return None
-            return pickle.loads(payload)
-        except Exception:
+            return payload
+        except ValueError:  # no newline, not ASCII, not three fields, not integers
             return None
 
     def discard(self, key: Tuple) -> None:

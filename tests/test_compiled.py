@@ -440,11 +440,19 @@ class TestPackedDurableForm:
         compiled = CompiledTraceSet(traces, _edges_of(traces))
         state = compiled.__getstate__()
         assert "_levels" not in state and "_fragments" not in state
-        ints, floats, lengths, n_levels, heads = state["_packed"]
+        # The replay state and the splice state are packed apart: a reader that only
+        # replays unpacks the first and never opens the second.
+        ints, floats, lengths = state["_packed_levels"]
         assert ints.dtype == np.intp and floats.dtype == np.float64
-        assert n_levels == len(compiled._levels) and len(heads) == len(traces)
-        n_bundles = n_levels + sum(len(depths) for *_scalars, depths in heads)
-        assert lengths.shape == (n_bundles, 14)
+        assert lengths.shape == (len(compiled._levels), 14)
         assert len(ints) + len(floats) == int(lengths.sum())
+        ints, floats, lengths, heads = state["_packed_fragments"]
+        assert ints.dtype == np.intp and floats.dtype == np.float64
+        assert len(heads) == len(traces)
+        assert lengths.shape == (sum(len(depths) for *_scalars, depths in heads), 14)
+        assert len(ints) + len(floats) == int(lengths.sum())
+        # The traces are named, not carried.
+        assert state["_contents"] == [trace.content_stream() for trace in traces]
+        assert "_traces" not in state
         # Packing does not disturb the live set.
         assert compiled._levels and compiled._fragments

@@ -248,7 +248,7 @@ class TestOldLayoutFramesMiss:
             key, lambda: pytest.fail("a current-version frame must load")
         )
         _assert_bitwise(compiled, loaded)
-        assert len(unpacked) == 1 and "_packed" in unpacked[0] and "_levels" not in unpacked[0]
+        assert len(unpacked) == 1 and "_packed_levels" in unpacked[0] and "_levels" not in unpacked[0]
 
         # The old layout has no reader at all: even relabelled as current it degrades.
         path.write_bytes(frame.replace(b"atlas-store/1", current, 1))
@@ -552,8 +552,9 @@ class TestDurableJournal:
         written by an advisor that learned with them warm is hit by one that learned
         from re-read telemetry (what a frame written before they existed holds), and
         the memos never asked for a frame version of their own (3 was the result
-        shape's, 4 is the agent's: ``TestOldResultLayoutFramesMiss``,
-        ``TestAgentlessResultFramesMiss``)."""
+        shape's, 4 the agent's, 5 is the packed archive's and splice state's:
+        ``TestOldResultLayoutFramesMiss``, ``TestAgentlessResultFramesMiss``,
+        ``test_durable_forms.TestVersion4FramesMiss``)."""
         app, result = tiny_telemetry
 
         def learned(telemetry):
@@ -571,7 +572,7 @@ class TestDurableJournal:
         writer = AdvisorService(store=ArtifactStore(store_dir))
         cold = writer.recommend(learned(result.telemetry), expected_scale=2.0)
         assert writer.stats()["journal"] == {"hits": 0, "misses": 1}
-        assert store_module._VERSION == 4
+        assert store_module._VERSION == 5
         frames = list(store_dir.rglob("*.art"))
         assert frames and all(f.read_bytes().startswith(CURRENT_FRAME) for f in frames)
         assert not any(b"_shape" in f.read_bytes() for f in frames)
