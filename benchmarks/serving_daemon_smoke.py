@@ -15,8 +15,9 @@ uninterrupted run produces.  This script proves it with real processes:
   store B; run C resumed on store B.  It asserts the resumed front sha equals
   the uninterrupted one, that the resumed cycle 2 *reused* the crossover agent
   the uninterrupted run recorded (same content digest — loaded from the store,
-  not trained again), and that the resumed compile streamed artifacts from the
-  store.
+  not trained again), that the resumed compile streamed artifacts from the
+  store, and that what the resumed daemon leaves behind is one state document
+  per tenant and no monitor sample of a finished cycle.
 
 Usage::
 
@@ -203,12 +204,19 @@ def run_child(store_dir: str, kill_after: Optional[str] = None) -> Dict:
         if int(record["cycle"]) >= 2 and record["stage"] == "done" and record["front_sha"]:
             break
     record = daemon.record(TENANT)
+    store = daemon.store
     return {
         "front_sha": record["front_sha"],
         "cycle": record["cycle"],
         "store_hits": daemon.service.cache.stats().get("store_hits", 0),
         "agent": drift_cycle_agent,
         "agent_digest": record["agent"],
+        "documents": len(store.state_names(daemon._state_name())),
+        "finished_samples": [
+            cycle
+            for cycle in range(1, int(record["cycle"]) + 1)
+            if ("daemon-sample", daemon.name, TENANT, cycle) in store
+        ],
     }
 
 
@@ -259,6 +267,11 @@ def run_check(timeout_s: float = 600.0) -> Dict:
         f"recorded: {resumed['agent']} {resumed['agent_digest']} != "
         f"reused {uninterrupted['agent_digest']}"
     )
+    for run in (uninterrupted, resumed):
+        assert run["documents"] == 1, f"expected one state document per tenant: {run}"
+        assert run["finished_samples"] == [], (
+            f"a finished cycle's monitor sample is still in the store: {run}"
+        )
     verdict = {
         "kill_stage": KILL_STAGE,
         "front_sha": uninterrupted["front_sha"],

@@ -12,11 +12,13 @@ recommendation round is triggered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from ..digest import sha_parts
 from ..telemetry.tracing import Trace
 from ..workload.profiles import BehaviorChange, WorkloadScenario
 
@@ -40,6 +42,13 @@ def kl_divergence(
     unless ``value_range`` is given).  Laplace (add-one) smoothing keeps the divergence
     finite and bounded even for distributions with little overlap or with few samples,
     which is what makes the relative comparison against the per-API baseline meaningful.
+
+    The binning is that of NumPy's ``histogram`` — ``bins`` equal-width bins between
+    ``np.linspace`` edges, the last one closed, values outside the range (and ``nan``)
+    dropped, a zero-width range widened by ±0.5, a non-finite, reversed or too-narrow
+    range a ``ValueError`` — counted by one edge search per window: a monitoring
+    window is a handful of samples, and at that size the library call's own argument
+    handling costs many times the counting.
     """
     ref = np.asarray(list(reference), dtype=float)
     cand = np.asarray(list(candidate), dtype=float)
@@ -52,14 +61,26 @@ def kl_divergence(
         hi = float(max(ref.max(), cand.max()))
         if hi <= lo:
             hi = lo + 1.0
-        value_range = (lo, hi)
-    ref_hist, edges = np.histogram(ref, bins=bins, range=value_range)
-    cand_hist, _ = np.histogram(cand, bins=edges)
-    p = ref_hist.astype(float) + 1.0
-    q = cand_hist.astype(float) + 1.0
+    else:
+        lo, hi = (float(bound) for bound in value_range)
+        if lo > hi:
+            raise ValueError("max must be larger than min in range parameter")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"supplied range of [{lo}, {hi}] is not finite")
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, bins + 1)
+    if not (edges[:-1] < edges[1:]).all():
+        raise ValueError(f"range [{lo}, {hi}] is too narrow for {bins} finite-sized bins")
+    # ``searchsorted(side="right")`` numbers the half-open bins 1..bins, with 0 below
+    # the range and bins + 1 at or above the last edge; nudging that edge up by one
+    # float closes the last bin (``hi`` itself counts, anything larger still does not).
+    edges[-1] = math.nextafter(hi, math.inf)
+    p = np.bincount(edges.searchsorted(ref, side="right"), minlength=bins + 2)[1:-1] + 1.0
+    q = np.bincount(edges.searchsorted(cand, side="right"), minlength=bins + 2)[1:-1] + 1.0
     p /= p.sum()
     q /= q.sum()
-    return float(np.sum(p * np.log(p / q)))
+    return float((p * np.log(p / q)).sum())
 
 
 @dataclass(frozen=True)
@@ -197,6 +218,23 @@ class DriftDetector:
             if api in detector._real
         }
         return detector
+
+    def content_digest(self) -> str:
+        """Content fingerprint of :meth:`state`, every float ``repr``-exact.
+
+        Names the detector's durable form: the daemon's checkpoint carries this
+        digest and the store holds the state once under it.
+        """
+        state = self.state()
+        parts = [repr(state["threshold_factor"]), repr(state["bins"])]
+        for api in sorted(state["real"]):
+            parts += [
+                api,
+                repr(state["approx"][api]),
+                repr(state["real"][api]),
+                repr(state["baseline"][api]),
+            ]
+        return sha_parts(parts)
 
     def baseline_divergence(self, api: str) -> float:
         """D_KL(b_real, b_approx): the approximation error accepted at recommendation time."""

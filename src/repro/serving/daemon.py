@@ -9,9 +9,13 @@ service over an :class:`~repro.recommend.advisor.AdvisorService`:
 
 * **Stage machine** — each tenant's cycle advances through
   ``poll -> drift -> splice -> recertify -> recommend -> done``; after every
-  stage the loop state (cycle index, stage, executed plan vector, drift-detector
-  baselines) is checkpointed to the service's durable store, and the polled
-  monitor sample is persisted alongside it.
+  stage the tenant's loop state (cycle index, stage, executed plan vector, the
+  digests naming its drift baselines and crossover agent) is checkpointed to
+  the service's durable store as that tenant's own document, and the polled
+  monitor sample is persisted alongside it until its cycle is done.  What a
+  stage writes is what that tenant changed: the baselines are one store object
+  per recommendation, written before the checkpoint that names them, and no
+  checkpoint carries another tenant's state.
 * **Restartability** — a daemon killed mid-cycle resumes from the checkpoint on
   restart: the in-flight cycle replays its remaining stages from the *persisted*
   sample (never a re-poll), every stage is idempotent and deterministic given
@@ -42,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from ..cluster.placement import MigrationPlan
+from ..digest import sha_parts
 from ..monitoring.drift import DriftDetector
 from ..optimizer.drl.agent import CrossoverAgent
 from ..telemetry.tracing import Trace
@@ -61,6 +66,12 @@ __all__ = [
 #: Stage order of one tenant cycle (``drift``..``recertify`` are skipped while
 #: bootstrapping, i.e. before a first recommendation established baselines).
 STAGES = ("poll", "drift", "splice", "recertify", "recommend", "done")
+
+#: What one tenant's bad input raises out of a stage — a ``nan`` in a latency
+#: window (``ValueError``), a malformed sample (``LookupError``, ``TypeError``,
+#: ``ArithmeticError``), a monitor or disk that fails (``OSError``).  These cost
+#: that tenant its cycle; anything else is a defect of the loop and propagates.
+TENANT_FAILURES = (ArithmeticError, LookupError, OSError, TypeError, ValueError)
 
 
 @dataclass
@@ -154,12 +165,12 @@ class _Tenant:
 class AdvisorDaemon:
     """Scheduled continuous re-planning over an :class:`AdvisorService`.
 
-    ``service.store`` (when set) makes the daemon restartable: loop state is
-    checkpointed after every stage under ``state/daemon-<name>.json`` and polled
-    samples are persisted as store objects, so a new process constructing the
-    daemon over the same store resumes the in-flight cycle instead of starting
-    over.  Without a store the daemon still runs — state just dies with the
-    process.
+    ``service.store`` (when set) makes the daemon restartable: each tenant's loop
+    state is checkpointed after every stage as its own document under
+    ``state/daemon-<name>/`` and the in-flight cycle's polled sample is persisted
+    as a store object, so a new process constructing the daemon over the same
+    store resumes the in-flight cycle instead of starting over.  Without a store
+    the daemon still runs — state just dies with the process.
 
     ``certify_budget`` (optional) re-certifies the executed plan against the
     drift-refreshed scenario before re-recommending (the loop's ``recertify``
@@ -187,6 +198,8 @@ class AdvisorDaemon:
         self._tenants: Dict[str, _Tenant] = {}
         self._records: Dict[str, Dict[str, object]] = {}
         self._live: Dict[str, "Recommendation"] = {}
+        #: The live drift detector per tenant; its record names it by digest.
+        self._detectors: Dict[str, DriftDetector] = {}
         self._mu = threading.RLock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -213,9 +226,16 @@ class AdvisorDaemon:
             return sorted(self._tenants)
 
     def record(self, name: str) -> Dict[str, object]:
-        """A copy of one tenant's checkpointed loop record (observability)."""
+        """A copy of one tenant's checkpointed loop record (observability).
+
+        ``"detector"`` reads as the drift baselines themselves (the detector's
+        state), which the durable record only names by digest.
+        """
         with self._mu:
-            return dict(self._records[name])
+            record = dict(self._records[name])
+        detector = self._detector(name, record)
+        record["detector"] = detector.state() if detector is not None else None
+        return record
 
     # -- the loop ----------------------------------------------------------------------
     def run_cycle(self) -> List[TenantCycleReport]:
@@ -257,8 +277,25 @@ class AdvisorDaemon:
         if record["stage"] == "done":
             record["cycle"] = int(record["cycle"]) + 1
             record["stage"] = "poll"
-        cycle = int(record["cycle"])
-        report = TenantCycleReport(tenant=name, cycle=cycle)
+        report = TenantCycleReport(tenant=name, cycle=int(record["cycle"]))
+        try:
+            self._run_stages(name, tenant, record, report)
+        except TENANT_FAILURES:
+            # This tenant's cycle is lost, not the fleet's: abandon it (the next
+            # cycle re-polls) and let the tenants sorted after it advance.
+            self.last_error = report.error = traceback.format_exc()
+            record["stage"] = "done"
+            self._checkpoint(name, "abandon")
+        return report
+
+    def _run_stages(
+        self,
+        name: str,
+        tenant: _Tenant,
+        record: Dict[str, object],
+        report: TenantCycleReport,
+    ) -> None:
+        cycle = report.cycle
         # Set by a drift cycle: why its search trains, should it train.
         if_trained: Optional[str] = None
 
@@ -271,7 +308,7 @@ class AdvisorDaemon:
                 record["stage"] = "done"
                 report.idle = True
                 self._checkpoint(name, "poll")
-                return report
+                return
             self._save_sample(name, cycle, sample)
             record["stage"] = "drift" if record["detector"] is not None else "recommend"
             self._checkpoint(name, "poll")
@@ -283,7 +320,7 @@ class AdvisorDaemon:
                 record["stage"] = "done"
                 report.error = "persisted sample lost; cycle abandoned"
                 self._checkpoint(name, "abandon")
-                return report
+                return
             if record["drifted"] and record["stage"] in ("recertify", "recommend"):
                 # Resuming past the splice checkpoint in a fresh process: the
                 # splice's effect lived in the dead process's knowledge, so it is
@@ -292,17 +329,23 @@ class AdvisorDaemon:
                 if_trained = self._install_agent(name, tenant.atlas, record)
 
         if record["stage"] == "drift":
-            report.stages.append("drift")
-            detector = DriftDetector.from_state(record["detector"])
-            reports = detector.check_all(sample.recent_latencies)
-            report.drifted = sorted(
-                api for api, outcome in reports.items() if outcome.drift_detected
-            )
-            record["drifted"] = list(report.drifted)
-            record["stage"] = "splice" if report.drifted else "done"
-            self._checkpoint(name, "drift")
-            if not report.drifted:
-                return report
+            detector = self._detector(name, record)
+            if detector is None:
+                # The baselines' store object is lost or damaged: the tenant
+                # re-arms through ``recommend`` (its unchanged request is served
+                # by the memo or the journal).  Degraded, never crashed.
+                record["stage"] = "recommend"
+            else:
+                report.stages.append("drift")
+                reports = detector.check_all(sample.recent_latencies)
+                report.drifted = sorted(
+                    api for api, outcome in reports.items() if outcome.drift_detected
+                )
+                record["drifted"] = list(report.drifted)
+                record["stage"] = "splice" if report.drifted else "done"
+                self._checkpoint(name, "drift")
+                if not report.drifted:
+                    return
 
         if record["stage"] == "splice":
             report.stages.append("splice")
@@ -321,11 +364,11 @@ class AdvisorDaemon:
             report.stages.append("recommend")
             recommendation = self.service.recommend(tenant.atlas, **tenant.kwargs)
             knee = recommendation.knee_point().plan
+            # First, because a poisoned window raises here: the record then still
+            # describes the previous answer, whole.
+            record["detector"] = self._arm(name, tenant.atlas, recommendation, knee, sample)
             record["executed"] = [int(v) for v in knee.to_vector()]
             record["components"] = list(knee.components)
-            record["detector"] = self._baseline_state(
-                tenant.atlas, recommendation, knee, sample
-            )
             record["front_sha"] = front_digest(recommendation)
             record["agent"] = recommendation.result.agent_digest
             record["drifted"] = []
@@ -340,7 +383,6 @@ class AdvisorDaemon:
                 else:
                     report.agent, report.agent_reason = "trained", if_trained
             self._checkpoint(name, "recommend")
-        return report
 
     # -- stage bodies ------------------------------------------------------------------
     @staticmethod
@@ -405,16 +447,17 @@ class AdvisorDaemon:
         the incoming re-recommend simply supersedes it.
         """
         last = self._live.get(name)
+        detector = self._detectors.get(name)
         if (
             not self.certify_budget
             or last is None
+            or detector is None
             or last.certificate is None
             or sample.scenario is None
             or not record["executed"]
         ):
             return False
         try:
-            detector = DriftDetector.from_state(record["detector"])
             update = detector.check_all(
                 sample.recent_latencies,
                 scenario=sample.scenario,
@@ -431,26 +474,62 @@ class AdvisorDaemon:
             self.last_error = traceback.format_exc()
             return False
 
-    @staticmethod
-    def _baseline_state(
+    def _arm(
+        self,
+        name: str,
         atlas: "Atlas",
         recommendation: "Recommendation",
         executed: MigrationPlan,
         sample: MonitorSample,
-    ) -> Dict[str, object]:
-        """Fresh drift baselines for the newly executed plan.
+    ) -> str:
+        """Fresh drift baselines for the newly executed plan; returns their digest.
 
         ``approx`` is the advisor's own latency preview of the plan; ``real`` is
         proxied by the cycle's measured window (the best ground truth available
         until the next sample arrives) — the construction of
         :meth:`Atlas.drift_detector <repro.recommend.advisor.Atlas.drift_detector>`.
+        The detector stays live for the tenant's coming cycles; its state is
+        published once, under its digest, before the checkpoint that names it.
         """
         measured = {api: list(v) for api, v in sample.recent_latencies.items()}
-        return atlas.drift_detector(recommendation, executed, measured).state()
+        detector = atlas.drift_detector(recommendation, executed, measured)
+        digest = detector.content_digest()
+        if self.store is not None:
+            self.store.save(("daemon-detector", digest), detector.state())
+        self._detectors[name] = detector
+        return digest
+
+    def _detector(
+        self, name: str, record: Dict[str, object]
+    ) -> Optional[DriftDetector]:
+        """The tenant's drift detector, or ``None`` when it has none (any more).
+
+        Live from the cycle that armed it; the first cycle after a restart loads
+        the store object the record names.  A lost, damaged or mislabelled object
+        is no detector: the caller re-arms.
+        """
+        detector = self._detectors.get(name)
+        digest = record["detector"]
+        if detector is None and digest is not None and self.store is not None:
+            try:
+                detector = DriftDetector.from_state(
+                    self.store.load(("daemon-detector", digest))
+                )
+            except (AttributeError, LookupError, TypeError, ValueError):
+                return None
+            if detector.content_digest() != digest:
+                return None
+            self._detectors[name] = detector
+        return detector
 
     # -- durable state -----------------------------------------------------------------
     def _state_name(self) -> str:
         return f"daemon-{self.name}"
+
+    def _document_name(self, tenant: str) -> str:
+        """The tenant's state document: filed by digest, because tenant names are
+        the caller's and ``../x`` must not leave the state directory."""
+        return f"{self._state_name()}/{sha_parts([tenant])}"
 
     def _sample_key(self, tenant: str, cycle: int):
         return ("daemon-sample", self.name, tenant, int(cycle))
@@ -467,25 +546,31 @@ class AdvisorDaemon:
 
     def _checkpoint(self, tenant: str, stage: str) -> None:
         if self.store is not None:
-            with self._mu:
-                state = {"version": 1, "tenants": self._records}
-                self.store.save_state(self._state_name(), state)
+            record = self._records[tenant]
+            document = {"version": 2, "tenant": tenant, "record": record}
+            self.store.save_state(self._document_name(tenant), document)
+            if record["stage"] == "done":
+                # Only an in-flight cycle reads its sample.  Dropped after the
+                # document that closes the cycle: a kill in between leaks one
+                # object, the other order would lose an in-flight sample.
+                self.store.discard(self._sample_key(tenant, int(record["cycle"])))
         hook = self._after_stage
         if hook is not None:
             hook(tenant, stage)
 
     def _load_checkpoint(self) -> None:
+        """Adopt every readable tenant document; an unreadable one costs its tenant
+        a bootstrap (served by the journal), never the fleet."""
         if self.store is None:
             return
-        state = self.store.load_state(self._state_name())
-        if (
-            isinstance(state, dict)
-            and state.get("version") == 1
-            and isinstance(state.get("tenants"), dict)
-        ):
-            defaults = _new_record()
-            self._records = {
-                tenant: {**defaults, **record}
-                for tenant, record in state["tenants"].items()
-                if isinstance(record, dict)
-            }
+        defaults = _new_record()
+        for name in self.store.state_names(self._state_name()):
+            document = self.store.load_state(name)
+            if (
+                document is not None
+                and document.get("version") == 2
+                and isinstance(document.get("record"), dict)
+                and isinstance(document.get("tenant"), str)
+                and self._document_name(document["tenant"]) == name
+            ):
+                self._records[document["tenant"]] = {**defaults, **document["record"]}

@@ -36,9 +36,9 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
+import threading
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 __all__ = ["ArtifactStore", "STORE_DIR_DEFAULT"]
 
@@ -75,7 +75,8 @@ class ArtifactStore:
 
     ``<root>/objects/<aa>/<digest>.art`` holds pickled artifacts (``aa`` is the
     digest's first byte, fanning the directory out); ``<root>/state/<name>.json``
-    holds small JSON state documents (daemon checkpoints).  Instances are
+    holds small JSON state documents (daemon checkpoints; a ``name`` with a ``/``
+    files the document under a directory, one per daemon).  Instances are
     thread- and process-safe by construction: writes are atomic renames and
     reads validate the full frame before deserializing.
     """
@@ -170,6 +171,12 @@ class ArtifactStore:
     def state_path(self, name: str) -> Path:
         return self._state / f"{name}.json"
 
+    def state_names(self, directory: str) -> List[str]:
+        """Names of the state documents filed under ``directory`` (none when absent)."""
+        return sorted(
+            f"{directory}/{path.stem}" for path in (self._state / directory).glob("*.json")
+        )
+
     def save_state(self, name: str, state: dict) -> bool:
         """Atomically publish one JSON state document (daemon loop checkpoints)."""
         try:
@@ -181,23 +188,36 @@ class ArtifactStore:
     def load_state(self, name: str) -> Optional[dict]:
         """The checkpointed state document, or ``None`` when absent or unreadable."""
         try:
-            loaded = json.loads(self.state_path(name).read_text())
-        except Exception:
+            loaded = json.loads(self.state_path(name).read_bytes())
+        except (OSError, ValueError):  # missing / unreadable, not UTF-8, not JSON
             return None
         return loaded if isinstance(loaded, dict) else None
 
     # -- internals ---------------------------------------------------------------------
     @staticmethod
     def _publish(path: Path, blob: bytes) -> bool:
-        """Write-then-rename publication: readers see the old object or the new one."""
+        """Write-then-rename publication: readers see the old object or the new one.
+
+        The temporary file is named after its writer (process and thread), so two
+        writers of one path never share it, and it is opened truncating, so one a
+        dead writer left under a recycled id is overwritten, never in the way.
+        """
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                fd = os.open(tmp, flags, 0o600)
+            except FileNotFoundError:  # first publication into this directory
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(tmp, flags, 0o600)
+            try:
+                try:
+                    view = memoryview(blob)
+                    while view:
+                        view = view[os.write(fd, view) :]
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
                 os.replace(tmp, path)
             except BaseException:
                 try:

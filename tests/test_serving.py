@@ -793,15 +793,17 @@ class TestAdvisorDaemon:
     def test_checkpoint_written_before_records_named_an_agent_resumes(
         self, tmp_path, tiny_learned_atlas, daemon_script
     ):
-        """The checkpoint stays ``"version": 1``: a record without ``"agent"`` takes
-        the default and its next drift cycle trains, saying why."""
+        """A tenant document whose record has no ``"agent"`` takes the default and
+        its next drift cycle trains, saying why."""
         _, samples = daemon_script
         store_dir = tmp_path / "store"
         daemon = _make_daemon(store_dir, _clone(tiny_learned_atlas), samples)
         daemon.run_cycle()
-        state = daemon.store.load_state("daemon-t")
-        assert state["version"] == 1 and state["tenants"]["web"].pop("agent")
-        daemon.store.save_state("daemon-t", state)
+        (name,) = daemon.store.state_names("daemon-t")
+        document = daemon.store.load_state(name)
+        assert document["version"] == 2 and document["tenant"] == "web"
+        assert document["record"].pop("agent")
+        daemon.store.save_state(name, document)
 
         resumed = _make_daemon(store_dir, _clone(tiny_learned_atlas), samples)
         assert resumed.record("web")["agent"] is None
