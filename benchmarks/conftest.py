@@ -3,20 +3,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--workers",
-        type=int,
-        default=0,
-        help="Island count for the parallel-search benchmark (0 = skip it).",
-    )
-
-
-@pytest.fixture
-def workers(request):
-    return int(request.config.getoption("--workers"))

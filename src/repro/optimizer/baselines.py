@@ -64,7 +64,7 @@ from .nsga2 import (
     tournament_pairs,
     uniform_crossover,
 )
-from .pareto import merge_fronts, pareto_front
+from .pareto import pareto_front
 
 __all__ = [
     "BaselineContext",
@@ -417,19 +417,11 @@ class AffinityNSGA2Baseline:
         evaluation_budget: int = 10_000,
         mutation_rate: float = 0.05,
         seed: int = 0,
-        islands: int = 1,
     ) -> None:
         self.context = context
         self.population_size = population_size
         self.evaluation_budget = evaluation_budget
         self.mutation_rate = mutation_rate
-        self.seed = int(seed)
-        #: Island-model parallelism, same worker pool as AtlasGA(islands=W): W > 1
-        #: shards the population/budget into W forked subpopulations over shared
-        #: memory; W = 1 is the serial loop, byte-identical to the historical runs.
-        self.islands = int(islands)
-        if self.islands < 1:
-            raise ValueError("islands must be >= 1")
         self._rng = np.random.default_rng(seed)
         self._evaluations = 0
 
@@ -476,89 +468,6 @@ class AffinityNSGA2Baseline:
         return self._apply_pins(vector)
 
     def recommend(self) -> AffinityNSGA2Result:
-        """Run the search: the serial loop, or ``islands`` forked subpopulations."""
-        if self.islands > 1:
-            return self._recommend_parallel()
-        return self._recommend_serial()
-
-    def _recommend_parallel(self) -> AffinityNSGA2Result:
-        from .parallel import ShmArena, derive_seed, run_forked
-
-        evaluator = self.context.evaluator
-        components = self.context.components
-        islands = self.islands
-        population = max(self.population_size // islands, 4)
-        share = self.evaluation_budget // islands
-        if share <= population:
-            raise ValueError(
-                f"evaluation budget {self.evaluation_budget} is too small to shard "
-                f"across {islands} islands of {population} plans each"
-            )
-        n_genes = len(components)
-        capacity = population  # an island's front is a subset of its population
-        channels = ShmArena(chunk_bytes=1 << 20)
-        try:
-            front_plans = channels.empty((islands, capacity, n_genes), np.int64)
-            front_objectives = channels.empty((islands, capacity, 2), np.float64)
-            front_counts = channels.empty((islands,), np.int64)
-            front_counts[:] = 0
-            stats = channels.empty((islands,), np.int64)
-            stats[:] = 0
-
-            def make_task(island: int):
-                def task() -> None:
-                    shard = AffinityNSGA2Baseline(
-                        self.context,
-                        population_size=population,
-                        evaluation_budget=share,
-                        mutation_rate=self.mutation_rate,
-                        seed=derive_seed(self.seed, island),
-                    )
-                    result = shard._recommend_serial()
-                    count = min(len(result.plans), capacity)
-                    for row in range(count):
-                        front_plans[island, row] = np.asarray(
-                            result.plans[row].to_vector(), dtype=np.int64
-                        )
-                        front_objectives[island, row] = result.objectives[row]
-                    front_counts[island] = count
-                    stats[island] = result.evaluations
-
-                return task
-
-            run_forked(
-                [make_task(island) for island in range(islands)],
-                label="affinity-ga island",
-            )
-            fronts = []
-            for island in range(islands):
-                count = int(front_counts[island])
-                fronts.append(
-                    [
-                        (
-                            [int(v) for v in front_plans[island, row]],
-                            (
-                                float(front_objectives[island, row, 0]),
-                                float(front_objectives[island, row, 1]),
-                            ),
-                        )
-                        for row in range(count)
-                    ]
-                )
-            evaluations = int(stats.sum())
-        finally:
-            front_plans = front_objectives = front_counts = stats = None
-            channels.release()
-        merged = merge_fronts(fronts, key=lambda item: item[1])
-        return AffinityNSGA2Result(
-            plans=[
-                MigrationPlan.from_vector(components, vector) for vector, _obj in merged
-            ],
-            objectives=[objective for _vector, objective in merged],
-            evaluations=evaluations,
-        )
-
-    def _recommend_serial(self) -> AffinityNSGA2Result:
         components = self.context.components
         population = [self._random_vector() for _ in range(self.population_size)]
         objectives = self._objectives_batch(population)
@@ -605,82 +514,12 @@ class RandomSearchBaseline:
         context: BaselineContext,
         evaluation_budget: int = 10_000,
         seed: int = 0,
-        workers: int = 1,
     ) -> None:
         self.context = context
         self.evaluation_budget = evaluation_budget
-        self.seed = int(seed)
-        #: Parallelism over the same forked worker pool as AtlasGA(islands=W): W > 1
-        #: shards the sampling budget across W processes scoring against shared
-        #: memory; W = 1 is the serial path, byte-identical to the historical runs.
-        self.workers = int(workers)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         self._rng = np.random.default_rng(seed)
 
     def recommend(self) -> List[PlanQuality]:
-        """Run the search: serially, or the budget sharded over forked workers."""
-        if self.workers > 1:
-            return self._recommend_parallel()
-        return self._recommend_serial()
-
-    def _recommend_parallel(self) -> List[PlanQuality]:
-        from .parallel import ShmArena, derive_seed, run_forked
-
-        evaluator = self.context.evaluator
-        components = self.context.components
-        workers = self.workers
-        shares = [
-            self.evaluation_budget // workers
-            + (1 if worker < self.evaluation_budget % workers else 0)
-            for worker in range(workers)
-        ]
-        n_genes = len(components)
-        capacity = max(max(shares), 1)  # a worker's front is a subset of its sample
-        channels = ShmArena(chunk_bytes=1 << 20)
-        try:
-            front_plans = channels.empty((workers, capacity, n_genes), np.int64)
-            front_counts = channels.empty((workers,), np.int64)
-            front_counts[:] = 0
-
-            def make_task(worker: int):
-                def task() -> None:
-                    shard = RandomSearchBaseline(
-                        self.context,
-                        evaluation_budget=shares[worker],
-                        seed=derive_seed(self.seed, worker),
-                    )
-                    front = shard._recommend_serial()
-                    count = min(len(front), capacity)
-                    for row, quality in enumerate(front[:count]):
-                        front_plans[worker, row] = np.asarray(
-                            quality.plan.to_vector(), dtype=np.int64
-                        )
-                    front_counts[worker] = count
-
-                return task
-
-            run_forked(
-                [make_task(worker) for worker in range(workers)],
-                label="random-search worker",
-            )
-            # Re-score the per-worker fronts through the parent evaluator (bitwise
-            # identical models; fills the parent-side result cache) and merge.
-            fronts = []
-            for worker in range(workers):
-                count = int(front_counts[worker])
-                vectors = [
-                    [int(v) for v in row] for row in front_plans[worker, :count]
-                ]
-                fronts.append(
-                    evaluator.evaluate_vectors(vectors, components) if vectors else []
-                )
-        finally:
-            front_plans = front_counts = None
-            channels.release()
-        return merge_fronts(fronts, key=lambda q: q.objectives())
-
-    def _recommend_serial(self) -> List[PlanQuality]:
         components = self.context.components
         pins = self.context.evaluator.preferences.pinned_placement
         pin_columns = [

@@ -618,8 +618,8 @@ class Atlas:
             pinned=evaluator.preferences.pinned_placement,
             pair_traffic=pair_traffic,
             # Seeding probes single vectors, many of them repeats (flip-and-revert
-            # passes): the scalar is_feasible path keeps the per-plan qcost memo
-            # warm, which the batched pipeline deliberately bypasses.
+            # passes): each probe is feasible_mask over one row, and a repeat's
+            # budget check reads the batched cost kernel's row memo.
             is_feasible=lambda vector: evaluator.is_feasible(
                 MigrationPlan.from_vector(components, list(vector))
             ),

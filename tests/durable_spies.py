@@ -1,5 +1,4 @@
-"""Spies on what a durable object decodes — shared by ``test_durable_forms.py`` and
-the durable-serving smoke (``benchmarks/bench_serving.py``).
+"""Spies on what a durable object decodes — the counters of ``test_durable_forms.py``.
 
 A journaled ``SearchResult`` keeps its archive packed and a stored
 ``CompiledTraceSet`` keeps its splice state packed until somebody asks; "nobody

@@ -375,6 +375,33 @@ class TestFaultFreeIdentity:
                 a, ("observed", "burst")
             ) == fingerprint_scenario_entries(b, ("observed", "burst"))
 
+    def test_certify_run_leaves_fault_free_scores_unchanged(self, fault_stack):
+        """A whole adversary run on an evaluator — every family and probe compiled
+        and scored — and the fault-free control it scores next has the bits of an
+        evaluator that never saw a fault (first scored *after* the run: scored
+        before, the second read would be a result-cache hit)."""
+        app, build_evaluator = fault_stack
+        vectors = [[0] * 6, [0, 1, 0, 2, 0, 1], [2, 1, 0, 1, 0, 0]]
+        names = ("observed", "burst", "chatty")
+        control = ScenarioSet(
+            (
+                ScenarioSpec(name="observed"),
+                ScenarioSpec(name="burst", rate_scale=3.0),
+                ScenarioSpec(name="chatty", payload_factors={"/read": 2.0}),
+            )
+        )
+        certified = build_evaluator()
+        certificate = ScenarioAdversary(certified, budget=24, seed=11).certify(
+            _plan(app, vectors[1])
+        )
+        assert certificate.budget_spent > len(names)
+        want = build_evaluator().evaluate_vectors(vectors, scenarios=control)
+        got = certified.evaluate_vectors(vectors, scenarios=control)
+        for a, b in zip(want, got):
+            assert fingerprint_scenario_entries(a, names) == fingerprint_scenario_entries(
+                b, names
+            )
+
     def test_baseline_spec_with_fault_is_not_baseline(self):
         assert ScenarioSpec(name="x").is_baseline
         assert not ScenarioSpec(name="x", faults=(LinkDegradation(latency_factor=2.0),)).is_baseline

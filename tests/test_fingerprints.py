@@ -7,9 +7,8 @@ hardcoded hashes):
    uniform crossover, affinity NSGA-II, random search) fingerprints identically
    across two from-scratch builds of the tiny stack.
 2. **``islands=1`` ≡ serial** — the island-model dispatch layer added by the
-   parallel-search PR is invisible at W=1: ``AtlasGA(islands=1).run()``,
-   ``RandomSearchBaseline(workers=1)`` and ``AffinityNSGA2Baseline(islands=1)``
-   are byte-identical to the direct serial loops they wrap.
+   parallel-search PR is invisible at W=1: ``AtlasGA(islands=1).run()`` is
+   byte-identical to the direct serial loop it wraps.
 
 Future refactors of the evaluator/optimizer stack assert against this suite (and
 the shared helpers in ``fingerprints.py``) instead of growing new private copies.
@@ -20,14 +19,10 @@ from fingerprints import (
     GOLDEN_GA,
     GOLDEN_RUNS,
     build_tiny_evaluator,
-    fingerprint_front,
-    fingerprint_qualities,
     fingerprint_search_result,
-    make_baseline_context,
 )
 
 from repro.optimizer import AtlasGA
-from repro.optimizer.baselines import AffinityNSGA2Baseline, RandomSearchBaseline
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +40,7 @@ def test_golden_run_is_deterministic(name, stack):
 
 
 class TestIslandsOneIsSerial:
-    """The W=1 paths of the parallel layer are byte-identical to the serial loops."""
+    """The W=1 path of the parallel layer is byte-identical to the serial loop."""
 
     def test_atlas_ga_islands_one_matches_serial(self, stack):
         app, telemetry = stack
@@ -64,54 +59,7 @@ class TestIslandsOneIsSerial:
             serial
         )
 
-    def test_random_search_workers_one_matches_serial(self, stack):
-        app, telemetry = stack
-        dispatched = RandomSearchBaseline(
-            make_baseline_context(
-                app, telemetry, build_tiny_evaluator(app, telemetry)
-            ),
-            evaluation_budget=150,
-            seed=9,
-            workers=1,
-        ).recommend()
-        serial = RandomSearchBaseline(
-            make_baseline_context(
-                app, telemetry, build_tiny_evaluator(app, telemetry)
-            ),
-            evaluation_budget=150,
-            seed=9,
-        )._recommend_serial()
-        assert fingerprint_qualities(dispatched) == fingerprint_qualities(serial)
-
-    def test_nsga2_islands_one_matches_serial(self, stack):
-        app, telemetry = stack
-        dispatched = AffinityNSGA2Baseline(
-            make_baseline_context(
-                app, telemetry, build_tiny_evaluator(app, telemetry)
-            ),
-            population_size=16,
-            evaluation_budget=160,
-            seed=5,
-            islands=1,
-        ).recommend()
-        serial = AffinityNSGA2Baseline(
-            make_baseline_context(
-                app, telemetry, build_tiny_evaluator(app, telemetry)
-            ),
-            population_size=16,
-            evaluation_budget=160,
-            seed=5,
-        )._recommend_serial()
-        assert fingerprint_front(dispatched) == fingerprint_front(serial)
-
     def test_invalid_worker_counts_rejected(self, stack):
         app, telemetry = stack
-        context = make_baseline_context(
-            app, telemetry, build_tiny_evaluator(app, telemetry)
-        )
         with pytest.raises(ValueError):
-            RandomSearchBaseline(context, workers=0)
-        with pytest.raises(ValueError):
-            AffinityNSGA2Baseline(context, islands=0)
-        with pytest.raises(ValueError):
-            AtlasGA(context.evaluator, app.component_names, islands=0)
+            AtlasGA(build_tiny_evaluator(app, telemetry), app.component_names, islands=0)

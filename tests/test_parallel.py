@@ -7,8 +7,8 @@ Four pillars, mirroring the determinism contract in ``optimizer/parallel.py``:
    dominance rule, same first-occurrence dedup, same order.  This is what makes the
    parent's K-dim merge of per-island fronts trustworthy.
 2. **Cross-process determinism**: the same ``(seed, islands, migration_period)``
-   reproduces the identical ``SearchResult`` fingerprint across two full runs, for
-   the Atlas GA and both parallel baselines (W=4 variants are ``slow``-marked).
+   reproduces the identical ``SearchResult`` fingerprint across two full runs of
+   the Atlas GA (the W=4 variant is ``slow``-marked).
 3. **Crash safety**: a worker that dies — clean exception, ``os._exit``, or a
    SIGKILL — surfaces promptly as :class:`ParallelSearchError`, never as a hang.
 4. **Shared-memory arena**: round-trip fidelity, chunking and release of
@@ -22,18 +22,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from fingerprints import (
-    build_tiny_evaluator,
-    fingerprint_front,
-    fingerprint_qualities,
-    fingerprint_search_result,
-    make_baseline_context,
-)
+from fingerprints import build_tiny_evaluator, fingerprint_search_result
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.optimizer import AtlasGA, GAConfig, merge_fronts, pareto_front
-from repro.optimizer.baselines import AffinityNSGA2Baseline, RandomSearchBaseline
 from repro.optimizer.parallel import (
     ParallelSearchError,
     ShmArena,
@@ -143,38 +136,6 @@ class TestCrossProcessDeterminism:
             for b in result.pareto:
                 if a is not b:
                     assert not a.dominates(b)
-
-    def test_random_search_workers_reproduce_fingerprint(self, stack):
-        app, telemetry = stack
-
-        def run():
-            context = make_baseline_context(
-                app, telemetry, build_tiny_evaluator(app, telemetry)
-            )
-            return RandomSearchBaseline(
-                context, evaluation_budget=200, seed=9, workers=2
-            ).recommend()
-
-        assert fingerprint_qualities(run()) == fingerprint_qualities(run())
-
-    def test_nsga2_islands_reproduce_fingerprint(self, stack):
-        app, telemetry = stack
-
-        def run():
-            context = make_baseline_context(
-                app, telemetry, build_tiny_evaluator(app, telemetry)
-            )
-            return AffinityNSGA2Baseline(
-                context,
-                population_size=16,
-                evaluation_budget=200,
-                seed=5,
-                islands=2,
-            ).recommend()
-
-        first, second = run(), run()
-        assert fingerprint_front(first) == fingerprint_front(second)
-        assert first.evaluations == second.evaluations
 
     def test_unshardable_budget_is_rejected(self, stack):
         app, telemetry = stack

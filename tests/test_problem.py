@@ -189,6 +189,24 @@ class TestDefaultStackIdentity:
             assert reference.feasible == quality.feasible
             assert reference.violations == quality.violations
 
+    @settings(max_examples=15, deadline=None)
+    @given(vectors=vectors_strategy)
+    def test_extra_objective_leaves_the_default_columns_bitwise(
+        self, problem_stack, vectors
+    ):
+        """Columns 0-2 of a K=4 evaluation are the K=3 evaluation of the same plans
+        (a budget inside the tiny stack's cost range, 0-0.82 USD, so it binds)."""
+        _app, _telemetry, build_evaluator = problem_stack
+        k4_problem = PlacementProblem.default(
+            extra_objectives=(EgressTrafficObjective(),)
+        )
+        k3 = build_evaluator(budget=0.5).evaluate_vectors(vectors)
+        k4 = build_evaluator(problem=k4_problem, budget=0.5).evaluate_vectors(vectors)
+        for a, b in zip(k3, k4):
+            assert len(b.objectives()) == 4
+            assert repr(tuple(b.objectives())[:3]) == repr(tuple(a.objectives()))
+            assert (b.feasible, b.violations) == (a.feasible, a.violations)
+
     def test_fixed_seed_ga_fingerprint_invariant(self, problem_stack):
         """The GA trajectory under an explicit default problem is the legacy one."""
         app, _telemetry, build_evaluator = problem_stack
