@@ -37,8 +37,9 @@ def test_fig21_drl_vs_nsga2(benchmark):
     # Front-quality note: the paper reports the DRL front dominating the NSGA-II front.
     # With the shared memetic refinements and the much smaller training/search budget
     # used here, the two variants trade places between runs, so the hypervolume is
-    # reported (and recorded in EXPERIMENTS.md) rather than asserted.  What must hold is
-    # that the DRL variant produces a usable front at all.
+    # printed above rather than asserted (nothing records it yet: ROADMAP item 5's
+    # paper-claims ledger will).  What must hold is that the DRL variant produces a
+    # usable front at all.
     assert drl_hv > 0.0
 
     # (b) Reward progression: the late-training reward exceeds the early one and the

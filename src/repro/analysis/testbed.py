@@ -262,7 +262,11 @@ def build_testbed(
     """Build the standard evaluation testbed (defaults sized for quick benchmark runs).
 
     ``onprem_limit_fraction`` sets the on-prem CPU limit as a fraction of the expected
-    peak demand at ``expected_scale``: 0.8 keeps the burst above capacity (peak utilization ≈ 125%; the paper reports 264%) while leaving a rich trade-off space between latency- and traffic-optimal placements — see EXPERIMENTS.md for the sensitivity discussion.
+    peak demand at ``expected_scale``: 0.8 keeps the burst above capacity (peak
+    utilization ≈ 125%; the paper reports 264%) while leaving a rich trade-off space
+    between latency- and traffic-optimal placements.  This sentence is the whole
+    sensitivity discussion on file; the paper-claims ledger of ROADMAP item 5 is
+    where a measured one goes.
 
     ``n_locations`` selects the topology: 2 (default) is the paper's two-datacenter
     hybrid cloud, reproduced bit-for-bit; 3 adds a cheaper-but-farther "cloud-west"

@@ -335,9 +335,6 @@ class Application:
     def has_component(self, name: str) -> bool:
         return name in self._components
 
-    def has_api(self, name: str) -> bool:
-        return name in self._apis
-
     # -- derived structure ------------------------------------------------------
     def stateful_components(self) -> List[str]:
         """Names of all stateful components."""

@@ -141,9 +141,6 @@ class MigrationPlan(Mapping[str, int]):
         """Location vector in the plan's canonical component order."""
         return list(self._locations)
 
-    def location_of(self, component: str) -> int:
-        return self[component]
-
     def offloaded(self) -> List[str]:
         """Components placed at *any* remote location (not necessarily location 1).
 

@@ -3,7 +3,6 @@
 from .api_profile import (
     ApiProfile,
     ApiProfiler,
-    SpanRelation,
     classify_background,
     classify_sibling,
 )
@@ -14,7 +13,6 @@ from .footprint import EdgeFootprint, FootprintLearner, NetworkFootprint
 __all__ = [
     "ApiProfile",
     "ApiProfiler",
-    "SpanRelation",
     "classify_sibling",
     "classify_background",
     "ComponentProfile",

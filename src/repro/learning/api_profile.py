@@ -28,7 +28,6 @@ from ..telemetry.server import TelemetryServer
 __all__ = [
     "classify_sibling",
     "classify_background",
-    "SpanRelation",
     "ApiProfile",
     "ApiProfiler",
 ]
@@ -50,15 +49,6 @@ def classify_sibling(earlier: Span, later: Span) -> ExecutionMode:
 def classify_background(child: Span, parent: Span, tolerance_ms: float = 0.05) -> bool:
     """A child whose end time exceeds its parent's end time runs in the background."""
     return child.end_ms > parent.end_ms + tolerance_ms
-
-
-@dataclass(frozen=True)
-class SpanRelation:
-    """Workflow relationship of one child span within its parent."""
-
-    component: str
-    operation: str
-    mode: ExecutionMode
 
 
 @dataclass

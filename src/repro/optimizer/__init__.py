@@ -20,14 +20,12 @@ from .nsga2 import (
     tournament_pairs,
     uniform_crossover,
 )
-from .parallel import ParallelSearchError, run_island_search
 from .pareto import (
     crowding_distance,
     distance_to_ideal,
     dominates,
     hypervolume_2d,
     knee_index,
-    merge_fronts,
     non_dominated_sort,
     pareto_front,
 )
@@ -35,9 +33,6 @@ from .pareto import (
 __all__ = [
     "dominates",
     "pareto_front",
-    "merge_fronts",
-    "ParallelSearchError",
-    "run_island_search",
     "non_dominated_sort",
     "crowding_distance",
     "hypervolume_2d",

@@ -34,7 +34,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster.placement import MigrationPlan
 from ..cluster.topology import CLOUD, ON_PREM
 from ..quality.evaluator import PlanQuality, QualityEvaluator
 from .drl.agent import CrossoverAgent, TrainingHistory
@@ -224,17 +223,6 @@ class GAConfig:
     train_pairs: int = 64
     crossover: str = "drl"  # "drl" or "uniform" (the NSGA-II ablation of Figure 21)
     seed: int = 0
-    #: Island-model parallelism: number of forked subpopulations (1 = the serial
-    #: loop, byte-identical to the historical search), elite-migration period in
-    #: generations, and how many elites each island sends around the ring.
-    islands: int = 1
-    migration_period: int = 10
-    migration_elites: int = 2
-    #: Anytime mode: stop once the feasible Pareto front has been *exactly* stable
-    #: for this many consecutive generations (0 = off, run to budget).  Checking
-    #: consumes no RNG, so ``patience=0`` is byte-identical to the historical
-    #: search and any early exit truncates — never alters — the trajectory.
-    patience: int = 0
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
@@ -243,14 +231,8 @@ class GAConfig:
             raise ValueError("crossover must be 'drl' or 'uniform'")
         if self.evaluation_budget <= self.population_size:
             raise ValueError("evaluation_budget must exceed the population size")
-        if self.islands < 1:
-            raise ValueError("islands must be >= 1")
-        if self.migration_period < 1:
-            raise ValueError("migration_period must be >= 1")
-        if self.migration_elites < 1:
-            raise ValueError("migration_elites must be >= 1")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
+        if not 0.0 <= self.mutation_rate <= 1.0:
+            raise ValueError("mutation_rate must be in [0, 1]")
 
 
 #: The fields of a :class:`SearchResult` that pickle as one inner blob — the archive:
@@ -282,14 +264,10 @@ class SearchResult:
     all_evaluated: List[PlanQuality] = field(default_factory=list)
     final_population: List[PlanQuality] = field(default_factory=list)
     objective_names: Tuple[str, ...] = ("qperf", "qavai", "qcost")
-    #: Whether the anytime mode (``GAConfig.patience``) cut the run short because
-    #: the front converged before the budget/generation limits were reached.  On
-    #: island runs: whether any island exited early.
-    early_stopped: bool = False
-    #: The crossover agent the serial DRL search bred with, stripped for inference
+    #: The crossover agent the DRL search bred with, stripped for inference
     #: (:meth:`CrossoverAgent.for_inference`), and its content digest.  Trained by
     #: this search when ``training_history`` is set, handed in otherwise; ``None``
-    #: for the uniform-crossover ablation and for island runs (one agent per island).
+    #: for the uniform-crossover ablation.
     #: A journaled result keeps the digest only — the agent is its own store object.
     agent: Optional[CrossoverAgent] = field(default=None, repr=False)
     agent_digest: Optional[str] = None
@@ -389,26 +367,16 @@ class AtlasGA:
         config: Optional[GAConfig] = None,
         seed_vectors: Optional[Sequence[Sequence[int]]] = None,
         locations: Optional[Sequence[int]] = None,
-        islands: Optional[int] = None,
         agent: Optional[CrossoverAgent] = None,
     ) -> None:
         """``agent`` is a crossover agent an earlier search of this application
         trained: when it fits this search (same component count, locations, pins
-        and whitelists) the serial DRL search breeds with it instead of training
-        its own, and the whole evaluation budget goes to generations.  One that
-        does not fit is ignored — the search then trains exactly as without it."""
+        and whitelists) the DRL search breeds with it instead of training its own,
+        and the whole evaluation budget goes to generations.  One that does not
+        fit is ignored — the search then trains exactly as without it."""
         self.evaluator = evaluator
         self.components = list(components)
         self.config = config or GAConfig()
-        #: Island-model parallelism (``islands`` overrides the config knob): W > 1
-        #: shards the search into W forked subpopulations over shared memory (see
-        #: ``optimizer/parallel.py``); W = 1 is the serial loop, byte-identical to
-        #: the historical search.
-        self.islands = int(islands) if islands is not None else int(self.config.islands)
-        if self.islands < 1:
-            raise ValueError("islands must be >= 1")
-        #: Set by the island worker: this island's end of the migration ring.
-        self._migration = None
         self.locations: Tuple[int, ...] = (
             tuple(int(loc) for loc in locations)
             if locations is not None
@@ -503,9 +471,6 @@ class AtlasGA:
             self._rng, len(self.components), offload_prob, self.locations
         )
         return self._apply_constraints(vector)
-
-    def _to_plan(self, vector: Sequence[int]) -> MigrationPlan:
-        return MigrationPlan.from_vector(self.components, list(vector))
 
     # -- reward (Eq. 5) ----------------------------------------------------------------------
     def reward(
@@ -670,21 +635,7 @@ class AtlasGA:
 
     # -- main loop -------------------------------------------------------------------------------
     def run(self) -> SearchResult:
-        """Run the search: the serial loop, or W forked islands when ``islands > 1``.
-
-        The parallel path shards the population into ``islands`` subpopulations in
-        worker processes scoring against shared-memory compiled state, with periodic
-        elite migration on a fixed ring and a K-dim non-dominated merge of the
-        per-island fronts (see ``optimizer/parallel.py`` for the execution model and
-        the determinism contract).  ``islands=1`` is the unmodified serial path.
-        """
-        if self.islands > 1:
-            from .parallel import run_island_search
-
-            return run_island_search(self)
-        return self._run_serial()
-
-    def _run_serial(self) -> SearchResult:
+        """Run the seeded search to its evaluation budget (or ``max_generations``)."""
         start = time.perf_counter()
         # Plans cached on the evaluator before this run started (e.g. by a previous
         # run() on a shared evaluator) are not part of this run's "plans visited".
@@ -705,9 +656,6 @@ class AtlasGA:
             population, self.components
         )
         generations = 0
-        early_stopped = False
-        front_signal: Optional[Tuple] = None
-        stall = 0
         while (
             self.evaluator.evaluations < self.config.evaluation_budget
             and generations < self.config.max_generations
@@ -729,12 +677,6 @@ class AtlasGA:
                 offspring.append(self._apply_constraints(child))
             for _ in range(self.config.immigrants_per_generation):
                 offspring.append(self._random_vector())
-            if self._migration is not None:
-                # Elites received from the ring neighbour last epoch compete as
-                # extra offspring (deterministic, no RNG consumed; never taken in
-                # the serial path, so fixed-seed trajectories are untouched).
-                for migrant in self._migration.take_migrants():
-                    offspring.append(self._apply_constraints(list(migrant)))
             if (
                 self.config.local_search_period > 0
                 and generations % self.config.local_search_period == 0
@@ -750,31 +692,7 @@ class AtlasGA:
             survivors = survival_selection(combined_objectives, self.config.population_size)
             population = [combined[i] for i in survivors]
             qualities = [combined_quality[i] for i in survivors]
-            if self._migration is not None:
-                self._migration.after_generation(generations, population, qualities)
-            if self.config.patience > 0:
-                # Anytime mode: the convergence signal is the exact multiset of
-                # feasible-front objective vectors (repr keeps full float
-                # precision, so any knee/hypervolume movement changes it).  The
-                # check consumes no RNG — trajectories up to the exit generation
-                # stay byte-identical to a patience-less run.
-                front = pareto_front(
-                    [q for q in qualities if q.feasible], key=lambda q: q.objectives()
-                )
-                signal = tuple(sorted(repr(tuple(q.objectives())) for q in front))
-                if front and signal == front_signal:
-                    stall += 1
-                    if stall >= self.config.patience:
-                        early_stopped = True
-                        break
-                else:
-                    stall = 0
-                front_signal = signal
 
-        if self._migration is not None:
-            # Keep answering the remaining migration epochs (the schedule is fixed
-            # fleet-wide) so slower islands never block on this one's barriers.
-            self._migration.drain(population, qualities)
         feasible = [q for q in qualities if q.feasible]
         front = pareto_front(feasible, key=lambda q: q.objectives())
         front.sort(key=lambda q: q.objectives())
@@ -788,7 +706,6 @@ class AtlasGA:
             all_evaluated=self.evaluator.evaluated_qualities()[preexisting:],
             final_population=qualities,
             objective_names=self.evaluator.problem.objective_names,
-            early_stopped=early_stopped,
             agent=used,
             agent_digest=used.content_digest() if used is not None else None,
         )

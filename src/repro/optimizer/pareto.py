@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "dominates",
     "pareto_front",
-    "merge_fronts",
     "non_dominated_sort",
     "crowding_distance",
     "hypervolume_2d",
@@ -80,20 +79,6 @@ def pareto_front(items: Sequence[T], key: Callable[[T], Sequence[float]]) -> Lis
         earlier_equal = all_le & ~any_lt & (index[:, None] < index[None, block])
         keep[block] = ~((all_le & any_lt) | earlier_equal).any(axis=0)
     return [items[i] for i in np.flatnonzero(keep).tolist()]
-
-
-def merge_fronts(
-    fronts: Sequence[Sequence[T]], key: Callable[[T], Sequence[float]]
-) -> List[T]:
-    """Merge per-island Pareto fronts into one non-dominated front.
-
-    :func:`pareto_front` over the concatenation of all fronts: same dominance rule,
-    same first-occurrence deduplication of identical objective vectors, same
-    concatenation-order output.  This is the K-dim merge the island-model parallel
-    search applies to the per-worker fronts, and the law the property suite in
-    ``tests/test_parallel.py`` pins down.
-    """
-    return pareto_front([item for front in fronts for item in front], key)
 
 
 def non_dominated_sort(objectives: Sequence[Sequence[float]]) -> List[List[int]]:

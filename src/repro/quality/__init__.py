@@ -49,12 +49,6 @@ from .problem import (
     QAvaiObjective,
     QCostObjective,
     QPerfObjective,
-    make_constraint,
-    make_objective,
-    register_constraint,
-    register_objective,
-    registered_constraints,
-    registered_objectives,
 )
 from .scenario_factory import ScenarioFactory
 from .scenarios import (
@@ -99,12 +93,6 @@ __all__ = [
     "AllowedLocationsConstraint",
     "OnPremPeakConstraint",
     "BudgetConstraint",
-    "register_objective",
-    "register_constraint",
-    "make_objective",
-    "make_constraint",
-    "registered_objectives",
-    "registered_constraints",
     "ScenarioSpec",
     "ScenarioSet",
     "ScenarioQuality",

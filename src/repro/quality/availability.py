@@ -96,10 +96,6 @@ class ApiAvailabilityModel:
             ),
         )
 
-    def stateful_components_of(self, api: str) -> Set[str]:
-        """``SC(A)`` — the stateful components the API touches."""
-        return set(self._stateful.get(api, set()))
-
     def _resolve(self, api: str, plan: MigrationPlan) -> Tuple[bool, float]:
         """(disrupted, failure-domain factor) of one API, projection-cached."""
         axis = self._projection_axis.get(api)

@@ -193,11 +193,6 @@ class QualityEvaluator:
 
     # -- problem introspection -------------------------------------------------------------
     @property
-    def n_objectives(self) -> int:
-        """K — the dimensionality of every result's objective vector."""
-        return self.problem.K
-
-    @property
     def objective_names(self) -> Tuple[str, ...]:
         return self.problem.objective_names
 

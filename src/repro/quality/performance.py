@@ -205,24 +205,13 @@ class ApiPerformanceModel:
         }
         if not self._traces:
             raise ValueError("performance model needs at least one trace")
-        self._baseline_mean: Dict[str, float] = {
-            api: float(statistics.fmean(t.latency_ms for t in traces))
-            for api, traces in self._traces.items()
-        }
+        self._baseline_mean: Dict[str, float] = {}
         # Invocation edges per API (unioned over sample traces).
         self._edges: Dict[str, List[Edge]] = {}
         # Components each API touches — the projection axis of the plan caches.
         self._touched: Dict[str, List[str]] = {}
-        for api, traces in self._traces.items():
-            edges = set()
-            for trace in traces:
-                edges.update(trace.invocation_edges())
-            self._edges[api] = sorted(edges)
-            members = set()
-            for caller, callee in self._edges[api]:
-                members.add(caller)
-                members.add(callee)
-            self._touched[api] = sorted(members)
+        for api in self._traces:
+            self._derive(api)
         self._apis = sorted(self._traces)
         # Compiled trace sets, built lazily on first replay of each API.
         self._compiled: Dict[str, CompiledTraceSet] = {}
@@ -248,6 +237,20 @@ class ApiPerformanceModel:
         # views share the same list), so invalidation reaches every member's
         # view-owned Δ caches, not just the callee's.
         self._family: List["weakref.ref[ApiPerformanceModel]"] = [weakref.ref(self)]
+
+    def _derive(self, api: str) -> None:
+        """Baseline mean, edge vocabulary and touched set of ``self._traces[api]``."""
+        traces = self._traces[api]
+        self._baseline_mean[api] = float(statistics.fmean(t.latency_ms for t in traces))
+        edges = set()
+        for trace in traces:
+            edges.update(trace.invocation_edges())
+        self._edges[api] = sorted(edges)
+        members = set()
+        for caller, callee in self._edges[api]:
+            members.add(caller)
+            members.add(callee)
+        self._touched[api] = sorted(members)
 
     # -- scenario views --------------------------------------------------------------------
     def scenario_view(
@@ -339,8 +342,8 @@ class ApiPerformanceModel:
         Where :meth:`invalidate_for_scenario` only *drops* the stale APIs' state and
         leaves the rebuild to the next evaluation, splice *replaces* it: the named
         APIs' traces, baseline means, edge vocabularies and touched sets are
-        recomputed exactly as the constructor would, their compiled sets are rebuilt
-        through :meth:`CompiledTraceSet.splice` (reusing every unchanged trace's
+        recomputed by the constructor's own :meth:`_derive`, their compiled sets are
+        rebuilt through :meth:`CompiledTraceSet.splice` (reusing every unchanged trace's
         fragment when the edge vocabulary held still).  Every other API's compiled
         arrays and replay caches survive untouched, so a K-of-N refresh costs O(K)
         compile work while staying bitwise-identical to a from-scratch model over
@@ -357,18 +360,7 @@ class ApiPerformanceModel:
             if not traces:
                 raise ValueError(f"cannot splice API {api!r} to an empty trace set")
             self._traces[api] = traces
-            self._baseline_mean[api] = float(
-                statistics.fmean(t.latency_ms for t in traces)
-            )
-            edges = set()
-            for trace in traces:
-                edges.update(trace.invocation_edges())
-            self._edges[api] = sorted(edges)
-            members = set()
-            for caller, callee in self._edges[api]:
-                members.add(caller)
-                members.add(callee)
-            self._touched[api] = sorted(members)
+            self._derive(api)
             self._trace_fps.pop(api, None)
         # Touched sets may have changed, so the per-order projection columns
         # (shared by reference with every view) are stale.
@@ -395,9 +387,6 @@ class ApiPerformanceModel:
     @property
     def apis(self) -> List[str]:
         return list(self._apis)
-
-    def baseline_latency_ms(self, api: str) -> float:
-        return self._baseline_mean[api]
 
     def invocation_edges(self) -> List[Edge]:
         """Union of (caller, callee) invocation edges over all profiled APIs."""

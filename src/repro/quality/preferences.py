@@ -10,7 +10,7 @@ and the cloud budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import ON_PREM
@@ -127,19 +127,6 @@ class MigrationPreferences:
             onprem_limits=dict(self.onprem_limits),
             budget_usd=budget_usd,
             allowed_locations=dict(self.allowed_locations),
-        )
-
-    def with_allowed_locations(
-        self, allowed: Mapping[str, Sequence[int]]
-    ) -> "MigrationPreferences":
-        """A copy with per-component location whitelists."""
-        return MigrationPreferences(
-            critical_apis=list(self.critical_apis),
-            critical_weight=self.critical_weight,
-            pinned_placement=dict(self.pinned_placement),
-            onprem_limits=dict(self.onprem_limits),
-            budget_usd=self.budget_usd,
-            allowed_locations={c: tuple(locs) for c, locs in allowed.items()},
         )
 
     @classmethod

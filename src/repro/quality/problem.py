@@ -75,12 +75,6 @@ __all__ = [
     "AllowedLocationsConstraint",
     "OnPremPeakConstraint",
     "BudgetConstraint",
-    "register_objective",
-    "register_constraint",
-    "make_objective",
-    "make_constraint",
-    "registered_objectives",
-    "registered_constraints",
 ]
 
 #: Resources checked against the on-prem limits (metric name -> estimator resource key).
@@ -158,10 +152,6 @@ class Objective:
     #: maximized objectives so the optimizers minimize everything uniformly.
     sense: str = "min"
 
-    def key(self) -> Tuple:
-        """Hashable identity (used by registries and result labeling)."""
-        return (self.name,)
-
     def score_matrix(self, ctx: EvalContext) -> np.ndarray:
         """Raw scores of every plan row: a ``(plans,)`` float array."""
         raise NotImplementedError
@@ -214,9 +204,6 @@ class Constraint:
 
     name: str = "constraint"
 
-    def key(self) -> Tuple:
-        return (self.name,)
-
     def check(self, ctx: EvalContext) -> ConstraintCheck:
         raise NotImplementedError
 
@@ -231,77 +218,10 @@ class Constraint:
 
 
 # ---------------------------------------------------------------------------
-# Registries
-# ---------------------------------------------------------------------------
-
-_OBJECTIVES: Dict[str, Callable[..., Objective]] = {}
-_CONSTRAINTS: Dict[str, Callable[..., Constraint]] = {}
-
-
-def register_objective(name: str, factory: Optional[Callable[..., Objective]] = None):
-    """Register an objective factory under ``name`` (usable as a class decorator)."""
-
-    def _register(target):
-        if name in _OBJECTIVES:
-            raise ValueError(f"objective {name!r} is already registered")
-        _OBJECTIVES[name] = target
-        return target
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def register_constraint(name: str, factory: Optional[Callable[..., Constraint]] = None):
-    """Register a constraint factory under ``name`` (usable as a class decorator)."""
-
-    def _register(target):
-        if name in _CONSTRAINTS:
-            raise ValueError(f"constraint {name!r} is already registered")
-        _CONSTRAINTS[name] = target
-        return target
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def make_objective(name: str, **kwargs) -> Objective:
-    """Instantiate a registered objective by name."""
-    try:
-        factory = _OBJECTIVES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown objective {name!r}; registered: {sorted(_OBJECTIVES)}"
-        ) from None
-    return factory(**kwargs)
-
-
-def make_constraint(name: str, **kwargs) -> Constraint:
-    """Instantiate a registered constraint by name."""
-    try:
-        factory = _CONSTRAINTS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown constraint {name!r}; registered: {sorted(_CONSTRAINTS)}"
-        ) from None
-    return factory(**kwargs)
-
-
-def registered_objectives() -> List[str]:
-    return sorted(_OBJECTIVES)
-
-
-def registered_constraints() -> List[str]:
-    return sorted(_CONSTRAINTS)
-
-
-# ---------------------------------------------------------------------------
 # Built-in objectives (the paper's triple)
 # ---------------------------------------------------------------------------
 
 
-@register_objective("qperf")
 class QPerfObjective(Objective):
     """Expected API slowdown (Eq. 1): weighted mean impact factor over all APIs.
 
@@ -347,7 +267,6 @@ class QPerfObjective(Objective):
         return ctx.performance.qperf(plan, ctx.weights)
 
 
-@register_objective("qavai")
 class QAvaiObjective(Objective):
     """Expected availability disruption (Eq. 3): weighted count of disrupted APIs."""
 
@@ -360,7 +279,6 @@ class QAvaiObjective(Objective):
         return ctx.availability.qavai(plan, ctx.weights)
 
 
-@register_objective("qcost")
 class QCostObjective(Objective):
     """Cloud hosting cost in USD over the period of interest (Eq. 11).
 
@@ -386,7 +304,6 @@ class QCostObjective(Objective):
 # ---------------------------------------------------------------------------
 
 
-@register_objective("egress-traffic")
 class EgressTrafficObjective(Objective):
     """Cross-location traffic volume in GB over the period of interest.
 
@@ -408,7 +325,6 @@ class EgressTrafficObjective(Objective):
         return crossing @ (lowering.total_bytes / _BYTES_PER_GB)
 
 
-@register_objective("migration-churn")
 class MigrationChurnObjective(Objective):
     """Number of components a plan moves away from a baseline placement.
 
@@ -436,7 +352,6 @@ class MigrationChurnObjective(Objective):
 # ---------------------------------------------------------------------------
 
 
-@register_constraint("pinned-placement")
 class PinnedPlacementConstraint(Constraint):
     """Owner-pinned components must stay at their pinned location."""
 
@@ -471,7 +386,6 @@ class PinnedPlacementConstraint(Constraint):
         ]
 
 
-@register_constraint("allowed-locations")
 class AllowedLocationsConstraint(Constraint):
     """Per-component location whitelists (on-prem is always permitted)."""
 
@@ -518,7 +432,6 @@ class AllowedLocationsConstraint(Constraint):
         ]
 
 
-@register_constraint("onprem-peaks")
 class OnPremPeakConstraint(Constraint):
     """The on-prem cluster's configured resource limits must cover the peak demand.
 
@@ -568,7 +481,6 @@ class OnPremPeakConstraint(Constraint):
         return violations
 
 
-@register_constraint("budget")
 class BudgetConstraint(Constraint):
     """The plan's cloud cost must not exceed the owner's budget.
 

@@ -68,11 +68,6 @@ class ScenarioFactory:
             baseline_name=baseline_name,
         )
 
-    @classmethod
-    def from_testbed(cls, testbed, **kwargs) -> "ScenarioFactory":
-        """Derive a factory from an :class:`~repro.analysis.testbed.Testbed`."""
-        return cls.from_evaluator(testbed.evaluator(), **kwargs)
-
     # -- derived workload statistics ---------------------------------------------------------
     @property
     def remote_locations(self) -> Tuple[int, ...]:

@@ -320,22 +320,6 @@ class ScenarioSet:
             )
         return cls(tuple(specs))
 
-    @classmethod
-    def from_workloads(
-        cls,
-        scenarios: Sequence[WorkloadScenario],
-        base: WorkloadScenario,
-        include_baseline: bool = True,
-        baseline_name: str = "observed",
-    ) -> "ScenarioSet":
-        """Compile workload descriptions into a scenario set relative to ``base``."""
-        specs: List[ScenarioSpec] = (
-            [ScenarioSpec(name=baseline_name)] if include_baseline else []
-        )
-        for scenario in scenarios:
-            specs.append(ScenarioSpec.from_workload(scenario, base))
-        return cls(tuple(specs))
-
 
 class ObjectiveVector:
     """Read accessors over a result's ``values`` / ``names`` pair.

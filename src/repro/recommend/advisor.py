@@ -26,6 +26,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
+import numpy as np
+
 from ..apps.model import Application
 from ..cluster.network import NetworkModel, default_network_model
 from ..cluster.placement import MigrationPlan
@@ -37,7 +39,7 @@ from ..learning.estimator import ResourceEstimate, ResourceEstimator
 from ..learning.footprint import FootprintLearner, NetworkFootprint
 from ..monitoring.drift import DriftDetector, DriftScenarioUpdate
 from ..monitoring.security import BreachDetector
-from ..optimizer.atlas_ga import AtlasGA, GAConfig, SearchResult
+from ..optimizer.atlas_ga import AtlasGA, GAConfig, SearchResult, affinity_seed_vectors
 from ..optimizer.baselines import BaselineContext
 from ..optimizer.drl.agent import CrossoverAgent
 from ..quality.adversary import (
@@ -422,20 +424,9 @@ class Atlas:
         ga_config: Optional[GAConfig] = None,
         problem: Optional[PlacementProblem] = None,
         certify: Union[None, bool, int] = None,
-        parallel: Optional[int] = None,
-        anytime: Optional[int] = None,
         artifact_cache: Optional[ArtifactCache] = None,
     ) -> Recommendation:
         """Run the DRL-based genetic search and return the Pareto-optimal plans.
-
-        ``parallel`` runs the search as W forked islands over shared-memory compiled
-        state (see ``optimizer/parallel.py``): deterministic per ``(seed, W)``, and
-        ``parallel=1`` (or ``None``) is byte-identical to the serial search.
-
-        ``anytime`` enables converged-front early exit (``GAConfig.patience``): the
-        search stops once the feasible Pareto front has been exactly stable for that
-        many consecutive generations, trading tail generations for wall-clock while
-        leaving the trajectory up to the exit byte-identical.
 
         ``problem`` is the declarative front door: a
         :class:`~repro.quality.problem.PlacementProblem` bundling the K objectives,
@@ -466,10 +457,6 @@ class Atlas:
         scenario_set = problem.scenarios
         bound_aggregator = evaluator.bound_aggregator
         config = ga_config or self.config.ga
-        if parallel is not None and int(parallel) > 1:
-            config = dataclasses.replace(config, islands=int(parallel))
-        if anytime is not None:
-            config = dataclasses.replace(config, patience=int(anytime))
         ga = AtlasGA(
             evaluator,
             self.application.component_names,
@@ -603,10 +590,6 @@ class Atlas:
 
     def _seed_vectors(self, evaluator: QualityEvaluator, config: GAConfig):
         """Affinity-guided population seeds derived from Atlas's own learned footprints."""
-        import numpy as np
-
-        from ..optimizer.atlas_ga import affinity_seed_vectors
-
         knowledge = self._require_knowledge()
         total_requests = {
             api: sum(series) for api, series in evaluator.estimate.api_rates.items()
@@ -753,8 +736,6 @@ class AdvisorService:
             "ga_config",
             "problem",
             "certify",
-            "parallel",
-            "anytime",
         }
     )
 

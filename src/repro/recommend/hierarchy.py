@@ -36,9 +36,6 @@ class PlanCluster:
     def size(self) -> int:
         return len(self.members)
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 class PlanHierarchy:
     """Agglomerative clustering of a Pareto front of plans."""

@@ -57,7 +57,9 @@ _MAGIC = "atlas-store"
 #: 4 = ``SearchResult`` names its crossover agent (``agent`` + ``agent_digest``).
 #: 5 = ``SearchResult`` packs its archive, ``CompiledTraceSet`` packs its splice state
 #: apart from its replay state and names its traces by content stream.
-_VERSION = 5
+#: 6 = ``SearchResult`` lost a field and ``GAConfig``, whose repr is part of every
+#: journal key, lost four: the island fork and the converged-front exit are gone.
+_VERSION = 6
 
 
 def _key_digest(key: Tuple) -> str:

@@ -81,12 +81,6 @@ class TelemetryServer:
     def observed_pairs(self) -> List[Tuple[str, str]]:
         return self.mesh.pairs()
 
-    def pair_request_series(self, source: str, destination: str) -> List[float]:
-        return self.mesh.request_series(source, destination, self.common_windows())
-
-    def pair_response_series(self, source: str, destination: str) -> List[float]:
-        return self.mesh.response_series(source, destination, self.common_windows())
-
     def traffic_matrix(self) -> Dict[Tuple[str, str], float]:
         return self.mesh.total_traffic_matrix()
 

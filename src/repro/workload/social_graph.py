@@ -54,10 +54,6 @@ class SocialGraph:
         rng = rng or self._rng
         return int(rng.choice(self.users, p=self._popularity))
 
-    def sample_uniform_user(self, rng: Optional[np.random.Generator] = None) -> int:
-        rng = rng or self._rng
-        return int(rng.integers(0, self.users))
-
     def degree_histogram(self) -> Dict[int, int]:
         hist: Dict[int, int] = {}
         for _node, degree in self._graph.degree():

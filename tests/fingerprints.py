@@ -7,8 +7,7 @@ behaviour change — a reordered float sum, an extra RNG draw, a cache leak — 
 loudly.  The helpers and golden runs here used to be copy-pasted across
 ``test_problem.py``, ``test_scenarios.py``, ``test_multi_location.py`` and
 ``test_faults.py``; they now live in one place, and ``test_fingerprints.py`` is the
-single parametrized suite that pins them (including the ``islands=1 ≡ serial``
-contract of the parallel island search).
+single parametrized suite that pins them.
 
 Helpers fingerprint *values*, not object identities: plan vectors, ``repr`` of the
 objective tuples (full float precision), feasibility and violation strings.

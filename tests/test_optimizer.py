@@ -1,10 +1,7 @@
 """Tests for the plan search: Pareto tools, NSGA-II machinery, DRL agent, Atlas GA, baselines."""
 
-import dataclasses
-
 import numpy as np
 import pytest
-from test_compiled import tiny_models  # noqa: F401
 
 from repro.cluster import CLOUD, ON_PREM, MigrationPlan
 from repro.optimizer import (
@@ -23,7 +20,7 @@ from repro.optimizer import (
     tournament_pairs,
     uniform_crossover,
 )
-from repro.optimizer.atlas_ga import AtlasGA, affinity_seed_vectors, penalized_objectives
+from repro.optimizer.atlas_ga import affinity_seed_vectors, penalized_objectives
 from repro.quality.evaluator import PlanQuality
 
 
@@ -255,52 +252,6 @@ class TestGAConfig:
             GAConfig(crossover="magic")
         with pytest.raises(ValueError):
             GAConfig(population_size=100, evaluation_budget=50)
-
-
-class TestAnytimeSearch:
-    CONFIG = GAConfig(
-        population_size=12,
-        offspring_per_generation=6,
-        evaluation_budget=400,
-        max_generations=40,
-        train_iterations=8,
-        train_batch_size=2,
-        train_pairs=8,
-        seed=4,
-    )
-
-    def _run(self, tiny_models, **overrides):
-        app, _performance, evaluator = tiny_models
-        config = dataclasses.replace(self.CONFIG, **overrides)
-        return AtlasGA(evaluator("compiled"), app.component_names, config=config).run()
-
-    def test_patience_zero_is_the_historical_run(self, tiny_models):
-        """``patience=0`` (the default) must stay byte-identical to a run where the
-        stall counter never fires — same front, counts, and no early exit."""
-        baseline = self._run(tiny_models)
-        tolerant = self._run(tiny_models, patience=10**6)
-        assert baseline.early_stopped is False
-        assert [q.objectives() for q in tolerant.pareto] == [
-            q.objectives() for q in baseline.pareto
-        ]
-        assert tolerant.evaluations == baseline.evaluations
-        assert tolerant.generations == baseline.generations
-
-    def test_patience_early_exit_is_deterministic(self, tiny_models):
-        """A fixed-seed anytime run converges at the same generation every time,
-        cutting the patience-less trajectory short (never extending it)."""
-        first = self._run(tiny_models, patience=2)
-        second = self._run(tiny_models, patience=2)
-        assert first.early_stopped and second.early_stopped
-        assert first.generations == second.generations
-        assert first.evaluations == second.evaluations
-        assert [q.objectives() for q in first.pareto] == [
-            q.objectives() for q in second.pareto
-        ]
-        full = self._run(tiny_models)
-        assert first.generations <= full.generations
-        assert first.evaluations <= full.evaluations
-
-    def test_patience_rejects_negative(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(self.CONFIG, patience=-1)
+        for rate in (1.5, -0.1):
+            with pytest.raises(ValueError, match="mutation_rate"):
+                GAConfig(mutation_rate=rate)

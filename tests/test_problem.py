@@ -49,14 +49,12 @@ from repro.quality import (
     PlacementProblem,
     PlanQuality,
     PricingCatalog,
+    QPerfObjective,
     QualityEvaluator,
     ScenarioQuality,
     ScenarioSet,
     ScenarioSpec,
     WorstCase,
-    make_objective,
-    registered_constraints,
-    registered_objectives,
 )
 
 TINY_GA = GAConfig(
@@ -521,7 +519,7 @@ class TestProblemApi:
 
     def test_duplicate_objective_names_rejected(self):
         with pytest.raises(ValueError):
-            PlacementProblem.default(extra_objectives=(make_objective("qperf"),))
+            PlacementProblem.default(extra_objectives=(QPerfObjective(),))
 
     def test_aggregator_requires_scenarios(self):
         from repro.quality import WeightedMean
@@ -532,20 +530,6 @@ class TestProblemApi:
     def test_empty_objectives_rejected(self):
         with pytest.raises(ValueError):
             PlacementProblem(objectives=(), constraints=())
-
-    def test_registries_cover_builtins(self):
-        assert {"qperf", "qavai", "qcost", "egress-traffic", "migration-churn"} <= set(
-            registered_objectives()
-        )
-        assert {
-            "pinned-placement",
-            "allowed-locations",
-            "onprem-peaks",
-            "budget",
-        } <= set(registered_constraints())
-        assert make_objective("egress-traffic").name == "egress_gb"
-        with pytest.raises(KeyError):
-            make_objective("no-such-objective")
 
     def test_triple_view_positional_fallback(self):
         plan = MigrationPlan.from_vector(["c0"], [1])

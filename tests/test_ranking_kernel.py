@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.optimizer import (
     crowding_distance,
     dominates,
-    merge_fronts,
     non_dominated_sort,
     pareto_front,
     rank_population,
@@ -242,7 +241,6 @@ class TestInputContract:
         for call in (
             lambda: non_dominated_sort(ragged),
             lambda: pareto_front(ragged, key=lambda row: row),
-            lambda: merge_fronts([ragged], key=lambda row: row),
         ):
             with pytest.raises(ValueError, match="objective vectors must have the same length"):
                 call()

@@ -552,7 +552,8 @@ class TestDurableJournal:
         written by an advisor that learned with them warm is hit by one that learned
         from re-read telemetry (what a frame written before they existed holds), and
         the memos never asked for a frame version of their own (3 was the result
-        shape's, 4 the agent's, 5 is the packed archive's and splice state's:
+        shape's, 4 the agent's, 5 the packed archive's and splice state's, 6 that of
+        a ``SearchResult`` one field shorter:
         ``TestOldResultLayoutFramesMiss``, ``TestAgentlessResultFramesMiss``,
         ``test_durable_forms.TestVersion4FramesMiss``)."""
         app, result = tiny_telemetry
@@ -572,7 +573,7 @@ class TestDurableJournal:
         writer = AdvisorService(store=ArtifactStore(store_dir))
         cold = writer.recommend(learned(result.telemetry), expected_scale=2.0)
         assert writer.stats()["journal"] == {"hits": 0, "misses": 1}
-        assert store_module._VERSION == 5
+        assert store_module._VERSION == 6
         frames = list(store_dir.rglob("*.art"))
         assert frames and all(f.read_bytes().startswith(CURRENT_FRAME) for f in frames)
         assert not any(b"_shape" in f.read_bytes() for f in frames)
