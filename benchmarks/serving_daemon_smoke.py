@@ -1,23 +1,29 @@
 """Kill-and-restart smoke for the :class:`~repro.serving.daemon.AdvisorDaemon` (CI gate).
 
-The daemon's durability contract: killed right after *any* stage checkpoint, a
-fresh process constructed over the same artifact store resumes the in-flight
-cycle and lands on the **bitwise-identical** recommendation front an
-uninterrupted run produces.  This script proves it with real processes:
+The daemon's durability contract: killed right after *any* document it publishes
+— or between a poll and the first document of its cycle, where nothing is on disk
+yet — a fresh process constructed over the same artifact store lands on the
+**bitwise-identical** recommendation front an uninterrupted run produces.  This
+script proves it with real processes:
 
-* **child mode** (``--child --store DIR [--kill-after STAGE]``) builds a fully
-  deterministic two-cycle daemon world (tiny 6-component app, seeded telemetry,
-  seeded search, scripted monitor) over ``DIR`` and runs cycles to completion;
-  with ``--kill-after`` it dies via ``os._exit`` right after that stage's
-  checkpoint of cycle 2 — no cleanup, no flushing, a real crash.
-* **check mode** (``--check``, the default) orchestrates three children:
-  run A uninterrupted on store A; run B killed after the splice checkpoint on
-  store B; run C resumed on store B.  It asserts the resumed front sha equals
-  the uninterrupted one, that the resumed cycle 2 *reused* the crossover agent
-  the uninterrupted run recorded (same content digest — loaded from the store,
-  not trained again), that the resumed compile streamed artifacts from the
-  store, and that what the resumed daemon leaves behind is one state document
-  per tenant and no monitor sample of a finished cycle.
+* **child mode** (``--child --store DIR [--kill-after POINT]``) builds a fully
+  deterministic three-cycle daemon world (tiny 6-component app, seeded telemetry,
+  seeded search, scripted monitor: on model, one API drifting, on model again)
+  over ``DIR`` and runs cycles to completion; with ``--kill-after`` it dies via
+  ``os._exit`` in cycle 2 — right after that stage's checkpoint, or, for ``poll``
+  (which publishes nothing), right after the monitor answered — no cleanup, no
+  flushing, a real crash.
+* **check mode** (``--check``, the default) runs the uninterrupted child on store
+  A next to a chain of three children on store B: killed between the poll and the
+  first publish of cycle 2, restarted (it must poll cycle 2 again) and killed
+  after the splice checkpoint, restarted and run to the end.  It asserts the
+  resumed front sha equals the uninterrupted one, that the resumed cycle 2
+  *reused* the crossover agent the uninterrupted run recorded (same content
+  digest — loaded from the store, not trained again), that the resumed compile
+  streamed artifacts from the store, that — from a spy on the store's publish —
+  the on-model cycle 3 published one document and no sample, and that what a
+  daemon leaves behind is one state document per tenant and no monitor sample of
+  a finished cycle.
 
 Usage::
 
@@ -38,9 +44,11 @@ from typing import Dict, Optional
 
 #: Exit code the killed child dies with (distinguishes the scripted crash from bugs).
 KILL_EXIT = 17
-#: The stage checkpoint run B is killed after (mid-cycle: drift detected, traces
-#: spliced, the re-recommend still pending — the most state-laden crash point).
-KILL_STAGE = "splice"
+#: Where the children on store B die in cycle 2, in turn: between the poll and the
+#: first publish (no document names the cycle: it is polled again), then after the
+#: splice checkpoint (drift detected, traces spliced, the re-recommend still
+#: pending — the most state-laden crash point).
+KILL_POINTS = ("poll", "splice")
 #: Tenant name used by every child.
 TENANT = "web"
 
@@ -118,8 +126,9 @@ def _build_daemon(store_dir: str):
 
     Telemetry, learning and the search are all seeded; the monitor script is
     derived from the advisor's own latency preview (cycle 1 on-model, cycle 2
-    one API drifting 6x with a re-profiled trace window) — so any process over
-    any store observes the same samples and computes the same answers.
+    one API drifting 6x with a re-profiled trace window, cycle 3 on model again)
+    — so any process over any store observes the same samples and computes the
+    same answers.
     """
     from repro.optimizer import GAConfig
     from repro.quality import MigrationPreferences
@@ -175,6 +184,7 @@ def _build_daemon(store_dir: str):
             TENANT: [
                 MonitorSample(recent_latencies=preview),
                 MonitorSample(recent_latencies=drifted, traces_by_api={target: window}),
+                MonitorSample(recent_latencies=drifted),  # what cycle 2 re-armed on
             ]
         }
     )
@@ -185,9 +195,21 @@ def _build_daemon(store_dir: str):
 
 def run_child(store_dir: str, kill_after: Optional[str] = None) -> Dict:
     """Run daemon cycles over ``store_dir``; optionally die mid-cycle-2 for real."""
+    from repro.serving import ArtifactStore
+
     daemon = _build_daemon(store_dir)
 
-    if kill_after is not None:
+    if kill_after == "poll":
+        poll = daemon.monitor.poll
+
+        def polled_then_dead(tenant: str, cycle: int):
+            sample = poll(tenant, cycle)
+            if cycle >= 2:
+                os._exit(KILL_EXIT)  # polled, nothing published yet
+            return sample
+
+        daemon.monitor.poll = polled_then_dead
+    elif kill_after is not None:
 
         def die(tenant: str, stage: str) -> None:
             if stage == kill_after and int(daemon.record(TENANT)["cycle"]) >= 2:
@@ -203,6 +225,18 @@ def run_child(store_dir: str, kill_after: Optional[str] = None) -> Dict:
         record = daemon.record(TENANT)
         if int(record["cycle"]) >= 2 and record["stage"] == "done" and record["front_sha"]:
             break
+
+    # Cycle 3 is on model: what does a cycle in which nobody drifts write?
+    published = []
+    real_publish = ArtifactStore._publish
+    ArtifactStore._publish = staticmethod(
+        lambda path, blob: published.append(path.suffix) or real_publish(path, blob)
+    )
+    try:
+        (quiet,) = daemon.run_cycle()
+    finally:
+        ArtifactStore._publish = staticmethod(real_publish)
+
     record = daemon.record(TENANT)
     store = daemon.store
     return {
@@ -211,6 +245,12 @@ def run_child(store_dir: str, kill_after: Optional[str] = None) -> Dict:
         "store_hits": daemon.service.cache.stats().get("store_hits", 0),
         "agent": drift_cycle_agent,
         "agent_digest": record["agent"],
+        "quiet_cycle": {
+            "cycle": quiet.cycle,
+            "stages": quiet.stages,
+            "documents": published.count(".json"),
+            "objects": published.count(".art"),
+        },
         "documents": len(store.state_names(daemon._state_name())),
         "finished_samples": [
             cycle
@@ -220,33 +260,46 @@ def run_child(store_dir: str, kill_after: Optional[str] = None) -> Dict:
     }
 
 
-def _spawn(script: Path, store: Path, kill_after: Optional[str], timeout_s: float) -> subprocess.CompletedProcess:
+def _spawn(script: Path, store: Path, kill_after: Optional[str]) -> subprocess.Popen:
     env = dict(os.environ)
     src = str(script.parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     argv = [sys.executable, str(script), "--child", "--store", str(store)]
     if kill_after:
         argv += ["--kill-after", kill_after]
-    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout_s)
+    return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _finish(child: subprocess.Popen, timeout_s: float) -> subprocess.CompletedProcess:
+    try:
+        stdout, stderr = child.communicate(timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.communicate()
+        raise
+    return subprocess.CompletedProcess(child.args, child.returncode, stdout, stderr)
 
 
 def run_check(timeout_s: float = 600.0) -> Dict:
-    """The three-process kill-and-restart certification; raises on any violation."""
+    """The kill-and-restart certification over real processes; raises on any violation."""
     script = Path(__file__).resolve()
     with tempfile.TemporaryDirectory(prefix="atlas-daemon-smoke-") as tmp:
         store_a, store_b = Path(tmp) / "a", Path(tmp) / "b"
 
-        clean = _spawn(script, store_a, None, timeout_s)
+        # The uninterrupted run works on its own store while the chain runs on B.
+        clean_child = _spawn(script, store_a, None)
+        try:
+            for point in KILL_POINTS:
+                killed = _finish(_spawn(script, store_b, point), timeout_s)
+                assert killed.returncode == KILL_EXIT, (
+                    f"expected the child to die with exit {KILL_EXIT} at the "
+                    f"'{point}' kill point, got {killed.returncode}:\n{killed.stderr}"
+                )
+            resumed_proc = _finish(_spawn(script, store_b, None), timeout_s)
+        finally:
+            clean = _finish(clean_child, timeout_s)
         assert clean.returncode == 0, f"uninterrupted run failed:\n{clean.stderr}"
         uninterrupted = json.loads(clean.stdout.strip().splitlines()[-1])
-
-        killed = _spawn(script, store_b, KILL_STAGE, timeout_s)
-        assert killed.returncode == KILL_EXIT, (
-            f"expected the child to die with exit {KILL_EXIT} after the "
-            f"'{KILL_STAGE}' checkpoint, got {killed.returncode}:\n{killed.stderr}"
-        )
-
-        resumed_proc = _spawn(script, store_b, None, timeout_s)
         assert resumed_proc.returncode == 0, f"resumed run failed:\n{resumed_proc.stderr}"
         resumed = json.loads(resumed_proc.stdout.strip().splitlines()[-1])
 
@@ -272,17 +325,22 @@ def run_check(timeout_s: float = 600.0) -> Dict:
         assert run["finished_samples"] == [], (
             f"a finished cycle's monitor sample is still in the store: {run}"
         )
+        assert run["quiet_cycle"] == {
+            "cycle": 3, "stages": ["poll", "drift"], "documents": 1, "objects": 0,
+        }, f"the on-model cycle must publish its one document and no sample: {run}"
     verdict = {
-        "kill_stage": KILL_STAGE,
+        "kill_points": list(KILL_POINTS),
         "front_sha": uninterrupted["front_sha"],
         "resumed_store_hits": resumed["store_hits"],
         "agent_digest": resumed["agent_digest"],
     }
     print(
         "daemon kill-and-restart smoke: PASS "
-        f"(killed after '{KILL_STAGE}', resumed front {verdict['front_sha'][:12]}..., "
+        f"(killed at {' then '.join(repr(p) for p in KILL_POINTS)}, "
+        f"resumed front {verdict['front_sha'][:12]}..., "
         f"agent {verdict['agent_digest'][:12]}... reused, "
-        f"{verdict['resumed_store_hits']} artifacts streamed from the store)"
+        f"{verdict['resumed_store_hits']} artifacts streamed from the store, "
+        "on-model cycle: 1 document, no sample)"
     )
     return verdict
 
@@ -291,8 +349,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--child", action="store_true", help="run one daemon world")
     parser.add_argument("--store", help="artifact store directory (child mode)")
-    parser.add_argument("--kill-after", help="os._exit after this cycle-2 stage checkpoint")
-    parser.add_argument("--check", action="store_true", help="run the 3-process smoke (default)")
+    parser.add_argument(
+        "--kill-after", help="os._exit in cycle 2: after this stage's checkpoint, or after the 'poll'"
+    )
+    parser.add_argument("--check", action="store_true", help="run the 4-process smoke (default)")
     args = parser.parse_args(argv)
     if args.child:
         if not args.store:

@@ -52,6 +52,9 @@ class ComponentProfiler:
         self.application = application
 
     def profile(self, component: str) -> ComponentProfile:
+        return self._profile(component, self.application.apis_using_component(component))
+
+    def _profile(self, component: str, apis: List[str]) -> ComponentProfile:
         comp = self.application.component(component)
         windows = self.telemetry.common_windows()
         cpu_series = self.telemetry.metrics.series(component, "cpu_millicores", windows)
@@ -71,11 +74,18 @@ class ComponentProfiler:
             total_ingress_bytes=self.telemetry.component_total(component, "ingress_bytes"),
             total_egress_bytes=self.telemetry.component_total(component, "egress_bytes"),
             mean_request_rate=mean(req_series) / window_s,
-            apis=self.application.apis_using_component(component),
+            apis=apis,
         )
 
     def profile_all(self) -> Dict[str, ComponentProfile]:
-        return {name: self.profile(name) for name in self.application.component_names}
+        # One walk of each API's call tree, not one per component and API: the
+        # component -> APIs relation inverted here, lists in the APIs' own order
+        # (what ``apis_using_component`` returns per component).
+        users: Dict[str, List[str]] = {name: [] for name in self.application.component_names}
+        for api in self.application.apis:
+            for component in api.components():
+                users[component].append(api.name)
+        return {name: self._profile(name, apis) for name, apis in users.items()}
 
     # -- rankings used by baselines -----------------------------------------------------
     def ranked_by_busyness(self, descending: bool = True) -> List[ComponentProfile]:

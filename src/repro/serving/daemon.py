@@ -8,21 +8,25 @@ fresh recommendation round.  :class:`AdvisorDaemon` is that loop as a scheduled
 service over an :class:`~repro.recommend.advisor.AdvisorService`:
 
 * **Stage machine** — each tenant's cycle advances through
-  ``poll -> drift -> splice -> recertify -> recommend -> done``; after every
-  stage the tenant's loop state (cycle index, stage, executed plan vector, the
-  digests naming its drift baselines and crossover agent) is checkpointed to
-  the service's durable store as that tenant's own document, and the polled
-  monitor sample is persisted alongside it until its cycle is done.  What a
-  stage writes is what that tenant changed: the baselines are one store object
-  per recommendation, written before the checkpoint that names them, and no
+  ``poll -> drift -> splice -> recertify -> recommend -> done``; every decision
+  a later stage builds on is checkpointed to the service's durable store as
+  that tenant's own document (cycle index, stage, executed plan vector, the
+  digests naming its drift baselines and crossover agent).  The protocol is
+  *decide, then persist what a resume would read*: polling publishes nothing,
+  the drift check runs on the in-memory sample, a quiet verdict publishes the
+  one document that closes the cycle, and a drift verdict publishes the polled
+  sample first and then the document that records it.  What a stage writes is
+  what that tenant changed: the baselines are one store object per
+  recommendation, written before the checkpoint that names them, and no
   checkpoint carries another tenant's state.
-* **Restartability** — a daemon killed mid-cycle resumes from the checkpoint on
-  restart: the in-flight cycle replays its remaining stages from the *persisted*
-  sample (never a re-poll), every stage is idempotent and deterministic given
-  that sample, and the re-recommend lands on the service's request memo /
-  durable journal — so the resumed run's answers are bitwise-identical to an
-  uninterrupted run, and the compiled world is recovered from the artifact
-  store instead of rebuilt.
+* **Restartability** — a sample that shaped a published decision is on disk
+  before that decision and is never polled again; a cycle that left no document
+  may be polled again.  A daemon killed mid-cycle resumes from the checkpoint on
+  restart: an in-flight cycle replays its remaining stages from the *persisted*
+  sample, every stage is idempotent and deterministic given that sample, and
+  the re-recommend lands on the service's request memo / durable journal — so
+  the resumed run's answers are bitwise-identical to an uninterrupted run, and
+  the compiled world is recovered from the artifact store instead of rebuilt.
 * **The agent is learned once** — a drift cycle's splice stage installs the
   crossover agent of the tenant's previous answer next to the re-profiled
   traces, so the re-recommend breeds with it instead of training a new one.
@@ -166,11 +170,13 @@ class AdvisorDaemon:
     """Scheduled continuous re-planning over an :class:`AdvisorService`.
 
     ``service.store`` (when set) makes the daemon restartable: each tenant's loop
-    state is checkpointed after every stage as its own document under
-    ``state/daemon-<name>/`` and the in-flight cycle's polled sample is persisted
-    as a store object, so a new process constructing the daemon over the same
-    store resumes the in-flight cycle instead of starting over.  Without a store
-    the daemon still runs — state just dies with the process.
+    state is checkpointed as its own document under ``state/daemon-<name>/`` —
+    once per cycle in which nobody drifts, after every stage from the drift
+    verdict on otherwise — and a drifting cycle's polled sample is persisted as
+    a store object ahead of that verdict, so a new process constructing the
+    daemon over the same store resumes the in-flight cycle instead of starting
+    over.  Without a store the daemon still runs — state just dies with the
+    process.
 
     ``certify_budget`` (optional) re-certifies the executed plan against the
     drift-refreshed scenario before re-recommending (the loop's ``recertify``
@@ -200,11 +206,14 @@ class AdvisorDaemon:
         self._live: Dict[str, "Recommendation"] = {}
         #: The live drift detector per tenant; its record names it by digest.
         self._detectors: Dict[str, DriftDetector] = {}
+        #: The cycle whose sample this process knows to be on disk, per tenant
+        #: (written by a drift verdict, or read back by a resumed cycle).
+        self._sampled: Dict[str, int] = {}
         self._mu = threading.RLock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.last_error: Optional[str] = None
-        #: Test seam: called as ``hook(tenant, stage)`` after each stage checkpoint
+        #: Test seam: called as ``hook(tenant, stage)`` after each published document
         #: (the kill-and-restart smoke uses it to die mid-cycle at a chosen stage).
         self._after_stage: Optional[Callable[[str, str], None]] = None
         self._load_checkpoint()
@@ -299,8 +308,11 @@ class AdvisorDaemon:
         # Set by a drift cycle: why its search trains, should it train.
         if_trained: Optional[str] = None
 
-        # poll: live monitors are consulted exactly once per cycle; a resumed
-        # cycle replays from the persisted sample, never from a second poll.
+        # poll: decide first, then persist what a resume would read.  Polling
+        # publishes nothing (an idle poll closes its cycle, which is one document):
+        # the sample goes to disk only ahead of a document that leaves its cycle
+        # in flight, so a cycle killed before its first document is polled again
+        # and a cycle with a document replays from the persisted sample.
         if record["stage"] == "poll":
             report.stages.append("poll")
             sample = self.monitor.poll(name, cycle)
@@ -309,10 +321,9 @@ class AdvisorDaemon:
                 report.idle = True
                 self._checkpoint(name, "poll")
                 return
-            self._save_sample(name, cycle, sample)
-            record["stage"] = "drift" if record["detector"] is not None else "recommend"
-            self._checkpoint(name, "poll")
+            stage = "drift" if record["detector"] is not None else "recommend"
         else:
+            stage = record["stage"]
             sample = self._load_sample(name, cycle)
             if sample is None:
                 # The durable sample is gone (wiped store): abandon the in-flight
@@ -321,20 +332,20 @@ class AdvisorDaemon:
                 report.error = "persisted sample lost; cycle abandoned"
                 self._checkpoint(name, "abandon")
                 return
-            if record["drifted"] and record["stage"] in ("recertify", "recommend"):
+            if record["drifted"] and stage in ("recertify", "recommend"):
                 # Resuming past the splice checkpoint in a fresh process: the
                 # splice's effect lived in the dead process's knowledge, so it is
                 # re-applied here (idempotent by content) before continuing.
                 self._splice(tenant.atlas, record, sample)
                 if_trained = self._install_agent(name, tenant.atlas, record)
 
-        if record["stage"] == "drift":
+        if stage == "drift":
             detector = self._detector(name, record)
             if detector is None:
                 # The baselines' store object is lost or damaged: the tenant
                 # re-arms through ``recommend`` (its unchanged request is served
                 # by the memo or the journal).  Degraded, never crashed.
-                record["stage"] = "recommend"
+                stage = "recommend"
             else:
                 report.stages.append("drift")
                 reports = detector.check_all(sample.recent_latencies)
@@ -342,25 +353,29 @@ class AdvisorDaemon:
                     api for api, outcome in reports.items() if outcome.drift_detected
                 )
                 record["drifted"] = list(report.drifted)
-                record["stage"] = "splice" if report.drifted else "done"
+                record["stage"] = stage = "splice" if report.drifted else "done"
+                if report.drifted:
+                    # The sample shaped a decision that leaves work in flight: it
+                    # is on disk before the document that records the verdict.
+                    self._save_sample(name, cycle, sample)
                 self._checkpoint(name, "drift")
                 if not report.drifted:
                     return
 
-        if record["stage"] == "splice":
+        if stage == "splice":
             report.stages.append("splice")
             report.spliced = self._splice(tenant.atlas, record, sample)
             if_trained = self._install_agent(name, tenant.atlas, record)
-            record["stage"] = "recertify"
+            record["stage"] = stage = "recertify"
             self._checkpoint(name, "splice")
 
-        if record["stage"] == "recertify":
+        if stage == "recertify":
             report.stages.append("recertify")
             report.recertified = self._recertify(name, tenant, record, sample)
-            record["stage"] = "recommend"
+            record["stage"] = stage = "recommend"
             self._checkpoint(name, "recertify")
 
-        if record["stage"] == "recommend":
+        if stage == "recommend":
             report.stages.append("recommend")
             recommendation = self.service.recommend(tenant.atlas, **tenant.kwargs)
             knee = recommendation.knee_point().plan
@@ -535,25 +550,30 @@ class AdvisorDaemon:
         return ("daemon-sample", self.name, tenant, int(cycle))
 
     def _save_sample(self, tenant: str, cycle: int, sample: MonitorSample) -> None:
-        if self.store is not None:
-            self.store.save(self._sample_key(tenant, cycle), sample)
+        if self.store is not None and self.store.save(self._sample_key(tenant, cycle), sample):
+            self._sampled[tenant] = cycle
 
     def _load_sample(self, tenant: str, cycle: int) -> Optional[MonitorSample]:
         if self.store is None:
             return None
         sample = self.store.load(self._sample_key(tenant, cycle))
-        return sample if isinstance(sample, MonitorSample) else None
+        if not isinstance(sample, MonitorSample):
+            return None
+        self._sampled[tenant] = cycle
+        return sample
 
     def _checkpoint(self, tenant: str, stage: str) -> None:
         if self.store is not None:
             record = self._records[tenant]
             document = {"version": 2, "tenant": tenant, "record": record}
-            self.store.save_state(self._document_name(tenant), document)
-            if record["stage"] == "done":
+            published = self.store.save_state(self._document_name(tenant), document)
+            if published and record["stage"] == "done" and tenant in self._sampled:
                 # Only an in-flight cycle reads its sample.  Dropped after the
-                # document that closes the cycle: a kill in between leaks one
-                # object, the other order would lose an in-flight sample.
-                self.store.discard(self._sample_key(tenant, int(record["cycle"])))
+                # document that closes the cycle is on disk: a kill in between
+                # leaks one object, the other order (or dropping it when the
+                # closing document was not published) would lose a sample the
+                # durable document still asks for.
+                self.store.discard(self._sample_key(tenant, self._sampled.pop(tenant)))
         hook = self._after_stage
         if hook is not None:
             hook(tenant, stage)

@@ -4,7 +4,7 @@ The paper seeds its social network with a real-world Facebook graph [66] and med
 the INRIA Person dataset [35].  Neither dataset is available offline, so we substitute
 synthetic equivalents that preserve the properties the system actually depends on:
 
-* a heavy-tailed follower distribution (power-law graph via networkx), which drives the
+* a heavy-tailed follower distribution (Barabási–Albert power-law graph), which drives the
   fan-out size of /composePost and the home-timeline response size;
 * post lengths and media sizes drawn from log-normal distributions matching the scale
   of real posts (hundreds of bytes) and person photos (tens to hundreds of KB).
@@ -12,13 +12,39 @@ synthetic equivalents that preserve the properties the system actually depends o
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["SocialGraph", "ContentSampler"]
+
+
+def preferential_attachment(n: int, m: int, seed: int) -> List[List[int]]:
+    """Adjacency lists of a Barabási–Albert graph: ``n`` nodes, ``m`` edges per new node.
+
+    Grown from a star on ``m + 1`` nodes; each new node attaches to ``m`` distinct
+    nodes drawn with ``random.Random(seed).choice`` from the list that repeats every
+    node once per incident edge, and the set of targets is iterated as is.  Draw
+    for draw the graph library's generator this replaced (``tests/test_workload.py``
+    holds it as the oracle: same edges, same neighbour order per node).
+    """
+    if not 1 <= m < n:
+        raise ValueError(f"preferential attachment needs 1 <= m < n, got m={m}, n={n}")
+    rng = random.Random(seed)
+    neighbours: List[List[int]] = [list(range(1, m + 1))] + [[0] for _ in range(m)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        neighbours.append(list(targets))
+        for target in targets:
+            neighbours[target].append(source)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return neighbours
 
 
 class SocialGraph:
@@ -30,24 +56,20 @@ class SocialGraph:
         if attachment < 1:
             raise ValueError("attachment must be at least 1")
         self.users = users
-        self._graph = nx.barabasi_albert_graph(users, min(attachment, users - 1), seed=seed)
+        self._followers = preferential_attachment(users, min(attachment, users - 1), seed)
         self._rng = np.random.default_rng(seed)
-        degrees = np.array([d for _n, d in self._graph.degree()], dtype=float)
+        degrees = np.array([len(f) for f in self._followers], dtype=float)
         self._popularity = degrees / degrees.sum()
-
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
+        self._mean_followers = float(degrees.mean())
 
     def follower_count(self, user: int) -> int:
-        return int(self._graph.degree(user))
+        return len(self._followers[user])
 
     def followers(self, user: int) -> List[int]:
-        return list(self._graph.neighbors(user))
+        return list(self._followers[user])
 
     def mean_followers(self) -> float:
-        degrees = [d for _n, d in self._graph.degree()]
-        return float(np.mean(degrees)) if degrees else 0.0
+        return self._mean_followers
 
     def sample_user(self, rng: Optional[np.random.Generator] = None) -> int:
         """Sample a user, biased towards popular (high-degree) users."""
@@ -56,8 +78,8 @@ class SocialGraph:
 
     def degree_histogram(self) -> Dict[int, int]:
         hist: Dict[int, int] = {}
-        for _node, degree in self._graph.degree():
-            hist[degree] = hist.get(degree, 0) + 1
+        for followers in self._followers:
+            hist[len(followers)] = hist.get(len(followers), 0) + 1
         return hist
 
 

@@ -13,7 +13,7 @@ from repro.learning import (
     classify_sibling,
 )
 from repro.learning.footprint import EdgeFootprint
-from repro.telemetry import Span
+from repro.telemetry import Span, TelemetryServer
 
 
 class TestWorkflowClassification:
@@ -113,6 +113,18 @@ class TestComponentProfiler:
         app, result = tiny_telemetry
         profile = ComponentProfiler(result.telemetry, app).profile("ServiceB")
         assert profile.apis == ["/write"]
+
+    @pytest.mark.parametrize("app_fixture", ["social_app", "hotel_app"])
+    def test_profile_all_attributes_apis_like_the_per_component_call(self, request, app_fixture):
+        # profile_all inverts component -> APIs in one pass over the call trees.
+        app = request.getfixturevalue(app_fixture)
+        profiler = ComponentProfiler(TelemetryServer(), app)
+        profiles = profiler.profile_all()
+        assert list(profiles) == app.component_names
+        assert profiles == {name: profiler.profile(name) for name in app.component_names}
+        for name, profile in profiles.items():
+            assert profile.apis == app.apis_using_component(name)
+        assert sum(len(profile.apis) for profile in profiles.values()) > len(profiles)
 
 
 class TestFootprintLearner:

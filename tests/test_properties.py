@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
@@ -179,5 +179,9 @@ class TestKLProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_kl_non_negative_and_zero_on_self(self, a, b):
+        # A range a few floats wide cannot hold twenty bins: the documented ValueError
+        # (``tests/test_daemon_state.py::TestHistogramFreeKL``), not this property.
+        for window in (a, a + b):
+            assume(max(window) == min(window) or max(window) - min(window) > 1e-9)
         assert kl_divergence(a, b) >= 0.0
         assert kl_divergence(a, a) < 0.05

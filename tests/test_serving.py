@@ -661,6 +661,20 @@ class _Crash(RuntimeError):
     pass
 
 
+def _kill_after_poll(daemon, victim=None):
+    """Make ``daemon`` die between a poll and whatever it would publish next: its
+    monitor answers (``victim``, or whoever asks) and the process is gone."""
+    poll = daemon.monitor.poll
+
+    def polled_then_killed(tenant, cycle):
+        sample = poll(tenant, cycle)
+        if victim is None or tenant == victim:
+            raise _Crash("poll")
+        return sample
+
+    daemon.monitor.poll = polled_then_killed
+
+
 class TestAdvisorDaemon:
     def test_continuous_replanning_flow(self, reference_run, daemon_script):
         daemon, (bootstrap, drift, idle) = reference_run
@@ -698,8 +712,9 @@ class TestAdvisorDaemon:
 
     @staticmethod
     def _killed_in_cycle_two(store_dir, atlas, samples, crash_stage):
-        """A store left behind by a daemon that died right after ``crash_stage``'s
-        checkpoint of cycle 2 (cycle 1 bootstrapped cleanly)."""
+        """A store left behind by a daemon that died in cycle 2 (cycle 1 bootstrapped
+        cleanly): right after the document ``crash_stage`` published, or — ``"poll"``,
+        which publishes none — right after the monitor answered."""
         daemon = _make_daemon(store_dir, _clone(atlas), samples)
         daemon.run_cycle()
 
@@ -708,10 +723,12 @@ class TestAdvisorDaemon:
                 raise _Crash(stage)
 
         daemon._after_stage = bomb
+        if crash_stage == "poll":
+            _kill_after_poll(daemon)
         with pytest.raises(_Crash):
             daemon.run_cycle()
 
-    @pytest.mark.parametrize("crash_stage", ["poll", "splice", "recommend"])
+    @pytest.mark.parametrize("crash_stage", ["poll", "drift", "splice", "recommend"])
     def test_kill_after_any_checkpoint_resumes_bitwise(
         self,
         tmp_path,
@@ -749,6 +766,10 @@ class TestAdvisorDaemon:
             assert (report.agent, report.agent_reason) == ("reused", None)
             # The resumed compile streamed the untouched APIs from the store.
             assert resumed.service.cache.stats()["store_hits"] > 0
+            if crash_stage == "poll":
+                # No document named cycle 2: it is polled again and runs whole,
+                # and its report is the uninterrupted run's, field for field.
+                assert report == reference
 
     def test_after_a_drift_cycle_the_tenant_request_is_a_memo_hit(self, reference_run):
         daemon, (bootstrap, drift, _) = reference_run
@@ -822,15 +843,17 @@ class TestAdvisorDaemon:
         daemon.run_cycle()
 
         def bomb(tenant, stage):
-            if stage == "poll":
+            if stage == "drift":  # the first document of a drift cycle: sample on disk
                 raise _Crash(stage)
 
         daemon._after_stage = bomb
         with pytest.raises(_Crash):
             daemon.run_cycle()
+        assert daemon.store.load(("daemon-sample", "t", "web", 2)) is not None
         for art in store_dir.rglob("*.art"):  # wipe every object, keep the state tier
             art.unlink()
         resumed = _make_daemon(store_dir, _clone(tiny_learned_atlas), samples)
         report = resumed.run_cycle()[0]
-        assert report.error is not None and not report.recommended
+        assert report.error == "persisted sample lost; cycle abandoned"
+        assert not report.recommended and report.stages == []
         assert resumed.record("web")["stage"] == "done"

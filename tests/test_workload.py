@@ -14,6 +14,7 @@ from repro.workload import (
     burst_scenario,
     default_scenario,
 )
+from repro.workload.social_graph import preferential_attachment
 
 
 class TestApiMix:
@@ -114,8 +115,20 @@ class TestWorkloadScenario:
 class TestSocialGraph:
     def test_degree_distribution_heavy_tailed(self):
         graph = SocialGraph(users=300, attachment=3, seed=1)
-        degrees = sorted((d for _n, d in graph.graph.degree()), reverse=True)
+        degrees = sorted((graph.follower_count(user) for user in range(graph.users)), reverse=True)
         assert degrees[0] > 4 * graph.mean_followers()
+
+    @pytest.mark.parametrize("n, m, seed", [(500, 4, 7), (50, 1, 0), (200, 3, 123), (10, 9, 5)])
+    def test_generator_is_the_networkx_construction(self, n, m, seed):
+        """The in-repo generator against the library call it replaced: edge for
+        edge, and each node's neighbours in the same order."""
+        nx = pytest.importorskip("networkx")
+        expected = nx.barabasi_albert_graph(n, m, seed=seed)
+        neighbours = preferential_attachment(n, m, seed)
+        assert neighbours == [list(expected.neighbors(node)) for node in range(n)]
+        graph = SocialGraph(users=n, attachment=m, seed=seed)
+        assert [graph.followers(user) for user in range(n)] == neighbours
+        assert graph.mean_followers() == 2.0 * expected.number_of_edges() / n
 
     def test_sample_user_in_range(self):
         graph = SocialGraph(users=100, seed=1)
