@@ -55,9 +55,10 @@ def ordered_masked_sum(terms: "np.ndarray", mask: "np.ndarray") -> "np.ndarray":
     pairwise summation and the last bits move.  Hence the term axis leads, the stack
     is allocated here, and a lone plan is padded with a second, all-zero one.
 
-    Not part of the package's public surface (the cost kernels of this module and of
-    ``quality.cost`` are its only callers): numpy does not document that walk, so
-    ``tests/test_cost_kernels.py`` pins it and is what a numpy upgrade has to pass.
+    Not part of the package's public surface (the aggregation kernels of this module
+    and the batched QCost / QAvai / QPerf kernels of ``quality`` are its only
+    callers): numpy does not document that walk, so ``tests/test_cost_kernels.py``
+    pins it and is what a numpy upgrade has to pass.
     """
     n_terms, n_plans = mask.shape
     inner = terms.shape[2:]
@@ -90,10 +91,11 @@ class ResourceEstimate:
         default_factory=dict, repr=False, compare=False
     )
     #: Lazily-built lowering of one resource onto one column order for
-    #: :meth:`aggregate_matrix`: the columns of the estimate's components, in storage
-    #: order, and their ``(components, 1, steps)`` series.
+    #: :func:`stack_series`: the columns of the estimate's components, in storage
+    #: order, their ``(components, 1, steps)`` series and the storage order's names.
     _lowerings: Dict[
-        Tuple[str, Tuple[str, ...]], Tuple["np.ndarray", "np.ndarray"]
+        Tuple[str, Tuple[str, ...]],
+        Tuple["np.ndarray", "np.ndarray", Tuple[str, ...]],
     ] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -138,6 +140,23 @@ class ResourceEstimate:
         series = self.aggregate_series(resource, components)
         return max(series) if series else 0.0
 
+    def _lowering(
+        self, resource: str, columns: Sequence[str]
+    ) -> Tuple["np.ndarray", "np.ndarray", Tuple[str, ...]]:
+        key = (resource, tuple(columns))
+        lowering = self._lowerings.get(key)
+        if lowering is None:
+            rows, matrix = self._matrix(resource)
+            column_of = {name: i for i, name in enumerate(key[1])}
+            shared = tuple(name for name in rows if name in column_of)
+            lowering = (
+                np.asarray([column_of[name] for name in shared], dtype=np.intp),
+                matrix[[rows[name] for name in shared]][:, None, :],
+                shared,
+            )
+            self._lowerings[key] = lowering
+        return lowering
+
     def aggregate_matrix(
         self, resource: str, members: "np.ndarray", columns: Sequence[str]
     ) -> "np.ndarray":
@@ -147,31 +166,90 @@ class ResourceEstimate:
         the components (named by ``columns``) to sum; returns ``(plans, steps)``.
         One :func:`ordered_masked_sum` over the estimate's components in the same
         storage order as :meth:`aggregate_series`, so every output row is bitwise
-        equal to the scalar aggregation of that plan's subset.
+        equal to the scalar aggregation of that plan's subset — the stack of one of
+        :func:`aggregate_stacked`.
         """
-        key = (resource, tuple(columns))
-        lowering = self._lowerings.get(key)
-        if lowering is None:
-            rows, matrix = self._matrix(resource)
-            column_of = {name: i for i, name in enumerate(key[1])}
-            shared = [name for name in rows if name in column_of]
-            lowering = (
-                np.asarray([column_of[name] for name in shared], dtype=np.intp),
-                matrix[[rows[name] for name in shared]][:, None, :],
-            )
-            self._lowerings[key] = lowering
-        estimate_columns, series = lowering
-        members = np.asarray(members, dtype=bool)
-        return ordered_masked_sum(series, members[:, estimate_columns].T)
+        stacked = stack_series((self,), resource, columns)
+        return aggregate_stacked(stacked, np.asarray(members, dtype=bool))[:, 0]
 
     def peak_matrix(
         self, resource: str, members: "np.ndarray", columns: Sequence[str]
     ) -> "np.ndarray":
         """Per-plan peak of one resource over per-plan component subsets."""
-        totals = self.aggregate_matrix(resource, members, columns)
-        if totals.shape[1] == 0:
-            return np.zeros(totals.shape[0], dtype=np.float64)
-        return totals.max(axis=1)
+        return peak_stack((self,), resource, members, columns)[:, 0]
+
+
+def stack_series(
+    estimates: Sequence[ResourceEstimate], resource: str, columns: Sequence[str]
+) -> List[Tuple[List[int], "np.ndarray", "np.ndarray"]]:
+    """The lowering of several estimates' series :func:`aggregate_stacked` reduces.
+
+    One group per component storage order and step count among ``estimates``: the
+    group's positions in ``estimates``, the order's columns and the group's
+    ``(components, 1, estimates, steps)`` series side by side on an inner axis.
+    """
+    if len(estimates) == 1:
+        estimate_columns, series, _order = estimates[0]._lowering(resource, columns)
+        return [([0], estimate_columns, series[:, :, None])]
+    lowerings = [estimate._lowering(resource, columns) for estimate in estimates]
+    groups: Dict[Tuple[Tuple[str, ...], int], List[int]] = {}
+    for position, (_columns, series, order) in enumerate(lowerings):
+        groups.setdefault((order, series.shape[2]), []).append(position)
+    return [
+        (
+            positions,
+            lowerings[positions[0]][0],
+            lowerings[positions[0]][1][:, :, None]
+            if len(positions) == 1
+            else np.stack([lowerings[position][1] for position in positions], axis=2),
+        )
+        for positions in groups.values()
+    ]
+
+
+def aggregate_stacked(
+    stacked: Sequence[Tuple[List[int], "np.ndarray", "np.ndarray"]],
+    members: "np.ndarray",
+) -> "np.ndarray":
+    """Reduce a :func:`stack_series` lowering over a boolean ``members`` matrix.
+
+    Returns ``(plans, estimates, steps)`` (every group must hold one step count).  A
+    group's estimates share one gathered selection and one
+    :func:`ordered_masked_sum`; the term axis stays outermost, so every output
+    element is added term after term from ``+0.0`` exactly as for one estimate.
+    """
+    if len(stacked) == 1:
+        _positions, estimate_columns, series = stacked[0]
+        return ordered_masked_sum(series, members[:, estimate_columns].T)
+    n_estimates = sum(len(positions) for positions, _columns, _series in stacked)
+    out = np.empty(
+        (members.shape[0], n_estimates, stacked[0][2].shape[3]), dtype=np.float64
+    )
+    for positions, estimate_columns, series in stacked:
+        out[:, positions] = ordered_masked_sum(series, members[:, estimate_columns].T)
+    return out
+
+
+def peak_stack(
+    estimates: Sequence[ResourceEstimate],
+    resource: str,
+    members: "np.ndarray",
+    columns: Sequence[str],
+) -> "np.ndarray":
+    """Per-plan peaks of one resource under several estimates: ``(plans, len(estimates))``.
+
+    Column ``e`` is ``estimates[e].peak_matrix(...)``; each :func:`stack_series`
+    group is one :func:`ordered_masked_sum` and one ``max`` over its steps."""
+    members = np.asarray(members, dtype=bool)
+    stacked = stack_series(estimates, resource, columns)
+    if len(stacked) == 1 and stacked[0][2].shape[3]:
+        return aggregate_stacked(stacked, members).max(axis=2)
+    peaks = np.zeros((members.shape[0], len(estimates)), dtype=np.float64)
+    for positions, estimate_columns, series in stacked:
+        if series.shape[3]:
+            totals = ordered_masked_sum(series, members[:, estimate_columns].T)
+            peaks[:, positions] = totals.max(axis=2)
+    return peaks
 
 
 class ResourceEstimator:

@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..cluster.placement import MigrationPlan
+from ..learning.estimator import ordered_masked_sum
 
 __all__ = ["ApiAvailabilityModel", "AvailabilityEstimate"]
 
@@ -69,9 +70,9 @@ class ApiAvailabilityModel:
         # (api, axis placements) -> (disrupted, per-location disruption factor).
         self._disrupted_cache: Dict[Tuple[str, Tuple[int, ...]], Tuple[bool, float]] = {}
         # Plan-matrix lowering: per component order, the per-API axis columns and
-        # baseline placements.
+        # baseline placements (see _lowering).
         self._lowerings: Dict[
-            Tuple[str, ...], List[Tuple[str, np.ndarray, np.ndarray]]
+            Tuple[str, ...], Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = {}
 
     @property
@@ -147,19 +148,32 @@ class ApiAvailabilityModel:
     # -- batched evaluation (plan-matrix pipeline) -----------------------------------------
     def _lowering(
         self, components: Sequence[str]
-    ) -> List[Tuple[str, np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(apis, columns, baseline, starts)`` for one component order: the indices of
+        the APIs with stateful components, their axes' columns and baseline
+        placements back to back, and where each API's segment starts."""
         key = tuple(components)
         lowering = self._lowerings.get(key)
         if lowering is None:
             column_of = {c: i for i, c in enumerate(key)}
-            lowering = []
-            for api in self._apis:
+            apis: List[int] = []
+            columns: List[int] = []
+            starts: List[int] = []
+            for index, api in enumerate(self._apis):
                 axis = self._projection_axis.get(api) or []
-                columns = np.asarray([column_of[c] for c in axis], dtype=np.intp)
-                baseline = np.asarray(
-                    [self.baseline_plan[c] for c in axis], dtype=np.int64
-                )
-                lowering.append((api, columns, baseline))
+                if axis:
+                    apis.append(index)
+                    starts.append(len(columns))
+                    columns.extend(column_of[c] for c in axis)
+            lowering = (
+                np.asarray(apis, dtype=np.intp),
+                np.asarray(columns, dtype=np.intp),
+                np.asarray(
+                    [self.baseline_plan[key[column]] for column in columns],
+                    dtype=np.int64,
+                ),
+                np.asarray(starts, dtype=np.intp),
+            )
             self._lowerings[key] = lowering
         return lowering
 
@@ -171,38 +185,73 @@ class ApiAvailabilityModel:
     ) -> np.ndarray:
         """QAvai for a whole plan matrix at once — bitwise equal to per-plan ``qavai``.
 
-        ``plan_matrix`` is ``(plans, len(components))`` integer location ids.  Each
-        API contributes one vectorized pass over its stateful-component columns, and
-        per-plan totals accumulate API by API in the scalar iteration order.
+        ``plan_matrix`` is ``(plans, len(components))`` integer location ids; per-plan
+        totals accumulate API by API in the scalar iteration order.  The stack of one
+        of :meth:`qavai_stack`.
+        """
+        return self.qavai_stack(
+            self.disruption_matrix(plan_matrix, components), [api_weights]
+        )[0]
+
+    def disruption_matrix(
+        self, plan_matrix: np.ndarray, components: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """The weight-free half of QAvai over a plan matrix: ``(apis, disrupted, factor)``.
+
+        ``disrupted`` is the ``(len(apis), plans)`` mask of APIs (indices into
+        :attr:`apis`, those with stateful components) some stateful dependency of
+        which moves, ``factor`` the heaviest destination's failure-domain weight per
+        API and plan (``None`` without ``location_weights``).  One pass over all
+        stateful columns; trace weights never enter it, so it serves every scenario
+        that shares this model (:meth:`qavai_stack`).
         """
         matrix = np.asarray(plan_matrix, dtype=np.int64)
         if matrix.ndim != 2 or matrix.shape[1] != len(components):
             raise ValueError("plan matrix must be (plans, len(components))")
-        totals = np.zeros(matrix.shape[0], dtype=np.float64)
-        if matrix.shape[0] == 0:
-            return totals
-        weight_lut: Optional[np.ndarray] = None
+        apis, columns, baseline, starts = self._lowering(components)
+        if apis.size == 0 or matrix.shape[0] == 0:
+            return apis, np.zeros((apis.size, matrix.shape[0]), dtype=bool), None
+        placements = matrix[:, columns]
+        moved = placements != baseline
+        disrupted = np.logical_or.reduceat(moved, starts, axis=1).T
+        factor = None
         if self.location_weights:
-            size = int(matrix.max()) + 1
             weight_lut = np.asarray(
-                [self.location_weights.get(loc, 1.0) for loc in range(size)]
+                [
+                    self.location_weights.get(loc, 1.0)
+                    for loc in range(int(matrix.max()) + 1)
+                ]
             )
-        for api, columns, baseline in self._lowering(components):
-            if columns.size == 0:
-                continue
-            placements = matrix[:, columns]
-            moved = placements != baseline
-            disrupted = moved.any(axis=1)
-            if not disrupted.any():
-                continue
-            weight = api_weights.get(api, 1.0) if api_weights else 1.0
-            if weight_lut is not None:
-                factor = np.where(moved, weight_lut[placements], -np.inf).max(axis=1)
-                term = weight * factor
-                totals[disrupted] += term[disrupted]
-            else:
-                totals[disrupted] += weight
-        return totals
+            # Weights are non-negative, so 0.0 for an unmoved column never wins a
+            # disrupted API's max — and an undisrupted one (masked out) stays finite.
+            factor = np.maximum.reduceat(
+                np.where(moved, weight_lut[placements], 0.0), starts, axis=1
+            ).T
+        return apis, disrupted, factor
+
+    def qavai_stack(
+        self,
+        disruption: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+        api_weights: Sequence[Optional[Mapping[str, float]]],
+    ) -> np.ndarray:
+        """QAvai of one :meth:`disruption_matrix` under several τ_A weight vectors.
+
+        Returns ``(len(api_weights), plans)``; row ``s`` is bitwise
+        ``qavai_batch(..., api_weights[s])``.  One ordered masked sum over the APIs
+        adds each disrupted API's weight (times its factor) to every row at once;
+        the API axis stays outermost, so every element sees its additions in the
+        scalar order.
+        """
+        apis, disrupted, factor = disruption
+        weights = np.asarray(
+            [
+                [row.get(self._apis[api], 1.0) if row else 1.0 for row in api_weights]
+                for api in apis.tolist()
+            ],
+            dtype=np.float64,
+        ).reshape(apis.size, 1, len(api_weights))
+        terms = weights if factor is None else weights * factor[:, :, None]
+        return ordered_masked_sum(terms, disrupted).T
 
     def estimate(
         self, plan: MigrationPlan, api_weights: Optional[Mapping[str, float]] = None

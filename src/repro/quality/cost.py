@@ -23,6 +23,7 @@ and billed independently.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -31,7 +32,13 @@ import numpy as np
 from ..cluster.autoscaler import AutoscalerConfig, ClusterAutoscaler, StorageAutoscaler
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import CLOUD, NodeSpec, ON_PREM
-from ..learning.estimator import PLAN_BLOCK, ResourceEstimate, ordered_masked_sum
+from ..learning.estimator import (
+    PLAN_BLOCK,
+    ResourceEstimate,
+    aggregate_stacked,
+    ordered_masked_sum,
+    stack_series,
+)
 from ..learning.footprint import NetworkFootprint
 
 __all__ = ["PricingCatalog", "CostEstimate", "CloudCostModel"]
@@ -51,6 +58,30 @@ def _left_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def _grouped(items: Sequence, key: Callable = id) -> List[Tuple[object, List[int]]]:
+    """``(first item, indices)`` per distinct ``key(item)``, in first-seen order."""
+    if len(items) == 1:  # the classic pass: a stack of one
+        return [(items[0], [0])]
+    groups: Dict[object, Tuple[object, List[int]]] = {}
+    for index, item in enumerate(items):
+        group = groups.setdefault(key(item), (item, []))
+        group[1].append(index)
+    return list(groups.values())
+
+
+def _distinct(items: Sequence) -> Tuple[List, List[int]]:
+    """The distinct objects of ``items`` in first-seen order, and each item's index
+    among them: a stacked pass computes once per object, never per value."""
+    if len(items) == 1:
+        return list(items), [0]
+    groups = _grouped(items)
+    index_of = [0] * len(items)
+    for position, (_item, indices) in enumerate(groups):
+        for index in indices:
+            index_of[index] = position
+    return [item for item, _indices in groups], index_of
 
 
 @dataclass(frozen=True)
@@ -187,6 +218,13 @@ class CloudCostModel:
         # *stateful* columns — all Eq. 9 reads — so rows that differ only in where
         # stateless components run share one capacity walk.
         self._storage_cost_cache: Dict[Tuple[str, ...], Dict[bytes, float]] = {}
+        # Lowered stacks of sibling models this model heads (see _CostStack.of).
+        self._stacks: Dict[Tuple, "_CostStack"] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state["_stacks"] = {}  # weak references do not pickle; rebuilt on first use
+        return state
 
     def derive(
         self,
@@ -201,10 +239,13 @@ class CloudCostModel:
         payload-scaled footprint while sharing the catalogs, storage metadata and
         baseline plan.  ``catalogs`` overrides the per-location pricing — the fault
         hook :class:`~repro.quality.faults.PriceShock` / :class:`~repro.quality.faults.CapacityCut`
-        compile through (shocked prices, shrunk node specs).  Caches are per-model,
-        so scenarios never cross-contaminate.
+        compile through (shocked prices, shrunk node specs).  Result memos are
+        per-model, so scenarios never cross-contaminate; what only the catalogs
+        determine — a site's autoscalers, the egress-rate tables — is shared with
+        this model wherever the sibling keeps the same catalog objects, which is how
+        :meth:`qcost_stack` walks one autoscaler for every scenario that bills it.
         """
-        return CloudCostModel(
+        model = CloudCostModel(
             catalog=self.catalog,
             estimate=estimate if estimate is not None else self.estimate,
             footprint=footprint if footprint is not None else self.footprint,
@@ -214,6 +255,16 @@ class CloudCostModel:
             charge_cloud_egress_only=self.charge_cloud_egress_only,
             catalogs=catalogs if catalogs is not None else self.catalogs,
         )
+        for location, catalog in model.catalogs.items():
+            if self.catalogs.get(location) is catalog:
+                model._cluster_autoscalers[location] = self._cluster_autoscalers[location]
+                model._storage_autoscalers[location] = self._storage_autoscalers[location]
+        if model.catalogs.keys() == self.catalogs.keys() and all(
+            catalog is self.catalogs[location]
+            for location, catalog in model.catalogs.items()
+        ):
+            model._rate_table_cache = self._rate_table_cache
+        return model
 
     # -- individual terms -----------------------------------------------------------------
     @property
@@ -422,159 +473,25 @@ class CloudCostModel:
             self._rate_table_cache[max_location] = cached
         return cached
 
-    @staticmethod
-    def _memoized_rows(
-        cache: Dict[bytes, float],
-        matrix: np.ndarray,
-        score: Callable[[np.ndarray], np.ndarray],
-    ) -> np.ndarray:
-        """Per-row scores of ``matrix`` through a memo keyed by the rows' raw bytes.
-
-        ``score`` sees each distinct unknown row once, as one sub-matrix.  Every
-        kernel scores rows independently, so a memoized value carries the same bits
-        no matter which batch first computed it.
-        """
-        row_size = matrix.shape[1] * matrix.itemsize
-        buffer = matrix.tobytes()
-        keys = [
-            buffer[start : start + row_size]
-            for start in range(0, matrix.shape[0] * row_size, row_size)
-        ]
-        unknown: Dict[bytes, int] = {}
-        for row, key in enumerate(keys):
-            if key not in cache and key not in unknown:
-                unknown[key] = row
-        if unknown:
-            scores = score(matrix[list(unknown.values())])
-            cache.update(zip(unknown, scores.tolist()))
-        return np.asarray([cache[key] for key in keys], dtype=np.float64)
-
     def _compute_batch(
         self, matrix: np.ndarray, components: Sequence[str]
     ) -> np.ndarray:
-        """Eq. 7 over a plan matrix: one vectorized autoscaler pass per billable site."""
-        step_hours = self.real_step_ms / _MS_PER_HOUR
-        totals = np.zeros(matrix.shape[0], dtype=np.float64)
-        for location in sorted(self._cluster_autoscalers):
-            members = matrix == location
-            if not members.any():
-                continue
-            cpu = self.estimate.aggregate_matrix("cpu_millicores", members, components)
-            memory = self.estimate.aggregate_matrix("memory_mb", members, components)
-            nodes = self._cluster_autoscalers[location].nodes_for_series(cpu, memory)
-            totals += (
-                nodes.sum(axis=1)
-                * self.catalogs[location].node_spec.hourly_price_usd
-                * step_hours
-            )
-        return totals
+        """Eq. 7 over a plan matrix: the stack of one of :func:`_compute_rows`."""
+        return _compute_rows(matrix, _sites((self,), _COMPUTE, components), 1)[0]
 
     def _storage_batch(
         self, matrix: np.ndarray, components: Sequence[str], lowering: _CostLowering
     ) -> np.ndarray:
-        """Eq. 9 over a plan matrix, memoized on each row's stateful placements."""
-        if lowering.stateful_columns.size == 0:
-            return np.zeros(matrix.shape[0], dtype=np.float64)
-        return self._memoized_rows(
-            self._storage_cost_cache.setdefault(tuple(components), {}),
-            matrix[:, lowering.stateful_columns],
-            lambda placements: self._storage_rows(placements, lowering),
-        )
-
-    def _storage_rows(
-        self, placements: np.ndarray, lowering: _CostLowering
-    ) -> np.ndarray:
-        """Eq. 9 for ``(rows, stateful components)`` placements: one capacity walk per site.
-
-        The migrated size sums the moved components' GB in column order, the
-        provisioned total sums the capacity series in step order — the scalar path's
-        two :func:`_left_sum` folds.
-        """
-        step_months = self.real_step_ms / _MS_PER_MONTH
-        n_rows = placements.shape[0]
-        totals = np.zeros(n_rows, dtype=np.float64)
-        moved = placements != lowering.stateful_baseline
-        for location in sorted(self._storage_autoscalers):
-            at_site = placements == location
-            if not at_site.any():
-                continue
-            migrated = ordered_masked_sum(lowering.stateful_gb, (at_site & moved).T)
-            usage = self.estimate.aggregate_matrix(
-                "storage_gb", at_site, lowering.stateful_names
-            )
-            capacity = self._storage_autoscalers[location].capacity_matrix(usage, migrated)
-            provisioned = ordered_masked_sum(
-                capacity.T, np.ones((capacity.shape[1], n_rows), dtype=bool)
-            )
-            totals += (
-                provisioned
-                * self.catalogs[location].storage_usd_per_gb_month
-                * step_months
-            )
-        return totals
+        """Eq. 9 over a plan matrix: the stack of one of :func:`_storage_rows`."""
+        return _storage_rows(
+            (self,), matrix, tuple(components), _storage_groups((self,), [lowering])
+        )[0]
 
     def _traffic_batch(
         self, matrix: np.ndarray, lowering: _CostLowering
     ) -> np.ndarray:
-        """Eq. 10 over a plan matrix, ``PLAN_BLOCK`` rows at a time.
-
-        Rows are billed independently, so blocking the plan axis changes no bit; it
-        keeps the ``(entries, buckets, plans)`` temporaries of :meth:`_traffic_rows`
-        at a fixed size whatever the batch.
-        """
-        n_plans = matrix.shape[0]
-        if lowering.entry_bytes.shape[0] == 0 or n_plans == 0:
-            return np.zeros(n_plans, dtype=np.float64)
-        tables = self._rate_tables_for(int(matrix.max()))
-        totals = np.empty(n_plans, dtype=np.float64)
-        for start in range(0, n_plans, PLAN_BLOCK):
-            stop = start + PLAN_BLOCK
-            totals[start:stop] = self._traffic_rows(matrix[start:stop], lowering, tables)
-        return totals
-
-    @staticmethod
-    def _traffic_rows(
-        matrix: np.ndarray,
-        lowering: _CostLowering,
-        tables: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> np.ndarray:
-        """Eq. 10 for one block of plans with per-rate bucket accounting.
-
-        Every bucket sums its contributions in the scalar entry order, and each
-        plan's final sum walks its buckets in first-contribution order (the scalar
-        dict's insertion order), so multi-rate topologies keep the exact float
-        summation sequence.
-        """
-        pair_bucket, site_bucket, billable, rates = tables
-        n_plans = matrix.shape[0]
-        n_entries = lowering.entry_bytes.shape[0]
-        src_locs = matrix[:, lowering.entry_src]
-        dst_locs = matrix[:, lowering.entry_dst]
-        billed = src_locs != dst_locs
-        if lowering.entry_site is None:
-            buckets = pair_bucket[src_locs, dst_locs]
-        else:
-            site_locs = matrix[:, lowering.entry_site]
-            billed &= billable[site_locs]
-            buckets = site_bucket[site_locs]
-        # (entries, buckets, plans): which bucket each billed contribution lands in.
-        into = (buckets.T[:, None, :] == np.arange(rates.size)[:, None]) & billed.T[
-            :, None, :
-        ]
-        usd = (
-            ordered_masked_sum(
-                lowering.entry_bytes, into.reshape(n_entries, -1)
-            ).reshape(rates.size, n_plans)
-            / _BYTES_PER_GB
-            * rates[:, None]
-        )
-        touched = into.any(axis=0)
-        first_seen = np.where(touched, into.argmax(axis=0), n_entries)
-        order = np.argsort(first_seen, axis=0, kind="stable")
-        return ordered_masked_sum(
-            np.take_along_axis(usd, order, axis=0),
-            np.take_along_axis(touched, order, axis=0),
-        )
+        """Eq. 10 over a plan matrix: the stack of one of :func:`_traffic_rows`."""
+        return _traffic_rows((self,), matrix, _traffic_groups((self,), [lowering]))[0]
 
     def qcost_batch(
         self, plan_matrix: np.ndarray, components: Sequence[str]
@@ -587,32 +504,66 @@ class CloudCostModel:
         result matches :meth:`qcost` bit for bit (the per-plan path stays the
         reference oracle).  Rows seen before (in any batch with the same component
         order) come from the batched memo; the per-plan memo cache of :meth:`qcost`
-        is neither consulted nor filled.
+        is neither consulted nor filled.  The stack of one of :meth:`qcost_stack`.
+        """
+        return self.qcost_stack((self,), plan_matrix, components)[0]
+
+    @staticmethod
+    def qcost_stack(
+        models: Sequence["CloudCostModel"],
+        plan_matrix: np.ndarray,
+        components: Sequence[str],
+    ) -> np.ndarray:
+        """:meth:`qcost_batch` of one plan matrix under several models: ``(len(models), plans)``.
+
+        Row ``s`` is bitwise ``models[s].qcost_batch(plan_matrix, components)``, and
+        every model's row memo ends up holding every row.  The robust evaluator's
+        scenario cost models are such a stack: what no scenario changes — the
+        membership masks, the stateful placements, the bucket masks and their
+        contribution order, an autoscaler walk over the estimates that share it — is
+        done once, and what a scenario does change (its estimate's series, its
+        billed bytes, its prices) rides along as extra columns of the same ordered
+        reductions.  Models are grouped by identity, never by value (``derive``
+        shares what a sibling leaves unchanged), so a faulted scenario's own
+        catalogs put it in its own groups by construction.
         """
         matrix = np.asarray(plan_matrix, dtype=np.int64)
         if matrix.ndim != 2 or matrix.shape[1] != len(components):
             raise ValueError("plan matrix must be (plans, len(components))")
+        distinct, model_of = _distinct(models)
         if matrix.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        if self.estimate.steps == 0:
-            # Degenerate estimate: the scalar storage path has a one-step fallback
-            # that is not worth vectorizing; score these plans through the oracle.
-            return np.asarray(
-                [
-                    self.estimate_cost(
-                        MigrationPlan.from_vector(components, row)
-                    ).total_usd
-                    for row in matrix.tolist()
-                ]
-            )
-        lowering = self._lowering(components)
-        return self._memoized_rows(
-            self._batch_cost_cache.setdefault(tuple(components), {}),
-            matrix,
-            lambda rows: self._compute_batch(rows, components)
-            + self._storage_batch(rows, components, lowering)
-            + self._traffic_batch(rows, lowering),
-        )
+            return np.zeros((len(models), 0), dtype=np.float64)
+        key = tuple(components)
+        groups = _grouped([model.estimate.steps for model in distinct], lambda steps: steps)
+        totals = None if len(groups) == 1 else np.empty((len(distinct), matrix.shape[0]))
+        for steps, rows in groups:
+            group = [distinct[row] for row in rows]
+            if steps == 0:
+                # Degenerate estimate: the scalar storage path has a one-step
+                # fallback that is not worth vectorizing; score through the oracle.
+                scores = np.asarray(
+                    [
+                        [
+                            model.estimate_cost(
+                                MigrationPlan.from_vector(components, vector)
+                            ).total_usd
+                            for vector in matrix.tolist()
+                        ]
+                        for model in group
+                    ],
+                    dtype=np.float64,
+                )
+            else:
+                scores = _memoized_rows(
+                    [model._batch_cost_cache.setdefault(key, {}) for model in group],
+                    matrix,
+                    lambda block: _stack_rows(group, block, key),
+                )
+            if totals is None:
+                totals = scores
+            else:
+                totals[rows] = scores
+        return totals if len(distinct) == len(models) else totals[model_of]
 
     # -- combined --------------------------------------------------------------------------
     def qcost(self, plan: MigrationPlan) -> float:
@@ -633,3 +584,337 @@ class CloudCostModel:
             period_ms=period_ms,
             node_series=nodes,
         )
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels: one plan matrix under several sibling cost models
+# ---------------------------------------------------------------------------
+
+#: Walk = ``(autoscaler, estimate columns it walks or None for all, bills)``; a
+#: bill is ``(model row, column among the walked ones, price, step in price units)``.
+_Walk = Tuple[object, Optional[List[int]], List[Tuple[int, int, float, float]]]
+#: Site = ``(location, one stack_series per resource, walks)``.
+_Site = Tuple[int, List[List], List[_Walk]]
+
+#: The two autoscaled terms: autoscalers attribute, resources aggregated, the
+#: catalog price a node / GB-month bills at, and the length of one price unit.
+_COMPUTE = (
+    "_cluster_autoscalers",
+    ("cpu_millicores", "memory_mb"),
+    lambda catalog: catalog.node_spec.hourly_price_usd,
+    _MS_PER_HOUR,
+)
+_STORAGE = (
+    "_storage_autoscalers",
+    ("storage_gb",),
+    lambda catalog: catalog.storage_usd_per_gb_month,
+    _MS_PER_MONTH,
+)
+
+
+def _sites(models: Sequence[CloudCostModel], term: Tuple, columns: Sequence[str]) -> List[_Site]:
+    """Every billable site of ``models``, sorted: the distinct estimates billed there
+    stacked per resource, and one walk per distinct autoscaler there."""
+    attribute, resources, price_of, period_ms = term
+    sites: List[_Site] = []
+    locations = {location for model in models for location in getattr(model, attribute)}
+    for location in sorted(locations):
+        billing = [
+            (row, model)
+            for row, model in enumerate(models)
+            if location in getattr(model, attribute)
+        ]
+        estimates, estimate_of = _distinct([model.estimate for _row, model in billing])
+        walks: List[_Walk] = []
+        for autoscaler, walk in _grouped(
+            [getattr(model, attribute)[location] for _row, model in billing]
+        ):
+            needed = sorted({estimate_of[index] for index in walk})
+            bills = []
+            for index in walk:
+                row, model = billing[index]
+                bills.append(
+                    (
+                        row,
+                        needed.index(estimate_of[index]),
+                        price_of(model.catalogs[location]),
+                        model.real_step_ms / period_ms,
+                    )
+                )
+            walks.append(
+                (autoscaler, None if len(needed) == len(estimates) else needed, bills)
+            )
+        series = [stack_series(estimates, resource, columns) for resource in resources]
+        sites.append((location, series, walks))
+    return sites
+
+
+def _storage_groups(
+    models: Sequence[CloudCostModel], lowerings: Sequence[_CostLowering]
+) -> List[Tuple[List[int], _CostLowering, List[_Site]]]:
+    """Models whose lowerings hold the same stateful columns, baselines and GB, with
+    their storage sites."""
+    groups = []
+    for lowering, rows in _grouped(
+        lowerings,
+        lambda lowering: (
+            lowering.stateful_columns.tobytes(),
+            lowering.stateful_baseline.tobytes(),
+            lowering.stateful_gb.tobytes(),
+        ),
+    ):
+        if lowering.stateful_columns.size:
+            sites = _sites([models[row] for row in rows], _STORAGE, lowering.stateful_names)
+            groups.append((rows, lowering, sites))
+    return groups
+
+
+def _traffic_groups(
+    models: Sequence[CloudCostModel], lowerings: Sequence[_CostLowering]
+) -> List[Tuple[List[int], _CostLowering, np.ndarray]]:
+    """Models that bill the same entries (equal entry arrays) at the same rate tables
+    (one shared cache), with their billed bytes side by side: ``(entries, 1, models)``."""
+    groups = []
+    for (lowering, _model), rows in _grouped(
+        list(zip(lowerings, models)),
+        lambda pair: (
+            pair[0].entry_src.tobytes(),
+            pair[0].entry_dst.tobytes(),
+            None if pair[0].entry_site is None else pair[0].entry_site.tobytes(),
+            id(pair[1]._rate_table_cache),
+        ),
+    ):
+        if lowering.entry_bytes.shape[0]:
+            entry_bytes = np.concatenate([lowerings[row].entry_bytes for row in rows], axis=1)
+            groups.append((rows, lowering, entry_bytes[:, None, :]))
+    return groups
+
+
+class _CostStack:
+    """One tuple of sibling cost models lowered onto one component order.
+
+    What :meth:`CloudCostModel.qcost_stack` reads that no plan matrix changes: the
+    billable sites with their stacked estimate series and autoscaler walks, and the
+    storage and traffic groups.  Built once per tuple and cached on its first model;
+    it holds the models only weakly (``refs`` tell a live entry from a stale one).
+    """
+
+    #: Entries kept per first model; a robust search reuses one tuple call after call.
+    CACHED = 8
+
+    def __init__(self, models: Sequence[CloudCostModel], key: Tuple[str, ...]) -> None:
+        self.refs = tuple(weakref.ref(model) for model in models)
+        lowerings = [model._lowering(key) for model in models]
+        self.compute = _sites(models, _COMPUTE, key)
+        self.storage = _storage_groups(models, lowerings)
+        self.traffic = _traffic_groups(models, lowerings)
+
+    @classmethod
+    def of(cls, models: Sequence[CloudCostModel], key: Tuple[str, ...]) -> "_CostStack":
+        stacks = models[0]._stacks
+        name = (tuple(map(id, models)), key)
+        stack = stacks.get(name)
+        if stack is None or any(
+            ref() is not model for ref, model in zip(stack.refs, models)
+        ):
+            if len(stacks) >= cls.CACHED:
+                stacks.clear()
+            stack = stacks[name] = cls(models, key)
+        return stack
+
+
+def _memoized_rows(
+    caches: Sequence[Dict[bytes, float]],
+    matrix: np.ndarray,
+    score: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Per-row scores of ``matrix`` under several models, through their row memos.
+
+    ``caches[s]`` is model ``s``'s memo keyed by a row's raw bytes; returns
+    ``(len(caches), rows)``.  The keys are cut once for every model, and ``score``
+    sees each distinct row that some memo lacks once, as one sub-matrix, returning
+    ``(len(caches), rows)`` that every memo then holds.  Every kernel scores rows
+    independently, so a memoized value carries the same bits no matter which
+    batch, or which stack of models, first computed it.
+    """
+    row_size = matrix.shape[1] * matrix.itemsize
+    buffer = matrix.tobytes()
+    keys = [
+        buffer[start : start + row_size]
+        for start in range(0, matrix.shape[0] * row_size, row_size)
+    ]
+    unknown: Dict[bytes, int] = {}
+    for cache in caches:
+        for row, key in enumerate(keys):
+            if key not in cache and key not in unknown:
+                unknown[key] = row
+    if unknown:
+        scores = score(matrix[list(unknown.values())])
+        for cache, values in zip(caches, scores.tolist()):
+            cache.update(zip(unknown, values))
+    return np.asarray([[cache[key] for key in keys] for cache in caches], dtype=np.float64)
+
+
+def _stack_rows(
+    models: Sequence[CloudCostModel], matrix: np.ndarray, key: Tuple[str, ...]
+) -> np.ndarray:
+    """Eq. 11 of rows no memo of ``models`` holds: ``(len(models), rows)``."""
+    stack = _CostStack.of(models, key)
+    return (
+        _compute_rows(matrix, stack.compute, len(models))
+        + _storage_rows(models, matrix, key, stack.storage)
+        + _traffic_rows(models, matrix, stack.traffic)
+    )
+
+
+def _compute_rows(matrix: np.ndarray, sites: Sequence[_Site], n_models: int) -> np.ndarray:
+    """Eq. 7 under ``n_models`` models: ``(n_models, plans)``.
+
+    Per billable site one membership mask and one ordered aggregation per resource
+    over the distinct estimates, one vectorized walk per distinct autoscaler; each
+    model prices its own node counts at its site rate and step length, site by site
+    in its own (sorted) order.
+    """
+    totals = np.zeros((n_models, matrix.shape[0]), dtype=np.float64)
+    for location, (cpu_series, memory_series), walks in sites:
+        members = matrix == location
+        if not members.any():
+            continue
+        cpu = aggregate_stacked(cpu_series, members)
+        memory = aggregate_stacked(memory_series, members)
+        for autoscaler, needed, bills in walks:
+            if needed is None:
+                nodes = autoscaler.nodes_for_series(cpu, memory)
+            else:
+                nodes = autoscaler.nodes_for_series(cpu[:, needed], memory[:, needed])
+            nodes = nodes.sum(axis=2)
+            for row, column, price, step_hours in bills:
+                totals[row] += nodes[:, column] * price * step_hours
+    return totals
+
+
+def _storage_rows(
+    models: Sequence[CloudCostModel],
+    matrix: np.ndarray,
+    key: Tuple[str, ...],
+    groups: Sequence[Tuple[List[int], _CostLowering, List[_Site]]],
+) -> np.ndarray:
+    """Eq. 9 under several models, memoized on each row's stateful placements.
+
+    A group's models share one placement gather, one set of memo keys and one
+    capacity pass (:func:`_capacity_rows`) for the rows some memo lacks.
+    """
+    totals = np.zeros((len(models), matrix.shape[0]), dtype=np.float64)
+    for rows, lowering, sites in groups:
+        totals[rows] = _memoized_rows(
+            [models[row]._storage_cost_cache.setdefault(key, {}) for row in rows],
+            matrix[:, lowering.stateful_columns],
+            lambda placements: _capacity_rows(placements, lowering, sites, len(rows)),
+        )
+    return totals
+
+
+def _capacity_rows(
+    placements: np.ndarray,
+    lowering: _CostLowering,
+    sites: Sequence[_Site],
+    n_models: int,
+) -> np.ndarray:
+    """Eq. 9 for ``(rows, stateful components)`` placements: ``(n_models, rows)``.
+
+    Per site one capacity walk per distinct storage autoscaler, over the usage of
+    every estimate it bills at once.  The migrated size sums the moved components'
+    GB in column order, the provisioned total sums the capacity series in step
+    order — the scalar path's two :func:`_left_sum` folds.
+    """
+    n_rows = placements.shape[0]
+    totals = np.zeros((n_models, n_rows), dtype=np.float64)
+    moved = placements != lowering.stateful_baseline
+    for location, (usage_series,), walks in sites:
+        at_site = placements == location
+        if not at_site.any():
+            continue
+        migrated = ordered_masked_sum(lowering.stateful_gb, (at_site & moved).T)
+        usage = aggregate_stacked(usage_series, at_site)
+        for autoscaler, needed, bills in walks:
+            used = usage if needed is None else usage[:, needed]
+            width = used.shape[1]
+            capacity = autoscaler.capacity_matrix(
+                used.reshape(n_rows * width, used.shape[2]), np.repeat(migrated, width)
+            )
+            provisioned = ordered_masked_sum(
+                capacity.T, np.ones(capacity.T.shape, dtype=bool)
+            ).reshape(n_rows, width)
+            for row, column, price, step_months in bills:
+                totals[row] += provisioned[:, column] * price * step_months
+    return totals
+
+
+def _traffic_rows(
+    models: Sequence[CloudCostModel],
+    matrix: np.ndarray,
+    groups: Sequence[Tuple[List[int], _CostLowering, np.ndarray]],
+) -> np.ndarray:
+    """Eq. 10 under several models, ``PLAN_BLOCK`` rows at a time.
+
+    A group's models bill the same entries at the same rate tables: they share the
+    bucket masks and the first-contribution order, and their billed bytes are the
+    extra columns of the two ordered sums of :func:`_traffic_block`.  Rows are
+    billed independently, so blocking the plan axis changes no bit; it keeps the
+    ``(entries, buckets, plans)`` temporaries at a fixed size whatever the batch.
+    """
+    n_plans = matrix.shape[0]
+    totals = np.zeros((len(models), n_plans), dtype=np.float64)
+    if n_plans == 0:
+        return totals
+    max_location = int(matrix.max())
+    for rows, lowering, entry_bytes in groups:
+        tables = models[rows[0]]._rate_tables_for(max_location)
+        for start in range(0, n_plans, PLAN_BLOCK):
+            stop = start + PLAN_BLOCK
+            totals[rows, start:stop] = _traffic_block(
+                matrix[start:stop], lowering, entry_bytes, tables
+            ).T
+    return totals
+
+
+def _traffic_block(
+    matrix: np.ndarray,
+    lowering: _CostLowering,
+    entry_bytes: np.ndarray,
+    tables: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Eq. 10 for one block of plans with per-rate bucket accounting: ``(plans, G)``.
+
+    ``entry_bytes`` is ``(entries, 1, G)``: the billed bytes of ``G`` models that
+    share ``lowering``'s entries.  Every bucket sums its contributions in the scalar
+    entry order, and each plan's final sum walks its buckets in first-contribution
+    order (the scalar dict's insertion order), so multi-rate topologies keep the
+    exact float summation sequence.
+    """
+    pair_bucket, site_bucket, billable, rates = tables
+    n_plans = matrix.shape[0]
+    n_entries = entry_bytes.shape[0]
+    src_locs = matrix[:, lowering.entry_src]
+    dst_locs = matrix[:, lowering.entry_dst]
+    billed = src_locs != dst_locs
+    if lowering.entry_site is None:
+        buckets = pair_bucket[src_locs, dst_locs]
+    else:
+        site_locs = matrix[:, lowering.entry_site]
+        billed &= billable[site_locs]
+        buckets = site_bucket[site_locs]
+    # (entries, buckets, plans): which bucket each billed contribution lands in.
+    into = (buckets.T[:, None, :] == np.arange(rates.size)[:, None]) & billed.T[:, None, :]
+    usd = (
+        ordered_masked_sum(entry_bytes, into.reshape(n_entries, -1)).reshape(
+            rates.size, n_plans, -1
+        )
+        / _BYTES_PER_GB
+        * rates[:, None, None]
+    )
+    touched = into.any(axis=0)
+    first_seen = np.where(touched, into.argmax(axis=0), n_entries)
+    # Each plan's buckets in first-contribution order: (buckets, plans) gathers.
+    order = (np.argsort(first_seen, axis=0, kind="stable"), np.arange(n_plans))
+    return ordered_masked_sum(usd[order], touched[order])

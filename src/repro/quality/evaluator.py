@@ -19,7 +19,7 @@ integer location matrix, not a list of :class:`MigrationPlan` objects:
 the generation into one matrix and scores all K objectives plus feasibility in a
 handful of vectorized passes — one ``score_matrix`` call per objective (one compiled
 replay per API for QPerf, one autoscaler pass per billable site for QCost, one
-stateful-column pass per API for QAvai) and one boolean mask per constraint.  Each
+stateful-column pass for QAvai) and one boolean mask per constraint.  Each
 plan's cost is computed exactly once per evaluation and reused by the budget check;
 violation strings are materialized lazily, only for infeasible plans.  Every entry
 point — the single-plan ``evaluate`` / ``is_feasible`` / ``constraint_violations``
@@ -28,11 +28,13 @@ included — goes through that one engine; the per-plan scalar kernels survive a
 are bitwise identical to.
 
 **Scenario axis.**  With a scenario set (explicit, bound, or declared on the
-problem), every objective is scored once per compiled scenario into per-objective
+problem), every objective is scored per compiled scenario into per-objective
 ``(S, P)`` tensors that collapse through the robust aggregator; a plan is feasible
-iff it is feasible under every scenario.  Classic single-workload evaluation is the
-same loop with one pass over the evaluator's base models and the identity in place
-of the aggregator.
+iff it is feasible under every scenario.  The built-in plugins score all S in one
+stacked pass per call (:meth:`~repro.quality.problem.EvalContext.stacked`): work no
+scenario changes runs once, what one changes rides along as extra columns of the
+same ordered reductions.  Classic evaluation is the stack of one over the base
+models, with the identity in place of the aggregator.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .cost import CloudCostModel
 from .faults import FaultedStack
 from .performance import ApiPerformanceModel
 from .preferences import MigrationPreferences
-from .problem import ConstraintCheck, EvalContext, PlacementProblem
+from .problem import ConstraintCheck, EvalContext, PlacementProblem, scenario_costs
 from .scenarios import (
     ObjectiveVector,
     RobustAggregator,
@@ -374,14 +376,12 @@ class QualityEvaluator:
         components: Sequence[str],
         scenario_set: Optional[ScenarioSet],
     ) -> List[EvalContext]:
-        """One evaluation context per pass: the base models, or each compiled scenario."""
+        """One evaluation context per pass: the base models, or each compiled scenario
+        — one call's scenario contexts share ``shared`` and name all as ``columns``."""
         if scenario_set is None:
             return [self._matrix_context(matrix, components)]
         compiled = [self._scenario_context(spec) for spec in scenario_set]
-        # Call-wide: the QPerf plugin keeps its per-view impact matrices here, so
-        # payload-neutral scenarios share one Δ-row gather/replay per distinct view.
         shared: Dict = {}
-        views = [context.performance for context in compiled]
         return [
             EvalContext(
                 matrix=matrix,
@@ -395,11 +395,17 @@ class QualityEvaluator:
                 evaluator=self,
                 scenario=context.spec,
                 base_performance=self.performance,
-                scenario_performances=views,
+                columns=compiled,
+                column=index,
                 shared=shared,
             )
-            for context in compiled
+            for index, context in enumerate(compiled)
         ]
+
+    def _checks(self, contexts: Sequence[EvalContext]) -> List[List[ConstraintCheck]]:
+        """Every constraint of the problem under every context, in stack order."""
+        constraints = self.problem.constraints
+        return [[constraint.check(ctx) for constraint in constraints] for ctx in contexts]
 
     @staticmethod
     def _aggregate(
@@ -420,34 +426,33 @@ class QualityEvaluator:
         scenario_set: Optional[ScenarioSet] = None,
         aggregator: Optional[RobustAggregator] = None,
     ) -> List[PlanQuality]:
-        """Score distinct, uncached plans in S batched passes (S = 1 without a set).
+        """Score distinct, uncached plans over the S scenario columns (S = 1 without a set).
 
         Builds K per-objective ``(S, P)`` tensors — one ``score_matrix`` call per
-        objective and one ``check`` per constraint per pass, all passes sharing the
-        plan-level dedup and, through the QPerf plugin's impact cache on the
-        call-wide ``shared`` dict, the performance model's compiled trace sets /
-        replay caches — and collapses each with ``aggregator``.  Without a scenario
-        set the single pass runs over the evaluator's base models, aggregates by
-        identity and attaches no per-scenario breakdown.  A plan is feasible iff it
-        is feasible under every pass; violation strings are materialized lazily,
-        only for infeasible rows, and prefixed with the scenario name when S > 1.
-        Results are bitwise identical to :meth:`evaluate_reference`.
+        objective and one ``check`` per constraint per context; the built-in plugins
+        answer all S contexts from one stacked pass per call (the first context's
+        call computes every scenario's row, the plan-level dedup and the compiled
+        replays shared) — and collapses each with ``aggregator``.  Without a
+        scenario set the single pass runs over the evaluator's base models,
+        aggregates by identity and attaches no per-scenario breakdown.  A plan is
+        feasible iff it is feasible under every pass; violation strings are
+        materialized lazily, only for infeasible rows, and prefixed with the
+        scenario name when S > 1.  Results are bitwise identical to
+        :meth:`evaluate_reference`.
         """
         objectives = self.problem.objectives
-        constraints = self.problem.constraints
         names = self.problem.objective_names
         contexts = self._contexts(matrix, components, scenario_set)
         n_scenarios, n_plans = len(contexts), matrix.shape[0]
         scores = [
             np.empty((n_scenarios, n_plans), dtype=np.float64) for _ in objectives
         ]
-        checks: List[List[ConstraintCheck]] = []
         for index, ctx in enumerate(contexts):
             for k, objective in enumerate(objectives):
                 scores[k][index] = objective.minimized(
                     np.asarray(objective.score_matrix(ctx), dtype=np.float64)
                 )
-            checks.append([constraint.check(ctx) for constraint in constraints])
+        checks = self._checks(contexts)
         # Lower the tensors and masks to Python scalars once: the per-row loop below
         # runs for every distinct plan of a generation, so per-element ndarray
         # indexing would dominate the small-K dispatch budget.
@@ -671,7 +676,7 @@ class QualityEvaluator:
         scenario_set, aggregator = self._resolve_scenarios(None, None)
         costs = np.stack(
             [
-                ctx.cost.qcost_batch(matrix, components)
+                scenario_costs(ctx)
                 for ctx in self._contexts(matrix, components, scenario_set)
             ]
         )
@@ -776,8 +781,7 @@ class QualityEvaluator:
         scenario_set, _aggregator = self._resolve_scenarios(None, None)
         contexts = self._contexts(matrix, self._canonical, scenario_set)
         violations: List[str] = []
-        for ctx in contexts:
-            checks = [constraint.check(ctx) for constraint in self.problem.constraints]
+        for ctx, checks in zip(contexts, self._checks(contexts)):
             violations.extend(
                 self._labelled(self._materialize_row(checks, 0), ctx, len(contexts))
             )
@@ -792,15 +796,14 @@ class QualityEvaluator:
         """Per-plan feasibility of a location matrix — the batched ``is_feasible``.
 
         With ``scenarios`` (or a bound scenario set) a plan is feasible only if it
-        satisfies the constraints under **every** scenario; per-scenario costs hit
-        the scenario cost models' row memos, so a later robust evaluation of the
-        same plans does not pay the cost passes again.
+        satisfies the constraints under **every** scenario; the stacked cost pass
+        fills every scenario cost model's row memo, so a later robust evaluation of
+        the same plans does not pay the cost passes again.
         """
         scenario_set, _aggregator = self._resolve_scenarios(scenarios, None)
         matrix, components = self._lower(vectors, components)
         mask = np.ones(matrix.shape[0], dtype=bool)
-        for ctx in self._contexts(matrix, components, scenario_set):
-            checks = [constraint.check(ctx) for constraint in self.problem.constraints]
+        for checks in self._checks(self._contexts(matrix, components, scenario_set)):
             mask &= self._feasible_from_checks(checks, matrix.shape[0])
         return mask
 

@@ -52,6 +52,7 @@ import numpy as np
 from ..cluster.network import NetworkModel
 from ..cluster.placement import MigrationPlan
 from ..learning.api_profile import classify_background, classify_sibling
+from ..learning.estimator import ordered_masked_sum
 from ..learning.footprint import NetworkFootprint
 from ..apps.model import ExecutionMode
 from ..telemetry.tracing import Span, Trace
@@ -687,21 +688,35 @@ class ApiPerformanceModel:
                 impacts[index] = 1.0
         return impacts
 
-    def qperf_from_impacts(
+    def qperf_stack(
         self,
-        impacts: np.ndarray,
-        api_weights: Optional[Mapping[str, float]] = None,
+        impacts: Sequence[np.ndarray],
+        api_weights: Sequence[Optional[Mapping[str, float]]],
     ) -> np.ndarray:
-        """Collapse an :meth:`impact_matrix` into QPerf under one trace-weight vector.
+        """Collapse :meth:`impact_matrix` results into QPerf under several weight vectors.
 
-        Accumulates API by API in the scalar iteration order, so the result is
-        bitwise equal to :meth:`qperf_batch` (and per-plan ``qperf``) whatever the
-        weights."""
-        totals = np.zeros(impacts.shape[1], dtype=np.float64)
-        for index, api in enumerate(self._apis):
-            weight = api_weights.get(api, 1.0) if api_weights else 1.0
-            totals += weight * impacts[index]
-        return totals / len(self._apis)
+        ``impacts[s]`` (the impact matrix of scenario ``s``'s view — one object for
+        every scenario sharing the view) is weighted by ``api_weights[s]``; returns
+        ``(len(api_weights), plans)``.  One ordered sum over the API axis adds every
+        row's weighted impacts; that axis stays outermost, so each element
+        accumulates in the scalar iteration order and row ``s`` is bitwise
+        :meth:`qperf_batch` under ``api_weights[s]``."""
+        weights = np.asarray(
+            [
+                [row.get(api, 1.0) if row else 1.0 for row in api_weights]
+                for api in self._apis
+            ],
+            dtype=np.float64,
+        ).reshape(len(self._apis), 1, len(api_weights))
+        first = impacts[0]
+        stacked = (
+            first[:, :, None]
+            if all(matrix is first for matrix in impacts)
+            else np.stack(impacts, axis=2)
+        )
+        terms = weights * stacked
+        totals = ordered_masked_sum(terms, np.ones(terms.shape[:2], dtype=bool))
+        return totals.T / len(self._apis)
 
     def qperf_batch(
         self,
@@ -715,9 +730,9 @@ class ApiPerformanceModel:
         totals accumulate API by API in the scalar iteration order, so every entry
         matches ``qperf`` of the corresponding plan bit for bit.
         """
-        return self.qperf_from_impacts(
-            self.impact_matrix(plan_matrix, components), api_weights
-        )
+        return self.qperf_stack(
+            [self.impact_matrix(plan_matrix, components)], [api_weights]
+        )[0]
 
     # -- estimates ------------------------------------------------------------------------
     def estimate_latencies(self, api: str, plan: MigrationPlan) -> List[float]:

@@ -19,9 +19,11 @@ the objective/constraint surface into a plugin API:
   Pareto search to K dimensions with zero optimizer changes.
 
 The three paper objectives and all four constraint families (pins, allowed-location
-whitelists, on-prem peaks, budget) are themselves built-in plugins over the existing
-batched kernels (``qperf_batch`` / ``qavai_batch`` / ``qcost_batch``, the constraint
-mask passes), so the default problem is *byte-identical* to the hardcoded pipeline it
+whitelists, on-prem peaks, budget) are themselves built-in plugins over the batched
+kernels (``qperf_stack`` / ``qavai_stack`` / ``qcost_stack`` — whose stack of one is
+``qperf_batch`` / ``qavai_batch`` / ``qcost_batch`` — and the constraint mask passes),
+each run once per call for every scenario through :meth:`EvalContext.stacked`, so
+the default problem is *byte-identical* to the hardcoded pipeline it
 replaced — fixed-seed GA / NSGA-II / random-search fingerprints are unchanged
 (enforced by ``tests/test_problem.py``).
 
@@ -50,6 +52,8 @@ import numpy as np
 
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import ON_PREM
+from ..learning.estimator import peak_stack
+from .cost import _distinct, _grouped
 from .preferences import MigrationPreferences
 from .scenarios import RobustAggregator, ScenarioSet, ScenarioSpec
 
@@ -100,9 +104,14 @@ class EvalContext:
     ``scratch`` is a per-(scenario, call) dict objectives and constraints use to hand
     each other intermediate arrays (e.g. the QCost objective parks its cost vector for
     the budget constraint, so each plan's cost is computed exactly once per
-    evaluation).  ``shared`` spans *all scenarios* of one evaluation call — the QPerf
-    plugin keeps its per-view impact-matrix cache there so payload-neutral scenarios
-    share one Δ-row gather/replay.
+    evaluation).  ``shared`` spans *all scenarios* of one evaluation call: it holds
+    the call-wide stacks of :meth:`stacked`.
+
+    ``columns`` are the model bundles of every scenario of the call, in scenario
+    order (anything carrying ``performance`` / ``availability`` / ``cost`` /
+    ``estimate`` / ``weights`` / ``preferences``), and ``column`` is this context's
+    index among them; a classic pass leaves ``columns`` empty — its one column is the
+    context itself.
 
     ``plans`` is set only on the scalar reference path: a one-row matrix plus the
     corresponding :class:`MigrationPlan` (``plans[0]``) for plugins that override
@@ -120,7 +129,8 @@ class EvalContext:
     evaluator: "QualityEvaluator"
     scenario: Optional[ScenarioSpec] = None
     base_performance: Optional["ApiPerformanceModel"] = None
-    scenario_performances: Optional[List["ApiPerformanceModel"]] = None
+    columns: Sequence = ()
+    column: int = 0
     shared: Dict = field(default_factory=dict)
     scratch: Dict = field(default_factory=dict)
     plans: Optional[Sequence[MigrationPlan]] = None
@@ -128,6 +138,20 @@ class EvalContext:
     @property
     def n_plans(self) -> int:
         return int(self.matrix.shape[0])
+
+    def stacked(self, key: str, compute: Callable[[Sequence], Sequence]):
+        """This context's entry of a call-wide stack, computed once per call.
+
+        The first context of the call to ask runs ``compute(columns)`` — one entry
+        per scenario column, typically an ``(S, plans)`` array — and parks it in
+        ``shared[key]``; every later context reads its own entry.  How the built-in
+        plugins do each kernel's scenario-invariant work once per call while the
+        :class:`Objective` / :class:`Constraint` protocol stays one call per context.
+        """
+        stack = self.shared.get(key)
+        if stack is None:
+            stack = self.shared[key] = compute(self.columns or (self,))
+        return stack[self.column]
 
     def column_of(self) -> Dict[str, int]:
         columns = self.scratch.get("column_of")
@@ -222,58 +246,99 @@ class Constraint:
 # ---------------------------------------------------------------------------
 
 
+def _per_object(columns: Sequence, attribute: str, compute: Callable) -> List:
+    """``compute(column.<attribute>)`` once per distinct object, one entry per column.
+
+    The grouping rule of every stacked built-in: scenarios share a computation
+    exactly when it reads the same object (a faulted spec's derived preferences or
+    availability model is a different object, so it is never merged by value)."""
+    entries: List = [None] * len(columns)
+    for value, indices in _grouped([getattr(column, attribute) for column in columns]):
+        result = compute(value)
+        for index in indices:
+            entries[index] = result
+    return entries
+
+
+def scenario_costs(ctx: EvalContext) -> np.ndarray:
+    """QCost of ``ctx``'s scenario, from one :meth:`~repro.quality.cost.CloudCostModel.qcost_stack`
+    pass over every scenario's cost model of the call (the QCost objective, the
+    budget constraint and ``QualityEvaluator.qcost_vectors`` all read it)."""
+    if not ctx.columns:  # a classic pass: qcost_batch is the stack of one
+        return ctx.cost.qcost_batch(ctx.matrix, ctx.components)
+    return ctx.stacked(
+        "qcost",
+        lambda columns: ctx.cost.qcost_stack(
+            [column.cost for column in columns], ctx.matrix, ctx.components
+        ),
+    )
+
+
 class QPerfObjective(Objective):
     """Expected API slowdown (Eq. 1): weighted mean impact factor over all APIs.
 
-    Batched scoring reuses the compiled-replay kernel (``qperf_batch``); under robust
-    evaluation the per-view impact matrices are cached in ``ctx.shared`` so
-    payload-neutral scenarios share one Δ-row gather/replay per distinct performance
-    view — exactly the sharing the hardcoded scenario pipeline performed.
+    Batched scoring reuses the compiled-replay kernel: one impact matrix per distinct
+    performance view of the call (payload-neutral scenarios share the base view's
+    Δ-row gather/replay), then every scenario's τ_A weights in one API-ordered sum
+    (:meth:`~repro.quality.performance.ApiPerformanceModel.qperf_stack`).
     """
 
     name = "qperf"
 
     def score_matrix(self, ctx: EvalContext) -> np.ndarray:
-        if ctx.scenario is None:
-            return ctx.performance.qperf_batch(ctx.matrix, ctx.components, ctx.weights)
-        impacts = self._impacts(ctx)
-        return ctx.performance.qperf_from_impacts(impacts, ctx.weights)
+        return ctx.stacked(
+            "qperf",
+            lambda columns: ctx.performance.qperf_stack(
+                self._impacts(ctx, columns), [column.weights for column in columns]
+            ),
+        )
 
-    def _impacts(self, ctx: EvalContext) -> np.ndarray:
-        cache: Dict[int, np.ndarray] = ctx.shared.setdefault("qperf.impacts", {})
+    @staticmethod
+    def _impacts(ctx: EvalContext, columns: Sequence) -> List[np.ndarray]:
+        """One impact matrix per column, computed once per distinct view."""
+        views = {id(column.performance): column.performance for column in columns}
         base = ctx.base_performance
-        if not cache and base is not None and ctx.scenario_performances is not None:
-            # Seed the base model's impacts whenever (a) a payload-scaled view could
-            # copy unchanged rows from them and (b) some scenario uses the base view
-            # anyway — independent of the scenario order in the set.
-            views = {id(view): view for view in ctx.scenario_performances}
-            if id(base) in views and any(
-                view is not base and view._changed_apis is not None
-                for view in views.values()
-            ):
-                cache[id(base)] = base.impact_matrix(ctx.matrix, ctx.components)
-        view_key = id(ctx.performance)
-        impacts = cache.get(view_key)
-        if impacts is None:
-            impacts = ctx.performance.impact_matrix(
-                ctx.matrix,
-                ctx.components,
-                base_impacts=cache.get(id(base)) if base is not None else None,
-            )
-            cache[view_key] = impacts
-        return impacts
+        impacts: Dict[int, np.ndarray] = {}
+        if base is not None and id(base) in views and any(
+            view is not base and view._changed_apis is not None
+            for view in views.values()
+        ):
+            # A payload-scaled view copies its unchanged APIs' rows from the base
+            # view's impacts, which some scenario needs anyway: compute them first.
+            impacts[id(base)] = base.impact_matrix(ctx.matrix, ctx.components)
+        for key, view in views.items():
+            if key not in impacts:
+                impacts[key] = view.impact_matrix(
+                    ctx.matrix, ctx.components, base_impacts=impacts.get(id(base))
+                )
+        return [impacts[id(column.performance)] for column in columns]
 
     def score_plan(self, ctx: EvalContext, plan: MigrationPlan) -> float:
         return ctx.performance.qperf(plan, ctx.weights)
 
 
 class QAvaiObjective(Objective):
-    """Expected availability disruption (Eq. 3): weighted count of disrupted APIs."""
+    """Expected availability disruption (Eq. 3): weighted count of disrupted APIs.
+
+    One disruption pass per distinct availability model of the call, weighted by
+    each of its scenarios' τ_A vectors in one API-ordered sum
+    (:meth:`~repro.quality.availability.ApiAvailabilityModel.qavai_stack`).
+    """
 
     name = "qavai"
 
     def score_matrix(self, ctx: EvalContext) -> np.ndarray:
-        return ctx.availability.qavai_batch(ctx.matrix, ctx.components, ctx.weights)
+        return ctx.stacked("qavai", lambda columns: self._stack(ctx, columns))
+
+    @staticmethod
+    def _stack(ctx: EvalContext, columns: Sequence) -> np.ndarray:
+        totals = np.empty((len(columns), ctx.n_plans), dtype=np.float64)
+        for model, rows in _grouped([column.availability for column in columns]):
+            totals[rows] = model.qavai_stack(
+                model.disruption_matrix(ctx.matrix, ctx.components),
+                [columns[row].weights for row in rows],
+            )
+        return totals
 
     def score_plan(self, ctx: EvalContext, plan: MigrationPlan) -> float:
         return ctx.availability.qavai(plan, ctx.weights)
@@ -282,14 +347,14 @@ class QAvaiObjective(Objective):
 class QCostObjective(Objective):
     """Cloud hosting cost in USD over the period of interest (Eq. 11).
 
-    Parks its result in ``ctx.scratch['qcost']`` so the budget constraint reuses it —
-    each plan's cost is computed exactly once per evaluation.
+    One stacked cost pass per call (:func:`scenario_costs`); parks this scenario's
+    row in ``ctx.scratch['qcost']`` for plugins that read it there.
     """
 
     name = "qcost"
 
     def score_matrix(self, ctx: EvalContext) -> np.ndarray:
-        cost = ctx.cost.qcost_batch(ctx.matrix, ctx.components)
+        cost = scenario_costs(ctx)
         ctx.scratch["qcost"] = cost
         return cost
 
@@ -358,7 +423,16 @@ class PinnedPlacementConstraint(Constraint):
     name = "pinned-placement"
 
     def check(self, ctx: EvalContext) -> ConstraintCheck:
-        pins = ctx.preferences.pinned_placement
+        return ctx.stacked(
+            "pins",
+            lambda columns: _per_object(
+                columns, "preferences", lambda preferences: self._check(ctx, preferences)
+            ),
+        )
+
+    @staticmethod
+    def _check(ctx: EvalContext, preferences: MigrationPreferences) -> ConstraintCheck:
+        pins = preferences.pinned_placement
         if not pins:
             return ConstraintCheck.satisfied(ctx.n_plans)
         column_of = ctx.column_of()
@@ -392,7 +466,16 @@ class AllowedLocationsConstraint(Constraint):
     name = "allowed-locations"
 
     def check(self, ctx: EvalContext) -> ConstraintCheck:
-        allowed_locations = ctx.preferences.allowed_locations
+        return ctx.stacked(
+            "whitelists",
+            lambda columns: _per_object(
+                columns, "preferences", lambda preferences: self._check(ctx, preferences)
+            ),
+        )
+
+    @staticmethod
+    def _check(ctx: EvalContext, preferences: MigrationPreferences) -> ConstraintCheck:
+        allowed_locations = preferences.allowed_locations
         if not allowed_locations:
             return ConstraintCheck.satisfied(ctx.n_plans)
         column_of = ctx.column_of()
@@ -436,25 +519,50 @@ class OnPremPeakConstraint(Constraint):
     """The on-prem cluster's configured resource limits must cover the peak demand.
 
     Reads the scenario-resolved resource estimate, so robust evaluation checks each
-    scenario's own demand series against the limits.
+    scenario's own demand series against its own limits — from one on-prem mask and
+    one :func:`~repro.learning.estimator.peak_stack` per limited resource over every
+    distinct estimate of the call.
     """
 
     name = "onprem-peaks"
 
     def check(self, ctx: EvalContext) -> ConstraintCheck:
-        limits = [
-            (resource, estimator_key, ctx.preferences.onprem_limit(resource))
-            for resource, estimator_key in ONPREM_RESOURCES.items()
-        ]
-        limits = [(r, k, limit) for r, k, limit in limits if limit is not None]
-        if not limits:
-            return ConstraintCheck.satisfied(ctx.n_plans)
+        return ctx.stacked("onprem-peaks", lambda columns: self._checks(ctx, columns))
+
+    @classmethod
+    def _checks(cls, ctx: EvalContext, columns: Sequence) -> List[ConstraintCheck]:
         on_prem = ctx.matrix == ON_PREM
-        entries: List[Tuple[str, float, np.ndarray]] = []
-        violated = np.zeros(ctx.n_plans, dtype=bool)
-        for resource, estimator_key, limit in limits:
-            peak = ctx.estimate.peak_matrix(estimator_key, on_prem, ctx.components)
-            entries.append((resource, limit, peak))
+        estimates, estimate_of = _distinct([column.estimate for column in columns])
+        peaks: Dict[str, np.ndarray] = {}  # resource -> (plans, estimates)
+        checks = []
+        for limits, estimate in zip(
+            _per_object(columns, "preferences", cls._limits), estimate_of
+        ):
+            entries = []
+            for resource, key, limit in limits:
+                if key not in peaks:
+                    peaks[key] = peak_stack(estimates, key, on_prem, ctx.components)
+                entries.append((resource, limit, peaks[key][:, estimate]))
+            checks.append(cls._check(entries, ctx.n_plans))
+        return checks
+
+    @staticmethod
+    def _limits(preferences: MigrationPreferences) -> List[Tuple[str, str, float]]:
+        limits = []
+        for resource, estimator_key in ONPREM_RESOURCES.items():
+            limit = preferences.onprem_limit(resource)
+            if limit is not None:
+                limits.append((resource, estimator_key, limit))
+        return limits
+
+    @staticmethod
+    def _check(
+        entries: Sequence[Tuple[str, float, np.ndarray]], n_plans: int
+    ) -> ConstraintCheck:
+        if not entries:
+            return ConstraintCheck.satisfied(n_plans)
+        violated = np.zeros(n_plans, dtype=bool)
+        for _resource, limit, peak in entries:
             violated |= peak > limit
 
         def materialize(row: int) -> List[str]:
@@ -486,8 +594,9 @@ class BudgetConstraint(Constraint):
 
     Reads the cost vector the QCost objective parked in ``ctx.scratch`` when the
     problem scores costs anyway; on constraint-only passes (``feasible_mask``) it
-    drives the batched cost kernel itself — whose row memo keeps a later full
-    evaluation of the same plans from paying the cost passes again.
+    drives the stacked cost pass itself (:func:`scenario_costs`) — whose per-model
+    row memos keep a later full evaluation of the same plans from paying the cost
+    passes again, under every scenario.
     """
 
     name = "budget"
@@ -498,8 +607,7 @@ class BudgetConstraint(Constraint):
             return ConstraintCheck.satisfied(ctx.n_plans)
         cost = ctx.scratch.get("qcost")
         if cost is None:
-            cost = ctx.cost.qcost_batch(ctx.matrix, ctx.components)
-            ctx.scratch["qcost"] = cost
+            cost = ctx.scratch["qcost"] = scenario_costs(ctx)
         over = cost > budget
 
         def materialize(row: int) -> List[str]:

@@ -1,0 +1,410 @@
+"""The stacked robust pass ≡ S independent single-scenario evaluators, and what it pays.
+
+A robust scoring call runs each built-in kernel's scenario-invariant work once (the
+plan-matrix lowering: membership masks, stateful placements, disruption masks,
+billing buckets and their first-contribution order, pin / whitelist masks) and the
+part a scenario changes as extra columns of the same ordered reduction.  Three
+things pin that design:
+
+1. **Law 2 across faults and sites** (property, bitwise): on a 3-site stack, any
+   scenario set — every fault kind, rate-only / mix-only / payload-only specs, a spec
+   duplicated under two names, the baseline — over plan matrices around
+   ``PLAN_BLOCK`` scores per scenario exactly what S fresh single-scenario
+   evaluators score (``float.hex``), with the same feasibility and violation
+   strings; the aggregate, ``feasible_mask``, ``constraint_violations`` and
+   ``qcost_vectors`` are the aggregator / conjunction / concatenation of those.
+2. **The mechanism** (spies): one cluster-autoscaler walk per billable site and
+   one QAvai disruption pass per distinct availability model per scoring call —
+   scenarios share a kernel exactly when they read the same objects, so specs with
+   different price shocks walk once each.
+3. **The memo promise**: a robust evaluation after ``feasible_mask`` over the same
+   plans (and the reverse) pays no cost kernel again, under every scenario.
+
+Run deeper with ``--hypothesis-profile=ci`` (see ``tests/conftest.py``).
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import (
+    CLOUD,
+    ON_PREM,
+    MigrationPlan,
+    NodeSpec,
+    default_multi_location_network,
+)
+from repro.cluster.autoscaler import ClusterAutoscaler, StorageAutoscaler
+from repro.learning import ApiProfiler, FootprintLearner, ResourceEstimator
+from repro.learning.estimator import PLAN_BLOCK
+from repro.quality import (
+    CVaR,
+    ApiAvailabilityModel,
+    ApiPerformanceModel,
+    CapacityCut,
+    CloudCostModel,
+    LinkDegradation,
+    LocationOutage,
+    MigrationPreferences,
+    PriceShock,
+    PricingCatalog,
+    QualityEvaluator,
+    ScenarioSet,
+    ScenarioSpec,
+    WeightedMean,
+    WorstCase,
+)
+
+SITES = (ON_PREM, CLOUD, 2)
+WEST = PricingCatalog(
+    node_spec=NodeSpec(
+        name="west", cpu_millicores=1_500.0, memory_mb=6_000.0, hourly_price_usd=0.0517
+    ),
+    storage_usd_per_gb_month=0.0413,
+    egress_usd_per_gb=0.0713,
+)
+
+#: The S = 4 axis of the e2e ``robust_recommend`` workload, restated over the tiny
+#: application's two APIs: observed, a 5x burst, a mix shift and chatty payloads.
+ROBUST_S4 = ScenarioSet(
+    (
+        ScenarioSpec(name="observed"),
+        ScenarioSpec(name="burst-x5", rate_scale=5.0),
+        ScenarioSpec(name="mix-shift", api_rate_factors={"/write": 2.0, "/read": 0.75}),
+        ScenarioSpec(name="chatty-posts", payload_factors={"/write": 2.5}),
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def stacked_stack(tiny_telemetry):
+    """The tiny app's learned models on three sites, and a fresh-evaluator factory.
+
+    Every call builds new model objects (no cache is shared between evaluators).
+    The preferences make every constraint bite: a pin, a whitelist, an on-prem CPU
+    limit the bursts break, a budget near the median plan cost and a critical API.
+    """
+    app, result = tiny_telemetry
+    telemetry = result.telemetry
+    baseline = MigrationPlan.all_on_prem(app.component_names)
+    profiles = ApiProfiler(
+        telemetry, stateful_components=app.stateful_components(), traces_per_api=20
+    ).profile_all()
+    footprint = FootprintLearner(telemetry).learn()
+    estimator = ResourceEstimator(app, telemetry).fit()
+    estimate = estimator.predict_scaled(3.0)
+    limit = estimate.peak("cpu_millicores", app.component_names) * 1.1
+
+    def build(endpoint_billing=False, location_weights=None, budget=float("inf")):
+        performance = ApiPerformanceModel(
+            traces_by_api={api: p.sample_traces for api, p in profiles.items()},
+            footprint=footprint,
+            network=default_multi_location_network(locations=SITES),
+            baseline_plan=baseline,
+            traces_per_api=20,
+        )
+        availability = ApiAvailabilityModel(
+            {api: p.stateful_components for api, p in profiles.items()},
+            baseline,
+            location_weights=location_weights,
+        )
+        cost = CloudCostModel(
+            PricingCatalog(),
+            estimate,
+            footprint,
+            {c.name: c.resources.storage_gb for c in app.components},
+            baseline,
+            time_compression=288.0,
+            charge_cloud_egress_only=endpoint_billing,
+            catalogs={CLOUD: PricingCatalog(), 2: WEST},
+        )
+        return QualityEvaluator(
+            performance=performance,
+            availability=availability,
+            cost=cost,
+            preferences=MigrationPreferences(
+                critical_apis=["/write"],
+                pinned_placement={"Database": ON_PREM},
+                allowed_locations={"Cache": (CLOUD,)},
+                onprem_limits={"cpu_millicores": limit},
+                budget_usd=budget,
+            ),
+            estimate=estimate,
+            component_order=app.component_names,
+            estimator=estimator,
+        )
+
+    rng = np.random.default_rng(3)
+    costs = build().qcost_vectors(rng.integers(0, 3, size=(64, len(app.component_names))))
+    return app, build, float(np.median(costs))
+
+
+faults = st.one_of(
+    st.builds(
+        LocationOutage,
+        st.sampled_from(SITES),
+        availability_penalty=st.sampled_from([1.0, 4.0]),
+        evacuate=st.booleans(),
+    ),
+    st.builds(
+        LinkDegradation,
+        pairs=st.sampled_from([None, ((ON_PREM, 2),)]),
+        latency_factor=st.sampled_from([1.0, 3.0]),
+        bandwidth_factor=st.sampled_from([1.0, 0.5]),
+    ),
+    st.builds(
+        PriceShock,
+        locations=st.sampled_from([None, (CLOUD,), (2,)]),
+        compute_factor=st.sampled_from([0.5, 1.0, 2.5]),
+        storage_factor=st.sampled_from([1.0, 3.0]),
+        egress_factor=st.sampled_from([0.25, 1.0, 2.0]),
+    ),
+    st.builds(
+        CapacityCut,
+        st.sampled_from(SITES),
+        remaining_fraction=st.sampled_from([0.25, 0.5, 1.0]),
+    ),
+)
+
+
+@st.composite
+def specs(draw, name):
+    """One spec of a drawn kind: baseline, rate-only, mix-only, payload-only, faulted
+    (one or two faults) or everything at once."""
+    kind = draw(st.sampled_from(("baseline", "rate", "mix", "payload", "faulted", "all")))
+    fields = {}
+    if kind in ("rate", "all"):
+        fields["rate_scale"] = draw(st.sampled_from([0.5, 2.0, 5.0]))
+    if kind in ("mix", "all"):
+        fields["api_rate_factors"] = {
+            "/write": draw(st.sampled_from([0.0, 0.75, 2.0])),
+            "/read": draw(st.sampled_from([0.5, 1.0, 1.5])),
+        }
+    if kind in ("payload", "all"):
+        fields["payload_factors"] = {"/read": draw(st.sampled_from([0.5, 2.5]))}
+        fields["payload_scale"] = draw(st.sampled_from([1.0, 1.5]))
+    if kind in ("faulted", "all"):
+        fields["faults"] = tuple(draw(st.lists(faults, min_size=1, max_size=2)))
+    return ScenarioSpec(name=name, weight=draw(st.sampled_from([0.5, 1.0, 2.0])), **fields)
+
+
+@st.composite
+def scenario_sets(draw):
+    drawn = [draw(specs(f"s{index}")) for index in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        drawn.insert(draw(st.integers(0, len(drawn))), ScenarioSpec(name="observed"))
+    if draw(st.booleans()):  # one spec under a second name: one compiled state
+        drawn.append(dataclasses.replace(draw(st.sampled_from(drawn)), name="twin"))
+    return ScenarioSet(tuple(drawn))
+
+
+plan_counts = st.one_of(
+    st.sampled_from((1, 2, PLAN_BLOCK - 1, PLAN_BLOCK + 1)), st.integers(3, 40)
+)
+
+
+def hexes(values):
+    return [float(value).hex() for value in values]
+
+
+class TestStackedPassEqualsIndependentEvaluators:
+    """Law 2 over faults × sites × scenario sets × plan counts, bitwise."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        scenario_set=scenario_sets(),
+        aggregator=st.sampled_from([WorstCase(), WeightedMean(), CVaR(0.5)]),
+        n_plans=plan_counts,
+        seed=st.integers(0, 2**32 - 1),
+        endpoint_billing=st.booleans(),
+        location_weights=st.sampled_from([None, {2: 1.5}]),
+        tight_budget=st.booleans(),
+    )
+    def test_every_door_matches_single_scenario_evaluators(
+        self,
+        stacked_stack,
+        scenario_set,
+        aggregator,
+        n_plans,
+        seed,
+        endpoint_billing,
+        location_weights,
+        tight_budget,
+    ):
+        app, build, median_cost = stacked_stack
+
+        def fresh():
+            return build(
+                endpoint_billing=endpoint_billing,
+                location_weights=location_weights,
+                budget=median_cost if tight_budget else float("inf"),
+            )
+
+        rng = np.random.default_rng(seed)
+        vectors = rng.integers(0, len(SITES), size=(n_plans, len(app.component_names)))
+        robust = fresh().evaluate_vectors(
+            vectors, scenarios=scenario_set, aggregator=aggregator
+        )
+        singles = [
+            fresh().evaluate_vectors(vectors, scenarios=ScenarioSet((spec,)))
+            for spec in scenario_set
+        ]
+        names = [spec.name for spec in scenario_set]
+        for row, quality in enumerate(robust):
+            assert [entry.scenario for entry in quality.scenarios] == names
+            expected_violations = []
+            for spec, entry, single in zip(scenario_set, quality.scenarios, singles):
+                (alone,) = single[row].scenarios
+                assert hexes(entry.values) == hexes(alone.values) == hexes(single[row].values)
+                assert entry.feasible == alone.feasible == single[row].feasible
+                assert entry.violations == alone.violations == single[row].violations
+                expected_violations += [f"[{spec.name}] {v}" for v in alone.violations]
+            assert quality.feasible == all(entry.feasible for entry in quality.scenarios)
+            if len(scenario_set) > 1:
+                assert list(quality.violations) == expected_violations
+            else:
+                assert quality.violations == quality.scenarios[0].violations
+        weights = scenario_set.weight_array()
+        for k in range(len(robust[0].values)):
+            tensor = np.asarray([[q.values[k] for q in single] for single in singles])
+            assert hexes(aggregator.combine(tensor, weights)) == hexes(
+                q.values[k] for q in robust
+            )
+
+        doors = fresh().bind_scenarios(scenario_set, aggregator)
+        assert doors.feasible_mask(vectors).tolist() == [q.feasible for q in robust]
+        costs = np.asarray([[q.cost for q in single] for single in singles])
+        assert hexes(doors.qcost_vectors(vectors)) == hexes(
+            aggregator.combine(costs, weights)
+        )
+        for row in range(min(n_plans, 3)):
+            plan = MigrationPlan.from_vector(app.component_names, vectors[row].tolist())
+            assert doors.constraint_violations(plan) == list(robust[row].violations)
+
+
+class TestOneWalkPerSite:
+    """The mechanism: kernels run once per object the scenarios share, per call."""
+
+    @staticmethod
+    def _spied(monkeypatch):
+        calls = {"walks": 0, "disruption": 0}
+        walk = ClusterAutoscaler.nodes_for_series
+        disruption = ApiAvailabilityModel.disruption_matrix
+
+        def counting_walk(self, *args):
+            calls["walks"] += 1
+            return walk(self, *args)
+
+        def counting_disruption(self, *args):
+            calls["disruption"] += 1
+            return disruption(self, *args)
+
+        monkeypatch.setattr(ClusterAutoscaler, "nodes_for_series", counting_walk)
+        monkeypatch.setattr(ApiAvailabilityModel, "disruption_matrix", counting_disruption)
+        return calls
+
+    @staticmethod
+    def _fresh_calls(app, evaluator, calls, n_calls=5):
+        """Per-call counts over scoring calls of never-seen plans that put some
+        component on every billable site."""
+        rng = np.random.default_rng(11)
+        counts = []
+        for _ in range(n_calls):
+            vectors = rng.integers(0, len(SITES), size=(3, len(app.component_names)))
+            vectors[:, 0], vectors[:, 1] = CLOUD, 2
+            before = dict(calls)
+            evaluator.evaluate_vectors(vectors)
+            counts.append({key: calls[key] - before[key] for key in calls})
+        return counts
+
+    def test_robust_s4_walks_each_site_once_and_disrupts_once(
+        self, stacked_stack, monkeypatch
+    ):
+        app, build, _median = stacked_stack
+        evaluator = build().bind_scenarios(ROBUST_S4)
+        calls = self._spied(monkeypatch)
+        # Two billable sites; four scenarios share one availability model.
+        assert self._fresh_calls(app, evaluator, calls) == [
+            {"walks": 2, "disruption": 1}
+        ] * 5
+
+    def test_each_price_shock_walks_its_own_autoscalers(self, stacked_stack, monkeypatch):
+        app, build, _median = stacked_stack
+        shocked = ScenarioSet(
+            tuple(
+                ScenarioSpec(name=f"shock-{factor:g}", faults=(PriceShock(compute_factor=factor),))
+                for factor in (0.5, 2.0, 3.0)
+            )
+        )
+        evaluator = build().bind_scenarios(shocked)
+        calls = self._spied(monkeypatch)
+        assert self._fresh_calls(app, evaluator, calls) == [
+            {"walks": 3 * 2, "disruption": 1}
+        ] * 5
+
+    def test_an_outage_brings_its_own_availability_model(
+        self, stacked_stack, monkeypatch
+    ):
+        app, build, _median = stacked_stack
+        evaluator = build().bind_scenarios(
+            ScenarioSet(
+                (
+                    ScenarioSpec(name="observed"),
+                    ScenarioSpec(name="burst", rate_scale=2.0),
+                    ScenarioSpec(name="outage", faults=(LocationOutage(2),)),
+                )
+            )
+        )
+        calls = self._spied(monkeypatch)
+        # The outage keeps the catalogs (one walk per site) but derives availability.
+        assert self._fresh_calls(app, evaluator, calls) == [
+            {"walks": 2, "disruption": 2}
+        ] * 5
+
+
+class TestCostMemoAcrossDoors:
+    """``feasible_mask`` and a robust evaluation of the same plans pay the cost
+    kernels once between them, in either order, under every scenario."""
+
+    WALKS = (
+        (ClusterAutoscaler, "nodes_for_series"),
+        (StorageAutoscaler, "capacity_matrix"),
+    )
+
+    @classmethod
+    def _spied(cls, monkeypatch):
+        calls = {name: 0 for _owner, name in cls.WALKS}
+        for owner, name in cls.WALKS:
+            walk = getattr(owner, name)
+
+            def counting(self, *args, _name=name, _walk=walk):
+                calls[_name] += 1
+                return _walk(self, *args)
+
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("first", ["feasible_mask", "evaluate_vectors"])
+    def test_second_door_pays_no_cost_kernel(self, stacked_stack, monkeypatch, first):
+        app, build, median_cost = stacked_stack
+        # A finite budget: the constraint-only pass has to price every plan.
+        evaluator = build(budget=median_cost).bind_scenarios(ROBUST_S4)
+        calls = self._spied(monkeypatch)
+        vectors = np.random.default_rng(5).integers(
+            0, len(SITES), size=(40, len(app.component_names))
+        )
+        doors = {
+            "feasible_mask": lambda: evaluator.feasible_mask(vectors).tolist(),
+            "evaluate_vectors": lambda: [
+                q.feasible for q in evaluator.evaluate_vectors(vectors)
+            ],
+        }
+        second = "evaluate_vectors" if first == "feasible_mask" else "feasible_mask"
+        answer = doors[first]()
+        assert all(calls.values())
+        paid = dict(calls)
+        assert doors[second]() == answer
+        assert calls == paid
