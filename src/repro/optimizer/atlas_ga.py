@@ -233,6 +233,26 @@ class GAConfig:
             raise ValueError("evaluation_budget must exceed the population size")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
+        if self.offspring_per_generation < 0 or self.immigrants_per_generation < 0:
+            raise ValueError(
+                "offspring_per_generation and immigrants_per_generation must not be negative"
+            )
+        if self.offspring_per_generation + self.immigrants_per_generation < 1:
+            # A generation would visit no new plan: max_generations spin, budget unspent.
+            raise ValueError(
+                "a generation must breed or immigrate at least one plan "
+                "(offspring_per_generation + immigrants_per_generation >= 1)"
+            )
+        if self.crossover == "drl":
+            if self.train_iterations < 1:
+                raise ValueError(
+                    "train_iterations must be at least 1; a search without a trained "
+                    "agent is crossover='uniform'"
+                )
+            if self.train_batch_size < 1:
+                raise ValueError("train_batch_size must be at least 1")
+            if self.train_pairs < 1:
+                raise ValueError("train_pairs must be at least 1")
 
 
 #: The fields of a :class:`SearchResult` that pickle as one inner blob — the archive:

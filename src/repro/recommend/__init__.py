@@ -6,6 +6,7 @@ from .advisor import (
     Atlas,
     AtlasConfig,
     Recommendation,
+    ReplanPrior,
 )
 from .hierarchy import PlanCluster, PlanHierarchy
 
@@ -15,6 +16,7 @@ __all__ = [
     "AdvisorService",
     "ApplicationKnowledge",
     "Recommendation",
+    "ReplanPrior",
     "PlanCluster",
     "PlanHierarchy",
 ]

@@ -70,6 +70,7 @@ __all__ = [
     "AtlasConfig",
     "ApplicationKnowledge",
     "Recommendation",
+    "ReplanPrior",
     "Atlas",
     "AdvisorService",
 ]
@@ -77,6 +78,53 @@ __all__ = [
 #: Scenario-evaluation budget of ``Atlas.recommend(certify=True)`` — enough for the
 #: stress-family seeds plus a couple of coordinate-descent passes on small testbeds.
 DEFAULT_CERTIFY_BUDGET = 48
+
+#: The budget of a re-plan that starts from the front the tenant was serving
+#: (``docs/architecture.md`` decision record №8): ``(largest spliced-API fraction,
+#: share of the configured evaluation budget)`` rows, ascending.  A drift that
+#: spliced a larger fraction than the last row searches the whole budget.  The
+#: rows are what ``benchmarks/bench_replan_law.py`` selects; it fails when they
+#: are not.
+REPLAN_RULE: Tuple[Tuple[float, float], ...] = ((0.2, 1.0), (0.4, 1.0), (0.6, 1.0))
+
+
+def replan_budget(config: GAConfig, spliced_fraction: float) -> int:
+    """The evaluation budget :data:`REPLAN_RULE` gives a warm-started re-plan.
+
+    Never below ``population_size + 1``, so the derived configuration always runs at
+    least one generation (``GAConfig`` rejects any smaller budget).
+    """
+    share = next((share for bound, share in REPLAN_RULE if spliced_fraction <= bound), 1.0)
+    return max(config.population_size + 1, round(config.evaluation_budget * share))
+
+
+@dataclass(frozen=True)
+class ReplanPrior:
+    """The plans a tenant was serving when it drifted, and what the drift re-timed.
+
+    Installed next to the crossover agent by the daemon's splice stage:
+    :meth:`Atlas.recommend` then seeds the search with these plans, ahead of the
+    affinity seeds, and spends the budget :func:`replan_budget` gives the fraction
+    of APIs in ``spliced``.
+    """
+
+    #: Component order of every vector (the served plans' own).
+    components: Tuple[str, ...]
+    #: Location vectors of the served front, knee first.
+    vectors: Tuple[Tuple[int, ...], ...]
+    #: The APIs whose trace windows the drift replaced.
+    spliced: Tuple[str, ...]
+
+    def content_digest(self) -> str:
+        return sha_parts([repr(self.components), repr(self.vectors), repr(self.spliced)])
+
+    def seed_vectors(self, components: Sequence[str]) -> List[List[int]]:
+        """The served plans in ``components``' order (none when the components differ)."""
+        if sorted(self.components) != sorted(components):
+            return []
+        column = {name: index for index, name in enumerate(self.components)}
+        return [[vector[column[name]] for name in components] for vector in self.vectors]
+
 
 @dataclass
 class AtlasConfig:
@@ -110,6 +158,9 @@ class ApplicationKnowledge:
     #: daemon's drift cycle) installs it: :meth:`Atlas.recommend` then breeds with
     #: it instead of training one.  Like everything here, dropped by ``learn``.
     crossover_agent: Optional[CrossoverAgent] = None
+    #: The front the tenant was serving when it drifted (installed by the daemon's
+    #: splice stage): :meth:`Atlas.recommend` re-plans from it.  Dropped by ``learn``.
+    replan_prior: Optional[ReplanPrior] = None
 
     @property
     def apis(self) -> List[str]:
@@ -445,6 +496,11 @@ class Atlas:
         plan's regret and records the result on
         :attr:`Recommendation.certificate`.  ``certify=True`` uses the default
         evaluation budget; an integer sets the budget explicitly.
+
+        With a :class:`ReplanPrior` installed on the knowledge (a drift re-plan),
+        the served plans seed the search ahead of the affinity seeds and the
+        evaluation budget is :func:`replan_budget`'s for the drift's spliced-API
+        fraction.
         """
         problem, preferences = self._resolve_problem(preferences, problem)
         evaluator = self.build_evaluator(
@@ -456,14 +512,28 @@ class Atlas:
         )
         scenario_set = problem.scenarios
         bound_aggregator = evaluator.bound_aggregator
+        knowledge = self._require_knowledge()
+        components = self.application.component_names
         config = ga_config or self.config.ga
+        seeds = self._seed_vectors(evaluator, config)
+        prior = knowledge.replan_prior
+        served = prior.seed_vectors(components) if prior is not None else []
+        if served:
+            # A drift re-plan: the served plans (re-scored under the spliced knowledge
+            # like any seed) go first, and the drift's extent sets the budget.
+            seeds = served + seeds
+            spliced = len(set(prior.spliced) & set(knowledge.api_profiles))
+            config = dataclasses.replace(
+                config,
+                evaluation_budget=replan_budget(config, spliced / len(knowledge.api_profiles)),
+            )
         ga = AtlasGA(
             evaluator,
-            self.application.component_names,
+            components,
             config=config,
-            seed_vectors=self._seed_vectors(evaluator, config),
+            seed_vectors=seeds,
             locations=self.locations,
-            agent=self._require_knowledge().crossover_agent,
+            agent=knowledge.crossover_agent,
         )
         result = ga.run()
         recommendation = Recommendation(
@@ -901,7 +971,7 @@ class AdvisorService:
 
         Covers everything the (deterministic, seeded) search consumes: the learned
         knowledge (per-API trace sets, stateful components, footprint, fitted
-        estimator state, an installed crossover agent), the network, the baseline
+        estimator state, an installed crossover agent and re-plan prior), the network, the baseline
         plan, the topology, the config and the call's own arguments.  Equal keys
         therefore imply an identical recommendation; any argument without a
         content-stable description makes the whole request unmemoizable (a miss,
@@ -950,4 +1020,7 @@ class AdvisorService:
         if knowledge.crossover_agent is not None:
             # Only when one is installed: every agent-less key keeps its hex.
             parts.append(f"agent={knowledge.crossover_agent.content_digest()}")
+        if knowledge.replan_prior is not None:
+            # Likewise: every prior-less key keeps its hex.
+            parts.append(f"prior={knowledge.replan_prior.content_digest()}")
         return ("recommend", sha_parts(parts))
