@@ -19,7 +19,8 @@ script proves it with real processes:
   after the splice checkpoint, restarted and run to the end.  It asserts the
   resumed front sha equals the uninterrupted one, that the resumed cycle 2
   *reused* the crossover agent the uninterrupted run recorded (same content
-  digest — loaded from the store, not trained again), that the resumed compile
+  digest — loaded from the store, not trained again) and re-planned from the
+  front cycle 1 served (read back from its store object), that the resumed compile
   streamed artifacts from the store, that — from a spy on the store's publish —
   the on-model cycle 3 published one document and no sample, and that what a
   daemon leaves behind is one state document per tenant and no monitor sample of
@@ -217,11 +218,11 @@ def run_child(store_dir: str, kill_after: Optional[str] = None) -> Dict:
 
         daemon._after_stage = die
 
-    drift_cycle_agent = None
+    drift_cycle_agent = drift_cycle_prior = None
     for _ in range(4):
         (report,) = daemon.run_cycle()
         if report.cycle == 2 and report.recommended:
-            drift_cycle_agent = report.agent
+            drift_cycle_agent, drift_cycle_prior = report.agent, report.prior
         record = daemon.record(TENANT)
         if int(record["cycle"]) >= 2 and record["stage"] == "done" and record["front_sha"]:
             break
@@ -245,6 +246,7 @@ def run_child(store_dir: str, kill_after: Optional[str] = None) -> Dict:
         "store_hits": daemon.service.cache.stats().get("store_hits", 0),
         "agent": drift_cycle_agent,
         "agent_digest": record["agent"],
+        "prior": drift_cycle_prior,
         "quiet_cycle": {
             "cycle": quiet.cycle,
             "stages": quiet.stages,
@@ -321,6 +323,9 @@ def run_check(timeout_s: float = 600.0) -> Dict:
         f"reused {uninterrupted['agent_digest']}"
     )
     for run in (uninterrupted, resumed):
+        assert run["prior"] == "served front", (
+            f"the drift cycle did not re-plan from the front cycle 1 served: {run}"
+        )
         assert run["documents"] == 1, f"expected one state document per tenant: {run}"
         assert run["finished_samples"] == [], (
             f"a finished cycle's monitor sample is still in the store: {run}"
@@ -338,7 +343,7 @@ def run_check(timeout_s: float = 600.0) -> Dict:
         "daemon kill-and-restart smoke: PASS "
         f"(killed at {' then '.join(repr(p) for p in KILL_POINTS)}, "
         f"resumed front {verdict['front_sha'][:12]}..., "
-        f"agent {verdict['agent_digest'][:12]}... reused, "
+        f"agent {verdict['agent_digest'][:12]}... reused, re-planned from the served front, "
         f"{verdict['resumed_store_hits']} artifacts streamed from the store, "
         "on-model cycle: 1 document, no sample)"
     )

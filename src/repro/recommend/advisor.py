@@ -85,7 +85,7 @@ DEFAULT_CERTIFY_BUDGET = 48
 #: spliced a larger fraction than the last row searches the whole budget.  The
 #: rows are what ``benchmarks/bench_replan_law.py`` selects; it fails when they
 #: are not.
-REPLAN_RULE: Tuple[Tuple[float, float], ...] = ((0.2, 1.0), (0.4, 1.0), (0.6, 1.0))
+REPLAN_RULE: Tuple[Tuple[float, float], ...] = ((0.6, 0.12),)
 
 
 def replan_budget(config: GAConfig, spliced_fraction: float) -> int:

@@ -33,6 +33,13 @@ service over an :class:`~repro.recommend.advisor.AdvisorService`:
   The checkpoint names that agent by content digest and the service keeps it
   as one store object per distinct agent, which is how a resumed process uses
   the agent the killed one would have.
+* **A re-plan starts from the front it served** — the same stage installs that
+  answer's front as a :class:`~repro.recommend.advisor.ReplanPrior`, so the
+  re-recommend seeds its search with the served plans and spends the budget the
+  drift's extent earns.  The ``recommend`` stage stores each front as one
+  ``("daemon-front", front_sha)`` object before the document that names it; a
+  lost, damaged or mislabelled object costs the re-plan its warm start, never
+  its answer.
 
 Monitors implement one method, ``poll(tenant, cycle) -> Optional[MonitorSample]``.
 The cycle index is passed so scripted monitors (tests, the kill-and-restart
@@ -47,12 +54,13 @@ import hashlib
 import threading
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..cluster.placement import MigrationPlan
 from ..digest import sha_parts
 from ..monitoring.drift import DriftDetector
 from ..optimizer.drl.agent import CrossoverAgent
+from ..recommend.advisor import ReplanPrior
 from ..telemetry.tracing import Trace
 from ..workload.profiles import WorkloadScenario
 
@@ -136,15 +144,32 @@ class TenantCycleReport:
     #: Why a drift cycle trained instead of reusing: ``"no previous answer"``,
     #: ``"agent does not fit"`` or ``"agent object lost"``.
     agent_reason: Optional[str] = None
+    #: Where a drift cycle's re-plan started: ``"served front"`` (the previous
+    #: answer's plans, at the budget the drift's extent earns), ``"affinity seeds"``
+    #: (the full budget; ``prior_reason`` says why), ``None`` when the cycle did not
+    #: re-plan after a drift.
+    prior: Optional[str] = None
+    #: Why the re-plan started from the affinity seeds: ``"no previous answer"``,
+    #: ``"front object lost"``, ``"front object damaged"`` or ``"front object
+    #: mislabelled"``.
+    prior_reason: Optional[str] = None
+
+
+def front_payload(recommendation: "Recommendation") -> List[tuple]:
+    """A recommendation's front as stored: plan vectors + repr-exact objectives, knee first."""
+    return [
+        (quality.plan.to_vector(), [repr(v) for v in quality.objectives()])
+        for quality in recommendation.plans
+    ]
+
+
+def _payload_digest(payload: object) -> str:
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
 def front_digest(recommendation: "Recommendation") -> str:
     """Content digest of a recommendation's front (plan vectors + repr-exact objectives)."""
-    payload = [
-        (quality.plan.to_vector(), [repr(v) for v in quality.objectives()])
-        for quality in recommendation.plans
-    ]
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+    return _payload_digest(front_payload(recommendation))
 
 
 def _new_record() -> Dict[str, object]:
@@ -305,8 +330,10 @@ class AdvisorDaemon:
         report: TenantCycleReport,
     ) -> None:
         cycle = report.cycle
-        # Set by a drift cycle: why its search trains, should it train.
+        # Set by a drift cycle: why its search trains, should it train, and where
+        # its re-plan starts.
         if_trained: Optional[str] = None
+        prior: Optional[Tuple[str, Optional[str]]] = None
 
         # poll: decide first, then persist what a resume would read.  Polling
         # publishes nothing (an idle poll closes its cycle, which is one document):
@@ -336,8 +363,9 @@ class AdvisorDaemon:
                 # Resuming past the splice checkpoint in a fresh process: the
                 # splice's effect lived in the dead process's knowledge, so it is
                 # re-applied here (idempotent by content) before continuing.
-                self._splice(tenant.atlas, record, sample)
+                spliced = self._splice(tenant.atlas, record, sample)
                 if_trained = self._install_agent(name, tenant.atlas, record)
+                prior = self._install_prior(name, tenant.atlas, record, spliced)
 
         if stage == "drift":
             detector = self._detector(name, record)
@@ -366,6 +394,7 @@ class AdvisorDaemon:
             report.stages.append("splice")
             report.spliced = self._splice(tenant.atlas, record, sample)
             if_trained = self._install_agent(name, tenant.atlas, record)
+            prior = self._install_prior(name, tenant.atlas, record, report.spliced)
             record["stage"] = stage = "recertify"
             self._checkpoint(name, "splice")
 
@@ -384,7 +413,12 @@ class AdvisorDaemon:
             record["detector"] = self._arm(name, tenant.atlas, recommendation, knee, sample)
             record["executed"] = [int(v) for v in knee.to_vector()]
             record["components"] = list(knee.components)
-            record["front_sha"] = front_digest(recommendation)
+            front = front_payload(recommendation)
+            record["front_sha"] = _payload_digest(front)
+            if self.store is not None:
+                # The next drift re-plans from this front: on disk before the
+                # document that names it.
+                self.store.save(("daemon-front", record["front_sha"]), front)
             record["agent"] = recommendation.result.agent_digest
             record["drifted"] = []
             record["stage"] = "done"
@@ -397,6 +431,8 @@ class AdvisorDaemon:
                     report.agent = "reused"
                 else:
                     report.agent, report.agent_reason = "trained", if_trained
+            if prior is not None:
+                report.prior, report.prior_reason = prior
             self._checkpoint(name, "recommend")
 
     # -- stage bodies ------------------------------------------------------------------
@@ -446,6 +482,42 @@ class AdvisorDaemon:
             return "agent object lost"
         atlas.knowledge.crossover_agent = agent
         return "agent does not fit"
+
+    def _install_prior(
+        self, name: str, atlas: "Atlas", record: Dict[str, object], spliced: List[str]
+    ) -> Tuple[str, Optional[str]]:
+        """Install the front the tenant was serving as its re-plan's starting point;
+        returns ``(report.prior, report.prior_reason)``.
+
+        The live previous answer has the front in memory, a resumed process loads the
+        ``("daemon-front", front_sha)`` object the record names.  Not finding it, or
+        finding other content under the name, leaves no prior installed: the
+        re-recommend then searches from the affinity seeds at the full budget.
+        """
+        knowledge = atlas.knowledge
+        if knowledge is None:
+            return "affinity seeds", "no previous answer"
+        knowledge.replan_prior = None
+        front_sha = record["front_sha"]
+        if front_sha is None or not record["components"]:
+            return "affinity seeds", "no previous answer"
+        last = self._live.get(name)
+        if last is not None:
+            front = front_payload(last)
+        else:
+            key = ("daemon-front", front_sha)
+            front = self.store.load(key) if self.store is not None else None
+            if front is None:
+                damaged = self.store is not None and self.store.path_for(key).exists()
+                return "affinity seeds", f"front object {'damaged' if damaged else 'lost'}"
+        if _payload_digest(front) != front_sha:
+            return "affinity seeds", "front object mislabelled"
+        knowledge.replan_prior = ReplanPrior(
+            components=tuple(record["components"]),
+            vectors=tuple(tuple(vector) for vector, _ in front),
+            spliced=tuple(spliced),
+        )
+        return "served front", None
 
     def _recertify(
         self,

@@ -43,6 +43,7 @@ from hypothesis.stateful import (
 )
 
 import test_serving as serving_suite
+from test_artifacts import TINY_GA
 from test_durable_forms import _relabel
 from test_serving import daemon_script, tiny_learned_atlas  # noqa: F401  (fixtures)
 
@@ -95,6 +96,10 @@ def _spy_on_writes(monkeypatch):
     monkeypatch.setattr(ArtifactStore, "_publish", staticmethod(publish))
     monkeypatch.setattr(Path, "unlink", unlink)
     return published, unlinked
+
+
+def _prior(daemon, tenant):
+    return daemon._tenants[tenant].atlas.knowledge.replan_prior
 
 
 def _no_training(monkeypatch):
@@ -336,6 +341,10 @@ class TestKillAfterEveryCheckpoint:
             assert report.cycle == 2 and report.recommended
             assert report.stages == STAGES_OF_A_DRIFT_CYCLE[STAGES_OF_A_DRIFT_CYCLE.index(crash_stage) + 1 :]
             assert (report.agent, report.agent_reason) == ("reused", None)
+        if crash_stage != "recommend":
+            # The re-plan started from the front cycle 1 served, read back from the store.
+            assert (report.prior, report.prior_reason) == ("served front", None)
+            assert _prior(resumed, victim) == _prior(reference, victim) is not None
         documents = _documents(resumed)
         for tenant in TENANTS:
             record, expected = resumed.record(tenant), reference.record(tenant)
@@ -626,7 +635,61 @@ DAMAGE = {
 }
 
 
+#: What can happen to a served front's object between two processes, and what the
+#: re-plan that needed it reports.
+FRONT_DAMAGE = {
+    "lost": (DAMAGE["lost"], "front object lost"),
+    "damaged": (DAMAGE["truncated"], "front object damaged"),
+    # A sound frame under this name that holds another front.
+    "mislabelled": (
+        lambda store, key: store.save(key, [([0, 1, 0, 1, 0, 1], ["1.0", "2.0", "3.0"])]),
+        "front object mislabelled",
+    ),
+}
+
+
+def _spy_on_budgets(monkeypatch):
+    """The evaluation budget of every search run from here on."""
+    budgets = []
+    real_run = AtlasGA.run
+
+    def run(self):
+        budgets.append(self.config.evaluation_budget)
+        return real_run(self)
+
+    monkeypatch.setattr(AtlasGA, "run", run)
+    return budgets
+
+
 class TestDamagedDurableState:
+    @pytest.mark.parametrize("damage", sorted(FRONT_DAMAGE))
+    def test_a_front_object_defect_costs_the_re_plan_its_warm_start_only(
+        self, tmp_path, tiny_learned_atlas, daemon_script, fleet_reference, monkeypatch, damage
+    ):
+        _, samples = daemon_script
+        store_dir = tmp_path / "store"
+        shutil.copytree(fleet_reference["template"], store_dir)
+        store = ArtifactStore(store_dir)
+        front_sha = json.loads(fleet_reference["documents"][0]["a"])["record"]["front_sha"]
+        assert ("daemon-front", front_sha) in store
+        how, reason = FRONT_DAMAGE[damage]
+        how(store, ("daemon-front", front_sha))
+
+        _no_training(monkeypatch)
+        budgets = _spy_on_budgets(monkeypatch)
+        resumed = _fleet(store_dir, tiny_learned_atlas, {t: samples for t in TENANTS})
+        reports = resumed.run_cycle()
+        for report in reports:
+            assert report.error is None and report.stages == STAGES_OF_A_DRIFT_CYCLE
+            assert report.recommended and (report.agent, report.agent_reason) == ("reused", None)
+            assert (report.prior, report.prior_reason) == ("affinity seeds", reason)
+            assert _prior(resumed, report.tenant) is None
+        # Content-equal tenants: one search, from the affinity seeds, at the full budget.
+        assert budgets == [TINY_GA.evaluation_budget]
+        assert all(r.prior == "served front" for r in fleet_reference["reports"][1].values())
+        # The answer's own front is on disk for the next drift, whole.
+        assert ("daemon-front", reports[0].front_sha) in resumed.store
+
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_baselines_object_defect_rearms_through_recommend(
         self, tmp_path, tiny_learned_atlas, daemon_script, fleet_reference, monkeypatch, damage
@@ -946,7 +1009,8 @@ KINDS = ("quiet", "drift", "idle")
 def _relearned(atlas):
     """The advisor a restarted process learns again: the knowledge as it was before
     any splice.  Telemetry and estimator are shared, not deep-copied (0.1 s each) —
-    the daemon only ever rebinds ``api_profiles`` entries and ``crossover_agent``."""
+    the daemon only ever rebinds ``api_profiles`` entries, ``crossover_agent`` and
+    ``replan_prior``."""
     fresh = copy.copy(atlas)
     fresh.knowledge = copy.copy(atlas.knowledge)
     fresh.knowledge.api_profiles = dict(atlas.knowledge.api_profiles)
@@ -976,7 +1040,11 @@ class DaemonProtocolMachine(RuleBasedStateMachine):
     daemon per tenant (the references) that is asked for the same cycles.
 
     The monitor is the machine's: a pure function of ``(tenant, cycle)`` whose script
-    grows as rules fire, and which counts the subject's polls.  A tenant drifts at
+    grows as rules fire, and which counts the subject's polls.  A killed fleet can lose
+    an in-flight sample, a baselines object or a served front's object (lost, truncated
+    or holding another front) before it restarts; a tenant whose front object is gone
+    re-plans its next drift from the affinity seeds, which takes it off its
+    reference's path like any other damage.  A tenant drifts at
     most once per example: the splice of an *earlier* cycle lives in process memory
     (a restarted process learns its knowledge again, without it), so a second drift
     cycle after a restart is not the uninterrupted run's — ROADMAP item 7(a), and not
@@ -1120,6 +1188,7 @@ class DaemonProtocolMachine(RuleBasedStateMachine):
                 assert (report.recommended, report.front_sha, report.agent, report.agent_reason) == (
                     expected.recommended, expected.front_sha, expected.agent, expected.agent_reason
                 )
+                assert (report.prior, report.prior_reason) == (expected.prior, expected.prior_reason)
             # Front, agent and baselines digests, drifted APIs, cycle and stage: the bytes.
             assert _documents(self.subject)[tenant] == document
         if self.diverged:
@@ -1189,6 +1258,20 @@ class DaemonProtocolMachine(RuleBasedStateMachine):
             for tenant in TENANTS:
                 other = self._on_disk(tenant)
                 if other is not None and other["detector"] == record["detector"]:
+                    self._damaged(tenant)
+
+    @precondition(lambda self: self.killed)
+    @rule(victim=st.sampled_from(TENANTS), damage=st.sampled_from(sorted(FRONT_DAMAGE)))
+    def lose_or_damage_the_front(self, victim, damage):
+        record = self._on_disk(victim)
+        key = ("daemon-front", record["front_sha"]) if record is not None else None
+        if key is not None and self.subject.store.path_for(key).exists():
+            how, _reason = FRONT_DAMAGE[damage]
+            how(self.subject.store, key)
+            # Content-equal tenants name the same object: everyone naming it re-plans cold.
+            for tenant in TENANTS:
+                other = self._on_disk(tenant)
+                if other is not None and other["front_sha"] == record["front_sha"]:
                     self._damaged(tenant)
 
     # -- invariants -------------------------------------------------------------------------

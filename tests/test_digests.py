@@ -33,7 +33,7 @@ from repro.quality.artifacts import (
     fingerprint_network,
     fingerprint_traces,
 )
-from repro.recommend import AdvisorService, Atlas, AtlasConfig
+from repro.recommend import AdvisorService, Atlas, AtlasConfig, ReplanPrior
 from repro.recommend.advisor import _describe
 from repro.serving import AdvisorDaemon, ArtifactStore, MonitorSample
 from repro.simulator import simulate_workload
@@ -335,6 +335,27 @@ class TestInvalidation:
         assert service._request_key(tiny_atlas, kwargs) not in (bare, keyed)
         tiny_atlas.learn(tiny_atlas.telemetry)  # dropped, like everything learned
         assert tiny_atlas.knowledge.crossover_agent is None
+        assert service._request_key(tiny_atlas, kwargs) == bare
+
+    def test_an_installed_prior_moves_the_key_by_content(self, tiny_atlas):
+        """Prior-less keys are the parent's composition byte for byte; an installed
+        re-plan prior joins the key by its content digest, after the agent."""
+        service = AdvisorService()
+        kwargs = {"expected_scale": 2.0}
+        bare = service._request_key(tiny_atlas, kwargs)
+        assert bare == ("recommend", oracle_sha(oracle_request_parts(tiny_atlas, kwargs)))
+        components = tuple(tiny_atlas.application.component_names)
+        prior = ReplanPrior(components, ((0,) * len(components),), (tiny_atlas.knowledge.apis[0],))
+        tiny_atlas.knowledge.replan_prior = prior
+        keyed = service._request_key(tiny_atlas, kwargs)
+        parts = oracle_request_parts(tiny_atlas, kwargs) + [f"prior={prior.content_digest()}"]
+        assert keyed == ("recommend", oracle_sha(parts)) != bare
+        tiny_atlas.knowledge.replan_prior = dataclasses.replace(prior)  # equal content
+        assert service._request_key(tiny_atlas, kwargs) == keyed
+        tiny_atlas.knowledge.replan_prior = dataclasses.replace(prior, spliced=())
+        assert service._request_key(tiny_atlas, kwargs) not in (bare, keyed)
+        tiny_atlas.learn(tiny_atlas.telemetry)  # dropped, like everything learned
+        assert tiny_atlas.knowledge.replan_prior is None
         assert service._request_key(tiny_atlas, kwargs) == bare
 
     def test_content_equal_advisors_learned_apart_share_a_key(self, tiny_telemetry):

@@ -255,3 +255,33 @@ class TestGAConfig:
         for rate in (1.5, -0.1):
             with pytest.raises(ValueError, match="mutation_rate"):
                 GAConfig(mutation_rate=rate)
+
+    # Each of these used to construct and then raise inside AtlasGA.run() (training)
+    # or spin max_generations generations that visit no new plan.
+    def test_train_iterations_zero_points_at_uniform_crossover(self):
+        with pytest.raises(ValueError, match="crossover='uniform'"):
+            GAConfig(train_iterations=0)
+        # Without an agent to train, zero iterations is what uniform crossover means.
+        assert GAConfig(train_iterations=0, crossover="uniform").train_iterations == 0
+
+    def test_train_batch_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="train_batch_size"):
+            GAConfig(train_batch_size=0)
+
+    def test_train_pairs_must_be_positive(self):
+        with pytest.raises(ValueError, match="train_pairs"):
+            GAConfig(train_pairs=0)
+
+    def test_immigrants_per_generation_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="immigrants_per_generation"):
+            GAConfig(immigrants_per_generation=-3)
+
+    def test_offspring_per_generation_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="offspring_per_generation"):
+            GAConfig(offspring_per_generation=-1)
+
+    def test_a_generation_must_visit_a_new_plan(self):
+        with pytest.raises(ValueError, match="at least one plan"):
+            GAConfig(offspring_per_generation=0, immigrants_per_generation=0, local_search_period=0)
+        # Immigrants alone still spend the budget.
+        assert GAConfig(offspring_per_generation=0, immigrants_per_generation=1).offspring_per_generation == 0

@@ -686,6 +686,9 @@ class TestAdvisorDaemon:
         assert drift.stages == ["poll", "drift", "splice", "recertify", "recommend"]
         assert drift.drifted == [target] and drift.spliced == [target]
         assert drift.recommended
+        # The re-plan started from the front cycle 1 served; the bootstrap from nothing.
+        assert (drift.prior, drift.prior_reason) == ("served front", None)
+        assert bootstrap.prior is None and bootstrap.prior_reason is None
         assert drift.front_sha is not None
         # Cycle 3: the script is exhausted -> idle, loop state stays 'done'.
         assert idle.idle and not idle.stages[1:]
@@ -764,6 +767,8 @@ class TestAdvisorDaemon:
             assert report.cycle == 2 and report.recommended
             assert report.front_sha == reference.front_sha
             assert (report.agent, report.agent_reason) == ("reused", None)
+            # ...and started from the front cycle 1 served, read back from the store.
+            assert (report.prior, report.prior_reason) == ("served front", None)
             # The resumed compile streamed the untouched APIs from the store.
             assert resumed.service.cache.stats()["store_hits"] > 0
             if crash_stage == "poll":
