@@ -119,11 +119,10 @@ class ReplanPrior:
         return sha_parts([repr(self.components), repr(self.vectors), repr(self.spliced)])
 
     def seed_vectors(self, components: Sequence[str]) -> List[List[int]]:
-        """The served plans in ``components``' order (none when the components differ)."""
-        if sorted(self.components) != sorted(components):
+        """The served plans, or none when they were planned over other components."""
+        if self.components != tuple(components):
             return []
-        column = {name: index for index, name in enumerate(self.components)}
-        return [[vector[column[name]] for name in components] for vector in self.vectors]
+        return [list(vector) for vector in self.vectors]
 
 
 @dataclass

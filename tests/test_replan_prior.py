@@ -102,10 +102,10 @@ class TestWarmStart:
                 point = quality.objectives()
                 assert any(all(a <= b for a, b in zip(row, point)) for row in front)
 
-    def test_the_prior_follows_the_search_component_order(self):
+    def test_a_prior_over_other_components_seeds_nothing(self):
         prior = ReplanPrior(components=("a", "b", "c"), vectors=((0, 1, 2), (2, 0, 1)), spliced=())
-        assert prior.seed_vectors(["c", "a", "b"]) == [[2, 0, 1], [1, 2, 0]]
-        assert prior.seed_vectors(["a", "b", "d"]) == []
+        assert prior.seed_vectors(["a", "b", "c"]) == [[0, 1, 2], [2, 0, 1]]
+        assert prior.seed_vectors(["c", "a", "b"]) == prior.seed_vectors(["a", "b"]) == []
 
     def test_learn_drops_the_prior(self, tiny_learned_atlas):
         _, drifted, prior = _served(tiny_learned_atlas)
