@@ -494,13 +494,10 @@ class AdvisorDaemon:
         finding other content under the name, leaves no prior installed: the
         re-recommend then searches from the affinity seeds at the full budget.
         """
-        knowledge = atlas.knowledge
-        if knowledge is None:
+        knowledge, front_sha = atlas.knowledge, record["front_sha"]
+        if knowledge is None or front_sha is None:
             return "affinity seeds", "no previous answer"
         knowledge.replan_prior = None
-        front_sha = record["front_sha"]
-        if front_sha is None or not record["components"]:
-            return "affinity seeds", "no previous answer"
         last = self._live.get(name)
         if last is not None:
             front = front_payload(last)
