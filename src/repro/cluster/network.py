@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..digest import sha_parts
 from .topology import CLOUD, ON_PREM
 
 __all__ = [
@@ -62,12 +63,33 @@ class LinkSpec:
 
 
 class NetworkModel:
-    """Symmetric latency/bandwidth matrix over datacenter locations."""
+    """Symmetric latency/bandwidth matrix over datacenter locations.
+
+    Immutable after construction (the fault hooks :meth:`derive` / :meth:`degraded`
+    return siblings), which is what lets it own its content digest.
+    """
+
+    #: Memo of :meth:`content_digest`; set on first use, never pickled.
+    _digest: Optional[str] = None
 
     def __init__(self, links: Dict[Tuple[int, int], LinkSpec]) -> None:
         self._links: Dict[Tuple[int, int], LinkSpec] = {}
         for (a, b), spec in links.items():
             self._links[self._key(a, b)] = spec
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
+
+    def content_digest(self) -> str:
+        """Content fingerprint of the link table, latency + bandwidth (computed once)."""
+        if self._digest is None:
+            self._digest = sha_parts(
+                f"{a}-{b}|{link.latency_ms!r}|{link.bandwidth_mbps!r}"
+                for (a, b), link in sorted(self._links.items())
+            )
+        return self._digest
 
     @staticmethod
     def _key(a: int, b: int) -> Tuple[int, int]:

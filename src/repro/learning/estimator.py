@@ -344,12 +344,12 @@ class ResourceEstimator:
         rate_matrix = np.zeros((steps, len(self._apis)))
         for col, api in enumerate(self._apis):
             series = list(api_rates.get(api, []))
-            for row in range(min(steps, len(series))):
-                rate_matrix[row, col] = series[row]
+            rate_matrix[: len(series), col] = series
         usage: Dict[str, Dict[str, List[float]]] = {r: {} for r in MODELED_RESOURCES}
         for (resource, component), (idle, coef) in self._models.items():
             predicted = idle + rate_matrix @ coef
-            usage[resource][component] = [float(max(v, 0.0)) for v in predicted]
+            # ``max(v, 0.0)`` keeps ``v`` unless ``0.0 > v``: -0.0 and nan pass through.
+            usage[resource][component] = np.where(predicted < 0.0, 0.0, predicted).tolist()
         # Storage comes from deployment metadata (GB on disk, not rate-dependent).
         usage["storage_gb"] = {
             comp.name: [comp.resources.storage_gb] * steps

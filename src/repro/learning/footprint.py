@@ -52,6 +52,8 @@ class NetworkFootprint:
 
     #: Memo of :meth:`content_digest`; set on first use, never pickled.
     _digest: Optional[str] = None
+    #: Memo of :meth:`edge_bytes` per ``(api, edges)``; never pickled.
+    _edge_bytes: Optional[Dict[Tuple[str, Tuple[Pair, ...]], Tuple]] = None
 
     def __init__(self, edges: Sequence[EdgeFootprint]) -> None:
         self._by_api: Dict[str, Dict[Pair, EdgeFootprint]] = {}
@@ -61,6 +63,7 @@ class NetworkFootprint:
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         state.pop("_digest", None)
+        state.pop("_edge_bytes", None)
         return state
 
     def content_digest(self) -> str:
@@ -93,6 +96,21 @@ class NetworkFootprint:
     def response_bytes(self, api: str, source: str, destination: str) -> float:
         edge = self.edge(api, source, destination)
         return edge.response_bytes if edge else 0.0
+
+    def edge_bytes(
+        self, api: str, edges: Tuple[Pair, ...]
+    ) -> Tuple[Tuple[float, float], ...]:
+        """``(request, response)`` bytes of one API's ``edges``, in order (computed once)."""
+        if self._edge_bytes is None:
+            self._edge_bytes = {}
+        key = (api, edges)
+        sizes = self._edge_bytes.get(key)
+        if sizes is None:
+            sizes = self._edge_bytes[key] = tuple(
+                (self.request_bytes(api, *edge), self.response_bytes(api, *edge))
+                for edge in edges
+            )
+        return sizes
 
     def round_trip_bytes(self, api: str, source: str, destination: str) -> float:
         """``d_req + d_resp`` — the payload term of Eq. 2."""

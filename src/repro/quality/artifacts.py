@@ -25,8 +25,6 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..digest import sha_parts
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.network import NetworkModel
     from ..learning.footprint import NetworkFootprint
@@ -65,10 +63,7 @@ def fingerprint_footprint(footprint: "NetworkFootprint") -> str:
 
 def fingerprint_network(network: "NetworkModel") -> str:
     """Content fingerprint of a network model's link table (latency + bandwidth)."""
-    parts = []
-    for (a, b), link in sorted(network._links.items()):
-        parts.append(f"{a}-{b}|{link.latency_ms!r}|{link.bandwidth_mbps!r}")
-    return sha_parts(parts)
+    return network.content_digest()
 
 
 class _Flight:

@@ -44,9 +44,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cluster.network import NetworkModel
 from ..cluster.placement import MigrationPlan
 from ..learning.estimator import ResourceEstimate, ResourceEstimator
+from ..learning.footprint import NetworkFootprint
 from ..telemetry.tracing import Trace
+from .artifacts import ArtifactCache
 from .availability import ApiAvailabilityModel
 from .cost import CloudCostModel
 from .faults import FaultedStack
@@ -99,20 +102,41 @@ class PlanQuality(ObjectiveVector):
         )
 
 
+@dataclass(frozen=True)
+class _CompiledScenario:
+    """What one non-baseline spec compiles to that no trace changes.
+
+    ``estimate`` is the scenario's resource estimate (re-predicted per-API rate
+    series), ``footprint`` the payload-scaled footprint, ``network`` the faulted link
+    model (``None``: the base network), ``cost`` the derived
+    :class:`~repro.quality.cost.CloudCostModel` over all of them and ``weights`` the
+    scenario's τ_A trace-weight vector.  ``availability`` and ``preferences`` are the
+    base objects for fault-free specs, derived (outage-weighted availability,
+    evacuated/limited preferences) when the spec declares
+    :attr:`~repro.quality.scenarios.ScenarioSpec.faults`.
+
+    Evaluators over equal content share one through an artifact cache: a splice
+    moves traces, and nothing here reads one.
+    """
+
+    estimate: ResourceEstimate
+    footprint: NetworkFootprint
+    network: Optional[NetworkModel]
+    cost: CloudCostModel
+    weights: Dict[str, float]
+    availability: ApiAvailabilityModel
+    preferences: MigrationPreferences
+
+
 @dataclass
 class _ScenarioContext:
     """One compiled scenario: the models/artifacts the quality stack bakes in.
 
-    ``performance`` is a :meth:`~repro.quality.performance.ApiPerformanceModel.scenario_view`
-    (the base model itself for payload-neutral scenarios), ``cost`` a derived
-    :class:`~repro.quality.cost.CloudCostModel` over the scenario's resource estimate
-    and payload-scaled footprint, ``estimate`` feeds the on-prem peak constraint, and
-    ``weights`` is the scenario's τ_A trace-weight vector for QPerf/QAvai.
-
-    ``availability`` and ``preferences`` are the scenario-resolved views of the
-    remaining two artifact families — identical to the evaluator's base objects for
-    fault-free scenarios, derived (outage-weighted availability, evacuated/limited
-    preferences) when the spec declares :attr:`~repro.quality.scenarios.ScenarioSpec.faults`.
+    The evaluator's own :meth:`~repro.quality.performance.ApiPerformanceModel.scenario_view`
+    (``performance``; the base model itself for payload-neutral scenarios — it shares
+    compiled traces and replay caches with a base model a splice changes) over a
+    :class:`_CompiledScenario`'s artifacts; ``estimate`` feeds the on-prem peak
+    constraint.  The baseline spec is the evaluator's base stack.
     """
 
     spec: ScenarioSpec
@@ -141,6 +165,8 @@ class QualityEvaluator:
         component_order: Optional[Sequence[str]] = None,
         estimator: Optional[ResourceEstimator] = None,
         problem: Optional[PlacementProblem] = None,
+        artifact_cache: Optional[ArtifactCache] = None,
+        content_digest: Optional[str] = None,
     ) -> None:
         """``estimator`` (the fitted resource estimator the base ``estimate`` came
         from) is only needed for scenario-robust evaluation of scenarios that change
@@ -150,7 +176,12 @@ class QualityEvaluator:
         ``problem`` declares the objective/constraint stack (default: the paper's
         three objectives and Eq. 4 constraints).  A problem with its own
         ``preferences`` overrides the ``preferences`` argument, and a problem with a
-        scenario set arrives pre-bound (every entry point evaluates robustly)."""
+        scenario set arrives pre-bound (every entry point evaluates robustly).
+
+        ``artifact_cache`` + ``content_digest`` (a fingerprint of every input a
+        scenario compiles from, and of no trace) share each compiled scenario with
+        every evaluator over equal content, under ``("scenario", content_digest,
+        spec.identity_key())``; without both, each evaluator compiles its own."""
         self.performance = performance
         self.availability = availability
         self.cost = cost
@@ -160,6 +191,8 @@ class QualityEvaluator:
         self.preferences = preferences
         self.estimate = estimate
         self.estimator = estimator
+        self._artifact_cache = artifact_cache
+        self.content_digest = content_digest
         self._weights = preferences.api_weights(performance.apis)
         self._component_order = list(component_order) if component_order else None
         self._cache: Dict[Tuple[int, ...], PlanQuality] = {}
@@ -539,12 +572,10 @@ class QualityEvaluator:
 
         The baseline spec *is* the base stack (same model objects), so evaluating the
         default scenario robustly shares every cache with — and scores bitwise equal
-        to — the classic path.  Non-baseline specs derive: a scenario resource
-        estimate (re-predicted per-API rate series), a payload-scaled footprint, a
-        performance scenario view (shared compiled traces + replay caches) and a
-        scenario τ_A weight vector.  Specs with faults additionally derive the
-        network/availability/catalog/preference artifacts through
-        :class:`~repro.quality.faults.FaultedStack`.
+        to — the classic path.  Every other spec pairs its :class:`_CompiledScenario`
+        (through the artifact cache when the evaluator has one and a content digest)
+        with this evaluator's performance scenario view over its footprint and
+        network.
         """
         key = spec.compile_key()
         context = self._scenario_contexts.get(key)
@@ -570,57 +601,83 @@ class QualityEvaluator:
                     preferences=self.preferences,
                 )
             else:
-                estimate = self._scenario_estimate(spec)
-                availability = self.availability
-                preferences = self.preferences
-                network = None
-                catalogs = None
-                if spec.faults:
-                    stack = FaultedStack(
-                        network=self.performance.network,
-                        availability=self.availability,
-                        catalogs=dict(self.cost.catalogs),
-                        preferences=self.preferences,
-                        locations=tuple(self.performance.network.locations()),
+                if self._artifact_cache is None or self.content_digest is None:
+                    compiled = self._compile_scenario(spec)
+                else:
+                    compiled = self._artifact_cache.get_or_build(
+                        ("scenario", self.content_digest, spec.identity_key()),
+                        lambda: self._compile_scenario(spec),
                     )
-                    for fault in spec.faults:
-                        fault.apply(stack)
-                    if stack.network is not self.performance.network:
-                        network = stack.network
-                    availability = stack.availability
-                    preferences = stack.preferences
-                    if stack.catalogs_changed:
-                        catalogs = stack.catalogs
-                performance = self.performance.scenario_view(
-                    scaled_footprint(self.performance.footprint, spec),
-                    # A faulted network can shift every API's Δ tables, so the
-                    # changed-API row reuse only applies on the base network.
-                    changed_apis=(
-                        spec.changed_payload_apis() if network is None else None
-                    ),
-                    network=network,
-                )
-                cost = self.cost.derive(
-                    estimate=estimate,
-                    footprint=scaled_footprint(self.cost.footprint, spec),
-                    catalogs=catalogs,
-                )
-                weights = {
-                    api: weight * spec.mix_factor(api)
-                    for api, weight in self._weights.items()
-                }
                 context = _ScenarioContext(
                     spec=spec,
-                    performance=performance,
-                    cost=cost,
-                    estimate=estimate,
-                    weights=weights,
-                    availability=availability,
-                    preferences=preferences,
+                    performance=self.performance.scenario_view(
+                        compiled.footprint,
+                        # A faulted network can shift every API's Δ tables, so the
+                        # changed-API row reuse only applies on the base network.
+                        changed_apis=(
+                            spec.changed_payload_apis()
+                            if compiled.network is None
+                            else None
+                        ),
+                        network=compiled.network,
+                    ),
+                    cost=compiled.cost,
+                    estimate=compiled.estimate,
+                    weights=compiled.weights,
+                    availability=compiled.availability,
+                    preferences=compiled.preferences,
                 )
             self._scenario_contexts[key] = context
             self._scenario_states[spec.identity_key()] = context
         return context
+
+    def _compile_scenario(self, spec: ScenarioSpec) -> _CompiledScenario:
+        """Compile a non-baseline spec: a scenario resource estimate, one
+        payload-scaled footprint, the faulted network / availability / catalog /
+        preference artifacts (through :class:`~repro.quality.faults.FaultedStack`),
+        the derived cost model and the scenario τ_A weights."""
+        estimate = self._scenario_estimate(spec)
+        network = None
+        availability = self.availability
+        preferences = self.preferences
+        catalogs = None
+        if spec.faults:
+            stack = FaultedStack(
+                network=self.performance.network,
+                availability=self.availability,
+                catalogs=dict(self.cost.catalogs),
+                preferences=self.preferences,
+                locations=tuple(self.performance.network.locations()),
+            )
+            for fault in spec.faults:
+                fault.apply(stack)
+            if stack.network is not self.performance.network:
+                network = stack.network
+            availability = stack.availability
+            preferences = stack.preferences
+            if stack.catalogs_changed:
+                catalogs = stack.catalogs
+        footprint = scaled_footprint(self.performance.footprint, spec)
+        return _CompiledScenario(
+            estimate=estimate,
+            footprint=footprint,
+            network=network,
+            cost=self.cost.derive(
+                estimate=estimate,
+                footprint=(
+                    footprint
+                    if self.cost.footprint is self.performance.footprint
+                    else scaled_footprint(self.cost.footprint, spec)
+                ),
+                catalogs=catalogs,
+            ),
+            weights={
+                api: weight * spec.mix_factor(api)
+                for api, weight in self._weights.items()
+            },
+            availability=availability,
+            preferences=preferences,
+        )
 
     def _validate_spec_apis(self, spec: ScenarioSpec) -> None:
         """Reject scenario factor maps naming APIs the evaluator does not know.

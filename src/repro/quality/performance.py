@@ -56,7 +56,7 @@ from ..learning.estimator import ordered_masked_sum
 from ..learning.footprint import NetworkFootprint
 from ..apps.model import ExecutionMode
 from ..telemetry.tracing import Span, Trace
-from .artifacts import ArtifactCache, fingerprint_network, fingerprint_traces
+from .artifacts import ArtifactCache, fingerprint_traces
 from .compiled import CompiledTraceSet
 
 __all__ = ["DelayInjector", "ApiPerformanceModel", "PerformanceEstimate"]
@@ -510,21 +510,19 @@ class ApiPerformanceModel:
                 # Content-complete key: a table is a function of the edge list, the
                 # touched components' baseline placements, the per-edge footprint
                 # bytes, the network links and the location count.  Consumers only
-                # ever read the arrays, so cross-model sharing is safe.
-                edges = self._edges[api]
+                # ever read the arrays, so cross-model sharing is safe.  The byte
+                # tuples and the network digest are memoised where they are born.
+                # A shared table spans every location the network links, so one
+                # table per content serves models whatever plans they saw first.
+                n_locations = max(n_locations, max(self.network.locations(), default=-1) + 1)
+                edges = tuple(self._edges[api])
                 key = (
                     "delta",
                     api,
-                    tuple(edges),
+                    edges,
                     tuple(self.baseline_plan[c] for c in self._touched[api]),
-                    tuple(
-                        (
-                            self.footprint.request_bytes(api, caller, callee),
-                            self.footprint.response_bytes(api, caller, callee),
-                        )
-                        for caller, callee in edges
-                    ),
-                    fingerprint_network(self.network),
+                    self.footprint.edge_bytes(api, edges),
+                    self.network.content_digest(),
                     n_locations,
                 )
                 cached = self._artifact_cache.get_or_build(

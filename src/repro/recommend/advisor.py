@@ -396,9 +396,9 @@ class Atlas:
         ``artifact_cache`` (opt-in) is the warm path: a
         :class:`~repro.quality.artifacts.ArtifactCache` shared across evaluator
         builds — typically owned by an :class:`AdvisorService` — lets repeated
-        builds over the same testbed reuse compiled trace sets and Δ tables by
-        content fingerprint instead of recompiling.  ``None`` (the default)
-        compiles from scratch, byte-identical to previous releases.
+        builds over the same testbed reuse compiled trace sets, Δ tables and
+        compiled scenarios by content fingerprint instead of recompiling.  ``None``
+        (the default) compiles from scratch, byte-identical to previous releases.
 
         ``expected_scale`` scales the observed traffic (the paper's 5x burst); passing
         explicit ``api_rates`` overrides it with any expected traffic forecast.
@@ -454,6 +454,22 @@ class Atlas:
             time_compression=self.config.time_compression,
             catalogs=self._pricing_catalogs(),
         )
+        digest = None
+        if artifact_cache is not None:
+            # What a scenario compiles from, and no trace: evaluators over equal
+            # content (a splice moves traces only) share every compiled scenario.
+            parts = _content_parts(self, traces=False)
+            described = _describe(preferences)
+            if parts is not None and described is not None:
+                digest = sha_parts(
+                    parts
+                    + [
+                        described,
+                        repr(performance.apis),
+                        repr(sorted(estimate.api_rates.items())),
+                        repr(estimate.step_ms),
+                    ]
+                )
         return QualityEvaluator(
             performance=performance,
             availability=availability,
@@ -463,6 +479,8 @@ class Atlas:
             component_order=self.application.component_names,
             estimator=estimator,
             problem=problem,
+            artifact_cache=artifact_cache,
+            content_digest=digest,
         )
 
     # -- stage 2: recommendation --------------------------------------------------------------
@@ -764,6 +782,44 @@ def _describe(value: object) -> Optional[str]:
     return text
 
 
+def _content_parts(atlas: Atlas, traces: bool) -> Optional[List[str]]:
+    """The fingerprint parts of a learned tenant, or ``None`` if one has no description.
+
+    Per API its name, its sample traces' fingerprint when ``traces`` and its
+    stateful components; then the footprint, the fitted estimator, the network, the
+    baseline plan, the locations, the components with their storage, and the
+    preferences, config and pricing catalogs.  A request key reads the traces; an
+    evaluator's compiled-scenario digest must not, so a splice keeps it.
+    """
+    knowledge = atlas.knowledge
+    parts: List[str] = []
+    for api in knowledge.apis:
+        profile = knowledge.api_profiles[api]
+        parts.append(api)
+        if traces:
+            parts.append(fingerprint_traces(profile.sample_traces))
+        parts.append(",".join(sorted(profile.stateful_components)))
+    parts.append(knowledge.footprint.content_digest())
+    parts.append(knowledge.estimator.content_digest())
+    parts.append(fingerprint_network(atlas.network))
+    parts.append(repr(sorted(atlas.current_plan.items())))
+    parts.append(repr(list(atlas.locations)))
+    parts.append(repr(atlas.application.component_names))
+    parts.append(
+        repr([(comp.name, comp.resources.storage_gb) for comp in atlas.application.components])
+    )
+    for described in (
+        atlas.preferences,
+        atlas.config,
+        sorted(atlas._pricing_catalogs().items()),
+    ):
+        text = _describe(described)
+        if text is None:
+            return None
+        parts.append(text)
+    return parts
+
+
 class AdvisorService:
     """Long-lived warm-path front door for repeated / multi-tenant recommendations.
 
@@ -922,16 +978,8 @@ class AdvisorService:
             certificate = entry.get("certificate")
             if kwargs.get("certify") and certificate is None:
                 return None
-            problem, preferences = atlas._resolve_problem(
-                kwargs.get("preferences"), kwargs.get("problem")
-            )
-            evaluator = atlas.build_evaluator(
-                expected_scale=kwargs.get("expected_scale", 1.0),
-                api_rates=kwargs.get("api_rates"),
-                preferences=preferences,
-                problem=problem,
-                artifact_cache=self.cache,
-            )
+            evaluator = self.build_evaluator(atlas, kwargs)
+            problem = evaluator.problem
             if problem.scenarios is not None:
                 pool = result.all_evaluated or result.pareto
                 evaluator.evaluate_batch([quality.plan for quality in pool])
@@ -939,7 +987,7 @@ class AdvisorService:
                 result=result,
                 evaluator=evaluator,
                 estimate=evaluator.estimate,
-                preferences=preferences,
+                preferences=evaluator.preferences,
                 scenario_set=problem.scenarios,
                 aggregator=(
                     evaluator.bound_aggregator if problem.scenarios is not None else None
@@ -949,6 +997,21 @@ class AdvisorService:
             )
         except Exception:
             return None
+
+    def build_evaluator(self, atlas: Atlas, kwargs: Mapping[str, object]) -> QualityEvaluator:
+        """An evaluator over ``atlas``'s current knowledge for one request's arguments,
+        built through the service cache — the one a journaled answer revives on, and a
+        drift re-certificate runs on instead of a served answer's shared evaluator."""
+        problem, preferences = atlas._resolve_problem(
+            kwargs.get("preferences"), kwargs.get("problem")
+        )
+        return atlas.build_evaluator(
+            expected_scale=kwargs.get("expected_scale", 1.0),
+            api_rates=kwargs.get("api_rates"),
+            preferences=preferences,
+            problem=problem,
+            artifact_cache=self.cache,
+        )
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Warm-path observability: artifact-cache and request-memo counters."""
@@ -979,35 +1042,9 @@ class AdvisorService:
         knowledge = atlas.knowledge
         if knowledge is None:
             return None  # recommend() will raise its own RuntimeError
-        parts: List[str] = []
-        for api in knowledge.apis:
-            profile = knowledge.api_profiles[api]
-            parts.append(api)
-            parts.append(fingerprint_traces(profile.sample_traces))
-            parts.append(",".join(sorted(profile.stateful_components)))
-        parts.append(knowledge.footprint.content_digest())
-        parts.append(knowledge.estimator.content_digest())
-        parts.append(fingerprint_network(atlas.network))
-        parts.append(repr(sorted(atlas.current_plan.items())))
-        parts.append(repr(list(atlas.locations)))
-        parts.append(repr(atlas.application.component_names))
-        parts.append(
-            repr(
-                [
-                    (comp.name, comp.resources.storage_gb)
-                    for comp in atlas.application.components
-                ]
-            )
-        )
-        for described in (
-            atlas.preferences,
-            atlas.config,
-            sorted(atlas._pricing_catalogs().items()),
-        ):
-            text = _describe(described)
-            if text is None:
-                return None
-            parts.append(text)
+        parts = _content_parts(atlas, traces=True)
+        if parts is None:
+            return None
         for name in sorted(kwargs):
             value = kwargs[name]
             if name == "api_rates" and isinstance(value, Mapping):

@@ -65,6 +65,7 @@ from ..telemetry.tracing import Trace
 from ..workload.profiles import WorkloadScenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..quality.adversary import RobustnessCertificate
     from ..recommend.advisor import AdvisorService, Atlas, Recommendation
     from .store import ArtifactStore
 
@@ -134,6 +135,9 @@ class TenantCycleReport:
     drifted: List[str] = field(default_factory=list)
     spliced: List[str] = field(default_factory=list)
     recertified: bool = False
+    #: The executed plan's certificate under the drift-refreshed workload, when
+    #: the ``recertify`` stage ran.
+    certificate: Optional["RobustnessCertificate"] = None
     recommended: bool = False
     front_sha: Optional[str] = None
     error: Optional[str] = None
@@ -400,7 +404,8 @@ class AdvisorDaemon:
 
         if stage == "recertify":
             report.stages.append("recertify")
-            report.recertified = self._recertify(name, tenant, record, sample)
+            report.certificate = self._recertify(name, tenant, record, sample)
+            report.recertified = report.certificate is not None
             record["stage"] = stage = "recommend"
             self._checkpoint(name, "recertify")
 
@@ -522,13 +527,18 @@ class AdvisorDaemon:
         tenant: _Tenant,
         record: Dict[str, object],
         sample: MonitorSample,
-    ) -> bool:
-        """Re-certify the executed plan under the refreshed workload (best-effort).
+    ) -> Optional["RobustnessCertificate"]:
+        """Re-certify the executed plan under the refreshed workload (best-effort);
+        returns the certificate, ``None`` when the stage did not run.
 
         Runs only when certification is configured and the previous round's live
         recommendation (with its certificate) is still in memory — certificates
         describe the *outgoing* plan, so after a restart the stage is skipped and
         the incoming re-recommend simply supersedes it.
+
+        That recommendation is the service memo's object, served to every tenant of
+        equal content, so it is left alone: the adversary runs on an evaluator this
+        tenant owns, built over its spliced knowledge through the service cache.
         """
         last = self._live.get(name)
         detector = self._detectors.get(name)
@@ -540,7 +550,7 @@ class AdvisorDaemon:
             or sample.scenario is None
             or not record["executed"]
         ):
-            return False
+            return None
         try:
             update = detector.check_all(
                 sample.recent_latencies,
@@ -550,13 +560,15 @@ class AdvisorDaemon:
             executed = MigrationPlan.from_vector(
                 list(record["components"]), list(record["executed"])
             )
-            tenant.atlas.recertify(
-                last, executed, update, budget=int(self.certify_budget)
+            owned = dataclasses.replace(
+                last, evaluator=self.service.build_evaluator(tenant.atlas, tenant.kwargs)
             )
-            return True
+            return tenant.atlas.recertify(
+                owned, executed, update, budget=int(self.certify_budget)
+            )
         except Exception:
             self.last_error = traceback.format_exc()
-            return False
+            return None
 
     def _arm(
         self,

@@ -156,9 +156,12 @@ class TestFingerprints:
     def test_network_fingerprint_tracks_link_content(self):
         a, b = default_network_model(), default_network_model()
         assert fingerprint_network(a) == fingerprint_network(b)
+        # A network is immutable (it owns its digest), so "a link changed" is a new
+        # network with the changed link.
         (pair, link) = next(iter(sorted(b._links.items())))
-        b._links[pair] = dataclasses.replace(link, latency_ms=link.latency_ms + 0.5)
-        assert fingerprint_network(a) != fingerprint_network(b)
+        changed = b.derive({pair: dataclasses.replace(link, latency_ms=link.latency_ms + 0.5)})
+        assert fingerprint_network(a) != fingerprint_network(changed)
+        assert fingerprint_network(b) == fingerprint_network(a)
 
     def test_footprint_fingerprint_tracks_edge_bytes(self, tiny_telemetry):
         _app, result = tiny_telemetry

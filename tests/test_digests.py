@@ -1,8 +1,9 @@
 """Memoised content digests ≡ the span-walking hashers they replaced, exactly.
 
-The three content objects that never change after construction own their digest:
+The content objects that never change after construction own their digest:
 ``Trace`` keeps the bytes it contributes to a trace-set fingerprint,
-``NetworkFootprint`` and a fitted ``ResourceEstimator`` keep their hex, and
+``NetworkFootprint``, ``NetworkModel`` and a fitted ``ResourceEstimator`` keep their
+hex (the footprint also the per-API byte tuples a Δ-table key reads), and
 ``fingerprint_traces`` / ``AdvisorService._request_key`` only compose those pieces
 while still walking every mutable container per call.  The hashers as they stood
 before — walking every span, edge and coefficient on every request — live on below as
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from test_artifacts import TINY_GA, _perturb
 from test_compiled import random_trace
 
+from repro.cluster import LinkSpec, NetworkModel
 from repro.learning import EdgeFootprint, NetworkFootprint, ResourceEstimator
 from repro.optimizer import CrossoverAgent
 from repro.quality import CompiledTraceSet, MigrationPreferences
@@ -75,6 +77,13 @@ def oracle_fingerprint_footprint(footprint):
     return oracle_sha(parts)
 
 
+def oracle_fingerprint_network(network):
+    parts = []
+    for (a, b), link in sorted(network._links.items()):
+        parts.append(f"{a}-{b}|{link.latency_ms!r}|{link.bandwidth_mbps!r}")
+    return oracle_sha(parts)
+
+
 def oracle_estimator_fingerprint(estimator):
     parts = [repr(estimator.apis)]
     for (resource, component), (idle, coef) in sorted(estimator._models.items()):
@@ -93,7 +102,7 @@ def oracle_request_parts(atlas, kwargs):
         parts.append(",".join(sorted(profile.stateful_components)))
     parts.append(oracle_fingerprint_footprint(knowledge.footprint))
     parts.append(oracle_estimator_fingerprint(knowledge.estimator))
-    parts.append(fingerprint_network(atlas.network))
+    parts.append(oracle_fingerprint_network(atlas.network))
     parts.append(repr(sorted(atlas.current_plan.items())))
     parts.append(repr(list(atlas.locations)))
     parts.append(repr(atlas.application.component_names))
@@ -201,6 +210,41 @@ class TestOracle:
         assert fingerprint_footprint(footprint) == want
         assert fingerprint_footprint(footprint) == want
         assert footprint.content_digest() == want
+        pairs = [("X", "Y"), ("Z", "X"), ("Y", "Y")]
+        for api in ("/a", "/b", "/c", "/none"):
+            edges = tuple(pairs)
+            want_bytes = tuple(
+                (footprint.request_bytes(api, *edge), footprint.response_bytes(api, *edge))
+                for edge in edges
+            )
+            assert footprint.edge_bytes(api, edges) == want_bytes  # built
+            assert footprint.edge_bytes(api, edges) is footprint.edge_bytes(api, edges)
+            assert footprint.edge_bytes(api, edges[:1]) == want_bytes[:1]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0.0, 1e6)),
+                st.one_of(st.sampled_from(_EDGE_FLOATS[2:]), st.floats(1e-3, 1e6)),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_network_fingerprint_first_call_and_cached(self, rows):
+        network = NetworkModel({(a, b): LinkSpec(lat, bw) for a, b, lat, bw in rows})
+        want = oracle_fingerprint_network(network)
+        assert fingerprint_network(network) == want
+        assert fingerprint_network(network) == want
+        assert network.content_digest() == want
+        # A derived network is a new object with its own digest.
+        (a, b), link = sorted(network._links.items())[0]
+        latency = 0.5 if link.latency_ms != 0.5 else 1.5
+        derived = network.derive({(a, b): LinkSpec(latency, link.bandwidth_mbps)})
+        assert fingerprint_network(derived) == oracle_fingerprint_network(derived) != want
+        assert fingerprint_network(network) == want
 
     @given(
         st.lists(st.sampled_from(["/a", "/b", "/c"]), unique=True, max_size=3),
@@ -428,6 +472,26 @@ class TestMemosStayOutOfPickles:
         assert len(warm) == len(cold) and b"_digest" not in warm
         loaded = pickle.loads(warm)
         assert loaded._digest is None and loaded.content_digest() == digest
+
+    def test_footprint_pickle_carries_no_edge_bytes(self, tiny_atlas):
+        footprint = tiny_atlas.knowledge.footprint
+        cold = pickle.dumps(footprint)
+        api = footprint.apis[0]
+        edges = tuple(sorted(footprint.edges_of(api)))
+        sizes = footprint.edge_bytes(api, edges)
+        warm = pickle.dumps(footprint)
+        assert warm == cold and b"_edge_bytes" not in warm
+        assert pickle.loads(warm).edge_bytes(api, edges) == sizes
+
+    def test_network_pickle_carries_no_digest(self, tiny_atlas):
+        network = tiny_atlas.network
+        cold = pickle.dumps(network)
+        digest = fingerprint_network(network)
+        assert network._digest == digest
+        warm = pickle.dumps(network)
+        assert warm == cold and b"_digest" not in warm
+        loaded = pickle.loads(warm)
+        assert loaded._digest is None and fingerprint_network(loaded) == digest
 
     def test_stored_compiled_set_carries_no_digest(self):
         rng = np.random.default_rng(6)

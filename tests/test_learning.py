@@ -1,6 +1,9 @@
 """Tests for application learning: profiles, footprint learning, resource estimation."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import ExecutionMode
 from repro.learning import (
@@ -231,3 +234,56 @@ class TestResourceEstimator:
         estimator = ResourceEstimator(app, result.telemetry).fit()
         with pytest.raises(ValueError):
             estimator.predict({})
+
+
+def _predict_element_by_element(estimator, api_rates):
+    """The per-element fill and clamp ``ResourceEstimator.predict`` vectorises."""
+    steps = max(len(series) for series in api_rates.values())
+    rate_matrix = np.zeros((steps, len(estimator._apis)))
+    for col, api in enumerate(estimator._apis):
+        series = list(api_rates.get(api, []))
+        for row in range(min(steps, len(series))):
+            rate_matrix[row, col] = series[row]
+    return {
+        key: [float(max(v, 0.0)) for v in idle + rate_matrix @ coef]
+        for key, (idle, coef) in estimator._models.items()
+    }
+
+
+_SPECIAL = [0.0, -0.0, float("nan"), -3.5, 7.25]
+
+
+class TestVectorisedPredict:
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_predict_is_the_element_by_element_loop(self, tiny_telemetry, seed, n_extra):
+        """Random models (negative, ``-0.0`` and ``nan`` idles and coefficients) over
+        ragged, empty and partly missing rate series, compared by ``float.hex``."""
+        app, result = tiny_telemetry
+        rng = np.random.default_rng(seed)
+        estimator = ResourceEstimator(app, result.telemetry).fit()
+        estimator._apis = estimator._apis + [f"/extra{k}" for k in range(n_extra)]
+
+        def value():
+            if rng.random() < 0.25:
+                return _SPECIAL[int(rng.integers(len(_SPECIAL)))]
+            return float(rng.normal(0.0, 10.0))
+
+        estimator._models = {
+            key: (value(), np.asarray([value() for _ in estimator._apis]))
+            for key in estimator._models
+        }
+        rates = {}
+        for api in estimator._apis + ["/unknown"]:
+            if rng.random() < 0.2:
+                continue  # an API the forecast leaves out
+            series = [value() for _ in range(int(rng.integers(0, 6)))]
+            if rng.random() < 0.3:
+                series = [int(abs(v)) if v == v else 0 for v in series]
+            rates[api] = series
+        rates.setdefault("/unknown", [1.0])
+        predicted = estimator.predict(rates, step_ms=100.0)
+        expected = _predict_element_by_element(estimator, rates)
+        for (resource, component), series in expected.items():
+            got = predicted.usage[resource][component]
+            assert [v.hex() for v in got] == [v.hex() for v in series]

@@ -16,6 +16,7 @@ Three contracts from the serving tier:
 """
 
 import copy
+import dataclasses
 import hashlib
 import pickle
 import tempfile
@@ -43,6 +44,7 @@ from repro.serving import (
     ScriptedMonitor,
 )
 from repro.serving.daemon import front_digest
+from repro.workload import default_scenario
 
 
 CURRENT_FRAME = f"atlas-store/{store_module._VERSION} ".encode("ascii")
@@ -799,6 +801,52 @@ class TestAdvisorDaemon:
         )
         assert entry["result"].agent is None
         assert entry["result"].agent_digest == record["agent"]
+
+    def test_a_recertificate_leaves_a_content_equal_tenants_answer_alone(
+        self, tiny_learned_atlas, daemon_script
+    ):
+        # Two tenants of equal content share the memo's answer; one drifts and is
+        # re-certified, the other stays on model.
+        target, (on_model, drifted) = daemon_script
+        drifted = dataclasses.replace(
+            drifted, scenario=default_scenario(tiny_learned_atlas.application)
+        )
+        kwargs = {"expected_scale": 2.0, "certify": 6}
+        service = AdvisorService()
+        monitor = ScriptedMonitor(
+            {"drifter": [on_model, drifted], "bystander": [on_model, on_model]}
+        )
+        daemon = AdvisorDaemon(service, monitor, name="t", certify_budget=6)
+        bystander = _clone(tiny_learned_atlas)
+        daemon.register("drifter", _clone(tiny_learned_atlas), **kwargs)
+        daemon.register("bystander", bystander, **kwargs)
+        daemon.run_cycle()
+
+        def seen(answer):
+            certificate = answer.certificate
+            previews = answer.latency_preview(answer.knee_point().plan)
+            return (
+                repr(certificate.worst_spec.compile_key()),
+                [float(v).hex() for v in certificate.worst_values],
+                float(certificate.worst_regret).hex(),
+                sorted(
+                    (api, [float(v).hex() for v in estimate.estimated_latencies_ms])
+                    for api, estimate in previews.items()
+                ),
+            )
+
+        served = service.recommend(bystander, **kwargs)
+        certificate, before = served.certificate, seen(served)
+        reports = {report.tenant: report for report in daemon.run_cycle()}
+        drift = reports["drifter"]
+        assert drift.spliced == [target] and drift.recertified
+        assert drift.certificate is not None and drift.certificate is not certificate
+        assert reports["bystander"].stages == ["poll", "drift"]
+        again = service.recommend(bystander, **kwargs)
+        assert again is served and again.certificate is certificate
+        assert seen(again) == before
+        # What the bystander's own knowledge answers, recommended afresh.
+        assert seen(_clone(bystander).recommend(**kwargs)) == before
 
     def test_lost_agent_object_degrades_to_training(
         self, tmp_path, tiny_learned_atlas, daemon_script
