@@ -157,27 +157,6 @@ class ResourceEstimate:
             self._lowerings[key] = lowering
         return lowering
 
-    def aggregate_matrix(
-        self, resource: str, members: "np.ndarray", columns: Sequence[str]
-    ) -> "np.ndarray":
-        """Per-plan aggregate series for a whole batch of component subsets.
-
-        ``members`` is a ``(plans, len(columns))`` boolean matrix selecting, per plan,
-        the components (named by ``columns``) to sum; returns ``(plans, steps)``.
-        One :func:`ordered_masked_sum` over the estimate's components in the same
-        storage order as :meth:`aggregate_series`, so every output row is bitwise
-        equal to the scalar aggregation of that plan's subset — the stack of one of
-        :func:`aggregate_stacked`.
-        """
-        stacked = stack_series((self,), resource, columns)
-        return aggregate_stacked(stacked, np.asarray(members, dtype=bool))[:, 0]
-
-    def peak_matrix(
-        self, resource: str, members: "np.ndarray", columns: Sequence[str]
-    ) -> "np.ndarray":
-        """Per-plan peak of one resource over per-plan component subsets."""
-        return peak_stack((self,), resource, members, columns)[:, 0]
-
 
 def stack_series(
     estimates: Sequence[ResourceEstimate], resource: str, columns: Sequence[str]
@@ -213,10 +192,12 @@ def aggregate_stacked(
 ) -> "np.ndarray":
     """Reduce a :func:`stack_series` lowering over a boolean ``members`` matrix.
 
-    Returns ``(plans, estimates, steps)`` (every group must hold one step count).  A
-    group's estimates share one gathered selection and one
-    :func:`ordered_masked_sum`; the term axis stays outermost, so every output
-    element is added term after term from ``+0.0`` exactly as for one estimate.
+    ``members`` is ``(plans, len(columns))`` and selects, per plan, the components to
+    sum; returns ``(plans, estimates, steps)`` (every group must hold one step
+    count).  A group's estimates share one gathered selection and one
+    :func:`ordered_masked_sum` in each estimate's storage order; the term axis stays
+    outermost, so ``out[p, e]`` is bitwise ``estimates[e].aggregate_series`` of plan
+    ``p``'s subset.
     """
     if len(stacked) == 1:
         _positions, estimate_columns, series = stacked[0]
@@ -238,8 +219,9 @@ def peak_stack(
 ) -> "np.ndarray":
     """Per-plan peaks of one resource under several estimates: ``(plans, len(estimates))``.
 
-    Column ``e`` is ``estimates[e].peak_matrix(...)``; each :func:`stack_series`
-    group is one :func:`ordered_masked_sum` and one ``max`` over its steps."""
+    ``out[p, e]`` is ``estimates[e].peak`` of plan ``p``'s subset (``0.0`` without
+    steps); each :func:`stack_series` group is one :func:`ordered_masked_sum` and one
+    ``max`` over its steps."""
     members = np.asarray(members, dtype=bool)
     stacked = stack_series(estimates, resource, columns)
     if len(stacked) == 1 and stacked[0][2].shape[3]:

@@ -31,7 +31,7 @@ search sample every site natively.  The two-location topology reproduces the pap
 baselines bit-for-bit (a single remote site makes every ranking trivial).
 
 The multi-plan baselines are matrix-native: populations are location vectors scored
-through the evaluator's plan-matrix pipeline (``feasible_mask``, ``qcost_batch``,
+through the evaluator's plan-matrix pipeline (``feasible_mask``, ``qcost_vectors``,
 ``evaluate_vectors``); :class:`MigrationPlan` objects are built only for the returned
 fronts.
 

@@ -177,22 +177,6 @@ class ApiAvailabilityModel:
             self._lowerings[key] = lowering
         return lowering
 
-    def qavai_batch(
-        self,
-        plan_matrix: np.ndarray,
-        components: Sequence[str],
-        api_weights: Optional[Mapping[str, float]] = None,
-    ) -> np.ndarray:
-        """QAvai for a whole plan matrix at once — bitwise equal to per-plan ``qavai``.
-
-        ``plan_matrix`` is ``(plans, len(components))`` integer location ids; per-plan
-        totals accumulate API by API in the scalar iteration order.  The stack of one
-        of :meth:`qavai_stack`.
-        """
-        return self.qavai_stack(
-            self.disruption_matrix(plan_matrix, components), [api_weights]
-        )[0]
-
     def disruption_matrix(
         self, plan_matrix: np.ndarray, components: Sequence[str]
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -236,8 +220,8 @@ class ApiAvailabilityModel:
     ) -> np.ndarray:
         """QAvai of one :meth:`disruption_matrix` under several τ_A weight vectors.
 
-        Returns ``(len(api_weights), plans)``; row ``s`` is bitwise
-        ``qavai_batch(..., api_weights[s])``.  One ordered masked sum over the APIs
+        Returns ``(len(api_weights), plans)``; row ``s`` is bitwise per-plan
+        :meth:`qavai` under ``api_weights[s]``.  One ordered masked sum over the APIs
         adds each disrupted API's weight (times its factor) to every row at once;
         the API axis stays outermost, so every element sees its additions in the
         scalar order.

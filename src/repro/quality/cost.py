@@ -473,59 +473,28 @@ class CloudCostModel:
             self._rate_table_cache[max_location] = cached
         return cached
 
-    def _compute_batch(
-        self, matrix: np.ndarray, components: Sequence[str]
-    ) -> np.ndarray:
-        """Eq. 7 over a plan matrix: the stack of one of :func:`_compute_rows`."""
-        return _compute_rows(matrix, _sites((self,), _COMPUTE, components), 1)[0]
-
-    def _storage_batch(
-        self, matrix: np.ndarray, components: Sequence[str], lowering: _CostLowering
-    ) -> np.ndarray:
-        """Eq. 9 over a plan matrix: the stack of one of :func:`_storage_rows`."""
-        return _storage_rows(
-            (self,), matrix, tuple(components), _storage_groups((self,), [lowering])
-        )[0]
-
-    def _traffic_batch(
-        self, matrix: np.ndarray, lowering: _CostLowering
-    ) -> np.ndarray:
-        """Eq. 10 over a plan matrix: the stack of one of :func:`_traffic_rows`."""
-        return _traffic_rows((self,), matrix, _traffic_groups((self,), [lowering]))[0]
-
-    def qcost_batch(
-        self, plan_matrix: np.ndarray, components: Sequence[str]
-    ) -> np.ndarray:
-        """Eq. 11 for a whole plan matrix at once — bitwise equal to per-plan ``qcost``.
-
-        ``plan_matrix`` is ``(plans, len(components))`` integer location ids with
-        ``components`` naming the columns.  Per-site accumulation order, autoscaler
-        arithmetic and traffic bucketing replicate the scalar path exactly, so the
-        result matches :meth:`qcost` bit for bit (the per-plan path stays the
-        reference oracle).  Rows seen before (in any batch with the same component
-        order) come from the batched memo; the per-plan memo cache of :meth:`qcost`
-        is neither consulted nor filled.  The stack of one of :meth:`qcost_stack`.
-        """
-        return self.qcost_stack((self,), plan_matrix, components)[0]
-
     @staticmethod
     def qcost_stack(
         models: Sequence["CloudCostModel"],
         plan_matrix: np.ndarray,
         components: Sequence[str],
     ) -> np.ndarray:
-        """:meth:`qcost_batch` of one plan matrix under several models: ``(len(models), plans)``.
+        """Eq. 11 of a ``(plans, len(components))`` location matrix under several
+        models: ``(len(models), plans)``, row ``s`` bitwise ``models[s].qcost`` of
+        every plan (per-site accumulation order, autoscaler arithmetic and traffic
+        bucketing replicate the scalar oracle); a classic call is the stack of one.
+        Rows seen before (same component order) come from each model's batched memo,
+        which ends up holding every row; the per-plan memo of :meth:`qcost` is
+        neither consulted nor filled.
 
-        Row ``s`` is bitwise ``models[s].qcost_batch(plan_matrix, components)``, and
-        every model's row memo ends up holding every row.  The robust evaluator's
-        scenario cost models are such a stack: what no scenario changes — the
-        membership masks, the stateful placements, the bucket masks and their
-        contribution order, an autoscaler walk over the estimates that share it — is
-        done once, and what a scenario does change (its estimate's series, its
-        billed bytes, its prices) rides along as extra columns of the same ordered
-        reductions.  Models are grouped by identity, never by value (``derive``
-        shares what a sibling leaves unchanged), so a faulted scenario's own
-        catalogs put it in its own groups by construction.
+        The robust evaluator's scenario cost models are such a stack: what no
+        scenario changes — the membership masks, the stateful placements, the bucket
+        masks and their contribution order, an autoscaler walk over the estimates
+        that share it — is done once, and what a scenario does change (its
+        estimate's series, its billed bytes, its prices) rides along as extra columns
+        of the same ordered reductions.  Models are grouped by identity, never by
+        value (``derive`` shares what a sibling leaves unchanged), so a faulted
+        scenario's own catalogs put it in its own groups by construction.
         """
         matrix = np.asarray(plan_matrix, dtype=np.int64)
         if matrix.ndim != 2 or matrix.shape[1] != len(components):

@@ -724,10 +724,11 @@ class QualityEvaluator:
     ) -> np.ndarray:
         """Per-plan cost of a location matrix, scenario-aggregated when bound.
 
-        Unbound this is exactly ``cost.qcost_batch`` after canonical lowering (the
-        affinity-NSGA-II baseline's cost objective); bound, each plan's per-scenario
-        costs collapse through the bound aggregator — the single-plan baselines
-        become scenario-robust through the same door as the evaluators.
+        Unbound this is exactly ``cost.qcost_stack((cost,), ...)[0]`` after
+        canonical lowering (the affinity-NSGA-II baseline's cost objective); bound,
+        each plan's per-scenario costs collapse through the bound aggregator — the
+        single-plan baselines become scenario-robust through the same door as the
+        evaluators.
         """
         matrix, components = self._lower(vectors, components)
         scenario_set, aggregator = self._resolve_scenarios(None, None)
@@ -871,9 +872,10 @@ class QualityEvaluator:
     ) -> Tuple[np.ndarray, List[str]]:
         """Validate a vector batch and permute it into the canonical column order.
 
-        Shared by :meth:`evaluate_vectors` and :meth:`feasible_mask` so permuted
-        component orders hit the same caches (result cache, batched cost memo) and
-        fail with the same explicit error on a mismatched component set.
+        Shared by :meth:`evaluate_vectors`, :meth:`feasible_mask` and
+        :meth:`qcost_vectors` so permuted component orders hit the same caches (result
+        cache, batched cost memo) and fail with the same explicit error on a
+        mismatched component set or a location the network does not have.
         """
         components = self._columns(components)
         matrix = np.asarray(vectors, dtype=np.int64)
@@ -881,6 +883,16 @@ class QualityEvaluator:
             matrix = matrix.reshape(0, len(components))
         if matrix.ndim != 2 or matrix.shape[1] != len(components):
             raise ValueError("vectors must form a (plans, len(components)) matrix")
+        known = self.performance.network.locations()
+        plain = known == list(range(len(known)))  # ids 0..N-1: a range check decides
+        if matrix.size and not (plain and 0 <= matrix.min() and matrix.max() < len(known)):
+            unknown = np.argwhere(~np.isin(matrix, known))
+            if unknown.size:
+                row, column = unknown[0]
+                raise ValueError(
+                    f"unknown location {int(matrix[row, column])} for component "
+                    f"{components[column]!r} (network locations: {known})"
+                )
         if tuple(components) != self._canonical:
             if set(components) != set(self._canonical):
                 raise ValueError(

@@ -32,9 +32,10 @@ three invariants:
   touches hit the cache instead of replaying.  Edge delays are further keyed by the
   cut-edge signature (the exact Δ map), which collapses distinct projections that
   induce identical delays.
-* **Batched evaluation** — :meth:`ApiPerformanceModel.qperf_batch` scores a whole
-  generation as one plan matrix: project → gather Δ rows from per-API lookup tables →
-  dedup by raw row bytes → one vectorized replay per API for all cache-missing rows.
+* **Batched evaluation** — :meth:`ApiPerformanceModel.impact_matrix` +
+  :meth:`~ApiPerformanceModel.qperf_stack` score a whole generation as one plan
+  matrix: project → gather Δ rows from per-API lookup tables → dedup by raw row bytes
+  → one vectorized replay per API for all cache-missing rows.
   :class:`~repro.quality.evaluator.QualityEvaluator` drives it from
   ``evaluate_vectors`` / ``evaluate_batch``.
 """
@@ -697,8 +698,8 @@ class ApiPerformanceModel:
         every scenario sharing the view) is weighted by ``api_weights[s]``; returns
         ``(len(api_weights), plans)``.  One ordered sum over the API axis adds every
         row's weighted impacts; that axis stays outermost, so each element
-        accumulates in the scalar iteration order and row ``s`` is bitwise
-        :meth:`qperf_batch` under ``api_weights[s]``."""
+        accumulates in the scalar iteration order and row ``s`` is bitwise per-plan
+        :meth:`qperf` under ``api_weights[s]``."""
         weights = np.asarray(
             [
                 [row.get(api, 1.0) if row else 1.0 for row in api_weights]
@@ -715,22 +716,6 @@ class ApiPerformanceModel:
         terms = weights * stacked
         totals = ordered_masked_sum(terms, np.ones(terms.shape[:2], dtype=bool))
         return totals.T / len(self._apis)
-
-    def qperf_batch(
-        self,
-        plan_matrix: np.ndarray,
-        components: Sequence[str],
-        api_weights: Optional[Mapping[str, float]] = None,
-    ) -> np.ndarray:
-        """QPerf for a whole plan matrix at once — bitwise equal to per-plan ``qperf``.
-
-        ``plan_matrix`` is ``(plans, len(components))`` integer location ids; per-plan
-        totals accumulate API by API in the scalar iteration order, so every entry
-        matches ``qperf`` of the corresponding plan bit for bit.
-        """
-        return self.qperf_stack(
-            [self.impact_matrix(plan_matrix, components)], [api_weights]
-        )[0]
 
     # -- estimates ------------------------------------------------------------------------
     def estimate_latencies(self, api: str, plan: MigrationPlan) -> List[float]:

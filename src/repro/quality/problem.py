@@ -20,9 +20,9 @@ the objective/constraint surface into a plugin API:
 
 The three paper objectives and all four constraint families (pins, allowed-location
 whitelists, on-prem peaks, budget) are themselves built-in plugins over the batched
-kernels (``qperf_stack`` / ``qavai_stack`` / ``qcost_stack`` — whose stack of one is
-``qperf_batch`` / ``qavai_batch`` / ``qcost_batch`` — and the constraint mask passes),
-each run once per call for every scenario through :meth:`EvalContext.stacked`, so
+kernels (``qperf_stack`` / ``qavai_stack`` / ``qcost_stack`` and the constraint mask
+passes), each run once per call for every scenario through
+:meth:`EvalContext.stacked` — a classic call is the stack of one — so
 the default problem is *byte-identical* to the hardcoded pipeline it
 replaced — fixed-seed GA / NSGA-II / random-search fingerprints are unchanged
 (enforced by ``tests/test_problem.py``).
@@ -101,11 +101,10 @@ class EvalContext:
     cost model, scenario resource estimate and scenario τ_A weights; on the classic
     path they are the evaluator's base models.
 
-    ``scratch`` is a per-(scenario, call) dict objectives and constraints use to hand
-    each other intermediate arrays (e.g. the QCost objective parks its cost vector for
-    the budget constraint, so each plan's cost is computed exactly once per
-    evaluation).  ``shared`` spans *all scenarios* of one evaluation call: it holds
-    the call-wide stacks of :meth:`stacked`.
+    ``shared`` spans *all scenarios* of one evaluation call: it holds the call-wide
+    stacks of :meth:`stacked`, which is how objectives and constraints hand each other
+    intermediate arrays (the QCost objective and the budget constraint read one cost
+    stack, so each plan's cost is computed exactly once per evaluation).
 
     ``columns`` are the model bundles of every scenario of the call, in scenario
     order (anything carrying ``performance`` / ``availability`` / ``cost`` /
@@ -132,7 +131,6 @@ class EvalContext:
     columns: Sequence = ()
     column: int = 0
     shared: Dict = field(default_factory=dict)
-    scratch: Dict = field(default_factory=dict)
     plans: Optional[Sequence[MigrationPlan]] = None
 
     @property
@@ -154,11 +152,9 @@ class EvalContext:
         return stack[self.column]
 
     def column_of(self) -> Dict[str, int]:
-        columns = self.scratch.get("column_of")
-        if columns is None:
-            columns = {c: i for i, c in enumerate(self.components)}
-            self.scratch["column_of"] = columns
-        return columns
+        if "column_of" not in self.shared:  # every context of a call has these columns
+            self.shared["column_of"] = {c: i for i, c in enumerate(self.components)}
+        return self.shared["column_of"]
 
 
 class Objective:
@@ -264,8 +260,6 @@ def scenario_costs(ctx: EvalContext) -> np.ndarray:
     """QCost of ``ctx``'s scenario, from one :meth:`~repro.quality.cost.CloudCostModel.qcost_stack`
     pass over every scenario's cost model of the call (the QCost objective, the
     budget constraint and ``QualityEvaluator.qcost_vectors`` all read it)."""
-    if not ctx.columns:  # a classic pass: qcost_batch is the stack of one
-        return ctx.cost.qcost_batch(ctx.matrix, ctx.components)
     return ctx.stacked(
         "qcost",
         lambda columns: ctx.cost.qcost_stack(
@@ -347,21 +341,17 @@ class QAvaiObjective(Objective):
 class QCostObjective(Objective):
     """Cloud hosting cost in USD over the period of interest (Eq. 11).
 
-    One stacked cost pass per call (:func:`scenario_costs`); parks this scenario's
-    row in ``ctx.scratch['qcost']`` for plugins that read it there.
+    One stacked cost pass per call (:func:`scenario_costs`), which the budget
+    constraint reads too; the scalar oracle is the per-plan memoised ``qcost``.
     """
 
     name = "qcost"
 
     def score_matrix(self, ctx: EvalContext) -> np.ndarray:
-        cost = scenario_costs(ctx)
-        ctx.scratch["qcost"] = cost
-        return cost
+        return scenario_costs(ctx)
 
     def score_plan(self, ctx: EvalContext, plan: MigrationPlan) -> float:
-        cost = ctx.cost.qcost(plan)
-        ctx.scratch["qcost"] = cost
-        return cost
+        return ctx.cost.qcost(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +582,11 @@ class OnPremPeakConstraint(Constraint):
 class BudgetConstraint(Constraint):
     """The plan's cloud cost must not exceed the owner's budget.
 
-    Reads the cost vector the QCost objective parked in ``ctx.scratch`` when the
-    problem scores costs anyway; on constraint-only passes (``feasible_mask``) it
-    drives the stacked cost pass itself (:func:`scenario_costs`) — whose per-model
-    row memos keep a later full evaluation of the same plans from paying the cost
-    passes again, under every scenario.
+    Reads the call's stacked cost pass (:func:`scenario_costs`): the one the QCost
+    objective ran when the problem scores costs anyway, or on constraint-only passes
+    (``feasible_mask``) one it drives itself — whose per-model row memos keep a later
+    full evaluation of the same plans from paying the cost passes again, under every
+    scenario.  The scalar oracle reads the per-plan memoised ``qcost``.
     """
 
     name = "budget"
@@ -605,9 +595,7 @@ class BudgetConstraint(Constraint):
         budget = ctx.preferences.budget_usd
         if budget == float("inf"):
             return ConstraintCheck.satisfied(ctx.n_plans)
-        cost = ctx.scratch.get("qcost")
-        if cost is None:
-            cost = ctx.scratch["qcost"] = scenario_costs(ctx)
+        cost = scenario_costs(ctx)
         over = cost > budget
 
         def materialize(row: int) -> List[str]:
@@ -623,10 +611,7 @@ class BudgetConstraint(Constraint):
         budget = ctx.preferences.budget_usd
         if budget == float("inf"):
             return []
-        cost = ctx.scratch.get("qcost")
-        if cost is None:
-            cost = ctx.cost.qcost(plan)
-            ctx.scratch["qcost"] = cost
+        cost = ctx.cost.qcost(plan)
         if cost > budget:
             return [f"cost {cost:.2f} USD exceeds budget {budget:.2f} USD"]
         return []

@@ -1,12 +1,13 @@
 """Batched cost kernels ≡ the scalar cost loops, exactly.
 
-``ResourceEstimate.aggregate_matrix`` and ``CloudCostModel._compute_batch`` /
-``_storage_batch`` / ``_traffic_batch`` are ordered-reduction numpy kernels
+``stack_series`` + ``aggregate_stacked`` / ``peak_stack`` and the stacked cost terms
+of ``CloudCostModel.qcost_stack`` (``_compute_rows`` / ``_storage_rows`` /
+``_traffic_rows`` over a ``_CostStack``) are ordered-reduction numpy kernels
 (``ordered_masked_sum``); the scalar ``aggregate_series`` / ``compute_cost`` /
-``storage_cost`` / ``traffic_cost`` are the oracles.  Both sides add IEEE doubles in
-one fixed order, so the law is ``==`` on ``float.hex`` — over *full-mantissa* usage
-and byte values, because the testbed's own numbers sum exactly in any order and
-cannot see a reordered kernel.  The memo laws of the storage-projection memo and
+``storage_cost`` / ``traffic_cost`` are the oracles, per estimate or model of a stack
+of one or more.  Both sides add IEEE doubles in one fixed order, so the law is ``==``
+on ``float.hex`` — over *full-mantissa* usage and byte values, because the testbed's
+own numbers sum exactly in any order and cannot see a reordered kernel.  The memo laws of the storage-projection memo and
 ``MigrationPlan.from_vector``'s direct construction ride along.
 
 Run deeper with ``--hypothesis-profile=ci`` (see ``tests/conftest.py``).
@@ -22,7 +23,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster import CLOUD, ON_PREM, MigrationPlan, NodeSpec
-from repro.learning.estimator import PLAN_BLOCK, ResourceEstimate, ordered_masked_sum
+from repro.learning.estimator import (
+    PLAN_BLOCK,
+    ResourceEstimate,
+    aggregate_stacked,
+    ordered_masked_sum,
+    peak_stack,
+    stack_series,
+)
 from repro.learning.footprint import EdgeFootprint, NetworkFootprint
 from repro.quality import CloudCostModel, PricingCatalog
 from repro.quality import cost as cost_module
@@ -66,9 +74,9 @@ def jagged(rng, size, low=-12, high=24):
     )
 
 
-def random_estimate(rng, names, steps):
-    """An estimate over ``names``, stored in its own (shuffled) order."""
-    order = [names[i] for i in rng.permutation(len(names))]
+def random_estimate(rng, names, steps, shuffle=True):
+    """An estimate over ``names``, stored in its own (shuffled) order or in theirs."""
+    order = [names[i] for i in rng.permutation(len(names))] if shuffle else list(names)
     usage = {
         resource: {name: jagged(rng, steps).tolist() for name in order}
         for resource in RESOURCES
@@ -112,6 +120,41 @@ def random_world(rng, n_components, steps, topology, endpoint_billing):
         catalogs=catalogs,
     )
     return model, components, n_locations
+
+
+def cost_terms(models, matrix, components):
+    """The Eq. 7 / 9 / 10 rows of ``qcost_stack``'s kernel: three ``(models, plans)``."""
+    key = tuple(components)
+    stack = cost_module._CostStack.of(models, key)
+    return (
+        cost_module._compute_rows(matrix, stack.compute, len(models)),
+        cost_module._storage_rows(models, matrix, key, stack.storage),
+        cost_module._traffic_rows(models, matrix, stack.traffic),
+    )
+
+
+def price_shocked(model):
+    """A ``derive`` sibling whose first billable site bills at shocked prices; every
+    other site keeps the model's catalog object (and with it its autoscalers)."""
+    first = min(model.catalogs)
+
+    def shocked(catalog):
+        return dataclasses.replace(
+            catalog,
+            node_spec=dataclasses.replace(
+                catalog.node_spec,
+                hourly_price_usd=catalog.node_spec.hourly_price_usd * 1.3711,
+            ),
+            storage_usd_per_gb_month=catalog.storage_usd_per_gb_month * 0.8123,
+            egress_usd_per_gb=catalog.egress_usd_per_gb * 1.1913,
+        )
+
+    return model.derive(
+        catalogs={
+            location: shocked(catalog) if location == first else catalog
+            for location, catalog in model.catalogs.items()
+        }
+    )
 
 
 def random_matrix(rng, n_plans, n_components, n_locations):
@@ -209,39 +252,52 @@ class TestAggregateMatrix:
         members = rng.random((n_plans, n_components)) < 0.5
         members[0] = False
         members[-1] = True
-        for resource in RESOURCES:
-            got = estimate.aggregate_matrix(resource, members, columns)
-            peaks = estimate.peak_matrix(resource, members, columns)
-            assert got.shape == (n_plans, steps)
-            for p in range(n_plans):
-                subset = [c for c, m in zip(columns, members[p]) if m]
-                assert hexes(got[p]) == hexes(estimate.aggregate_series(resource, subset))
-                assert peaks[p] == estimate.peak(resource, subset)
+        # Two more estimates with their own values: one stored in the reverse of the
+        # first's order (its own stack_series group), one in the same order (stacked
+        # beside the first in one group).
+        order = list(estimate.usage["cpu_millicores"])
+        reverse = random_estimate(rng, order[::-1], steps, shuffle=False)
+        twin = random_estimate(rng, order, steps, shuffle=False)
+        for estimates in ([estimate], [estimate, reverse, twin]):
+            for resource in RESOURCES:
+                got = aggregate_stacked(stack_series(estimates, resource, columns), members)
+                peaks = peak_stack(estimates, resource, members, columns)
+                assert got.shape == (n_plans, len(estimates), steps)
+                assert peaks.shape == (n_plans, len(estimates))
+                for p in range(n_plans):
+                    subset = [c for c, m in zip(columns, members[p]) if m]
+                    for e, one in enumerate(estimates):
+                        assert hexes(got[p, e]) == hexes(one.aggregate_series(resource, subset))
+                        assert peaks[p, e] == one.peak(resource, subset)
 
     def test_one_plan_one_step_keeps_the_scalar_order(self):
         names = [f"c{i}" for i in range(16)]
         usage = {name: [2.0**-53] for name in names}
         usage["c0"] = [1.0]
         estimate = ResourceEstimate(step_ms=1.0, usage={"cpu_millicores": usage})
+        stacked = stack_series([estimate], "cpu_millicores", names)
         for n_plans in (1, 2):
             members = np.ones((n_plans, 16), dtype=bool)
-            got = estimate.aggregate_matrix("cpu_millicores", members, names)
+            got = aggregate_stacked(stacked, members)[:, 0]
             assert got.tolist() == [[1.0]] * n_plans
             assert estimate.aggregate_series("cpu_millicores", names) == [1.0]
 
     def test_unknown_resource_and_empty_batch(self):
         estimate = ResourceEstimate(step_ms=1.0, usage={"cpu_millicores": {"a": [1.0, 2.0]}})
         members = np.ones((3, 1), dtype=bool)
-        assert estimate.aggregate_matrix("memory_mb", members, ["a"]).tolist() == [[0.0, 0.0]] * 3
-        assert estimate.aggregate_matrix("cpu_millicores", members[:0], ["a"]).shape == (0, 2)
-        assert estimate.peak_matrix("cpu_millicores", members, ["b"]).tolist() == [0.0] * 3
+        unknown = stack_series([estimate], "memory_mb", ["a"])
+        cpu = stack_series([estimate], "cpu_millicores", ["a"])
+        assert aggregate_stacked(unknown, members)[:, 0].tolist() == [[0.0, 0.0]] * 3
+        assert aggregate_stacked(cpu, members[:0])[:, 0].shape == (0, 2)
+        assert peak_stack([estimate], "cpu_millicores", members, ["b"]).tolist() == [[0.0]] * 3
 
     def test_cache_fields_stay_out_of_repr_and_compare(self):
         usage = {"cpu_millicores": {"a": [1.0], "b": [2.0]}}
         touched = ResourceEstimate(step_ms=1.0, usage=usage)
         fresh = ResourceEstimate(step_ms=1.0, usage=usage)
         before = repr(touched)
-        touched.aggregate_matrix("cpu_millicores", np.ones((2, 2), dtype=bool), ["a", "b"])
+        stacked = stack_series([touched], "cpu_millicores", ["a", "b"])
+        aggregate_stacked(stacked, np.ones((2, 2), dtype=bool))
         assert touched._matrices and touched._lowerings
         assert repr(touched) == before
         assert touched == fresh
@@ -250,11 +306,11 @@ class TestAggregateMatrix:
             assert not cache_field.repr and not cache_field.compare
         clone = pickle.loads(pickle.dumps(touched))
         members = np.asarray([[True, False], [True, True]])
-        assert (
-            clone.aggregate_matrix("cpu_millicores", members, ["a", "b"]).tolist()
-            == touched.aggregate_matrix("cpu_millicores", members, ["a", "b"]).tolist()
-            == [[1.0], [3.0]]
+        clone_sums, touched_sums = (
+            aggregate_stacked(stack_series([one], "cpu_millicores", ["a", "b"]), members)
+            for one in (clone, touched)
         )
+        assert clone_sums.tolist() == touched_sums.tolist() == [[[1.0]], [[3.0]]]
 
 
 class TestCostTerms:
@@ -266,17 +322,18 @@ class TestCostTerms:
             rng, n_components, steps, topology, endpoint_billing
         )
         matrix = random_matrix(rng, n_plans, n_components, n_locations)
-        lowering = model._lowering(components)
-        compute = model._compute_batch(matrix, components)
-        storage = model._storage_batch(matrix, components, lowering)
-        traffic = model._traffic_batch(matrix, lowering)
-        total = model.qcost_batch(matrix, components)
-        for p, row in enumerate(matrix.tolist()):
-            plan = MigrationPlan.from_vector(components, row)
-            assert compute[p].hex() == model.compute_cost(plan)[0].hex()
-            assert storage[p].hex() == float(model.storage_cost(plan)).hex()
-            assert traffic[p].hex() == float(model.traffic_cost(plan)).hex()
-            assert total[p].hex() == float(model.qcost(plan)).hex()
+        # The stack of one, then the model beside a price-shocked sibling: each row
+        # must be its own model's scalar answer.
+        for models in ([model], [model, price_shocked(model)]):
+            compute, storage, traffic = cost_terms(models, matrix, components)
+            total = CloudCostModel.qcost_stack(models, matrix, components)
+            for s, one in enumerate(models):
+                for p, row in enumerate(matrix.tolist()):
+                    plan = MigrationPlan.from_vector(components, row)
+                    assert compute[s, p].hex() == one.compute_cost(plan)[0].hex()
+                    assert storage[s, p].hex() == float(one.storage_cost(plan)).hex()
+                    assert traffic[s, p].hex() == float(one.traffic_cost(plan)).hex()
+                    assert total[s, p].hex() == float(one.qcost(plan)).hex()
 
     @pytest.mark.parametrize("endpoint_billing", [False, True])
     def test_traffic_kernel_keeps_the_entry_order(self, endpoint_billing):
@@ -304,9 +361,7 @@ class TestCostTerms:
         vector = [CLOUD] + [ON_PREM] * 16
         plan = MigrationPlan.from_vector(components, vector)
         for n_plans in (1, 2):
-            got = model._traffic_batch(
-                np.asarray([vector] * n_plans), model._lowering(components)
-            )
+            got = cost_terms([model], np.asarray([vector] * n_plans), components)[2][0]
             assert hexes(got) == [model.traffic_cost(plan).hex()] * n_plans
 
     @pytest.mark.parametrize("endpoint_billing", [False, True])
@@ -318,7 +373,7 @@ class TestCostTerms:
         # adding them in rate (bucket index) order starts with the two small ones.
         model, components = three_bucket_model(endpoint_billing)
         matrix = np.asarray([[0, 1, 2, 3], [0, 0, 2, 3], [0, 1, 2, 3]])
-        got = model._traffic_batch(matrix, model._lowering(components))
+        got = cost_terms([model], matrix, components)[2][0]
         assert got.tolist() == [1.0, 2.0**-52, 1.0]
         for row, value in zip(matrix.tolist(), got):
             assert value == model.traffic_cost(MigrationPlan.from_vector(components, row))
@@ -337,9 +392,7 @@ class TestCostTerms:
                 rng, 24, 18, "4loc", endpoint_billing
             )
             matrix = random_matrix(rng, 6, len(components), n_locations)
-            lowering = model._lowering(components)
-            storage = model._storage_batch(matrix, components, lowering)
-            traffic = model._traffic_batch(matrix, lowering)
+            _compute, (storage,), (traffic,) = cost_terms([model], matrix, components)
             for p, row in enumerate(matrix.tolist()):
                 plan = MigrationPlan.from_vector(components, row)
                 assert storage[p].hex() == float(model.storage_cost(plan)).hex()
@@ -360,27 +413,28 @@ class TestMemoLaws:
         row = rng.integers(0, n_locations, size=len(components))
         twin = row.copy()
         twin[stateless] = (twin[stateless] + 1) % n_locations
-        model.qcost_batch([row], components)
+        CloudCostModel.qcost_stack([model], [row], components)
         memo = model._storage_cost_cache[tuple(components)]
         assert len(memo) == 1
-        model.qcost_batch([twin], components)  # differs only in stateless columns: hit
+        # Differs only in stateless columns: a hit.
+        CloudCostModel.qcost_stack([model], [twin], components)
         assert len(memo) == 1
         assert len(model._batch_cost_cache[tuple(components)]) == 2
         moved = row.copy()
         moved[stateful[0]] = (moved[stateful[0]] + 1) % n_locations
-        model.qcost_batch([moved], components)  # a stateful column moved: miss
+        CloudCostModel.qcost_stack([model], [moved], components)  # a stateful move: miss
         assert len(memo) == 2
 
     def test_derived_siblings_and_permuted_orders_never_share_entries(self):
         model, components, n_locations, rng = self._world()
         matrix = random_matrix(rng, 20, len(components), n_locations)
-        model.qcost_batch(matrix, components)
+        CloudCostModel.qcost_stack([model], matrix, components)
         shocked = model.derive(catalogs={CLOUD: WEST, 2: EAST})
         assert shocked._storage_cost_cache == {} and shocked._batch_cost_cache == {}
         permutation = rng.permutation(len(components))
         permuted = [components[i] for i in permutation]
         for other in (shocked, model):
-            got = other.qcost_batch(matrix[:, permutation], permuted)
+            (got,) = CloudCostModel.qcost_stack([other], matrix[:, permutation], permuted)
             for row, value in zip(matrix.tolist(), got):
                 plan = MigrationPlan.from_vector(components, row)
                 assert value.hex() == float(other.derive().qcost(plan)).hex()
@@ -392,8 +446,9 @@ class TestMemoLaws:
         matrix = random_matrix(rng, 30, len(components), n_locations)
         plans = [MigrationPlan.from_vector(components, row) for row in matrix.tolist()]
         scalar_first = [model.qcost(plan) for plan in plans[:10]]
-        batched = model.qcost_batch(matrix, components)
-        again = model.qcost_batch(matrix[::-1], components)[::-1]
+        (batched,) = CloudCostModel.qcost_stack([model], matrix, components)
+        (again,) = CloudCostModel.qcost_stack([model], matrix[::-1], components)
+        again = again[::-1]
         scalar_after = [model.qcost(plan) for plan in plans]
         assert hexes(batched) == hexes(again) == hexes(scalar_after)
         assert hexes(scalar_first) == hexes(batched[:10])

@@ -5,12 +5,15 @@ The batched evaluation path (``QualityEvaluator.evaluate_vectors`` /
 per-plan reference oracle (``evaluate``) — objectives, feasibility, violation strings
 and the ``evaluations`` counter — on both the 2-location and the 3-location quality
 stacks.  The building blocks carry the same contract: ``nodes_for_series`` vs
-``nodes_for``, ``capacity_matrix`` vs ``capacity_series``, ``qcost_batch`` vs
-``qcost``, ``qavai_batch`` vs ``qavai``, ``qperf_batch`` vs ``qperf``,
-``feasible_mask`` vs ``is_feasible``.  The allowed-locations whitelist and the
-region-aware single-plan baselines ride on the same machinery and are covered here
-too.
+``nodes_for``, ``capacity_matrix`` vs ``capacity_series``, ``qcost_stack`` vs
+``qcost``, ``disruption_matrix`` + ``qavai_stack`` vs ``qavai``, ``impact_matrix`` +
+``qperf_stack`` vs ``qperf``, ``feasible_mask`` vs ``is_feasible``.  Every door of
+the evaluator refuses a location its network does not have.  The allowed-locations
+whitelist and the region-aware single-plan baselines ride on the same machinery and
+are covered here too.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -259,9 +262,14 @@ class TestBatchedEquivalence:
         vectors = self._vectors(app, 3, count=60, seed=5)
         plans = [MigrationPlan.from_vector(components, v) for v in vectors.tolist()]
         weights = evaluator.api_weights
-        qperf = evaluator.performance.qperf_batch(vectors, components, weights)
-        qavai = evaluator.availability.qavai_batch(vectors, components, weights)
-        qcost = evaluator.cost.qcost_batch(vectors, components)
+        performance, availability = evaluator.performance, evaluator.availability
+        (qperf,) = performance.qperf_stack(
+            [performance.impact_matrix(vectors, components)], [weights]
+        )
+        (qavai,) = availability.qavai_stack(
+            availability.disruption_matrix(vectors, components), [weights]
+        )
+        (qcost,) = CloudCostModel.qcost_stack([evaluator.cost], vectors, components)
         for index, plan in enumerate(plans):
             assert qperf[index] == evaluator.performance.qperf(plan, weights)
             assert qavai[index] == evaluator.availability.qavai(plan, weights)
@@ -293,7 +301,7 @@ class TestBatchedEquivalence:
         scalar, batched = cost_model(edges.get), cost_model(edges.get)
         backwards = cost_model(lambda api: reversed(edges[api]))
         vectors = self._vectors(app, 3, count=80, seed=9)
-        costs = batched.qcost_batch(vectors, names)
+        (costs,) = CloudCostModel.qcost_stack([batched], vectors, names)
         order_sensitive = 0
         for vector, cost in zip(vectors.tolist(), costs):
             plan = MigrationPlan.from_vector(names, vector)
@@ -342,12 +350,17 @@ class TestBatchedEquivalence:
     def test_empty_batch(self, matrix_stack):
         app, build_evaluator = matrix_stack
         evaluator = build_evaluator()
-        assert evaluator.evaluate_vectors([], app.component_names) == []
-        assert evaluator.feasible_mask([], app.component_names).shape == (0,)
-        empty = np.zeros((0, len(app.component_names)), dtype=np.int64)
-        assert evaluator.performance.qperf_batch(empty, app.component_names).shape == (0,)
-        assert evaluator.availability.qavai_batch(empty, app.component_names).shape == (0,)
-        assert evaluator.cost.qcost_batch(empty, app.component_names).shape == (0,)
+        names = app.component_names
+        assert evaluator.evaluate_vectors([], names) == []
+        assert evaluator.feasible_mask([], names).shape == (0,)
+        assert evaluator.qcost_vectors([], names).shape == (0,)
+        empty = np.zeros((0, len(names)), dtype=np.int64)
+        performance, availability = evaluator.performance, evaluator.availability
+        impacts = performance.impact_matrix(empty, names)
+        assert performance.qperf_stack([impacts], [None]).shape == (1, 0)
+        disruption = availability.disruption_matrix(empty, names)
+        assert availability.qavai_stack(disruption, [None]).shape == (1, 0)
+        assert CloudCostModel.qcost_stack([evaluator.cost], empty, names).shape == (1, 0)
 
     def test_permuted_component_order_shares_cache(self, matrix_stack):
         app, build_evaluator = matrix_stack
@@ -390,18 +403,20 @@ class TestCostScoredOnce:
         evaluator = build_evaluator(preferences=prefs)
         batch_calls = []
         scalar_calls = []
-        original_batch = type(evaluator.cost).qcost_batch
+        original_batch = type(evaluator.cost).qcost_stack
         original_scalar = type(evaluator.cost).estimate_cost
 
-        def counting_batch(self, matrix, components):
+        def counting_batch(models, matrix, components):
             batch_calls.append(len(matrix))
-            return original_batch(self, matrix, components)
+            return original_batch(models, matrix, components)
 
         def counting_scalar(self, plan):
             scalar_calls.append(plan)
             return original_scalar(self, plan)
 
-        monkeypatch.setattr(type(evaluator.cost), "qcost_batch", counting_batch)
+        monkeypatch.setattr(
+            type(evaluator.cost), "qcost_stack", staticmethod(counting_batch)
+        )
         monkeypatch.setattr(type(evaluator.cost), "estimate_cost", counting_scalar)
         rng = np.random.default_rng(2)
         vectors = rng.integers(0, 2, size=(40, len(app.component_names)))
@@ -410,6 +425,29 @@ class TestCostScoredOnce:
         # not even for the budget check or the violation strings.
         assert batch_calls == [len({tuple(v) for v in vectors.tolist()})]
         assert scalar_calls == []
+
+
+class TestUnknownLocations:
+    @pytest.mark.parametrize("location", [-1, len(THREE_LOCATIONS)])
+    @pytest.mark.parametrize(
+        "door", ["evaluate_vectors", "feasible_mask", "qcost_vectors", "is_feasible"]
+    )
+    def test_every_door_refuses_a_location_off_the_network(
+        self, matrix_stack, door, location
+    ):
+        app, build_evaluator = matrix_stack
+        evaluator = build_evaluator(**THREE_DC_KWARGS)
+        names = app.component_names
+        vector = [CLOUD] * len(names)
+        vector[names.index("Cache")] = location
+        expected = f"unknown location {location} for component 'Cache'"
+        if door == "is_feasible" and location < 0:
+            expected = "negative location for component 'Cache'"  # no plan holds it
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            if door == "is_feasible":
+                evaluator.is_feasible(MigrationPlan.from_vector(names, vector))
+            else:
+                getattr(evaluator, door)([vector], names)
 
 
 class TestAllowedLocations:
