@@ -46,7 +46,7 @@ def test_fig17_drift_detection(benchmark):
         assert result["api"] in result["drifted_apis"]
         assert refreshed is not None and refreshed.changes
         assert result["scenario_robust_reoptimization"]
-        # The executed plan was re-scored through the invalidated caches over the
-        # (observed, drift) scenario axis before the full re-learning round.
+        # The executed plan was re-scored over the (observed, drift) scenario
+        # axis before the full re-learning round.
         rescored = result["rescored_executed"]
         assert rescored is not None and len(rescored.scenarios) == 2

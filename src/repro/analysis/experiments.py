@@ -488,8 +488,8 @@ def figure17_drift_detection(
     report_after = detector.check(drift_api, after) if after else None
 
     # Drift → scenario bridge: the detector compiles the drifted behaviour into a
-    # refreshed WorkloadScenario, and the stale evaluator caches (the drifted API's
-    # compiled projections and every result depending on them) are dropped.
+    # refreshed WorkloadScenario.  It carries no trace window, so the evaluator's
+    # models (and every result cached from them) still hold.
     update = detector.check_all(
         {drift_api: after} if after else {}, scenario=testbed.scenario
     )
@@ -505,15 +505,12 @@ def figure17_drift_detection(
             )
         )
     rescored_executed = None
-    if update.drifted_apis:
-        recommendation.evaluator.invalidate_for_scenario(apis=update.drifted_apis)
-        # Re-score the executed plan through the invalidated caches over the
-        # (observed, drifted) scenario axis — the cheap first response before the
-        # full re-learning round below (the incremental-recompilation path).
-        if scenarios is not None:
-            rescored_executed = recommendation.evaluator.evaluate_batch(
-                [executed], scenarios=scenarios
-            )[0]
+    if update.drifted_apis and scenarios is not None:
+        # Re-score the executed plan over the (observed, drifted) scenario axis —
+        # the cheap first response before the full re-learning round below.
+        rescored_executed = recommendation.evaluator.evaluate_batch(
+            [executed], scenarios=scenarios
+        )[0]
 
     # New round: learn from the drifted telemetry and re-optimize from the executed
     # plan — scenario-robustly when the detector emitted a refreshed scenario, so the

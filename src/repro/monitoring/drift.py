@@ -114,9 +114,8 @@ class DriftScenarioUpdate:
     into the scenario axis: feed it to
     :meth:`~repro.quality.scenarios.ScenarioSpec.from_workload` /
     ``Atlas.recommend(problem=PlacementProblem.default(scenarios=...))`` for a
-    scenario-robust re-recommendation, after
-    invalidating the stale evaluator caches via
-    :meth:`~repro.quality.evaluator.QualityEvaluator.invalidate_for_scenario`.
+    scenario-robust re-recommendation.  A scenario changes no trace: only
+    ``refreshed_traces`` moves an evaluator's models.
     """
 
     reports: Dict[str, DriftReport]
@@ -126,8 +125,8 @@ class DriftScenarioUpdate:
     #: splice path — :meth:`Atlas.recertify <repro.recommend.advisor.Atlas.recertify>`
     #: installs them via :meth:`QualityEvaluator.splice
     #: <repro.quality.evaluator.QualityEvaluator.splice>` so only the drifted APIs
-    #: recompile.  Empty when no traces were supplied (the historical behaviour:
-    #: recertification falls back to invalidate-and-rebuild).
+    #: recompile.  Empty when no traces were supplied: recertification then keeps
+    #: the evaluator's models as they are.
     refreshed_traces: Dict[str, List[Trace]] = field(default_factory=dict)
 
     @property
@@ -274,9 +273,8 @@ class DriftDetector:
 
         ``traces_by_api`` optionally supplies the recent trace window per API (from
         the telemetry server); the drifted APIs' traces are attached to the update as
-        :attr:`DriftScenarioUpdate.refreshed_traces`, enabling the evaluator's
-        incremental splice instead of a wholesale invalidation during
-        recertification.
+        :attr:`DriftScenarioUpdate.refreshed_traces`, which recertification splices
+        into the evaluator.
         """
         reports = self._reports(recent_latencies)
         if scenario is None:

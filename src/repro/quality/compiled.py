@@ -4,7 +4,8 @@
 with a recursive Python tree walk — correct, but far too slow when the GA previews
 thousands of candidate plans against dozens of sample traces per API.  This module
 compiles each API's sample traces **once** into flat numpy arrays and then replays any
-number of delay vectors over *all* of the API's traces simultaneously.
+number of delay vectors over *all* of the API's traces simultaneously.  A drift
+refresh that installs new traces compiles the API again.
 
 Compilation exploits the key invariant of the cascade rules (Section 4.1.1): which
 predecessor a span's new start is anchored to — its parent's start or a foreground
@@ -105,12 +106,6 @@ _INTP_SLOTS = frozenset(
     {"sp_idx", "sp_dep", "sp_edge", "ss_idx", "ss_dep", "ss_edge",
      "el_idx", "ea_idx", "ea_children", "ea_offsets"}
 )
-#: slots holding absolute span indices — shifted by the trace's span offset on assembly.
-_SPAN_INDEX_SLOTS = frozenset(
-    {"sp_idx", "sp_dep", "ss_idx", "ss_dep", "el_idx", "ea_idx", "ea_children"}
-)
-
-
 #: `_LevelOps.__slots__` with, per slot, whether a packed set keeps it in the intp blob.
 _PACKED_SLOTS = tuple((name, name in _INTP_SLOTS) for name in _LevelOps.__slots__)
 
@@ -151,58 +146,6 @@ def _unpack_ops(
     return bundles
 
 
-class _TraceFragment:
-    """One trace compiled at local span offset 0 — the reusable unit of :meth:`splice`.
-
-    Holds the trace's frozen per-level ops with *local* span indices; assembly shifts
-    them by the trace's global span offset.  Every float in a fragment is computed
-    trace-locally by ``_compile_one`` (offsets only ever enter integer indices), so
-    concatenating fragments is bitwise-identical to compiling the whole set in one
-    monolithic pass.
-    """
-
-    __slots__ = ("n_spans", "root_idx", "root_start", "levels")
-
-    def __init__(
-        self,
-        n_spans: int,
-        root_idx: int,
-        root_start: float,
-        levels: Dict[int, _LevelOps],
-    ) -> None:
-        self.n_spans = n_spans
-        self.root_idx = root_idx
-        self.root_start = root_start
-        self.levels = levels
-
-
-def _pack_fragments(fragments: Sequence[_TraceFragment]) -> tuple:
-    """The splice state's durable form: :func:`_pack_ops` over every fragment's levels,
-    plus per fragment its scalars and depth keys (in dict order)."""
-    bundles = [ops for fragment in fragments for ops in fragment.levels.values()]
-    heads = [
-        (frag.n_spans, frag.root_idx, frag.root_start, tuple(frag.levels))
-        for frag in fragments
-    ]
-    return _pack_ops(bundles) + (heads,)
-
-
-def _unpack_fragments(
-    ints: np.ndarray, floats: np.ndarray, lengths: np.ndarray, heads: Sequence[tuple]
-) -> List[_TraceFragment]:
-    """Inverse of :func:`_pack_fragments`."""
-    bundles = _unpack_ops(ints, floats, lengths)
-    fragments: List[_TraceFragment] = []
-    at = 0
-    for n_spans, root_idx, root_start, depths in heads:
-        ops = bundles[at : at + len(depths)]
-        at += len(depths)
-        fragments.append(
-            _TraceFragment(n_spans, root_idx, root_start, dict(zip(depths, ops)))
-        )
-    return fragments
-
-
 class CompiledTraceSet:
     """All sample traces of one API, compiled for batched delay injection.
 
@@ -212,155 +155,52 @@ class CompiledTraceSet:
     assignment by dependency level.  :meth:`replay_batch` evaluates a whole matrix of
     per-plan delay vectors in one pass; :meth:`latencies` is the single-plan view.
 
-    Compilation is staged per trace: each trace becomes a :class:`_TraceFragment`
-    (its frozen level ops at local offset 0) and assembly concatenates the fragments
-    with index shifts.  The fragments are retained so :meth:`splice` can swap a
-    drifted subset of traces and recompile only those — the warm-path incremental
-    rebuild — at the cost of roughly doubling the (small) compiled-array footprint.
-    Beside them the set keeps each trace's
-    :meth:`~repro.telemetry.tracing.Trace.content_stream` bytes, not the trace: the
-    stream names exactly what compilation consumed, which is all splice asks.
+    A set is immutable and compiled in one pass over its traces: a drift refresh
+    retimes every trace of a window, so a refreshed API compiles a new set and nothing
+    is reused trace by trace.
     """
 
     def __init__(self, traces: Sequence[Trace], edge_order: Sequence[Edge]) -> None:
         if not traces:
             raise ValueError("cannot compile an empty trace set")
+        self.n_traces = len(traces)
         self.edge_index: Dict[Edge, int] = {}
         for edge in edge_order:
             if edge not in self.edge_index:
                 self.edge_index[edge] = len(self.edge_index)
         self.n_edges = len(self.edge_index)
-        self._contents = [trace.content_stream() for trace in traces]
-        self._fragments = [self._compile_fragment(trace) for trace in traces]
-        self._assemble()
-
-    def _compile_fragment(self, trace: Trace) -> _TraceFragment:
         root_idx: List[int] = []
         root_start: List[float] = []
         levels: Dict[int, _LevelOps] = {}
-        n_spans = self._compile_one(trace, 0, root_idx, root_start, levels)
-        for ops in levels.values():
+        offset = 0
+        for trace in traces:
+            offset = self._compile_one(trace, offset, root_idx, root_start, levels)
+        self.n_spans = offset
+        self._root_idx = np.asarray(root_idx, dtype=np.intp)
+        self._root_start = np.asarray(root_start, dtype=np.float64)
+        self._levels = [levels[level] for level in sorted(levels)]
+        for ops in self._levels:
             ops.freeze()
-        return _TraceFragment(n_spans, root_idx[0], root_start[0], levels)
-
-    def _assemble(self) -> None:
-        """Concatenate the per-trace fragments into the global replay arrays.
-
-        Reproduces exactly what a monolithic compile over all traces emits: per
-        dependency level, each trace's ops in trace order, span indices shifted by
-        the trace's span offset and ``ea_offsets`` rebased by the level's
-        accumulated foreground-children count.
-        """
-        fragments = self._fragments
-        self.n_traces = len(fragments)
-        offsets: List[int] = []
-        total = 0
-        for fragment in fragments:
-            offsets.append(total)
-            total += fragment.n_spans
-        self.n_spans = total
-        self._root_idx = np.asarray(
-            [off + frag.root_idx for off, frag in zip(offsets, fragments)], dtype=np.intp
-        )
-        self._root_start = np.asarray(
-            [frag.root_start for frag in fragments], dtype=np.float64
-        )
-        self._levels = []
-        for depth in sorted({d for frag in fragments for d in frag.levels}):
-            ops = _LevelOps()
-            parts: Dict[str, List[np.ndarray]] = {name: [] for name in _LevelOps.__slots__}
-            children_total = 0
-            for offset, fragment in zip(offsets, fragments):
-                local = fragment.levels.get(depth)
-                if local is None:
-                    continue
-                for name in _LevelOps.__slots__:
-                    block = getattr(local, name)
-                    if name in _SPAN_INDEX_SLOTS:
-                        block = block + offset
-                    elif name == "ea_offsets":
-                        block = block + children_total
-                    parts[name].append(block)
-                children_total += len(local.ea_children)
-            for name in _LevelOps.__slots__:
-                dtype = np.intp if name in _INTP_SLOTS else np.float64
-                blocks = parts[name]
-                merged = (
-                    np.concatenate(blocks) if blocks else np.asarray([], dtype=dtype)
-                )
-                setattr(ops, name, merged.astype(dtype, copy=False))
-            self._levels.append(ops)
-
-    def splice(self, new_traces: Sequence[Trace]) -> "CompiledTraceSet":
-        """A new set over ``new_traces`` recompiling only the traces that changed.
-
-        The incremental half of the warm path: a drift refresh of one API typically
-        replaces a handful of its sample traces, so positions whose trace content
-        (:meth:`~repro.telemetry.tracing.Trace.content_stream` — the
-        :meth:`~repro.telemetry.tracing.Trace.structure` export compilation consumes,
-        floats ``repr``-exact) is unchanged reuse this set's already-compiled fragment
-        verbatim and only genuinely new traces pay ``_compile_one``.  Assembly then
-        re-concatenates fragments exactly as ``__init__`` does, so the result is
-        bitwise-identical to ``CompiledTraceSet(new_traces, edge_order)`` over the
-        same edge vocabulary.
-
-        The new traces must stay within this set's invocation-edge vocabulary
-        (``KeyError`` otherwise) — callers that detect a changed edge set recompile
-        from scratch instead, because the cached fragments' edge ids would shift.
-        """
-        if not new_traces:
-            raise ValueError("cannot splice to an empty trace set")
-        clone = object.__new__(CompiledTraceSet)
-        clone.edge_index = dict(self.edge_index)
-        clone.n_edges = self.n_edges
-        contents = [trace.content_stream() for trace in new_traces]
-        # A loaded set unpacks its fragments here, on the first splice anyone asks of it.
-        old_contents, old_fragments = self._contents, self._fragments
-        clone._contents = contents
-        clone._fragments = [
-            old_fragments[pos]
-            if pos < len(old_contents) and content == old_contents[pos]
-            else clone._compile_fragment(trace)
-            for pos, (trace, content) in enumerate(zip(new_traces, contents))
-        ]
-        clone._assemble()
-        return clone
 
     def __getstate__(self) -> Dict[str, object]:
-        """The durable form: the replay state and the splice state, each packed apart.
+        """The durable form: ``_packed_levels`` (the blobs and length table of
+        :func:`_pack_ops`) in place of ``_levels``.
 
-        A set holds ~1 200 tiny arrays (14 slots per level, for the assembled levels
-        and for each fragment's), and pickling them one by one is what a restart used
-        to spend its time on.  ``_packed_levels`` replaces ``_levels`` (the blobs and
-        length table of :func:`_pack_ops`) and ``_packed_fragments`` replaces
-        ``_fragments`` (:func:`_pack_fragments`).  A loaded set still holds both as it
-        read them — its arrays are views of those blobs — and hands them on unchanged.
+        A set holds ~140 tiny arrays (14 slots per level), and pickling them one by
+        one is what a restart used to spend its time on.  A loaded set keeps the
+        blobs it read — its arrays are views of them — and hands them on unchanged.
         There is no reader for any other layout: the store's frame version keeps such
         payloads away.
         """
         state = dict(self.__dict__)
         levels = state.pop("_levels")
-        fragments = state.pop("_fragments", None)
         # Popped and re-inserted: a set pickles to the same bytes loaded or built.
         state["_packed_levels"] = state.pop("_packed_levels", None) or _pack_ops(levels)
-        state["_packed_fragments"] = state.pop("_packed_fragments", None) or _pack_fragments(
-            fragments
-        )
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        """Unpack what a replay reads; the splice state stays packed until asked for."""
         self.__dict__.update(state)
         self._levels = _unpack_ops(*state["_packed_levels"])
-
-    def __getattr__(self, name: str):
-        # Reached only when normal lookup fails, i.e. for the fragments of a loaded set
-        # (racing readers may both unpack; one list is kept).
-        if name == "_fragments" and "_packed_fragments" in self.__dict__:
-            return self.__dict__.setdefault(
-                "_fragments", _unpack_fragments(*self._packed_fragments)
-            )
-        raise AttributeError(f"{type(self).__name__} object has no attribute {name!r}")
 
     # -- compilation -----------------------------------------------------------------------
     def _compile_one(

@@ -39,7 +39,7 @@ models, with the identity in place of the aggregator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,10 +136,10 @@ class _ScenarioContext:
     (``performance``; the base model itself for payload-neutral scenarios — it shares
     compiled traces and replay caches with a base model a splice changes) over a
     :class:`_CompiledScenario`'s artifacts; ``estimate`` feeds the on-prem peak
-    constraint.  The baseline spec is the evaluator's base stack.
+    constraint.  The baseline spec is the evaluator's base stack.  It holds no spec:
+    every spec of one identity shares it, whatever its name.
     """
 
-    spec: ScenarioSpec
     performance: ApiPerformanceModel
     cost: CloudCostModel
     estimate: ResourceEstimate
@@ -204,13 +204,11 @@ class QualityEvaluator:
         #: Scenario evaluations: one per (distinct plan, scenario) pair scored by the
         #: robust path (``evaluations`` counts plans, matching the paper's budget).
         self.scenario_evaluations = 0
-        # Compiled scenario contexts, keyed by the spec's canonical identity.
+        # Compiled scenario contexts, keyed by the spec's identity_key(): the name
+        # is not part of it, because the adversary probes workload shapes under
+        # throwaway names ("adversary-3", "drift-refresh") and a name flows into
+        # violation prefixes and result labels, never into the models.
         self._scenario_contexts: Dict[Tuple, _ScenarioContext] = {}
-        # Name-independent compiled scenario state, keyed by the spec's
-        # identity_key(): the adversary probes workload shapes under throwaway
-        # names ("adversary-3", "drift-refresh"), so recompiling per name would
-        # rebuild the same estimate/footprint/view/cost stack over and over.
-        self._scenario_states: Dict[Tuple, _ScenarioContext] = {}
         # Robust result caches, one per (scenario set, aggregator) identity.
         self._robust_caches: Dict[Tuple, Dict[Tuple[int, ...], PlanQuality]] = {}
         # Active binding: when set, every entry point (evaluate/evaluate_batch/
@@ -413,7 +411,8 @@ class QualityEvaluator:
         — one call's scenario contexts share ``shared`` and name all as ``columns``."""
         if scenario_set is None:
             return [self._matrix_context(matrix, components)]
-        compiled = [self._scenario_context(spec) for spec in scenario_set]
+        specs = list(scenario_set)
+        compiled = [self._scenario_context(spec) for spec in specs]
         shared: Dict = {}
         return [
             EvalContext(
@@ -426,13 +425,13 @@ class QualityEvaluator:
                 weights=context.weights,
                 preferences=context.preferences,
                 evaluator=self,
-                scenario=context.spec,
+                scenario=spec,
                 base_performance=self.performance,
                 columns=compiled,
                 column=index,
                 shared=shared,
             )
-            for index, context in enumerate(compiled)
+            for index, (spec, context) in enumerate(zip(specs, compiled))
         ]
 
     def _checks(self, contexts: Sequence[EvalContext]) -> List[List[ConstraintCheck]]:
@@ -568,7 +567,8 @@ class QualityEvaluator:
 
     # -- scenario compilation / robust scoring ----------------------------------------------
     def _scenario_context(self, spec: ScenarioSpec) -> _ScenarioContext:
-        """Compile one scenario into the artifacts the models bake in, cached by spec.
+        """Compile one scenario into the artifacts the models bake in, cached by the
+        spec's :meth:`~repro.quality.scenarios.ScenarioSpec.identity_key`.
 
         The baseline spec *is* the base stack (same model objects), so evaluating the
         default scenario robustly shares every cache with — and scores bitwise equal
@@ -577,22 +577,12 @@ class QualityEvaluator:
         with this evaluator's performance scenario view over its footprint and
         network.
         """
-        key = spec.compile_key()
+        key = spec.identity_key()
         context = self._scenario_contexts.get(key)
         if context is None:
-            # Specs that differ only in name compile to the same artifacts
-            # (identity_key strips the name): reuse the compiled state and only
-            # rewrap the spec — names flow into violation prefixes and result
-            # labels, never into the models.
-            state = self._scenario_states.get(spec.identity_key())
-            if state is not None:
-                context = replace(state, spec=spec)
-                self._scenario_contexts[key] = context
-                return context
             self._validate_spec_apis(spec)
             if spec.is_baseline:
                 context = _ScenarioContext(
-                    spec=spec,
                     performance=self.performance,
                     cost=self.cost,
                     estimate=self.estimate,
@@ -609,7 +599,6 @@ class QualityEvaluator:
                         lambda: self._compile_scenario(spec),
                     )
                 context = _ScenarioContext(
-                    spec=spec,
                     performance=self.performance.scenario_view(
                         compiled.footprint,
                         # A faulted network can shift every API's Δ tables, so the
@@ -628,7 +617,6 @@ class QualityEvaluator:
                     preferences=compiled.preferences,
                 )
             self._scenario_contexts[key] = context
-            self._scenario_states[spec.identity_key()] = context
         return context
 
     def _compile_scenario(self, spec: ScenarioSpec) -> _CompiledScenario:
@@ -740,60 +728,18 @@ class QualityEvaluator:
         )
         return self._aggregate(costs, scenario_set, aggregator)
 
-    def invalidate_for_scenario(
-        self,
-        scenario: "Optional[ScenarioSpec | str]" = None,
-        apis: Optional[Sequence[str]] = None,
-    ) -> None:
-        """Drop compiled scenario state so the next evaluation recompiles it.
-
-        ``scenario`` (a spec or name) drops that scenario's compiled context and
-        every robust cache that includes it; ``None`` drops all contexts and robust
-        caches.  ``apis`` additionally invalidates those APIs' compiled projection /
-        replay caches in the performance model *and* the single-workload result cache
-        (their QPerf contributions are stale) — the drift monitor's refresh hook.
-        """
-        if scenario is None:
-            self._scenario_contexts.clear()
-            self._scenario_states.clear()
-            self._robust_caches.clear()
-        else:
-            name = scenario.name if isinstance(scenario, ScenarioSpec) else scenario
-            for key in [
-                key
-                for key, context in self._scenario_contexts.items()
-                if context.spec.name == name
-            ]:
-                # Drop the shared identity state too: a by-name invalidation must
-                # force a genuine recompile, not an identity-cache hit.
-                self._scenario_states.pop(
-                    self._scenario_contexts[key].spec.identity_key(), None
-                )
-                del self._scenario_contexts[key]
-            for cache_key in [
-                cache_key
-                for cache_key in self._robust_caches
-                if any(spec_key[0] == name for spec_key in cache_key[0])
-            ]:
-                del self._robust_caches[cache_key]
-        if apis is not None:
-            self.performance.invalidate_for_scenario(apis)
-            self._cache.clear()
-            self._robust_caches.clear()
-            self._scenario_contexts.clear()
-            self._scenario_states.clear()
-
     def splice(self, new_traces_by_api: Mapping[str, Sequence[Trace]]) -> None:
         """Incremental drift refresh: install re-profiled traces for the named APIs.
 
-        The O(K) counterpart of ``invalidate_for_scenario(apis=...)``: the
-        performance model splices only the named APIs' compiled state (see
+        K APIs recompile, the rest keep everything: the performance model installs
+        the named APIs' traces and purges their compiled state (see
         :meth:`~repro.quality.performance.ApiPerformanceModel.splice`), stale
         results are dropped, but the compiled *scenario* contexts survive — a
         scenario's estimate/footprint/cost/weights never depend on trace contents,
         and its performance view's per-API caches were purged family-wide by the
         model splice — so a K-of-N API refresh pays K trace compiles instead of a
-        full evaluator rebuild, while scoring bitwise-identical to one.
+        full evaluator rebuild, while scoring bitwise-identical to one.  A splice
+        that raises (unknown API, empty window) changes nothing.
         """
         self.performance.splice(new_traces_by_api)
         self._cache.clear()

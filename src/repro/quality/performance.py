@@ -236,7 +236,7 @@ class ApiPerformanceModel:
         # model's (None = unknown/all).  The base model changes nothing.
         self._changed_apis: Optional[frozenset] = frozenset()
         # Weak registry of every model in this family (the base and all scenario
-        # views share the same list), so invalidation reaches every member's
+        # views share the same list), so a splice reaches every member's
         # view-owned Δ caches, not just the callee's.
         self._family: List["weakref.ref[ApiPerformanceModel]"] = [weakref.ref(self)]
 
@@ -297,34 +297,20 @@ class ApiPerformanceModel:
             frozenset(changed_apis) if changed_apis is not None else None
         )
         # copy.copy shares the family list by reference — register the new view in
-        # it so invalidation on any member reaches this view's Δ caches.
+        # it so a splice on any member reaches this view's Δ caches.
         self._family.append(weakref.ref(view))
         return view
 
-    def invalidate_for_scenario(self, apis: Optional[Sequence[str]] = None) -> None:
-        """Drop the compiled/projection caches of the given APIs (all when ``None``).
-
-        This is the incremental-recompilation hook the drift monitor calls when a
-        refreshed scenario changes some APIs' behaviour: only the named APIs pay the
-        recompile/replay cost on the next evaluation.  The replay caches are shared
-        by every :meth:`scenario_view`, and each view's *own* Δ caches are reached
-        through the family registry — one invalidation on any member covers the base
-        model and every live view.
-        """
+    def _purge(self, apis: Sequence[str]) -> None:
+        """Drop the named APIs' compiled sets and replay caches, and each live family
+        member's Δ caches of them: the replay caches are shared by every
+        :meth:`scenario_view`, the Δ caches are each view's own."""
         members: List["ApiPerformanceModel"] = []
         for reference in self._family:
             model = reference()
             if model is not None:
                 members.append(model)
         self._family[:] = [weakref.ref(model) for model in members]
-        if apis is None:
-            self._compiled.clear()
-            self._by_signature.clear()
-            self._row_means.clear()
-            for model in members:
-                model._delays_by_projection.clear()
-                model._delta_tables.clear()
-            return
         targets = set(apis)
 
         def purge(cache: Dict, api_of) -> None:
@@ -341,49 +327,35 @@ class ApiPerformanceModel:
     def splice(self, new_traces_by_api: Mapping[str, Sequence[Trace]]) -> None:
         """Install refreshed sample traces for the named APIs — the O(K) drift path.
 
-        Where :meth:`invalidate_for_scenario` only *drops* the stale APIs' state and
-        leaves the rebuild to the next evaluation, splice *replaces* it: the named
-        APIs' traces, baseline means, edge vocabularies and touched sets are
-        recomputed by the constructor's own :meth:`_derive`, their compiled sets are
-        rebuilt through :meth:`CompiledTraceSet.splice` (reusing every unchanged trace's
-        fragment when the edge vocabulary held still).  Every other API's compiled
-        arrays and replay caches survive untouched, so a K-of-N refresh costs O(K)
-        compile work while staying bitwise-identical to a from-scratch model over
-        the updated traces.
+        K APIs recompile, the rest keep everything: the named APIs' traces, baseline
+        means, edge vocabularies and touched sets are recomputed by the
+        constructor's own :meth:`_derive` and their compiled sets and caches are
+        purged family-wide, so :meth:`_compiled_set` compiles them again (through the
+        artifact cache, keyed by the new traces' fingerprint) on their next replay.
+        Every other API's compiled arrays and replay caches survive untouched, and
+        the model scores bitwise like a fresh one over the updated traces.  Every
+        target is validated before anything changes: an unknown API raises
+        ``KeyError``, an empty window ``ValueError``, and either leaves the model as
+        it was.
         """
         targets = sorted(new_traces_by_api)
         unknown = [api for api in targets if api not in self._traces]
         if unknown:
             raise KeyError(f"cannot splice unknown APIs: {unknown}")
-        old_compiled = {api: self._compiled.get(api) for api in targets}
-        old_edges = {api: self._edges[api] for api in targets}
+        windows = {
+            api: list(new_traces_by_api[api])[-self._traces_per_api :] for api in targets
+        }
+        empty = [api for api in targets if not windows[api]]
+        if empty:
+            raise ValueError(f"cannot splice APIs {empty} to an empty trace set")
         for api in targets:
-            traces = list(new_traces_by_api[api])[-self._traces_per_api :]
-            if not traces:
-                raise ValueError(f"cannot splice API {api!r} to an empty trace set")
-            self._traces[api] = traces
+            self._traces[api] = windows[api]
             self._derive(api)
             self._trace_fps.pop(api, None)
         # Touched sets may have changed, so the per-order projection columns
         # (shared by reference with every view) are stale.
         self._projection_columns.clear()
-        self.invalidate_for_scenario(apis=targets)
-        for api in targets:
-            previous = old_compiled[api]
-            if previous is not None and self._edges[api] == old_edges[api]:
-                compiled = previous.splice(self._traces[api])
-                if self._artifact_cache is not None:
-                    # Register the spliced set under its new content key so other
-                    # models over the refreshed traces share it too.
-                    key = (
-                        "compiled",
-                        self._trace_fingerprint(api),
-                        tuple(self._edges[api]),
-                    )
-                    compiled = self._artifact_cache.get_or_build(key, lambda: compiled)
-                self._compiled[api] = compiled
-            # else: the edge vocabulary moved (or the set was never compiled) —
-            # _compiled_set recompiles from scratch on first use.
+        self._purge(targets)
 
     # -- public API ------------------------------------------------------------------------
     @property

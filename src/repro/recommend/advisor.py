@@ -632,31 +632,21 @@ class Atlas:
 
         When ``update`` (a :meth:`DriftDetector.check_all
         <repro.monitoring.drift.DriftDetector.check_all>` result with a scenario)
-        reports drift, the stale compiled scenario state of the drifted APIs is
-        invalidated and the adversary re-runs against the refreshed workload: the
-        drift-compiled scenario (``ScenarioSpec.from_workload(update.scenario,
-        base_scenario)`` when both are given) joins the seed population.  Without
-        drift the existing certificate still stands and is returned unchanged.
-        The fresh certificate replaces ``recommendation.certificate``.
+        reports drift, the drifted APIs' fresh trace windows
+        (``update.refreshed_traces``) are spliced into the evaluator — those APIs
+        recompile, the rest keep everything — and the adversary re-runs against the
+        refreshed workload: the drift-compiled scenario
+        (``ScenarioSpec.from_workload(update.scenario, base_scenario)`` when both are
+        given) joins the seed population.  An API that drifted without a window
+        leaves the knowledge, and so the certificate's models, unchanged.  Without
+        drift the existing certificate still stands and is returned unchanged.  The
+        fresh certificate replaces ``recommendation.certificate``.
         """
         if not update.needs_recertification:
             return recommendation.certificate
         evaluator = recommendation.evaluator
         if update.refreshed_traces:
-            # Incremental path: the monitoring plane supplied re-profiled traces
-            # for (some of) the drifted APIs — splice replaces exactly those APIs'
-            # compiled state in O(K) instead of dropping everything.  APIs that
-            # drifted without a fresh trace window still invalidate wholesale.
             evaluator.splice(update.refreshed_traces)
-            remaining = [
-                api
-                for api in update.drifted_apis
-                if api not in update.refreshed_traces
-            ]
-            if remaining:
-                evaluator.invalidate_for_scenario(apis=remaining)
-        else:
-            evaluator.invalidate_for_scenario(apis=update.drifted_apis)
         extra: Tuple[ScenarioSpec, ...] = ()
         if update.scenario is not None and base_scenario is not None:
             extra = (

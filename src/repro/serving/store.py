@@ -59,7 +59,9 @@ _MAGIC = "atlas-store"
 #: apart from its replay state and names its traces by content stream.
 #: 6 = ``SearchResult`` lost a field and ``GAConfig``, whose repr is part of every
 #: journal key, lost four: the island fork and the converged-front exit are gone.
-_VERSION = 6
+#: 7 = ``CompiledTraceSet`` keeps its replay state only (no per-trace fragments or
+#: content streams).
+_VERSION = 7
 
 
 def _key_digest(key: Tuple) -> str:

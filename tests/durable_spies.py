@@ -1,8 +1,8 @@
 """Spies on what a durable object decodes — the counters of ``test_durable_forms.py``.
 
-A journaled ``SearchResult`` keeps its archive packed and a stored
-``CompiledTraceSet`` keeps its splice state packed until somebody asks; "nobody
-asked" is only checkable by counting what got built.
+A journaled ``SearchResult`` keeps its archive packed until somebody asks, and a
+stored ``CompiledTraceSet`` carries no trace; "nobody asked" and "nothing was
+carried" are only checkable by counting what got built.
 """
 
 from collections import Counter
@@ -10,15 +10,13 @@ from contextlib import contextmanager
 from unittest import mock
 
 from repro.quality import PlanQuality
-from repro.quality.compiled import _TraceFragment
 from repro.telemetry.tracing import Trace
 
 
 @contextmanager
 def decode_spies():
-    """Count, while the block runs, every ``PlanQuality`` unpickled (``"results"``),
-    every ``_TraceFragment`` built (``"fragments"``: compiled or unpacked) and every
-    ``Trace`` constructed or unpickled (``"traces"``)."""
+    """Count, while the block runs, every ``PlanQuality`` unpickled (``"results"``)
+    and every ``Trace`` constructed or unpickled (``"traces"``)."""
     counts = Counter()
 
     def counting(cls, method, what):
@@ -36,7 +34,6 @@ def decode_spies():
 
     with (
         counting(PlanQuality, "__setstate__", "results"),
-        counting(_TraceFragment, "__init__", "fragments"),
         counting(Trace, "__init__", "traces"),
         mock.patch.object(Trace, "__setstate__", trace_setstate, create=True),
     ):

@@ -5,7 +5,6 @@ The compiled engine must be *bitwise* identical to the recursive ``DelayInjector
 caches must never change results — only skip work.
 """
 
-import dataclasses
 import pickle
 
 import numpy as np
@@ -342,7 +341,7 @@ def _assert_same_ops(left, right):
 
 
 def _assert_same_set(left, right):
-    """Every array of two compiled sets — assembled levels and fragments — is equal."""
+    """Every array of two compiled sets is equal, dtype included."""
     assert left.edge_index == right.edge_index and left.n_edges == right.n_edges
     assert (left.n_traces, left.n_spans) == (right.n_traces, right.n_spans)
     for a, b in ((left._root_idx, right._root_idx), (left._root_start, right._root_start)):
@@ -350,18 +349,11 @@ def _assert_same_set(left, right):
     assert len(left._levels) == len(right._levels)
     for a, b in zip(left._levels, right._levels):
         _assert_same_ops(a, b)
-    assert len(left._fragments) == len(right._fragments)
-    for a, b in zip(left._fragments, right._fragments):
-        assert (a.n_spans, a.root_idx) == (b.n_spans, b.root_idx)
-        assert repr(a.root_start) == repr(b.root_start)
-        assert list(a.levels) == list(b.levels)  # depth keys, in the same dict order
-        for depth in a.levels:
-            _assert_same_ops(a.levels[depth], b.levels[depth])
 
 
 class TestPackedDurableForm:
     """``pickle`` round trips a set through two blobs and a length table; what comes
-    back must be the same program, and must keep obeying the splice law."""
+    back must be the same program."""
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=40, deadline=None)
@@ -377,35 +369,6 @@ class TestPackedDurableForm:
         # A second trip (what a store-loaded set written back goes through) is stable.
         _assert_same_set(loaded, pickle.loads(pickle.dumps(loaded)))
 
-    @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=40, deadline=None)
-    def test_splice_on_a_loaded_set_is_bitwise_a_rebuild(self, seed):
-        rng = np.random.default_rng(seed)
-        traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(2, 7)))]
-        edges = _edges_of(traces)
-        loaded = pickle.loads(pickle.dumps(CompiledTraceSet(traces, edges)))
-        dirty = {pos for pos in range(len(traces)) if rng.random() < 0.5} or {0}
-        new_traces = [
-            trace.with_spans(
-                [
-                    dataclasses.replace(
-                        span, start_ms=span.start_ms * 1.01, duration_ms=span.duration_ms * 1.01
-                    )
-                    for span in trace.spans
-                ]
-            )
-            if pos in dirty
-            else trace
-            for pos, trace in enumerate(traces)
-        ]
-        spliced = loaded.splice(new_traces)
-        _assert_same_set(spliced, CompiledTraceSet(new_traces, edges))
-        for pos in range(len(traces)):
-            if pos not in dirty:  # clean positions reuse the *unpacked* fragment
-                assert spliced._fragments[pos] is loaded._fragments[pos]
-        # ...and the spliced set packs again like any other.
-        _assert_same_set(spliced, pickle.loads(pickle.dumps(spliced)))
-
     def test_degenerate_sets_survive(self):
         leaf = Trace("leaf", "/api", [Span("leaf", "s0", None, "A", "op", 3.0, 7.5)])
         chain = Trace(
@@ -418,8 +381,8 @@ class TestPackedDurableForm:
             ],
         )
         # A lone leaf root: one level, every slot but the leaf-end pair empty.  Leaf +
-        # chain: the leaf's fragment has no ops at the deeper levels, so the assembled
-        # levels hold slots some fragments contribute nothing to.
+        # chain: the leaf has no ops at the deeper levels, so those levels hold slots
+        # some traces contribute nothing to.
         for traces in ([leaf], [chain], [leaf, chain], [chain, leaf, leaf]):
             edges = _edges_of(traces)
             compiled = CompiledTraceSet(traces, edges)
@@ -439,20 +402,17 @@ class TestPackedDurableForm:
         traces = [random_trace(rng, f"t{k}") for k in range(4)]
         compiled = CompiledTraceSet(traces, _edges_of(traces))
         state = compiled.__getstate__()
-        assert "_levels" not in state and "_fragments" not in state
-        # The replay state and the splice state are packed apart: a reader that only
-        # replays unpacks the first and never opens the second.
+        # The replay state is the whole durable form: one blob pair and its table.
         ints, floats, lengths = state["_packed_levels"]
         assert ints.dtype == np.intp and floats.dtype == np.float64
         assert lengths.shape == (len(compiled._levels), 14)
         assert len(ints) + len(floats) == int(lengths.sum())
-        ints, floats, lengths, heads = state["_packed_fragments"]
-        assert ints.dtype == np.intp and floats.dtype == np.float64
-        assert len(heads) == len(traces)
-        assert lengths.shape == (sum(len(depths) for *_scalars, depths in heads), 14)
-        assert len(ints) + len(floats) == int(lengths.sum())
-        # The traces are named, not carried.
-        assert state["_contents"] == [trace.content_stream() for trace in traces]
-        assert "_traces" not in state
+        assert sorted(state) == [
+            "_packed_levels", "_root_idx", "_root_start", "edge_index", "n_edges",
+            "n_spans", "n_traces",
+        ]
+        # No trace, per-trace state or content stream rides along.
+        for gone in ("_levels", "_fragments", "_contents", "_traces"):
+            assert gone not in state
         # Packing does not disturb the live set.
-        assert compiled._levels and compiled._fragments
+        assert compiled._levels and "_packed_levels" not in vars(compiled)

@@ -1,16 +1,15 @@
-"""Durable forms decode what their reader reads (store frame version 5).
+"""Durable forms decode what their reader reads.
 
-Two stored classes defer part of their state through their own pickle protocols:
+Two stored classes keep their pickles small through their own protocols:
 
-* ``CompiledTraceSet.__setstate__`` unpacks the assembled levels — the replay
-  state — and leaves the per-trace fragments packed until the first ``splice``;
-  the traces themselves are named by ``Trace.content_stream()`` bytes, not carried.
+* ``CompiledTraceSet`` pickles its replay state as two blobs and a length table
+  and carries no trace.
 * ``SearchResult`` pickles ``all_evaluated`` + ``final_population`` as one inner
-  blob that materialises on first attribute access.
+  blob that materialises on first attribute access — the one lazy part.
 
-Laziness must be invisible: every reader gets what an eager load gave, an
-untouched object re-pickles to the bytes it came from, and the store still
-verifies the whole frame before a single byte of either part is interpreted.
+Both must be invisible: every reader gets what an eager load gave, an untouched
+object re-pickles to the bytes it came from, and the store still verifies the
+whole frame before a single byte of either part is interpreted.
 """
 
 import copy
@@ -33,7 +32,13 @@ from test_serving import daemon_script, tiny_learned_atlas  # noqa: F401  (fixtu
 
 from repro.cluster import MigrationPlan
 from repro.optimizer.atlas_ga import AtlasGA, SearchResult
-from repro.quality import CompiledTraceSet, PlanQuality
+from repro.quality import (
+    ArtifactCache,
+    CompiledTraceSet,
+    PlanQuality,
+    fingerprint_traces,
+)
+from repro.quality.compiled import _pack_ops
 from repro.quality.problem import PlacementProblem
 from repro.quality.scenarios import ScenarioSet, ScenarioSpec
 from repro.recommend import AdvisorService
@@ -42,6 +47,7 @@ from repro.serving import store as store_module
 from repro.serving.daemon import front_digest
 
 _clone = serving_suite._clone
+_model_over = serving_suite._model_over
 _poison_search = serving_suite._poison_search
 _make_daemon = serving_suite._make_daemon
 
@@ -68,6 +74,8 @@ class TestLoadedCompiledSet:
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=40, deadline=None)
     def test_replay_never_opens_the_splice_state(self, seed):
+        """A loaded set replays bitwise, builds no ``Trace`` and holds nothing per
+        trace (the name is older than the removal of the per-trace splice state)."""
         rng = np.random.default_rng(seed)
         traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(1, 6)))]
         edges = _edges_of(traces)
@@ -81,68 +89,32 @@ class TestLoadedCompiledSet:
             assert loaded.latencies({edge: 2.5 for edge in edges}) == original.latencies(
                 {edge: 2.5 for edge in edges}
             )
-        assert built["traces"] == 0 and built["fragments"] == 0
-        assert "_fragments" not in vars(loaded) and "_packed_fragments" in vars(loaded)
-        assert b"repro.telemetry" not in blob  # the traces are named, not carried
-        # Nobody asked: the loaded set re-pickles to the bytes it came from ...
+        assert built["traces"] == 0
+        # The replay state is all a loaded set holds: nothing per trace.
+        assert set(vars(loaded)) == set(vars(original)) | {"_packed_levels"}
+        assert b"repro.telemetry" not in blob  # no trace is carried
+        # The loaded set re-pickles to the bytes it came from, and is the same set.
         assert _dumps(loaded) == blob
         assert _dumps(copy.deepcopy(loaded)) == blob
-        # ... and once somebody does, it is the same set, array for array.
         _assert_same_set(original, loaded)
-        assert "_fragments" in vars(loaded)
-        assert _dumps(loaded) == blob
-
-    @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(["none", "one", "all"]))
-    @settings(max_examples=60, deadline=None)
-    def test_splice_of_a_loaded_set_is_a_rebuild_and_the_originals_splice(self, seed, dirty):
-        rng = np.random.default_rng(seed)
-        traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(2, 7)))]
-        edges = _edges_of(traces)
-        original = CompiledTraceSet(traces, edges)
-        changed = {
-            "none": set(),
-            "one": {int(rng.integers(0, len(traces)))},
-            "all": set(range(len(traces))),
-        }[dirty]
-        # Clean positions are *re-read* traces (equal content, other objects, no memo):
-        # what a resumed process holds.
-        new_traces = [
-            _perturb(trace, 1.01) if pos in changed else pickle.loads(_dumps(trace))
-            for pos, trace in enumerate(traces)
-        ]
-        loaded = pickle.loads(_dumps(original))
-        with decode_spies() as built:
-            spliced = loaded.splice(new_traces)
-        # The loaded set's own fragments were unpacked once; only changed traces compiled.
-        assert built["fragments"] == len(traces) + len(changed)
-        rebuilt = CompiledTraceSet(new_traces, edges)
-        _assert_same_set(spliced, rebuilt)
-        _assert_same_set(spliced, original.splice(new_traces))
-        for pos in range(len(traces)):
-            assert (spliced._fragments[pos] is loaded._fragments[pos]) == (pos not in changed)
-        rows = np.vstack([rebuilt.delta_row(random_delays(rng, edges)) for _ in range(3)])
-        assert spliced.replay_batch(rows).tobytes() == rebuilt.replay_batch(rows).tobytes()
-        assert _dumps(spliced) == _dumps(rebuilt)
-
-    def test_splice_to_fewer_or_more_traces(self):
-        rng = np.random.default_rng(23)
-        traces = [random_trace(rng, f"t{k}") for k in range(5)]
-        edges = _edges_of(traces)
-        loaded = pickle.loads(_dumps(CompiledTraceSet(traces[:4], edges)))
-        for new_traces in (traces[:2], traces, traces[1:]):
-            _assert_same_set(loaded.splice(new_traces), CompiledTraceSet(new_traces, edges))
 
     def test_signed_zero_is_content(self):
-        """``repr`` keeps what ``==`` on floats loses: -0.0 and 0.0 are two contents."""
+        """``repr`` keeps what ``==`` on floats loses: -0.0 and 0.0 are two contents,
+        so two windows that differ only there get two compiled-set keys and two
+        models sharing one artifact cache never share one set."""
         trace = random_trace(np.random.default_rng(3), "t0")
         spans = trace.spans
         plus = trace.with_spans([dataclasses.replace(spans[0], start_ms=0.0)] + spans[1:])
         minus = trace.with_spans([dataclasses.replace(spans[0], start_ms=-0.0)] + spans[1:])
         assert plus.content_stream() != minus.content_stream()
-        compiled = pickle.loads(_dumps(CompiledTraceSet([plus], _edges_of([plus]))))
-        spliced = compiled.splice([minus])
-        assert spliced._fragments[0] is not compiled._fragments[0]
-        _assert_same_set(spliced, CompiledTraceSet([minus], _edges_of([minus])))
+        assert fingerprint_traces([plus]) != fingerprint_traces([minus])
+        cache = ArtifactCache()
+        sets = [
+            _model_over({trace.api: [window]}, cache)._compiled_set(trace.api)
+            for window in (plus, minus)
+        ]
+        assert sets[0] is not sets[1] and cache.stats()["misses"] == 2
+        _assert_same_set(sets[1], CompiledTraceSet([minus], _edges_of([minus])))
 
 
 # -- (b) search results -----------------------------------------------------------------------
@@ -243,27 +215,26 @@ class TestLoadedSearchResult:
 
 
 class TestRacingReaders:
-    """A memoised answer and a cached compiled set are shared by every thread of a
-    service: the first readers of a packed part may race, and must all get one list."""
+    """A memoised answer is shared by every thread of a service: the first readers of
+    its packed archive may race, and must all get one list."""
 
     def test_threads_racing_on_the_first_read_get_one_archive_and_one_fragment_list(self):
+        """(A compiled set has no lazy part left; the name is older than that.)"""
         rng = np.random.default_rng(41)
         result = _random_result(rng)
-        traces = [random_trace(rng, f"t{k}") for k in range(4)]
-        compiled = CompiledTraceSet(traces, _edges_of(traces))
-        result_blob, compiled_blob = _dumps(result), _dumps(compiled)
+        result_blob = _dumps(result)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                loaded_result, loaded_set = pickle.loads(result_blob), pickle.loads(compiled_blob)
+                loaded_result = pickle.loads(result_blob)
                 barrier = threading.Barrier(8)
                 seen = []
 
                 def read(index):
                     barrier.wait(timeout=30)
                     name = ("all_evaluated", "final_population")[index % 2]
-                    seen.append((name, getattr(loaded_result, name), loaded_set._fragments))
+                    seen.append((name, getattr(loaded_result, name)))
 
                 threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
                 for thread in threads:
@@ -271,11 +242,9 @@ class TestRacingReaders:
                 for thread in threads:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads) and len(seen) == 8
-                for name, archive_list, fragments in seen:
+                for name, archive_list in seen:
                     assert archive_list is getattr(loaded_result, name)
-                    assert fragments is loaded_set._fragments
                 assert loaded_result == result
-                assert _dumps(loaded_set) == compiled_blob
         finally:
             sys.setswitchinterval(interval)
 
@@ -306,7 +275,7 @@ class TestRevive:
         assert service.stats()["journal"] == {"hits": 1, "misses": 0}
         assert service.cache.stats()["store_hits"] > 0
         assert built["results"] == _distinct(cold.result.pareto)
-        assert built["fragments"] == 0 and built["traces"] == 0
+        assert built["traces"] == 0
         assert "_archive" in vars(warm.result)
         assert front_digest(warm) == front_digest(cold)
         for api, estimate in cold.latency_preview(cold.knee_point().plan).items():
@@ -362,15 +331,17 @@ class TestRevive:
         window = [
             _perturb(trace, 1.3) for trace in atlas.knowledge.api_profiles[target].sample_traces
         ]
-        window[0] = atlas.knowledge.api_profiles[target].sample_traces[0]
         loaded_set = warm.evaluator.performance._compiled[target]
-        assert "_fragments" not in vars(loaded_set)
-        warm.evaluator.splice({target: window})  # what a drift re-certification does
-        spliced_set = warm.evaluator.performance._compiled[target]
-        assert spliced_set._fragments[0] is loaded_set._fragments[0]
-        _assert_bitwise(
-            spliced_set, CompiledTraceSet(window, warm.evaluator.performance._edges[target])
-        )
+        for answer in (warm, cold):  # what a drift re-certification does
+            answer.evaluator.splice({target: window})
+        spliced, fresh = warm.evaluator.performance, cold.evaluator.performance
+        assert spliced._compiled_set(target) is not loaded_set
+        _assert_bitwise(spliced._compiled_set(target), fresh._compiled_set(target))
+        _assert_bitwise(spliced._compiled_set(target), CompiledTraceSet(window, spliced._edges[target]))
+        plans = [q.plan for q in cold.result.all_evaluated]
+        assert [[v.hex() for v in q.values] for q in warm.evaluator.evaluate_batch(plans)] == [
+            [v.hex() for v in q.values] for q in cold.evaluator.evaluate_batch(plans)
+        ]
 
 
 # -- (d) frames written by the parent commit (store version 4) are a miss ----------------------
@@ -378,26 +349,21 @@ class TestVersion4FramesMiss:
     """Version 5 changes two stored layouts: a ``SearchResult`` packs its archive and
     a ``CompiledTraceSet`` packs levels and fragments apart and names its traces.  A
     version-4 frame holds the former layouts and must be rejected on its header;
-    relabelled as current, neither layout has a reader."""
+    relabelled as current, neither layout has a reader.  Version 7 drops the
+    compiled set's fragments and content streams: a version-6 frame misses too."""
 
     KWARGS = {"expected_scale": 2.0}
 
     @staticmethod
     def _parent_compiled_frame(compiled, traces, monkeypatch, version=4):
-        from repro.quality.compiled import _pack_ops
+        """A version-4 compiled set: one ``_packed`` blob and the traces themselves
+        (its per-trace fragment bundles, which no longer exist, left out)."""
 
         def old_getstate(self):
             state = dict(self.__dict__)
-            levels, fragments = state.pop("_levels"), state.pop("_fragments")
-            del state["_contents"]
+            levels = state.pop("_levels")
             state["_traces"] = list(traces)
-            bundles = list(levels)
-            for fragment in fragments:
-                bundles.extend(fragment.levels.values())
-            state["_packed"] = _pack_ops(bundles) + (
-                len(levels),
-                [(f.n_spans, f.root_idx, f.root_start, tuple(f.levels)) for f in fragments],
-            )
+            state["_packed"] = _pack_ops(levels) + (len(levels), [])
             return state
 
         with monkeypatch.context() as patch:
@@ -439,6 +405,41 @@ class TestVersion4FramesMiss:
         assert store.load(key) is None  # no reader for ``_packed`` + ``_traces``
         assert unpacked and "_packed" in unpacked[0] and "_packed_levels" not in unpacked[0]
         assert key in store  # a sound frame; what it holds is the unpickler's business
+
+    def test_a_version_6_compiled_frame_with_fragments_misses(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(29)
+        traces = [random_trace(rng, f"t{k}") for k in range(3)]
+        compiled = CompiledTraceSet(traces, _edges_of(traces))
+
+        def version_6_getstate(self):
+            """Version 6's layout: two parts packed apart, the replay levels and the
+            per-trace splice state, and each trace's content stream."""
+            state = dict(self.__dict__)
+            levels = state.pop("_levels")
+            for part, packed in (("levels", _pack_ops(levels)), ("fragments", _pack_ops(levels) + ([],))):
+                state[f"_packed_{part}"] = packed
+            state["_contents"] = [trace.content_stream() for trace in traces]
+            return state
+
+        store = ArtifactStore(tmp_path / "store")
+        key = ("compiled", "sha", ())
+        with monkeypatch.context() as patch:
+            patch.setattr(CompiledTraceSet, "__getstate__", version_6_getstate)
+            assert store.save(key, compiled)
+        path = store.path_for(key)
+        assert b"fragments" in path.read_bytes() and b"_contents" in path.read_bytes()
+        _relabel(path, 6)
+
+        unpacked = []
+        monkeypatch.setattr(
+            CompiledTraceSet, "__setstate__", lambda self, state: unpacked.append(state)
+        )
+        assert store.load(key) is None and key not in store
+        assert unpacked == []  # rejected on the header, before any payload byte is read
+        rebuilt = ArtifactCache(store=store).get_or_build(key, lambda: compiled)
+        assert rebuilt is compiled
+        assert path.read_bytes().startswith(CURRENT_FRAME)  # written back, current layout
+        assert b"fragments" not in path.read_bytes()
 
     def test_journal_entry_misses_is_searched_once_and_written_back(
         self, tmp_path, tiny_learned_atlas, monkeypatch
@@ -539,7 +540,7 @@ class TestVersion4FramesMiss:
         assert agent_key in store
 
 
-# -- (e) kill after the splice checkpoint, resume over version-5 frames -----------------------
+# -- (e) kill after the splice checkpoint, resume over current frames --------------------------
 class TestDaemonResume:
     def test_resumed_cycle_lands_on_the_uninterrupted_front(
         self, tmp_path, tiny_learned_atlas, daemon_script, monkeypatch

@@ -457,49 +457,29 @@ class TestScenarioSpecs:
 
 
 class TestInvalidation:
-    def test_invalidate_for_scenario_recomputes_identically(self, scenario_stack):
+    def test_invalidate_reaches_scenario_views(self, scenario_stack):
+        """A splice on the base model clears every live view's own Δ caches of the
+        spliced API, and the view rebuilds them over the new edge vocabulary."""
         _app, _telemetry, build_evaluator = scenario_stack
         evaluator = build_evaluator()
         vectors = [[0, 1, 1, 0, 0, 1]]
-        before = evaluator.evaluate_vectors(vectors, scenarios=S4)[0]
-        evaluator.invalidate_for_scenario("chatty")
-        assert all(
-            all(spec_key[0] != "chatty" for spec_key in cache_key[0])
-            for cache_key in evaluator._robust_caches
-        )
-        after = evaluator.evaluate_vectors(vectors, scenarios=S4)[0]
-        assert repr(after.objectives()) == repr(before.objectives())
-        evaluator.invalidate_for_scenario()
-        assert evaluator.cache_size() == len(evaluator._cache)
-
-    def test_invalidate_reaches_scenario_views(self, scenario_stack):
-        """Invalidating the base model clears every live view's own Δ caches too."""
-        _app, _telemetry, build_evaluator = scenario_stack
-        evaluator = build_evaluator()
-        evaluator.evaluate_vectors([[0, 1, 1, 0, 0, 1]], scenarios=S4)
+        evaluator.evaluate_vectors(vectors, scenarios=S4)
         chatty = next(spec for spec in S4 if spec.name == "chatty")
         view = evaluator._scenario_context(chatty).performance
         assert view is not evaluator.performance
         assert "/read" in view._delta_tables
-        evaluator.performance.invalidate_for_scenario(["/read"])
+        old_edges = list(view._edges["/read"])
+        # The drifted /read stops calling its background Notifier.
+        window = [
+            trace.with_spans([s for s in trace.spans if s.component != "Notifier"])
+            for trace in evaluator.performance._traces["/read"]
+        ]
+        evaluator.splice({"/read": window})
         assert "/read" not in view._delta_tables
         assert all(key[0] != "/read" for key in view._delays_by_projection)
-
-    def test_invalidate_apis_clears_performance_caches(self, scenario_stack):
-        _app, _telemetry, build_evaluator = scenario_stack
-        evaluator = build_evaluator()
-        vectors = [[0, 1, 1, 0, 0, 1], [0, 0, 1, 0, 0, 0]]
-        before = evaluator.evaluate_vectors(vectors)
-        performance = evaluator.performance
-        assert performance._row_means
-        evaluator.invalidate_for_scenario(apis=["/read"])
-        assert "/read" not in performance._row_means
-        assert "/read" not in performance._compiled
-        assert all(key[0] != "/read" for key in performance._by_signature)
-        after = evaluator.evaluate_vectors(vectors)
-        assert [repr(q.objectives()) for q in after] == [
-            repr(q.objectives()) for q in before
-        ]
+        assert view._edges["/read"] == [e for e in old_edges if e[1] != "Notifier"] != old_edges
+        evaluator.evaluate_vectors(vectors, scenarios=S4)
+        assert view._delta_tables["/read"][1].shape[0] == len(view._edges["/read"])
 
     def test_drift_detector_emits_refreshed_scenario(self):
         rng = np.random.default_rng(2)

@@ -31,8 +31,15 @@ from fingerprints import build_tiny_evaluator
 from test_artifacts import TINY_GA, _assert_bitwise, _perturb
 from test_compiled import random_delays, random_trace
 
+from repro.cluster import MigrationPlan, default_network_model
+from repro.learning import NetworkFootprint
 from repro.optimizer.atlas_ga import AtlasGA, SearchResult
-from repro.quality import CompiledTraceSet, MigrationPreferences, PlanQuality
+from repro.quality import (
+    ApiPerformanceModel,
+    CompiledTraceSet,
+    MigrationPreferences,
+    PlanQuality,
+)
 from repro.quality.artifacts import ArtifactCache
 from repro.quality.scenarios import ObjectiveVector
 from repro.recommend import AdvisorService, Atlas, AtlasConfig
@@ -54,6 +61,21 @@ def _random_compiled(rng):
     traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(1, 5)))]
     edges = sorted({edge for trace in traces for edge in trace.invocation_edges()})
     return CompiledTraceSet(traces, edges)
+
+
+def _model_over(traces_by_api, cache):
+    """A compiled-engine performance model over arbitrary traces (all on-prem, no
+    footprint bytes) that compiles through ``cache``."""
+    components = sorted(
+        {span.component for traces in traces_by_api.values() for t in traces for span in t.spans}
+    )
+    return ApiPerformanceModel(
+        traces_by_api,
+        NetworkFootprint([]),
+        default_network_model(),
+        MigrationPlan.all_on_prem(components),
+        artifact_cache=cache,
+    )
 
 
 # -- the store itself -------------------------------------------------------------------------
@@ -259,22 +281,27 @@ class TestOldLayoutFramesMiss:
             pickle.loads(payload)
 
     def test_loaded_set_is_private_reshareable_and_splices_like_a_rebuild(self):
+        """A model whose set came from the store splices to a fresh compile of the new
+        window, and leaves the loaded set as it was, fit to be stored again."""
         rng = np.random.default_rng(17)
         traces = [random_trace(rng, f"t{k}") for k in range(4)]
         edges = sorted({edge for trace in traces for edge in trace.invocation_edges()})
         compiled = CompiledTraceSet(traces, edges)
-        with tempfile.TemporaryDirectory() as root:
-            store = ArtifactStore(root)
-            assert store.save(("c",), compiled)
-            loaded = store.load(("c",))
         new_traces = [_perturb(traces[0], 1.02)] + traces[1:]
-        rebuilt = CompiledTraceSet(new_traces, edges)
-        _assert_bitwise(loaded.splice(new_traces), rebuilt)
-        # ...and again after a second trip through the store.
+        with tempfile.TemporaryDirectory() as root:
+            _model_over({"/api": traces}, ArtifactCache(store=ArtifactStore(root)))._compiled_set("/api")
+            restarted = ArtifactCache(store=ArtifactStore(root))
+            model = _model_over({"/api": traces}, restarted)
+            loaded = model._compiled_set("/api")
+            assert restarted.stats()["store_hits"] == 1
+            model.splice({"/api": new_traces})
+            _assert_bitwise(model._compiled_set("/api"), CompiledTraceSet(new_traces, edges))
+        _assert_bitwise(loaded, compiled)
+        # ...and the loaded set survives a second trip through the store.
         with tempfile.TemporaryDirectory() as root:
             store = ArtifactStore(root)
             assert store.save(("c",), loaded)
-            _assert_bitwise(store.load(("c",)).splice(new_traces), rebuilt)
+            _assert_bitwise(store.load(("c",)), compiled)
 
 
 # -- single-flight concurrency ----------------------------------------------------------------
@@ -555,7 +582,8 @@ class TestDurableJournal:
         from re-read telemetry (what a frame written before they existed holds), and
         the memos never asked for a frame version of their own (3 was the result
         shape's, 4 the agent's, 5 the packed archive's and splice state's, 6 that of
-        a ``SearchResult`` one field shorter:
+        a ``SearchResult`` one field shorter, 7 that of a ``CompiledTraceSet``
+        without fragments:
         ``TestOldResultLayoutFramesMiss``, ``TestAgentlessResultFramesMiss``,
         ``test_durable_forms.TestVersion4FramesMiss``)."""
         app, result = tiny_telemetry
@@ -575,7 +603,7 @@ class TestDurableJournal:
         writer = AdvisorService(store=ArtifactStore(store_dir))
         cold = writer.recommend(learned(result.telemetry), expected_scale=2.0)
         assert writer.stats()["journal"] == {"hits": 0, "misses": 1}
-        assert store_module._VERSION == 6
+        assert store_module._VERSION == 7
         frames = list(store_dir.rglob("*.art"))
         assert frames and all(f.read_bytes().startswith(CURRENT_FRAME) for f in frames)
         assert not any(b"_shape" in f.read_bytes() for f in frames)
