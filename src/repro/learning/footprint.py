@@ -134,51 +134,23 @@ class NetworkFootprint:
                 traffic[pair] = traffic.get(pair, 0.0) + count * edge.total_bytes
         return traffic
 
-    def expected_cross_location_traffic(
-        self, plan: Mapping[str, int], api_request_counts: Mapping[str, float]
-    ) -> Dict[Tuple[int, int], float]:
-        """Expected bytes crossing each (ordered) location pair under one placement.
-
-        Keys are ``(caller location, callee location)`` with caller != callee; values
-        are total request+response bytes of all edges mapped onto that inter-location
-        link.  With two locations there is a single off-diagonal pair per direction;
-        with N locations this is the link-load matrix multi-region cost and capacity
-        planning reason about.
-        """
-        loads: Dict[Tuple[int, int], float] = {}
-        for api, count in api_request_counts.items():
-            if count <= 0:
-                continue
-            for (src, dst), edge in self._by_api.get(api, {}).items():
-                if src not in plan or dst not in plan:
-                    continue
-                src_loc, dst_loc = plan[src], plan[dst]
-                if src_loc == dst_loc:
-                    continue
-                key = (src_loc, dst_loc)
-                loads[key] = loads.get(key, 0.0) + count * edge.total_bytes
-        return loads
-
     def edge_arrays(
         self,
         api_request_counts: Mapping[str, float],
         component_index: Mapping[str, int],
-    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """Flattened per-(API, edge) arrays for batched traffic aggregation.
 
-        Returns ``(src_cols, dst_cols, total_bytes, request_bytes, response_bytes)``
-        where the byte arrays are already scaled by the API's request count.  Entries
-        appear in the exact iteration order of the scalar accounting (APIs in
-        ``api_request_counts`` order, edges in learned order; APIs with non-positive
-        counts and edges touching unknown components are skipped), which is what lets
-        the batched cost/traffic pipelines accumulate bitwise-identically to the
-        per-plan loops.
+        Returns ``(src_cols, dst_cols, total_bytes)`` where the bytes are already
+        scaled by the API's request count.  Entries appear in the exact iteration
+        order of the scalar accounting (APIs in ``api_request_counts`` order, edges in
+        learned order; APIs with non-positive counts and edges touching unknown
+        components are skipped), which is what lets the batched cost/traffic
+        pipelines accumulate bitwise-identically to the per-plan loops.
         """
         src_cols: List[int] = []
         dst_cols: List[int] = []
         total_bytes: List[float] = []
-        request_bytes: List[float] = []
-        response_bytes: List[float] = []
         for api, count in api_request_counts.items():
             if count <= 0:
                 continue
@@ -190,39 +162,11 @@ class NetworkFootprint:
                 src_cols.append(src_col)
                 dst_cols.append(dst_col)
                 total_bytes.append(count * edge.total_bytes)
-                request_bytes.append(count * edge.request_bytes)
-                response_bytes.append(count * edge.response_bytes)
         return (
             np.asarray(src_cols, dtype=np.intp),
             np.asarray(dst_cols, dtype=np.intp),
             np.asarray(total_bytes, dtype=np.float64),
-            np.asarray(request_bytes, dtype=np.float64),
-            np.asarray(response_bytes, dtype=np.float64),
         )
-
-    def cross_location_bytes_batch(
-        self,
-        plan_matrix: "np.ndarray",
-        components: Sequence[str],
-        api_request_counts: Mapping[str, float],
-    ) -> "np.ndarray":
-        """Per-plan total bytes crossing any inter-location link (batched).
-
-        The plan matrix is ``(plans, len(components))`` integer location ids; entry
-        ``p`` equals ``sum(expected_cross_location_traffic(plan_p, counts).values())``
-        for the corresponding per-plan mapping, accumulated in the same entry order.
-        """
-        matrix = np.asarray(plan_matrix)
-        component_index = {name: i for i, name in enumerate(components)}
-        src_cols, dst_cols, total_bytes, _req, _resp = self.edge_arrays(
-            api_request_counts, component_index
-        )
-        totals = np.zeros(matrix.shape[0], dtype=np.float64)
-        for entry in range(len(src_cols)):
-            crossing = matrix[:, src_cols[entry]] != matrix[:, dst_cols[entry]]
-            if crossing.any():
-                totals[crossing] += total_bytes[entry]
-        return totals
 
     # -- evaluation helpers -------------------------------------------------------------------
     def accuracy_against(

@@ -41,8 +41,8 @@ model, so its fronts follow the evaluator's
 ``PlanQuality.objectives()``).  The affinity NSGA-II keeps its *own* two-objective
 space (cross-DC traffic, cloud cost) by design — it models prior work that has no
 notion of API workflows — but its feasibility and cost doors
-(``feasible_mask``/``qcost_vectors``) run against whatever problem and scenario
-binding the shared evaluator carries.
+(``feasible_mask``/``qcost_vectors``) run against whatever problem, scenario set
+included, the shared evaluator was built with.
 """
 
 from __future__ import annotations
@@ -440,8 +440,8 @@ class AffinityNSGA2Baseline:
         (including the infeasibility penalty) are bitwise identical to the historical
         per-plan scoring, and the evaluation counter advances once per vector.  Cost
         and feasibility go through the evaluator's scenario-aware doors
-        (``qcost_vectors`` / ``feasible_mask``), so binding a scenario set on the
-        shared evaluator makes this baseline scenario-robust too.
+        (``qcost_vectors`` / ``feasible_mask``), so an evaluator built for a
+        problem with scenarios makes this baseline scenario-robust too.
         """
         self._evaluations += len(vectors)
         matrix = np.asarray(vectors, dtype=np.int64)

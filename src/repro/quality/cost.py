@@ -140,11 +140,7 @@ class _CostLowering:
     The storage term reads only the stateful columns (``storage_gb > 0``), so those
     are lowered on their own: ``stateful_gb`` is the ``(S, 1)`` term column of the
     migrated-size sum.  ``src_cols`` / ``dst_cols`` / ``total_bytes`` describe the
-    ``(API, edge)`` entries in scalar iteration order; the ``entry_*`` arrays are the
-    billed contributions of the model's billing arm in the same order — the entries
-    themselves, or under ``charge_cloud_egress_only`` the request (caller's site)
-    and response (callee's site) halves interleaved, ``entry_site`` naming the
-    column whose location is billed (``None``: the link's own rate).
+    ``(API, edge)`` entries in scalar iteration order, each billed at its link's rate.
     """
 
     stateful_columns: np.ndarray
@@ -154,10 +150,6 @@ class _CostLowering:
     src_cols: np.ndarray
     dst_cols: np.ndarray
     total_bytes: np.ndarray
-    entry_src: np.ndarray
-    entry_dst: np.ndarray
-    entry_site: Optional[np.ndarray]
-    entry_bytes: np.ndarray
 
 
 class CloudCostModel:
@@ -171,7 +163,6 @@ class CloudCostModel:
         storage_by_component: Mapping[str, float],
         baseline_plan: MigrationPlan,
         time_compression: float = 1.0,
-        charge_cloud_egress_only: bool = False,
         catalogs: Optional[Mapping[int, PricingCatalog]] = None,
     ) -> None:
         """``time_compression`` maps simulated time to real time (the workload generator
@@ -189,7 +180,6 @@ class CloudCostModel:
         self.storage_by_component = dict(storage_by_component)
         self.baseline_plan = baseline_plan
         self.time_compression = time_compression
-        self.charge_cloud_egress_only = charge_cloud_egress_only
         #: Billable locations and their catalogs; every other location is free.
         self.catalogs: Dict[int, PricingCatalog] = (
             dict(catalogs) if catalogs is not None else {CLOUD: catalog}
@@ -207,7 +197,7 @@ class CloudCostModel:
         # Lowered views of the estimate/footprint for the plan-matrix pipeline,
         # keyed by the component order of the matrices.
         self._lowerings: Dict[Tuple[str, ...], "_CostLowering"] = {}
-        self._rate_table_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._rate_table_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # Batched-path memo: per component order, raw plan-row bytes -> total USD.
         # Rows are scored independently, so cached values are bitwise stable no
         # matter which batch first computed them; this keeps feasibility masks and
@@ -252,7 +242,6 @@ class CloudCostModel:
             storage_by_component=self.storage_by_component,
             baseline_plan=self.baseline_plan,
             time_compression=self.time_compression,
-            charge_cloud_egress_only=self.charge_cloud_egress_only,
             catalogs=catalogs if catalogs is not None else self.catalogs,
         )
         for location, catalog in model.catalogs.items():
@@ -371,21 +360,6 @@ class CloudCostModel:
                 src_loc, dst_loc = plan[src], plan[dst]
                 if src_loc == dst_loc:
                     continue
-                if self.charge_cloud_egress_only:
-                    # Request bytes are billed only when the caller sits at a billable
-                    # site (they leave it), response bytes only when the callee does —
-                    # each at its own site's rate.
-                    if src_loc in self.catalogs:
-                        rate = self.catalogs[src_loc].egress_usd_per_gb
-                        bytes_by_rate[rate] = (
-                            bytes_by_rate.get(rate, 0.0) + count * edge.request_bytes
-                        )
-                    if dst_loc in self.catalogs:
-                        rate = self.catalogs[dst_loc].egress_usd_per_gb
-                        bytes_by_rate[rate] = (
-                            bytes_by_rate.get(rate, 0.0) + count * edge.response_bytes
-                        )
-                    continue
                 rate = self._egress_rate(src_loc, dst_loc)
                 bytes_by_rate[rate] = (
                     bytes_by_rate.get(rate, 0.0) + count * edge.total_bytes
@@ -407,16 +381,9 @@ class CloudCostModel:
             total_requests = {
                 api: sum(series) for api, series in self.estimate.api_rates.items()
             }
-            src_cols, dst_cols, total_bytes, request_bytes, response_bytes = (
-                self.footprint.edge_arrays(total_requests, columns)
+            src_cols, dst_cols, total_bytes = self.footprint.edge_arrays(
+                total_requests, columns
             )
-            if self.charge_cloud_egress_only:
-                entry_src, entry_dst = np.repeat(src_cols, 2), np.repeat(dst_cols, 2)
-                entry_site = np.column_stack((src_cols, dst_cols)).ravel()
-                entry_bytes = np.column_stack((request_bytes, response_bytes))
-            else:
-                entry_src, entry_dst, entry_site = src_cols, dst_cols, None
-                entry_bytes = total_bytes
             lowering = _CostLowering(
                 stateful_columns=np.asarray(stateful, dtype=np.intp),
                 stateful_names=tuple(key[i] for i in stateful),
@@ -430,46 +397,26 @@ class CloudCostModel:
                 src_cols=src_cols,
                 dst_cols=dst_cols,
                 total_bytes=total_bytes,
-                entry_src=entry_src,
-                entry_dst=entry_dst,
-                entry_site=entry_site,
-                entry_bytes=entry_bytes.reshape(-1, 1),
             )
             self._lowerings[key] = lowering
         return lowering
 
-    def _rate_tables_for(
-        self, max_location: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _rate_tables_for(self, max_location: int) -> Tuple[np.ndarray, np.ndarray]:
         """Egress-rate lookup tables over location ids ``0..max_location``.
 
-        Returns ``(pair_bucket, site_bucket, billable, rates)``: the bucket index of
-        every (src, dst) link rate and of every billable site's own rate, plus the
-        distinct rate values each bucket maps to.
+        Returns ``(pair_bucket, rates)``: the bucket index of every (src, dst) link
+        rate, and the distinct rate values each bucket maps to.
         """
         cached = self._rate_table_cache.get(max_location)
         if cached is None:
             n = max_location + 1
             pair_rate = [[self._egress_rate(a, b) for b in range(n)] for a in range(n)]
-            site_rate = [
-                self.catalogs[loc].egress_usd_per_gb if loc in self.catalogs else 0.0
-                for loc in range(n)
-            ]
-            billable = np.asarray([loc in self.catalogs for loc in range(n)])
-            rates = sorted(
-                {rate for row in pair_rate for rate in row}
-                | {rate for rate, is_billable in zip(site_rate, billable) if is_billable}
-            )
+            rates = sorted({rate for row in pair_rate for rate in row})
             index_of = {rate: i for i, rate in enumerate(rates)}
             pair_bucket = np.asarray(
                 [[index_of[rate] for rate in row] for row in pair_rate], dtype=np.int64
             )
-            site_bucket = np.asarray(
-                [index_of.get(rate, 0) for rate in site_rate], dtype=np.int64
-            )
-            cached = (
-                pair_bucket, site_bucket, billable, np.asarray(rates, dtype=np.float64)
-            )
+            cached = (pair_bucket, np.asarray(rates, dtype=np.float64))
             self._rate_table_cache[max_location] = cached
         return cached
 
@@ -641,20 +588,19 @@ def _storage_groups(
 def _traffic_groups(
     models: Sequence[CloudCostModel], lowerings: Sequence[_CostLowering]
 ) -> List[Tuple[List[int], _CostLowering, np.ndarray]]:
-    """Models that bill the same entries (equal entry arrays) at the same rate tables
+    """Models that bill the same entries (equal edge columns) at the same rate tables
     (one shared cache), with their billed bytes side by side: ``(entries, 1, models)``."""
     groups = []
     for (lowering, _model), rows in _grouped(
         list(zip(lowerings, models)),
         lambda pair: (
-            pair[0].entry_src.tobytes(),
-            pair[0].entry_dst.tobytes(),
-            None if pair[0].entry_site is None else pair[0].entry_site.tobytes(),
+            pair[0].src_cols.tobytes(),
+            pair[0].dst_cols.tobytes(),
             id(pair[1]._rate_table_cache),
         ),
     ):
-        if lowering.entry_bytes.shape[0]:
-            entry_bytes = np.concatenate([lowerings[row].entry_bytes for row in rows], axis=1)
+        if lowering.total_bytes.size:
+            entry_bytes = np.column_stack([lowerings[row].total_bytes for row in rows])
             groups.append((rows, lowering, entry_bytes[:, None, :]))
     return groups
 
@@ -851,7 +797,7 @@ def _traffic_block(
     matrix: np.ndarray,
     lowering: _CostLowering,
     entry_bytes: np.ndarray,
-    tables: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    tables: Tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Eq. 10 for one block of plans with per-rate bucket accounting: ``(plans, G)``.
 
@@ -861,18 +807,13 @@ def _traffic_block(
     order (the scalar dict's insertion order), so multi-rate topologies keep the
     exact float summation sequence.
     """
-    pair_bucket, site_bucket, billable, rates = tables
+    pair_bucket, rates = tables
     n_plans = matrix.shape[0]
     n_entries = entry_bytes.shape[0]
-    src_locs = matrix[:, lowering.entry_src]
-    dst_locs = matrix[:, lowering.entry_dst]
+    src_locs = matrix[:, lowering.src_cols]
+    dst_locs = matrix[:, lowering.dst_cols]
     billed = src_locs != dst_locs
-    if lowering.entry_site is None:
-        buckets = pair_bucket[src_locs, dst_locs]
-    else:
-        site_locs = matrix[:, lowering.entry_site]
-        billed &= billable[site_locs]
-        buckets = site_bucket[site_locs]
+    buckets = pair_bucket[src_locs, dst_locs]
     # (entries, buckets, plans): which bucket each billed contribution lands in.
     into = (buckets.T[:, None, :] == np.arange(rates.size)[:, None]) & billed.T[:, None, :]
     usd = (

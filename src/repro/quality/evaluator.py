@@ -211,12 +211,13 @@ class QualityEvaluator:
         self._scenario_contexts: Dict[Tuple, _ScenarioContext] = {}
         # Robust result caches, one per (scenario set, aggregator) identity.
         self._robust_caches: Dict[Tuple, Dict[Tuple[int, ...], PlanQuality]] = {}
-        # Active binding: when set, every entry point (evaluate/evaluate_batch/
-        # evaluate_vectors/is_feasible/feasible_mask) defaults to robust evaluation
-        # over this scenario set — how the optimizers become scenario-robust for free.
+        # The problem's scenario axis, fixed at construction: every entry point
+        # (evaluate/evaluate_batch/evaluate_vectors/is_feasible/feasible_mask) then
+        # defaults to robust evaluation over this set, with the aggregator's
+        # WorstCase default — how the optimizers become scenario-robust for free.
         self._bound: Optional[Tuple[ScenarioSet, RobustAggregator]] = None
         if self.problem.scenarios is not None:
-            self.bind_scenarios(self.problem.scenarios, self.problem.aggregator)
+            self._bound = (self.problem.scenarios, self.problem.aggregator or WorstCase())
 
     def _key(self, plan: MigrationPlan) -> Tuple[int, ...]:
         """Cache key of one plan: its locations in the canonical component order."""
@@ -230,31 +231,6 @@ class QualityEvaluator:
         return self.problem.objective_names
 
     # -- scenario binding ------------------------------------------------------------------
-    def bind_scenarios(
-        self,
-        scenarios: "ScenarioSet | ScenarioSpec | Sequence[ScenarioSpec]",
-        aggregator: Optional[RobustAggregator] = None,
-    ) -> "QualityEvaluator":
-        """Make every entry point evaluate robustly over ``scenarios`` by default.
-
-        After binding, ``evaluate``/``evaluate_batch``/``evaluate_vectors``/
-        ``is_feasible``/``feasible_mask`` (and therefore AtlasGA, NSGA-II, random
-        search and the DRL reward loop, which only speak those) score each plan over
-        the whole scenario set and collapse the objectives with ``aggregator``
-        (default :class:`~repro.quality.scenarios.WorstCase`).  The result cache,
-        ``cache_size`` and ``evaluated_qualities`` switch to the bound robust cache.
-        """
-        self._bound = (ScenarioSet.coerce(scenarios), aggregator or WorstCase())
-        return self
-
-    def unbind_scenarios(self) -> None:
-        """Return to classic single-workload evaluation."""
-        self._bound = None
-
-    @property
-    def bound_scenarios(self) -> Optional[ScenarioSet]:
-        return self._bound[0] if self._bound is not None else None
-
     @property
     def bound_aggregator(self) -> Optional[RobustAggregator]:
         return self._bound[1] if self._bound is not None else None

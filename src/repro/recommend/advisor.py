@@ -61,6 +61,7 @@ from ..quality.problem import PlacementProblem
 from ..quality.scenario_factory import ScenarioFactory
 from ..quality.scenarios import RobustAggregator, ScenarioSet, ScenarioSpec
 from ..telemetry.server import TelemetryServer
+from ..workload.profiles import WorkloadScenario
 from .hierarchy import PlanHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -623,7 +624,7 @@ class Atlas:
         recommendation: Recommendation,
         executed_plan: MigrationPlan,
         update: DriftScenarioUpdate,
-        base_scenario: Optional[ScenarioSpec] = None,
+        base_scenario: Optional[WorkloadScenario] = None,
         budget: int = 48,
         seed: int = 0,
         bounds: Optional[AdversaryBounds] = None,
@@ -635,9 +636,11 @@ class Atlas:
         reports drift, the drifted APIs' fresh trace windows
         (``update.refreshed_traces``) are spliced into the evaluator — those APIs
         recompile, the rest keep everything — and the adversary re-runs against the
-        refreshed workload: the drift-compiled scenario
-        (``ScenarioSpec.from_workload(update.scenario, base_scenario)`` when both are
-        given) joins the seed population.  An API that drifted without a window
+        refreshed workload: when ``update.scenario`` and ``base_scenario`` (the
+        observed :class:`~repro.workload.profiles.WorkloadScenario` the knowledge
+        was learned under) are both given, the drift-compiled scenario
+        ``ScenarioSpec.from_workload(update.scenario, base_scenario)`` joins the seed
+        population as ``"drift-refresh"``.  An API that drifted without a window
         leaves the knowledge, and so the certificate's models, unchanged.  Without
         drift the existing certificate still stands and is returned unchanged.  The
         fresh certificate replaces ``recommendation.certificate``.

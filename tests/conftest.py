@@ -28,8 +28,13 @@ from repro.workload import WorkloadGenerator, default_scenario
 
 #: ``--hypothesis-profile=ci``: the deeper, reproducible budget CI gives the oracle
 #: suites (tests that pin their own ``max_examples`` keep it).  Tier-1 runs the
-#: default profile.
+#: ``tier-1`` profile, loaded here: Hypothesis's defaults without the 200 ms
+#: deadline, because a correctness property has no time budget and a busy host
+#: stretches one example past it.  ``--hypothesis-profile`` is applied after this
+#: module loads, so it still wins.
 settings.register_profile("ci", max_examples=500, derandomize=True, deadline=None)
+settings.register_profile("tier-1", deadline=None)
+settings.load_profile("tier-1")
 
 
 def make_tiny_app() -> Application:

@@ -144,7 +144,7 @@ class TestArtifactCache:
 # -- fingerprints -----------------------------------------------------------------------------
 class TestFingerprints:
     @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_distinct_trace_sets_get_distinct_keys(self, seed):
         rng = np.random.default_rng(seed)
         traces = [random_trace(rng, f"t{k}") for k in range(3)]
@@ -256,7 +256,7 @@ class TestCrossInstanceReuse:
 class TestSpliceEquivalence:
     @pytest.mark.parametrize("engine", ["compiled", "reference"])
     @given(data=st.data())
-    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_model_splice_bitwise_vs_fresh_model(self, tiny_model_factory, engine, data):
         """Any API subset, windows shorter than, as long as and longer than
         ``traces_per_api``, edge vocabularies held or moved: the spliced model and a
@@ -557,3 +557,29 @@ class TestDriftSpliceLoop:
         assert recommendation.certificate is certificate
         # The refreshed traces were installed in place (splice, not invalidate).
         assert evaluator.performance._traces[api] == refreshed[-15:]
+
+    def test_recertify_seeds_the_drift_refresh_scenario(self, tiny_app, tiny_atlas_pair):
+        """A drifted forecast, compiled against the observed workload it departs
+        from, is one of the certificate's seed families."""
+        atlas, _ = tiny_atlas_pair
+        recommendation = atlas.recommend(expected_scale=2.0)
+        api = recommendation.evaluator.performance.apis[0]
+        report = DriftReport(
+            api=api, baseline_divergence=0.1, recent_divergence=2.0, threshold_factor=5.0
+        )
+        observed = default_scenario(tiny_app)
+        forecast = default_scenario(tiny_app, base_rps=37.0, peak_rps=71.0)
+        update = DriftScenarioUpdate(reports={api: report}, scenario=forecast)
+        certificate = atlas.recertify(
+            recommendation,
+            recommendation.knee_point().plan,
+            update,
+            base_scenario=observed,
+            budget=6,
+        )
+        assert "drift-refresh" in certificate.family_regrets
+        # Without the base the forecast has nothing to be compiled against.
+        without = atlas.recertify(
+            recommendation, recommendation.knee_point().plan, update, budget=6
+        )
+        assert "drift-refresh" not in without.family_regrets

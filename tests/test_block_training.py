@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.optimizer import AtlasGA, CrossoverAgent, GAConfig
 from repro.optimizer.drl.agent import _PROB_CLIP
-from repro.quality import ScenarioSet, ScenarioSpec
+from repro.quality import PlacementProblem, ScenarioSet, ScenarioSpec
 
 
 # -- the references: the loop and the reward as they stood before block scoring --------------
@@ -186,8 +186,8 @@ S2 = ScenarioSet(
 
 def _evaluator(tiny_telemetry, robust):
     app, result = tiny_telemetry
-    evaluator = build_tiny_evaluator(app, result.telemetry)
-    return evaluator.bind_scenarios(S2) if robust else evaluator
+    problem = PlacementProblem.default(scenarios=S2) if robust else None
+    return build_tiny_evaluator(app, result.telemetry, problem=problem)
 
 
 def _visited(evaluator):

@@ -64,7 +64,7 @@ def random_delays(rng: np.random.Generator, edges) -> dict:
 
 class TestCompiledEquivalence:
     @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_matches_delay_injector_on_random_topologies(self, seed):
         rng = np.random.default_rng(seed)
         traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(1, 5)))]
@@ -80,7 +80,7 @@ class TestCompiledEquivalence:
                 assert got == want  # bitwise: fixed-seed searches stay engine-independent
 
     @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_replay_batch_rows_match_single_plan_replays(self, seed):
         rng = np.random.default_rng(seed)
         traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(1, 4)))]
@@ -356,7 +356,7 @@ class TestPackedDurableForm:
     back must be the same program."""
 
     @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_round_trip_is_array_for_array_equal_and_replays_bitwise(self, seed):
         rng = np.random.default_rng(seed)
         traces = [random_trace(rng, f"t{k}") for k in range(int(rng.integers(1, 6)))]

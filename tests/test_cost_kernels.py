@@ -88,7 +88,7 @@ def random_estimate(rng, names, steps, shuffle=True):
     return ResourceEstimate(step_ms=60_000.0, usage=usage, api_rates=api_rates)
 
 
-def random_world(rng, n_components, steps, topology, endpoint_billing):
+def random_world(rng, n_components, steps, topology):
     """A cost model over random jagged inputs plus its component order."""
     components = [f"c{i}" for i in range(n_components)]
     n_locations, catalogs = TOPOLOGIES[topology]
@@ -116,7 +116,6 @@ def random_world(rng, n_components, steps, topology, endpoint_billing):
         storage,
         baseline,
         time_compression=288.0,
-        charge_cloud_egress_only=endpoint_billing,
         catalogs=catalogs,
     )
     return model, components, n_locations
@@ -164,7 +163,7 @@ def random_matrix(rng, n_plans, n_components, n_locations):
     return matrix
 
 
-def three_bucket_model(endpoint_billing):
+def three_bucket_model():
     """Component ``a`` calls ``b``, ``c``, ``d``; placed at sites 1, 2, 3 their links
     bill $1, $2^-53 and $2^-53 into three distinct rate buckets, in that order."""
     components = ["a", "b", "c", "d"]
@@ -186,7 +185,6 @@ def three_bucket_model(endpoint_billing):
         NetworkFootprint(edges),
         {},
         MigrationPlan.all_on_prem(components),
-        charge_cloud_egress_only=endpoint_billing,
         catalogs=catalogs,
     )
     return model, components
@@ -314,13 +312,11 @@ class TestAggregateMatrix:
 
 
 class TestCostTerms:
-    @given(worlds, st.sampled_from(sorted(TOPOLOGIES)), st.booleans())
-    def test_every_term_matches_the_scalar_model(self, world, topology, endpoint_billing):
+    @given(worlds, st.sampled_from(sorted(TOPOLOGIES)))
+    def test_every_term_matches_the_scalar_model(self, world, topology):
         seed, n_components, steps, n_plans = world
         rng = np.random.default_rng(seed)
-        model, components, n_locations = random_world(
-            rng, n_components, steps, topology, endpoint_billing
-        )
+        model, components, n_locations = random_world(rng, n_components, steps, topology)
         matrix = random_matrix(rng, n_plans, n_components, n_locations)
         # The stack of one, then the model beside a price-shocked sibling: each row
         # must be its own model's scalar answer.
@@ -335,10 +331,11 @@ class TestCostTerms:
                     assert traffic[s, p].hex() == float(one.traffic_cost(plan)).hex()
                     assert total[s, p].hex() == float(one.qcost(plan)).hex()
 
-    @pytest.mark.parametrize("endpoint_billing", [False, True])
-    def test_traffic_kernel_keeps_the_entry_order(self, endpoint_billing):
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_traffic_kernel_keeps_the_entry_order(self, stacked):
         # Sixteen crossing edges of one API whose bytes only sum to the scalar
-        # answer when added first to last (see TestOrderedMaskedSum).
+        # answer when added first to last (see TestOrderedMaskedSum); alone or
+        # stacked beside a price-shocked sibling, every row keeps that order.
         components = [f"c{i}" for i in range(17)]
         sizes = [2.0**30] + [2.0**-23] * 15
         edges = [
@@ -356,53 +353,51 @@ class TestCostTerms:
             NetworkFootprint(edges),
             {},
             MigrationPlan.all_on_prem(components),
-            charge_cloud_egress_only=endpoint_billing,
         )
+        models = [model, price_shocked(model)] if stacked else [model]
         vector = [CLOUD] + [ON_PREM] * 16
         plan = MigrationPlan.from_vector(components, vector)
         for n_plans in (1, 2):
-            got = cost_terms([model], np.asarray([vector] * n_plans), components)[2][0]
-            assert hexes(got) == [model.traffic_cost(plan).hex()] * n_plans
+            got = cost_terms(models, np.asarray([vector] * n_plans), components)[2]
+            for s, one in enumerate(models):
+                assert hexes(got[s]) == [one.traffic_cost(plan).hex()] * n_plans
 
-    @pytest.mark.parametrize("endpoint_billing", [False, True])
-    def test_multi_bucket_plans_sum_buckets_in_first_contribution_order(
-        self, endpoint_billing
-    ):
+    def test_multi_bucket_plans_sum_buckets_in_first_contribution_order(self):
         # Three rate buckets worth $1, $2^-53 and $2^-53, first touched in that
         # order: the scalar dict adds them as inserted and stays at exactly $1, while
         # adding them in rate (bucket index) order starts with the two small ones.
-        model, components = three_bucket_model(endpoint_billing)
+        model, components = three_bucket_model()
         matrix = np.asarray([[0, 1, 2, 3], [0, 0, 2, 3], [0, 1, 2, 3]])
         got = cost_terms([model], matrix, components)[2][0]
         assert got.tolist() == [1.0, 2.0**-52, 1.0]
         for row, value in zip(matrix.tolist(), got):
             assert value == model.traffic_cost(MigrationPlan.from_vector(components, row))
 
-    @pytest.mark.parametrize("endpoint_billing", [False, True])
-    def test_scalar_oracle_does_not_lean_on_builtin_sum(self, monkeypatch, endpoint_billing):
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_scalar_oracle_does_not_lean_on_builtin_sum(self, monkeypatch, stacked):
         # CPython 3.12 made ``sum()`` over floats compensated; a plain left fold is
         # what the kernels reproduce.  ``fsum`` stands in for 3.12 on any interpreter.
         monkeypatch.setattr(cost_module, "sum", math.fsum, raising=False)
-        model, components = three_bucket_model(endpoint_billing)
+        model, components = three_bucket_model()
         plan = MigrationPlan.from_vector(components, [0, 1, 2, 3])
         assert model.traffic_cost(plan) == 1.0
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            model, components, n_locations = random_world(
-                rng, 24, 18, "4loc", endpoint_billing
-            )
+            model, components, n_locations = random_world(rng, 24, 18, "4loc")
+            models = [model, price_shocked(model)] if stacked else [model]
             matrix = random_matrix(rng, 6, len(components), n_locations)
-            _compute, (storage,), (traffic,) = cost_terms([model], matrix, components)
-            for p, row in enumerate(matrix.tolist()):
-                plan = MigrationPlan.from_vector(components, row)
-                assert storage[p].hex() == float(model.storage_cost(plan)).hex()
-                assert traffic[p].hex() == float(model.traffic_cost(plan)).hex()
+            _compute, storage, traffic = cost_terms(models, matrix, components)
+            for s, one in enumerate(models):
+                for p, row in enumerate(matrix.tolist()):
+                    plan = MigrationPlan.from_vector(components, row)
+                    assert storage[s, p].hex() == float(one.storage_cost(plan)).hex()
+                    assert traffic[s, p].hex() == float(one.traffic_cost(plan)).hex()
 
 
 class TestMemoLaws:
     def _world(self, seed=5, topology="3loc"):
         rng = np.random.default_rng(seed)
-        return random_world(rng, 12, 18, topology, False) + (rng,)
+        return random_world(rng, 12, 18, topology) + (rng,)
 
     def test_storage_memo_keys_on_stateful_columns_only(self):
         model, components, n_locations, rng = self._world()

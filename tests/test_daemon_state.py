@@ -842,14 +842,12 @@ _window = st.one_of(
 # A range wider than a double can span overflows inside ``np.linspace`` on both sides.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestHistogramFreeKL:
-    @settings(deadline=None)
     @given(reference=_window, candidate=_window, bins=st.integers(2, 64))
     def test_equals_the_histogram_formulation(self, reference, candidate, bins):
         assert _outcome(kl_divergence, reference, candidate, bins) == _outcome(
             histogram_kl, reference, candidate, bins
         )
 
-    @settings(deadline=None)
     @given(
         reference=_window,
         candidate=_window,
@@ -1306,7 +1304,6 @@ def test_the_write_protocol_state_machine(protocol_world):
         settings=settings(
             max_examples=300 if deep else 50,
             stateful_step_count=16 if deep else 12,
-            deadline=None,
             suppress_health_check=list(HealthCheck),
         ),
     )

@@ -72,7 +72,7 @@ def _relabel(path, version: int) -> None:
 # -- (a) compiled sets ------------------------------------------------------------------------
 class TestLoadedCompiledSet:
     @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_replay_never_opens_the_splice_state(self, seed):
         """A loaded set replays bitwise, builds no ``Trace`` and holds nothing per
         trace (the name is older than the removal of the per-trace splice state)."""
@@ -154,7 +154,7 @@ def _random_result(rng) -> SearchResult:
 
 class TestLoadedSearchResult:
     @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_the_front_is_served_without_decoding_the_archive(self, seed):
         original = _random_result(np.random.default_rng(seed))
         blob = _dumps(original)
@@ -192,7 +192,7 @@ class TestLoadedSearchResult:
         assert again.all_evaluated == loaded.all_evaluated
 
     @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_value_protocols_behave_as_on_an_eager_result(self, seed):
         original = _random_result(np.random.default_rng(seed))
         blob = _dumps(original)

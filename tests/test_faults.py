@@ -189,7 +189,7 @@ class TestFaultValidation:
 class TestFaultMonotonicity:
     """Law 2: an outage never improves QPerf/QAvai over the fault-free baseline."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         vector=plans_strategy,
         penalty=st.floats(min_value=1.0, max_value=16.0),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps import ExecutionMode
@@ -254,7 +254,6 @@ _SPECIAL = [0.0, -0.0, float("nan"), -3.5, 7.25]
 
 
 class TestVectorisedPredict:
-    @settings(deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
     def test_predict_is_the_element_by_element_loop(self, tiny_telemetry, seed, n_extra):
         """Random models (negative, ``-0.0`` and ``nan`` idles and coefficients) over

@@ -121,7 +121,7 @@ class TestDegeneration:
     """Adding an unreachable/priced-out third site must not change anything."""
 
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=6, max_size=6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_two_location_plans_score_identically(self, tiny_stack, vector):
         app, build_evaluator = tiny_stack
         two_dc = build_evaluator(locations=(ON_PREM, CLOUD))
@@ -184,7 +184,7 @@ class TestDegeneration:
 
 class TestEngineEquivalenceThreeLocations:
     @given(st.lists(st.integers(min_value=0, max_value=2), min_size=6, max_size=6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_compiled_matches_oracle(self, tiny_stack, vector):
         app, build_evaluator = tiny_stack
         compiled = build_evaluator(locations=THREE_LOCATIONS, engine="compiled")
@@ -457,44 +457,6 @@ class TestMultiLocationQuality:
         by_location = evaluator.cost.node_series_by_location(east)
         assert set(by_location) == {CLOUD, 2}
         assert sum(by_location[2]) == 0  # nothing placed west under the east plan
-
-    def test_cloud_egress_only_bills_each_endpoint_site(self, tiny_stack):
-        """With per-endpoint egress billing, request bytes are charged at the caller's
-        site rate and response bytes at the callee's; the 2-DC single-catalog path
-        matches the flat-rate accounting for plans with one billable endpoint."""
-        app, build_evaluator = tiny_stack
-        flat = build_evaluator().cost
-        endpoint = build_evaluator().cost
-        endpoint.charge_cloud_egress_only = True
-        components = app.component_names
-        # One component in the cloud: every cross edge has exactly one billable side,
-        # so the endpoint accounting bills a subset of the flat-rate bytes.
-        plan = MigrationPlan.from_offloaded(components, [components[0]])
-        assert 0.0 < endpoint.traffic_cost(plan) <= flat.traffic_cost(plan)
-
-    def test_footprint_cross_location_traffic_matrix(self, tiny_stack):
-        app, build_evaluator = tiny_stack
-        evaluator = build_evaluator(locations=THREE_LOCATIONS)
-        footprint = evaluator.cost.footprint
-        counts = {api: 10.0 for api in evaluator.performance.apis}
-        components = app.component_names
-        collocated = MigrationPlan.all_on_prem(components)
-        assert footprint.expected_cross_location_traffic(collocated, counts) == {}
-        split = MigrationPlan.from_offloaded(components, [components[0]], location=2)
-        loads = footprint.expected_cross_location_traffic(split, counts)
-        assert loads, "splitting a communicating component must load some link"
-        assert all(a != b for a, b in loads)
-        assert set(sum(([a, b] for a, b in loads), [])) <= {0, 2}
-        assert all(v > 0 for v in loads.values())
-        # Conservation: summed link load equals the flat pair-traffic restricted to
-        # cross-location pairs.
-        pair_traffic = footprint.expected_pair_traffic(counts)
-        expected = sum(
-            bytes_
-            for (src, dst), bytes_ in pair_traffic.items()
-            if split[src] != split[dst]
-        )
-        assert sum(loads.values()) == pytest.approx(expected)
 
     def test_availability_weights_scale_with_destination(self, tiny_stack):
         app, build_evaluator = tiny_stack

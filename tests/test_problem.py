@@ -154,7 +154,7 @@ vectors_strategy = st.lists(
 class TestDefaultStackIdentity:
     """Law 1: the default problem is byte-identical to the legacy hardcoded stack."""
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(vectors=vectors_strategy)
     def test_default_problem_matches_legacy_evaluation(self, problem_stack, vectors):
         _app, _telemetry, build_evaluator = problem_stack
@@ -169,7 +169,7 @@ class TestDefaultStackIdentity:
             assert a.violations == b.violations
         assert legacy.evaluations == declared.evaluations
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(vectors=vectors_strategy)
     def test_batched_matches_scalar_oracle(self, problem_stack, vectors):
         """The plugin engine's batched path equals the plugin scalar oracle bitwise."""
@@ -187,7 +187,7 @@ class TestDefaultStackIdentity:
             assert reference.feasible == quality.feasible
             assert reference.violations == quality.violations
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(vectors=vectors_strategy)
     def test_extra_objective_leaves_the_default_columns_bitwise(
         self, problem_stack, vectors
@@ -254,31 +254,44 @@ class TestDefaultStackIdentity:
         ).recommend()
         assert _fingerprint(legacy_random) == _fingerprint(declared_random)
 
-    def test_scenario_bound_problem_matches_legacy_binding(self, problem_stack):
-        """A problem with scenarios arrives pre-bound, equal to bind_scenarios."""
-        _app, _telemetry, build_evaluator = problem_stack
+    def test_scenario_bound_problem_matches_explicit_scenarios(self, problem_stack):
+        """A problem with scenarios arrives pre-bound: every door that takes
+        ``scenarios=`` answers as if the problem's set were passed explicitly."""
+        app, _telemetry, build_evaluator = problem_stack
         scenarios = ScenarioSet(
             (ScenarioSpec(name="observed"), ScenarioSpec(name="burst", rate_scale=2.0))
         )
-        legacy = build_evaluator().bind_scenarios(scenarios)
+        explicit = build_evaluator()
         declared = build_evaluator(
             problem=PlacementProblem.default(scenarios=scenarios)
         )
-        assert declared.bound_scenarios is not None
+        assert isinstance(declared.bound_aggregator, WorstCase)
         vectors = [[0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0]]
-        for a, b in zip(
-            legacy.evaluate_vectors(vectors), declared.evaluate_vectors(vectors)
-        ):
+        plans = [MigrationPlan.from_vector(app.component_names, v) for v in vectors]
+        for a, b in [
+            *zip(
+                explicit.evaluate_vectors(vectors, scenarios=scenarios),
+                declared.evaluate_vectors(vectors),
+            ),
+            *zip(
+                explicit.evaluate_batch(plans, scenarios=scenarios),
+                declared.evaluate_batch(plans),
+            ),
+        ]:
             assert repr(tuple(a.objectives())) == repr(tuple(b.objectives()))
             assert a.feasible == b.feasible
             assert a.violations == b.violations
             assert len(a.scenarios) == len(b.scenarios) == 2
+        assert (
+            explicit.feasible_mask(vectors, scenarios=scenarios).tolist()
+            == declared.feasible_mask(vectors).tolist()
+        )
 
 
 class TestSenseMonotonicity:
     """Law 2: the minimized view is monotone in the raw score, per sense."""
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         scores=st.lists(
             st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
@@ -318,7 +331,7 @@ class TestSenseMonotonicity:
 class TestConstraintMaskLaw:
     """Law 3: the vectorized mask agrees with the materialized violation strings."""
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(vectors=vectors_strategy)
     def test_mask_iff_violations(self, problem_stack, vectors):
         _app, _telemetry, build_evaluator = problem_stack
@@ -332,7 +345,7 @@ class TestConstraintMaskLaw:
                 strings = check.materialize(row)
                 assert bool(check.violated[row]) == bool(strings)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(vectors=vectors_strategy)
     def test_scalar_violations_match_batched_mask(self, problem_stack, vectors):
         _app, _telemetry, build_evaluator = problem_stack

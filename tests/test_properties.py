@@ -39,7 +39,7 @@ objective_vectors = st.lists(
 
 class TestParetoProperties:
     @given(objective_vectors)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_front_members_are_mutually_non_dominated(self, points):
         front = pareto_front(points, key=lambda p: p)
         for a in front:
@@ -48,7 +48,7 @@ class TestParetoProperties:
                     assert not dominates(a, b)
 
     @given(objective_vectors)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_every_point_dominated_by_or_in_front(self, points):
         front = pareto_front(points, key=lambda p: p)
         for point in points:
@@ -57,7 +57,7 @@ class TestParetoProperties:
             )
 
     @given(objective_vectors)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_non_dominated_sort_partitions_population(self, points):
         fronts = non_dominated_sort(points)
         indices = [i for front in fronts for i in front]
@@ -67,14 +67,14 @@ class TestParetoProperties:
             assert not any(dominates(points[j], points[i]) for j in range(len(points)) if j != i)
 
     @given(objective_vectors)
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_crowding_distance_non_negative(self, points):
         distances = crowding_distance(points)
         assert len(distances) == len(points)
         assert all(d >= 0 for d in distances)
 
     @given(objective_vectors, st.integers(min_value=1, max_value=10))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_survival_selection_size_and_validity(self, points, capacity):
         survivors = survival_selection(points, capacity)
         assert len(survivors) == min(capacity, len(points))
@@ -84,7 +84,7 @@ class TestParetoProperties:
 
 class TestPlanProperties:
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_vector_round_trip(self, vector):
         components = [f"c{i}" for i in range(len(vector))]
         plan = MigrationPlan.from_vector(components, vector)
@@ -99,7 +99,7 @@ class TestNetworkProperties:
         st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
         st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_extra_delay_non_negative_and_monotone_in_payload(self, small, extra):
         network = default_network_model()
         before = (ON_PREM, ON_PREM)
@@ -115,7 +115,7 @@ class TestAutoscalerProperties:
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_nodes_cover_demand_with_headroom(self, cpu, memory):
         spec = NodeSpec("n", 2_000.0, 8_192.0)
         scaler = ClusterAutoscaler(spec, AutoscalerConfig(0.2, 0.2))
@@ -126,7 +126,7 @@ class TestAutoscalerProperties:
             assert nodes * spec.memory_mb >= memory
 
     @given(st.lists(st.floats(min_value=0.0, max_value=500.0, allow_nan=False), min_size=1, max_size=30))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_storage_capacity_never_decreases(self, usage):
         scaler = StorageAutoscaler(AutoscalerConfig(storage_headroom=0.2))
         series = scaler.capacity_series(usage, migrated_data_gb=50.0)
@@ -152,7 +152,7 @@ class TestDelayInjectionProperties:
         st.lists(st.floats(min_value=0.5, max_value=20.0, allow_nan=False), min_size=1, max_size=6),
         st.lists(st.floats(min_value=0.0, max_value=60.0, allow_nan=False), min_size=1, max_size=6),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_injected_latency_never_decreases_and_bounded_by_total_delay(self, durations, delays):
         trace = _chain_trace(durations)
         edge_delays = {
@@ -165,7 +165,7 @@ class TestDelayInjectionProperties:
         assert injected <= trace.latency_ms + sum(edge_delays.values()) + 1e-6
 
     @given(st.lists(st.floats(min_value=0.5, max_value=20.0, allow_nan=False), min_size=1, max_size=6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_zero_delays_are_identity(self, durations):
         trace = _chain_trace(durations)
         injected = DelayInjector(trace).inject({})
@@ -177,7 +177,7 @@ class TestKLProperties:
         st.lists(st.floats(min_value=1.0, max_value=1_000.0, allow_nan=False), min_size=5, max_size=100),
         st.lists(st.floats(min_value=1.0, max_value=1_000.0, allow_nan=False), min_size=5, max_size=100),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_kl_non_negative_and_zero_on_self(self, a, b):
         # A range a few floats wide cannot hold twenty bins: the documented ValueError
         # (``tests/test_daemon_state.py::TestHistogramFreeKL``), not this property.

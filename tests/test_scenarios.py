@@ -60,6 +60,9 @@ S4 = ScenarioSet(
         ScenarioSpec(name="chatty", payload_factors={"/read": 3.0}),
     )
 )
+#: The baseline scenario alone as a problem's robust axis: a run over it is the
+#: classic run with a per-scenario breakdown.
+BASELINE_PROBLEM = PlacementProblem.default(scenarios=ScenarioSet.baseline())
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +132,7 @@ vectors_strategy = st.lists(
 class TestSingleScenarioIdentity:
     """Law 1: the default scenario is byte-identical to the classic path."""
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(vectors=vectors_strategy)
     def test_baseline_scenario_matches_classic_evaluation(self, scenario_stack, vectors):
         _app, _telemetry, build_evaluator = scenario_stack
@@ -168,7 +171,7 @@ class TestSingleScenarioIdentity:
             seed=11,
         )
         classic = AtlasGA(build_evaluator(), app.component_names, config=config).run()
-        bound_evaluator = build_evaluator().bind_scenarios(ScenarioSet.baseline())
+        bound_evaluator = build_evaluator(problem=BASELINE_PROBLEM)
         bound = AtlasGA(bound_evaluator, app.component_names, config=config).run()
         assert _fingerprint(classic.all_evaluated) == _fingerprint(bound.all_evaluated)
         assert _fingerprint(classic.pareto) == _fingerprint(bound.pareto)
@@ -191,7 +194,7 @@ class TestSingleScenarioIdentity:
             context(build_evaluator()), population_size=16, evaluation_budget=160, seed=5
         ).recommend()
         bound_nsga = AffinityNSGA2Baseline(
-            context(build_evaluator().bind_scenarios(ScenarioSet.baseline())),
+            context(build_evaluator(problem=BASELINE_PROBLEM)),
             population_size=16,
             evaluation_budget=160,
             seed=5,
@@ -202,7 +205,7 @@ class TestSingleScenarioIdentity:
             context(build_evaluator()), evaluation_budget=150, seed=9
         ).recommend()
         bound_random = RandomSearchBaseline(
-            context(build_evaluator().bind_scenarios(ScenarioSet.baseline())),
+            context(build_evaluator(problem=BASELINE_PROBLEM)),
             evaluation_budget=150,
             seed=9,
         ).recommend()
@@ -276,7 +279,7 @@ class TestAggregators:
 
     aggregators = [WorstCase(), WeightedMean(), CVaR(0.4), CVaR(1.0)]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         values=st.lists(
             st.lists(
@@ -307,7 +310,7 @@ class TestAggregators:
             bumped_combined = aggregator.combine(bumped, weight_array)
             assert bumped_combined[0] >= combined[0] - 1e-12 * (1 + abs(combined[0]))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         row=st.lists(
             st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -342,7 +345,7 @@ class TestAggregators:
         with pytest.raises(ValueError):
             CVaR(1.5)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         values=st.lists(
             st.lists(
@@ -514,7 +517,7 @@ class TestBoundEvaluatorDoors:
 
     def test_bound_evaluate_and_masks_agree(self, scenario_stack):
         app, _telemetry, build_evaluator = scenario_stack
-        bound = build_evaluator().bind_scenarios(S4)
+        bound = build_evaluator(problem=PlacementProblem.default(scenarios=S4))
         explicit = build_evaluator()
         vectors = [[0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0]]
         via_bound = bound.evaluate_vectors(vectors)
@@ -538,8 +541,6 @@ class TestBoundEvaluatorDoors:
         )
         assert bound.cache_size() == 2
         assert all(q.scenarios for q in bound.evaluated_qualities())
-        bound.unbind_scenarios()
-        assert bound.cache_size() == 0  # classic cache is untouched
 
     def test_single_plan_doors_agree_on_a_bound_evaluator(self, scenario_stack):
         """``is_feasible``, ``constraint_violations`` and ``evaluate`` are one answer.

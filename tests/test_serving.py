@@ -118,7 +118,7 @@ class TestArtifactStore:
 # -- bitwise round-trip over random topologies ------------------------------------------------
 class TestStoreRoundTripBitwise:
     @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_compiled_set_round_trips_bitwise(self, seed):
         rng = np.random.default_rng(seed)
         compiled = _random_compiled(rng)

@@ -192,7 +192,7 @@ def certified(certificate):
 class TestSharedStateEqualsACompileOfItsOwn:
     """Law 1: a warm evaluator ≡ a cold evaluator with no cache, bitwise."""
 
-    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     @given(
         data=st.data(),
         sites=st.sampled_from((2, 3)),

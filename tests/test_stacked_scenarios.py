@@ -49,6 +49,7 @@ from repro.quality import (
     LinkDegradation,
     LocationOutage,
     MigrationPreferences,
+    PlacementProblem,
     PriceShock,
     PricingCatalog,
     QualityEvaluator,
@@ -98,7 +99,7 @@ def stacked_stack(tiny_telemetry):
     estimate = estimator.predict_scaled(3.0)
     limit = estimate.peak("cpu_millicores", app.component_names) * 1.1
 
-    def build(endpoint_billing=False, location_weights=None, budget=float("inf")):
+    def build(location_weights=None, budget=float("inf"), scenarios=None, aggregator=None):
         performance = ApiPerformanceModel(
             traces_by_api={api: p.sample_traces for api, p in profiles.items()},
             footprint=footprint,
@@ -118,7 +119,6 @@ def stacked_stack(tiny_telemetry):
             {c.name: c.resources.storage_gb for c in app.components},
             baseline,
             time_compression=288.0,
-            charge_cloud_egress_only=endpoint_billing,
             catalogs={CLOUD: PricingCatalog(), 2: WEST},
         )
         return QualityEvaluator(
@@ -135,6 +135,7 @@ def stacked_stack(tiny_telemetry):
             estimate=estimate,
             component_order=app.component_names,
             estimator=estimator,
+            problem=PlacementProblem.default(scenarios=scenarios, aggregator=aggregator),
         )
 
     rng = np.random.default_rng(3)
@@ -213,13 +214,12 @@ def hexes(values):
 class TestStackedPassEqualsIndependentEvaluators:
     """Law 2 over faults × sites × scenario sets × plan counts, bitwise."""
 
-    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     @given(
         scenario_set=scenario_sets(),
         aggregator=st.sampled_from([WorstCase(), WeightedMean(), CVaR(0.5)]),
         n_plans=plan_counts,
         seed=st.integers(0, 2**32 - 1),
-        endpoint_billing=st.booleans(),
         location_weights=st.sampled_from([None, {2: 1.5}]),
         tight_budget=st.booleans(),
     )
@@ -230,17 +230,17 @@ class TestStackedPassEqualsIndependentEvaluators:
         aggregator,
         n_plans,
         seed,
-        endpoint_billing,
         location_weights,
         tight_budget,
     ):
         app, build, median_cost = stacked_stack
 
-        def fresh():
+        def fresh(scenarios=None, aggregator=None):
             return build(
-                endpoint_billing=endpoint_billing,
                 location_weights=location_weights,
                 budget=median_cost if tight_budget else float("inf"),
+                scenarios=scenarios,
+                aggregator=aggregator,
             )
 
         rng = np.random.default_rng(seed)
@@ -274,7 +274,7 @@ class TestStackedPassEqualsIndependentEvaluators:
                 q.values[k] for q in robust
             )
 
-        doors = fresh().bind_scenarios(scenario_set, aggregator)
+        doors = fresh(scenario_set, aggregator)
         assert doors.feasible_mask(vectors).tolist() == [q.feasible for q in robust]
         costs = np.asarray([[q.cost for q in single] for single in singles])
         assert hexes(doors.qcost_vectors(vectors)) == hexes(
@@ -324,7 +324,7 @@ class TestOneWalkPerSite:
         self, stacked_stack, monkeypatch
     ):
         app, build, _median = stacked_stack
-        evaluator = build().bind_scenarios(ROBUST_S4)
+        evaluator = build(scenarios=ROBUST_S4)
         calls = self._spied(monkeypatch)
         # Two billable sites; four scenarios share one availability model.
         assert self._fresh_calls(app, evaluator, calls) == [
@@ -339,7 +339,7 @@ class TestOneWalkPerSite:
                 for factor in (0.5, 2.0, 3.0)
             )
         )
-        evaluator = build().bind_scenarios(shocked)
+        evaluator = build(scenarios=shocked)
         calls = self._spied(monkeypatch)
         assert self._fresh_calls(app, evaluator, calls) == [
             {"walks": 3 * 2, "disruption": 1}
@@ -349,8 +349,8 @@ class TestOneWalkPerSite:
         self, stacked_stack, monkeypatch
     ):
         app, build, _median = stacked_stack
-        evaluator = build().bind_scenarios(
-            ScenarioSet(
+        evaluator = build(
+            scenarios=ScenarioSet(
                 (
                     ScenarioSpec(name="observed"),
                     ScenarioSpec(name="burst", rate_scale=2.0),
@@ -391,7 +391,7 @@ class TestCostMemoAcrossDoors:
     def test_second_door_pays_no_cost_kernel(self, stacked_stack, monkeypatch, first):
         app, build, median_cost = stacked_stack
         # A finite budget: the constraint-only pass has to price every plan.
-        evaluator = build(budget=median_cost).bind_scenarios(ROBUST_S4)
+        evaluator = build(budget=median_cost, scenarios=ROBUST_S4)
         calls = self._spied(monkeypatch)
         vectors = np.random.default_rng(5).integers(
             0, len(SITES), size=(40, len(app.component_names))
