@@ -244,6 +244,8 @@ class ResourceEstimator:
 
     #: Memo of :meth:`content_digest`; dropped by :meth:`fit`, never copied or pickled.
     _digest: Optional[str] = None
+    #: Traces the telemetry held when :meth:`fit` began (``None``: never fitted).
+    _fit_traces: Optional[int] = None
 
     def __init__(self, application: Application, telemetry: TelemetryServer) -> None:
         self.application = application
@@ -262,6 +264,7 @@ class ResourceEstimator:
     def fit(self) -> "ResourceEstimator":
         """Fit attribution models from the telemetry collected during application learning."""
         self._digest = None  # before the first write, so a failed fit leaves no stale memo
+        self._fit_traces = len(self.telemetry.traces)  # before the read: never under-counts
         rates = self.telemetry.api_request_rates()
         if not rates:
             raise ValueError("telemetry contains no API traffic to fit on")
@@ -300,6 +303,15 @@ class ResourceEstimator:
                 parts.append(f"{resource}|{component}|{idle!r}|{coef.tobytes().hex()}")
             self._digest = sha_parts(parts)
         return self._digest
+
+    def telemetry_grown(self) -> bool:
+        """Whether the telemetry took traces after :meth:`fit` began reading it.
+
+        :meth:`predict_scaled` reads the live request rates, so a grown store moves
+        its answer while :meth:`content_digest` stays.  The trace store only appends,
+        so comparing lengths is enough.
+        """
+        return len(self.telemetry.traces) != self._fit_traces
 
     @property
     def apis(self) -> List[str]:

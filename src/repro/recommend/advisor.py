@@ -22,9 +22,21 @@ Everything Atlas consumes comes from the :class:`~repro.telemetry.server.Telemet
 from __future__ import annotations
 
 import dataclasses
+import operator
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+from itertools import chain
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+    Union,
+)
 
 import numpy as np
 
@@ -341,6 +353,17 @@ class Atlas:
         )
         self.telemetry: Optional[TelemetryServer] = None
         self.knowledge: Optional[ApplicationKnowledge] = None
+        #: ``_memoised``'s process-local memos: never pickled or copied.
+        self._part_memos: Dict[object, Tuple[tuple, Optional[str]]] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_part_memos", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._part_memos = {}
 
     # -- topology ---------------------------------------------------------------------------
     @property
@@ -775,6 +798,41 @@ def _describe(value: object) -> Optional[str]:
     return text
 
 
+def _memoised(
+    atlas: Atlas, slot: object, inputs: tuple, build: Callable[[tuple], Optional[str]]
+) -> Optional[str]:
+    """``build(inputs)``, kept on ``atlas`` while this request's walk yields the same objects.
+
+    Sound only for inputs immutable all the way down (``tests/test_digests.py`` holds
+    each memoised type to that), where identity implies content.  The inputs are
+    compared one by one with ``is``, never ``==``: equal values can ``repr`` apart
+    (``-0.0`` and ``0.0``).  The containers holding them are still walked per request.
+    """
+    memo = atlas._part_memos.get(slot)
+    if (
+        memo is not None
+        and len(memo[0]) == len(inputs)
+        and all(map(operator.is_, memo[0], inputs))
+    ):
+        return memo[1]
+    text = build(inputs)
+    atlas._part_memos[slot] = (inputs, text)
+    return text
+
+
+def _plan_text(inputs: tuple) -> str:
+    (plan,) = inputs
+    return repr(sorted(plan.items()))
+
+
+def _storage_text(components: tuple) -> str:
+    return repr([(comp.name, comp.resources.storage_gb) for comp in components])
+
+
+def _catalogs_text(flat: tuple) -> Optional[str]:
+    return _describe(list(zip(flat[::2], flat[1::2])))
+
+
 def _content_parts(atlas: Atlas, traces: bool) -> Optional[List[str]]:
     """The fingerprint parts of a learned tenant, or ``None`` if one has no description.
 
@@ -782,7 +840,9 @@ def _content_parts(atlas: Atlas, traces: bool) -> Optional[List[str]]:
     stateful components; then the footprint, the fitted estimator, the network, the
     baseline plan, the locations, the components with their storage, and the
     preferences, config and pricing catalogs.  A request key reads the traces; an
-    evaluator's compiled-scenario digest must not, so a splice keeps it.
+    evaluator's compiled-scenario digest must not, so a splice keeps it.  The parts
+    built only from immutable objects (trace sets, plan, components, catalogs) are
+    ``_memoised``; the mutable preferences and config are described every time.
     """
     knowledge = atlas.knowledge
     parts: List[str] = []
@@ -790,23 +850,27 @@ def _content_parts(atlas: Atlas, traces: bool) -> Optional[List[str]]:
         profile = knowledge.api_profiles[api]
         parts.append(api)
         if traces:
-            parts.append(fingerprint_traces(profile.sample_traces))
+            parts.append(
+                _memoised(
+                    atlas, ("traces", api), tuple(profile.sample_traces), fingerprint_traces
+                )
+            )
         parts.append(",".join(sorted(profile.stateful_components)))
     parts.append(knowledge.footprint.content_digest())
     parts.append(knowledge.estimator.content_digest())
     parts.append(fingerprint_network(atlas.network))
-    parts.append(repr(sorted(atlas.current_plan.items())))
+    parts.append(_memoised(atlas, "plan", (atlas.current_plan,), _plan_text))
     parts.append(repr(list(atlas.locations)))
     parts.append(repr(atlas.application.component_names))
     parts.append(
-        repr([(comp.name, comp.resources.storage_gb) for comp in atlas.application.components])
+        _memoised(atlas, "storage", tuple(atlas.application.components), _storage_text)
     )
-    for described in (
-        atlas.preferences,
-        atlas.config,
-        sorted(atlas._pricing_catalogs().items()),
+    catalogs = sorted(atlas._pricing_catalogs().items())
+    for text in (
+        _describe(atlas.preferences),
+        _describe(atlas.config),
+        _memoised(atlas, "catalogs", tuple(chain.from_iterable(catalogs)), _catalogs_text),
     ):
-        text = _describe(described)
         if text is None:
             return None
         parts.append(text)
@@ -1027,8 +1091,9 @@ class AdvisorService:
         Covers everything the (deterministic, seeded) search consumes: the learned
         knowledge (per-API trace sets, stateful components, footprint, fitted
         estimator state, an installed crossover agent and re-plan prior), the network, the baseline
-        plan, the topology, the config and the call's own arguments.  Equal keys
-        therefore imply an identical recommendation; any argument without a
+        plan, the topology, the config and the call's own arguments — and, once the
+        telemetry took traces after ``fit()``, the rates ``predict_scaled`` reads.
+        Equal keys therefore imply an identical recommendation; any argument without a
         content-stable description makes the whole request unmemoizable (a miss,
         never a wrong hit).
         """
@@ -1052,4 +1117,10 @@ class AdvisorService:
         if knowledge.replan_prior is not None:
             # Likewise: every prior-less key keeps its hex.
             parts.append(f"prior={knowledge.replan_prior.content_digest()}")
+        estimator = knowledge.estimator
+        if kwargs.get("api_rates") is None and estimator.telemetry_grown():
+            # ``predict_scaled`` reads the live rates, which the fitted digest does not
+            # cover once traces arrive after ``fit()``; likewise only then.
+            rates = estimator.telemetry.api_request_rates()
+            parts.append(f"observed={sha_parts([repr(list(rates.items()))])}")
         return ("recommend", sha_parts(parts))

@@ -5,7 +5,8 @@ The content objects that never change after construction own their digest:
 ``NetworkFootprint``, ``NetworkModel`` and a fitted ``ResourceEstimator`` keep their
 hex (the footprint also the per-API byte tuples a Δ-table key reads), and
 ``fingerprint_traces`` / ``AdvisorService._request_key`` only compose those pieces
-while still walking every mutable container per call.  The hashers as they stood
+while still walking every mutable container per call; the ``Atlas`` keeps the texts
+composed from immutable inputs and reuses one only for the very same input objects.  The hashers as they stood
 before — walking every span, edge and coefficient on every request — live on below as
 the oracles.  The law is on *values*: the hex names objects in the durable store and
 keys the request journal, so it must not move by a bit, first call and cached call.
@@ -26,16 +27,19 @@ from hypothesis import strategies as st
 from test_artifacts import TINY_GA, _perturb
 from test_compiled import random_trace
 
-from repro.cluster import LinkSpec, NetworkModel
+from repro.analysis.testbed import build_testbed
+from repro.apps import Component, ResourceProfile
+from repro.cluster import AutoscalerConfig, LinkSpec, MigrationPlan, NetworkModel, NodeSpec
 from repro.learning import EdgeFootprint, NetworkFootprint, ResourceEstimator
 from repro.optimizer import CrossoverAgent
-from repro.quality import CompiledTraceSet, MigrationPreferences
+from repro.quality import CompiledTraceSet, MigrationPreferences, PricingCatalog
 from repro.quality.artifacts import (
     fingerprint_footprint,
     fingerprint_network,
     fingerprint_traces,
 )
 from repro.recommend import AdvisorService, Atlas, AtlasConfig, ReplanPrior
+from repro.recommend import advisor
 from repro.recommend.advisor import _describe
 from repro.serving import AdvisorDaemon, ArtifactStore, MonitorSample
 from repro.simulator import simulate_workload
@@ -440,6 +444,190 @@ class TestInvalidation:
         )
 
 
+# -- (b2) the parts an Atlas memoises: reused by identity, rebuilt on any new input ---------------
+#: What ``_content_parts`` builds once per input and keeps on the ``Atlas``.
+MEMOISED_BUILDERS = ("fingerprint_traces", "_plan_text", "_storage_text", "_catalogs_text")
+
+
+def _spy_builders(monkeypatch):
+    calls = []
+    for name in MEMOISED_BUILDERS:
+        original = getattr(advisor, name)
+
+        def spy(inputs, _name=name, _original=original):
+            calls.append(_name)
+            return _original(inputs)
+
+        monkeypatch.setattr(advisor, name, spy)
+    return calls
+
+
+class TestPartMemos:
+    def test_a_second_key_over_unchanged_content_builds_no_memoised_part(
+        self, tiny_atlas, monkeypatch
+    ):
+        service = AdvisorService()
+        kwargs = {"expected_scale": 2.0}
+        first = service._request_key(tiny_atlas, kwargs)
+        calls = _spy_builders(monkeypatch)
+        assert service._request_key(tiny_atlas, kwargs) == first
+        tiny_atlas.build_evaluator(expected_scale=2.0, artifact_cache=service.cache)
+        assert calls == []
+        # The spies see a build: a copy starts without memos and builds each part once.
+        twin = copy.copy(tiny_atlas)
+        assert service._request_key(twin, kwargs) == first
+        assert sorted(calls) == sorted(
+            ["fingerprint_traces"] * len(tiny_atlas.knowledge.apis) + list(MEMOISED_BUILDERS[1:])
+        )
+
+    def test_a_replaced_input_rebuilds_its_part(self, tiny_atlas, monkeypatch):
+        """Each memoised part's inputs replaced in turn: the key is the oracle
+        composition every time, and every replacement moves it from the last one."""
+        service = AdvisorService()
+        kwargs = {"expected_scale": 2.0}
+        seen = []
+
+        def key():
+            got = service._request_key(tiny_atlas, kwargs)
+            assert got == ("recommend", oracle_sha(oracle_request_parts(tiny_atlas, kwargs)))
+            seen.append(got)
+
+        key()
+        names = tiny_atlas.application.component_names
+        tiny_atlas.current_plan = MigrationPlan(
+            {name: int(name == "Cache") for name in names}, order=names
+        )
+        key()
+        application = tiny_atlas.application
+        database = application.component("Database")
+        grown = dataclasses.replace(
+            database, resources=dataclasses.replace(database.resources, storage_gb=11.0)
+        )
+        monkeypatch.setitem(application._components, "Database", grown)
+        key()
+        config = tiny_atlas.config
+        config.pricing = PricingCatalog(egress_usd_per_gb=0.07)
+        key()
+        config.pricing_by_location = {1: PricingCatalog(egress_usd_per_gb=0.0)}
+        key()
+        config.pricing_by_location[1] = PricingCatalog(egress_usd_per_gb=0.05)
+        key()
+        config.pricing_by_location[1] = PricingCatalog(egress_usd_per_gb=0.0)
+        key()
+        # Equal by ``==``, not by ``repr``: the catalog's text must be rebuilt.
+        negative_zero = PricingCatalog(egress_usd_per_gb=-0.0)
+        assert negative_zero == config.pricing_by_location[1]
+        config.pricing_by_location[1] = negative_zero
+        key()
+        assert all(before != after for before, after in zip(seen, seen[1:]))
+
+    def test_traffic_ingested_after_fit_joins_the_key(self, tiny_telemetry):
+        """``predict_scaled`` reads the live rates: once traces arrive after ``fit()``
+        the key carries them, and a served answer is the one a fresh build gives."""
+        app, result = tiny_telemetry
+        atlas = _learn_tiny(app, copy.deepcopy(result.telemetry))
+        service = AdvisorService()
+        kwargs = {"expected_scale": 2.0}
+        bare = service._request_key(atlas, kwargs)
+        assert bare == ("recommend", oracle_sha(oracle_request_parts(atlas, kwargs)))
+        served = service.recommend(atlas, **kwargs)
+
+        telemetry = atlas.telemetry
+        before = telemetry.api_request_rates()
+        last = telemetry.get_traces(api=atlas.knowledge.apis[0])[-1]
+        shift = 3 * telemetry.window_ms
+        telemetry.ingest_trace(
+            last.with_spans(
+                [dataclasses.replace(span, start_ms=span.start_ms + shift) for span in last.spans]
+            )
+        )
+        after = telemetry.api_request_rates()
+        assert len(next(iter(after.values()))) > len(next(iter(before.values())))
+        observed = oracle_sha([repr(list(after.items()))])
+        keyed = service._request_key(atlas, kwargs)
+        parts = oracle_request_parts(atlas, kwargs) + [f"observed={observed}"]
+        assert keyed == ("recommend", oracle_sha(parts)) != bare
+
+        answer = service.recommend(atlas, **kwargs)
+        assert answer is not served
+        fresh = atlas.build_evaluator(**kwargs).estimate.api_rates
+        assert answer.estimate.api_rates == fresh != served.estimate.api_rates
+
+        # Explicit rates read no telemetry, so their key gains no part.
+        explicit = {"api_rates": {api: [1.0, 2.0] for api in atlas.knowledge.apis}}
+        assert service._request_key(atlas, explicit) == (
+            "recommend",
+            oracle_sha(oracle_request_parts(atlas, explicit)),
+        )
+
+
+# -- (b3) the memos' soundness condition: every memoised input is immutable all the way down -----
+#: The types whose ``repr`` a memoised part is built from.
+MEMOISED_TYPES = (Component, ResourceProfile, PricingCatalog, NodeSpec, AutoscalerConfig)
+_LEAVES = (str, int, float, bool, type(None))
+
+
+def _assert_immutable(value, path):
+    """``value`` is a leaf, a tuple of such values or a frozen dataclass of them."""
+    if isinstance(value, _LEAVES):
+        return
+    if isinstance(value, tuple):
+        for position, item in enumerate(value):
+            _assert_immutable(item, f"{path}[{position}]")
+        return
+    assert dataclasses.is_dataclass(value), f"{path} is a {type(value).__name__}"
+    assert type(value).__dataclass_params__.frozen, f"{path} is not frozen"
+    for spec in dataclasses.fields(value):
+        _assert_immutable(getattr(value, spec.name), f"{path}.{spec.name}")
+
+
+@pytest.fixture(scope="module")
+def e2e_atlas():
+    """The end-to-end benchmark's 3-site social-network advisor (its learned inputs)."""
+    return build_testbed(
+        seed=7,
+        ga_seed=7,
+        application="social-network",
+        duration_ms=90_000.0,
+        base_rps=12.0,
+        peak_rps=22.0,
+        traces_per_api=10,
+        n_locations=3,
+    ).atlas
+
+
+class TestMemoSoundness:
+    @pytest.mark.parametrize("cls", MEMOISED_TYPES, ids=lambda cls: cls.__name__)
+    def test_memoised_types_are_frozen_dataclasses(self, cls):
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+
+    @pytest.mark.parametrize("which", ["tiny", "e2e"])
+    def test_memoised_inputs_are_immutable_all_the_way_down(
+        self, which, tiny_atlas, e2e_atlas
+    ):
+        atlas = tiny_atlas if which == "tiny" else e2e_atlas
+        for component in atlas.application.components:
+            _assert_immutable(component, component.name)
+        catalogs = sorted(atlas._pricing_catalogs().items())
+        for location, catalog in catalogs:
+            _assert_immutable(catalog, f"catalog {location}")
+        for catalog in (atlas.config.pricing, *(atlas.config.pricing_by_location or {}).values()):
+            assert isinstance(catalog, PricingCatalog)
+            _assert_immutable(catalog, "config catalog")
+        for api, profile in atlas.knowledge.api_profiles.items():
+            assert all(isinstance(trace, Trace) for trace in profile.sample_traces), api
+
+    def test_a_plan_holds_tuples(self, tiny_atlas, e2e_atlas):
+        # ``_index`` is the lookup ``_components`` interns (``_shared_order``), never written.
+        assert set(MigrationPlan.__slots__) == {"_components", "_locations", "_index"}
+        for plan in (tiny_atlas.current_plan, e2e_atlas.current_plan):
+            assert not hasattr(plan, "__dict__")
+            assert isinstance(plan._components, tuple) and isinstance(plan._locations, tuple)
+            _assert_immutable(plan._components, "components")
+            _assert_immutable(plan._locations, "locations")
+            assert plan._index == {name: i for i, name in enumerate(plan._components)}
+
+
 # -- (c) the memos are process-local ------------------------------------------------------------
 class TestMemosStayOutOfPickles:
     def test_trace_pickle_is_the_same_with_and_without_a_warm_memo(self):
@@ -454,6 +642,18 @@ class TestMemosStayOutOfPickles:
         loaded = pickle.loads(warm)
         assert loaded._content_stream is None
         assert fingerprint_traces([loaded]) == fingerprint_traces([trace])
+
+    def test_atlas_pickle_and_copies_carry_no_part_memo(self, tiny_atlas):
+        service = AdvisorService()
+        kwargs = {"expected_scale": 2.0}
+        cold = pickle.dumps(tiny_atlas)
+        key = service._request_key(tiny_atlas, kwargs)
+        assert tiny_atlas._part_memos
+        warm = pickle.dumps(tiny_atlas)
+        assert len(warm) == len(cold) and b"_part_memos" not in warm
+        for clone in (pickle.loads(warm), copy.deepcopy(tiny_atlas), copy.copy(tiny_atlas)):
+            assert clone._part_memos == {}
+            assert service._request_key(clone, kwargs) == key
 
     def test_estimator_copy_carries_no_digest(self, tiny_atlas):
         # An estimator holds its telemetry server, whose stores do not pickle; a deep
