@@ -207,8 +207,7 @@ class MigrationPlan(Mapping[str, int]):
             raise ValueError("plan JSON must be an object mapping component -> location")
         return cls({str(k): int(v) for k, v in data.items()}, order=order)
 
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"MigrationPlan(offloaded={self.offload_count()}/{len(self)}: "
-            f"{sorted(self.offloaded())})"
-        )
+    def __repr__(self) -> str:
+        """Every component at its location, in plan order: request keys describe
+        plans (a churn baseline on a problem) by this text."""
+        return f"MigrationPlan({self.to_dict()!r})"

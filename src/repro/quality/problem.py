@@ -157,6 +157,14 @@ class EvalContext:
         return self.shared["column_of"]
 
 
+def _plugin_repr(plugin: object, head: str) -> str:
+    """``Name(<head>, <attribute>=<repr>, ...)``: a plugin's class-level identity plus
+    its instance attributes, so a request key describing a problem describes every
+    parameter its plugins score with.  A plugin without any keeps ``Name(<head>)``."""
+    attributes = "".join(f", {name}={value!r}" for name, value in vars(plugin).items())
+    return f"{type(plugin).__name__}({head}{attributes})"
+
+
 class Objective:
     """One quality aspect of a placement plan (lower is better when ``sense='min'``).
 
@@ -191,8 +199,8 @@ class Objective:
         if getattr(cls, "sense", "min") not in ("min", "max"):
             raise ValueError(f"{cls.__name__}.sense must be 'min' or 'max'")
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"{type(self).__name__}(name={self.name!r}, sense={self.sense!r})"
+    def __repr__(self) -> str:
+        return _plugin_repr(self, f"name={self.name!r}, sense={self.sense!r}")
 
 
 @dataclass
@@ -233,8 +241,8 @@ class Constraint:
             return result.materialize(0)
         return []
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"{type(self).__name__}(name={self.name!r})"
+    def __repr__(self) -> str:
+        return _plugin_repr(self, f"name={self.name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -631,16 +631,34 @@ class Atlas:
         evaluator's learned artifacts (its stress families seed the search) and runs
         the :class:`~repro.quality.adversary.ScenarioAdversary` against ``plan``.
         ``extra_specs`` join the seed population — e.g. a drift-refreshed scenario.
+
+        A certificate is a pure function of its inputs, so an evaluator built through
+        an artifact cache keeps it there under ``("certificate", sha)`` of everything
+        the adversary reads (:func:`_certificate_parts`): a drift cycle whose re-plan
+        keeps the executed plan as its knee certifies it once.  Without a cache, or
+        without a content description, the adversary runs every time.
         """
-        adversary = ScenarioAdversary(
-            evaluator,
-            factory=ScenarioFactory.from_evaluator(evaluator, locations=self.locations),
-            bounds=bounds,
-            budget=budget,
-            seed=seed,
-            extra_specs=extra_specs,
+
+        def run() -> RobustnessCertificate:
+            adversary = ScenarioAdversary(
+                evaluator,
+                factory=ScenarioFactory.from_evaluator(evaluator, locations=self.locations),
+                bounds=bounds,
+                budget=budget,
+                seed=seed,
+                extra_specs=extra_specs,
+            )
+            return adversary.certify(plan)
+
+        cache = evaluator._artifact_cache
+        parts = (
+            None
+            if cache is None
+            else _certificate_parts(self, evaluator, plan, budget, seed, bounds, extra_specs)
         )
-        return adversary.certify(plan)
+        if parts is None:
+            return run()
+        return cache.get_or_build(("certificate", sha_parts(parts)), run)
 
     def recertify(
         self,
@@ -796,6 +814,43 @@ def _describe(value: object) -> Optional[str]:
     if " at 0x" in text:
         return None
     return text
+
+
+def _certificate_parts(
+    atlas: Atlas,
+    evaluator: QualityEvaluator,
+    plan: MigrationPlan,
+    budget: int,
+    seed: int,
+    bounds: Optional[AdversaryBounds],
+    extra_specs: Sequence[ScenarioSpec],
+) -> Optional[List[str]]:
+    """Everything one certificate is computed from, or ``None`` if it has no description.
+
+    The evaluator's content digest (every input a scenario compiles from), each API's
+    *current* trace-set fingerprint (the digest survives a splice, a certificate must
+    not), the problem, the plan as component order and location vector, the
+    adversary's budget, seed and bounds, the extra specs with their names (they label
+    ``family_regrets``), the locations the factory searches and the replay engine.
+    """
+    problem, bounds_text = _describe(evaluator.problem), _describe(bounds or AdversaryBounds())
+    if evaluator.content_digest is None or problem is None or bounds_text is None:
+        return None
+    performance = evaluator.performance
+    parts = [evaluator.content_digest]
+    for api in performance.apis:
+        parts += [api, performance._trace_fingerprint(api)]
+    return parts + [
+        problem,
+        repr(tuple(plan.components)),
+        repr(tuple(plan.to_vector())),
+        repr(int(budget)),
+        repr(int(seed)),
+        bounds_text,
+        repr([spec.key() for spec in extra_specs]),
+        repr(list(atlas.locations)),
+        performance.engine,
+    ]
 
 
 def _memoised(

@@ -22,6 +22,7 @@ from repro.apps import (
     build_social_network,
 )
 from repro.cluster import MigrationPlan, default_hybrid_cluster, default_network_model
+from repro.quality import ScenarioAdversary
 from repro.simulator import simulate_workload
 from repro.workload import WorkloadGenerator, default_scenario
 
@@ -123,6 +124,21 @@ def social_learning_result():
     requests = WorkloadGenerator(app, scenario, seed=5).generate(60_000.0)
     result = simulate_workload(app, requests, seed=5)
     return app, result
+
+
+@pytest.fixture()
+def adversary_runs(monkeypatch):
+    """The plans ``ScenarioAdversary.certify`` ran for, in order (a certificate read
+    from an artifact cache runs nothing)."""
+    runs = []
+    certify = ScenarioAdversary.certify
+
+    def spy(self, plan):
+        runs.append(plan)
+        return certify(self, plan)
+
+    monkeypatch.setattr(ScenarioAdversary, "certify", spy)
+    return runs
 
 
 @pytest.fixture()

@@ -32,7 +32,15 @@ from repro.apps import Component, ResourceProfile
 from repro.cluster import AutoscalerConfig, LinkSpec, MigrationPlan, NetworkModel, NodeSpec
 from repro.learning import EdgeFootprint, NetworkFootprint, ResourceEstimator
 from repro.optimizer import CrossoverAgent
-from repro.quality import CompiledTraceSet, MigrationPreferences, PricingCatalog
+from repro.quality import (
+    CompiledTraceSet,
+    EgressTrafficObjective,
+    MigrationChurnObjective,
+    MigrationPreferences,
+    Objective,
+    PlacementProblem,
+    PricingCatalog,
+)
 from repro.quality.artifacts import (
     fingerprint_footprint,
     fingerprint_network,
@@ -779,3 +787,67 @@ class TestMemosStayOutOfPickles:
         service = AdvisorService()
         kwargs = {"expected_scale": 3.0}
         assert service._request_key(twin, kwargs) == service._request_key(tiny_atlas, kwargs)
+
+
+# -- (d) a problem is described by its content ---------------------------------------------------
+class OffloadBudgetObjective(Objective):
+    """A parameterised plugin of the kind any owner may write: its score reads ``cap``."""
+
+    name = "over_cap"
+
+    def __init__(self, cap):
+        self.cap = cap
+
+    def score_matrix(self, ctx):
+        return np.maximum((ctx.matrix != 0).sum(axis=1) - self.cap, 0).astype(np.float64)
+
+
+def _front(recommendation):
+    return [
+        (quality.plan.to_vector(), [float(value).hex() for value in quality.values])
+        for quality in recommendation.plans
+    ]
+
+
+class TestAProblemIsDescribedByContent:
+    def test_a_plan_repr_names_every_location_in_order(self):
+        one = MigrationPlan.from_vector(["a", "b"], [0, 1])
+        assert repr(one) == "MigrationPlan({'a': 0, 'b': 1})"
+        assert repr(MigrationPlan.from_vector(["a", "b"], [0, 2])) != repr(one)
+        assert repr(MigrationPlan.from_vector(["b", "a"], [1, 0])) != repr(one)
+
+    def test_plugins_without_parameters_keep_their_repr(self):
+        problem = PlacementProblem.default(extra_objectives=[EgressTrafficObjective()])
+        for objective in problem.objectives:
+            assert repr(objective) == (
+                f"{type(objective).__name__}(name={objective.name!r}, sense={objective.sense!r})"
+            )
+        for constraint in problem.constraints:
+            assert repr(constraint) == f"{type(constraint).__name__}(name={constraint.name!r})"
+
+    def test_a_parameterised_plugin_is_described_by_its_parameters(self, tiny_atlas):
+        service = AdvisorService()
+
+        def key(objective):
+            problem = PlacementProblem.default(extra_objectives=[objective])
+            return service._request_key(tiny_atlas, {"expected_scale": 2.0, "problem": problem})
+
+        assert key(OffloadBudgetObjective(1)) == key(OffloadBudgetObjective(1))
+        assert key(OffloadBudgetObjective(1)) != key(OffloadBudgetObjective(2))
+
+    def test_two_churn_baselines_are_two_requests(self, tiny_atlas):
+        components = tiny_atlas.application.component_names
+        stay = MigrationPlan.all_on_prem(components)
+        moved = stay.with_location(components[-1], 1)
+
+        def problem(baseline):
+            return PlacementProblem.default(
+                extra_objectives=[MigrationChurnObjective(baseline)]
+            )
+
+        service = AdvisorService()
+        first = service.recommend(tiny_atlas, expected_scale=2.0, problem=problem(stay))
+        second = service.recommend(tiny_atlas, expected_scale=2.0, problem=problem(moved))
+        assert second is not first
+        fresh = copy.deepcopy(tiny_atlas).recommend(expected_scale=2.0, problem=problem(moved))
+        assert _front(second) == _front(fresh) != _front(first)

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from fingerprints import build_tiny_evaluator
 from test_artifacts import TINY_GA, _assert_bitwise, _perturb
 from test_compiled import random_delays, random_trace
+from test_shared_scenarios import certified
 
 from repro.cluster import MigrationPlan, default_network_model
 from repro.learning import NetworkFootprint
@@ -875,6 +876,51 @@ class TestAdvisorDaemon:
         assert seen(again) == before
         # What the bystander's own knowledge answers, recommended afresh.
         assert seen(_clone(bystander).recommend(**kwargs)) == before
+
+    @pytest.mark.parametrize("knee", ["kept", "moved"])
+    def test_a_drift_cycle_certifies_each_plan_once(
+        self, tiny_learned_atlas, daemon_script, adversary_runs, knee
+    ):
+        """The ``recommend`` stage reads the certificate the ``recertify`` stage kept
+        when the re-plan's knee is the executed plan; otherwise it certifies its own."""
+        target, (on_model, drifted) = daemon_script
+        scenario = default_scenario(tiny_learned_atlas.application)
+        drifted = dataclasses.replace(drifted, scenario=scenario)
+        kwargs = {"expected_scale": 2.0, "certify": 6}
+        service = AdvisorService()
+        daemon = AdvisorDaemon(
+            service, ScriptedMonitor({"web": [on_model, drifted]}), name="t", certify_budget=6
+        )
+        atlas = _clone(tiny_learned_atlas)
+        daemon.register("web", atlas, **kwargs)
+        daemon.run_cycle()
+        components = daemon.record("web")["components"]
+        executed = MigrationPlan.from_vector(components, daemon.record("web")["executed"])
+        if knee == "moved":
+            # The tiny app keeps its knee through any drift: the owner running another
+            # plan is what parts it from the re-plan's knee.
+            executed = executed.with_location(components[-1], 1)
+            daemon._records["web"]["executed"] = executed.to_vector()
+
+        del adversary_runs[:]
+        (report,) = daemon.run_cycle()
+        runs = list(adversary_runs)
+        assert report.spliced == [target] and report.recertified
+        served = service.recommend(atlas, **kwargs)
+        replanned = served.knee_point().plan
+        assert (dict(replanned) == dict(executed)) == (knee == "kept")
+        assert runs == ([executed] if knee == "kept" else [executed, replanned])
+        if knee == "kept":
+            assert served.certificate is report.certificate
+
+        # What a run with no cache certifies over the spliced knowledge.
+        def cold(plan):
+            return certified(
+                atlas.certify_plan(atlas.build_evaluator(expected_scale=2.0), plan, budget=6)
+            )
+
+        assert certified(report.certificate) == cold(executed)
+        assert certified(served.certificate) == cold(replanned)
 
     def test_lost_agent_object_degrades_to_training(
         self, tmp_path, tiny_learned_atlas, daemon_script

@@ -14,8 +14,19 @@ over spliced knowledge reuses what the last certificate compiled.  Two laws pin 
 2. **The key is complete** (examples): changing any one input a compile reads
    misses; a trace-only splice hits.
 
+A certificate is content too: ``certify_plan`` on an evaluator built through a cache
+keeps it there under ``("certificate", sha)``.  Law 1 therefore certifies, on the
+warm evaluator, a plan nobody has certified yet, so the adversary runs over the shared
+scenarios instead of answering from the cache; and
+
+3. **The certificate key is complete** (examples): every input the adversary reads —
+   the current traces, the plan's locations, budget, seed, bounds, extra specs, the
+   problem, the locations searched, the engine — misses when it alone changes; an
+   advisor learned again from the same telemetry hits.
+
 Evaluators racing on threads over one cache fill the shared models' memos and still
-score and certify what a cold evaluator does.
+score and certify what a cold evaluator does; racing on one plan, they run the
+adversary once.
 
 Run deeper with ``--hypothesis-profile=ci`` (see ``tests/conftest.py``).
 """
@@ -45,11 +56,14 @@ from repro.cluster import (
 )
 from repro.learning import NetworkFootprint, ResourceEstimator
 from repro.quality import (
+    AdversaryBounds,
     ArtifactCache,
     CapacityCut,
     LinkDegradation,
     LocationOutage,
+    MigrationChurnObjective,
     MigrationPreferences,
+    PlacementProblem,
     PriceShock,
     PricingCatalog,
     ScenarioSet,
@@ -105,6 +119,10 @@ def _atlas(app, telemetry, sites):
 def learned(tiny_telemetry):
     app, result = tiny_telemetry
     return {sites: _atlas(app, result.telemetry, sites) for sites in (2, 3)}
+
+
+def kept_certificates(cache):
+    return sum(key[0] == "certificate" for key in cache._entries)
 
 
 def faults(sites):
@@ -230,8 +248,14 @@ class TestSharedStateEqualsACompileOfItsOwn:
         assert [described(q) for q in warm.evaluate_batch(plans, scenarios=scenario_set)] == [
             described(q) for q in cold.evaluate_batch(plans, scenarios=scenario_set)
         ]
-        assert certified(atlas.certify_plan(warm, plans[0], budget=budget)) == certified(
-            atlas.certify_plan(cold, plans[0], budget=budget)
+        # A plan nobody has certified: the adversary runs on the warm evaluator.
+        moved = components[int(rng.integers(len(components)))]
+        unseen = plans[0].with_location(moved, (plans[0][moved] + 1) % sites)
+        kept = kept_certificates(cache)
+        certificate = atlas.certify_plan(warm, unseen, budget=budget)
+        assert kept_certificates(cache) == kept + 1
+        assert certified(certificate) == certified(
+            atlas.certify_plan(cold, unseen, budget=budget)
         )
 
 
@@ -258,11 +282,14 @@ class TestRacingEvaluators:
             MigrationPlan.from_vector(components, row.tolist())
             for row in np.random.default_rng(5).integers(0, 3, size=(9, len(components)))
         ]
+        # Each thread certifies a plan of its own, so every adversary runs.
+        assert len({tuple(plan.to_vector()) for plan in plans[:6]}) == 6
         cold = atlas.build_evaluator(expected_scale=SCALE)
-        want = (
-            [described(q) for q in cold.evaluate_batch(plans, scenarios=self.SPECS)],
-            certified(atlas.certify_plan(cold, plans[0], budget=6)),
-        )
+        scores = [described(q) for q in cold.evaluate_batch(plans, scenarios=self.SPECS)]
+        want = {
+            index: (scores, certified(atlas.certify_plan(cold, plans[index], budget=6)))
+            for index in range(6)
+        }
         cache = ArtifactCache()
         results, errors = {}, []
 
@@ -276,24 +303,55 @@ class TestRacingEvaluators:
                     scored = scored[::-1]
                 results[index] = (
                     [described(q) for q in scored],
-                    certified(atlas.certify_plan(evaluator, plans[0], budget=6)),
+                    certified(atlas.certify_plan(evaluator, plans[index], budget=6)),
                 )
             except BaseException as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=work, args=(index,)) for index in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        _race(work)
         assert errors == []
-        assert len(results) == 6 and all(result == want for result in results.values())
+        assert results == want
+        assert kept_certificates(cache) == 6
+
+    def test_six_threads_one_plan_run_the_adversary_once(self, learned, adversary_runs):
+        atlas = learned[3]
+        plan = MigrationPlan.all_on_prem(atlas.application.component_names).with_location(
+            "Cache", CLOUD
+        )
+        want = certified(
+            atlas.certify_plan(atlas.build_evaluator(expected_scale=SCALE), plan, budget=6)
+        )
+        del adversary_runs[:]
+        cache = ArtifactCache()
+        results, errors = {}, []
+
+        def work(index):
+            try:
+                evaluator = atlas.build_evaluator(expected_scale=SCALE, artifact_cache=cache)
+                results[index] = atlas.certify_plan(evaluator, plan, budget=6)
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        _race(work)
+        assert errors == []
+        assert adversary_runs == [plan]
+        (certificate,) = {id(value): value for value in results.values()}.values()
+        assert len(results) == 6 and certified(certificate) == want
+
+
+def _race(work):
+    """Run ``work(index)`` on six threads switching every 10 µs."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        running = [threading.Thread(target=work, args=(index,)) for index in range(6)]
+        for thread in running:
+            thread.start()
+        for thread in running:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in running)
 
 
 class TestTheKeyIsComplete:
@@ -445,3 +503,119 @@ class TestTheKeyIsComplete:
             sample_traces=[_perturb(t, 1.3) for t in profiles["/read"].sample_traces],
         )
         assert self._shared(base, warm)
+
+
+class TestTheCertificateKeyIsComplete:
+    """Law 3: one changed input the adversary reads runs it again; equal content does not."""
+
+    BUDGET = 4
+
+    @pytest.fixture()
+    def base(self, learned):
+        return copy.deepcopy(learned[3])
+
+    @pytest.fixture()
+    def plan(self, base):
+        return MigrationPlan.all_on_prem(base.application.component_names).with_location(
+            "Cache", CLOUD
+        )
+
+    @pytest.fixture()
+    def warm(self, base, plan, adversary_runs):
+        """An evaluator through a cache that holds ``plan``'s certificate."""
+        evaluator = base.build_evaluator(expected_scale=SCALE, artifact_cache=ArtifactCache())
+        base.certify_plan(evaluator, plan, budget=self.BUDGET)
+        assert self._kept(base, evaluator, plan, adversary_runs)
+        return evaluator
+
+    def _kept(self, atlas, evaluator, plan, runs, **kwargs):
+        """Whether certifying ``plan`` on ``evaluator`` ran no adversary."""
+        kwargs.setdefault("budget", self.BUDGET)
+        before = len(runs)
+        atlas.certify_plan(evaluator, plan, **kwargs)
+        return len(runs) == before
+
+    def _through(self, atlas, warm, **kwargs):
+        """An evaluator of ``atlas`` over ``warm``'s cache."""
+        return atlas.build_evaluator(
+            expected_scale=SCALE, artifact_cache=warm._artifact_cache, **kwargs
+        )
+
+    def test_the_evaluator_content(self, base, warm, plan, adversary_runs):
+        busier = base.build_evaluator(
+            expected_scale=SCALE + 0.5, artifact_cache=warm._artifact_cache
+        )
+        assert not self._kept(base, busier, plan, adversary_runs)
+
+    def test_a_trace_only_splice(self, base, warm, plan, adversary_runs):
+        digest = warm.content_digest
+        traces = base.knowledge.api_profiles["/read"].sample_traces
+        warm.splice({"/read": [_perturb(trace, 1.3) for trace in traces]})
+        # What a scenario compiles from survives the splice; the certificate does not.
+        assert warm.content_digest == digest
+        assert not self._kept(base, warm, plan, adversary_runs)
+
+    def test_the_remote_site_of_one_component(self, base, warm, plan, adversary_runs):
+        elsewhere = plan.with_location("Cache", 2)
+        assert elsewhere.offloaded() == plan.offloaded()
+        assert not self._kept(base, warm, elsewhere, adversary_runs)
+
+    def test_the_component_order(self, base, warm, plan, adversary_runs):
+        order = plan.components[::-1]
+        mirrored = MigrationPlan.from_vector(order, plan.to_vector())
+        assert mirrored.to_vector() == plan.to_vector() and dict(mirrored) != dict(plan)
+        assert not self._kept(base, warm, mirrored, adversary_runs)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"budget": BUDGET + 1},
+            {"seed": 1},
+            {"bounds": AdversaryBounds(max_rate_scale=4.0)},
+            {"extra_specs": (ScenarioSpec(name="extra", rate_scale=2.0),)},
+        ],
+        ids=["budget", "seed", "bounds", "extra-spec"],
+    )
+    def test_an_adversary_argument(self, base, warm, plan, adversary_runs, change):
+        assert not self._kept(base, warm, plan, adversary_runs, **change)
+
+    def test_the_name_of_an_extra_spec(self, base, warm, plan, adversary_runs):
+        spec = ScenarioSpec(name="extra", rate_scale=2.0)
+        assert not self._kept(base, warm, plan, adversary_runs, extra_specs=(spec,))
+        renamed = dataclasses.replace(spec, name="renamed")
+        assert not self._kept(base, warm, plan, adversary_runs, extra_specs=(renamed,))
+
+    def test_the_problem(self, base, warm, plan, adversary_runs):
+        components = base.application.component_names
+
+        def churn(baseline):
+            problem = PlacementProblem.default(
+                extra_objectives=[MigrationChurnObjective(baseline)]
+            )
+            return self._through(base, warm, problem=problem)
+
+        stay = MigrationPlan.all_on_prem(components)
+        assert not self._kept(base, churn(stay), plan, adversary_runs)
+        assert self._kept(base, churn(stay), plan, adversary_runs)
+        moved = churn(stay.with_location("Cache", CLOUD))
+        assert moved.content_digest == warm.content_digest
+        assert not self._kept(base, moved, plan, adversary_runs)
+
+    def test_the_engine(self, base, warm, plan, adversary_runs):
+        reference = self._through(base, warm, performance_engine="reference")
+        assert reference.content_digest == warm.content_digest
+        assert not self._kept(base, reference, plan, adversary_runs)
+
+    def test_the_locations_searched(self, base, warm, plan, adversary_runs):
+        two_sites = copy.copy(base)
+        two_sites.cluster = None
+        assert two_sites.locations != base.locations
+        assert not self._kept(two_sites, warm, plan, adversary_runs)
+
+    def test_an_advisor_learned_again_hits(self, tiny_telemetry, base, warm, plan, adversary_runs):
+        app, result = tiny_telemetry
+        twin = _atlas(app, result.telemetry, 3)
+        assert twin.knowledge is not base.knowledge
+        kept = base.certify_plan(warm, plan, budget=self.BUDGET)
+        again = twin.certify_plan(self._through(twin, warm), plan, budget=self.BUDGET)
+        assert again is kept and len(adversary_runs) == 1
