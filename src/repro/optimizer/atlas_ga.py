@@ -675,6 +675,7 @@ class AtlasGA:
         qualities: List[PlanQuality] = self.evaluator.evaluate_vectors(
             population, self.components
         )
+        breeding = self.config.crossover == "drl" and self.agent is not None
         generations = 0
         while (
             self.evaluator.evaluations < self.config.evaluation_budget
@@ -685,12 +686,20 @@ class AtlasGA:
             ranked = rank_population(objectives)
             pairs = tournament_pairs(ranked, self.config.offspring_per_generation, self._rng)
             offspring: List[List[int]] = []
-            for idx_a, idx_b in pairs:
-                parent_a, parent_b = population[idx_a], population[idx_b]
-                if self.config.crossover == "drl" and self.agent is not None:
-                    child = self.agent.crossover(parent_a, parent_b, self._rng)
+            # The agent's forward draws no RNG: the generation's pairs run as one
+            # stacked actor pass, and each child draws from its row in pair order.
+            if breeding and pairs:
+                probabilities = self.agent.pair_probabilities(
+                    [population[idx_a] for idx_a, _ in pairs],
+                    [population[idx_b] for _, idx_b in pairs],
+                )
+            for row, (idx_a, idx_b) in enumerate(pairs):
+                if breeding:
+                    child = self.agent.sample_child(probabilities[row], self._rng)
                 else:
-                    child = uniform_crossover(parent_a, parent_b, self._rng)
+                    child = uniform_crossover(
+                        population[idx_a], population[idx_b], self._rng
+                    )
                 child = bitflip_mutation(
                     child, self._rng, self.config.mutation_rate, locations=self.locations
                 )

@@ -191,33 +191,59 @@ class CrossoverAgent:
 
     # -- inference -------------------------------------------------------------------------
     def state(self, parent_a: Sequence[int], parent_b: Sequence[int]) -> np.ndarray:
-        if len(parent_a) != self.n_components or len(parent_b) != self.n_components:
-            raise ValueError("parent vectors must match the component count")
-        if self._binary:
-            return np.concatenate(
-                [np.asarray(parent_a, dtype=float), np.asarray(parent_b, dtype=float)]
-            )
-        return np.concatenate([self._one_hot(parent_a), self._one_hot(parent_b)])
+        """The actor's input for one parent pair, shape ``(D,)``."""
+        return self._encode([parent_a], [parent_b])[0, 0]
 
-    def _one_hot(self, vector: Sequence[int]) -> np.ndarray:
-        encoded = np.zeros(self.n_components * self.n_locations, dtype=float)
-        for component, location in enumerate(vector):
-            encoded[component * self.n_locations + self._loc_index[int(location)]] = 1.0
-        return encoded
+    def _encode(
+        self, parents_a: Sequence[Sequence[int]], parents_b: Sequence[Sequence[int]]
+    ) -> np.ndarray:
+        """The actor's inputs for P parent pairs as one ``(P, 1, D)`` stack.
+
+        Binary agent: the raw parent vectors side by side.  N-location agent: each
+        gene one-hot over ``self.locations`` — the equality mask itself, so a gene
+        outside the location set is a row of no match and raises instead of landing
+        in some other component's slot.
+        """
+        a, b = np.asarray(parents_a), np.asarray(parents_b)
+        if a.shape != (len(parents_a), self.n_components) or b.shape != a.shape:
+            raise ValueError("parent vectors must match the component count")
+        genes = np.concatenate([a, b], axis=1)
+        if self._binary:
+            return genes.astype(float)[:, None, :]
+        hot = genes[:, :, None] == np.asarray(self.locations)
+        matched = hot.any(axis=-1)
+        if not matched.all():
+            unknown = sorted(set(genes[~matched].tolist()))
+            raise KeyError(
+                f"parent locations {unknown} are outside the agent's location set "
+                f"{self.locations}"
+            )
+        return hot.astype(float).reshape(len(genes), 1, -1)
+
+    def pair_probabilities(
+        self, parents_a: Sequence[Sequence[int]], parents_b: Sequence[Sequence[int]]
+    ) -> np.ndarray:
+        """Placement distributions for P parent pairs from one stacked actor pass.
+
+        Binary agent: shape ``(P, n_components)`` — probability of the cloud
+        (location 1).  N-location agent: shape ``(P, n_components, n_locations)`` — a
+        categorical distribution over ``self.locations`` per component.  Row ``p``
+        equals the pair's own forward bit for bit (see :meth:`MLP.forward`).
+        """
+        out = self.actor(self._encode(parents_a, parents_b))[:, 0]
+        return self._head(out)
 
     def child_probabilities(
         self, parent_a: Sequence[int], parent_b: Sequence[int]
     ) -> np.ndarray:
-        """Placement distribution for each component.
+        """:meth:`pair_probabilities` of one pair."""
+        return self.pair_probabilities([parent_a], [parent_b])[0]
 
-        Binary agent: shape ``(n_components,)`` — probability of the cloud (location 1).
-        N-location agent: shape ``(n_components, n_locations)`` — a categorical
-        distribution over ``self.locations`` per component.
-        """
-        out = self.actor(self.state(parent_a, parent_b))[0]
+    def _head(self, out: np.ndarray) -> np.ndarray:
+        """Actor output rows ``(P, ·)`` → per-component placement distributions."""
         if self._binary:
             return np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)
-        return self._softmax(out.reshape(self.n_components, self.n_locations))
+        return self._softmax(out.reshape(len(out), self.n_components, self.n_locations))
 
     @staticmethod
     def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -226,14 +252,23 @@ class CrossoverAgent:
         probs = exp / exp.sum(axis=-1, keepdims=True)
         return np.clip(probs, _PROB_CLIP, None)
 
-    def _sample_categorical(
-        self, probs: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One location *index* per component from per-component distributions."""
-        cumulative = np.cumsum(probs, axis=1)
-        cumulative[:, -1] = np.maximum(cumulative[:, -1], 1.0)
-        draws = rng.random(self.n_components)
-        return (draws[:, None] > cumulative).sum(axis=1)
+    def _child(self, probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Location ids of one offspring from its distributions and one uniform draw
+        per component, pinned and whitelist-repaired."""
+        if self._binary:
+            child = (draws < probs).astype(int)
+        else:
+            cumulative = np.cumsum(probs, axis=1)
+            cumulative[:, -1] = np.maximum(cumulative[:, -1], 1.0)
+            indices = (draws[:, None] > cumulative).sum(axis=1)
+            child = np.asarray(self.locations)[indices]
+        self._apply_constraints(child)
+        return child
+
+    def sample_child(self, probs: np.ndarray, rng: np.random.Generator) -> List[int]:
+        """One offspring from a row of :meth:`pair_probabilities`; draws ``n_components``
+        uniforms from ``rng``."""
+        return self._child(probs, rng.random(self.n_components)).tolist()
 
     def crossover(
         self,
@@ -242,15 +277,8 @@ class CrossoverAgent:
         rng: Optional[np.random.Generator] = None,
     ) -> List[int]:
         """Sample an offspring plan; pinned components are masked to their location."""
-        rng = rng or self._rng
         probs = self.child_probabilities(parent_a, parent_b)
-        if self._binary:
-            child = (rng.random(self.n_components) < probs).astype(int)
-        else:
-            indices = self._sample_categorical(probs, rng)
-            child = np.asarray([self.locations[int(i)] for i in indices], dtype=int)
-        self._apply_constraints(child)
-        return child.tolist()
+        return self.sample_child(probs, rng or self._rng)
 
     def _apply_constraints(self, child: np.ndarray) -> None:
         """Pin forced genes, then repair any whitelist-violating draw (no RNG)."""
@@ -268,10 +296,11 @@ class CrossoverAgent:
     ) -> TrainingHistory:
         """Train the agent on a dataset ``D`` of parent pairs with the given reward.
 
-        The weights are frozen within an iteration, so its ``batch_size`` children
-        are all sampled first (pair index, then gene draws, per sample) and scored
-        by one ``reward_fn`` call over the block; the critic and the gradients then
-        run per sample in sampling order.
+        The weights are frozen within an iteration, so its ``batch_size`` samples
+        draw first (pair index, then gene draws, per sample — the RNG stream of a
+        sample-by-sample loop), their children come from one stacked actor pass and
+        are scored by one ``reward_fn`` call over the block; the critic runs one
+        stacked pass and the gradients run per sample in sampling order.
         """
         if self.critic is None:
             raise RuntimeError("an agent stripped by for_inference() cannot be trained")
@@ -281,62 +310,51 @@ class CrossoverAgent:
         if iterations <= 0 or batch_size <= 0:
             raise ValueError("iterations and batch_size must be positive")
         for _ in range(iterations):
-            children: List[List[int]] = []
             parents_a: List[Sequence[int]] = []
             parents_b: List[Sequence[int]] = []
-            sampled = []
+            draws: List[np.ndarray] = []
             for _ in range(batch_size):
                 idx = int(self._rng.integers(0, len(parent_pairs)))
                 parent_a, parent_b = parent_pairs[idx]
-                state = self.state(parent_a, parent_b)
-                out, actor_cache = self.actor.forward(state, keep_cache=True)
-                if self._binary:
-                    probs = np.clip(out, _PROB_CLIP, 1.0 - _PROB_CLIP)
-                    child = (self._rng.random(self.n_components) < probs[0]).astype(int)
-                else:
-                    probs = self._softmax(
-                        out[0].reshape(self.n_components, self.n_locations)
-                    )
-                    indices = self._sample_categorical(probs, self._rng)
-                    child = np.asarray(
-                        [self.locations[int(i)] for i in indices], dtype=int
-                    )
-                self._apply_constraints(child)
-                children.append(child.tolist())
                 parents_a.append(parent_a)
                 parents_b.append(parent_b)
-                sampled.append((state, actor_cache, probs, child))
+                draws.append(self._rng.random(self.n_components))
+            states = self._encode(parents_a, parents_b)
+            out, actor_cache = self.actor.forward(states, keep_cache=True)
+            probs = self._head(out[:, 0])
+            sampled = [self._child(row, draw) for row, draw in zip(probs, draws)]
+            children = [child.tolist() for child in sampled]
             rewards = [float(r) for r in reward_fn(children, parents_a, parents_b)]
             if len(rewards) != batch_size:
                 raise ValueError("reward_fn must return one reward per child")
 
+            values, critic_cache = self.critic.forward(states, keep_cache=True)
             feasible = 0
             actor_grads = None
             critic_grads = None
-            for (state, actor_cache, probs, child), reward in zip(sampled, rewards):
+            for k, (child, reward) in enumerate(zip(sampled, rewards)):
                 if reward > 0:
                     feasible += 1
-
-                value, critic_cache = self.critic.forward(state, keep_cache=True)
-                advantage = reward - float(value[0, 0])
+                value = float(values[k, 0, 0])
+                advantage = reward - value
 
                 # Policy gradient: minimize -advantage * log π(child | state).
                 if self._binary:
-                    dlogpi_dp = child / probs[0] - (1 - child) / (1 - probs[0])
+                    dlogpi_dp = child / probs[k] - (1 - child) / (1 - probs[k])
                     actor_grad_out = (-advantage * dlogpi_dp / batch_size)[None, :]
                 else:
                     # Softmax policy: d log π / d logits = onehot(child) - probs.
-                    chosen = np.zeros_like(probs)
+                    chosen = np.zeros_like(probs[k])
                     chosen[
                         np.arange(self.n_components),
                         [self._loc_index[int(v)] for v in child],
                     ] = 1.0
-                    dlogpi_dlogits = (chosen - probs).reshape(1, -1)
+                    dlogpi_dlogits = (chosen - probs[k]).reshape(1, -1)
                     actor_grad_out = -advantage * dlogpi_dlogits / batch_size
-                grads_a = self.actor.backward(actor_cache, actor_grad_out)
+                grads_a = self.actor.backward([a[k] for a in actor_cache], actor_grad_out)
                 # Critic: minimize (value - reward)^2.
-                critic_grad_out = np.array([[2.0 * (float(value[0, 0]) - reward) / batch_size]])
-                grads_c = self.critic.backward(critic_cache, critic_grad_out)
+                critic_grad_out = np.array([[2.0 * (value - reward) / batch_size]])
+                grads_c = self.critic.backward([a[k] for a in critic_cache], critic_grad_out)
 
                 actor_grads = self._accumulate(actor_grads, grads_a)
                 critic_grads = self._accumulate(critic_grads, grads_c)

@@ -59,7 +59,14 @@ class MLP:
     def forward(
         self, x: np.ndarray, keep_cache: bool = False
     ) -> Tuple[np.ndarray, Optional[List[np.ndarray]]]:
-        """Forward pass; optionally returns the per-layer activations for backprop."""
+        """Forward pass; optionally returns the per-layer activations for backprop.
+
+        ``x`` is one input row ``(D,)`` / ``(1, D)``, a batch ``(B, D)`` or a stack
+        ``(P, 1, D)`` of single rows.  numpy runs a stack as one GEMV per ``(1, D)``
+        slice — the call a single row makes — so row ``p`` of a stacked pass equals
+        the forward of row ``p`` alone bit for bit (a ``(B, D)`` batch is one GEMM,
+        which does not).
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         activations = [x]
         h = x
@@ -86,6 +93,12 @@ class MLP:
         ``output_grad`` must already be the gradient of the loss w.r.t. the network
         *output* (post-head).  For the sigmoid head the caller typically passes
         ``d loss / d probability``; the head derivative is applied here.
+
+        A one-row pass (one sample) takes its weight gradients as outer products:
+        numpy does not hand a ``(K, 1) @ (1, N)`` matmul to BLAS, its own loop
+        computes ``0 + a * d``, and ``a * d + 0.0`` is that sum bit for bit (the
+        ``+ 0.0`` turns the product's ``-0.0`` into the loop's ``+0.0``).  The
+        bias gradient ``d + 0.0`` is the one-row ``sum`` the same way.
         """
         grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)  # type: ignore
         delta = np.atleast_2d(output_grad).astype(float)
@@ -95,7 +108,12 @@ class MLP:
             delta = delta * out * (1.0 - out)
         for i in range(last, -1, -1):
             a_prev = activations[i]
-            grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
+            if a_prev.shape[0] == 1:
+                gw = a_prev.T * delta
+                gw += 0.0
+                grads[i] = (gw, delta[0] + 0.0)
+            else:
+                grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
             if i > 0:
                 delta = delta @ self.weights[i].T
                 delta = delta * (activations[i] > 0.0)

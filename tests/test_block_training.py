@@ -22,6 +22,14 @@ from repro.quality import PlacementProblem, ScenarioSet, ScenarioSpec
 
 
 # -- the references: the loop and the reward as they stood before block scoring --------------
+def reference_sample_categorical(agent, probs, rng):
+    """One location *index* per component, drawn as the per-sample loop drew it."""
+    cumulative = np.cumsum(probs, axis=1)
+    cumulative[:, -1] = np.maximum(cumulative[:, -1], 1.0)
+    draws = rng.random(agent.n_components)
+    return (draws[:, None] > cumulative).sum(axis=1)
+
+
 def reference_train(agent, parent_pairs, reward_fn, iterations, batch_size):
     """The per-sample training loop: one scalar ``reward_fn(child, a, b)`` per sample."""
     for _ in range(iterations):
@@ -41,7 +49,7 @@ def reference_train(agent, parent_pairs, reward_fn, iterations, batch_size):
                 probs = agent._softmax(
                     out[0].reshape(agent.n_components, agent.n_locations)
                 )
-                indices = agent._sample_categorical(probs, agent._rng)
+                indices = reference_sample_categorical(agent, probs, agent._rng)
                 child = np.asarray(
                     [agent.locations[int(i)] for i in indices], dtype=int
                 )
