@@ -31,11 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..apps.model import Application
 from ..apps.hotel_reservation import build_hotel_reservation
 from ..apps.social_network import build_social_network
-from ..cluster.network import (
-    NetworkModel,
-    default_multi_location_network,
-    default_network_model,
-)
+from ..cluster.network import NetworkModel, default_multi_location_network
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import (
     CLOUD,
@@ -291,10 +287,7 @@ def build_testbed(
     generator = WorkloadGenerator(app, scenario, seed=seed)
     requests = generator.generate(duration_ms)
     cluster = _build_cluster(n_locations)
-    if n_locations == 2:
-        network = default_network_model()
-    else:
-        network = default_multi_location_network(locations=cluster.location_ids)
+    network = default_multi_location_network(locations=cluster.location_ids)
     learning_result = simulate_workload(
         app, requests, cluster=cluster, network=network, seed=seed
     )

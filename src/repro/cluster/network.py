@@ -9,9 +9,9 @@ The paper reports the measured characteristics of its testbed:
 number of locations and converts a payload size into a one-way transfer time.  It is
 used both by the execution simulator (ground truth) and by Atlas's delay-injection
 estimator (Eq. 2), which only needs the *difference* between the before/after link
-characteristics.  :func:`default_network_model` builds the paper's two-location matrix;
-:func:`default_multi_location_network` builds the dense pairwise matrix of the built-in
-N-location testbed (on-prem + several cloud regions).
+characteristics.  :func:`default_multi_location_network` builds the dense pairwise
+matrix of the built-in N-location testbed (on-prem + several cloud regions);
+:func:`default_network_model`, the paper's two-location matrix, is its N = 2 case.
 """
 
 from __future__ import annotations
@@ -211,22 +211,10 @@ class NetworkModel:
         return self.derive(overrides) if overrides else self
 
 
-def default_network_model(
-    intra_latency_ms: float = 0.168,
-    intra_bandwidth_mbps: float = 941.0,
-    inter_latency_ms: float = 23.015,
-    inter_bandwidth_mbps: float = 921.0,
-) -> NetworkModel:
-    """The two-location network of the paper's testbed."""
-    intra = LinkSpec(intra_latency_ms, intra_bandwidth_mbps)
-    inter = LinkSpec(inter_latency_ms, inter_bandwidth_mbps)
-    return NetworkModel(
-        {
-            (ON_PREM, ON_PREM): intra,
-            (CLOUD, CLOUD): intra,
-            (ON_PREM, CLOUD): inter,
-        }
-    )
+def default_network_model() -> NetworkModel:
+    """The two-location network of the paper's testbed: the N = 2 case of
+    :func:`default_multi_location_network`."""
+    return default_multi_location_network(locations=(ON_PREM, CLOUD))
 
 
 #: Round-trip latencies (ms) of the built-in three-location testbed: on-prem
@@ -252,8 +240,8 @@ def default_multi_location_network(
     Every location gets the measured intra-DC link to itself; every location pair gets
     an inter-DC link whose latency comes from ``inter_latencies_ms`` (falling back to
     the built-in three-location table, then to ``default_inter_latency_ms``) at the
-    paper's measured inter-DC bandwidth.  With the default two-location prefix the
-    matrix restricted to locations 0 and 1 is exactly :func:`default_network_model`.
+    paper's measured inter-DC bandwidth, so the links among locations 0 and 1 are
+    always the paper's measured two-location testbed (:func:`default_network_model`).
     """
     latencies = dict(_DEFAULT_3DC_LATENCIES_MS)
     if inter_latencies_ms:

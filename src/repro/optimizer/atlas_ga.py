@@ -14,8 +14,10 @@ the location id of component ``i`` — not 0/1 bit vectors.  Pass ``locations`` 
 ``(0, 1, 2)`` for on-prem + two cloud regions) to search a multi-location topology:
 random initialization spreads components over all remote sites, mutation flips genes to
 any other location, and the memetic neighbourhood relocates components/pairs/API paths
-to every site.  The default ``(ON_PREM, CLOUD)`` reproduces the paper's two-location
-search bit-for-bit (identical RNG consumption, identical trajectories).
+to every site.  The default ``(ON_PREM, CLOUD)`` is the paper's two-location search as
+the N = 2 case of those same operators: with one remote site the shared sampler's site
+draw consumes nothing, so fixed-seed trajectories are the original bit-vector GA's.
+Only the crossover agent's model class still differs at N = 2 (a sigmoid head).
 
 **K objectives.**  The loop is objective-count agnostic: NSGA-II ranking, the Deb
 penalty, the elite local search (one sweep per objective of the evaluator's
@@ -406,28 +408,19 @@ class AtlasGA:
             raise ValueError("locations must be at least two distinct ids")
         if ON_PREM not in self.locations:
             raise ValueError("locations must include the on-prem site (0)")
-        self._remote_locations: Tuple[int, ...] = tuple(
-            loc for loc in self.locations if loc != ON_PREM
-        )
-        #: The paper's two-location fast path: keeps RNG consumption (and therefore
-        #: fixed-seed trajectories) bit-for-bit identical to the original bit-vector GA.
-        self._binary = self.locations == (ON_PREM, CLOUD)
         self._rng = np.random.default_rng(self.config.seed)
         pins = evaluator.preferences.pinned_placement
         self._pinned_indices: Dict[int, int] = {
             self.components.index(c): loc for c, loc in pins.items() if c in self.components
         }
-        if not self._binary:
-            invalid = sorted(
-                c
-                for c, loc in pins.items()
-                if c in self.components and loc not in self.locations
+        invalid = sorted(
+            c for c, loc in pins.items() if c in self.components and loc not in self.locations
+        )
+        if invalid:
+            raise ValueError(
+                f"components {invalid} are pinned to locations outside the search "
+                f"space {self.locations}"
             )
-            if invalid:
-                raise ValueError(
-                    f"components {invalid} are pinned to locations outside the search "
-                    f"space {self.locations}"
-                )
         # Per-gene allowed-location sets (the owner's whitelists restricted to the
         # search space) plus the shared deterministic repair map.
         self._allowed_indices: Dict[int, Tuple[int, ...]] = {}
@@ -484,13 +477,10 @@ class AtlasGA:
         # is far over capacity only high-offload plans are feasible, while low-offload
         # plans matter when it is not.  Offloaded genes pick a remote site uniformly.
         offload_prob = self._rng.uniform(0.1, 0.95)
-        if self._binary:
-            vector = (self._rng.random(len(self.components)) < offload_prob).astype(int)
-            return self._apply_constraints([int(v) for v in vector])
-        vector = random_location_vector(
-            self._rng, len(self.components), offload_prob, self.locations
+        offloaded = self._rng.random(len(self.components)) < offload_prob
+        return self._apply_constraints(
+            random_location_vector(self._rng, offloaded, self.locations)
         )
-        return self._apply_constraints(vector)
 
     # -- reward (Eq. 5) ----------------------------------------------------------------------
     def reward(

@@ -27,8 +27,10 @@ are region-aware: each offloaded component goes to its cheapest/closest *permitt
 remote site — the greedy baselines rank candidate sites by the actual cost model, the
 affinity heuristics by the cross-datacenter affinity of the resulting plan, with ties
 broken by the static catalog-price/proximity preference.  The affinity GA and random
-search sample every site natively.  The two-location topology reproduces the paper's
-baselines bit-for-bit (a single remote site makes every ranking trivial).
+search sample every site through the sampler they share with the Atlas GA.  The
+two-location topology is the N = 2 case of all of them and reproduces the paper's
+baselines bit-for-bit: a single remote site makes every ranking trivial, and the
+sampler's site draw consumes nothing.
 
 The multi-plan baselines are matrix-native: populations are location vectors scored
 through the evaluator's plan-matrix pipeline (``feasible_mask``, ``qcost_vectors``,
@@ -79,20 +81,6 @@ __all__ = [
 Pair = Tuple[str, str]
 
 
-def _random_location_vector(
-    rng: np.random.Generator, n: int, offload_prob: float, context: "BaselineContext"
-) -> List[int]:
-    """Uniform random location vector; offloaded genes pick a remote site uniformly.
-
-    The two-location path keeps the exact RNG consumption of the original bit-vector
-    sampling so fixed-seed baseline runs reproduce pre-N-location results bit-for-bit;
-    N > 2 delegates to the sampler shared with the Atlas GA.
-    """
-    if context.is_binary:
-        return [int(v) for v in (rng.random(n) < offload_prob).astype(int)]
-    return random_location_vector(rng, n, offload_prob, context.locations)
-
-
 @dataclass
 class BaselineContext:
     """Shared inputs of all baselines.
@@ -138,11 +126,6 @@ class BaselineContext:
     def primary_remote(self) -> int:
         """The remote site the single-plan heuristics offload to (the paper's cloud)."""
         return self.remote_locations[0]
-
-    @property
-    def is_binary(self) -> bool:
-        """True for the paper's exact two-location topology (ids 0 and 1)."""
-        return self.locations == (ON_PREM, CLOUD)
 
     def all_on_prem(self) -> MigrationPlan:
         plan = MigrationPlan.all_on_prem(self.components)
@@ -462,10 +445,10 @@ class AffinityNSGA2Baseline:
 
     def _random_vector(self) -> List[int]:
         offload_prob = self._rng.uniform(0.15, 0.7)
-        vector = _random_location_vector(
-            self._rng, len(self.context.components), offload_prob, self.context
+        offloaded = self._rng.random(len(self.context.components)) < offload_prob
+        return self._apply_pins(
+            random_location_vector(self._rng, offloaded, self.context.locations)
         )
-        return self._apply_pins(vector)
 
     def recommend(self) -> AffinityNSGA2Result:
         components = self.context.components
@@ -529,14 +512,8 @@ class RandomSearchBaseline:
         n = len(components)
         vectors: List[List[int]] = []
         for _ in range(self.evaluation_budget):
-            if self.context.is_binary:
-                vector = [
-                    int(v)
-                    for v in (self._rng.random(n) < self._rng.uniform(0.1, 0.9)).astype(int)
-                ]
-            else:
-                offload_prob = self._rng.uniform(0.1, 0.9)
-                vector = _random_location_vector(self._rng, n, offload_prob, self.context)
+            offloaded = self._rng.random(n) < self._rng.uniform(0.1, 0.9)
+            vector = random_location_vector(self._rng, offloaded, self.context.locations)
             for column, location in pin_columns:
                 vector[column] = location
             vectors.append(vector)

@@ -108,18 +108,13 @@ class CrossoverAgent:
         #: location set switches to the categorical (softmax) action space.
         self._binary = self.locations == (0, 1)
         self._loc_index: Dict[int, int] = {loc: i for i, loc in enumerate(self.locations)}
-        if not self._binary:
-            # The categorical agent one-hot encodes parent vectors, so every pinned
-            # location must be a member of the action space (the binary agent encodes
-            # raw ids and historically tolerated out-of-set pins).
-            invalid = sorted(
-                {int(loc) for loc in self.pinned.values()} - set(self.locations)
+        # Every pinned location must be a member of the action space.
+        invalid = sorted({int(loc) for loc in self.pinned.values()} - set(self.locations))
+        if invalid:
+            raise ValueError(
+                f"pinned locations {invalid} are outside the agent's location set "
+                f"{self.locations}"
             )
-            if invalid:
-                raise ValueError(
-                    f"pinned locations {invalid} are outside the agent's location set "
-                    f"{self.locations}"
-                )
         # Deterministic whitelist repair map shared with the Atlas GA.
         self._allowed_repair = allowed_repair_targets(self.allowed, self.locations)
         if self._binary:

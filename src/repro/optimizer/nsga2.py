@@ -4,7 +4,9 @@ Atlas reuses NSGA-II's non-dominated sorting, crowding distance and binary tourn
 to pick *which* parent plans to cross; the difference (Section 4.2.1) is *how* the
 crossover is performed — the classic GA combines parents uniformly at random, Atlas asks
 a trained DRL agent.  This module provides the shared machinery plus the classic
-random-crossover operators so both variants can be built from the same parts.
+random-crossover operators so both variants can be built from the same parts.  The
+operators work on location vectors over any number of sites; the paper's two-site
+search is their N = 2 case, with no path of its own.
 """
 
 from __future__ import annotations
@@ -116,23 +118,23 @@ def survival_selection(
 
 def random_location_vector(
     rng: np.random.Generator,
-    n: int,
-    offload_prob: float,
+    offloaded: Sequence[bool],
     locations: Sequence[int],
     on_prem: int = 0,
 ) -> List[int]:
-    """Random N-location vector: each gene offloads with ``offload_prob`` and then
-    picks one of the remote sites uniformly.
+    """Random location vector over a caller-drawn offload mask: each offloaded gene
+    picks one of the remote sites uniformly, every other gene stays on-prem.
 
-    Shared by the Atlas GA and the baseline samplers so both search the same plan
-    distribution; callers keep their own two-location fast paths (which consume the
-    RNG in the historical order) and delegate here only for N > 2.
+    Shared by the Atlas GA and the baseline samplers so all search the same plan
+    distribution; each caller draws its mask and offload probability in its own
+    order.  With one remote site (the paper's two-site topology)
+    ``rng.integers(0, 1, size=n)`` returns zeros and draws nothing, so the vector is
+    the mask and the stream is the bit-vector sampler's, draw for draw.
     """
     remote = [loc for loc in locations if loc != on_prem]
     if not remote:
         raise ValueError("locations must include at least one remote site")
-    offloaded = rng.random(n) < offload_prob
-    sites = rng.integers(0, len(remote), size=n)
+    sites = rng.integers(0, len(remote), size=len(offloaded))
     return [
         remote[int(site)] if moved else on_prem
         for moved, site in zip(offloaded, sites)

@@ -14,12 +14,7 @@ the S axis, ``RobustAggregator`` collapses the S×P objective tensor, and
 """
 
 from .adversary import AdversaryBounds, RobustnessCertificate, ScenarioAdversary
-from .artifacts import (
-    ArtifactCache,
-    fingerprint_footprint,
-    fingerprint_network,
-    fingerprint_traces,
-)
+from .artifacts import ArtifactCache, fingerprint_traces
 from .availability import ApiAvailabilityModel, AvailabilityEstimate
 from .compiled import CompiledTraceSet
 from .cost import CloudCostModel, CostEstimate, PricingCatalog
@@ -65,8 +60,6 @@ from .scenarios import (
 __all__ = [
     "ArtifactCache",
     "fingerprint_traces",
-    "fingerprint_network",
-    "fingerprint_footprint",
     "CompiledTraceSet",
     "DelayInjector",
     "ApiPerformanceModel",

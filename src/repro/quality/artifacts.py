@@ -26,16 +26,12 @@ from collections import OrderedDict
 from typing import Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster.network import NetworkModel
-    from ..learning.footprint import NetworkFootprint
     from ..serving.store import ArtifactStore
     from ..telemetry.tracing import Trace
 
 __all__ = [
     "ArtifactCache",
     "fingerprint_traces",
-    "fingerprint_network",
-    "fingerprint_footprint",
 ]
 
 
@@ -54,16 +50,6 @@ def fingerprint_traces(traces: Sequence["Trace"]) -> str:
     itself — a plain, mutable list on every caller's side — is walked on each call.
     """
     return hashlib.sha256(b"".join([trace.content_stream() for trace in traces])).hexdigest()
-
-
-def fingerprint_footprint(footprint: "NetworkFootprint") -> str:
-    """Content fingerprint of a learned network footprint (all edge byte sizes)."""
-    return footprint.content_digest()
-
-
-def fingerprint_network(network: "NetworkModel") -> str:
-    """Content fingerprint of a network model's link table (latency + bandwidth)."""
-    return network.content_digest()
 
 
 class _Flight:

@@ -59,11 +59,7 @@ from ..quality.adversary import (
     RobustnessCertificate,
     ScenarioAdversary,
 )
-from ..quality.artifacts import (
-    ArtifactCache,
-    fingerprint_network,
-    fingerprint_traces,
-)
+from ..quality.artifacts import ArtifactCache, fingerprint_traces
 from ..quality.availability import ApiAvailabilityModel
 from ..quality.cost import CloudCostModel, PricingCatalog
 from ..quality.evaluator import PlanQuality, QualityEvaluator
@@ -913,7 +909,7 @@ def _content_parts(atlas: Atlas, traces: bool) -> Optional[List[str]]:
         parts.append(",".join(sorted(profile.stateful_components)))
     parts.append(knowledge.footprint.content_digest())
     parts.append(knowledge.estimator.content_digest())
-    parts.append(fingerprint_network(atlas.network))
+    parts.append(atlas.network.content_digest())
     parts.append(_memoised(atlas, "plan", (atlas.current_plan,), _plan_text))
     parts.append(repr(list(atlas.locations)))
     parts.append(repr(atlas.application.component_names))

@@ -35,8 +35,6 @@ from repro.quality import (
     MigrationPreferences,
     ScenarioSet,
     ScenarioSpec,
-    fingerprint_footprint,
-    fingerprint_network,
     fingerprint_traces,
 )
 from repro.quality.scenarios import scaled_footprint
@@ -178,24 +176,24 @@ class TestFingerprints:
 
     def test_network_fingerprint_tracks_link_content(self):
         a, b = default_network_model(), default_network_model()
-        assert fingerprint_network(a) == fingerprint_network(b)
+        assert a.content_digest() == b.content_digest()
         # A network is immutable (it owns its digest), so "a link changed" is a new
         # network with the changed link.
         (pair, link) = next(iter(sorted(b._links.items())))
         changed = b.derive({pair: dataclasses.replace(link, latency_ms=link.latency_ms + 0.5)})
-        assert fingerprint_network(a) != fingerprint_network(changed)
-        assert fingerprint_network(b) == fingerprint_network(a)
+        assert a.content_digest() != changed.content_digest()
+        assert b.content_digest() == a.content_digest()
 
     def test_footprint_fingerprint_tracks_edge_bytes(self, tiny_telemetry):
         _app, result = tiny_telemetry
         one = FootprintLearner(result.telemetry).learn()
         two = FootprintLearner(result.telemetry).learn()
-        assert fingerprint_footprint(one) == fingerprint_footprint(two)
+        assert one.content_digest() == two.content_digest()
         # A footprint is immutable (it owns its digest), so "an edge changed" is a
         # new footprint over the changed edge list.
         edges = [edge for api in two.apis for edge in two.edges_of(api).values()]
         edges[0] = dataclasses.replace(edges[0], request_bytes=edges[0].request_bytes + 1.0)
-        assert fingerprint_footprint(one) != fingerprint_footprint(NetworkFootprint(edges))
+        assert one.content_digest() != NetworkFootprint(edges).content_digest()
 
 
 # -- cross-instance artifact reuse ------------------------------------------------------------

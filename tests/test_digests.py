@@ -41,11 +41,7 @@ from repro.quality import (
     PlacementProblem,
     PricingCatalog,
 )
-from repro.quality.artifacts import (
-    fingerprint_footprint,
-    fingerprint_network,
-    fingerprint_traces,
-)
+from repro.quality.artifacts import fingerprint_traces
 from repro.recommend import AdvisorService, Atlas, AtlasConfig, ReplanPrior
 from repro.recommend import advisor
 from repro.recommend.advisor import _describe
@@ -219,8 +215,7 @@ class TestOracle:
     def test_footprint_fingerprint_first_call_and_cached(self, rows):
         footprint = NetworkFootprint([EdgeFootprint(*row) for row in rows])
         want = oracle_fingerprint_footprint(footprint)
-        assert fingerprint_footprint(footprint) == want
-        assert fingerprint_footprint(footprint) == want
+        assert footprint.content_digest() == want
         assert footprint.content_digest() == want
         pairs = [("X", "Y"), ("Z", "X"), ("Y", "Y")]
         for api in ("/a", "/b", "/c", "/none"):
@@ -248,15 +243,14 @@ class TestOracle:
     def test_network_fingerprint_first_call_and_cached(self, rows):
         network = NetworkModel({(a, b): LinkSpec(lat, bw) for a, b, lat, bw in rows})
         want = oracle_fingerprint_network(network)
-        assert fingerprint_network(network) == want
-        assert fingerprint_network(network) == want
+        assert network.content_digest() == want
         assert network.content_digest() == want
         # A derived network is a new object with its own digest.
         (a, b), link = sorted(network._links.items())[0]
         latency = 0.5 if link.latency_ms != 0.5 else 1.5
         derived = network.derive({(a, b): LinkSpec(latency, link.bandwidth_mbps)})
-        assert fingerprint_network(derived) == oracle_fingerprint_network(derived) != want
-        assert fingerprint_network(network) == want
+        assert derived.content_digest() == oracle_fingerprint_network(derived) != want
+        assert network.content_digest() == want
 
     @given(
         st.lists(st.sampled_from(["/a", "/b", "/c"]), unique=True, max_size=3),
@@ -287,7 +281,7 @@ class TestOracle:
         assert knowledge.estimator.content_digest() == oracle_estimator_fingerprint(
             knowledge.estimator
         )
-        assert fingerprint_footprint(knowledge.footprint) == oracle_fingerprint_footprint(
+        assert knowledge.footprint.content_digest() == oracle_fingerprint_footprint(
             knowledge.footprint
         )
 
@@ -694,12 +688,12 @@ class TestMemosStayOutOfPickles:
     def test_network_pickle_carries_no_digest(self, tiny_atlas):
         network = tiny_atlas.network
         cold = pickle.dumps(network)
-        digest = fingerprint_network(network)
+        digest = network.content_digest()
         assert network._digest == digest
         warm = pickle.dumps(network)
         assert warm == cold and b"_digest" not in warm
         loaded = pickle.loads(warm)
-        assert loaded._digest is None and fingerprint_network(loaded) == digest
+        assert loaded._digest is None and loaded.content_digest() == digest
 
     def test_stored_compiled_set_carries_no_digest(self):
         rng = np.random.default_rng(6)

@@ -7,9 +7,10 @@ Three laws anchor the multi-location generalization:
    two-location stack — adding an unused region never perturbs the objectives.
 2. **Engine equivalence**: the compiled replay engine matches the recursive
    ``DelayInjector`` oracle on 3-location topologies exactly, like it does on two.
-3. **Two-location invariance**: running the searchers with an explicit
-   ``locations=(0, 1)`` is bit-for-bit the same as the historical binary path, so
-   fixed-seed 2-DC runs reproduce pre-N-location results.
+3. **Two-location invariance**: the paper's two-site search is the N = 2 case of the
+   one N-site path.  The shared sampler at ``locations=(0, 1)`` is the bit-vector
+   draw, value for value and generator state for generator state, so fixed-seed
+   2-DC runs reproduce pre-N-location results.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.learning import ApiProfiler, FootprintLearner, ResourceEstimator
 from repro.optimizer import AtlasGA, GAConfig, RandomSearchBaseline
 from repro.optimizer.baselines import BaselineContext
 from repro.optimizer.drl.agent import CrossoverAgent
+from repro.optimizer.nsga2 import random_location_vector
 from repro.quality import (
     ApiAvailabilityModel,
     ApiPerformanceModel,
@@ -202,6 +204,36 @@ class TestEngineEquivalenceThreeLocations:
 class TestTwoLocationInvariance:
     """Explicit ``locations=(0, 1)`` must be byte-identical to the historical path."""
 
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        n=st.integers(0, 64),
+        offload_prob=st.floats(0.0, 1.0),
+        order=st.sampled_from(["atlas-ga", "random-search"]),
+    )
+    def test_two_site_sampler_is_the_bit_vector_draw(self, seed, n, offload_prob, order):
+        """Canary for the premise of the one path: at one remote site the sampler's
+        ``integers(0, 1, size=n)`` returns zeros and draws nothing.
+
+        The GA (and the affinity NSGA-II) draw their offload probability before the
+        mask, random search between the mask and the sites; both must leave the
+        generator where the bare bit-vector draw leaves it.
+        """
+        bare, shared = np.random.default_rng(seed), np.random.default_rng(seed)
+        if order == "atlas-ga":
+            bare.uniform(0.1, 0.95)
+            shared.uniform(0.1, 0.95)
+        want = [int(d < offload_prob) for d in bare.random(n)]
+        offloaded = shared.random(n) < offload_prob
+        if order == "random-search":
+            bare.uniform(0.1, 0.9)
+            shared.uniform(0.1, 0.9)
+        got = random_location_vector(shared, offloaded, (ON_PREM, CLOUD))
+        assert got == want and all(type(gene) is int for gene in got)
+        assert shared.bit_generator.state == bare.bit_generator.state, (
+            "numpy's Generator.integers(0, 1, size=n) consumed the stream: the "
+            "two-site search is no longer the bit-vector GA's draw for draw"
+        )
+
     def test_atlas_ga_fixed_seed_trajectory_unchanged(self, tiny_stack):
         app, build_evaluator = tiny_stack
         config = GAConfig(
@@ -269,24 +301,23 @@ class TestMultiLocationSearch:
         assert seen == set(THREE_LOCATIONS)
 
     def test_agent_rejects_pins_outside_location_set(self):
-        with pytest.raises(ValueError, match="pinned locations"):
-            CrossoverAgent(
-                n_components=4, hidden_dims=(8,), locations=THREE_LOCATIONS,
-                pinned={1: 7},
-            )
+        for locations, outside in ((THREE_LOCATIONS, 7), ((ON_PREM, CLOUD), 2)):
+            with pytest.raises(ValueError, match="pinned locations"):
+                CrossoverAgent(
+                    n_components=4, hidden_dims=(8,), locations=locations,
+                    pinned={1: outside},
+                )
 
     def test_ga_rejects_pins_outside_location_set(self, tiny_stack):
         app, build_evaluator = tiny_stack
         stateful = sorted(app.stateful_components())
-        preferences = MigrationPreferences(pinned_placement={stateful[0]: 7})
-        evaluator = build_evaluator(
-            locations=THREE_LOCATIONS, preferences=preferences
-        )
-        with pytest.raises(ValueError, match="outside the search"):
-            AtlasGA(
-                evaluator, app.component_names, GAConfig(seed=0),
-                locations=THREE_LOCATIONS,
-            )
+        for locations, outside in ((THREE_LOCATIONS, 7), ((ON_PREM, CLOUD), 2)):
+            preferences = MigrationPreferences(pinned_placement={stateful[0]: outside})
+            evaluator = build_evaluator(locations=locations, preferences=preferences)
+            with pytest.raises(ValueError, match="outside the search"):
+                AtlasGA(
+                    evaluator, app.component_names, GAConfig(seed=0), locations=locations
+                )
 
     def test_agent_training_improves_nothing_but_runs(self, tiny_stack):
         """Categorical training must run end to end and keep pins fixed."""
