@@ -63,12 +63,10 @@ class ApiAvailabilityModel:
                 raise ValueError(f"disruption weight for location {location} must be >= 0")
         self._apis = sorted(self._stateful)
         # Projection axis per API: disruption depends only on the placements of the
-        # API's stateful components, so results are cached by that tuple.
+        # API's stateful components, the columns a plan matrix is lowered onto.
         self._projection_axis: Dict[str, List[str]] = {
             api: sorted(components) for api, components in self._stateful.items()
         }
-        # (api, axis placements) -> (disrupted, per-location disruption factor).
-        self._disrupted_cache: Dict[Tuple[str, Tuple[int, ...]], Tuple[bool, float]] = {}
         # Plan-matrix lowering: per component order, the per-API axis columns and
         # baseline placements (see _lowering).
         self._lowerings: Dict[
@@ -84,10 +82,11 @@ class ApiAvailabilityModel:
     ) -> "ApiAvailabilityModel":
         """A sibling model with different failure-domain weights (the fault hook).
 
-        Shares the learned stateful-component sets and the baseline plan; caches are
-        per-model, so a faulted scenario's heavier destination weights (e.g. a
+        Shares the learned stateful-component sets and the baseline plan; the
+        lowerings are per-model, and the weights live on the sibling alone, so a
+        faulted scenario's heavier destination weights (e.g. a
         :class:`~repro.quality.faults.LocationOutage` penalizing its failed site)
-        never contaminate the fault-free model.
+        never reach the fault-free model.
         """
         return ApiAvailabilityModel(
             stateful_components_by_api=self._stateful,
@@ -98,23 +97,15 @@ class ApiAvailabilityModel:
         )
 
     def _resolve(self, api: str, plan: MigrationPlan) -> Tuple[bool, float]:
-        """(disrupted, failure-domain factor) of one API, projection-cached."""
-        axis = self._projection_axis.get(api)
-        if not axis:
+        """(disrupted, failure-domain factor) of one API under one plan."""
+        axis = self._projection_axis.get(api) or ()
+        moved_to = [plan[c] for c in axis if plan[c] != self.baseline_plan[c]]
+        if not moved_to:
             return (False, 0.0)
-        key = (api, tuple(plan[c] for c in axis))
-        cached = self._disrupted_cache.get(key)
-        if cached is None:
-            moved_to = [plan[c] for c in axis if plan[c] != self.baseline_plan[c]]
-            if not moved_to:
-                cached = (False, 0.0)
-            else:
-                factor = max(
-                    self.location_weights.get(location, 1.0) for location in moved_to
-                )
-                cached = (True, factor)
-            self._disrupted_cache[key] = cached
-        return cached
+        return (
+            True,
+            max(self.location_weights.get(location, 1.0) for location in moved_to),
+        )
 
     def api_disrupted(self, api: str, plan: MigrationPlan) -> bool:
         """Whether migrating to ``plan`` disrupts the API (any stateful dependency moves)."""

@@ -191,9 +191,6 @@ class CloudCostModel:
         self._storage_autoscalers: Dict[int, StorageAutoscaler] = {
             loc: StorageAutoscaler(cat.autoscaler) for loc, cat in self.catalogs.items()
         }
-        # qcost is memoized by plan for the scalar (reference-oracle) path; the
-        # batched pipeline scores each distinct plan exactly once and bypasses it.
-        self._qcost_cache: Dict[MigrationPlan, float] = {}
         # Lowered views of the estimate/footprint for the plan-matrix pipeline,
         # keyed by the component order of the matrices.
         self._lowerings: Dict[Tuple[str, ...], "_CostLowering"] = {}
@@ -431,8 +428,7 @@ class CloudCostModel:
         every plan (per-site accumulation order, autoscaler arithmetic and traffic
         bucketing replicate the scalar oracle); a classic call is the stack of one.
         Rows seen before (same component order) come from each model's batched memo,
-        which ends up holding every row; the per-plan memo of :meth:`qcost` is
-        neither consulted nor filled.
+        which ends up holding every row.
 
         The robust evaluator's scenario cost models are such a stack: what no
         scenario changes — the membership masks, the stateful placements, the bucket
@@ -484,11 +480,7 @@ class CloudCostModel:
     # -- combined --------------------------------------------------------------------------
     def qcost(self, plan: MigrationPlan) -> float:
         """Total cost in USD over the period of interest (Eq. 11)."""
-        cached = self._qcost_cache.get(plan)
-        if cached is None:
-            cached = self.estimate_cost(plan).total_usd
-            self._qcost_cache[plan] = cached
-        return cached
+        return self.estimate_cost(plan).total_usd
 
     def estimate_cost(self, plan: MigrationPlan) -> CostEstimate:
         compute, nodes = self.compute_cost(plan)

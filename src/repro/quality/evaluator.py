@@ -725,10 +725,11 @@ class QualityEvaluator:
         """Per-plan reference oracle; the batched pipeline must match it bitwise.
 
         Objectives score through their scalar kernels (``score_plan``), constraints
-        through ``violations_plan`` — the built-in plugins run the exact historical
-        per-plan code paths (memoized ``qcost``, per-projection QPerf/QAvai caches).
-        Always the classic single-workload stack over the base models: no cache, no
-        bound scenario set.
+        through ``violations_plan`` — the built-in plugins run the per-plan kernels
+        (``qperf`` / ``qavai`` / ``qcost``), which keep no state on the models: the
+        call's context holds the one ``qcost`` the QCost objective and the budget
+        check share.  Always the classic single-workload stack over the base models:
+        no cache, no bound scenario set.
         """
         self.evaluations += 1
         ctx = self._plan_context(plan)

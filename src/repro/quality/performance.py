@@ -26,18 +26,17 @@ three invariants:
   :class:`DelayInjector` is kept as the reference oracle (``engine="reference"``) and
   the compiled engine is bitwise-identical to it, so either engine yields the same
   fixed-seed search trajectory.
-* **Projection keys** — an API's latency depends only on the placements of the
-  components its traces touch, so per-API results are cached by that *projection* of
-  the plan: the thousands of GA plans that differ only in components an API never
-  touches hit the cache instead of replaying.  Edge delays are further keyed by the
-  cut-edge signature (the exact Δ map), which collapses distinct projections that
-  induce identical delays.
 * **Batched evaluation** — :meth:`ApiPerformanceModel.impact_matrix` +
   :meth:`~ApiPerformanceModel.qperf_stack` score a whole generation as one plan
-  matrix: project → gather Δ rows from per-API lookup tables → dedup by raw row bytes
-  → one vectorized replay per API for all cache-missing rows.
-  :class:`~repro.quality.evaluator.QualityEvaluator` drives it from
-  ``evaluate_vectors`` / ``evaluate_batch``.
+  matrix: project each API onto the components its traces touch → gather Δ rows from
+  per-API lookup tables → dedup by raw row bytes → one vectorized replay per API for
+  all cache-missing rows.  :class:`~repro.quality.evaluator.QualityEvaluator` drives
+  it from ``evaluate_vectors`` / ``evaluate_batch``.
+* **A stateless per-plan path** — :meth:`~ApiPerformanceModel.estimate`,
+  :meth:`~ApiPerformanceModel.qperf` and the other per-plan methods compute the plan's
+  Δ map and replay it every call; they keep nothing on the model, so the scalar oracle
+  (``QualityEvaluator.evaluate_reference``) shares no cache with the batched engine it
+  checks.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ __all__ = ["DelayInjector", "ApiPerformanceModel", "PerformanceEstimate"]
 _ENGINES = ("compiled", "reference")
 
 Edge = Tuple[str, str]
-#: Canonical cache key for one plan's per-edge delays: the cut-edge signature.
-DelaySignature = Tuple[Tuple[Edge, float], ...]
 
 
 class DelayInjector:
@@ -164,14 +161,14 @@ class PerformanceEstimate:
 class ApiPerformanceModel:
     """Estimates per-API latency and the QPerf objective for any migration plan.
 
-    ``engine`` selects how cache-missing delay signatures are replayed:
+    ``engine`` selects how Δ maps are replayed:
 
     * ``"compiled"`` (default) — vectorized per-API compiled trace sets, the one
       production engine;
     * ``"reference"`` — the recursive :class:`DelayInjector` oracle, trace by trace,
       which the tests and the end-to-end benchmark re-score against.
 
-    Both engines share the projection/signature caches and are bitwise identical.
+    Both engines are bitwise identical.
     """
 
     def __init__(
@@ -210,17 +207,13 @@ class ApiPerformanceModel:
         self._baseline_mean: Dict[str, float] = {}
         # Invocation edges per API (unioned over sample traces).
         self._edges: Dict[str, List[Edge]] = {}
-        # Components each API touches — the projection axis of the plan caches.
+        # Components each API touches — the projection axis of the plan matrix.
         self._touched: Dict[str, List[str]] = {}
         for api in self._traces:
             self._derive(api)
         self._apis = sorted(self._traces)
         # Compiled trace sets, built lazily on first replay of each API.
         self._compiled: Dict[str, CompiledTraceSet] = {}
-        # Projection cache: (api, touched-component placements) -> per-edge Δ map.
-        self._delays_by_projection: Dict[Tuple[str, Tuple[int, ...]], Dict[Edge, float]] = {}
-        # Signature cache: (api, cut-edge signature) -> (latencies, mean latency).
-        self._by_signature: Dict[Tuple[str, DelaySignature], Tuple[List[float], float]] = {}
         # Plan-matrix lowering: per component order, each API's touched columns.
         self._projection_columns: Dict[Tuple[str, ...], Dict[str, np.ndarray]] = {}
         # Per-API Δ lookup tables over (edge, caller location, callee location), built
@@ -229,8 +222,6 @@ class ApiPerformanceModel:
             str, Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = {}
         # Matrix-pipeline result cache: per API, raw Δ-row bytes -> mean latency.
-        # (The replay is deterministic, so this holds the same numbers as the
-        # signature cache without paying for per-row signature tuples.)
         self._row_means: Dict[str, Dict[bytes, float]] = {}
         # Set on scenario views: APIs whose footprint bytes differ from the base
         # model's (None = unknown/all).  The base model changes nothing.
@@ -265,13 +256,12 @@ class ApiPerformanceModel:
 
         The view shares everything that does not depend on footprint bytes or link
         characteristics: the sample traces, baseline means, per-API edge/touched
-        sets, the compiled trace sets and — crucially — the replay result caches
-        (``_by_signature`` and ``_row_means`` are keyed by the exact Δ map / raw
-        Δ-row bytes, and a replay depends only on the compiled traces plus the Δ
-        row, never on which footprint or network produced it).  It owns the
-        Δ-producing caches (projection cache and Δ lookup tables).  Scenarios that
-        scale no payloads and keep the base network get back ``self``, sharing
-        everything.
+        sets, the compiled trace sets and — crucially — the replay result cache
+        (``_row_means`` is keyed by the raw Δ-row bytes, and a replay depends only
+        on the compiled traces plus the Δ row, never on which footprint or network
+        produced it).  It owns the Δ-producing cache (the Δ lookup tables).
+        Scenarios that scale no payloads and keep the base network get back
+        ``self``, sharing everything.
 
         ``changed_apis`` names the APIs whose footprint bytes actually differ from
         this model's (``None`` means "assume all changed"): robust evaluation then
@@ -291,7 +281,6 @@ class ApiPerformanceModel:
         view.footprint = footprint
         if network is not None:
             view.network = network
-        view._delays_by_projection = {}
         view._delta_tables = {}
         view._changed_apis = (
             frozenset(changed_apis) if changed_apis is not None else None
@@ -318,10 +307,8 @@ class ApiPerformanceModel:
                 del cache[key]
 
         purge(self._compiled, lambda key: key)
-        purge(self._by_signature, lambda key: key[0])
         purge(self._row_means, lambda key: key)
         for model in members:
-            purge(model._delays_by_projection, lambda key: key[0])
             purge(model._delta_tables, lambda key: key)
 
     def splice(self, new_traces_by_api: Mapping[str, Sequence[Trace]]) -> None:
@@ -373,21 +360,12 @@ class ApiPerformanceModel:
         """Components appearing in each API's traces (callers and callees)."""
         return {api: list(members) for api, members in self._touched.items()}
 
-    # -- projection / caching ----------------------------------------------------------------
-    def projection_key(self, api: str, plan: MigrationPlan) -> Tuple[int, ...]:
-        """Placements of only the components this API touches — its plan projection."""
-        return tuple(plan[c] for c in self._touched[api])
-
+    # -- per-plan path -----------------------------------------------------------------------
     def edge_delays(self, api: str, plan: MigrationPlan) -> Dict[Edge, float]:
-        """Δ per invocation edge of one API under ``plan`` (Eq. 2), projection-cached."""
+        """Δ per invocation edge of one API under ``plan`` (Eq. 2)."""
         if api not in self._traces:
-            return {}
-        key = (api, self.projection_key(api, plan))
-        cached = self._delays_by_projection.get(key)
-        if cached is None:
-            cached = self._compute_edge_delays(api, plan)
-            self._delays_by_projection[key] = cached
-        return dict(cached)
+            raise KeyError(f"no traces available for API {api!r}")
+        return self._compute_edge_delays(api, plan)
 
     def _compute_edge_delays(self, api: str, plan: Mapping[str, int]) -> Dict[Edge, float]:
         """Δ per edge given any component -> location mapping covering the API."""
@@ -403,10 +381,6 @@ class ApiPerformanceModel:
             if delta > 0.0:
                 delays[(caller, callee)] = delta
         return delays
-
-    @staticmethod
-    def _signature(delays: Mapping[Edge, float]) -> DelaySignature:
-        return tuple(sorted(delays.items()))
 
     def _trace_fingerprint(self, api: str) -> str:
         """Content fingerprint of one API's sample trace set (lazy, family-shared)."""
@@ -438,18 +412,13 @@ class ApiPerformanceModel:
         ]
 
     def _resolve(self, api: str, plan: MigrationPlan) -> Tuple[List[float], float]:
-        """(latencies, mean) of one API under one plan, through both cache layers."""
-        delays = self.edge_delays(api, plan)
-        signature = self._signature(delays)
-        cached = self._by_signature.get((api, signature))
-        if cached is None:
-            if self.engine != "reference":
-                latencies = self._compiled_set(api).latencies(delays)
-            else:
-                latencies = self._replay_reference(api, delays)
-            cached = (latencies, float(statistics.fmean(latencies)))
-            self._by_signature[(api, signature)] = cached
-        return cached
+        """(latencies, mean) of one API under one plan: its Δ map, replayed."""
+        delays = self._compute_edge_delays(api, plan)
+        if self.engine != "reference":
+            latencies = self._compiled_set(api).latencies(delays)
+        else:
+            latencies = self._replay_reference(api, delays)
+        return latencies, float(statistics.fmean(latencies))
 
     # -- plan-matrix pipeline ---------------------------------------------------------------
     def _columns_for(self, components: Sequence[str]) -> Dict[str, np.ndarray]:
@@ -573,7 +542,7 @@ class ApiPerformanceModel:
 
         Projects the matrix onto the API's touched columns, gathers each distinct
         projection's per-edge Δ row from the API's delta table (all cache-missing
-        signatures replay in one vectorized batch) and broadcasts the cached means
+        rows replay in one vectorized batch) and broadcasts the cached means
         back to the plan axis.
         """
         edges = self._edges[api]
@@ -695,7 +664,7 @@ class ApiPerformanceModel:
         if api not in self._traces:
             raise KeyError(f"no traces available for API {api!r}")
         latencies, _mean = self._resolve(api, plan)
-        return list(latencies)
+        return latencies
 
     def estimate(self, api: str, plan: MigrationPlan) -> PerformanceEstimate:
         if api not in self._traces:
@@ -705,7 +674,7 @@ class ApiPerformanceModel:
             api=api,
             baseline_mean_ms=self._baseline_mean[api],
             estimated_mean_ms=mean,
-            estimated_latencies_ms=list(latencies),
+            estimated_latencies_ms=latencies,
         )
 
     def estimate_all(self, plan: MigrationPlan) -> Dict[str, PerformanceEstimate]:

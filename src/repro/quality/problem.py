@@ -276,6 +276,13 @@ def scenario_costs(ctx: EvalContext) -> np.ndarray:
     )
 
 
+def _plan_cost(ctx: EvalContext, plan: MigrationPlan) -> float:
+    """QCost of the scalar oracle's one plan, computed once per evaluation: the QCost
+    objective and the budget constraint read one entry of the call's ``shared``,
+    under a key of its own so the oracle never reads the batched kernel's value."""
+    return ctx.stacked("qcost-plan", lambda columns: [ctx.cost.qcost(plan)])
+
+
 class QPerfObjective(Objective):
     """Expected API slowdown (Eq. 1): weighted mean impact factor over all APIs.
 
@@ -350,7 +357,8 @@ class QCostObjective(Objective):
     """Cloud hosting cost in USD over the period of interest (Eq. 11).
 
     One stacked cost pass per call (:func:`scenario_costs`), which the budget
-    constraint reads too; the scalar oracle is the per-plan memoised ``qcost``.
+    constraint reads too; the scalar oracle is ``qcost``, once per evaluation
+    (:func:`_plan_cost`).
     """
 
     name = "qcost"
@@ -359,7 +367,7 @@ class QCostObjective(Objective):
         return scenario_costs(ctx)
 
     def score_plan(self, ctx: EvalContext, plan: MigrationPlan) -> float:
-        return ctx.cost.qcost(plan)
+        return _plan_cost(ctx, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +602,8 @@ class BudgetConstraint(Constraint):
     objective ran when the problem scores costs anyway, or on constraint-only passes
     (``feasible_mask``) one it drives itself — whose per-model row memos keep a later
     full evaluation of the same plans from paying the cost passes again, under every
-    scenario.  The scalar oracle reads the per-plan memoised ``qcost``.
+    scenario.  The scalar oracle reads the same ``qcost`` the QCost objective scored
+    (:func:`_plan_cost`).
     """
 
     name = "budget"
@@ -619,7 +628,7 @@ class BudgetConstraint(Constraint):
         budget = ctx.preferences.budget_usd
         if budget == float("inf"):
             return []
-        cost = ctx.cost.qcost(plan)
+        cost = _plan_cost(ctx, plan)
         if cost > budget:
             return [f"cost {cost:.2f} USD exceeds budget {budget:.2f} USD"]
         return []

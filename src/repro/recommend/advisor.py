@@ -84,8 +84,9 @@ __all__ = [
     "AdvisorService",
 ]
 
-#: Scenario-evaluation budget of ``Atlas.recommend(certify=True)`` — enough for the
-#: stress-family seeds plus a couple of coordinate-descent passes on small testbeds.
+#: Scenario-evaluation budget of ``Atlas.recommend(certify=True)`` and the default of
+#: ``certify_plan`` / ``recertify`` — enough for the stress-family seeds plus a couple
+#: of coordinate-descent passes on small testbeds.
 DEFAULT_CERTIFY_BUDGET = 48
 
 #: The budget of a re-plan that starts from the front the tenant was serving
@@ -616,7 +617,7 @@ class Atlas:
         self,
         evaluator: QualityEvaluator,
         plan: MigrationPlan,
-        budget: int = 48,
+        budget: int = DEFAULT_CERTIFY_BUDGET,
         seed: int = 0,
         bounds: Optional[AdversaryBounds] = None,
         extra_specs: Sequence[ScenarioSpec] = (),
@@ -662,7 +663,7 @@ class Atlas:
         executed_plan: MigrationPlan,
         update: DriftScenarioUpdate,
         base_scenario: Optional[WorkloadScenario] = None,
-        budget: int = 48,
+        budget: int = DEFAULT_CERTIFY_BUDGET,
         seed: int = 0,
         bounds: Optional[AdversaryBounds] = None,
     ) -> Optional[RobustnessCertificate]:

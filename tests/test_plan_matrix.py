@@ -10,9 +10,10 @@ stacks.  The building blocks carry the same contract: ``nodes_for_series`` vs
 ``qperf_stack`` vs ``qperf``, ``feasible_mask`` vs ``is_feasible``.  Every door of
 the evaluator refuses a location its network does not have.  The allowed-locations
 whitelist and the region-aware single-plan baselines ride on the same machinery and
-are covered here too.
+are covered here too, and the scalar oracle is held to leaving no state on its models.
 """
 
+import copy
 import re
 
 import numpy as np
@@ -405,6 +406,61 @@ class TestCostScoredOnce:
         # not even for the budget check or the violation strings.
         assert batch_calls == [len({tuple(v) for v in vectors.tolist()})]
         assert scalar_calls == []
+
+
+def _dict_sizes(evaluator):
+    """Size of every ``dict`` attribute of the evaluator's three models."""
+    return {
+        (part, name): len(value)
+        for part in ("performance", "availability", "cost")
+        for name, value in vars(getattr(evaluator, part)).items()
+        if isinstance(value, dict)
+    }
+
+
+def _oracle_bits(evaluator, door, plan):
+    """What one scalar-oracle call returns, every float as ``float.hex``."""
+    if door == "evaluate_reference":
+        quality = evaluator.evaluate_reference(plan)
+        return [v.hex() for v in quality.values], quality.feasible, quality.violations
+    return {
+        api: (
+            estimate.baseline_mean_ms.hex(),
+            estimate.estimated_mean_ms.hex(),
+            [latency.hex() for latency in estimate.estimated_latencies_ms],
+        )
+        for api, estimate in evaluator.performance.estimate_all(plan).items()
+    }
+
+
+class TestStatelessOracle:
+    """The per-plan path is a pure function of (models, plan): it keeps nothing."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["evaluate_reference", "estimate_all"]),
+                st.lists(st.integers(min_value=0, max_value=2), min_size=6, max_size=6),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_scalar_oracle_leaves_no_state_on_its_models(self, matrix_stack, calls):
+        app, build_evaluator = matrix_stack
+        names = app.component_names
+
+        def evaluator():
+            prefs = MigrationPreferences(**copy.deepcopy(CONSTRAINED_PREFS))
+            return build_evaluator(preferences=prefs, **THREE_DC_KWARGS)
+
+        used = evaluator()
+        used.evaluate_reference(MigrationPlan.all_on_prem(names))  # compiles every API
+        sizes = _dict_sizes(used)
+        for door, vector in calls:
+            plan = MigrationPlan.from_vector(names, vector)
+            assert _oracle_bits(used, door, plan) == _oracle_bits(evaluator(), door, plan)
+            assert _dict_sizes(used) == sizes
 
 
 class TestUnknownLocations:

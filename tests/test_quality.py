@@ -119,6 +119,13 @@ class TestApiPerformanceModel:
         assert all(delta > 20.0 for delta in delays.values())
         assert performance.edge_delays("/write", baseline) == {}
 
+    def test_edge_delays_refuses_an_api_without_traces(self, quality_stack):
+        app, baseline, performance, *_ = quality_stack
+        # Like estimate / estimate_latencies: a misspelt API is an error, not "no delay".
+        for door in (performance.edge_delays, performance.estimate_latencies):
+            with pytest.raises(KeyError, match="no traces available for API '/wirte'"):
+                door("/wirte", baseline)
+
     def test_offloading_background_component_keeps_latency(self, quality_stack):
         app, baseline, performance, *_ = quality_stack
         plan = MigrationPlan.from_offloaded(app.component_names, ["Notifier"])

@@ -479,7 +479,6 @@ class TestInvalidation:
         ]
         evaluator.splice({"/read": window})
         assert "/read" not in view._delta_tables
-        assert all(key[0] != "/read" for key in view._delays_by_projection)
         assert view._edges["/read"] == [e for e in old_edges if e[1] != "Notifier"] != old_edges
         evaluator.evaluate_vectors(vectors, scenarios=S4)
         assert view._delta_tables["/read"][1].shape[0] == len(view._edges["/read"])
