@@ -712,8 +712,9 @@ class QualityEvaluator:
         :meth:`~repro.quality.performance.ApiPerformanceModel.splice`), stale
         results are dropped, but the compiled *scenario* contexts survive — a
         scenario's estimate/footprint/cost/weights never depend on trace contents,
-        and its performance view's per-API caches were purged family-wide by the
-        model splice — so a K-of-N API refresh pays K trace compiles instead of a
+        its performance view shares the model's compiled sets and replay caches, and
+        it rebuilds a Δ table whose edge list the splice replaced on the table's next
+        read — so a K-of-N API refresh pays K trace compiles instead of a
         full evaluator rebuild, while scoring bitwise-identical to one.  A splice
         that raises (unknown API, empty window) changes nothing.
         """

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import copy
 import statistics
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -64,6 +63,7 @@ __all__ = ["DelayInjector", "ApiPerformanceModel", "PerformanceEstimate"]
 _ENGINES = ("compiled", "reference")
 
 Edge = Tuple[str, str]
+DeltaTable = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class DelayInjector:
@@ -216,20 +216,15 @@ class ApiPerformanceModel:
         self._compiled: Dict[str, CompiledTraceSet] = {}
         # Plan-matrix lowering: per component order, each API's touched columns.
         self._projection_columns: Dict[Tuple[str, ...], Dict[str, np.ndarray]] = {}
-        # Per-API Δ lookup tables over (edge, caller location, callee location), built
-        # lazily and regrown when a matrix mentions a higher location id.
-        self._delta_tables: Dict[
-            str, Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
+        # Per-API Δ lookup tables over (edge, caller location, callee location), each
+        # with the edge list it was built for: built lazily, regrown when a matrix
+        # mentions a higher location id, rebuilt when a splice gave the API a new list.
+        self._delta_tables: Dict[str, Tuple[List[Edge], DeltaTable]] = {}
         # Matrix-pipeline result cache: per API, raw Δ-row bytes -> mean latency.
         self._row_means: Dict[str, Dict[bytes, float]] = {}
         # Set on scenario views: APIs whose footprint bytes differ from the base
         # model's (None = unknown/all).  The base model changes nothing.
         self._changed_apis: Optional[frozenset] = frozenset()
-        # Weak registry of every model in this family (the base and all scenario
-        # views share the same list), so a splice reaches every member's
-        # view-owned Δ caches, not just the callee's.
-        self._family: List["weakref.ref[ApiPerformanceModel]"] = [weakref.ref(self)]
 
     def _derive(self, api: str) -> None:
         """Baseline mean, edge vocabulary and touched set of ``self._traces[api]``."""
@@ -259,7 +254,9 @@ class ApiPerformanceModel:
         sets, the compiled trace sets and — crucially — the replay result cache
         (``_row_means`` is keyed by the raw Δ-row bytes, and a replay depends only
         on the compiled traces plus the Δ row, never on which footprint or network
-        produced it).  It owns the Δ-producing cache (the Δ lookup tables).
+        produced it).  It owns the Δ-producing cache (the Δ lookup tables), each
+        table checked at read time against the API's current edge list, so a splice
+        on any member of the family reaches it without the splice knowing the view.
         Scenarios that scale no payloads and keep the base network get back
         ``self``, sharing everything.
 
@@ -285,40 +282,19 @@ class ApiPerformanceModel:
         view._changed_apis = (
             frozenset(changed_apis) if changed_apis is not None else None
         )
-        # copy.copy shares the family list by reference — register the new view in
-        # it so a splice on any member reaches this view's Δ caches.
-        self._family.append(weakref.ref(view))
         return view
-
-    def _purge(self, apis: Sequence[str]) -> None:
-        """Drop the named APIs' compiled sets and replay caches, and each live family
-        member's Δ caches of them: the replay caches are shared by every
-        :meth:`scenario_view`, the Δ caches are each view's own."""
-        members: List["ApiPerformanceModel"] = []
-        for reference in self._family:
-            model = reference()
-            if model is not None:
-                members.append(model)
-        self._family[:] = [weakref.ref(model) for model in members]
-        targets = set(apis)
-
-        def purge(cache: Dict, api_of) -> None:
-            for key in [key for key in cache if api_of(key) in targets]:
-                del cache[key]
-
-        purge(self._compiled, lambda key: key)
-        purge(self._row_means, lambda key: key)
-        for model in members:
-            purge(model._delta_tables, lambda key: key)
 
     def splice(self, new_traces_by_api: Mapping[str, Sequence[Trace]]) -> None:
         """Install refreshed sample traces for the named APIs — the O(K) drift path.
 
         K APIs recompile, the rest keep everything: the named APIs' traces, baseline
         means, edge vocabularies and touched sets are recomputed by the
-        constructor's own :meth:`_derive` and their compiled sets and caches are
-        purged family-wide, so :meth:`_compiled_set` compiles them again (through the
-        artifact cache, keyed by the new traces' fingerprint) on their next replay.
+        constructor's own :meth:`_derive` and their compiled sets and replay caches
+        are dropped from the dicts every scenario view shares, so :meth:`_compiled_set`
+        compiles them again (through the artifact cache, keyed by the new traces'
+        fingerprint) on their next replay.  A view's own Δ table of a named API was
+        built for the old edge list and is rebuilt when :meth:`_delta_table` next
+        reads it.
         Every other API's compiled arrays and replay caches survive untouched, and
         the model scores bitwise like a fresh one over the updated traces.  Every
         target is validated before anything changes: an unknown API raises
@@ -339,10 +315,12 @@ class ApiPerformanceModel:
             self._traces[api] = windows[api]
             self._derive(api)
             self._trace_fps.pop(api, None)
+            # Shared by reference with every view, so one pop reaches the family.
+            self._compiled.pop(api, None)
+            self._row_means.pop(api, None)
         # Touched sets may have changed, so the per-order projection columns
         # (shared by reference with every view) are stale.
         self._projection_columns.clear()
-        self._purge(targets)
 
     # -- public API ------------------------------------------------------------------------
     @property
@@ -434,9 +412,7 @@ class ApiPerformanceModel:
             self._projection_columns[key] = cached
         return cached
 
-    def _delta_table(
-        self, api: str, n_locations: int
-    ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _delta_table(self, api: str, n_locations: int) -> DeltaTable:
         """Δ of every (edge, caller location, callee location) triple of one API.
 
         Returns ``(size, table, missing, src_pos, dst_pos)``: ``table[e, a, b]`` is
@@ -444,10 +420,12 @@ class ApiPerformanceModel:
         ``(a, b)`` (zero where the pair does not move or the Δ is non-positive),
         ``missing`` flags pairs the network has no link for, and ``src_pos``/
         ``dst_pos`` map each edge endpoint into the API's touched-component axis.
-        Built once per API and regrown when a higher location id appears.
+        Built once per edge list of the API — a splice assigns a fresh list, so a
+        table built for the old one is rebuilt on its next read — and regrown when a
+        higher location id appears.
         """
-        cached = self._delta_tables.get(api)
-        if cached is None or cached[0] < n_locations:
+        built_for, cached = self._delta_tables.get(api, (None, None))
+        if built_for is not self._edges[api] or cached[0] < n_locations:
             if self._artifact_cache is not None:
                 # Content-complete key: a table is a function of the edge list, the
                 # touched components' baseline placements, the per-edge footprint
@@ -472,12 +450,10 @@ class ApiPerformanceModel:
                 )
             else:
                 cached = self._build_delta_table(api, n_locations)
-            self._delta_tables[api] = cached
+            self._delta_tables[api] = (self._edges[api], cached)
         return cached
 
-    def _build_delta_table(
-        self, api: str, n_locations: int
-    ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _build_delta_table(self, api: str, n_locations: int) -> DeltaTable:
         edges = self._edges[api]
         table = np.zeros((len(edges), n_locations, n_locations), dtype=np.float64)
         missing = np.zeros(table.shape, dtype=bool)

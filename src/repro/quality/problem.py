@@ -638,10 +638,6 @@ class BudgetConstraint(Constraint):
 # The declarative problem
 # ---------------------------------------------------------------------------
 
-#: Column names of the paper's triple, in canonical order.
-DEFAULT_OBJECTIVE_NAMES = ("qperf", "qavai", "qcost")
-
-
 @dataclass(frozen=True)
 class PlacementProblem:
     """A frozen placement problem: what to optimize, subject to what, over which futures.
@@ -692,21 +688,6 @@ class PlacementProblem:
             if objective.name == name:
                 return index
         raise KeyError(f"no objective named {name!r} in {self.objective_names}")
-
-    @property
-    def is_default_stack(self) -> bool:
-        """Whether this is exactly the paper's three-objective built-in stack."""
-        return (
-            self.objective_names == DEFAULT_OBJECTIVE_NAMES
-            and all(
-                isinstance(objective, expected)
-                for objective, expected in zip(
-                    self.objectives,
-                    (QPerfObjective, QAvaiObjective, QCostObjective),
-                )
-            )
-            and tuple(type(c) for c in self.constraints) == _DEFAULT_CONSTRAINT_TYPES
-        )
 
     # -- construction ----------------------------------------------------------------------
     @classmethod
@@ -781,11 +762,3 @@ class PlacementProblem:
             aggregator=aggregator if aggregator is not None else self.aggregator,
             preferences=self.preferences,
         )
-
-
-_DEFAULT_CONSTRAINT_TYPES = (
-    PinnedPlacementConstraint,
-    AllowedLocationsConstraint,
-    OnPremPeakConstraint,
-    BudgetConstraint,
-)

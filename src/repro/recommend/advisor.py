@@ -67,7 +67,7 @@ from ..quality.performance import ApiPerformanceModel, PerformanceEstimate
 from ..quality.preferences import MigrationPreferences
 from ..quality.problem import PlacementProblem
 from ..quality.scenario_factory import ScenarioFactory
-from ..quality.scenarios import RobustAggregator, ScenarioSet, ScenarioSpec
+from ..quality.scenarios import ScenarioSet, ScenarioSpec
 from ..telemetry.server import TelemetryServer
 from ..workload.profiles import WorkloadScenario
 from .hierarchy import PlanHierarchy
@@ -183,28 +183,40 @@ class ApplicationKnowledge:
 class Recommendation:
     """Output of one recommendation round.
 
+    It owns the search ``result``, the ``evaluator`` that scored it and the knee
+    point's ``certificate``; everything else — :attr:`estimate`, :attr:`problem`,
+    :attr:`scenario_set` — is read from the evaluator, so a recommendation handed a
+    different evaluator (the daemon's ``dataclasses.replace``) describes that one.
+
     ``plans`` returns the K-dimensional Pareto front ordered by distance-to-ideal on
     the normalized front — the knee point (the balanced compromise) first.  ``problem``
     is the :class:`~repro.quality.problem.PlacementProblem` the search optimized (the
     default paper triple unless ``Atlas.recommend(problem=...)`` declared otherwise).
 
-    Scenario-robust rounds (a problem with scenarios) additionally carry the
-    scenario set and aggregator the search ran under; every recommended plan's
-    :attr:`~repro.quality.evaluator.PlanQuality.scenarios` holds its per-scenario
-    objective breakdown, and :meth:`scenario_regret` / :meth:`scenario_report`
-    quantify how far each plan sits from the per-scenario optimum.
+    Scenario-robust rounds (a problem with scenarios) have a ``scenario_set``; every
+    recommended plan's :attr:`~repro.quality.evaluator.PlanQuality.scenarios` holds
+    its per-scenario objective breakdown, and :meth:`scenario_regret` /
+    :meth:`scenario_report` quantify how far each plan sits from the per-scenario
+    optimum.
     """
 
     result: SearchResult
     evaluator: QualityEvaluator
-    estimate: ResourceEstimate
-    preferences: MigrationPreferences
-    scenario_set: Optional[ScenarioSet] = None
-    aggregator: Optional[RobustAggregator] = None
-    problem: Optional[PlacementProblem] = None
     #: Worst-case certificate of the knee-point plan (``Atlas.recommend(certify=...)``
     #: or a later ``Atlas.certify_plan`` / ``Atlas.recertify`` round).
     certificate: Optional[RobustnessCertificate] = None
+
+    @property
+    def estimate(self) -> ResourceEstimate:
+        return self.evaluator.estimate
+
+    @property
+    def problem(self) -> PlacementProblem:
+        return self.evaluator.problem
+
+    @property
+    def scenario_set(self) -> Optional[ScenarioSet]:
+        return self.evaluator.problem.scenarios
 
     @property
     def plans(self) -> List[PlanQuality]:
@@ -548,8 +560,6 @@ class Atlas:
             problem=problem,
             artifact_cache=artifact_cache,
         )
-        scenario_set = problem.scenarios
-        bound_aggregator = evaluator.bound_aggregator
         knowledge = self._require_knowledge()
         components = self.application.component_names
         config = ga_config or self.config.ga
@@ -574,15 +584,7 @@ class Atlas:
             agent=knowledge.crossover_agent,
         )
         result = ga.run()
-        recommendation = Recommendation(
-            result=result,
-            evaluator=evaluator,
-            estimate=evaluator.estimate,
-            preferences=preferences,
-            scenario_set=scenario_set,
-            aggregator=bound_aggregator if scenario_set is not None else None,
-            problem=problem,
-        )
+        recommendation = Recommendation(result=result, evaluator=evaluator)
         if certify:
             budget = DEFAULT_CERTIFY_BUDGET if certify is True else int(certify)
             recommendation.certificate = self.certify_plan(
@@ -803,12 +805,14 @@ def _describe(value: object) -> Optional[str]:
     (``" at 0x"``: a default ``object.__repr__``, a function, a lambda, a
     ``functools.partial`` — at any depth of a container) describes only identity, so
     a key built from it would collide across distinct contents once ids are reused,
-    and a journal entry under it could never be hit by another process.
-    Returning ``None`` marks the request unmemoizable — a miss is sound, a
-    collision is not.
+    and a journal entry under it could never be hit by another process.  A repr that
+    elides content (``"..."``: numpy's summary of an array over 1 000 elements, a
+    self-referencing container) describes only part of it, so two values differing
+    in the elided part would share a key.  Returning ``None`` marks the request
+    unmemoizable — a miss is sound, a collision is not.
     """
     text = repr(value)
-    if " at 0x" in text:
+    if " at 0x" in text or "..." in text:
         return None
     return text
 
@@ -1088,21 +1092,11 @@ class AdvisorService:
             if kwargs.get("certify") and certificate is None:
                 return None
             evaluator = self.build_evaluator(atlas, kwargs)
-            problem = evaluator.problem
-            if problem.scenarios is not None:
+            if evaluator.problem.scenarios is not None:
                 pool = result.all_evaluated or result.pareto
                 evaluator.evaluate_batch([quality.plan for quality in pool])
             return Recommendation(
-                result=result,
-                evaluator=evaluator,
-                estimate=evaluator.estimate,
-                preferences=evaluator.preferences,
-                scenario_set=problem.scenarios,
-                aggregator=(
-                    evaluator.bound_aggregator if problem.scenarios is not None else None
-                ),
-                problem=problem,
-                certificate=certificate,
+                result=result, evaluator=evaluator, certificate=certificate
             )
         except Exception:
             return None

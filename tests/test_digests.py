@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_artifacts import TINY_GA, _perturb
 from test_compiled import random_trace
@@ -796,6 +796,19 @@ class OffloadBudgetObjective(Objective):
         return np.maximum((ctx.matrix != 0).sum(axis=1) - self.cap, 0).astype(np.float64)
 
 
+class WeightedOffloadObjective(Objective):
+    """A plugin parameterised by an array, which numpy summarises in its repr once it
+    is longer than 1 000 elements."""
+
+    name = "weighted_offload"
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def score_matrix(self, ctx):
+        return (ctx.matrix != 0) @ self.weights[: ctx.matrix.shape[1]]
+
+
 def _front(recommendation):
     return [
         (quality.plan.to_vector(), [float(value).hex() for value in quality.values])
@@ -828,6 +841,26 @@ class TestAProblemIsDescribedByContent:
 
         assert key(OffloadBudgetObjective(1)) == key(OffloadBudgetObjective(1))
         assert key(OffloadBudgetObjective(1)) != key(OffloadBudgetObjective(2))
+
+    @given(length=st.integers(1001, 5000), data=st.data())
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_request_keys_refuse_elided_reprs(self, tiny_atlas, length, data):
+        """Two problems whose plugin arrays differ in one element never share a key:
+        a repr that elides content ("...") makes the request unmemoizable."""
+        index = data.draw(st.integers(0, length - 1), label="index")
+        weights = np.zeros(length)
+        changed = weights.copy()
+        changed[index] = 1.0
+        service = AdvisorService()
+
+        def key(array):
+            problem = PlacementProblem.default(
+                extra_objectives=[WeightedOffloadObjective(array)]
+            )
+            return service._request_key(tiny_atlas, {"expected_scale": 2.0, "problem": problem})
+
+        one, two = key(weights), key(changed)
+        assert one is None or two is None or one != two
 
     def test_two_churn_baselines_are_two_requests(self, tiny_atlas):
         components = tiny_atlas.application.component_names

@@ -490,7 +490,6 @@ class TestProblemApi:
         problem = PlacementProblem.default()
         assert problem.K == 3
         assert problem.objective_names == ("qperf", "qavai", "qcost")
-        assert problem.is_default_stack
         assert problem.index_of("qcost") == 2
         with pytest.raises(KeyError):
             problem.index_of("nope")
@@ -499,7 +498,6 @@ class TestProblemApi:
         problem = PlacementProblem.default().with_objectives(EgressTrafficObjective())
         assert problem.K == 4
         assert problem.objective_names[-1] == "egress_gb"
-        assert not problem.is_default_stack
 
     def test_with_scenarios_preserves_aggregator(self):
         from repro.quality import CVaR, ScenarioSet, ScenarioSpec

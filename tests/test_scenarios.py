@@ -81,9 +81,9 @@ def scenario_stack(tiny_telemetry):
     # burst scenarios' demand, so robust feasibility has something to disagree on.
     limit = estimate.peak("cpu_millicores", app.component_names) * 1.1
 
-    def build_evaluator(preferences=None, with_estimator=True, problem=None):
+    def build_evaluator(preferences=None, with_estimator=True, problem=None, traces=None):
         performance = ApiPerformanceModel(
-            traces_by_api={api: p.sample_traces for api, p in profiles.items()},
+            traces_by_api=traces or {api: p.sample_traces for api, p in profiles.items()},
             footprint=footprint,
             network=default_network_model(),
             baseline_plan=baseline,
@@ -461,16 +461,16 @@ class TestScenarioSpecs:
 
 class TestInvalidation:
     def test_invalidate_reaches_scenario_views(self, scenario_stack):
-        """A splice on the base model clears every live view's own Δ caches of the
-        spliced API, and the view rebuilds them over the new edge vocabulary."""
+        """A view built before a splice that moves an API's edge list scores like a
+        fresh evaluator over the spliced window, by ``float.hex``, and its Δ table
+        covers the new edge list."""
         _app, _telemetry, build_evaluator = scenario_stack
         evaluator = build_evaluator()
-        vectors = [[0, 1, 1, 0, 0, 1]]
+        vectors = [[0, 1, 1, 0, 0, 1], [1, 1, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0]]
         evaluator.evaluate_vectors(vectors, scenarios=S4)
         chatty = next(spec for spec in S4 if spec.name == "chatty")
         view = evaluator._scenario_context(chatty).performance
         assert view is not evaluator.performance
-        assert "/read" in view._delta_tables
         old_edges = list(view._edges["/read"])
         # The drifted /read stops calling its background Notifier.
         window = [
@@ -478,10 +478,22 @@ class TestInvalidation:
             for trace in evaluator.performance._traces["/read"]
         ]
         evaluator.splice({"/read": window})
-        assert "/read" not in view._delta_tables
         assert view._edges["/read"] == [e for e in old_edges if e[1] != "Notifier"] != old_edges
-        evaluator.evaluate_vectors(vectors, scenarios=S4)
-        assert view._delta_tables["/read"][1].shape[0] == len(view._edges["/read"])
+        fresh = build_evaluator(traces={**evaluator.performance._traces, "/read": window})
+
+        def hexes(qualities):
+            return [
+                [value.hex() for value in vector.values]
+                for quality in qualities
+                for vector in (quality, *quality.scenarios)
+            ]
+
+        spliced = evaluator.evaluate_vectors(vectors, scenarios=S4)
+        assert evaluator._scenario_context(chatty).performance is view
+        assert hexes(spliced) == hexes(fresh.evaluate_vectors(vectors, scenarios=S4))
+        built_for, (_size, table, *_rest) = view._delta_tables["/read"]
+        assert built_for is view._edges["/read"]
+        assert table.shape[0] == len(view._edges["/read"])
 
     def test_drift_detector_emits_refreshed_scenario(self):
         rng = np.random.default_rng(2)
