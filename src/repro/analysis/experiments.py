@@ -190,10 +190,12 @@ def figure2_burst_motivation(testbed: Testbed) -> Dict[str, object]:
     constraint is the formal statement of the figure's motivation — and the measured
     rows re-simulate the burst as ground truth, as before.
     """
-    scenario_set = testbed.scenario_set()
-    evaluator = testbed.evaluator(scale=1.0)
-    baseline_vector = testbed.baseline_plan.to_vector()
-    robust = evaluator.evaluate_vectors([baseline_vector], scenarios=scenario_set)[0]
+    evaluator = testbed.atlas.build_evaluator(
+        expected_scale=1.0,
+        preferences=testbed.preferences,
+        problem=PlacementProblem.default(scenarios=testbed.scenario_set()),
+    )
+    robust = evaluator.evaluate_vectors([testbed.baseline_plan.to_vector()])[0]
     scenario_rows: List[Dict[str, object]] = [
         {
             "scenario": scenario.scenario,
@@ -504,13 +506,14 @@ def figure17_drift_detection(
                 ),
             )
         )
+    problem = PlacementProblem.default(scenarios=scenarios)
     rescored_executed = None
     if update.drifted_apis and scenarios is not None:
         # Re-score the executed plan over the (observed, drifted) scenario axis —
         # the cheap first response before the full re-learning round below.
-        rescored_executed = recommendation.evaluator.evaluate_batch(
-            [executed], scenarios=scenarios
-        )[0]
+        rescored_executed = testbed.atlas.build_evaluator(
+            expected_scale=testbed.expected_scale, problem=problem
+        ).evaluate(executed)
 
     # New round: learn from the drifted telemetry and re-optimize from the executed
     # plan — scenario-robustly when the detector emitted a refreshed scenario, so the
@@ -524,7 +527,7 @@ def figure17_drift_detection(
     )
     new_atlas.learn(drifted.telemetry)
     new_recommendation = new_atlas.recommend(
-        expected_scale=1.0, problem=PlacementProblem.default(scenarios=scenarios)
+        expected_scale=1.0, problem=problem
     )
     new_plan = new_recommendation.performance_optimized().plan
     reoptimized = testbed.measure_plan(new_plan, requests=drift_requests, seed_offset=3)

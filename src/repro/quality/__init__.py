@@ -8,9 +8,10 @@ QAvai / QCost triple and the Eq. 4 constraints are the built-in plugins, and
 
 The scenario axis (:mod:`repro.quality.scenarios`) threads workload scenarios —
 bursts, mix shifts, payload growth — through the whole stack: ``ScenarioSet`` names
-the S axis, ``RobustAggregator`` collapses the S×P objective tensor, and
-``QualityEvaluator.evaluate_vectors(..., scenarios=...)`` (or a problem declaring
-``scenarios``) scores plans robustly against the whole family.
+the S axis, ``RobustAggregator`` collapses the S×P objective tensor, and a
+``PlacementProblem`` declaring ``scenarios`` makes every ``QualityEvaluator`` door
+score plans robustly against the whole family.  ``QualityEvaluator.evaluate_under``
+scores one plan under one undeclared workload shape (the adversary's probe), uncached.
 """
 
 from .adversary import AdversaryBounds, RobustnessCertificate, ScenarioAdversary

@@ -28,9 +28,15 @@ import numpy as np
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import ON_PREM
 from .evaluator import PlanQuality, QualityEvaluator
-from .faults import CapacityCut, LinkDegradation, LocationOutage, PriceShock
+from .faults import (
+    CapacityCut,
+    LinkDegradation,
+    LocationOutage,
+    PriceShock,
+    require_finite,
+)
 from .scenario_factory import ScenarioFactory
-from .scenarios import ScenarioSet, ScenarioSpec
+from .scenarios import ScenarioSpec
 
 __all__ = ["AdversaryBounds", "RobustnessCertificate", "ScenarioAdversary"]
 
@@ -56,6 +62,7 @@ class AdversaryBounds:
     infeasibility_penalty: float = 10.0
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if self.max_rate_scale < 1.0 or self.max_payload_scale < 1.0:
             raise ValueError("scale bounds must be >= 1")
         if self.max_latency_factor < 1.0 or self.max_price_factor < 1.0:
@@ -177,9 +184,7 @@ class ScenarioAdversary:
     def _score_spec(
         self, plan: MigrationPlan, spec: ScenarioSpec, baseline: PlanQuality
     ) -> _Candidate:
-        quality = self.evaluator.evaluate_batch(
-            [plan], scenarios=ScenarioSet((spec,))
-        )[0]
+        quality = self.evaluator.evaluate_under(plan, spec)
         base_values = baseline.objectives()
         regret = tuple(
             value - base for value, base in zip(quality.objectives(), base_values)
@@ -298,9 +303,9 @@ class ScenarioAdversary:
         budget.  Distinct specs are deduplicated by compiled identity, so repeated
         candidates never double-bill the budget.
         """
-        baseline = self.evaluator.evaluate_batch(
-            [plan], scenarios=ScenarioSet((ScenarioSpec(name="certify-baseline"),))
-        )[0]
+        baseline = self.evaluator.evaluate_under(
+            plan, ScenarioSpec(name="certify-baseline")
+        )
 
         seen: set = set()
         candidates: List[_Candidate] = []

@@ -27,14 +27,16 @@ included — goes through that one engine; the per-plan scalar kernels survive a
 :meth:`QualityEvaluator.evaluate_reference`, the named oracle the batched scores
 are bitwise identical to.
 
-**Scenario axis.**  With a scenario set (explicit, bound, or declared on the
-problem), every objective is scored per compiled scenario into per-objective
-``(S, P)`` tensors that collapse through the robust aggregator; a plan is feasible
-iff it is feasible under every scenario.  The built-in plugins score all S in one
-stacked pass per call (:meth:`~repro.quality.problem.EvalContext.stacked`): work no
-scenario changes runs once, what one changes rides along as extra columns of the
-same ordered reductions.  Classic evaluation is the stack of one over the base
-models, with the identity in place of the aggregator.
+**Scenario axis.**  With a scenario set declared on the problem, every objective
+is scored per compiled scenario into per-objective ``(S, P)`` tensors that collapse
+through the robust aggregator; a plan is feasible iff it is feasible under every
+scenario.  The built-in plugins score all S in one stacked pass per call
+(:meth:`~repro.quality.problem.EvalContext.stacked`): work no scenario changes runs
+once, what one changes rides along as extra columns of the same ordered reductions.
+Classic evaluation is the stack of one over the base models, with the identity in
+place of the aggregator.  The axis is the problem's, so an evaluator keeps one
+result cache; a shape the problem does not declare (an adversary probe) goes through
+the uncached :meth:`QualityEvaluator.evaluate_under`.
 """
 
 from __future__ import annotations
@@ -205,19 +207,19 @@ class QualityEvaluator:
         #: robust path (``evaluations`` counts plans, matching the paper's budget).
         self.scenario_evaluations = 0
         # Compiled scenario contexts, keyed by the spec's identity_key(): the name
-        # is not part of it, because the adversary probes workload shapes under
-        # throwaway names ("adversary-3", "drift-refresh") and a name flows into
-        # violation prefixes and result labels, never into the models.
+        # is not part of it, because the problem's scenarios and the adversary's
+        # probes (``evaluate_under``, throwaway names such as "adversary-3") share
+        # them, and a name flows into violation prefixes and result labels, never
+        # into the models.
         self._scenario_contexts: Dict[Tuple, _ScenarioContext] = {}
-        # Robust result caches, one per (scenario set, aggregator) identity.
-        self._robust_caches: Dict[Tuple, Dict[Tuple[int, ...], PlanQuality]] = {}
         # The problem's scenario axis, fixed at construction: every entry point
-        # (evaluate/evaluate_batch/evaluate_vectors/is_feasible/feasible_mask) then
-        # defaults to robust evaluation over this set, with the aggregator's
-        # WorstCase default — how the optimizers become scenario-robust for free.
-        self._bound: Optional[Tuple[ScenarioSet, RobustAggregator]] = None
-        if self.problem.scenarios is not None:
-            self._bound = (self.problem.scenarios, self.problem.aggregator or WorstCase())
+        # (evaluate/evaluate_batch/evaluate_vectors/is_feasible/feasible_mask) scores
+        # robustly over this set, with the aggregator's WorstCase default — how the
+        # optimizers become scenario-robust for free.  ``None``: the classic pass.
+        self._scenarios: Optional[ScenarioSet] = self.problem.scenarios
+        self._aggregator: Optional[RobustAggregator] = None
+        if self._scenarios is not None:
+            self._aggregator = self.problem.aggregator or WorstCase()
 
     def _key(self, plan: MigrationPlan) -> Tuple[int, ...]:
         """Cache key of one plan: its locations in the canonical component order."""
@@ -229,39 +231,6 @@ class QualityEvaluator:
     @property
     def objective_names(self) -> Tuple[str, ...]:
         return self.problem.objective_names
-
-    # -- scenario binding ------------------------------------------------------------------
-    @property
-    def bound_aggregator(self) -> Optional[RobustAggregator]:
-        return self._bound[1] if self._bound is not None else None
-
-    def _resolve_scenarios(
-        self,
-        scenarios: "Optional[ScenarioSet | ScenarioSpec | Sequence[ScenarioSpec]]",
-        aggregator: Optional[RobustAggregator],
-    ) -> Tuple[Optional[ScenarioSet], Optional[RobustAggregator]]:
-        """Explicit arguments win; otherwise the bound set; otherwise the classic pass.
-
-        An explicit scenario set gets the documented :class:`WorstCase` default —
-        never the bound aggregator, which belongs to the bound set only."""
-        if scenarios is not None:
-            return ScenarioSet.coerce(scenarios), aggregator or WorstCase()
-        if self._bound is not None:
-            return self._bound[0], aggregator or self._bound[1]
-        return None, None
-
-    def _cache_for(
-        self, scenario_set: Optional[ScenarioSet], aggregator: Optional[RobustAggregator]
-    ) -> Dict[Tuple[int, ...], PlanQuality]:
-        """The result cache of one (scenario set, aggregator); the classic one without."""
-        if scenario_set is None:
-            return self._cache
-        return self._robust_caches.setdefault(
-            (scenario_set.key(), aggregator.key()), {}
-        )
-
-    def _active_cache(self) -> Dict[Tuple[int, ...], PlanQuality]:
-        return self._cache_for(*self._resolve_scenarios(None, None))
 
     # -- contexts --------------------------------------------------------------------------
     def _matrix_context(
@@ -293,25 +262,17 @@ class QualityEvaluator:
     def evaluate(self, plan: MigrationPlan) -> PlanQuality:
         return self.evaluate_batch([plan])[0]
 
-    def evaluate_batch(
-        self,
-        plans: Sequence[MigrationPlan],
-        scenarios: "Optional[ScenarioSet | ScenarioSpec | Sequence[ScenarioSpec]]" = None,
-        aggregator: Optional[RobustAggregator] = None,
-    ) -> List[PlanQuality]:
+    def evaluate_batch(self, plans: Sequence[MigrationPlan]) -> List[PlanQuality]:
         """Evaluate a whole generation in one call by lowering it onto a plan matrix.
 
         Distinct uncached plans are collected into one ``(plans, components)`` matrix
         and scored by the batched pipeline; duplicates and cache hits cost nothing.
-        With ``scenarios`` (or a bound scenario set), plans are scored robustly over
-        the scenario axis.
+        Over a problem with a scenario set, plans are scored robustly over its axis.
         """
         # Keys are already canonical-order vectors, so mixed component orders
         # lower onto one matrix for free.
         return self._evaluate_keys(
             [self._key(plan) for plan in plans],
-            scenarios,
-            aggregator,
             lambda missing: (
                 np.asarray(list(missing), dtype=np.int64),
                 [plans[index] for index in missing.values()],
@@ -322,8 +283,6 @@ class QualityEvaluator:
         self,
         vectors: Sequence[Sequence[int]],
         components: Optional[Sequence[str]] = None,
-        scenarios: "Optional[ScenarioSet | ScenarioSpec | Sequence[ScenarioSpec]]" = None,
-        aggregator: Optional[RobustAggregator] = None,
     ) -> List[PlanQuality]:
         """Evaluate location vectors directly — the optimizers' native entry point.
 
@@ -332,37 +291,28 @@ class QualityEvaluator:
         component order).  :class:`MigrationPlan` objects are constructed only for
         distinct uncached rows, at the :class:`PlanQuality` API boundary.
 
-        ``scenarios`` switches on robust evaluation: every distinct plan is scored
-        once per scenario (per-objective S×P tensors built with shared dedup, shared
-        compiled replays and per-scenario compiled artifacts) and the tensors are
-        collapsed by ``aggregator`` into the scalar objectives; the per-scenario
-        breakdown rides along on :attr:`PlanQuality.scenarios`.
+        A problem's scenario set switches on robust evaluation: every distinct plan is
+        scored once per scenario (per-objective S×P tensors built with shared dedup,
+        shared compiled replays and per-scenario compiled artifacts) and the tensors
+        are collapsed by the problem's aggregator into the scalar objectives; the
+        per-scenario breakdown rides along on :attr:`PlanQuality.scenarios`.
         """
         matrix, components = self._lower(vectors, components)
         return self._evaluate_keys(
             [tuple(row) for row in matrix.tolist()],
-            scenarios,
-            aggregator,
             lambda missing: (
                 matrix[list(missing.values())],
                 [MigrationPlan.from_vector(components, list(key)) for key in missing],
             ),
         )
 
-    def _evaluate_keys(
-        self,
-        keys: Sequence[Tuple[int, ...]],
-        scenarios: "Optional[ScenarioSet | ScenarioSpec | Sequence[ScenarioSpec]]",
-        aggregator: Optional[RobustAggregator],
-        lower,
-    ) -> List[PlanQuality]:
+    def _evaluate_keys(self, keys: Sequence[Tuple[int, ...]], lower) -> List[PlanQuality]:
         """The one dedup-and-cache-fill: score each distinct uncached key once.
 
         ``lower`` maps the missing keys (key -> first position, in first-seen order)
         to their ``(matrix, plans)`` in the canonical column order.
         """
-        scenario_set, aggregator = self._resolve_scenarios(scenarios, aggregator)
-        cache = self._cache_for(scenario_set, aggregator)
+        cache = self._cache
         missing: Dict[Tuple[int, ...], int] = {}
         for index, key in enumerate(keys):
             if key not in cache and key not in missing:
@@ -370,11 +320,25 @@ class QualityEvaluator:
         if missing:
             matrix, plans = lower(missing)
             qualities = self._score_matrix(
-                matrix, list(self._canonical), plans, scenario_set, aggregator
+                matrix, self._canonical, plans, self._scenarios, self._aggregator
             )
             for key, quality in zip(missing, qualities):
                 cache[key] = quality
         return [cache[key] for key in keys]
+
+    def evaluate_under(self, plan: MigrationPlan, spec: ScenarioSpec) -> PlanQuality:
+        """Score ``plan`` under one workload shape the problem need not declare.
+
+        The adversary's probe door: the problem's objectives and constraints over
+        the single scenario ``spec`` (its compiled context shared with the problem's
+        axis by identity), aggregated by :class:`WorstCase` — the identity over one
+        scenario.  Nothing is cached: a probe leaves ``cache_size`` and
+        ``evaluated_qualities`` as they were.
+        """
+        matrix = np.asarray([self._key(plan)], dtype=np.int64)
+        return self._score_matrix(
+            matrix, self._canonical, [plan], ScenarioSet((spec,)), WorstCase()
+        )[0]
 
     # -- the K-objective execution engine --------------------------------------------------
     def _contexts(
@@ -431,8 +395,8 @@ class QualityEvaluator:
         matrix: np.ndarray,
         components: Sequence[str],
         plans: Sequence[MigrationPlan],
-        scenario_set: Optional[ScenarioSet] = None,
-        aggregator: Optional[RobustAggregator] = None,
+        scenario_set: Optional[ScenarioSet],
+        aggregator: Optional[RobustAggregator],
     ) -> List[PlanQuality]:
         """Score distinct, uncached plans over the S scenario columns (S = 1 without a set).
 
@@ -686,23 +650,22 @@ class QualityEvaluator:
         vectors: Sequence[Sequence[int]],
         components: Optional[Sequence[str]] = None,
     ) -> np.ndarray:
-        """Per-plan cost of a location matrix, scenario-aggregated when bound.
+        """Per-plan cost of a location matrix, scenario-aggregated over the problem's axis.
 
-        Unbound this is exactly ``cost.qcost_stack((cost,), ...)[0]`` after
-        canonical lowering (the affinity-NSGA-II baseline's cost objective); bound,
-        each plan's per-scenario costs collapse through the bound aggregator — the
-        single-plan baselines become scenario-robust through the same door as the
-        evaluators.
+        Without a scenario set this is exactly ``cost.qcost_stack((cost,), ...)[0]``
+        after canonical lowering (the affinity-NSGA-II baseline's cost objective);
+        with one, each plan's per-scenario costs collapse through the problem's
+        aggregator — the single-plan baselines become scenario-robust through the
+        same door as the evaluators.  No result is cached.
         """
         matrix, components = self._lower(vectors, components)
-        scenario_set, aggregator = self._resolve_scenarios(None, None)
         costs = np.stack(
             [
                 scenario_costs(ctx)
-                for ctx in self._contexts(matrix, components, scenario_set)
+                for ctx in self._contexts(matrix, components, self._scenarios)
             ]
         )
-        return self._aggregate(costs, scenario_set, aggregator)
+        return self._aggregate(costs, self._scenarios, self._aggregator)
 
     def splice(self, new_traces_by_api: Mapping[str, Sequence[Trace]]) -> None:
         """Incremental drift refresh: install re-profiled traces for the named APIs.
@@ -720,7 +683,6 @@ class QualityEvaluator:
         """
         self.performance.splice(new_traces_by_api)
         self._cache.clear()
-        self._robust_caches.clear()
 
     def evaluate_reference(self, plan: MigrationPlan) -> PlanQuality:
         """Per-plan reference oracle; the batched pipeline must match it bitwise.
@@ -751,17 +713,16 @@ class QualityEvaluator:
 
     # -- constraints -----------------------------------------------------------------------
     def is_feasible(self, plan: MigrationPlan) -> bool:
-        """Whether ``plan`` satisfies every constraint (under every bound scenario)."""
+        """Whether ``plan`` satisfies every constraint (under every problem scenario)."""
         return bool(self.feasible_mask([self._key(plan)], self._canonical)[0])
 
     def constraint_violations(self, plan: MigrationPlan) -> List[str]:
         """Human-readable descriptions of every violated constraint of the problem.
 
         The strings :meth:`evaluate` reports for the plan (scenario-prefixed over a
-        bound set of more than one scenario), from a constraint-only pass."""
+        problem set of more than one scenario), from a constraint-only pass."""
         matrix = np.asarray([self._key(plan)], dtype=np.int64)
-        scenario_set, _aggregator = self._resolve_scenarios(None, None)
-        contexts = self._contexts(matrix, self._canonical, scenario_set)
+        contexts = self._contexts(matrix, self._canonical, self._scenarios)
         violations: List[str] = []
         for ctx, checks in zip(contexts, self._checks(contexts)):
             violations.extend(
@@ -773,19 +734,17 @@ class QualityEvaluator:
         self,
         vectors: Sequence[Sequence[int]],
         components: Optional[Sequence[str]] = None,
-        scenarios: "Optional[ScenarioSet | ScenarioSpec | Sequence[ScenarioSpec]]" = None,
     ) -> np.ndarray:
         """Per-plan feasibility of a location matrix — the batched ``is_feasible``.
 
-        With ``scenarios`` (or a bound scenario set) a plan is feasible only if it
-        satisfies the constraints under **every** scenario; the stacked cost pass
-        fills every scenario cost model's row memo, so a later robust evaluation of
-        the same plans does not pay the cost passes again.
+        Over a problem with a scenario set a plan is feasible only if it satisfies
+        the constraints under **every** scenario; the stacked cost pass fills every
+        scenario cost model's row memo, so a later robust evaluation of the same
+        plans does not pay the cost passes again.  No result is cached.
         """
-        scenario_set, _aggregator = self._resolve_scenarios(scenarios, None)
         matrix, components = self._lower(vectors, components)
         mask = np.ones(matrix.shape[0], dtype=bool)
-        for checks in self._checks(self._contexts(matrix, components, scenario_set)):
+        for checks in self._checks(self._contexts(matrix, components, self._scenarios)):
             mask &= self._feasible_from_checks(checks, matrix.shape[0])
         return mask
 
@@ -840,12 +799,13 @@ class QualityEvaluator:
         return dict(self._weights)
 
     def cache_size(self) -> int:
-        """Distinct plans in the active result cache (the bound robust cache, if any)."""
-        return len(self._active_cache())
+        """Distinct plans in the result cache."""
+        return len(self._cache)
 
     def evaluated_qualities(self) -> List[PlanQuality]:
         """Every distinct plan evaluated through this evaluator, in evaluation order.
 
-        When scenarios are bound, these are the robust qualities of the bound
-        (scenario set, aggregator) — each carrying its per-scenario breakdown."""
-        return list(self._active_cache().values())
+        Over a problem with a scenario set, these are the robust qualities — each
+        carrying its per-scenario breakdown; :meth:`evaluate_under` probes are not
+        among them."""
+        return list(self._cache.values())

@@ -36,8 +36,10 @@ byte-identical to the pre-fault evaluator.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..cluster.network import NetworkModel
 from ..cluster.topology import ON_PREM
@@ -58,6 +60,16 @@ __all__ = [
 #: ``repro.quality.problem.ONPREM_RESOURCES``; kept literal to avoid an import
 #: cycle through the problem module).
 _ONPREM_RESOURCES = ("cpu_millicores", "memory_mb", "storage_gb")
+
+
+def require_finite(knobs: Mapping[str, object]) -> None:
+    """Reject a NaN or infinite number among ``knobs`` (label -> value; values that
+    are not numbers are skipped): every comparison with NaN is false, so a range
+    check alone lets one through, and one NaN scenario value poisons every plan's
+    aggregate."""
+    for label, value in knobs.items():
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value!r}")
 
 
 @dataclass
@@ -121,6 +133,7 @@ class LocationOutage(FaultSpec):
     evacuate: bool = True
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if self.location < 0:
             raise ValueError("location must be a non-negative id")
         if self.availability_penalty < 1.0:
@@ -199,6 +212,7 @@ class LinkDegradation(FaultSpec):
     extra_latency_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if self.latency_factor < 1.0:
             raise ValueError("latency_factor must be >= 1 (degradation, not upgrade)")
         if not 0.0 < self.bandwidth_factor <= 1.0:
@@ -243,6 +257,7 @@ class PriceShock(FaultSpec):
     egress_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         for label, factor in (
             ("compute_factor", self.compute_factor),
             ("storage_factor", self.storage_factor),
@@ -296,6 +311,7 @@ class CapacityCut(FaultSpec):
     remaining_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if self.location < 0:
             raise ValueError("location must be a non-negative id")
         if not 0.0 < self.remaining_fraction <= 1.0:

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..learning.footprint import EdgeFootprint, NetworkFootprint
 from ..workload.profiles import WorkloadScenario
-from .faults import FaultSpec
+from .faults import FaultSpec, require_finite
 
 __all__ = [
     "ScenarioSpec",
@@ -89,6 +89,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a scenario needs a name")
+        require_finite(vars(self))
         if self.rate_scale < 0:
             raise ValueError("rate_scale must be non-negative")
         if self.payload_scale <= 0:
@@ -96,9 +97,11 @@ class ScenarioSpec:
         if self.weight <= 0:
             raise ValueError("scenario weight must be positive")
         for api, factor in self.api_rate_factors.items():
+            require_finite({f"rate factor for API {api!r}": factor})
             if factor < 0:
                 raise ValueError(f"rate factor for API {api!r} must be non-negative")
         for api, factor in self.payload_factors.items():
+            require_finite({f"payload factor for API {api!r}": factor})
             if factor <= 0:
                 raise ValueError(f"payload factor for API {api!r} must be positive")
         object.__setattr__(self, "faults", tuple(self.faults))
@@ -188,7 +191,7 @@ class ScenarioSpec:
         return self.compile_key()[1:]
 
     def key(self) -> Tuple:
-        """Canonical hashable identity used by the evaluator's result caches."""
+        """Canonical hashable identity: the compiled identity plus the weight."""
         return self.compile_key() + (float(self.weight),)
 
     # -- construction ----------------------------------------------------------------------
@@ -283,9 +286,6 @@ class ScenarioSet:
 
     def weight_array(self) -> np.ndarray:
         return np.asarray([spec.weight for spec in self.scenarios], dtype=np.float64)
-
-    def key(self) -> Tuple:
-        return tuple(spec.key() for spec in self.scenarios)
 
     # -- construction ----------------------------------------------------------------------
     @classmethod
@@ -394,7 +394,7 @@ class RobustAggregator:
     name: str = "aggregator"
 
     def key(self) -> Tuple:
-        """Hashable identity for the evaluator's per-(scenario set, aggregator) caches."""
+        """Hashable identity: the name, then the parameters ``repr`` prints."""
         return (self.name,)
 
     def combine(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from repro.quality import (
     ApiPerformanceModel,
     ArtifactCache,
     MigrationPreferences,
-    ScenarioSet,
     ScenarioSpec,
     fingerprint_traces,
 )
@@ -385,7 +384,7 @@ class TestScenarioStateReuse:
         assert context_b is context_a
         plan = _random_plans(app, 1, seed=3)[0]
         for probe in (probe_a, probe_b):
-            quality = evaluator.evaluate_batch([plan], scenarios=ScenarioSet((probe,)))[0]
+            quality = evaluator.evaluate_under(plan, probe)
             assert [s.scenario for s in quality.scenarios] == [probe.name]
         different = ScenarioSpec(name="probe-3", rate_scale=1.5, payload_factors={api: 3.0})
         assert evaluator._scenario_context(different).performance is not context_a.performance

@@ -40,6 +40,7 @@ from repro.quality import (
     LinkDegradation,
     LocationOutage,
     MigrationPreferences,
+    PlacementProblem,
     PriceShock,
     PricingCatalog,
     QualityEvaluator,
@@ -66,7 +67,9 @@ def fault_stack(tiny_telemetry):
     estimate = estimator.predict_scaled(3.0)
     limit = estimate.peak("cpu_millicores", app.component_names) * 1.1
 
-    def build_evaluator(locations=THREE_LOCATIONS, preferences=None, with_estimator=True):
+    def build_evaluator(
+        locations=THREE_LOCATIONS, preferences=None, with_estimator=True, scenarios=None
+    ):
         network = (
             default_network_model()
             if len(locations) == 2
@@ -100,6 +103,7 @@ def fault_stack(tiny_telemetry):
             estimate=estimate,
             component_order=app.component_names,
             estimator=estimator if with_estimator else None,
+            problem=PlacementProblem.default(scenarios=scenarios),
         )
 
     return app, build_evaluator
@@ -109,13 +113,45 @@ def _plan(app, vector):
     return MigrationPlan.from_vector(app.component_names, list(vector))
 
 
-def _single(evaluator, plan, spec):
-    return evaluator.evaluate_batch([plan], scenarios=ScenarioSet((spec,)))[0]
-
-
 plans_strategy = st.lists(
     st.integers(min_value=0, max_value=2), min_size=6, max_size=6
 )
+
+#: Every float knob of a scenario, a fault and the adversary's bounds, as
+#: ``(build, knob)`` with ``build(**{knob: value})`` constructing the object.
+FLOAT_KNOBS = [
+    (build, knob)
+    for build, knobs in (
+        (
+            lambda **kw: ScenarioSpec(name="x", **kw),
+            ("rate_scale", "payload_scale", "weight"),
+        ),
+        (
+            lambda **kw: ScenarioSpec(name="x", **{k: {"/read": v} for k, v in kw.items()}),
+            ("api_rate_factors", "payload_factors"),
+        ),
+        (
+            lambda **kw: LocationOutage(CLOUD, **kw),
+            ("availability_penalty", "latency_factor", "bandwidth_factor"),
+        ),
+        (LinkDegradation, ("latency_factor", "bandwidth_factor", "extra_latency_ms")),
+        (PriceShock, ("compute_factor", "storage_factor", "egress_factor")),
+        (lambda **kw: CapacityCut(CLOUD, **kw), ("remaining_fraction",)),
+        (
+            AdversaryBounds,
+            (
+                "max_rate_scale",
+                "max_payload_scale",
+                "max_latency_factor",
+                "min_bandwidth_factor",
+                "max_price_factor",
+                "min_capacity_fraction",
+                "infeasibility_penalty",
+            ),
+        ),
+    )
+    for knob in knobs
+]
 
 
 class TestFaultValidation:
@@ -153,6 +189,18 @@ class TestFaultValidation:
         with pytest.raises(ValueError):
             CapacityCut(CLOUD, remaining_fraction=1.5)
 
+    @given(
+        case=st.sampled_from(FLOAT_KNOBS),
+        value=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    )
+    def test_non_finite_knobs_are_rejected(self, case, value):
+        """Every comparison with NaN is false, so a range check alone admits it — and
+        one NaN weight makes ``WeightedMean`` NaN for every plan, silently breaking
+        Pareto ranking.  Construction refuses NaN and ±inf on every float knob."""
+        build, knob = case
+        with pytest.raises(ValueError, match="finite"):
+            build(**{knob: value})
+
     def test_spec_rejects_non_fault_entries(self):
         with pytest.raises(TypeError):
             ScenarioSpec(name="bad", faults=("not-a-fault",))
@@ -180,10 +228,10 @@ class TestFaultValidation:
         plan = _plan(app, [0] * 6)
         typo = ScenarioSpec(name="typo", api_rate_factors={"/raed": 2.0})
         with pytest.raises(ValueError, match="unknown APIs"):
-            _single(evaluator, plan, typo)
+            evaluator.evaluate_under(plan, typo)
         payload_typo = ScenarioSpec(name="typo2", payload_factors={"/wirte": 2.0})
         with pytest.raises(ValueError, match="unknown APIs"):
-            _single(evaluator, plan, payload_typo)
+            evaluator.evaluate_under(plan, payload_typo)
 
 
 class TestFaultMonotonicity:
@@ -203,7 +251,7 @@ class TestFaultMonotonicity:
         app, build_evaluator = fault_stack
         evaluator = build_evaluator()
         plan = _plan(app, vector)
-        base = _single(evaluator, plan, ScenarioSpec(name="base"))
+        base = evaluator.evaluate_under(plan, ScenarioSpec(name="base"))
         outage = ScenarioSpec(
             name="outage",
             faults=(
@@ -215,7 +263,7 @@ class TestFaultMonotonicity:
                 ),
             ),
         )
-        faulted = _single(evaluator, plan, outage)
+        faulted = evaluator.evaluate_under(plan, outage)
         assert faulted.perf >= base.perf
         assert faulted.avail >= base.avail
 
@@ -223,10 +271,9 @@ class TestFaultMonotonicity:
         app, build_evaluator = fault_stack
         evaluator = build_evaluator()
         plan = _plan(app, [0, 0, 0, CLOUD, 0, 0])
-        base = _single(evaluator, plan, ScenarioSpec(name="base"))
+        base = evaluator.evaluate_under(plan, ScenarioSpec(name="base"))
         assert base.feasible
-        faulted = _single(
-            evaluator,
+        faulted = evaluator.evaluate_under(
             plan,
             ScenarioSpec(name="outage", faults=(LocationOutage(CLOUD),)),
         )
@@ -234,8 +281,7 @@ class TestFaultMonotonicity:
         assert any("location" in violation for violation in faulted.violations)
         # Plans avoiding the failed site stay feasible.
         elsewhere = _plan(app, [0, 0, 0, 2, 0, 0])
-        assert _single(
-            evaluator,
+        assert evaluator.evaluate_under(
             elsewhere,
             ScenarioSpec(name="outage2", faults=(LocationOutage(CLOUD),)),
         ).feasible
@@ -249,8 +295,7 @@ class TestFaultMonotonicity:
         plan = _plan(app, [0, 0, 0, CLOUD, 0, 0])
         # The pin into the failed site keeps the site admissible for that
         # component; the outage is priced through QPerf/QAvai instead.
-        faulted = _single(
-            evaluator,
+        faulted = evaluator.evaluate_under(
             plan,
             ScenarioSpec(name="outage", faults=(LocationOutage(CLOUD),)),
         )
@@ -260,10 +305,9 @@ class TestFaultMonotonicity:
         app, build_evaluator = fault_stack
         evaluator = build_evaluator()
         plan = _plan(app, [0] * 6)
-        base = _single(evaluator, plan, ScenarioSpec(name="base"))
+        base = evaluator.evaluate_under(plan, ScenarioSpec(name="base"))
         assert base.feasible
-        faulted = _single(
-            evaluator,
+        faulted = evaluator.evaluate_under(
             plan,
             ScenarioSpec(name="onprem-outage", faults=(LocationOutage(ON_PREM),)),
         )
@@ -274,9 +318,8 @@ class TestFaultMonotonicity:
         app, build_evaluator = fault_stack
         evaluator = build_evaluator()
         plan = _plan(app, [0, CLOUD, 0, 2, 0, CLOUD])
-        base = _single(evaluator, plan, ScenarioSpec(name="base"))
-        degraded = _single(
-            evaluator,
+        base = evaluator.evaluate_under(plan, ScenarioSpec(name="base"))
+        degraded = evaluator.evaluate_under(
             plan,
             ScenarioSpec(
                 name="slow-links",
@@ -289,9 +332,8 @@ class TestFaultMonotonicity:
         app, build_evaluator = fault_stack
         evaluator = build_evaluator()
         plan = _plan(app, [0, CLOUD, 0, CLOUD, 0, CLOUD])
-        base = _single(evaluator, plan, ScenarioSpec(name="base"))
-        shocked = _single(
-            evaluator,
+        base = evaluator.evaluate_under(plan, ScenarioSpec(name="base"))
+        shocked = evaluator.evaluate_under(
             plan,
             ScenarioSpec(
                 name="shock",
@@ -304,28 +346,25 @@ class TestFaultMonotonicity:
         # An all-on-prem plan has no cloud bill to shock.
         onprem = _plan(app, [0] * 6)
         assert (
-            _single(
-                evaluator,
+            evaluator.evaluate_under(
                 onprem,
                 ScenarioSpec(name="shock2", faults=(PriceShock(egress_factor=5.0),)),
             ).cost
-            == _single(evaluator, onprem, ScenarioSpec(name="base2")).cost
+            == evaluator.evaluate_under(onprem, ScenarioSpec(name="base2")).cost
         )
 
     def test_capacity_cut_raises_elastic_cost_and_onprem_infeasibility(self, fault_stack):
         app, build_evaluator = fault_stack
         evaluator = build_evaluator()
         cloudy = _plan(app, [0, CLOUD, 0, CLOUD, 0, CLOUD])
-        base = _single(evaluator, cloudy, ScenarioSpec(name="base"))
-        cut = _single(
-            evaluator,
+        base = evaluator.evaluate_under(cloudy, ScenarioSpec(name="base"))
+        cut = evaluator.evaluate_under(
             cloudy,
             ScenarioSpec(name="cut", faults=(CapacityCut(CLOUD, remaining_fraction=0.25),)),
         )
         assert cut.cost >= base.cost
         onprem = _plan(app, [0] * 6)
-        onprem_cut = _single(
-            evaluator,
+        onprem_cut = evaluator.evaluate_under(
             onprem,
             ScenarioSpec(
                 name="onprem-cut",
@@ -335,8 +374,7 @@ class TestFaultMonotonicity:
         assert not onprem_cut.feasible
         # A cut at a location with no catalog (and not on-prem) fails at compile.
         with pytest.raises(ValueError, match="catalog"):
-            _single(
-                evaluator,
+            evaluator.evaluate_under(
                 onprem,
                 ScenarioSpec(name="bad-cut", faults=(CapacityCut(9),)),
             )
@@ -366,10 +404,8 @@ class TestFaultFreeIdentity:
                 ScenarioSpec(name="outage", faults=(LocationOutage(CLOUD),)),
             )
         )
-        isolated = build_evaluator()
-        contaminated = build_evaluator()
-        want = isolated.evaluate_vectors(vectors, scenarios=plain)
-        got = contaminated.evaluate_vectors(vectors, scenarios=mixed)
+        want = build_evaluator(scenarios=plain).evaluate_vectors(vectors)
+        got = build_evaluator(scenarios=mixed).evaluate_vectors(vectors)
         for a, b in zip(want, got):
             assert fingerprint_scenario_entries(
                 a, ("observed", "burst")
@@ -390,13 +426,13 @@ class TestFaultFreeIdentity:
                 ScenarioSpec(name="chatty", payload_factors={"/read": 2.0}),
             )
         )
-        certified = build_evaluator()
+        certified = build_evaluator(scenarios=control)
         certificate = ScenarioAdversary(certified, budget=24, seed=11).certify(
             _plan(app, vectors[1])
         )
         assert certificate.budget_spent > len(names)
-        want = build_evaluator().evaluate_vectors(vectors, scenarios=control)
-        got = certified.evaluate_vectors(vectors, scenarios=control)
+        want = build_evaluator(scenarios=control).evaluate_vectors(vectors)
+        got = certified.evaluate_vectors(vectors)
         for a, b in zip(want, got):
             assert fingerprint_scenario_entries(a, names) == fingerprint_scenario_entries(
                 b, names

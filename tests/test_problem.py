@@ -254,39 +254,6 @@ class TestDefaultStackIdentity:
         ).recommend()
         assert _fingerprint(legacy_random) == _fingerprint(declared_random)
 
-    def test_scenario_bound_problem_matches_explicit_scenarios(self, problem_stack):
-        """A problem with scenarios arrives pre-bound: every door that takes
-        ``scenarios=`` answers as if the problem's set were passed explicitly."""
-        app, _telemetry, build_evaluator = problem_stack
-        scenarios = ScenarioSet(
-            (ScenarioSpec(name="observed"), ScenarioSpec(name="burst", rate_scale=2.0))
-        )
-        explicit = build_evaluator()
-        declared = build_evaluator(
-            problem=PlacementProblem.default(scenarios=scenarios)
-        )
-        assert isinstance(declared.bound_aggregator, WorstCase)
-        vectors = [[0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0]]
-        plans = [MigrationPlan.from_vector(app.component_names, v) for v in vectors]
-        for a, b in [
-            *zip(
-                explicit.evaluate_vectors(vectors, scenarios=scenarios),
-                declared.evaluate_vectors(vectors),
-            ),
-            *zip(
-                explicit.evaluate_batch(plans, scenarios=scenarios),
-                declared.evaluate_batch(plans),
-            ),
-        ]:
-            assert repr(tuple(a.objectives())) == repr(tuple(b.objectives()))
-            assert a.feasible == b.feasible
-            assert a.violations == b.violations
-            assert len(a.scenarios) == len(b.scenarios) == 2
-        assert (
-            explicit.feasible_mask(vectors, scenarios=scenarios).tolist()
-            == declared.feasible_mask(vectors).tolist()
-        )
-
 
 class TestSenseMonotonicity:
     """Law 2: the minimized view is monotone in the raw score, per sense."""

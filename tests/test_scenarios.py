@@ -2,7 +2,7 @@
 
 Three laws anchor the scenario refactor:
 
-1. **Single-scenario identity** — evaluating with ``scenarios=None`` is the
+1. **Single-scenario identity** — a problem without a scenario set is the
    untouched classic path, and robust evaluation over the single *baseline* scenario
    is bitwise identical to it: objectives, feasibility, violation strings, the
    ``evaluations`` counter, and whole fixed-seed GA / NSGA-II / random-search
@@ -63,6 +63,7 @@ S4 = ScenarioSet(
 #: The baseline scenario alone as a problem's robust axis: a run over it is the
 #: classic run with a per-scenario breakdown.
 BASELINE_PROBLEM = PlacementProblem.default(scenarios=ScenarioSet.baseline())
+S4_PROBLEM = PlacementProblem.default(scenarios=S4)
 
 
 @pytest.fixture(scope="module")
@@ -137,17 +138,18 @@ class TestSingleScenarioIdentity:
     def test_baseline_scenario_matches_classic_evaluation(self, scenario_stack, vectors):
         _app, _telemetry, build_evaluator = scenario_stack
         k4 = PlacementProblem.default(extra_objectives=(EgressTrafficObjective(),))
-        for problem in (None, k4):  # the paper's K=3 stack and a K=4 one
+        # The paper's K=3 stack and a K=4 one.
+        for problem in (PlacementProblem.default(), k4):
             classic = build_evaluator(problem=problem)
-            robust = build_evaluator(problem=problem)
-            classic_qualities = classic.evaluate_vectors(vectors)
-            robust_qualities = robust.evaluate_vectors(
-                vectors, scenarios=ScenarioSet.baseline()
+            robust = build_evaluator(
+                problem=problem.with_scenarios(ScenarioSet.baseline())
             )
+            classic_qualities = classic.evaluate_vectors(vectors)
+            robust_qualities = robust.evaluate_vectors(vectors)
             for a, b in zip(classic_qualities, robust_qualities):
                 # One engine, S=1: the same bits in the same result shape.
                 assert repr(a.values) == repr(b.values) and a.names == b.names
-                assert len(a.values) == (3 if problem is None else 4)
+                assert len(a.values) == len(problem.objectives)
                 assert a.feasible == b.feasible
                 assert a.violations == b.violations
                 assert a.scenarios == ()
@@ -219,11 +221,11 @@ class TestTensorMatchesIndependentEvaluators:
         _app, _telemetry, build_evaluator = scenario_stack
         rng = np.random.default_rng(17)
         vectors = (rng.random((12, 6)) < 0.5).astype(int).tolist()
-        robust = build_evaluator().evaluate_vectors(vectors, scenarios=S4)
+        robust = build_evaluator(problem=S4_PROBLEM).evaluate_vectors(vectors)
         for spec in S4:
-            independent = build_evaluator().evaluate_vectors(
-                vectors, scenarios=ScenarioSet((spec,))
-            )
+            independent = build_evaluator(
+                problem=PlacementProblem.default(scenarios=ScenarioSet((spec,)))
+            ).evaluate_vectors(vectors)
             for robust_quality, single in zip(robust, independent):
                 entry = next(
                     s for s in robust_quality.scenarios if s.scenario == spec.name
@@ -238,9 +240,9 @@ class TestTensorMatchesIndependentEvaluators:
         _app, _telemetry, build_evaluator = scenario_stack
         aggregator = WeightedMean()
         vectors = [[0, 1, 1, 0, 0, 1], [0, 0, 1, 1, 0, 0]]
-        qualities = build_evaluator().evaluate_vectors(
-            vectors, scenarios=S4, aggregator=aggregator
-        )
+        qualities = build_evaluator(
+            problem=PlacementProblem.default(scenarios=S4, aggregator=aggregator)
+        ).evaluate_vectors(vectors)
         weights = S4.weight_array()
         for quality in qualities:
             perf = np.asarray([[s.perf] for s in quality.scenarios])
@@ -252,9 +254,9 @@ class TestTensorMatchesIndependentEvaluators:
 
     def test_robust_feasibility_is_all_scenarios(self, scenario_stack):
         _app, _telemetry, build_evaluator = scenario_stack
-        evaluator = build_evaluator()
+        evaluator = build_evaluator(problem=S4_PROBLEM)
         onprem = [[0, 0, 0, 0, 0, 0]]
-        quality = evaluator.evaluate_vectors(onprem, scenarios=S4)[0]
+        quality = evaluator.evaluate_vectors(onprem)[0]
         by_name = {s.scenario: s for s in quality.scenarios}
         # All-on-prem fits the observed workload but not the 4x burst.
         assert by_name["observed"].feasible
@@ -262,14 +264,14 @@ class TestTensorMatchesIndependentEvaluators:
         assert not quality.feasible
         assert any(v.startswith("[burst] ") for v in quality.violations)
         # feasible_mask agrees with the per-scenario conjunction.
-        mask = evaluator.feasible_mask(onprem, scenarios=S4)
+        mask = evaluator.feasible_mask(onprem)
         assert bool(mask[0]) == quality.feasible
 
     def test_scenario_counters(self, scenario_stack):
         _app, _telemetry, build_evaluator = scenario_stack
-        evaluator = build_evaluator()
+        evaluator = build_evaluator(problem=S4_PROBLEM)
         vectors = [[0, 1, 0, 1, 0, 0], [0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]
-        evaluator.evaluate_vectors(vectors, scenarios=S4)
+        evaluator.evaluate_vectors(vectors)
         assert evaluator.evaluations == 2  # distinct plans
         assert evaluator.scenario_evaluations == 2 * len(S4)
 
@@ -451,12 +453,14 @@ class TestScenarioSpecs:
 
     def test_rate_changing_scenario_requires_estimator(self, scenario_stack):
         _app, _telemetry, build_evaluator = scenario_stack
-        evaluator = build_evaluator(with_estimator=False)
+        evaluator = build_evaluator(
+            with_estimator=False,
+            problem=PlacementProblem.default(
+                scenarios=ScenarioSpec(name="burst", rate_scale=2.0)
+            ),
+        )
         with pytest.raises(ValueError, match="estimator"):
-            evaluator.evaluate_vectors(
-                [[0, 1, 0, 0, 0, 0]],
-                scenarios=ScenarioSpec(name="burst", rate_scale=2.0),
-            )
+            evaluator.evaluate_vectors([[0, 1, 0, 0, 0, 0]])
 
 
 class TestInvalidation:
@@ -465,9 +469,9 @@ class TestInvalidation:
         fresh evaluator over the spliced window, by ``float.hex``, and its Δ table
         covers the new edge list."""
         _app, _telemetry, build_evaluator = scenario_stack
-        evaluator = build_evaluator()
+        evaluator = build_evaluator(problem=S4_PROBLEM)
         vectors = [[0, 1, 1, 0, 0, 1], [1, 1, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0]]
-        evaluator.evaluate_vectors(vectors, scenarios=S4)
+        evaluator.evaluate_vectors(vectors)
         chatty = next(spec for spec in S4 if spec.name == "chatty")
         view = evaluator._scenario_context(chatty).performance
         assert view is not evaluator.performance
@@ -479,7 +483,10 @@ class TestInvalidation:
         ]
         evaluator.splice({"/read": window})
         assert view._edges["/read"] == [e for e in old_edges if e[1] != "Notifier"] != old_edges
-        fresh = build_evaluator(traces={**evaluator.performance._traces, "/read": window})
+        fresh = build_evaluator(
+            problem=S4_PROBLEM,
+            traces={**evaluator.performance._traces, "/read": window},
+        )
 
         def hexes(qualities):
             return [
@@ -488,9 +495,9 @@ class TestInvalidation:
                 for vector in (quality, *quality.scenarios)
             ]
 
-        spliced = evaluator.evaluate_vectors(vectors, scenarios=S4)
+        spliced = evaluator.evaluate_vectors(vectors)
         assert evaluator._scenario_context(chatty).performance is view
-        assert hexes(spliced) == hexes(fresh.evaluate_vectors(vectors, scenarios=S4))
+        assert hexes(spliced) == hexes(fresh.evaluate_vectors(vectors))
         built_for, (_size, table, *_rest) = view._delta_tables["/read"]
         assert built_for is view._edges["/read"]
         assert table.shape[0] == len(view._edges["/read"])
@@ -528,27 +535,31 @@ class TestBoundEvaluatorDoors:
 
     def test_bound_evaluate_and_masks_agree(self, scenario_stack):
         app, _telemetry, build_evaluator = scenario_stack
-        bound = build_evaluator(problem=PlacementProblem.default(scenarios=S4))
-        explicit = build_evaluator()
+        bound = build_evaluator(problem=S4_PROBLEM)
+        reference = build_evaluator(problem=S4_PROBLEM)
         vectors = [[0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0]]
         via_bound = bound.evaluate_vectors(vectors)
-        via_explicit = explicit.evaluate_vectors(vectors, scenarios=S4)
+        via_reference = reference.evaluate_vectors(vectors)
         assert [repr(q.objectives()) for q in via_bound] == [
-            repr(q.objectives()) for q in via_explicit
+            repr(q.objectives()) for q in via_reference
         ]
+        # A problem without an aggregator is scored by its worst scenario.
+        for quality in via_bound:
+            worst = tuple(map(max, zip(*(entry.values for entry in quality.scenarios))))
+            assert repr(quality.values) == repr(worst)
         plans = [
             MigrationPlan.from_vector(app.component_names, v) for v in vectors
         ]
         assert [q.feasible for q in bound.evaluate_batch(plans)] == [
-            q.feasible for q in via_explicit
+            q.feasible for q in via_reference
         ]
-        assert bound.is_feasible(plans[0]) == via_explicit[0].feasible
+        assert bound.is_feasible(plans[0]) == via_reference[0].feasible
         assert list(bound.feasible_mask(vectors)) == [
-            q.feasible for q in via_explicit
+            q.feasible for q in via_reference
         ]
         np.testing.assert_array_equal(
             bound.qcost_vectors(vectors),
-            np.asarray([q.cost for q in via_explicit]),
+            np.asarray([q.cost for q in via_reference]),
         )
         assert bound.cache_size() == 2
         assert all(q.scenarios for q in bound.evaluated_qualities())

@@ -226,7 +226,7 @@ class TestSharedStateEqualsACompileOfItsOwn:
             data.draw(specs(f"s{index}", tuple(atlas.locations)))
             for index in range(data.draw(st.integers(1, 3)))
         ]
-        scenario_set = ScenarioSet(tuple(drawn))
+        problem = PlacementProblem.default(scenarios=ScenarioSet(tuple(drawn)))
         rng = np.random.default_rng(seed)
         components = atlas.application.component_names
         plans = [
@@ -234,19 +234,23 @@ class TestSharedStateEqualsACompileOfItsOwn:
             for row in rng.integers(0, sites, size=(n_plans, len(components)))
         ]
         cache = ArtifactCache()
-        first = atlas.build_evaluator(expected_scale=SCALE, artifact_cache=cache)
-        first.evaluate_batch(plans, scenarios=scenario_set)
+        first = atlas.build_evaluator(
+            expected_scale=SCALE, problem=problem, artifact_cache=cache
+        )
+        first.evaluate_batch(plans)
         atlas.certify_plan(first, plans[0], budget=budget)
 
-        warm = atlas.build_evaluator(expected_scale=SCALE, artifact_cache=cache)
-        cold = atlas.build_evaluator(expected_scale=SCALE)
+        warm = atlas.build_evaluator(
+            expected_scale=SCALE, problem=problem, artifact_cache=cache
+        )
+        cold = atlas.build_evaluator(expected_scale=SCALE, problem=problem)
         assert warm.content_digest == first.content_digest is not None
         assert cold.content_digest is None
-        for spec in scenario_set:
+        for spec in problem.scenarios:
             if not spec.is_baseline:  # shared, not merely equal
                 assert warm._scenario_context(spec).cost is first._scenario_context(spec).cost
-        assert [described(q) for q in warm.evaluate_batch(plans, scenarios=scenario_set)] == [
-            described(q) for q in cold.evaluate_batch(plans, scenarios=scenario_set)
+        assert [described(q) for q in warm.evaluate_batch(plans)] == [
+            described(q) for q in cold.evaluate_batch(plans)
         ]
         # A plan nobody has certified: the adversary runs on the warm evaluator.
         moved = components[int(rng.integers(len(components)))]
@@ -263,8 +267,8 @@ class TestRacingEvaluators:
     """Evaluators on racing threads fill one cache and the memos of the models they
     share: each still scores and certifies what a cold evaluator does."""
 
-    SPECS = ScenarioSet(
-        (
+    PROBLEM = PlacementProblem.default(
+        scenarios=(
             ScenarioSpec(name="burst", rate_scale=2.0, payload_factors={"/read": 2.5}),
             ScenarioSpec(name="west-out", faults=(LocationOutage(2),)),
             ScenarioSpec(
@@ -284,8 +288,8 @@ class TestRacingEvaluators:
         ]
         # Each thread certifies a plan of its own, so every adversary runs.
         assert len({tuple(plan.to_vector()) for plan in plans[:6]}) == 6
-        cold = atlas.build_evaluator(expected_scale=SCALE)
-        scores = [described(q) for q in cold.evaluate_batch(plans, scenarios=self.SPECS)]
+        cold = atlas.build_evaluator(expected_scale=SCALE, problem=self.PROBLEM)
+        scores = [described(q) for q in cold.evaluate_batch(plans)]
         want = {
             index: (scores, certified(atlas.certify_plan(cold, plans[index], budget=6)))
             for index in range(6)
@@ -295,10 +299,12 @@ class TestRacingEvaluators:
 
         def work(index):
             try:
-                evaluator = atlas.build_evaluator(expected_scale=SCALE, artifact_cache=cache)
+                evaluator = atlas.build_evaluator(
+                    expected_scale=SCALE, problem=self.PROBLEM, artifact_cache=cache
+                )
                 # Half the threads fill the shared memos in the other order.
                 order = plans if index % 2 else plans[::-1]
-                scored = evaluator.evaluate_batch(order, scenarios=self.SPECS)
+                scored = evaluator.evaluate_batch(order)
                 if not index % 2:
                     scored = scored[::-1]
                 results[index] = (

@@ -12,7 +12,9 @@ things pin that design:
    ``PLAN_BLOCK`` scores per scenario exactly what S fresh single-scenario
    evaluators score (``float.hex``), with the same feasibility and violation
    strings; the aggregate, ``feasible_mask``, ``constraint_violations`` and
-   ``qcost_vectors`` are the aggregator / conjunction / concatenation of those.
+   ``qcost_vectors`` are the aggregator / conjunction / concatenation of those, and
+   the adversary's uncached probe door (``evaluate_under``) on the robust evaluator
+   answers each spec exactly as its single-scenario evaluator does.
 2. **The mechanism** (spies): one cluster-autoscaler walk per billable site and
    one QAvai disruption pass per distinct availability model per scoring call —
    scenarios share a kernel exactly when they read the same objects, so specs with
@@ -235,7 +237,7 @@ class TestStackedPassEqualsIndependentEvaluators:
     ):
         app, build, median_cost = stacked_stack
 
-        def fresh(scenarios=None, aggregator=None):
+        def fresh(scenarios, aggregator=None):
             return build(
                 location_weights=location_weights,
                 budget=median_cost if tight_budget else float("inf"),
@@ -245,12 +247,10 @@ class TestStackedPassEqualsIndependentEvaluators:
 
         rng = np.random.default_rng(seed)
         vectors = rng.integers(0, len(SITES), size=(n_plans, len(app.component_names)))
-        robust = fresh().evaluate_vectors(
-            vectors, scenarios=scenario_set, aggregator=aggregator
-        )
+        evaluator = fresh(scenario_set, aggregator)
+        robust = evaluator.evaluate_vectors(vectors)
         singles = [
-            fresh().evaluate_vectors(vectors, scenarios=ScenarioSet((spec,)))
-            for spec in scenario_set
+            fresh(ScenarioSet((spec,))).evaluate_vectors(vectors) for spec in scenario_set
         ]
         names = [spec.name for spec in scenario_set]
         for row, quality in enumerate(robust):
@@ -283,6 +283,19 @@ class TestStackedPassEqualsIndependentEvaluators:
         for row in range(min(n_plans, 3)):
             plan = MigrationPlan.from_vector(app.component_names, vectors[row].tolist())
             assert doors.constraint_violations(plan) == list(robust[row].violations)
+
+        # Probed through the robust evaluator's uncached door, each spec scores as its
+        # own single-scenario evaluator does, and the result cache does not move.
+        kept = evaluator.evaluated_qualities()
+        for row in range(min(n_plans, 3)):
+            plan = MigrationPlan.from_vector(app.component_names, vectors[row].tolist())
+            for spec, single in zip(scenario_set, singles):
+                probe = evaluator.evaluate_under(plan, spec)
+                assert hexes(probe.values) == hexes(single[row].values)
+                assert probe.feasible == single[row].feasible
+                assert probe.violations == single[row].violations
+        assert evaluator.cache_size() == len(kept) == len({tuple(v) for v in vectors.tolist()})
+        assert evaluator.evaluated_qualities() == kept
 
 
 class TestOneWalkPerSite:
