@@ -85,11 +85,6 @@ class ResourceEstimate:
     step_ms: float
     usage: Dict[str, Dict[str, List[float]]]
     api_rates: Dict[str, List[float]] = field(default_factory=dict)
-    #: Lazily-built per-resource (component -> row, series matrix) view used to
-    #: aggregate subsets without re-walking python lists on every plan evaluation.
-    _matrices: Dict[str, Tuple[Dict[str, int], "np.ndarray"]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     #: Lazily-built lowering of one resource onto one column order for
     #: :func:`stack_series`: the columns of the estimate's components, in storage
     #: order, their ``(components, 1, steps)`` series and the storage order's names.
@@ -109,31 +104,30 @@ class ResourceEstimate:
         return list(self.usage.get(resource, {}).get(component, []))
 
     def _matrix(self, resource: str) -> Tuple[Dict[str, int], "np.ndarray"]:
-        cached = self._matrices.get(resource)
-        if cached is None:
-            per_component = self.usage.get(resource, {})
-            rows = {component: i for i, component in enumerate(per_component)}
-            matrix = (
-                np.asarray(list(per_component.values()), dtype=np.float64)
-                if per_component
-                else np.zeros((0, self.steps), dtype=np.float64)
-            )
-            cached = (rows, matrix)
-            self._matrices[resource] = cached
-        return cached
+        """One resource as (component -> row, ``(components, steps)`` series matrix)."""
+        per_component = self.usage.get(resource, {})
+        rows = {component: i for i, component in enumerate(per_component)}
+        matrix = (
+            np.asarray(list(per_component.values()), dtype=np.float64)
+            if per_component
+            else np.zeros((0, self.steps), dtype=np.float64)
+        )
+        return rows, matrix
 
     def aggregate_series(
         self, resource: str, components: Sequence[str]
     ) -> List[float]:
         """Sum of one resource over a component subset, per time step."""
-        rows, matrix = self._matrix(resource)
-        totals = np.zeros(matrix.shape[1] if matrix.size else self.steps, dtype=np.float64)
+        per_component = self.usage.get(resource, {})
+        totals = np.zeros(
+            len(next(iter(per_component.values()), ())) or self.steps, dtype=np.float64
+        )
         selected = set(components)
         # Accumulate row by row (in storage order) so the per-step summation order is
         # identical to the original python loop — bit-for-bit stable results.
-        for component, row in rows.items():
+        for component, series in per_component.items():
             if component in selected:
-                totals += matrix[row]
+                totals += series
         return totals.tolist()
 
     def peak(self, resource: str, components: Sequence[str]) -> float:

@@ -259,7 +259,7 @@ class GAConfig:
 
 #: The fields of a :class:`SearchResult` that pickle as one inner blob — the archive:
 #: thousands of results no reader of the front ever looks at.
-_ARCHIVE_FIELDS = ("all_evaluated", "final_population")
+_ARCHIVE_FIELDS = ("all_evaluated",)
 
 
 @dataclass
@@ -268,12 +268,11 @@ class SearchResult:
 
     ``all_evaluated`` holds every *distinct* plan the evaluator scored during the run
     (including agent-training probes and local-search candidates — the full "plans
-    visited" accounting of the paper); ``final_population`` is just the surviving
-    population of the last generation.  ``objective_names`` labels the K columns of
+    visited" accounting of the paper).  ``objective_names`` labels the K columns of
     every objective vector (the problem's column order).
 
-    Pickled, those two lists travel as one inner pickle (``_archive``) beside the
-    front, and an unpickled result keeps the bytes until somebody reads either list:
+    Pickled, that list travels as one inner pickle (``_archive``) beside the front,
+    and an unpickled result keeps the bytes until somebody reads it:
     reviving a journaled answer decodes the handful of plans it serves, not the
     thousands the search visited.
     """
@@ -284,7 +283,6 @@ class SearchResult:
     training_history: Optional[TrainingHistory]
     wall_clock_s: float
     all_evaluated: List[PlanQuality] = field(default_factory=list)
-    final_population: List[PlanQuality] = field(default_factory=list)
     objective_names: Tuple[str, ...] = ("qperf", "qavai", "qcost")
     #: The crossover agent the DRL search bred with, stripped for inference
     #: (:meth:`CrossoverAgent.for_inference`), and its content digest.  Trained by
@@ -309,7 +307,7 @@ class SearchResult:
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        # Results pickled before store frame version 5 held the two lists as fields;
+        # Results pickled before store frame version 5 held the archive as fields;
         # there is no reader for that.
         if "_archive" not in state:
             raise TypeError("SearchResult pickled without its packed archive")
@@ -723,7 +721,6 @@ class AtlasGA:
             training_history=history,
             wall_clock_s=time.perf_counter() - start,
             all_evaluated=self.evaluator.evaluated_qualities()[preexisting:],
-            final_population=qualities,
             objective_names=self.evaluator.problem.objective_names,
             agent=used,
             agent_digest=used.content_digest() if used is not None else None,

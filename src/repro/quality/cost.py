@@ -191,19 +191,11 @@ class CloudCostModel:
         self._storage_autoscalers: Dict[int, StorageAutoscaler] = {
             loc: StorageAutoscaler(cat.autoscaler) for loc, cat in self.catalogs.items()
         }
-        # Lowered views of the estimate/footprint for the plan-matrix pipeline,
-        # keyed by the component order of the matrices.
-        self._lowerings: Dict[Tuple[str, ...], "_CostLowering"] = {}
         self._rate_table_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        # Batched-path memo: per component order, raw plan-row bytes -> total USD.
-        # Rows are scored independently, so cached values are bitwise stable no
-        # matter which batch first computed them; this keeps feasibility masks and
-        # objective scoring (and NSGA-II survivors across generations) from paying
-        # the cost passes twice for the same plan.
-        self._batch_cost_cache: Dict[Tuple[str, ...], Dict[bytes, float]] = {}
-        # Same memo for the storage term alone, keyed by the bytes of a row's
-        # *stateful* columns — all Eq. 9 reads — so rows that differ only in where
-        # stateless components run share one capacity walk.
+        # The storage term's memo, per component order: the raw bytes of a row's
+        # *stateful* columns (all Eq. 9 reads) -> USD.  Rows that differ only in where
+        # stateless components run share one capacity walk, and the keys are bounded
+        # by the stateful placements, not by the plans scored.
         self._storage_cost_cache: Dict[Tuple[str, ...], Dict[bytes, float]] = {}
         # Lowered stacks of sibling models this model heads (see _CostStack.of).
         self._stacks: Dict[Tuple, "_CostStack"] = {}
@@ -226,7 +218,7 @@ class CloudCostModel:
         payload-scaled footprint while sharing the catalogs, storage metadata and
         baseline plan.  ``catalogs`` overrides the per-location pricing — the fault
         hook :class:`~repro.quality.faults.PriceShock` / :class:`~repro.quality.faults.CapacityCut`
-        compile through (shocked prices, shrunk node specs).  Result memos are
+        compile through (shocked prices, shrunk node specs).  The storage memo is
         per-model, so scenarios never cross-contaminate; what only the catalogs
         determine — a site's autoscalers, the egress-rate tables — is shared with
         this model wherever the sibling keeps the same catalog objects, which is how
@@ -368,35 +360,33 @@ class CloudCostModel:
 
     # -- batched evaluation (plan-matrix pipeline) -----------------------------------------
     def _lowering(self, components: Sequence[str]) -> _CostLowering:
+        """This model's estimate and footprint lowered onto one component order
+        (built once per :class:`_CostStack`, which is what keeps it)."""
         key = tuple(components)
-        lowering = self._lowerings.get(key)
-        if lowering is None:
-            columns = {c: i for i, c in enumerate(key)}
-            stateful = [
-                i for i, c in enumerate(key) if self.storage_by_component.get(c, 0.0) > 0.0
-            ]
-            total_requests = {
-                api: sum(series) for api, series in self.estimate.api_rates.items()
-            }
-            src_cols, dst_cols, total_bytes = self.footprint.edge_arrays(
-                total_requests, columns
-            )
-            lowering = _CostLowering(
-                stateful_columns=np.asarray(stateful, dtype=np.intp),
-                stateful_names=tuple(key[i] for i in stateful),
-                stateful_baseline=np.asarray(
-                    [self.baseline_plan[key[i]] for i in stateful], dtype=np.int64
-                ),
-                stateful_gb=np.asarray(
-                    [self.storage_by_component[key[i]] for i in stateful],
-                    dtype=np.float64,
-                ).reshape(-1, 1),
-                src_cols=src_cols,
-                dst_cols=dst_cols,
-                total_bytes=total_bytes,
-            )
-            self._lowerings[key] = lowering
-        return lowering
+        columns = {c: i for i, c in enumerate(key)}
+        stateful = [
+            i for i, c in enumerate(key) if self.storage_by_component.get(c, 0.0) > 0.0
+        ]
+        total_requests = {
+            api: sum(series) for api, series in self.estimate.api_rates.items()
+        }
+        src_cols, dst_cols, total_bytes = self.footprint.edge_arrays(
+            total_requests, columns
+        )
+        return _CostLowering(
+            stateful_columns=np.asarray(stateful, dtype=np.intp),
+            stateful_names=tuple(key[i] for i in stateful),
+            stateful_baseline=np.asarray(
+                [self.baseline_plan[key[i]] for i in stateful], dtype=np.int64
+            ),
+            stateful_gb=np.asarray(
+                [self.storage_by_component[key[i]] for i in stateful],
+                dtype=np.float64,
+            ).reshape(-1, 1),
+            src_cols=src_cols,
+            dst_cols=dst_cols,
+            total_bytes=total_bytes,
+        )
 
     def _rate_tables_for(self, max_location: int) -> Tuple[np.ndarray, np.ndarray]:
         """Egress-rate lookup tables over location ids ``0..max_location``.
@@ -427,8 +417,6 @@ class CloudCostModel:
         models: ``(len(models), plans)``, row ``s`` bitwise ``models[s].qcost`` of
         every plan (per-site accumulation order, autoscaler arithmetic and traffic
         bucketing replicate the scalar oracle); a classic call is the stack of one.
-        Rows seen before (same component order) come from each model's batched memo,
-        which ends up holding every row.
 
         The robust evaluator's scenario cost models are such a stack: what no
         scenario changes — the membership masks, the stateful placements, the bucket
@@ -466,11 +454,7 @@ class CloudCostModel:
                     dtype=np.float64,
                 )
             else:
-                scores = _memoized_rows(
-                    [model._batch_cost_cache.setdefault(key, {}) for model in group],
-                    matrix,
-                    lambda block: _stack_rows(group, block, key),
-                )
+                scores = _stack_rows(group, matrix, key)
             if totals is None:
                 totals = scores
             else:
@@ -630,42 +614,10 @@ class _CostStack:
         return stack
 
 
-def _memoized_rows(
-    caches: Sequence[Dict[bytes, float]],
-    matrix: np.ndarray,
-    score: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Per-row scores of ``matrix`` under several models, through their row memos.
-
-    ``caches[s]`` is model ``s``'s memo keyed by a row's raw bytes; returns
-    ``(len(caches), rows)``.  The keys are cut once for every model, and ``score``
-    sees each distinct row that some memo lacks once, as one sub-matrix, returning
-    ``(len(caches), rows)`` that every memo then holds.  Every kernel scores rows
-    independently, so a memoized value carries the same bits no matter which
-    batch, or which stack of models, first computed it.
-    """
-    row_size = matrix.shape[1] * matrix.itemsize
-    buffer = matrix.tobytes()
-    keys = [
-        buffer[start : start + row_size]
-        for start in range(0, matrix.shape[0] * row_size, row_size)
-    ]
-    unknown: Dict[bytes, int] = {}
-    for cache in caches:
-        for row, key in enumerate(keys):
-            if key not in cache and key not in unknown:
-                unknown[key] = row
-    if unknown:
-        scores = score(matrix[list(unknown.values())])
-        for cache, values in zip(caches, scores.tolist()):
-            cache.update(zip(unknown, values))
-    return np.asarray([[cache[key] for key in keys] for cache in caches], dtype=np.float64)
-
-
 def _stack_rows(
     models: Sequence[CloudCostModel], matrix: np.ndarray, key: Tuple[str, ...]
 ) -> np.ndarray:
-    """Eq. 11 of rows no memo of ``models`` holds: ``(len(models), rows)``."""
+    """Eq. 11 of every row of ``matrix`` under ``models``: ``(len(models), rows)``."""
     stack = _CostStack.of(models, key)
     return (
         _compute_rows(matrix, stack.compute, len(models))
@@ -708,16 +660,33 @@ def _storage_rows(
 ) -> np.ndarray:
     """Eq. 9 under several models, memoized on each row's stateful placements.
 
-    A group's models share one placement gather, one set of memo keys and one
-    capacity pass (:func:`_capacity_rows`) for the rows some memo lacks.
+    A group's models share one placement gather, one set of memo keys (a row's raw
+    placement bytes, cut once) and one capacity pass (:func:`_capacity_rows`) over
+    the distinct placements some memo lacks, which every memo then holds.  The
+    pass scores rows independently, so a memoized value carries the same bits no
+    matter which batch, or which stack of models, first computed it.
     """
     totals = np.zeros((len(models), matrix.shape[0]), dtype=np.float64)
     for rows, lowering, sites in groups:
-        totals[rows] = _memoized_rows(
-            [models[row]._storage_cost_cache.setdefault(key, {}) for row in rows],
-            matrix[:, lowering.stateful_columns],
-            lambda placements: _capacity_rows(placements, lowering, sites, len(rows)),
-        )
+        caches = [models[row]._storage_cost_cache.setdefault(key, {}) for row in rows]
+        placements = matrix[:, lowering.stateful_columns]
+        row_size = placements.shape[1] * placements.itemsize
+        buffer = placements.tobytes()
+        keys = [
+            buffer[start : start + row_size] for start in range(0, len(buffer), row_size)
+        ]
+        unknown: Dict[bytes, int] = {}
+        for cache in caches:
+            for row, placement in enumerate(keys):
+                if placement not in cache and placement not in unknown:
+                    unknown[placement] = row
+        if unknown:
+            scores = _capacity_rows(
+                placements[list(unknown.values())], lowering, sites, len(rows)
+            )
+            for cache, values in zip(caches, scores.tolist()):
+                cache.update(zip(unknown, values))
+        totals[rows] = [[cache[placement] for placement in keys] for cache in caches]
     return totals
 
 

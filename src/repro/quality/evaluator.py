@@ -738,9 +738,8 @@ class QualityEvaluator:
         """Per-plan feasibility of a location matrix — the batched ``is_feasible``.
 
         Over a problem with a scenario set a plan is feasible only if it satisfies
-        the constraints under **every** scenario; the stacked cost pass fills every
-        scenario cost model's row memo, so a later robust evaluation of the same
-        plans does not pay the cost passes again.  No result is cached.
+        the constraints under **every** scenario.  No result is cached: a budget
+        check prices its plans in one stacked cost pass per call.
         """
         matrix, components = self._lower(vectors, components)
         mask = np.ones(matrix.shape[0], dtype=bool)
@@ -757,7 +756,7 @@ class QualityEvaluator:
 
         Shared by :meth:`evaluate_vectors`, :meth:`feasible_mask` and
         :meth:`qcost_vectors` so permuted component orders hit the same caches (result
-        cache, batched cost memo) and fail with the same explicit error on a
+        cache, storage memo) and fail with the same explicit error on a
         mismatched component set or a location the network does not have.
         """
         components = self._columns(components)

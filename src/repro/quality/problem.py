@@ -600,10 +600,8 @@ class BudgetConstraint(Constraint):
 
     Reads the call's stacked cost pass (:func:`scenario_costs`): the one the QCost
     objective ran when the problem scores costs anyway, or on constraint-only passes
-    (``feasible_mask``) one it drives itself — whose per-model row memos keep a later
-    full evaluation of the same plans from paying the cost passes again, under every
-    scenario.  The scalar oracle reads the same ``qcost`` the QCost objective scored
-    (:func:`_plan_cost`).
+    (``feasible_mask``) one it drives itself.  The scalar oracle reads the same
+    ``qcost`` the QCost objective scored (:func:`_plan_cost`).
     """
 
     name = "budget"

@@ -721,8 +721,8 @@ class Atlas:
             pinned=evaluator.preferences.pinned_placement,
             pair_traffic=pair_traffic,
             # Seeding probes single vectors, many of them repeats (flip-and-revert
-            # passes): each probe is feasible_mask over one row, and a repeat's
-            # budget check reads the batched cost kernel's row memo.
+            # passes): each probe is feasible_mask over one row, and a budget check
+            # prices every probe, repeats included.
             is_feasible=lambda vector: evaluator.is_feasible(
                 MigrationPlan.from_vector(components, list(vector))
             ),

@@ -61,7 +61,10 @@ _MAGIC = "atlas-store"
 #: journal key, lost four: the island fork and the converged-front exit are gone.
 #: 7 = ``CompiledTraceSet`` keeps its replay state only (no per-trace fragments or
 #: content streams).
-_VERSION = 7
+#: 8 = ``SearchResult`` archives ``all_evaluated`` only; ``CloudCostModel`` and
+#: ``ResourceEstimate`` (inside stored compiled scenarios) lost their per-plan-row
+#: and lowering memos.
+_VERSION = 8
 
 
 def _key_digest(key: Tuple) -> str:

@@ -87,13 +87,11 @@ def fingerprint_search_result(result) -> str:
     """Full-trajectory fingerprint of a ``SearchResult``.
 
     Covers the Pareto front, every plan the run evaluated (``all_evaluated`` — the
-    strongest trajectory witness), the final population and the evaluation/
-    generation counters.
+    strongest trajectory witness) and the evaluation/generation counters.
     """
     payload = {
         "pareto": fingerprint_qualities(result.pareto),
         "all_evaluated": fingerprint_qualities(result.all_evaluated),
-        "final_population": fingerprint_qualities(result.final_population),
         "evaluations": result.evaluations,
         "generations": result.generations,
     }

@@ -14,6 +14,7 @@ Run deeper with ``--hypothesis-profile=ci`` (see ``tests/conftest.py``).
 """
 
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -21,6 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_shared_scenarios import SCALE, _atlas
+from test_stacked_scenarios import ROBUST_S4
 
 from repro.cluster import CLOUD, ON_PREM, MigrationPlan, NodeSpec
 from repro.learning.estimator import (
@@ -32,7 +35,13 @@ from repro.learning.estimator import (
     stack_series,
 )
 from repro.learning.footprint import EdgeFootprint, NetworkFootprint
-from repro.quality import CloudCostModel, PricingCatalog
+from repro.quality import (
+    ArtifactCache,
+    CloudCostModel,
+    PlacementProblem,
+    PricingCatalog,
+    ScenarioSpec,
+)
 from repro.quality import cost as cost_module
 
 RESOURCES = ("cpu_millicores", "memory_mb", "storage_gb")
@@ -296,12 +305,13 @@ class TestAggregateMatrix:
         before = repr(touched)
         stacked = stack_series([touched], "cpu_millicores", ["a", "b"])
         aggregate_stacked(stacked, np.ones((2, 2), dtype=bool))
-        assert touched._matrices and touched._lowerings
+        assert touched._lowerings
         assert repr(touched) == before
         assert touched == fresh
-        for name in ("_matrices", "_lowerings"):
-            (cache_field,) = [f for f in dataclasses.fields(ResourceEstimate) if f.name == name]
-            assert not cache_field.repr and not cache_field.compare
+        (cache_field,) = [
+            f for f in dataclasses.fields(ResourceEstimate) if f.name == "_lowerings"
+        ]
+        assert not cache_field.repr and not cache_field.compare
         clone = pickle.loads(pickle.dumps(touched))
         members = np.asarray([[True, False], [True, True]])
         clone_sums, touched_sums = (
@@ -414,7 +424,6 @@ class TestMemoLaws:
         # Differs only in stateless columns: a hit.
         CloudCostModel.qcost_stack([model], [twin], components)
         assert len(memo) == 1
-        assert len(model._batch_cost_cache[tuple(components)]) == 2
         moved = row.copy()
         moved[stateful[0]] = (moved[stateful[0]] + 1) % n_locations
         CloudCostModel.qcost_stack([model], [moved], components)  # a stateful move: miss
@@ -425,7 +434,7 @@ class TestMemoLaws:
         matrix = random_matrix(rng, 20, len(components), n_locations)
         CloudCostModel.qcost_stack([model], matrix, components)
         shocked = model.derive(catalogs={CLOUD: WEST, 2: EAST})
-        assert shocked._storage_cost_cache == {} and shocked._batch_cost_cache == {}
+        assert shocked._storage_cost_cache == {}
         permutation = rng.permutation(len(components))
         permuted = [components[i] for i in permutation]
         for other in (shocked, model):
@@ -447,6 +456,66 @@ class TestMemoLaws:
         scalar_after = [model.qcost(plan) for plan in plans]
         assert hexes(batched) == hexes(again) == hexes(scalar_after)
         assert hexes(scalar_first) == hexes(batched[:10])
+
+    def test_a_shared_compiled_scenario_stops_growing_with_the_plans_it_scores(
+        self, tiny_telemetry
+    ):
+        """A budgeted S = 4 evaluator whose compiled scenarios live in an
+        ``ArtifactCache`` — where they outlive any one request — prices plans that
+        share one stateful placement through every door.  Its cost models and their
+        estimates hold as many entries after 40 plans as after 8: no memo is keyed
+        by the plan, only the storage memo by the stateful placement."""
+        app, result = tiny_telemetry
+        atlas = _atlas(app, result.telemetry, sites=3)
+        components = app.component_names
+        # Forty distinct plans, every one with the stateful Database on-prem.
+        stateless = [i for i, name in enumerate(components) if name != "Database"]
+        grid = np.asarray(list(itertools.product(range(3), repeat=len(stateless))))
+        vectors = np.full((40, len(components)), ON_PREM)
+        vectors[:, stateless] = grid[np.random.default_rng(17).permutation(len(grid))[:40]]
+        budget = float(np.median(atlas.build_evaluator(SCALE).qcost_vectors(vectors)))
+        preferences = dataclasses.replace(atlas.preferences, budget_usd=budget)
+        evaluator = atlas.build_evaluator(
+            SCALE,
+            problem=PlacementProblem.default(preferences, scenarios=ROBUST_S4),
+            artifact_cache=ArtifactCache(),
+        )
+        probe = ScenarioSpec(name="probe", rate_scale=2.0, payload_scale=1.5)
+
+        def score(block):
+            evaluator.feasible_mask(block)
+            evaluator.evaluate_vectors(block)
+            evaluator.qcost_vectors(block)
+            for row in block.tolist():
+                evaluator.evaluate_under(MigrationPlan.from_vector(components, row), probe)
+
+        def census():
+            models = [evaluator.cost] + [
+                context.cost for context in evaluator._scenario_contexts.values()
+            ]
+            held = [*models, *(model.estimate for model in models)]
+            return {
+                (index, name): _entries(value)
+                for index, owner in enumerate(held)
+                for name, value in vars(owner).items()
+                if isinstance(value, dict)
+            }
+
+        score(vectors[:8])
+        after_eight = census()
+        score(vectors[8:])
+        assert len(evaluator._scenario_contexts) == len(ROBUST_S4) + 1
+        assert census() == after_eight
+        # The plans did reach the kernel: every storage memo holds the one placement.
+        for context in evaluator._scenario_contexts.values():
+            assert [len(memo) for memo in context.cost._storage_cost_cache.values()] == [1]
+
+
+def _entries(value):
+    """Entries of a dict, counting those of every dict nested in its values."""
+    if not isinstance(value, dict):
+        return 0
+    return len(value) + sum(_entries(inner) for inner in value.values())
 
 
 class TestFromVector:

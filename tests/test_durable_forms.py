@@ -4,8 +4,8 @@ Two stored classes keep their pickles small through their own protocols:
 
 * ``CompiledTraceSet`` pickles its replay state as two blobs and a length table
   and carries no trace.
-* ``SearchResult`` pickles ``all_evaluated`` + ``final_population`` as one inner
-  blob that materialises on first attribute access — the one lazy part.
+* ``SearchResult`` pickles ``all_evaluated`` as one inner blob that materialises
+  on first attribute access — the one lazy part.
 
 Both must be invisible: every reader gets what an eager load gave, an untouched
 object re-pickles to the bytes it came from, and the store still verifies the
@@ -146,7 +146,6 @@ def _random_result(rng) -> SearchResult:
         training_history=None,
         wall_clock_s=float(rng.uniform(0, 2)),
         all_evaluated=archive,
-        final_population=population,
         objective_names=NAMES,
         agent_digest="d" * 64 if rng.random() < 0.5 else None,
     )
@@ -168,7 +167,7 @@ class TestLoadedSearchResult:
             )
             assert loaded.agent_digest == original.agent_digest
         assert built["results"] == _distinct(original.pareto)
-        assert "all_evaluated" not in vars(loaded) and "final_population" not in vars(loaded)
+        assert "all_evaluated" not in vars(loaded)
         # Untouched, the inner bytes pass through — by a re-pickle and by a deep copy.
         packed = vars(loaded)["_archive"]
         assert loaded.__getstate__()["_archive"] is packed
@@ -178,10 +177,7 @@ class TestLoadedSearchResult:
 
         with decode_spies() as built:
             assert loaded.all_evaluated == original.all_evaluated
-        assert built["results"] == _distinct(original.all_evaluated + original.final_population)
-        with decode_spies() as built:
-            assert loaded.final_population == original.final_population
-        assert built["results"] == 0  # one decode materialises both lists
+        assert built["results"] == _distinct(original.all_evaluated)
         assert "_archive" not in vars(loaded)
         assert [q.plan.to_vector() for q in loaded.all_evaluated] == [
             q.plan.to_vector() for q in original.all_evaluated
@@ -231,19 +227,18 @@ class TestRacingReaders:
                 barrier = threading.Barrier(8)
                 seen = []
 
-                def read(index):
+                def read():
                     barrier.wait(timeout=30)
-                    name = ("all_evaluated", "final_population")[index % 2]
-                    seen.append((name, getattr(loaded_result, name)))
+                    seen.append(loaded_result.all_evaluated)
 
-                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+                threads = [threading.Thread(target=read) for _ in range(8)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads) and len(seen) == 8
-                for name, archive_list in seen:
-                    assert archive_list is getattr(loaded_result, name)
+                for archive_list in seen:
+                    assert archive_list is loaded_result.all_evaluated
                 assert loaded_result == result
         finally:
             sys.setswitchinterval(interval)
@@ -284,7 +279,6 @@ class TestRevive:
             )
         # Whoever does ask gets the archive the search journaled.
         assert warm.result.all_evaluated == cold.result.all_evaluated
-        assert warm.result.final_population == cold.result.final_population
 
     def test_robust_revive_rescores_the_journaled_pool(
         self, tmp_path, tiny_learned_atlas, monkeypatch
@@ -301,12 +295,10 @@ class TestRevive:
             warm = service.recommend(_clone(tiny_learned_atlas), problem=ROBUST)
         assert service.stats()["journal"] == {"hits": 1, "misses": 0}
         assert front_digest(warm) == front_digest(cold)
-        # The pool was decoded (front + archive + population) and scored again: the
-        # revived evaluator has seen every plan the cold one had.
+        # The pool was decoded (front + archive) and scored again: the revived
+        # evaluator has seen every plan the cold one had.
         result = cold.result
-        assert built["results"] == _distinct(result.pareto) + _distinct(
-            result.all_evaluated + result.final_population
-        )
+        assert built["results"] == _distinct(result.pareto) + _distinct(result.all_evaluated)
         assert "_archive" not in vars(warm.result)
         assert warm.result.all_evaluated == result.all_evaluated
         assert warm.evaluator.cache_size() == len({q.plan for q in result.all_evaluated})
