@@ -103,17 +103,6 @@ class ResourceEstimate:
     def component_series(self, resource: str, component: str) -> List[float]:
         return list(self.usage.get(resource, {}).get(component, []))
 
-    def _matrix(self, resource: str) -> Tuple[Dict[str, int], "np.ndarray"]:
-        """One resource as (component -> row, ``(components, steps)`` series matrix)."""
-        per_component = self.usage.get(resource, {})
-        rows = {component: i for i, component in enumerate(per_component)}
-        matrix = (
-            np.asarray(list(per_component.values()), dtype=np.float64)
-            if per_component
-            else np.zeros((0, self.steps), dtype=np.float64)
-        )
-        return rows, matrix
-
     def aggregate_series(
         self, resource: str, components: Sequence[str]
     ) -> List[float]:
@@ -140,12 +129,15 @@ class ResourceEstimate:
         key = (resource, tuple(columns))
         lowering = self._lowerings.get(key)
         if lowering is None:
-            rows, matrix = self._matrix(resource)
+            per_component = self.usage.get(resource, {})
+            steps = len(next(iter(per_component.values()))) if per_component else self.steps
             column_of = {name: i for i, name in enumerate(key[1])}
-            shared = tuple(name for name in rows if name in column_of)
+            shared = tuple(name for name in per_component if name in column_of)
             lowering = (
                 np.asarray([column_of[name] for name in shared], dtype=np.intp),
-                matrix[[rows[name] for name in shared]][:, None, :],
+                np.asarray(
+                    [per_component[name] for name in shared], dtype=np.float64
+                ).reshape(len(shared), 1, steps),
                 shared,
             )
             self._lowerings[key] = lowering

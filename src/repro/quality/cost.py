@@ -191,6 +191,9 @@ class CloudCostModel:
         self._storage_autoscalers: Dict[int, StorageAutoscaler] = {
             loc: StorageAutoscaler(cat.autoscaler) for loc, cat in self.catalogs.items()
         }
+        # Lowered views of the estimate/footprint for the plan-matrix pipeline,
+        # keyed by the component order of the matrices.
+        self._lowerings: Dict[Tuple[str, ...], "_CostLowering"] = {}
         self._rate_table_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # The storage term's memo, per component order: the raw bytes of a row's
         # *stateful* columns (all Eq. 9 reads) -> USD.  Rows that differ only in where
@@ -360,33 +363,35 @@ class CloudCostModel:
 
     # -- batched evaluation (plan-matrix pipeline) -----------------------------------------
     def _lowering(self, components: Sequence[str]) -> _CostLowering:
-        """This model's estimate and footprint lowered onto one component order
-        (built once per :class:`_CostStack`, which is what keeps it)."""
         key = tuple(components)
-        columns = {c: i for i, c in enumerate(key)}
-        stateful = [
-            i for i, c in enumerate(key) if self.storage_by_component.get(c, 0.0) > 0.0
-        ]
-        total_requests = {
-            api: sum(series) for api, series in self.estimate.api_rates.items()
-        }
-        src_cols, dst_cols, total_bytes = self.footprint.edge_arrays(
-            total_requests, columns
-        )
-        return _CostLowering(
-            stateful_columns=np.asarray(stateful, dtype=np.intp),
-            stateful_names=tuple(key[i] for i in stateful),
-            stateful_baseline=np.asarray(
-                [self.baseline_plan[key[i]] for i in stateful], dtype=np.int64
-            ),
-            stateful_gb=np.asarray(
-                [self.storage_by_component[key[i]] for i in stateful],
-                dtype=np.float64,
-            ).reshape(-1, 1),
-            src_cols=src_cols,
-            dst_cols=dst_cols,
-            total_bytes=total_bytes,
-        )
+        lowering = self._lowerings.get(key)
+        if lowering is None:
+            columns = {c: i for i, c in enumerate(key)}
+            stateful = [
+                i for i, c in enumerate(key) if self.storage_by_component.get(c, 0.0) > 0.0
+            ]
+            total_requests = {
+                api: sum(series) for api, series in self.estimate.api_rates.items()
+            }
+            src_cols, dst_cols, total_bytes = self.footprint.edge_arrays(
+                total_requests, columns
+            )
+            lowering = _CostLowering(
+                stateful_columns=np.asarray(stateful, dtype=np.intp),
+                stateful_names=tuple(key[i] for i in stateful),
+                stateful_baseline=np.asarray(
+                    [self.baseline_plan[key[i]] for i in stateful], dtype=np.int64
+                ),
+                stateful_gb=np.asarray(
+                    [self.storage_by_component[key[i]] for i in stateful],
+                    dtype=np.float64,
+                ).reshape(-1, 1),
+                src_cols=src_cols,
+                dst_cols=dst_cols,
+                total_bytes=total_bytes,
+            )
+            self._lowerings[key] = lowering
+        return lowering
 
     def _rate_tables_for(self, max_location: int) -> Tuple[np.ndarray, np.ndarray]:
         """Egress-rate lookup tables over location ids ``0..max_location``.

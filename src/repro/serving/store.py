@@ -61,9 +61,9 @@ _MAGIC = "atlas-store"
 #: journal key, lost four: the island fork and the converged-front exit are gone.
 #: 7 = ``CompiledTraceSet`` keeps its replay state only (no per-trace fragments or
 #: content streams).
-#: 8 = ``SearchResult`` archives ``all_evaluated`` only; ``CloudCostModel`` and
-#: ``ResourceEstimate`` (inside stored compiled scenarios) lost their per-plan-row
-#: and lowering memos.
+#: 8 = ``SearchResult`` archives ``all_evaluated`` only; ``CloudCostModel`` lost its
+#: per-plan-row memo and ``ResourceEstimate`` its resource-matrix memo (both inside
+#: stored compiled scenarios).
 _VERSION = 8
 
 
