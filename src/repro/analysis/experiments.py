@@ -492,10 +492,10 @@ def figure17_drift_detection(
     # Drift → scenario bridge: the detector compiles the drifted behaviour into a
     # refreshed WorkloadScenario.  It carries no trace window, so the evaluator's
     # models (and every result cached from them) still hold.
-    update = detector.check_all(
-        {drift_api: after} if after else {}, scenario=testbed.scenario
-    )
-    refreshed_scenario = update.scenario
+    recent = {drift_api: after} if after else {}
+    reports = detector.check_all(recent)
+    drifted_apis = [api for api, report in reports.items() if report.drift_detected]
+    refreshed_scenario = detector.refreshed_scenario(testbed.scenario, recent, reports)
     scenarios = None
     if refreshed_scenario is not None:
         scenarios = ScenarioSet(
@@ -508,7 +508,7 @@ def figure17_drift_detection(
         )
     problem = PlacementProblem.default(scenarios=scenarios)
     rescored_executed = None
-    if update.drifted_apis and scenarios is not None:
+    if drifted_apis and scenarios is not None:
         # Re-score the executed plan over the (observed, drifted) scenario axis —
         # the cheap first response before the full re-learning round below.
         rescored_executed = testbed.atlas.build_evaluator(
@@ -549,7 +549,7 @@ def figure17_drift_detection(
         ),
         "executed_plan": executed,
         "new_plan": new_plan,
-        "drifted_apis": update.drifted_apis,
+        "drifted_apis": drifted_apis,
         "refreshed_scenario": refreshed_scenario,
         "rescored_executed": rescored_executed,
         "scenario_robust_reoptimization": scenarios is not None,

@@ -1,12 +1,11 @@
 """Post-migration monitoring: latency drift detection and footprint-based breach detection."""
 
-from .drift import DriftDetector, DriftReport, DriftScenarioUpdate, kl_divergence
+from .drift import DriftDetector, DriftReport, kl_divergence
 from .security import BreachDetector, TrafficAnomaly
 
 __all__ = [
     "kl_divergence",
     "DriftReport",
-    "DriftScenarioUpdate",
     "DriftDetector",
     "TrafficAnomaly",
     "BreachDetector",

@@ -8,24 +8,29 @@ the divergence between the measured post-migration distribution and Atlas's own
 approximation at recommendation time.  When the recent distribution loses many times
 more information than that baseline, the footprints are considered outdated and a new
 recommendation round is triggered.
+
+:meth:`DriftDetector.check_all` decides drift once per sample and returns the
+per-API reports; :meth:`DriftDetector.refreshed_scenario` compiles the same reports
+into a refreshed :class:`~repro.workload.profiles.WorkloadScenario` (the bridge into
+the scenario axis, e.g. ``certify_plan(extra_specs=(ScenarioSpec.from_workload(...),))``).
+The drifted APIs' fresh trace windows are the monitoring plane's to hand to
+:meth:`Atlas.recertify <repro.recommend.advisor.Atlas.recertify>`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..digest import sha_parts
-from ..telemetry.tracing import Trace
 from ..workload.profiles import BehaviorChange, WorkloadScenario
 
 __all__ = [
     "kl_divergence",
     "DriftReport",
-    "DriftScenarioUpdate",
     "DriftDetector",
 ]
 
@@ -102,52 +107,6 @@ class DriftReport:
     @property
     def drift_detected(self) -> bool:
         return self.information_loss_factor > self.threshold_factor
-
-
-@dataclass(frozen=True)
-class DriftScenarioUpdate:
-    """Outcome of one drift check that also compiles a refreshed workload scenario.
-
-    ``reports`` is exactly what :meth:`DriftDetector.check_all` returns; ``scenario``
-    is a refreshed :class:`~repro.workload.profiles.WorkloadScenario` describing the
-    drifted behaviour (``None`` when nothing drifted) — the bridge from monitoring
-    into the scenario axis: feed it to
-    :meth:`~repro.quality.scenarios.ScenarioSpec.from_workload` /
-    ``Atlas.recommend(problem=PlacementProblem.default(scenarios=...))`` for a
-    scenario-robust re-recommendation.  A scenario changes no trace: only
-    ``refreshed_traces`` moves an evaluator's models.
-    """
-
-    reports: Dict[str, DriftReport]
-    scenario: Optional[WorkloadScenario]
-    #: Freshly profiled traces per drifted API (when the monitoring plane handed the
-    #: check a recent trace window): the payload of the evaluator's incremental
-    #: splice path — :meth:`Atlas.recertify <repro.recommend.advisor.Atlas.recertify>`
-    #: installs them via :meth:`QualityEvaluator.splice
-    #: <repro.quality.evaluator.QualityEvaluator.splice>` so only the drifted APIs
-    #: recompile.  Empty when no traces were supplied: recertification then keeps
-    #: the evaluator's models as they are.
-    refreshed_traces: Dict[str, List[Trace]] = field(default_factory=dict)
-
-    @property
-    def drifted_apis(self) -> List[str]:
-        return [api for api, report in self.reports.items() if report.drift_detected]
-
-    @property
-    def drift_detected(self) -> bool:
-        return bool(self.drifted_apis)
-
-    @property
-    def needs_recertification(self) -> bool:
-        """Escalation trigger: detected drift invalidates the last robustness certificate.
-
-        A :class:`~repro.quality.adversary.RobustnessCertificate` is a statement
-        about the workload the evaluator was compiled for; once any API drifts, the
-        certified worst case no longer bounds reality and
-        :meth:`Atlas.recertify <repro.recommend.advisor.Atlas.recertify>` should
-        re-run the adversary against the refreshed scenario.
-        """
-        return self.drift_detected
 
 
 class DriftDetector:
@@ -257,45 +216,13 @@ class DriftDetector:
         )
 
     def check_all(
-        self,
-        recent_latencies: Mapping[str, Sequence[float]],
-        scenario: Optional[WorkloadScenario] = None,
-        traces_by_api: Optional[Mapping[str, Sequence[Trace]]] = None,
-    ) -> Union[Dict[str, DriftReport], DriftScenarioUpdate]:
-        """Drift reports for every monitored API's recent samples.
-
-        With ``scenario`` (the workload description the last recommendation was made
-        under), the check additionally emits a refreshed
-        :class:`~repro.workload.profiles.WorkloadScenario` when drift is detected and
-        returns a :class:`DriftScenarioUpdate` — the first step of the
-        drift-triggered re-recommendation loop.  Without it, the historical
-        ``{api: DriftReport}`` mapping is returned unchanged.
-
-        ``traces_by_api`` optionally supplies the recent trace window per API (from
-        the telemetry server); the drifted APIs' traces are attached to the update as
-        :attr:`DriftScenarioUpdate.refreshed_traces`, which recertification splices
-        into the evaluator.
-        """
-        reports = self._reports(recent_latencies)
-        if scenario is None:
-            return reports
-        refreshed: Dict[str, List[Trace]] = {}
-        if traces_by_api is not None:
-            refreshed = {
-                api: list(traces_by_api[api])
-                for api, report in sorted(reports.items())
-                if report.drift_detected and traces_by_api.get(api)
-            }
-        return DriftScenarioUpdate(
-            reports=reports,
-            scenario=self.refreshed_scenario(scenario, recent_latencies, reports),
-            refreshed_traces=refreshed,
-        )
-
-    def _reports(
         self, recent_latencies: Mapping[str, Sequence[float]]
     ) -> Dict[str, DriftReport]:
-        """One drift report per monitored API with recent samples."""
+        """One drift report per monitored API with recent samples.
+
+        The verdict a drift cycle decides on; :meth:`refreshed_scenario` turns the
+        same reports into a refreshed workload scenario.
+        """
         return {
             api: self.check(api, samples)
             for api, samples in recent_latencies.items()
@@ -317,7 +244,7 @@ class DriftDetector:
         drifted (the current scenario still describes the workload).
         """
         if reports is None:
-            reports = self._reports(recent_latencies)
+            reports = self.check_all(recent_latencies)
         changes: List[BehaviorChange] = []
         for api, report in sorted(reports.items()):
             if not report.drift_detected:

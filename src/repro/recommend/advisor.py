@@ -49,7 +49,7 @@ from ..learning.api_profile import ApiProfile, ApiProfiler
 from ..learning.component_profile import ComponentProfile, ComponentProfiler
 from ..learning.estimator import ResourceEstimate, ResourceEstimator
 from ..learning.footprint import FootprintLearner, NetworkFootprint
-from ..monitoring.drift import DriftDetector, DriftScenarioUpdate
+from ..monitoring.drift import DriftDetector
 from ..monitoring.security import BreachDetector
 from ..optimizer.atlas_ga import AtlasGA, GAConfig, SearchResult, affinity_seed_vectors
 from ..optimizer.baselines import BaselineContext
@@ -69,11 +69,11 @@ from ..quality.problem import PlacementProblem
 from ..quality.scenario_factory import ScenarioFactory
 from ..quality.scenarios import ScenarioSet, ScenarioSpec
 from ..telemetry.server import TelemetryServer
-from ..workload.profiles import WorkloadScenario
 from .hierarchy import PlanHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serving.store import ArtifactStore
+    from ..telemetry.tracing import Trace
 
 __all__ = [
     "AtlasConfig",
@@ -256,11 +256,13 @@ class Recommendation:
         (perf, avail, cost) triple under the default problem.  The per-scenario
         optimum is taken over all evaluated plans that are feasible *in that
         scenario* (falling back to all evaluated plans when none is) — the reference
-        point the regret of a robust recommendation is measured against.
+        point the regret of a robust recommendation is measured against.  The plans
+        are the result's own archive (``result.all_evaluated``), so the report reads
+        the search it reports on, whatever the evaluator scored or dropped since.
         """
         if self.scenario_set is None:
             raise ValueError("this recommendation was not scenario-robust")
-        evaluated = self.evaluator.evaluated_qualities()
+        evaluated = self.result.all_evaluated
         optima: Dict[str, Tuple[float, ...]] = {}
         for spec in self.scenario_set:
             entries = [
@@ -663,47 +665,28 @@ class Atlas:
         self,
         recommendation: Recommendation,
         executed_plan: MigrationPlan,
-        update: DriftScenarioUpdate,
-        base_scenario: Optional[WorkloadScenario] = None,
+        refreshed_traces: Optional[Mapping[str, Sequence[Trace]]] = None,
         budget: int = DEFAULT_CERTIFY_BUDGET,
         seed: int = 0,
         bounds: Optional[AdversaryBounds] = None,
-    ) -> Optional[RobustnessCertificate]:
+    ) -> RobustnessCertificate:
         """Drift-triggered re-certification of an executed plan.
 
-        When ``update`` (a :meth:`DriftDetector.check_all
-        <repro.monitoring.drift.DriftDetector.check_all>` result with a scenario)
-        reports drift, the drifted APIs' fresh trace windows
-        (``update.refreshed_traces``) are spliced into the evaluator — those APIs
-        recompile, the rest keep everything — and the adversary re-runs against the
-        refreshed workload: when ``update.scenario`` and ``base_scenario`` (the
-        observed :class:`~repro.workload.profiles.WorkloadScenario` the knowledge
-        was learned under) are both given, the drift-compiled scenario
-        ``ScenarioSpec.from_workload(update.scenario, base_scenario)`` joins the seed
-        population as ``"drift-refresh"``.  An API that drifted without a window
-        leaves the knowledge, and so the certificate's models, unchanged.  Without
-        drift the existing certificate still stands and is returned unchanged.  The
-        fresh certificate replaces ``recommendation.certificate``.
+        Called after a drift verdict (:meth:`DriftDetector.check_all
+        <repro.monitoring.drift.DriftDetector.check_all>`): the drifted APIs' fresh
+        trace windows ``refreshed_traces`` are spliced into the recommendation's
+        evaluator — those APIs recompile, the rest keep everything — and the
+        adversary re-runs against the refreshed models.  Without windows (an
+        evaluator already built over the refreshed knowledge, as the daemon's is) the
+        models stay as they are.  A drift-refreshed scenario seeds the adversary
+        through :meth:`certify_plan`'s ``extra_specs`` instead.  The fresh
+        certificate replaces ``recommendation.certificate``.
         """
-        if not update.needs_recertification:
-            return recommendation.certificate
         evaluator = recommendation.evaluator
-        if update.refreshed_traces:
-            evaluator.splice(update.refreshed_traces)
-        extra: Tuple[ScenarioSpec, ...] = ()
-        if update.scenario is not None and base_scenario is not None:
-            extra = (
-                ScenarioSpec.from_workload(
-                    update.scenario, base_scenario, name="drift-refresh"
-                ),
-            )
+        if refreshed_traces:
+            evaluator.splice(refreshed_traces)
         certificate = self.certify_plan(
-            evaluator,
-            executed_plan,
-            budget=budget,
-            seed=seed,
-            bounds=bounds,
-            extra_specs=extra,
+            evaluator, executed_plan, budget=budget, seed=seed, bounds=bounds
         )
         recommendation.certificate = certificate
         return certificate
@@ -1074,12 +1057,10 @@ class AdvisorService:
         The journal persists the deterministic search *output* (the
         :class:`~repro.optimizer.atlas_ga.SearchResult`, plain data); the live
         parts of a :class:`Recommendation` — the evaluator over the learned
-        models — are rebuilt through the warm artifact tier.  Scenario-robust
-        requests additionally re-score the journaled plan pool in one batched
-        pass so regret reporting sees the same evaluated set (bitwise, per the
-        batched-evaluation determinism contract).  Any defect — missing entry,
-        version skew, unexpected argument, evaluation mismatch — degrades to a
-        cold recommend, never a crash.
+        models — are rebuilt through the warm artifact tier, scoring nothing: a
+        robust answer's regret report reads the result's own archive.  Any defect —
+        missing entry, version skew, unexpected argument — degrades to a cold
+        recommend, never a crash.
         """
         if self.store is None or not set(kwargs) <= self._REVIVABLE_KWARGS:
             return None
@@ -1091,12 +1072,10 @@ class AdvisorService:
             certificate = entry.get("certificate")
             if kwargs.get("certify") and certificate is None:
                 return None
-            evaluator = self.build_evaluator(atlas, kwargs)
-            if evaluator.problem.scenarios is not None:
-                pool = result.all_evaluated or result.pareto
-                evaluator.evaluate_batch([quality.plan for quality in pool])
             return Recommendation(
-                result=result, evaluator=evaluator, certificate=certificate
+                result=result,
+                evaluator=self.build_evaluator(atlas, kwargs),
+                certificate=certificate,
             )
         except Exception:
             return None

@@ -134,7 +134,6 @@ class TenantCycleReport:
     idle: bool = False
     drifted: List[str] = field(default_factory=list)
     spliced: List[str] = field(default_factory=list)
-    recertified: bool = False
     #: The executed plan's certificate under the drift-refreshed workload, when
     #: the ``recertify`` stage ran.
     certificate: Optional["RobustnessCertificate"] = None
@@ -157,6 +156,11 @@ class TenantCycleReport:
     #: ``"front object lost"``, ``"front object damaged"`` or ``"front object
     #: mislabelled"``.
     prior_reason: Optional[str] = None
+
+    @property
+    def recertified(self) -> bool:
+        """Whether the ``recertify`` stage produced a certificate."""
+        return self.certificate is not None
 
 
 def front_payload(recommendation: "Recommendation") -> List[tuple]:
@@ -405,7 +409,6 @@ class AdvisorDaemon:
         if stage == "recertify":
             report.stages.append("recertify")
             report.certificate = self._recertify(name, tenant, record, sample)
-            report.recertified = report.certificate is not None
             record["stage"] = stage = "recommend"
             self._checkpoint(name, "recertify")
 
@@ -539,24 +542,20 @@ class AdvisorDaemon:
         That recommendation is the service memo's object, served to every tenant of
         equal content, so it is left alone: the adversary runs on an evaluator this
         tenant owns, built over its spliced knowledge through the service cache.
+        The ``drift`` stage's verdict and the windows the ``splice`` stage installed
+        are the ones it certifies under: nothing is checked or spliced again.
         """
         last = self._live.get(name)
-        detector = self._detectors.get(name)
         if (
             not self.certify_budget
             or last is None
-            or detector is None
             or last.certificate is None
+            # Whether a drift without a scenario should re-certify is not decided yet.
             or sample.scenario is None
             or not record["executed"]
         ):
             return None
         try:
-            update = detector.check_all(
-                sample.recent_latencies,
-                scenario=sample.scenario,
-                traces_by_api=sample.traces_by_api,
-            )
             executed = MigrationPlan.from_vector(
                 list(record["components"]), list(record["executed"])
             )
@@ -564,7 +563,7 @@ class AdvisorDaemon:
                 last, evaluator=self.service.build_evaluator(tenant.atlas, tenant.kwargs)
             )
             return tenant.atlas.recertify(
-                owned, executed, update, budget=int(self.certify_budget)
+                owned, executed, budget=int(self.certify_budget)
             )
         except Exception:
             self.last_error = traceback.format_exc()

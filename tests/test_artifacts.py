@@ -27,12 +27,13 @@ from test_compiled import _random_plans, random_trace
 
 from repro.cluster import MigrationPlan, default_network_model
 from repro.learning import ApiProfiler, FootprintLearner, NetworkFootprint
-from repro.monitoring.drift import DriftDetector, DriftReport, DriftScenarioUpdate
 from repro.optimizer import GAConfig
 from repro.quality import (
     ApiPerformanceModel,
     ArtifactCache,
     MigrationPreferences,
+    PlacementProblem,
+    ScenarioSet,
     ScenarioSpec,
     fingerprint_traces,
 )
@@ -503,36 +504,6 @@ class TestAdvisorService:
 
 # -- the drift → splice loop ------------------------------------------------------------------
 class TestDriftSpliceLoop:
-    def _detector(self):
-        rng = np.random.default_rng(3)
-        approx = {"/read": list(rng.normal(50, 2, 40)), "/write": list(rng.normal(80, 2, 40))}
-        real = {api: [v + 1.0 for v in series] for api, series in approx.items()}
-        return DriftDetector(approx, real, threshold_factor=5.0)
-
-    def test_check_all_threads_traces_for_drifted_apis_only(self, tiny_app):
-        detector = self._detector()
-        recent = {
-            "/read": [150.0 + i for i in range(40)],  # drifted hard
-            "/write": [81.0 + 0.01 * i for i in range(40)],  # still on-model
-        }
-        spans = [Span("t", "s0", None, "A", "op", 0.0, 5.0)]
-        traces = {"/read": [Trace("t", "/read", spans)], "/write": [Trace("t", "/write", spans)]}
-
-        # Without a scenario the historical mapping comes back unchanged, traces or not.
-        plain = detector.check_all(recent, traces_by_api=traces)
-        assert isinstance(plain, dict)
-        assert plain["/read"].drift_detected and not plain["/write"].drift_detected
-
-        base = default_scenario(tiny_app)
-        update = detector.check_all(recent, scenario=base, traces_by_api=traces)
-        assert isinstance(update, DriftScenarioUpdate)
-        assert update.drifted_apis == ["/read"]
-        # Only the drifted API's trace window rides along into the splice path.
-        assert sorted(update.refreshed_traces) == ["/read"]
-        assert update.refreshed_traces["/read"] == traces["/read"]
-        # No trace window supplied: nothing to splice.
-        assert detector.check_all(recent, scenario=base).refreshed_traces == {}
-
     def test_recertify_uses_the_splice_path(self, tiny_atlas_pair):
         atlas, _ = tiny_atlas_pair
         recommendation = atlas.recommend(expected_scale=2.0)
@@ -540,43 +511,42 @@ class TestDriftSpliceLoop:
         api = evaluator.performance.apis[0]
         executed = recommendation.knee_point().plan
         refreshed = [_perturb(t, 1.04) for t in evaluator.performance._traces[api]]
-        report = DriftReport(
-            api=api, baseline_divergence=0.1, recent_divergence=2.0, threshold_factor=5.0
-        )
-        update = DriftScenarioUpdate(
-            reports={api: report},
-            scenario=None,
-            refreshed_traces={api: refreshed},
-        )
-        assert update.needs_recertification
-        certificate = atlas.recertify(recommendation, executed, update, budget=6)
+        certificate = atlas.recertify(recommendation, executed, {api: refreshed}, budget=6)
         assert certificate is not None
         assert recommendation.certificate is certificate
         # The refreshed traces were installed in place (splice, not invalidate).
         assert evaluator.performance._traces[api] == refreshed[-15:]
 
-    def test_recertify_seeds_the_drift_refresh_scenario(self, tiny_app, tiny_atlas_pair):
+    def test_a_regret_report_outlives_the_recertify_splice(self, tiny_atlas_pair):
+        """A robust answer's regret report reads the search it reports on: the
+        re-certificate's splice drops the evaluator's results, not the report."""
+        atlas, _ = tiny_atlas_pair
+        problem = PlacementProblem.default().with_scenarios(
+            ScenarioSet(
+                (ScenarioSpec(name="observed"), ScenarioSpec(name="burst", rate_scale=2.0))
+            )
+        )
+        recommendation = atlas.recommend(expected_scale=2.0, problem=problem)
+        before = recommendation.scenario_report()
+        evaluator = recommendation.evaluator
+        api = evaluator.performance.apis[0]
+        refreshed = [_perturb(t, 1.04) for t in evaluator.performance._traces[api]]
+        atlas.recertify(
+            recommendation, recommendation.knee_point().plan, {api: refreshed}, budget=6
+        )
+        assert evaluator.cache_size() == 0
+        assert recommendation.scenario_report() == before
+
+    def test_certify_plan_seeds_the_drift_refresh_scenario(self, tiny_app, tiny_atlas_pair):
         """A drifted forecast, compiled against the observed workload it departs
         from, is one of the certificate's seed families."""
         atlas, _ = tiny_atlas_pair
         recommendation = atlas.recommend(expected_scale=2.0)
-        api = recommendation.evaluator.performance.apis[0]
-        report = DriftReport(
-            api=api, baseline_divergence=0.1, recent_divergence=2.0, threshold_factor=5.0
-        )
+        evaluator, knee = recommendation.evaluator, recommendation.knee_point().plan
         observed = default_scenario(tiny_app)
         forecast = default_scenario(tiny_app, base_rps=37.0, peak_rps=71.0)
-        update = DriftScenarioUpdate(reports={api: report}, scenario=forecast)
-        certificate = atlas.recertify(
-            recommendation,
-            recommendation.knee_point().plan,
-            update,
-            base_scenario=observed,
-            budget=6,
-        )
+        spec = ScenarioSpec.from_workload(forecast, observed, name="drift-refresh")
+        certificate = atlas.certify_plan(evaluator, knee, budget=6, extra_specs=(spec,))
         assert "drift-refresh" in certificate.family_regrets
-        # Without the base the forecast has nothing to be compiled against.
-        without = atlas.recertify(
-            recommendation, recommendation.knee_point().plan, update, budget=6
-        )
+        without = atlas.certify_plan(evaluator, knee, budget=6)
         assert "drift-refresh" not in without.family_regrets

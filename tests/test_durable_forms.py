@@ -280,7 +280,7 @@ class TestRevive:
         # Whoever does ask gets the archive the search journaled.
         assert warm.result.all_evaluated == cold.result.all_evaluated
 
-    def test_robust_revive_rescores_the_journaled_pool(
+    def test_robust_revive_scores_nothing(
         self, tmp_path, tiny_learned_atlas, monkeypatch
     ):
         store_dir = tmp_path / "store"
@@ -295,13 +295,14 @@ class TestRevive:
             warm = service.recommend(_clone(tiny_learned_atlas), problem=ROBUST)
         assert service.stats()["journal"] == {"hits": 1, "misses": 0}
         assert front_digest(warm) == front_digest(cold)
-        # The pool was decoded (front + archive) and scored again: the revived
-        # evaluator has seen every plan the cold one had.
+        # Only the front was decoded and nothing was scored: the regret report
+        # reads the result's own archive, decoded when it is asked for.
         result = cold.result
-        assert built["results"] == _distinct(result.pareto) + _distinct(result.all_evaluated)
-        assert "_archive" not in vars(warm.result)
+        assert built["results"] == _distinct(result.pareto)
+        assert "_archive" in vars(warm.result)
+        assert warm.evaluator.cache_size() == 0
+        assert warm.scenario_report() == cold.scenario_report()
         assert warm.result.all_evaluated == result.all_evaluated
-        assert warm.evaluator.cache_size() == len({q.plan for q in result.all_evaluated})
 
     def test_loaded_sets_of_a_revived_answer_splice_like_a_cold_evaluator(
         self, tmp_path, tiny_learned_atlas, monkeypatch

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import MigrationPlan, default_network_model
 from repro.learning import ApiProfiler, FootprintLearner, ResourceEstimator
-from repro.monitoring import DriftDetector, DriftScenarioUpdate
+from repro.monitoring import DriftDetector
 from repro.optimizer import AtlasGA, GAConfig
 from repro.optimizer.baselines import (
     AffinityNSGA2Baseline,
@@ -511,23 +511,16 @@ class TestInvalidation:
             mix=ApiMix({"/read": 1.0}), profile=DiurnalProfile(), name="observed"
         )
         # No drift: recent matches the post-migration ground truth.
-        calm = detector.check_all({"/read": real["/read"][:100]}, scenario=base)
-        assert isinstance(calm, DriftScenarioUpdate)
-        assert calm.scenario is None and not calm.drift_detected
+        assert detector.refreshed_scenario(base, {"/read": real["/read"][:100]}) is None
         # Strong drift: a big latency shift emits a refreshed scenario whose change
         # carries the observed inflation as a payload scale.
-        drifted = detector.check_all(
-            {"/read": (150 + rng.normal(0, 2, 200)).tolist()}, scenario=base
-        )
-        assert drifted.drift_detected and drifted.drifted_apis == ["/read"]
-        refreshed = drifted.scenario
+        recent = {"/read": (150 + rng.normal(0, 2, 200)).tolist()}
+        assert detector.drifted_apis(recent) == ["/read"]
+        refreshed = detector.refreshed_scenario(base, recent)
         assert refreshed is not None and refreshed.name == "observed-drift"
         change = refreshed.changes[-1]
         assert change.apis == ["/read"]
         assert change.payload_scale == pytest.approx(3.0, rel=0.05)
-        # Legacy form unchanged: no scenario argument -> plain report mapping.
-        legacy = detector.check_all({"/read": real["/read"][:100]})
-        assert isinstance(legacy, dict)
 
 
 class TestBoundEvaluatorDoors:

@@ -34,6 +34,7 @@ from test_shared_scenarios import certified
 
 from repro.cluster import MigrationPlan, default_network_model
 from repro.learning import NetworkFootprint
+from repro.monitoring import DriftDetector
 from repro.optimizer.atlas_ga import AtlasGA, SearchResult
 from repro.quality import (
     ApiPerformanceModel,
@@ -879,10 +880,12 @@ class TestAdvisorDaemon:
 
     @pytest.mark.parametrize("knee", ["kept", "moved"])
     def test_a_drift_cycle_certifies_each_plan_once(
-        self, tiny_learned_atlas, daemon_script, adversary_runs, knee
+        self, tiny_learned_atlas, daemon_script, adversary_runs, knee, monkeypatch
     ):
         """The ``recommend`` stage reads the certificate the ``recertify`` stage kept
-        when the re-plan's knee is the executed plan; otherwise it certifies its own."""
+        when the re-plan's knee is the executed plan; otherwise it certifies its own.
+        The cycle decides drift once and splices no model: the re-certificate runs on
+        an evaluator built over the knowledge the ``splice`` stage changed."""
         target, (on_model, drifted) = daemon_script
         scenario = default_scenario(tiny_learned_atlas.application)
         drifted = dataclasses.replace(drifted, scenario=scenario)
@@ -902,9 +905,23 @@ class TestAdvisorDaemon:
             executed = executed.with_location(components[-1], 1)
             daemon._records["web"]["executed"] = executed.to_vector()
 
+        calls = []
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        counted(DriftDetector, "check_all")
+        counted(ApiPerformanceModel, "splice")
         del adversary_runs[:]
         (report,) = daemon.run_cycle()
         runs = list(adversary_runs)
+        assert calls == ["check_all"]
         assert report.spliced == [target] and report.recertified
         served = service.recommend(atlas, **kwargs)
         replanned = served.knee_point().plan
