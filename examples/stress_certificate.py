@@ -1,13 +1,14 @@
 """Worst-case certification of a recommended plan on a 3-site topology.
 
 The advisor recommends a plan for on-prem + two cloud regions, then plays its own
-adversary: a bounded search over workload knobs (rate bursts, payload growth) and
+adversary over bounded workload knobs (rate bursts, payload growth) and
 infrastructure faults (regional outages, link degradation, price shocks, capacity
-cuts) looks for the scenario that maximizes the recommended plan's regret against
-its fault-free baseline.  The search is seeded by the named stress families of
+cuts), looking for the scenario that maximizes the recommended plan's regret against
+its fault-free baseline.  It scores the named stress families of
 ``ScenarioFactory`` — flash crowd, one outage per remote site, egress price shock,
 payload inflation, API-mix inversion — so the certified worst case is never weaker
-than any of them.
+than any of them, then the all-severe corners: every knob at its bound, once per
+outage choice.
 
 The printed ``RobustnessCertificate`` answers the question an owner asks before
 executing a migration: *which bounded future hurts this plan the most, how much,

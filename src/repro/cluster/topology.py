@@ -17,8 +17,10 @@ cheaper-but-farther cloud region as the built-in three-location testbed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 __all__ = [
     "ON_PREM",
@@ -28,6 +30,7 @@ __all__ = [
     "HybridCluster",
     "default_hybrid_cluster",
     "default_multi_location_cluster",
+    "require_finite",
 ]
 
 #: Canonical location indices used throughout the code base (paper Sec. 4.1).  Location
@@ -35,6 +38,16 @@ __all__ = [
 #: single public cloud is id 1; additional regions/edge sites take ids 2, 3, ...).
 ON_PREM = 0
 CLOUD = 1
+
+
+def require_finite(knobs: Mapping[str, object]) -> None:
+    """Reject a NaN or infinite number among ``knobs`` (label -> value; values that
+    are not numbers are skipped): every comparison with NaN is false, so a range
+    check alone lets one through, and one NaN price, capacity or scenario value
+    poisons every plan's aggregate."""
+    for label, value in knobs.items():
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{label} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +64,7 @@ class NodeSpec:
     hourly_price_usd: float = 0.096
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if self.cpu_millicores <= 0 or self.memory_mb <= 0:
             raise ValueError("node CPU and memory must be positive")
         if self.hourly_price_usd < 0:

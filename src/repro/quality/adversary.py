@@ -2,18 +2,22 @@
 
 A robust recommendation is only as strong as the scenario set it was optimized
 over.  :class:`ScenarioAdversary` plays the other side: given one concrete plan, it
-searches the scenario space — workload knobs (rate/payload scale) *and* fault knobs
+scores the scenario space — workload knobs (rate/payload scale) *and* fault knobs
 (:mod:`repro.quality.faults`) within declared :class:`AdversaryBounds` — for the
 spec that maximizes the plan's aggregated regret against its fault-free baseline.
-The search is a deterministic coordinate descent seeded by the named stress
-families of :class:`~repro.quality.scenario_factory.ScenarioFactory` (every family
-is evaluated first, so the certified worst case can never be weaker than any
-enumerated family), followed by seeded random exploration while evaluation budget
-remains — a small (μ+1)-style refinement rather than a full GA.
+
+Every built-in objective and constraint is monotone in each severity knob at a fixed
+outage choice (``tests/test_faults.py::TestFaultMonotonicity``; the plugin contract in
+:mod:`repro.quality.problem`), so the worst case over the bounded space sits on an
+*all-severe corner*: every knob at its severe bound, once per outage choice.  There
+are only ``|remote sites| + 1`` of them, so the adversary enumerates them instead of
+searching — after the named stress families of
+:class:`~repro.quality.scenario_factory.ScenarioFactory`, which are always scored and
+name the worst case when they tie it.
 
 The result is a :class:`RobustnessCertificate`: the worst-case spec found, the
 per-objective regret it inflicts, whether the plan stays feasible under it, and
-the budget spent — the artifact :meth:`Atlas.recommend(certify=...)
+the number of scenarios scored — the artifact :meth:`Atlas.recommend(certify=...)
 <repro.recommend.advisor.Atlas.recommend>` attaches to its recommendation and the
 drift monitor's escalation path refreshes.
 """
@@ -23,18 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..cluster.placement import MigrationPlan
-from ..cluster.topology import ON_PREM
+from ..cluster.topology import ON_PREM, require_finite
 from .evaluator import PlanQuality, QualityEvaluator
-from .faults import (
-    CapacityCut,
-    LinkDegradation,
-    LocationOutage,
-    PriceShock,
-    require_finite,
-)
+from .faults import CapacityCut, LinkDegradation, LocationOutage, PriceShock
 from .scenario_factory import ScenarioFactory
 from .scenarios import ScenarioSpec
 
@@ -81,10 +77,10 @@ class RobustnessCertificate:
 
     ``regret`` is the per-objective vector ``worst_values - baseline_values`` in
     the problem's objective order; ``worst_regret`` is the scalarized maximum the
-    adversary optimized (normalized positive regret plus the infeasibility
+    adversary maximized (normalized positive regret plus the infeasibility
     surcharge).  ``family_regrets`` records the same scalar for every named stress
-    family the search was seeded with — the certificate's worst case is by
-    construction at least as bad as each of them.
+    family and extra spec — the certificate's worst case is by construction at
+    least as bad as each of them.
     """
 
     plan: MigrationPlan
@@ -133,20 +129,9 @@ class _Candidate:
     score: float
 
 
-#: Neutral parameter vector — the identity scenario the descent starts from.
-_NEUTRAL = {
-    "rate_scale": 1.0,
-    "payload_scale": 1.0,
-    "outage": None,
-    "latency_factor": 1.0,
-    "egress_factor": 1.0,
-    "compute_factor": 1.0,
-    "capacity_fraction": 1.0,
-}
-
-
 class ScenarioAdversary:
-    """Deterministic worst-case search over the bounded scenario space of one plan."""
+    """Worst case of one plan over the bounded scenario space: the stress families,
+    the extra specs and the all-severe corners, each scored once."""
 
     def __init__(
         self,
@@ -154,20 +139,18 @@ class ScenarioAdversary:
         factory: Optional[ScenarioFactory] = None,
         bounds: Optional[AdversaryBounds] = None,
         budget: int = 48,
-        seed: int = 0,
         extra_specs: Sequence[ScenarioSpec] = (),
     ) -> None:
         """``budget`` caps the number of distinct scenario evaluations; the factory
         families (and ``extra_specs``, e.g. a drift-refreshed scenario) are always
-        scored even if that exceeds the budget — the descent and the random
-        refinement only run on budget that remains."""
+        scored even if that exceeds the budget — the corners only run on budget that
+        remains."""
         if budget < 1:
             raise ValueError("budget must be >= 1")
         self.evaluator = evaluator
         self.factory = factory or ScenarioFactory.from_evaluator(evaluator)
         self.bounds = bounds or AdversaryBounds()
         self.budget = int(budget)
-        self.seed = int(seed)
         self.extra_specs = tuple(extra_specs)
         #: Rate-changing scenarios need the fitted estimator to recompile usage.
         self._can_scale_rates = (
@@ -204,104 +187,49 @@ class ScenarioAdversary:
     def _supported(self, spec: ScenarioSpec) -> bool:
         return self._can_scale_rates or not spec.changes_rates
 
-    # -- parameterized spec construction -----------------------------------------------------
-    def _spec_from_params(self, params: Dict[str, object], index: int) -> Optional[ScenarioSpec]:
+    def _corner(self, outage: Optional[int]) -> Optional[ScenarioSpec]:
+        """Every severity knob at its bound, with ``outage``'s site down (or none);
+        ``None`` when that is the baseline (neutral bounds and no outage)."""
+        b = self.bounds
         faults = []
-        if params["outage"] is not None:
-            faults.append(LocationOutage(int(params["outage"])))
-        if params["latency_factor"] > 1.0:
+        if outage is not None:
+            faults.append(LocationOutage(outage))
+        if b.max_latency_factor > 1.0 or b.min_bandwidth_factor < 1.0:
             faults.append(
                 LinkDegradation(
-                    latency_factor=float(params["latency_factor"]),
-                    bandwidth_factor=self.bounds.min_bandwidth_factor,
+                    latency_factor=b.max_latency_factor,
+                    bandwidth_factor=b.min_bandwidth_factor,
                 )
             )
-        if params["egress_factor"] > 1.0 or params["compute_factor"] > 1.0:
+        if b.max_price_factor > 1.0:
             faults.append(
                 PriceShock(
-                    compute_factor=float(params["compute_factor"]),
-                    egress_factor=float(params["egress_factor"]),
+                    compute_factor=b.max_price_factor, egress_factor=b.max_price_factor
                 )
             )
-        if params["capacity_fraction"] < 1.0 and self._cut_site is not None:
+        if b.min_capacity_fraction < 1.0 and self._cut_site is not None:
             faults.append(
-                CapacityCut(
-                    self._cut_site,
-                    remaining_fraction=float(params["capacity_fraction"]),
-                )
+                CapacityCut(self._cut_site, remaining_fraction=b.min_capacity_fraction)
             )
         spec = ScenarioSpec(
-            name=f"adversary-{index}",
-            rate_scale=float(params["rate_scale"]),
-            payload_scale=float(params["payload_scale"]),
+            name="corner" if outage is None else f"corner-outage-loc{outage}",
+            rate_scale=b.max_rate_scale if self._can_scale_rates else 1.0,
+            payload_scale=b.max_payload_scale,
             faults=tuple(faults),
         )
-        if spec.is_baseline:
-            return None
-        return spec
-
-    def _knob_grid(self) -> List[Tuple[str, List[object]]]:
-        """Coordinate-descent candidate values per knob, all within the bounds."""
-        b = self.bounds
-        grid: List[Tuple[str, List[object]]] = []
-        if self._can_scale_rates:
-            grid.append(
-                ("rate_scale", [(1.0 + b.max_rate_scale) / 2.0, b.max_rate_scale])
-            )
-        grid.append(
-            ("payload_scale", [(1.0 + b.max_payload_scale) / 2.0, b.max_payload_scale])
-        )
-        if b.allow_outages and self.factory.remote_locations:
-            grid.append(("outage", list(self.factory.remote_locations)))
-        grid.append(
-            ("latency_factor", [(1.0 + b.max_latency_factor) / 2.0, b.max_latency_factor])
-        )
-        grid.append(
-            ("egress_factor", [(1.0 + b.max_price_factor) / 2.0, b.max_price_factor])
-        )
-        grid.append(
-            ("compute_factor", [(1.0 + b.max_price_factor) / 2.0, b.max_price_factor])
-        )
-        if self._cut_site is not None:
-            grid.append(
-                (
-                    "capacity_fraction",
-                    [b.min_capacity_fraction, (1.0 + b.min_capacity_fraction) / 2.0],
-                )
-            )
-        return grid
-
-    def _random_params(self, rng: np.random.Generator) -> Dict[str, object]:
-        """One bounded random parameter vector (the exploration tail of the search)."""
-        b = self.bounds
-        params = dict(_NEUTRAL)
-        if self._can_scale_rates:
-            params["rate_scale"] = float(rng.uniform(1.0, b.max_rate_scale))
-        params["payload_scale"] = float(rng.uniform(1.0, b.max_payload_scale))
-        if b.allow_outages and self.factory.remote_locations and rng.random() < 0.5:
-            params["outage"] = int(rng.choice(list(self.factory.remote_locations)))
-        if rng.random() < 0.5:
-            params["latency_factor"] = float(rng.uniform(1.0, b.max_latency_factor))
-        if rng.random() < 0.5:
-            params["egress_factor"] = float(rng.uniform(1.0, b.max_price_factor))
-        if rng.random() < 0.5:
-            params["compute_factor"] = float(rng.uniform(1.0, b.max_price_factor))
-        if self._cut_site is not None and rng.random() < 0.5:
-            params["capacity_fraction"] = float(
-                rng.uniform(b.min_capacity_fraction, 1.0)
-            )
-        return params
+        return None if spec.is_baseline else spec
 
     # -- the search ---------------------------------------------------------------------------
     def certify(self, plan: MigrationPlan) -> RobustnessCertificate:
-        """Search the bounded scenario space for the plan's worst case.
+        """Score the plan's bounded scenario space and certify its worst case.
 
         Order of play: (1) the fault-free baseline anchors the regret; (2) every
-        factory family and extra spec is scored — the eventual worst case dominates
-        them by construction; (3) deterministic coordinate descent over the knob
-        grid from the neutral point; (4) seeded random exploration on leftover
-        budget.  Distinct specs are deduplicated by compiled identity, so repeated
-        candidates never double-bill the budget.
+        factory family and extra spec is scored, whatever the budget; (3) the
+        all-severe corners — one per remote site down, in ascending site order, when
+        outages are allowed, then the outage-free one — while budget remains.
+        Distinct specs are deduplicated by compiled identity, so a repeated spec
+        never double-bills the budget.  The worst case is the first maximum, so a
+        family that ties a corner names it.
         """
         baseline = self.evaluator.evaluate_under(
             plan, ScenarioSpec(name="certify-baseline")
@@ -322,57 +250,27 @@ class ScenarioAdversary:
             candidates.append(candidate)
             return candidate
 
-        # (2) Seeds: every named stress family plus caller-supplied extras.
+        # (2) Every named stress family plus caller-supplied extras.
         family_regrets: Dict[str, float] = {}
-        seed_specs = [
+        family_specs = [
             spec
             for spec in self.factory.stress_families(include_baseline=False)
             if self._supported(spec)
         ]
-        seed_specs.extend(spec for spec in self.extra_specs if self._supported(spec))
-        for spec in seed_specs:
+        family_specs.extend(spec for spec in self.extra_specs if self._supported(spec))
+        for spec in family_specs:
             candidate = consider(spec)
             if candidate is not None:
                 family_regrets[spec.name] = candidate.score
 
-        # (3) Coordinate descent from the neutral point over the knob grid.
-        params = dict(_NEUTRAL)
-        params_score = 0.0
-        adversary_index = 0
-        improved = True
-        while improved and spent < self.budget:
-            improved = False
-            for knob, values in self._knob_grid():
-                for value in values:
-                    if spent >= self.budget:
-                        break
-                    trial = dict(params)
-                    trial[knob] = value
-                    spec = self._spec_from_params(trial, adversary_index)
-                    if spec is None:
-                        continue
-                    candidate = consider(spec)
-                    if candidate is None:
-                        continue
-                    adversary_index += 1
-                    if candidate.score > params_score:
-                        params, params_score = trial, candidate.score
-                        improved = True
-
-        # (4) Seeded random exploration on leftover budget.  The miss guard stops
-        # the loop when the searchable space is effectively exhausted (every draw
-        # deduplicates away) instead of spinning without spending budget.
-        rng = np.random.default_rng(self.seed)
-        misses = 0
-        while spent < self.budget and misses < 25:
-            spec = self._spec_from_params(self._random_params(rng), adversary_index)
-            if spec is None or spec.identity_key() in seen:
-                misses += 1
-                continue
-            misses = 0
-            candidate = consider(spec)
-            if candidate is not None:
-                adversary_index += 1
+        # (3) The all-severe corners, metered.
+        outages = sorted(self.factory.remote_locations) if self.bounds.allow_outages else []
+        for outage in [*outages, None]:
+            if spent >= self.budget:
+                break
+            spec = self._corner(outage)
+            if spec is not None:
+                consider(spec)
 
         if not candidates:
             # Degenerate space (nothing searchable): certify the baseline itself.

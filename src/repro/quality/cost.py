@@ -31,7 +31,7 @@ import numpy as np
 
 from ..cluster.autoscaler import AutoscalerConfig, ClusterAutoscaler, StorageAutoscaler
 from ..cluster.placement import MigrationPlan
-from ..cluster.topology import CLOUD, NodeSpec, ON_PREM
+from ..cluster.topology import CLOUD, NodeSpec, ON_PREM, require_finite
 from ..learning.estimator import (
     PLAN_BLOCK,
     ResourceEstimate,
@@ -98,6 +98,7 @@ class PricingCatalog:
     autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if self.storage_usd_per_gb_month < 0 or self.egress_usd_per_gb < 0:
             raise ValueError("prices must be non-negative")
 
@@ -172,6 +173,7 @@ class CloudCostModel:
         ``catalogs`` maps each billable (elastic) location id to its pricing catalog;
         when omitted, ``catalog`` prices the single cloud at location ``CLOUD`` — the
         paper's two-location setup."""
+        require_finite({"time_compression": time_compression})
         if time_compression <= 0:
             raise ValueError("time_compression must be positive")
         self.catalog = catalog

@@ -36,13 +36,11 @@ byte-identical to the pre-fault evaluator.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..cluster.network import NetworkModel
-from ..cluster.topology import ON_PREM
+from ..cluster.topology import ON_PREM, require_finite
 from .availability import ApiAvailabilityModel
 from .cost import PricingCatalog
 from .preferences import MigrationPreferences
@@ -60,16 +58,6 @@ __all__ = [
 #: ``repro.quality.problem.ONPREM_RESOURCES``; kept literal to avoid an import
 #: cycle through the problem module).
 _ONPREM_RESOURCES = ("cpu_millicores", "memory_mb", "storage_gb")
-
-
-def require_finite(knobs: Mapping[str, object]) -> None:
-    """Reject a NaN or infinite number among ``knobs`` (label -> value; values that
-    are not numbers are skipped): every comparison with NaN is false, so a range
-    check alone lets one through, and one NaN scenario value poisons every plan's
-    aggregate."""
-    for label, value in knobs.items():
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            raise ValueError(f"{label} must be finite, got {value!r}")
 
 
 @dataclass

@@ -172,6 +172,13 @@ class Objective:
     P×C location-matrix context — and may override :meth:`score_plan` with a scalar
     kernel (the per-plan reference oracle; the default lowers the plan onto a one-row
     matrix, so batched and scalar scoring agree bitwise by construction).
+
+    Certification (:class:`~repro.quality.adversary.ScenarioAdversary`) assumes the
+    minimized score never decreases as any one severity knob of a scenario (rate,
+    payload, link latency or bandwidth, prices, capacity) moves toward its bound at
+    a fixed outage choice, so that the worst case sits on an all-severe corner.  The
+    built-ins hold it (``tests/test_faults.py::TestFaultMonotonicity``); a plugin
+    that scores the placement alone holds it trivially.
     """
 
     #: Stable identifier; also the objective's column name in results.
@@ -228,6 +235,10 @@ class Constraint:
     may override :meth:`violations_plan` with a scalar kernel; the default lowers the
     plan onto a one-row matrix so the mask and the materialized strings agree by
     construction (the "mask ⇔ violations" law of ``tests/test_problem.py``).
+
+    Certification assumes a plan never regains feasibility as any one severity knob
+    of a scenario moves toward its bound at a fixed outage choice — the
+    :class:`Objective` contract, for the feasibility mask.
     """
 
     name: str = "constraint"

@@ -20,9 +20,8 @@ time the workload spends there, the forecast-probability input
 :class:`~repro.quality.scenarios.WeightedMean` / :class:`~repro.quality.scenarios.CVaR`
 aggregate over.
 
-The families double as the seed population of the adversarial certifier
-(:mod:`repro.quality.adversary`): the worst-case search starts from them, so a
-certificate's worst-case spec is never weaker than the enumerated families.
+The adversarial certifier (:mod:`repro.quality.adversary`) always scores the
+families, so a certificate's worst-case spec is never weaker than any of them.
 """
 
 from __future__ import annotations

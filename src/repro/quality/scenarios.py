@@ -37,9 +37,10 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
+from ..cluster.topology import require_finite
 from ..learning.footprint import EdgeFootprint, NetworkFootprint
 from ..workload.profiles import WorkloadScenario
-from .faults import FaultSpec, require_finite
+from .faults import FaultSpec
 
 __all__ = [
     "ScenarioSpec",

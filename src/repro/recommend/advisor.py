@@ -85,8 +85,8 @@ __all__ = [
 ]
 
 #: Scenario-evaluation budget of ``Atlas.recommend(certify=True)`` and the default of
-#: ``certify_plan`` / ``recertify`` — enough for the stress-family seeds plus a couple
-#: of coordinate-descent passes on small testbeds.
+#: ``certify_plan`` / ``recertify`` — a cap above every shipped topology's stress
+#: families plus its ``|remote sites| + 1`` all-severe corners (9 probes at three sites).
 DEFAULT_CERTIFY_BUDGET = 48
 
 #: The budget of a re-plan that starts from the front the tenant was serving
@@ -544,7 +544,7 @@ class Atlas:
 
         ``certify`` attaches an adversarial worst-case certificate for the knee
         point: after the search, a :class:`~repro.quality.adversary.ScenarioAdversary`
-        searches the bounded scenario/fault space for the spec maximizing the knee
+        finds, in the bounded scenario/fault space, the spec maximizing the knee
         plan's regret and records the result on
         :attr:`Recommendation.certificate`.  ``certify=True`` uses the default
         evaluation budget; an integer sets the budget explicitly.
@@ -622,16 +622,15 @@ class Atlas:
         evaluator: QualityEvaluator,
         plan: MigrationPlan,
         budget: int = DEFAULT_CERTIFY_BUDGET,
-        seed: int = 0,
         bounds: Optional[AdversaryBounds] = None,
         extra_specs: Sequence[ScenarioSpec] = (),
     ) -> RobustnessCertificate:
         """Adversarially certify one plan's worst case over the bounded scenario space.
 
         Builds a :class:`~repro.quality.scenario_factory.ScenarioFactory` from the
-        evaluator's learned artifacts (its stress families seed the search) and runs
+        evaluator's learned artifacts (its stress families are always scored) and runs
         the :class:`~repro.quality.adversary.ScenarioAdversary` against ``plan``.
-        ``extra_specs`` join the seed population — e.g. a drift-refreshed scenario.
+        ``extra_specs`` are scored with the families — e.g. a drift-refreshed scenario.
 
         A certificate is a pure function of its inputs, so an evaluator built through
         an artifact cache keeps it there under ``("certificate", sha)`` of everything
@@ -646,7 +645,6 @@ class Atlas:
                 factory=ScenarioFactory.from_evaluator(evaluator, locations=self.locations),
                 bounds=bounds,
                 budget=budget,
-                seed=seed,
                 extra_specs=extra_specs,
             )
             return adversary.certify(plan)
@@ -655,7 +653,7 @@ class Atlas:
         parts = (
             None
             if cache is None
-            else _certificate_parts(self, evaluator, plan, budget, seed, bounds, extra_specs)
+            else _certificate_parts(self, evaluator, plan, budget, bounds, extra_specs)
         )
         if parts is None:
             return run()
@@ -667,7 +665,6 @@ class Atlas:
         executed_plan: MigrationPlan,
         refreshed_traces: Optional[Mapping[str, Sequence[Trace]]] = None,
         budget: int = DEFAULT_CERTIFY_BUDGET,
-        seed: int = 0,
         bounds: Optional[AdversaryBounds] = None,
     ) -> RobustnessCertificate:
         """Drift-triggered re-certification of an executed plan.
@@ -678,7 +675,7 @@ class Atlas:
         evaluator — those APIs recompile, the rest keep everything — and the
         adversary re-runs against the refreshed models.  Without windows (an
         evaluator already built over the refreshed knowledge, as the daemon's is) the
-        models stay as they are.  A drift-refreshed scenario seeds the adversary
+        models stay as they are.  A drift-refreshed scenario reaches the adversary
         through :meth:`certify_plan`'s ``extra_specs`` instead.  The fresh
         certificate replaces ``recommendation.certificate``.
         """
@@ -686,7 +683,7 @@ class Atlas:
         if refreshed_traces:
             evaluator.splice(refreshed_traces)
         certificate = self.certify_plan(
-            evaluator, executed_plan, budget=budget, seed=seed, bounds=bounds
+            evaluator, executed_plan, budget=budget, bounds=bounds
         )
         recommendation.certificate = certificate
         return certificate
@@ -805,7 +802,6 @@ def _certificate_parts(
     evaluator: QualityEvaluator,
     plan: MigrationPlan,
     budget: int,
-    seed: int,
     bounds: Optional[AdversaryBounds],
     extra_specs: Sequence[ScenarioSpec],
 ) -> Optional[List[str]]:
@@ -814,7 +810,7 @@ def _certificate_parts(
     The evaluator's content digest (every input a scenario compiles from), each API's
     *current* trace-set fingerprint (the digest survives a splice, a certificate must
     not), the problem, the plan as component order and location vector, the
-    adversary's budget, seed and bounds, the extra specs with their names (they label
+    adversary's budget and bounds, the extra specs with their names (they label
     ``family_regrets``), the locations the factory searches and the replay engine.
     """
     problem, bounds_text = _describe(evaluator.problem), _describe(bounds or AdversaryBounds())
@@ -829,7 +825,6 @@ def _certificate_parts(
         repr(tuple(plan.components)),
         repr(tuple(plan.to_vector())),
         repr(int(budget)),
-        repr(int(seed)),
         bounds_text,
         repr([spec.key() for spec in extra_specs]),
         repr(list(atlas.locations)),

@@ -64,7 +64,10 @@ _MAGIC = "atlas-store"
 #: 8 = ``SearchResult`` archives ``all_evaluated`` only; ``CloudCostModel`` lost its
 #: per-plan-row memo and ``ResourceEstimate`` its resource-matrix memo (both inside
 #: stored compiled scenarios).
-_VERSION = 8
+#: 9 = a ``RobustnessCertificate`` (same layout) is the stress families plus the
+#: all-severe corners: a journal entry the coordinate descent certified would revive
+#: another ``worst_spec`` and ``budget_spent`` for the same request.
+_VERSION = 9
 
 
 def _key_digest(key: Tuple) -> str:

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import replace
 
-from repro.cluster import MigrationPlan, default_network_model
+from repro.cluster import CLOUD, MigrationPlan, default_network_model
 from repro.learning import ApiProfiler, FootprintLearner, ResourceEstimator
 from repro.optimizer import AtlasGA, GAConfig
 from repro.optimizer.baselines import (
@@ -28,12 +28,18 @@ from repro.optimizer.baselines import (
     RandomSearchBaseline,
 )
 from repro.quality import (
+    AdversaryBounds,
     ApiAvailabilityModel,
     ApiPerformanceModel,
+    CapacityCut,
     CloudCostModel,
+    LinkDegradation,
+    LocationOutage,
     MigrationPreferences,
+    PriceShock,
     PricingCatalog,
     QualityEvaluator,
+    ScenarioSpec,
 )
 
 __all__ = [
@@ -44,6 +50,8 @@ __all__ = [
     "fingerprint_scenario_entries",
     "fingerprint_certificate",
     "build_tiny_evaluator",
+    "severity_spec",
+    "SEVERITY_LEVELS",
     "make_baseline_context",
     "GOLDEN_GA",
     "GOLDEN_RUNS",
@@ -237,3 +245,41 @@ GOLDEN_RUNS = {
     "nsga2-affinity": _run_nsga2,
     "random-search": _run_random_search,
 }
+
+
+# -- the adversary's severity grid -----------------------------------------------------------
+_BOUNDS = AdversaryBounds()
+#: The adversary's default bounds as (neutral, mid, severe) per severity knob: rate,
+#: payload, link latency, link bandwidth, egress price, compute price, capacity.
+SEVERITY_LEVELS = tuple(
+    (neutral, (neutral + severe) / 2.0, severe)
+    for neutral, severe in (
+        (1.0, _BOUNDS.max_rate_scale),
+        (1.0, _BOUNDS.max_payload_scale),
+        (1.0, _BOUNDS.max_latency_factor),
+        (1.0, _BOUNDS.min_bandwidth_factor),
+        (1.0, _BOUNDS.max_price_factor),
+        (1.0, _BOUNDS.max_price_factor),
+        (1.0, _BOUNDS.min_capacity_fraction),
+    )
+)
+
+
+def severity_spec(levels, outage):
+    """The grid point ``levels`` (one index into ``SEVERITY_LEVELS`` per knob) with
+    ``outage``'s site down (``None``: no outage), faults in the adversary's order.
+    The capacity knob cuts site 1, the first billable site of every test stack, as
+    the adversary's does."""
+    rate, payload, latency, bandwidth, egress, compute, capacity = (
+        values[level] for values, level in zip(SEVERITY_LEVELS, levels)
+    )
+    faults = [] if outage is None else [LocationOutage(outage)]
+    if latency != 1.0 or bandwidth != 1.0:
+        faults.append(LinkDegradation(latency_factor=latency, bandwidth_factor=bandwidth))
+    if egress != 1.0 or compute != 1.0:
+        faults.append(PriceShock(compute_factor=compute, egress_factor=egress))
+    if capacity != 1.0:
+        faults.append(CapacityCut(CLOUD, remaining_fraction=capacity))
+    return ScenarioSpec(
+        name="grid", rate_scale=rate, payload_scale=payload, faults=tuple(faults)
+    )

@@ -1,20 +1,26 @@
-"""Budget edge cases of the adversarial scenario search (``ScenarioAdversary``).
+"""Budget contract and oracle of the adversarial certifier (``ScenarioAdversary``).
 
 The budget contract under test (see ``ScenarioAdversary.certify``'s docstring):
 
 - an invalid budget is rejected at construction, not at certify time;
 - the factory stress families (and caller-supplied ``extra_specs``) are *always*
-  scored, even when that alone exceeds the budget — only the coordinate descent
-  and the random exploration are metered;
+  scored, even when that alone exceeds the budget — only the all-severe corners
+  (one per remote site down, then the outage-free one) are metered;
 - distinct specs are deduplicated by compiled identity, so a duplicated spec
   never double-bills the budget;
-- with neutral bounds (every knob pinned to 1.0, no outages) the searchable
-  space collapses to the baseline, and the miss guard stops the random phase
-  instead of spinning — ``budget_spent`` stays at the seed count.
+- with neutral bounds (every knob pinned to its neutral value, no outages) every
+  corner is the baseline, so ``budget_spent`` is the family count.
+
+The oracle: at the default budget a certificate spends the families plus the
+corners, and its worst regret is the maximum over the {neutral, severe} knob grid
+× outage choices, each point scored through ``evaluate_under`` and the documented
+scalarization.
 """
 
+import itertools
+
 import pytest
-from fingerprints import build_tiny_evaluator, fingerprint_certificate
+from fingerprints import build_tiny_evaluator, fingerprint_certificate, severity_spec
 
 from repro.cluster import MigrationPlan
 from repro.quality import (
@@ -24,8 +30,7 @@ from repro.quality import (
     ScenarioSpec,
 )
 
-#: All knobs pinned to their neutral value: the descent grid and the random
-#: sampler can only produce baseline-equivalent specs, which compile to None.
+#: All knobs pinned to their neutral value: every corner compiles to the baseline.
 NEUTRAL_BOUNDS = AdversaryBounds(
     max_rate_scale=1.0,
     max_payload_scale=1.0,
@@ -47,13 +52,22 @@ def adversary_stack(tiny_telemetry):
 
     evaluator = build()
     plan = MigrationPlan.from_vector(app.component_names, [0, 1, 0, 1, 0, 0])
-    seeds = [
-        spec
-        for spec in ScenarioFactory.from_evaluator(evaluator).stress_families(
-            include_baseline=False
-        )
-    ]
-    return build, plan, seeds
+    families = list(
+        ScenarioFactory.from_evaluator(evaluator).stress_families(include_baseline=False)
+    )
+    return build, plan, families
+
+
+def _scalarized(baseline, quality, bounds):
+    """The certificate's documented scalarization: positive regret normalized by
+    max(|baseline|, 1), summed, plus the surcharge for lost feasibility."""
+    score = sum(
+        max(worst - base, 0.0) / max(abs(base), 1.0)
+        for worst, base in zip(quality.objectives(), baseline.objectives())
+    )
+    if baseline.feasible and not quality.feasible:
+        score += bounds.infeasibility_penalty
+    return score
 
 
 class TestAdversaryBudget:
@@ -67,56 +81,66 @@ class TestAdversaryBudget:
 
     def test_families_always_scored_even_beyond_budget(self, adversary_stack):
         """budget=1 < family count: every family is still scored and reported."""
-        build, plan, seeds = adversary_stack
-        assert len(seeds) > 1  # the premise: seeds alone exceed the budget
-        certificate = ScenarioAdversary(build(), budget=1, seed=0).certify(plan)
-        assert certificate.budget_spent == len(seeds)
-        assert set(certificate.family_regrets) == {spec.name for spec in seeds}
-        # With the budget exhausted by the seeds, the worst case is one of them.
-        assert certificate.worst_regret == max(
-            certificate.family_regrets.values()
-        )
+        build, plan, families = adversary_stack
+        assert len(families) > 1  # the premise: families alone exceed the budget
+        certificate = ScenarioAdversary(build(), budget=1).certify(plan)
+        assert certificate.budget_spent == len(families)
+        assert set(certificate.family_regrets) == {spec.name for spec in families}
+        # With the budget exhausted by the families, the worst case is one of them.
+        assert certificate.worst_regret == max(certificate.family_regrets.values())
 
-    def test_budget_caps_descent_and_random_spend(self, adversary_stack):
-        build, plan, seeds = adversary_stack
-        budget = len(seeds) + 8
-        certificate = ScenarioAdversary(build(), budget=budget, seed=0).certify(
-            plan
-        )
-        assert certificate.budget_spent == budget
+    def test_budget_caps_corner_spend(self, adversary_stack):
+        """One unit of budget past the families buys the first corner only."""
+        build, plan, families = adversary_stack
+        certificate = ScenarioAdversary(build(), budget=len(families) + 1).certify(plan)
+        assert certificate.budget_spent == len(families) + 1
 
     def test_duplicate_extra_specs_never_double_bill(self, adversary_stack):
-        """A spec already seeded by the factory deduplicates by compiled identity."""
-        build, plan, seeds = adversary_stack
-        plain = ScenarioAdversary(build(), budget=1, seed=0).certify(plan)
+        """A spec the factory already scores deduplicates by compiled identity."""
+        build, plan, families = adversary_stack
+        plain = ScenarioAdversary(build(), budget=1).certify(plan)
         duplicated = ScenarioAdversary(
-            build(), budget=1, seed=0, extra_specs=(seeds[0], seeds[0])
+            build(), budget=1, extra_specs=(families[0], families[0])
         ).certify(plan)
         assert duplicated.budget_spent == plain.budget_spent
         # A genuinely new spec bills exactly one evaluation.
         drift = ScenarioSpec(name="drift-refresh", rate_scale=1.7)
-        extended = ScenarioAdversary(
-            build(), budget=1, seed=0, extra_specs=(drift,)
-        ).certify(plan)
+        extended = ScenarioAdversary(build(), budget=1, extra_specs=(drift,)).certify(plan)
         assert extended.budget_spent == plain.budget_spent + 1
         assert "drift-refresh" in extended.family_regrets
 
-    def test_neutral_bounds_terminate_via_miss_guard(self, adversary_stack):
-        """Collapsed search space: spend stays at the seed count, never hangs."""
-        build, plan, seeds = adversary_stack
-        adversary = ScenarioAdversary(
-            build(), bounds=NEUTRAL_BOUNDS, budget=64, seed=0
-        )
+    def test_neutral_bounds_spend_the_family_count(self, adversary_stack):
+        """Every corner is the baseline: nothing past the families is scored."""
+        build, plan, families = adversary_stack
+        adversary = ScenarioAdversary(build(), bounds=NEUTRAL_BOUNDS, budget=64)
         certificate = adversary.certify(plan)
-        assert certificate.budget_spent == len(seeds) < 64
+        assert certificate.budget_spent == len(families) < 64
 
     def test_certificate_deterministic_across_budget_edges(self, adversary_stack):
         build, plan, _ = adversary_stack
         for budget in (1, 9):
-            first = ScenarioAdversary(build(), budget=budget, seed=4).certify(plan)
-            second = ScenarioAdversary(build(), budget=budget, seed=4).certify(
-                plan
+            first = ScenarioAdversary(build(), budget=budget).certify(plan)
+            second = ScenarioAdversary(build(), budget=budget).certify(plan)
+            assert fingerprint_certificate(first) == fingerprint_certificate(second)
+
+    def test_corners_spend_and_match_the_knob_grid(self, adversary_stack):
+        """The default certificate scores the families plus |remote sites| + 1
+        corners, and its worst regret is the {neutral, severe} grid's maximum."""
+        build, plan, families = adversary_stack
+        evaluator = build()
+        bounds = AdversaryBounds()
+        remote = [loc for loc in evaluator.performance.network.locations() if loc != 0]
+        certificate = ScenarioAdversary(evaluator).certify(plan)
+        assert certificate.budget_spent == len(families) + len(remote) + 1
+        assert certificate.worst_spec.name.startswith("corner")
+
+        oracle = build()
+        baseline = oracle.evaluate_under(plan, ScenarioSpec(name="baseline"))
+        grid_max = max(
+            _scalarized(
+                baseline, oracle.evaluate_under(plan, severity_spec(levels, outage)), bounds
             )
-            assert fingerprint_certificate(first) == fingerprint_certificate(
-                second
-            )
+            for levels in itertools.product((0, 2), repeat=7)
+            for outage in [None] + remote
+        )
+        assert certificate.worst_regret == grid_max

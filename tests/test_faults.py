@@ -8,17 +8,19 @@ Four laws anchor the robustness layer:
    spec's factor maps raise at compile time.
 2. **Fault monotonicity** (property-based) — a :class:`LocationOutage` never
    improves QPerf or QAvai relative to the fault-free baseline, for any plan and
-   any admissible fault parameters.
+   any admissible fault parameters; and at a fixed outage choice, one step of any
+   severity knob toward its bound never lowers a built-in objective and never
+   restores feasibility (what certification by the all-severe corners rests on).
 3. **Fault-free identity** — specs without faults keep the exact pre-fault compile
    key shape and evaluate byte-identically whether or not faulted scenarios were
    compiled alongside them in the same evaluator.
 4. **Adversary dominance** — the certificate's worst case scores at least the
-   scalarized regret of every factory stress family (the families seed the search),
-   and certification is deterministic for a fixed seed/budget.
+   scalarized regret of every factory stress family (the families are always
+   scored), and certification is deterministic for a fixed budget.
 """
 
 import pytest
-from fingerprints import fingerprint_certificate, fingerprint_scenario_entries
+from fingerprints import fingerprint_certificate, fingerprint_scenario_entries, severity_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +39,7 @@ from repro.quality import (
     ApiPerformanceModel,
     CapacityCut,
     CloudCostModel,
+    EgressTrafficObjective,
     LinkDegradation,
     LocationOutage,
     MigrationPreferences,
@@ -68,7 +71,11 @@ def fault_stack(tiny_telemetry):
     limit = estimate.peak("cpu_millicores", app.component_names) * 1.1
 
     def build_evaluator(
-        locations=THREE_LOCATIONS, preferences=None, with_estimator=True, scenarios=None
+        locations=THREE_LOCATIONS,
+        preferences=None,
+        with_estimator=True,
+        scenarios=None,
+        problem=None,
     ):
         network = (
             default_network_model()
@@ -103,7 +110,7 @@ def fault_stack(tiny_telemetry):
             estimate=estimate,
             component_order=app.component_names,
             estimator=estimator if with_estimator else None,
-            problem=PlacementProblem.default(scenarios=scenarios),
+            problem=problem or PlacementProblem.default(scenarios=scenarios),
         )
 
     return app, build_evaluator
@@ -138,6 +145,17 @@ FLOAT_KNOBS = [
         (PriceShock, ("compute_factor", "storage_factor", "egress_factor")),
         (lambda **kw: CapacityCut(CLOUD, **kw), ("remaining_fraction",)),
         (
+            lambda **kw: NodeSpec(
+                **{"name": "n", "cpu_millicores": 1.0, "memory_mb": 1.0, **kw}
+            ),
+            ("cpu_millicores", "memory_mb", "storage_gb", "hourly_price_usd"),
+        ),
+        (PricingCatalog, ("storage_usd_per_gb_month", "egress_usd_per_gb")),
+        (
+            lambda **kw: CloudCostModel(PricingCatalog(), None, None, {}, None, **kw),
+            ("time_compression",),
+        ),
+        (
             AdversaryBounds,
             (
                 "max_rate_scale",
@@ -152,6 +170,14 @@ FLOAT_KNOBS = [
     )
     for knob in knobs
 ]
+
+
+@pytest.fixture(scope="module")
+def monotone_evaluator(fault_stack):
+    """One 3-location evaluator of the default problem plus ``egress_gb``."""
+    app, build_evaluator = fault_stack
+    problem = PlacementProblem.default(extra_objectives=(EgressTrafficObjective(),))
+    return app, build_evaluator(problem=problem)
 
 
 class TestFaultValidation:
@@ -196,7 +222,8 @@ class TestFaultValidation:
     def test_non_finite_knobs_are_rejected(self, case, value):
         """Every comparison with NaN is false, so a range check alone admits it — and
         one NaN weight makes ``WeightedMean`` NaN for every plan, silently breaking
-        Pareto ranking.  Construction refuses NaN and ±inf on every float knob."""
+        Pareto ranking; one NaN price makes every plan's QCost NaN.  Construction
+        refuses NaN and ±inf on every float knob."""
         build, knob = case
         with pytest.raises(ValueError, match="finite"):
             build(**{knob: value})
@@ -266,6 +293,31 @@ class TestFaultMonotonicity:
         faulted = evaluator.evaluate_under(plan, outage)
         assert faulted.perf >= base.perf
         assert faulted.avail >= base.avail
+
+    @given(
+        vector=plans_strategy,
+        levels=st.lists(st.integers(min_value=0, max_value=2), min_size=7, max_size=7),
+        outage=st.sampled_from([None, CLOUD, 2]),
+        knob=st.integers(min_value=0, max_value=6),
+    )
+    def test_one_severity_step_never_helps(
+        self, monotone_evaluator, vector, levels, outage, knob
+    ):
+        """At a fixed outage choice, stepping one knob of a {neutral, mid, severe}
+        grid point one level toward severe raises no minimized objective — the
+        shipped fourth objective ``egress_gb`` included — and never turns an
+        infeasible plan feasible."""
+        app, evaluator = monotone_evaluator
+        if levels[knob] == 2:
+            levels = levels[:knob] + [1] + levels[knob + 1 :]
+        stepped = levels[:knob] + [levels[knob] + 1] + levels[knob + 1 :]
+        plan = _plan(app, vector)
+        before = evaluator.evaluate_under(plan, severity_spec(levels, outage))
+        after = evaluator.evaluate_under(plan, severity_spec(stepped, outage))
+        names = evaluator.objective_names
+        for name, old, new in zip(names, before.objectives(), after.objectives()):
+            assert new >= old, (name, levels, stepped, outage)
+        assert before.feasible or not after.feasible
 
     def test_outage_evacuation_makes_placements_there_infeasible(self, fault_stack):
         app, build_evaluator = fault_stack
@@ -427,7 +479,7 @@ class TestFaultFreeIdentity:
             )
         )
         certified = build_evaluator(scenarios=control)
-        certificate = ScenarioAdversary(certified, budget=24, seed=11).certify(
+        certificate = ScenarioAdversary(certified, budget=24).certify(
             _plan(app, vectors[1])
         )
         assert certificate.budget_spent > len(names)
@@ -508,7 +560,7 @@ class TestAdversary:
         app, build_evaluator = fault_stack
         evaluator = build_evaluator()
         plan = _plan(app, [0, 1, 0, 2, 0, 1])
-        adversary = ScenarioAdversary(evaluator, budget=20, seed=3)
+        adversary = ScenarioAdversary(evaluator, budget=20)
         certificate = adversary.certify(plan)
         assert certificate.family_regrets  # the families were scored
         assert all(
@@ -524,8 +576,8 @@ class TestAdversary:
     def test_certification_is_deterministic(self, fault_stack):
         app, build_evaluator = fault_stack
         plan = _plan(app, [0, 1, 0, 2, 0, 1])
-        a = ScenarioAdversary(build_evaluator(), budget=16, seed=7).certify(plan)
-        b = ScenarioAdversary(build_evaluator(), budget=16, seed=7).certify(plan)
+        a = ScenarioAdversary(build_evaluator(), budget=16).certify(plan)
+        b = ScenarioAdversary(build_evaluator(), budget=16).certify(plan)
         assert fingerprint_certificate(a) == fingerprint_certificate(b)
 
     def test_bounds_validation(self):
@@ -540,7 +592,7 @@ class TestAdversary:
         app, build_evaluator = fault_stack
         evaluator = build_evaluator(with_estimator=False)
         plan = _plan(app, [0, 1, 0, 0, 0, 0])
-        certificate = ScenarioAdversary(evaluator, budget=12, seed=0).certify(plan)
+        certificate = ScenarioAdversary(evaluator, budget=12).certify(plan)
         # No rate-changing spec can appear anywhere in the search.
         assert not certificate.worst_spec.changes_rates
         assert all(

@@ -576,11 +576,10 @@ class TestTheCertificateKeyIsComplete:
         "change",
         [
             {"budget": BUDGET + 1},
-            {"seed": 1},
             {"bounds": AdversaryBounds(max_rate_scale=4.0)},
             {"extra_specs": (ScenarioSpec(name="extra", rate_scale=2.0),)},
         ],
-        ids=["budget", "seed", "bounds", "extra-spec"],
+        ids=["budget", "bounds", "extra-spec"],
     )
     def test_an_adversary_argument(self, base, warm, plan, adversary_runs, change):
         assert not self._kept(base, warm, plan, adversary_runs, **change)
