@@ -245,12 +245,15 @@ class FootprintLearner:
 
     @staticmethod
     def _solve(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Non-negative least squares with a fallback for degenerate systems."""
+        """Non-negative least squares, falling back to clipped least squares when
+        ``nnls`` hits its iteration cap (``RuntimeError``).  Any other error —
+        ``ValueError`` for non-finite mesh bytes — propagates: least squares would
+        turn such input into a NaN footprint."""
         if not design.any():
             return np.zeros(design.shape[1])
         try:
             solution, _residual = nnls(design, target)
-        except Exception:  # pragma: no cover - nnls rarely fails; keep the pipeline alive
+        except RuntimeError:
             solution, *_ = np.linalg.lstsq(design, target, rcond=None)
             solution = np.clip(solution, 0.0, None)
         return solution

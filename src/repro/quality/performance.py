@@ -28,10 +28,15 @@ three invariants:
   fixed-seed search trajectory.
 * **Batched evaluation** — :meth:`ApiPerformanceModel.impact_matrix` +
   :meth:`~ApiPerformanceModel.qperf_stack` score a whole generation as one plan
-  matrix: project each API onto the components its traces touch → gather Δ rows from
-  per-API lookup tables → dedup by raw row bytes → one vectorized replay per API for
-  all cache-missing rows.  :class:`~repro.quality.evaluator.QualityEvaluator` drives
-  it from ``evaluate_vectors`` / ``evaluate_batch``.
+  matrix.  An API whose touched components admit at most ``_TABLE_LIMIT``
+  projections under the problem's pins and whitelists (the *admissible box*) reads
+  its impact factors from one table of every admissible projection, built once (by
+  content, through the artifact cache when there is one): all such APIs are answered
+  by one fused index product and one gather.  Every other API — and a tabled API's
+  rows outside the box — projects the matrix onto the components its traces touch →
+  gathers Δ rows from per-API lookup tables → dedups by raw row bytes → replays all
+  distinct rows in one vectorized batch.  :class:`~repro.quality.evaluator.QualityEvaluator`
+  drives it from ``evaluate_vectors`` / ``evaluate_batch``.
 * **A stateless per-plan path** — :meth:`~ApiPerformanceModel.estimate`,
   :meth:`~ApiPerformanceModel.qperf` and the other per-plan methods compute the plan's
   Δ map and replay it every call; they keep nothing on the model, so the scalar oracle
@@ -42,6 +47,7 @@ three invariants:
 from __future__ import annotations
 
 import copy
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -64,6 +70,17 @@ _ENGINES = ("compiled", "reference")
 
 Edge = Tuple[str, str]
 DeltaTable = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: Per matrix column, the location ids the problem admits for that component.
+Box = Tuple[Tuple[int, ...], ...]
+
+#: An API is tabled when its admissible projections number at most this many: a
+#: table of 4 096 float64 impacts is 32 KB.  The unpinned social network's
+#: ``/register`` (3^8 = 6 561 projections) costs more to build than a cold search
+#: spends replaying its rows, so it stays on the row path until pins shrink its box
+#: (docs/architecture.md, decision record №11).
+_TABLE_LIMIT = 4096
+#: A position digit no admissible site has: any projection with one indexes below 0.
+_OUTSIDE = -(1 << 40)
 
 
 class DelayInjector:
@@ -158,6 +175,43 @@ class PerformanceEstimate:
         return self.estimated_mean_ms / self.baseline_mean_ms
 
 
+@dataclass
+class _Gather:
+    """The fused lookup of every tabled API under one (component order, box).
+
+    ``digits[j, site]`` is matrix column ``columns[j]``'s mixed-radix digit of
+    ``site`` (its position in the column's admissible list × the column's stride),
+    ``_OUTSIDE`` for a site off that list; the last digit column catches every id
+    past the widest list.  Tabled API ``t`` owns the digit columns
+    ``bounds[t]:bounds[t + 1]``; their sum indexes its table, stored in ``flat``
+    from ``offsets[t]``.  ``built_for`` keeps each tabled API's edge list as it was
+    when its table was read, so a splice anywhere in the family retires the gather.
+    """
+
+    built_for: List[Tuple[str, List[Edge]]]
+    rows: np.ndarray
+    columns: np.ndarray
+    digits: np.ndarray
+    bounds: np.ndarray
+    offsets: np.ndarray
+    flat: np.ndarray
+    untabled: List[int]
+
+    def lookup(self, matrix: np.ndarray) -> np.ndarray:
+        """``(plans, tabled APIs)`` impacts of a plan matrix, NaN where a plan's
+        projection lies outside the API's box or uses a linkless site pair."""
+        sub = matrix[:, self.columns]
+        past = self.digits.shape[1] - 1
+        if sub.size and (sub.min() < 0 or sub.max() > past):
+            sub = np.where((sub < 0) | (sub > past), past, sub)
+        digits = self.digits[np.arange(len(self.columns))[None, :], sub]
+        sums = np.zeros((matrix.shape[0], len(self.columns) + 1), dtype=np.int64)
+        np.cumsum(digits, axis=1, out=sums[:, 1:])
+        index = sums[:, self.bounds[1:]] - sums[:, self.bounds[:-1]]
+        values = self.flat[np.maximum(index + self.offsets, 0)]
+        return np.where(index < 0, np.nan, values)
+
+
 class ApiPerformanceModel:
     """Estimates per-API latency and the QPerf objective for any migration plan.
 
@@ -220,8 +274,17 @@ class ApiPerformanceModel:
         # with the edge list it was built for: built lazily, regrown when a matrix
         # mentions a higher location id, rebuilt when a splice gave the API a new list.
         self._delta_tables: Dict[str, Tuple[List[Edge], DeltaTable]] = {}
-        # Matrix-pipeline result cache: per API, raw Δ-row bytes -> mean latency.
+        # Row-path result cache of the untabled APIs: raw Δ-row bytes -> mean latency.
         self._row_means: Dict[str, Dict[bytes, float]] = {}
+        # Per-API impact tables over the admissible projections, each with the edge
+        # list and admissible lists it was built for.  ``None`` where nothing is
+        # tabled: the reference engine (the oracle shares nothing with the fast
+        # path) and scenario views.
+        self._impact_tables: Optional[Dict[str, Tuple[List[Edge], Box, np.ndarray]]] = (
+            {} if engine == "compiled" else None
+        )
+        # The fused gathers over those tables, per (component order, box).
+        self._gathers: Dict[Tuple[Tuple[str, ...], Box], _Gather] = {}
         # Set on scenario views: APIs whose footprint bytes differ from the base
         # model's (None = unknown/all).  The base model changes nothing.
         self._changed_apis: Optional[frozenset] = frozenset()
@@ -251,12 +314,14 @@ class ApiPerformanceModel:
 
         The view shares everything that does not depend on footprint bytes or link
         characteristics: the sample traces, baseline means, per-API edge/touched
-        sets, the compiled trace sets and — crucially — the replay result cache
+        sets, the compiled trace sets and the row path's replay result cache
         (``_row_means`` is keyed by the raw Δ-row bytes, and a replay depends only
         on the compiled traces plus the Δ row, never on which footprint or network
         produced it).  It owns the Δ-producing cache (the Δ lookup tables), each
         table checked at read time against the API's current edge list, so a splice
         on any member of the family reaches it without the splice knowing the view.
+        A view tabulates nothing: every API it scores takes the row path, so a
+        one-plan probe over a degraded network never pays for a table.
         Scenarios that scale no payloads and keep the base network get back
         ``self``, sharing everything.
 
@@ -279,6 +344,7 @@ class ApiPerformanceModel:
         if network is not None:
             view.network = network
         view._delta_tables = {}
+        view._impact_tables = None
         view._changed_apis = (
             frozenset(changed_apis) if changed_apis is not None else None
         )
@@ -289,13 +355,15 @@ class ApiPerformanceModel:
 
         K APIs recompile, the rest keep everything: the named APIs' traces, baseline
         means, edge vocabularies and touched sets are recomputed by the
-        constructor's own :meth:`_derive` and their compiled sets and replay caches
-        are dropped from the dicts every scenario view shares, so :meth:`_compiled_set`
-        compiles them again (through the artifact cache, keyed by the new traces'
-        fingerprint) on their next replay.  A view's own Δ table of a named API was
-        built for the old edge list and is rebuilt when :meth:`_delta_table` next
-        reads it.
-        Every other API's compiled arrays and replay caches survive untouched, and
+        constructor's own :meth:`_derive` and their compiled sets, row-path replay
+        caches and impact tables are dropped from the dicts every scenario view
+        shares, so :meth:`_compiled_set` compiles them again (through the artifact
+        cache, keyed by the new traces' fingerprint) on their next replay.  A view's
+        own Δ table of a named API was built for the old edge list and is rebuilt
+        when :meth:`_delta_table` next reads it; an impact table or fused gather is
+        checked against the edge list the same way.
+        Every other API's compiled arrays, replay caches and impact tables survive
+        untouched, and
         the model scores bitwise like a fresh one over the updated traces.  Every
         target is validated before anything changes: an unknown API raises
         ``KeyError``, an empty window ``ValueError``, and either leaves the model as
@@ -318,9 +386,12 @@ class ApiPerformanceModel:
             # Shared by reference with every view, so one pop reaches the family.
             self._compiled.pop(api, None)
             self._row_means.pop(api, None)
-        # Touched sets may have changed, so the per-order projection columns
-        # (shared by reference with every view) are stale.
+            if self._impact_tables is not None:
+                self._impact_tables.pop(api, None)
+        # Touched sets may have changed, so the per-order projection columns and
+        # fused gathers (shared by reference with every view) are stale.
         self._projection_columns.clear()
+        self._gathers.clear()
 
     # -- public API ------------------------------------------------------------------------
     @property
@@ -412,6 +483,20 @@ class ApiPerformanceModel:
             self._projection_columns[key] = cached
         return cached
 
+    def _delta_key(self, api: str) -> Tuple:
+        """Content of one API's Δ table save its location count: the edge list, the
+        touched components' baseline placements, the per-edge footprint bytes and
+        the network links (the byte tuples and the network digest are memoised where
+        they are born)."""
+        edges = tuple(self._edges[api])
+        return (
+            api,
+            edges,
+            tuple(self.baseline_plan[c] for c in self._touched[api]),
+            self.footprint.edge_bytes(api, edges),
+            self.network.content_digest(),
+        )
+
     def _delta_table(self, api: str, n_locations: int) -> DeltaTable:
         """Δ of every (edge, caller location, callee location) triple of one API.
 
@@ -427,26 +512,15 @@ class ApiPerformanceModel:
         built_for, cached = self._delta_tables.get(api, (None, None))
         if built_for is not self._edges[api] or cached[0] < n_locations:
             if self._artifact_cache is not None:
-                # Content-complete key: a table is a function of the edge list, the
-                # touched components' baseline placements, the per-edge footprint
-                # bytes, the network links and the location count.  Consumers only
-                # ever read the arrays, so cross-model sharing is safe.  The byte
-                # tuples and the network digest are memoised where they are born.
-                # A shared table spans every location the network links, so one
-                # table per content serves models whatever plans they saw first.
+                # Content-complete key: a table is a function of its _delta_key and
+                # the location count.  Consumers only ever read the arrays, so
+                # cross-model sharing is safe.  A shared table spans every location
+                # the network links, so one table per content serves models
+                # whatever plans they saw first.
                 n_locations = max(n_locations, max(self.network.locations(), default=-1) + 1)
-                edges = tuple(self._edges[api])
-                key = (
-                    "delta",
-                    api,
-                    edges,
-                    tuple(self.baseline_plan[c] for c in self._touched[api]),
-                    self.footprint.edge_bytes(api, edges),
-                    self.network.content_digest(),
-                    n_locations,
-                )
                 cached = self._artifact_cache.get_or_build(
-                    key, lambda: self._build_delta_table(api, n_locations)
+                    ("delta", *self._delta_key(api), n_locations),
+                    lambda: self._build_delta_table(api, n_locations),
                 )
             else:
                 cached = self._build_delta_table(api, n_locations)
@@ -479,56 +553,59 @@ class ApiPerformanceModel:
         dst_pos = np.asarray([position[c] for _, c in edges], dtype=np.intp)
         return (n_locations, table, missing, src_pos, dst_pos)
 
+    def _projected_deltas(
+        self, api: str, sub: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Δ rows of one API's projections ``sub`` (one per row, in the API's
+        touched-component order), zero-clipped exactly like the scalar path's
+        ``delta_row`` values, plus a per-row flag for a projection that uses a site
+        pair the network has no link for (``None`` when none does)."""
+        edges = self._edges[api]
+        if not edges:
+            return np.zeros((sub.shape[0], 0), dtype=np.float64), None
+        _size, table, missing, src_pos, dst_pos = self._delta_table(
+            api, int(sub.max()) + 1
+        )
+        edge_axis = np.arange(len(edges))[None, :]
+        src_locs = sub[:, src_pos]
+        dst_locs = sub[:, dst_pos]
+        deltas = table[edge_axis, src_locs, dst_locs]
+        linkless = None
+        if missing.any():
+            flags = missing[edge_axis, src_locs, dst_locs].any(axis=1)
+            if flags.any():
+                linkless = flags
+        return np.where(deltas > 0.0, deltas, 0.0), linkless
+
     def _delta_rows_for(
         self, api: str, matrix: np.ndarray, columns: np.ndarray
     ) -> np.ndarray:
         """Per-plan Δ rows of one API over a plan matrix: ``(plans, api edges)``.
 
         Projects the matrix onto the API's touched columns and gathers each plan's
-        per-edge Δ row from the API's delta table (zero-clipped, exactly the
-        ``delta_row`` values of the scalar path).
+        per-edge Δ row from the API's delta table; a plan using a linkless site pair
+        raises the scalar path's ``KeyError``.
         """
-        edges = self._edges[api]
-        if edges and columns.size:
-            sub = matrix[:, columns]
-            _size, table, missing, src_pos, dst_pos = self._delta_table(
-                api, int(matrix.max()) + 1
+        sub = matrix[:, columns]
+        rows, linkless = self._projected_deltas(api, sub)
+        if linkless is not None:
+            bad = int(np.nonzero(linkless)[0][0])
+            self._compute_edge_delays(
+                api, dict(zip(self._touched[api], (int(v) for v in sub[bad])))
             )
-            edge_axis = np.arange(len(edges))
-            src_locs = sub[:, src_pos]
-            dst_locs = sub[:, dst_pos]
-            deltas = table[edge_axis[None, :], src_locs, dst_locs]
-            if missing.any() and missing[edge_axis[None, :], src_locs, dst_locs].any():
-                # Mimic the scalar error for a plan using a linkless pair.
-                bad = int(
-                    np.nonzero(
-                        missing[edge_axis[None, :], src_locs, dst_locs].any(axis=1)
-                    )[0][0]
-                )
-                self._compute_edge_delays(
-                    api, dict(zip(self._touched[api], (int(v) for v in sub[bad])))
-                )
-            return np.where(deltas > 0.0, deltas, 0.0)
-        return np.zeros((matrix.shape[0], 0), dtype=np.float64)
+        return rows
 
-    def _means_for(
-        self, api: str, matrix: np.ndarray, columns: np.ndarray
+    def _replay_means(
+        self, api: str, rows: np.ndarray, cache: Dict[bytes, float]
     ) -> np.ndarray:
-        """Per-plan mean injected latency of one API over a plan matrix.
+        """Mean injected latency of every Δ row of one API.
 
-        Projects the matrix onto the API's touched columns, gathers each distinct
-        projection's per-edge Δ row from the API's delta table (all cache-missing
-        rows replay in one vectorized batch) and broadcasts the cached means
-        back to the plan axis.
+        Rows dedup by their raw bytes (the cut-edge signature): the distinct rows
+        missing from ``cache`` replay in one vectorized batch and are added to it,
+        and every row reads its mean back.  (Rows are built with a +0.0 fill and
+        no NaNs, so byte equality is value equality.)
         """
         edges = self._edges[api]
-        rows = self._delta_rows_for(api, matrix, columns)
-        # Dedup at the Δ-row level (the cut-edge signature), keyed by the raw row
-        # bytes: the thousands of plans of a generation collapse to the distinct rows
-        # that actually replay, and repeat generations hit the mean cache outright.
-        # (Rows are built with a +0.0 fill and no NaNs, so byte equality is value
-        # equality.)
-        cache = self._row_means.setdefault(api, {})
         n_plans = rows.shape[0]
         row_size = rows.shape[1] * rows.itemsize
         buffer = rows.tobytes()
@@ -542,7 +619,7 @@ class ApiPerformanceModel:
         if unknown:
             distinct = list(unknown.values())
             if self.engine != "reference":
-                replayed = self._compiled_set(api).replay_batch(rows[distinct])
+                replayed = self._compiled_set(api).replay_batch(rows[distinct]).tolist()
             else:
                 replayed = [
                     self._replay_reference(
@@ -555,19 +632,108 @@ class ApiPerformanceModel:
                     for index in distinct
                 ]
             for key, latencies in zip(unknown, replayed):
-                # fmean is fsum-based, so feeding it np.float64 values directly is
-                # bit-identical to _resolve's float-converted arithmetic —
-                # mixed scalar/batched use of one evaluator yields the same means.
+                # fmean is fsum-based, so its mean of the replayed floats is
+                # bit-identical to _resolve's — mixed scalar/batched use of one
+                # evaluator yields the same means.  (Lists: fmean iterates Python
+                # floats ≈ 2.5x faster than numpy scalars.)
                 cache[key] = float(statistics.fmean(latencies))
         for plan_index, key in enumerate(keys):
             means[plan_index] = cache[key]
         return means
+
+    def _impact_table(self, api: str, admissible: Box) -> np.ndarray:
+        """One API's impact factor for every projection in its admissible box.
+
+        ``admissible`` lists, per touched component, the sites the problem allows;
+        entry ``i`` of the table is the projection whose mixed-radix digits over
+        those lists (last component fastest) spell ``i``, and holds exactly the
+        row path's ``mean / baseline`` — NaN for a projection over a linkless pair.
+        Built once per edge list and box; with an artifact cache, once per content:
+        the Δ table's content, the trace fingerprint and the box.
+        """
+        built_for, lists, table = self._impact_tables.get(api, (None, None, None))
+        if built_for is not self._edges[api] or lists != admissible:
+            if self._artifact_cache is not None:
+                table = self._artifact_cache.get_or_build(
+                    ("impact", *self._delta_key(api), self._trace_fingerprint(api), admissible),
+                    lambda: self._build_impact_table(api, admissible),
+                )
+            else:
+                table = self._build_impact_table(api, admissible)
+            self._impact_tables[api] = (self._edges[api], admissible, table)
+        return table
+
+    def _build_impact_table(self, api: str, admissible: Box) -> np.ndarray:
+        axes = [np.asarray(sites, dtype=np.int64) for sites in admissible]
+        projections = (
+            np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+            if axes
+            else np.zeros((1, 0), dtype=np.int64)
+        )
+        rows, linkless = self._projected_deltas(api, projections)
+        impacts = self._replay_means(api, rows, {}) / self._baseline_mean[api]
+        if linkless is not None:
+            impacts[linkless] = np.nan
+        return impacts
+
+    def _gather(self, components: Sequence[str], box: Box) -> _Gather:
+        """The fused lookup of one (component order, box), rebuilt when a splice
+        gave one of its APIs a new edge list."""
+        key = (tuple(components), box)
+        gather = self._gathers.get(key)
+        if gather is None or not all(
+            self._edges[api] is edges for api, edges in gather.built_for
+        ):
+            gather = self._build_gather(components, box)
+            self._gathers[key] = gather
+        return gather
+
+    def _build_gather(self, components: Sequence[str], box: Box) -> _Gather:
+        columns = self._columns_for(components)
+        past = max((site for sites in box for site in sites), default=-1) + 1
+        built_for, rows, untabled, tables = [], [], [], []
+        digit_rows: List[np.ndarray] = []
+        digit_columns: List[int] = []
+        bounds = [0]
+        for index, api in enumerate(self._apis):
+            admissible = tuple(box[column] for column in columns[api])
+            count = math.prod(len(sites) for sites in admissible)
+            if self._baseline_mean[api] <= 0 or not 0 < count <= _TABLE_LIMIT:
+                untabled.append(index)
+                continue
+            tables.append(self._impact_table(api, admissible))
+            built_for.append((api, self._edges[api]))
+            rows.append(index)
+            stride = count
+            for column, sites in zip(columns[api], admissible):
+                stride //= len(sites)
+                digits = np.full(past + 1, _OUTSIDE, dtype=np.int64)
+                digits[list(sites)] = np.arange(len(sites), dtype=np.int64) * stride
+                digit_rows.append(digits)
+                digit_columns.append(int(column))
+            bounds.append(len(digit_columns))
+        sizes = [len(table) for table in tables]
+        return _Gather(
+            built_for=built_for,
+            rows=np.asarray(rows, dtype=np.intp),
+            columns=np.asarray(digit_columns, dtype=np.intp),
+            digits=(
+                np.stack(digit_rows)
+                if digit_rows
+                else np.zeros((0, past + 1), dtype=np.int64)
+            ),
+            bounds=np.asarray(bounds, dtype=np.intp),
+            offsets=np.cumsum([0] + sizes[:-1], dtype=np.int64),
+            flat=np.concatenate(tables) if tables else np.zeros(0, dtype=np.float64),
+            untabled=untabled,
+        )
 
     def impact_matrix(
         self,
         plan_matrix: np.ndarray,
         components: Sequence[str],
         base_impacts: Optional[np.ndarray] = None,
+        admissible: Optional[Box] = None,
     ) -> np.ndarray:
         """Per-API impact factors of a whole plan matrix: ``(apis, plans)``.
 
@@ -575,6 +741,14 @@ class ApiPerformanceModel:
         factors depend only on the placements (through this model's footprint), not
         on trace weights, so robust evaluation computes them once per performance
         view and reuses them for every scenario's weighting.
+
+        ``admissible`` is the problem's box — per column of ``components``, the
+        sites its pins and whitelists allow (default: every site the network
+        links).  On a compiled base model every API whose touched components admit
+        at most ``_TABLE_LIMIT`` projections reads its row from its impact table,
+        all such APIs in one fused gather; a plan outside an API's box, or over a
+        linkless pair, takes that API's row path for that plan alone.  The other
+        APIs take the row path (:meth:`_delta_rows_for` + :meth:`_replay_means`).
 
         ``base_impacts`` is the base model's impact matrix for the *same* plan
         matrix: when this view knows which APIs its footprint actually changes
@@ -588,18 +762,43 @@ class ApiPerformanceModel:
         impacts = np.empty((len(self._apis), matrix.shape[0]), dtype=np.float64)
         if matrix.shape[0] == 0:
             return impacts
+        untabled: Sequence[int] = range(len(self._apis))
+        outside: Dict[int, np.ndarray] = {}
+        if self._impact_tables is not None:
+            if admissible is None:
+                admissible = (tuple(self.network.locations()),) * len(components)
+            gather = self._gather(components, admissible)
+            untabled = gather.untabled
+            if gather.rows.size:
+                values = gather.lookup(matrix)
+                impacts[gather.rows] = values.T
+                missed = np.isnan(values)
+                if missed.any():
+                    for slot in np.nonzero(missed.any(axis=0))[0]:
+                        outside[int(gather.rows[slot])] = np.nonzero(missed[:, slot])[0]
+                    untabled = sorted([*untabled, *outside])
         reusable = (
             self._changed_apis
             if base_impacts is not None and self._changed_apis is not None
             else None
         )
-        for index, api in enumerate(self._apis):
+        for index in untabled:
+            api = self._apis[index]
+            if index in outside:
+                plans = outside[index]
+                rows = self._delta_rows_for(api, matrix[plans], columns[api])
+                impacts[index, plans] = (
+                    self._replay_means(api, rows, {}) / self._baseline_mean[api]
+                )
+                continue
             if reusable is not None and api not in reusable:
                 impacts[index] = base_impacts[index]
                 continue
             baseline = self._baseline_mean[api]
             if baseline > 0:
-                impacts[index] = self._means_for(api, matrix, columns[api]) / baseline
+                rows = self._delta_rows_for(api, matrix, columns[api])
+                means = self._replay_means(api, rows, self._row_means.setdefault(api, {}))
+                impacts[index] = means / baseline
             else:
                 impacts[index] = 1.0
         return impacts

@@ -100,6 +100,23 @@ class MigrationPreferences:
             if loc != ON_PREM and self.allowed_at(component, loc)
         )
 
+    def admissible_box(
+        self, components: Sequence[str], locations: Collection[int]
+    ) -> Tuple[Tuple[int, ...], ...]:
+        """Per component, the sites a feasible plan may place it at: its pin, else
+        the ``locations`` its whitelist allows (all of them without a whitelist)."""
+        sites = tuple(locations)
+        box = []
+        for component in components:
+            pin = self.pinned_placement.get(component)
+            if pin is not None:
+                box.append((pin,))
+            elif component in self.allowed_locations:
+                box.append(tuple(loc for loc in sites if self.allowed_at(component, loc)))
+            else:
+                box.append(sites)
+        return tuple(box)
+
     def location_violations(self, plan: MigrationPlan) -> List[str]:
         """Whitelisted components placed somewhere their whitelist excludes."""
         return [

@@ -315,22 +315,33 @@ class QPerfObjective(Objective):
 
     @staticmethod
     def _impacts(ctx: EvalContext, columns: Sequence) -> List[np.ndarray]:
-        """One impact matrix per column, computed once per distinct view."""
-        views = {id(column.performance): column.performance for column in columns}
+        """One impact matrix per column, computed once per distinct view, over the
+        admissible box of the first column's preferences that reads the view."""
+        first: Dict[int, object] = {}  # view id -> the first column reading the view
+        for column in columns:
+            first.setdefault(id(column.performance), column)
         base = ctx.base_performance
+
+        def impact_matrix(column, base_impacts: Optional[np.ndarray] = None) -> np.ndarray:
+            view = column.performance
+            box = column.preferences.admissible_box(
+                ctx.components, view.network.locations()
+            )
+            return view.impact_matrix(
+                ctx.matrix, ctx.components, base_impacts=base_impacts, admissible=box
+            )
+
         impacts: Dict[int, np.ndarray] = {}
-        if base is not None and id(base) in views and any(
-            view is not base and view._changed_apis is not None
-            for view in views.values()
+        if base is not None and id(base) in first and any(
+            column.performance is not base and column.performance._changed_apis is not None
+            for column in first.values()
         ):
             # A payload-scaled view copies its unchanged APIs' rows from the base
             # view's impacts, which some scenario needs anyway: compute them first.
-            impacts[id(base)] = base.impact_matrix(ctx.matrix, ctx.components)
-        for key, view in views.items():
+            impacts[id(base)] = impact_matrix(first[id(base)])
+        for key, column in first.items():
             if key not in impacts:
-                impacts[key] = view.impact_matrix(
-                    ctx.matrix, ctx.components, base_impacts=impacts.get(id(base))
-                )
+                impacts[key] = impact_matrix(column, impacts.get(id(base)))
         return [impacts[id(column.performance)] for column in columns]
 
     def score_plan(self, ctx: EvalContext, plan: MigrationPlan) -> float:

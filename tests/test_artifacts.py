@@ -25,7 +25,12 @@ from hypothesis import strategies as st
 from fingerprints import build_tiny_evaluator
 from test_compiled import _random_plans, random_trace
 
-from repro.cluster import MigrationPlan, default_network_model
+from repro.cluster import (
+    MigrationPlan,
+    NetworkModel,
+    default_multi_location_network,
+    default_network_model,
+)
 from repro.learning import ApiProfiler, FootprintLearner, NetworkFootprint
 from repro.optimizer import GAConfig
 from repro.quality import (
@@ -37,6 +42,7 @@ from repro.quality import (
     ScenarioSpec,
     fingerprint_traces,
 )
+from repro.quality.compiled import CompiledTraceSet
 from repro.quality.scenarios import scaled_footprint
 from repro.recommend import AdvisorService, Atlas, AtlasConfig
 from repro.recommend.advisor import _describe
@@ -209,12 +215,12 @@ def tiny_model_factory(tiny_telemetry):
     footprint = FootprintLearner(telemetry).learn()
     network = default_network_model()
 
-    def build(engine="compiled", cache=None, traces=None):
+    def build(engine="compiled", cache=None, traces=None, links=None):
         return ApiPerformanceModel(
             traces_by_api=traces
             or {api: p.sample_traces for api, p in profiles.items()},
             footprint=footprint,
-            network=network,
+            network=links or network,
             baseline_plan=baseline,
             traces_per_api=20,
             engine=engine,
@@ -368,6 +374,105 @@ class TestSpliceEquivalence:
         fresh_view = fresh_ev._scenario_context(spec).performance
         for plan in plans:
             assert spliced_view.qperf(plan) == fresh_view.qperf(plan)
+
+
+# -- impact tables: shared by content, rebuilt per splice ---------------------------------------
+class TestImpactTables:
+    """Every tiny-app API fits under the table bound, so each is one impact table."""
+
+    @staticmethod
+    def _replays(monkeypatch):
+        """Rows replayed by any compiled set from now on."""
+        rows = []
+        original = CompiledTraceSet.replay_batch
+
+        def spy(self, delta_rows):
+            rows.append(np.atleast_2d(delta_rows).shape[0])
+            return original(self, delta_rows)
+
+        monkeypatch.setattr(CompiledTraceSet, "replay_batch", spy)
+        return rows
+
+    @staticmethod
+    def _impact_misses(cache, monkeypatch):
+        """APIs whose impact table missed ``cache`` from now on."""
+        missed = []
+        original = cache.get_or_build
+
+        def spy(key, build):
+            before = cache.misses
+            value = original(key, build)
+            if key[0] == "impact" and cache.misses > before:
+                missed.append(key[1])
+            return value
+
+        monkeypatch.setattr(cache, "get_or_build", spy)
+        return missed
+
+    def test_a_second_model_over_one_cache_replays_nothing(self, tiny_model_factory, monkeypatch):
+        app, build = tiny_model_factory
+        cache = ArtifactCache()
+        plans = _random_plans(app, 24, seed=41)
+        components = plans[0].components
+        matrix = np.asarray([plan.to_vector() for plan in plans])
+        one = build(cache=cache)
+        want = one.impact_matrix(matrix, components)
+        assert sorted(one._impact_tables) == one.apis
+        replayed = self._replays(monkeypatch)
+        two = build(cache=cache)
+        got = two.impact_matrix(matrix, components)
+        assert replayed == []
+        assert not two._row_means  # the row path's memo stays empty for tabled APIs
+        assert _hexes(got) == _hexes(want)
+        for api in one.apis:
+            assert two._impact_tables[api][2] is one._impact_tables[api][2]
+
+    def test_a_splice_rebuilds_exactly_its_table(self, tiny_model_factory, monkeypatch):
+        app, build = tiny_model_factory
+        cache = ArtifactCache()
+        plans = _random_plans(app, 24, seed=43)
+        components = plans[0].components
+        matrix = np.asarray([plan.to_vector() for plan in plans])
+        model = build(cache=cache)
+        model.impact_matrix(matrix, components)
+        missed = self._impact_misses(cache, monkeypatch)
+        api = model.apis[-1]
+        model.splice({api: _window(model._traces[api], 20, 1.7)})
+        spliced = model.impact_matrix(matrix, components)
+        assert missed == [api]
+        traces = {a: list(model._traces[a]) for a in model.apis}
+        shared = build(cache=cache, traces=traces).impact_matrix(matrix, components)
+        assert missed == [api]  # a fresh model over the spliced traces hits every table
+        fresh = build(traces=traces).impact_matrix(matrix, components)
+        reference = build("reference", traces=traces).impact_matrix(matrix, components)
+        assert _hexes(spliced) == _hexes(shared) == _hexes(fresh) == _hexes(reference)
+
+    def test_a_linkless_pair_raises_only_for_the_plans_that_use_it(self, tiny_model_factory):
+        app, build = tiny_model_factory
+        full = default_multi_location_network(locations=(0, 1, 2))
+        links = NetworkModel(
+            {pair: full.link(*pair) for pair in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2))}
+        )
+        names = app.component_names
+        batched, scalar = build(links=links), build(links=links)
+        rng = np.random.default_rng(5)
+        # Each plan keeps every component on-prem or on one remote site: no plan
+        # needs the missing 1 <-> 2 link.
+        matrix = rng.integers(0, 2, size=(30, len(names))) * rng.integers(1, 3, size=(30, 1))
+        impacts = batched.impact_matrix(matrix, names)
+        assert any(np.isnan(table).any() for _e, _b, table in batched._impact_tables.values())
+        plans = [MigrationPlan.from_vector(names, row) for row in matrix.tolist()]
+        assert _hexes(impacts.T) == _hexes(
+            [[scalar._impact_factor(api, plan) for api in scalar.apis] for plan in plans]
+        )
+        crossing = MigrationPlan.from_vector(
+            names, [1 if c == "Frontend" else 2 if c == "ServiceA" else 0 for c in names]
+        )
+        with pytest.raises(KeyError) as scalar_error:
+            scalar.qperf(crossing)
+        with pytest.raises(KeyError) as batched_error:
+            batched.impact_matrix(np.vstack([matrix, [crossing.to_vector()]]), names)
+        assert str(batched_error.value) == str(scalar_error.value)
 
 
 # -- scenario-state reuse across probe names --------------------------------------------------

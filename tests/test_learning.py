@@ -183,6 +183,27 @@ class TestFootprintLearner:
         assert ("Frontend", "ServiceA") in footprint.pairs()
         assert ("Frontend", "ServiceA") in footprint.edges_of("/read")
 
+    def test_iteration_cap_falls_back_to_clipped_least_squares(self, monkeypatch):
+        def capped(design, target):
+            raise RuntimeError("too many iterations")
+
+        monkeypatch.setattr("repro.learning.footprint.nnls", capped)
+        design = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        target = np.array([4.0, -2.0, 2.0])
+        solution, *_ = np.linalg.lstsq(design, target, rcond=None)
+        got = FootprintLearner._solve(design, target)
+        assert got.tolist() == np.clip(solution, 0.0, None).tolist()
+        assert got[1] == 0.0
+
+    def test_non_finite_mesh_bytes_raise_instead_of_a_nan_footprint(self, monkeypatch):
+        def refuses(design, target):
+            raise ValueError("array must not contain infs or NaNs")
+
+        monkeypatch.setattr("repro.learning.footprint.nnls", refuses)
+        design = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            FootprintLearner._solve(design, np.array([np.nan, 1.0]))
+
 
 class TestResourceEstimator:
     def test_requires_fit_before_predict(self, tiny_telemetry):

@@ -131,6 +131,13 @@ CONSTRAINED_PREFS = dict(
     critical_apis=["/write"],
 )
 
+# A mixed-radix admissible box: one pin, two whitelists of different widths.
+WHITELISTED_PREFS = dict(
+    pinned_placement={"Database": ON_PREM},
+    allowed_locations={"ServiceA": (2,), "Cache": (1, 2), "Notifier": (1,)},
+    critical_apis=["/read"],
+)
+
 
 class TestAutoscalerBatch:
     @given(
@@ -207,10 +214,13 @@ class TestBatchedEquivalence:
             ({}, CONSTRAINED_PREFS),
             (THREE_DC_KWARGS, {}),
             (THREE_DC_KWARGS, CONSTRAINED_PREFS),
+            (THREE_DC_KWARGS, WHITELISTED_PREFS),
         ],
-        ids=["2loc", "2loc-constrained", "3loc", "3loc-constrained"],
+        ids=["2loc", "2loc-constrained", "3loc", "3loc-constrained", "3loc-whitelisted"],
     )
     def test_batch_matches_oracle(self, matrix_stack, topology, prefs_kwargs):
+        """Random vectors over every site: rows inside and outside the admissible
+        box of the problem's pins and whitelists, against the scalar oracle."""
         app, build_evaluator = matrix_stack
         locations = topology.get("locations", (ON_PREM, CLOUD))
         prefs = MigrationPreferences(
@@ -218,6 +228,7 @@ class TestBatchedEquivalence:
             onprem_limits=dict(prefs_kwargs.get("onprem_limits", {})),
             budget_usd=prefs_kwargs.get("budget_usd", float("inf")),
             critical_apis=list(prefs_kwargs.get("critical_apis", [])),
+            allowed_locations=dict(prefs_kwargs.get("allowed_locations", {})),
         )
         scalar = build_evaluator(preferences=prefs, **topology)
         batched = build_evaluator(preferences=prefs, **topology)
@@ -232,6 +243,7 @@ class TestBatchedEquivalence:
             assert g.objectives() == w.objectives()  # bitwise
             assert g.feasible == w.feasible
             assert g.violations == w.violations
+        assert batched.performance._impact_tables  # the tabled path scored them
         # Plan by plan: same count, same distinct-plan cache, same evaluation order.
         single = build_evaluator(preferences=prefs, **topology)
         for plan in plans:
