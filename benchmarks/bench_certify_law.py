@@ -14,10 +14,11 @@ law was fixed before anything was measured:
   seed from ``s``), runs one cold ``Atlas.recommend(certify=True)`` — the default
   budget — and takes its knee plan and certificate.
 * **Grid.**  Every point of {neutral, mid, severe} per knob — rate, payload, link
-  (latency up, bandwidth down, together), egress price, compute price, capacity of
-  the first billable site — × every outage choice (none, or one remote site down),
-  at :class:`~repro.quality.adversary.AdversaryBounds`' defaults, baseline
-  excluded: 2 186 specs at N = 3, 1 457 at N = 2.  Each is scored through the
+  (latency up, bandwidth down, together), egress price, compute price (the storage
+  price moves with it), capacity of every billable site (cut together) — × every
+  outage choice (none, or one remote site down), at
+  :class:`~repro.quality.adversary.AdversaryBounds`' defaults, baseline excluded:
+  2 186 specs at N = 3, 1 457 at N = 2.  Each is scored through the
   knee's evaluator (``evaluate_under``) and the certificate's documented
   scalarization, computed here: positive regret over the fault-free baseline,
   normalized by ``max(|baseline|, 1)``, summed, plus the infeasibility surcharge.
@@ -72,7 +73,7 @@ def grid_specs(evaluator, bounds: AdversaryBounds) -> Iterator[ScenarioSpec]:
     def levels(neutral: float, severe: float):
         return (neutral, (neutral + severe) / 2.0, severe)
 
-    cut_site = min(evaluator.cost.catalogs)
+    cut_sites = sorted(evaluator.cost.catalogs)
     outages = [None] + [loc for loc in evaluator.performance.network.locations() if loc != ON_PREM]
     links = list(
         zip(
@@ -93,9 +94,11 @@ def grid_specs(evaluator, bounds: AdversaryBounds) -> Iterator[ScenarioSpec]:
         if link != (1.0, 1.0):
             faults.append(LinkDegradation(latency_factor=link[0], bandwidth_factor=link[1]))
         if egress != 1.0 or compute != 1.0:
-            faults.append(PriceShock(compute_factor=compute, egress_factor=egress))
+            faults.append(
+                PriceShock(compute_factor=compute, storage_factor=compute, egress_factor=egress)
+            )
         if capacity != 1.0:
-            faults.append(CapacityCut(cut_site, remaining_fraction=capacity))
+            faults.extend(CapacityCut(site, remaining_fraction=capacity) for site in cut_sites)
         spec = ScenarioSpec(
             name="grid", rate_scale=rate, payload_scale=payload, faults=tuple(faults)
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,17 +127,9 @@ def run_methods(
         recommendation: Optional[Recommendation] = None
         internal_objectives: Optional[List[Tuple[float, ...]]] = None
         if name == "atlas":
-            ga_config = GAConfig(
-                population_size=testbed.atlas.config.ga.population_size,
-                offspring_per_generation=testbed.atlas.config.ga.offspring_per_generation,
-                evaluation_budget=budget,
-                train_iterations=testbed.atlas.config.ga.train_iterations,
-                train_batch_size=testbed.atlas.config.ga.train_batch_size,
-                train_pairs=testbed.atlas.config.ga.train_pairs,
-                seed=testbed.atlas.config.ga.seed,
-            )
             recommendation = testbed.atlas.recommend(
-                expected_scale=testbed.expected_scale, ga_config=ga_config
+                expected_scale=testbed.expected_scale,
+                ga_config=_scaled_ga_config(testbed, budget),
             )
             plans = [q.plan for q in recommendation.plans]
         elif name in ("affinity-ga", "random-search", *SINGLE_PLAN_METHODS):
@@ -427,15 +419,7 @@ def _scaled_ga_config(testbed: Testbed, budget: Optional[int]) -> GAConfig:
     base = testbed.atlas.config.ga
     if budget is None:
         return base
-    return GAConfig(
-        population_size=base.population_size,
-        offspring_per_generation=base.offspring_per_generation,
-        evaluation_budget=budget,
-        train_iterations=base.train_iterations,
-        train_batch_size=base.train_batch_size,
-        train_pairs=base.train_pairs,
-        seed=base.seed,
-    )
+    return replace(base, evaluation_budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -633,30 +617,21 @@ def figure21_drl_vs_nsga2(
     budget = evaluation_budget or testbed.atlas.config.ga.evaluation_budget
     base = testbed.atlas.config.ga
 
-    def make_config(crossover: str, seed: int) -> GAConfig:
-        return GAConfig(
-            population_size=base.population_size,
-            offspring_per_generation=base.offspring_per_generation,
-            evaluation_budget=budget,
-            train_iterations=base.train_iterations,
-            train_batch_size=base.train_batch_size,
-            train_pairs=base.train_pairs,
-            crossover=crossover,
-            seed=seed,
-        )
+    def make_config(crossover: str) -> GAConfig:
+        return replace(base, evaluation_budget=budget, crossover=crossover)
 
     drl_eval = testbed.evaluator()
     drl_result = AtlasGA(
         drl_eval,
         testbed.application.component_names,
-        make_config("drl", base.seed),
+        make_config("drl"),
         locations=testbed.locations,
     ).run()
     nsga_eval = testbed.evaluator()
     nsga_result = AtlasGA(
         nsga_eval,
         testbed.application.component_names,
-        make_config("uniform", base.seed),
+        make_config("uniform"),
         locations=testbed.locations,
     ).run()
     return {

@@ -43,9 +43,12 @@ class AdversaryBounds:
 
     The bounds are the contract that keeps certificates comparable: a certificate
     is "worst case within these bounds", not worst case over physically
-    unrealizable futures.  ``infeasibility_penalty`` is the scalarized-regret
-    surcharge for a spec that pushes a baseline-feasible plan out of feasibility —
-    large enough that any infeasibility dominates any graceful degradation.
+    unrealizable futures.  ``max_price_factor`` bounds the compute, storage and
+    egress prices alike, and ``min_capacity_fraction`` the capacity left at every
+    billable site (on-prem when nothing is billable).  ``infeasibility_penalty``
+    is the scalarized-regret surcharge for a spec that pushes a baseline-feasible
+    plan out of feasibility — large enough that any infeasibility dominates any
+    graceful degradation.
     """
 
     max_rate_scale: float = 5.0
@@ -156,12 +159,11 @@ class ScenarioAdversary:
         self._can_scale_rates = (
             evaluator.estimator is not None and bool(evaluator.estimate.api_rates)
         )
-        #: The elastic site whose node pool the capacity knob shrinks (first
-        #: billable location; the on-prem knob is a no-op without declared limits).
-        billable = sorted(evaluator.cost.catalogs)
-        self._cut_site = billable[0] if billable else None
-        if self._cut_site is None and evaluator.preferences.onprem_limits:
-            self._cut_site = ON_PREM
+        #: The sites whose capacity the capacity knob cuts: every billable location,
+        #: or on-prem when nothing is billable (a no-op without declared limits).
+        self._cut_sites = sorted(evaluator.cost.catalogs)
+        if not self._cut_sites and evaluator.preferences.onprem_limits:
+            self._cut_sites = [ON_PREM]
 
     # -- scoring ---------------------------------------------------------------------------
     def _score_spec(
@@ -204,12 +206,15 @@ class ScenarioAdversary:
         if b.max_price_factor > 1.0:
             faults.append(
                 PriceShock(
-                    compute_factor=b.max_price_factor, egress_factor=b.max_price_factor
+                    compute_factor=b.max_price_factor,
+                    storage_factor=b.max_price_factor,
+                    egress_factor=b.max_price_factor,
                 )
             )
-        if b.min_capacity_fraction < 1.0 and self._cut_site is not None:
-            faults.append(
-                CapacityCut(self._cut_site, remaining_fraction=b.min_capacity_fraction)
+        if b.min_capacity_fraction < 1.0:
+            faults.extend(
+                CapacityCut(site, remaining_fraction=b.min_capacity_fraction)
+                for site in self._cut_sites
             )
         spec = ScenarioSpec(
             name="corner" if outage is None else f"corner-outage-loc{outage}",

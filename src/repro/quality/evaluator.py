@@ -33,42 +33,46 @@ through the robust aggregator; a plan is feasible iff it is feasible under every
 scenario.  The built-in plugins score all S in one stacked pass per call
 (:meth:`~repro.quality.problem.EvalContext.stacked`): work no scenario changes runs
 once, what one changes rides along as extra columns of the same ordered reductions.
-Classic evaluation is the stack of one over the base models, with the identity in
-place of the aggregator.  The axis is the problem's, so an evaluator keeps one
-result cache; a shape the problem does not declare (an adversary probe) goes through
-the uncached :meth:`QualityEvaluator.evaluate_under`.
+A classic evaluation is the baseline spec's column alone — the evaluator's own
+models — aggregated by identity and without a per-scenario breakdown.  What a spec
+compiles to is :func:`~repro.quality.scenarios.compile_scenario`'s; the evaluator
+caches it and scores.  The axis is the problem's, so an evaluator keeps one result
+cache; a shape the problem does not declare (an adversary probe) goes through the
+uncached :meth:`QualityEvaluator.evaluate_under`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster.network import NetworkModel
 from ..cluster.placement import MigrationPlan
 from ..learning.estimator import ResourceEstimate, ResourceEstimator
-from ..learning.footprint import NetworkFootprint
 from ..telemetry.tracing import Trace
 from .artifacts import ArtifactCache
 from .availability import ApiAvailabilityModel
 from .cost import CloudCostModel
-from .faults import FaultedStack
 from .performance import ApiPerformanceModel
 from .preferences import MigrationPreferences
 from .problem import ConstraintCheck, EvalContext, PlacementProblem, scenario_costs
 from .scenarios import (
+    CompiledScenario,
     ObjectiveVector,
     RobustAggregator,
     ScenarioQuality,
     ScenarioSet,
     ScenarioSpec,
     WorstCase,
-    scaled_footprint,
+    compile_scenario,
 )
 
 __all__ = ["PlanQuality", "QualityEvaluator"]
+
+#: The classic pass's one column: the baseline spec, the evaluator's own models.
+_CLASSIC = ScenarioSet.baseline()
 
 
 @dataclass(frozen=True)
@@ -102,52 +106,6 @@ class PlanQuality(ObjectiveVector):
         return all(a <= b for a, b in zip(mine, theirs)) and any(
             a < b for a, b in zip(mine, theirs)
         )
-
-
-@dataclass(frozen=True)
-class _CompiledScenario:
-    """What one non-baseline spec compiles to that no trace changes.
-
-    ``estimate`` is the scenario's resource estimate (re-predicted per-API rate
-    series), ``footprint`` the payload-scaled footprint, ``network`` the faulted link
-    model (``None``: the base network), ``cost`` the derived
-    :class:`~repro.quality.cost.CloudCostModel` over all of them and ``weights`` the
-    scenario's τ_A trace-weight vector.  ``availability`` and ``preferences`` are the
-    base objects for fault-free specs, derived (outage-weighted availability,
-    evacuated/limited preferences) when the spec declares
-    :attr:`~repro.quality.scenarios.ScenarioSpec.faults`.
-
-    Evaluators over equal content share one through an artifact cache: a splice
-    moves traces, and nothing here reads one.
-    """
-
-    estimate: ResourceEstimate
-    footprint: NetworkFootprint
-    network: Optional[NetworkModel]
-    cost: CloudCostModel
-    weights: Dict[str, float]
-    availability: ApiAvailabilityModel
-    preferences: MigrationPreferences
-
-
-@dataclass
-class _ScenarioContext:
-    """One compiled scenario: the models/artifacts the quality stack bakes in.
-
-    The evaluator's own :meth:`~repro.quality.performance.ApiPerformanceModel.scenario_view`
-    (``performance``; the base model itself for payload-neutral scenarios — it shares
-    compiled traces and replay caches with a base model a splice changes) over a
-    :class:`_CompiledScenario`'s artifacts; ``estimate`` feeds the on-prem peak
-    constraint.  The baseline spec is the evaluator's base stack.  It holds no spec:
-    every spec of one identity shares it, whatever its name.
-    """
-
-    performance: ApiPerformanceModel
-    cost: CloudCostModel
-    estimate: ResourceEstimate
-    weights: Dict[str, float]
-    availability: ApiAvailabilityModel
-    preferences: MigrationPreferences
 
 
 class QualityEvaluator:
@@ -196,6 +154,17 @@ class QualityEvaluator:
         self._artifact_cache = artifact_cache
         self.content_digest = content_digest
         self._weights = preferences.api_weights(performance.apis)
+        #: The base stack: the baseline spec's compiled scenario is the evaluator's
+        #: own models, and every other spec compiles against it.
+        self._base = CompiledScenario(
+            estimate=estimate,
+            footprint=performance.footprint,
+            network=performance.network,
+            cost=cost,
+            weights=self._weights,
+            availability=availability,
+            preferences=preferences,
+        )
         self._component_order = list(component_order) if component_order else None
         self._cache: Dict[Tuple[int, ...], PlanQuality] = {}
         #: Canonical column order of the result cache: every key is the plan's
@@ -206,12 +175,12 @@ class QualityEvaluator:
         #: Scenario evaluations: one per (distinct plan, scenario) pair scored by the
         #: robust path (``evaluations`` counts plans, matching the paper's budget).
         self.scenario_evaluations = 0
-        # Compiled scenario contexts, keyed by the spec's identity_key(): the name
-        # is not part of it, because the problem's scenarios and the adversary's
-        # probes (``evaluate_under``, throwaway names such as "adversary-3") share
-        # them, and a name flows into violation prefixes and result labels, never
-        # into the models.
-        self._scenario_contexts: Dict[Tuple, _ScenarioContext] = {}
+        # (compiled scenario, performance view) pairs, keyed by the spec's
+        # identity_key(): the name is not part of it, because the problem's
+        # scenarios, the classic pass's baseline spec and the adversary's probes
+        # (``evaluate_under``, throwaway names such as "corner") share them, and a
+        # name flows into violation prefixes and result labels, never into the models.
+        self._scenario_pairs: Dict[Tuple, Tuple[CompiledScenario, ApiPerformanceModel]] = {}
         # The problem's scenario axis, fixed at construction: every entry point
         # (evaluate/evaluate_batch/evaluate_vectors/is_feasible/feasible_mask) scores
         # robustly over this set, with the aggregator's WorstCase default — how the
@@ -231,32 +200,6 @@ class QualityEvaluator:
     @property
     def objective_names(self) -> Tuple[str, ...]:
         return self.problem.objective_names
-
-    # -- contexts --------------------------------------------------------------------------
-    def _matrix_context(
-        self,
-        matrix: np.ndarray,
-        components: Sequence[str],
-        plans: Optional[Sequence[MigrationPlan]] = None,
-    ) -> EvalContext:
-        """Classic (single-workload) context over the evaluator's base models."""
-        return EvalContext(
-            matrix=matrix,
-            components=list(components),
-            performance=self.performance,
-            availability=self.availability,
-            cost=self.cost,
-            estimate=self.estimate,
-            weights=self._weights,
-            preferences=self.preferences,
-            evaluator=self,
-            plans=plans,
-        )
-
-    def _plan_context(self, plan: MigrationPlan) -> EvalContext:
-        """Scalar-oracle context: a one-row matrix plus the plan itself."""
-        matrix = np.asarray([self._key(plan)], dtype=np.int64)
-        return self._matrix_context(matrix, self._canonical, plans=[plan])
 
     # -- evaluation ------------------------------------------------------------------------
     def evaluate(self, plan: MigrationPlan) -> PlanQuality:
@@ -330,7 +273,7 @@ class QualityEvaluator:
         """Score ``plan`` under one workload shape the problem need not declare.
 
         The adversary's probe door: the problem's objectives and constraints over
-        the single scenario ``spec`` (its compiled context shared with the problem's
+        the single scenario ``spec`` (its compiled scenario shared with the problem's
         axis by identity), aggregated by :class:`WorstCase` — the identity over one
         scenario.  Nothing is cached: a probe leaves ``cache_size`` and
         ``evaluated_qualities`` as they were.
@@ -346,33 +289,40 @@ class QualityEvaluator:
         matrix: np.ndarray,
         components: Sequence[str],
         scenario_set: Optional[ScenarioSet],
+        plans: Optional[Sequence[MigrationPlan]] = None,
     ) -> List[EvalContext]:
-        """One evaluation context per pass: the base models, or each compiled scenario
-        — one call's scenario contexts share ``shared`` and name all as ``columns``."""
-        if scenario_set is None:
-            return [self._matrix_context(matrix, components)]
-        specs = list(scenario_set)
-        compiled = [self._scenario_context(spec) for spec in specs]
+        """One evaluation context per scenario column of the call — the baseline
+        spec's alone on a classic pass — sharing ``shared`` and naming each other as
+        ``columns``.
+
+        ``columns`` holds weak proxies: contexts that held each other would form a
+        reference cycle, and every call's stacks would wait for the cyclic collector
+        instead of going when the call returns."""
         shared: Dict = {}
-        return [
-            EvalContext(
+        components = list(components)
+        contexts: List[EvalContext] = []
+        columns: List[EvalContext] = []
+        for spec in _CLASSIC if scenario_set is None else scenario_set:
+            compiled, performance = self._scenario_pair(spec)
+            ctx = EvalContext(
                 matrix=matrix,
-                components=list(components),
-                performance=context.performance,
-                availability=context.availability,
-                cost=context.cost,
-                estimate=context.estimate,
-                weights=context.weights,
-                preferences=context.preferences,
+                components=components,
+                performance=performance,
+                availability=compiled.availability,
+                cost=compiled.cost,
+                estimate=compiled.estimate,
+                weights=compiled.weights,
+                preferences=compiled.preferences,
                 evaluator=self,
                 scenario=spec,
-                base_performance=self.performance,
-                columns=compiled,
-                column=index,
+                columns=columns,
+                column=len(contexts),
                 shared=shared,
+                plans=plans,
             )
-            for index, (spec, context) in enumerate(zip(specs, compiled))
-        ]
+            contexts.append(ctx)
+            columns.append(weakref.proxy(ctx))
+        return contexts
 
     def _checks(self, contexts: Sequence[EvalContext]) -> List[List[ConstraintCheck]]:
         """Every constraint of the problem under every context, in stack order."""
@@ -405,8 +355,8 @@ class QualityEvaluator:
         answer all S contexts from one stacked pass per call (the first context's
         call computes every scenario's row, the plan-level dedup and the compiled
         replays shared) — and collapses each with ``aggregator``.  Without a
-        scenario set the single pass runs over the evaluator's base models,
-        aggregates by identity and attaches no per-scenario breakdown.  A plan is
+        scenario set the one column is the baseline spec's, which aggregates by
+        identity and attaches no per-scenario breakdown.  A plan is
         feasible iff it is feasible under every pass; violation strings are
         materialized lazily, only for infeasible rows, and prefixed with the
         scenario name when S > 1.  Results are bitwise identical to
@@ -506,144 +456,42 @@ class QualityEvaluator:
         return violations
 
     # -- scenario compilation / robust scoring ----------------------------------------------
-    def _scenario_context(self, spec: ScenarioSpec) -> _ScenarioContext:
-        """Compile one scenario into the artifacts the models bake in, cached by the
-        spec's :meth:`~repro.quality.scenarios.ScenarioSpec.identity_key`.
+    def _scenario_pair(
+        self, spec: ScenarioSpec
+    ) -> Tuple[CompiledScenario, ApiPerformanceModel]:
+        """``spec``'s compiled scenario and this evaluator's performance view over it,
+        cached by the spec's :meth:`~repro.quality.scenarios.ScenarioSpec.identity_key`.
 
-        The baseline spec *is* the base stack (same model objects), so evaluating the
-        default scenario robustly shares every cache with — and scores bitwise equal
-        to — the classic path.  Every other spec pairs its :class:`_CompiledScenario`
-        (through the artifact cache when the evaluator has one and a content digest)
-        with this evaluator's performance scenario view over its footprint and
-        network.
+        The baseline spec's pair is the evaluator's own models, so a classic pass and
+        a robust evaluation of the default scenario share every cache and score
+        bitwise equal.  Every other spec compiles through the artifact cache when the
+        evaluator has one and a content digest, and gets this evaluator's
+        :meth:`~repro.quality.performance.ApiPerformanceModel.scenario_view` over its
+        footprint and network (the base model itself for payload-neutral specs).
         """
         key = spec.identity_key()
-        context = self._scenario_contexts.get(key)
-        if context is None:
-            self._validate_spec_apis(spec)
-            if spec.is_baseline:
-                context = _ScenarioContext(
-                    performance=self.performance,
-                    cost=self.cost,
-                    estimate=self.estimate,
-                    weights=self._weights,
-                    availability=self.availability,
-                    preferences=self.preferences,
-                )
+        pair = self._scenario_pairs.get(key)
+        if pair is None:
+            if spec.is_baseline or self._artifact_cache is None or self.content_digest is None:
+                compiled = compile_scenario(spec, self._base, self.estimator)
             else:
-                if self._artifact_cache is None or self.content_digest is None:
-                    compiled = self._compile_scenario(spec)
-                else:
-                    compiled = self._artifact_cache.get_or_build(
-                        ("scenario", self.content_digest, spec.identity_key()),
-                        lambda: self._compile_scenario(spec),
-                    )
-                context = _ScenarioContext(
-                    performance=self.performance.scenario_view(
-                        compiled.footprint,
-                        # A faulted network can shift every API's Δ tables, so the
-                        # changed-API row reuse only applies on the base network.
-                        changed_apis=(
-                            spec.changed_payload_apis()
-                            if compiled.network is None
-                            else None
-                        ),
-                        network=compiled.network,
-                    ),
-                    cost=compiled.cost,
-                    estimate=compiled.estimate,
-                    weights=compiled.weights,
-                    availability=compiled.availability,
-                    preferences=compiled.preferences,
+                compiled = self._artifact_cache.get_or_build(
+                    ("scenario", self.content_digest, key),
+                    lambda: compile_scenario(spec, self._base, self.estimator),
                 )
-            self._scenario_contexts[key] = context
-        return context
-
-    def _compile_scenario(self, spec: ScenarioSpec) -> _CompiledScenario:
-        """Compile a non-baseline spec: a scenario resource estimate, one
-        payload-scaled footprint, the faulted network / availability / catalog /
-        preference artifacts (through :class:`~repro.quality.faults.FaultedStack`),
-        the derived cost model and the scenario τ_A weights."""
-        estimate = self._scenario_estimate(spec)
-        network = None
-        availability = self.availability
-        preferences = self.preferences
-        catalogs = None
-        if spec.faults:
-            stack = FaultedStack(
-                network=self.performance.network,
-                availability=self.availability,
-                catalogs=dict(self.cost.catalogs),
-                preferences=self.preferences,
-                locations=tuple(self.performance.network.locations()),
-            )
-            for fault in spec.faults:
-                fault.apply(stack)
-            if stack.network is not self.performance.network:
-                network = stack.network
-            availability = stack.availability
-            preferences = stack.preferences
-            if stack.catalogs_changed:
-                catalogs = stack.catalogs
-        footprint = scaled_footprint(self.performance.footprint, spec)
-        return _CompiledScenario(
-            estimate=estimate,
-            footprint=footprint,
-            network=network,
-            cost=self.cost.derive(
-                estimate=estimate,
-                footprint=(
-                    footprint
-                    if self.cost.footprint is self.performance.footprint
-                    else scaled_footprint(self.cost.footprint, spec)
-                ),
-                catalogs=catalogs,
-            ),
-            weights={
-                api: weight * spec.mix_factor(api)
-                for api, weight in self._weights.items()
-            },
-            availability=availability,
-            preferences=preferences,
-        )
-
-    def _validate_spec_apis(self, spec: ScenarioSpec) -> None:
-        """Reject scenario factor maps naming APIs the evaluator does not know.
-
-        A typo'd API name in ``api_rate_factors`` / ``payload_factors`` would
-        otherwise silently no-op (the factors are looked up per known API), making
-        the scenario weaker than the author intended.
-        """
-        referenced = set(spec.api_rate_factors) | set(spec.payload_factors)
-        if not referenced:
-            return
-        known = set(self.performance.apis) | set(self.estimate.api_rates)
-        unknown = sorted(referenced - known)
-        if unknown:
-            raise ValueError(
-                f"scenario {spec.name!r} references unknown APIs {unknown}; "
-                f"known APIs are {sorted(known)}"
-            )
-
-    def _scenario_estimate(self, spec: ScenarioSpec) -> ResourceEstimate:
-        """The scenario's expected resource-usage series (per-API rate compilation)."""
-        if not spec.changes_rates:
-            return self.estimate
-        if self.estimator is None:
-            raise ValueError(
-                f"scenario {spec.name!r} changes request rates; construct the "
-                "evaluator with estimator=... (the fitted ResourceEstimator) to "
-                "compile scenario resource estimates"
-            )
-        if not self.estimate.api_rates:
-            raise ValueError(
-                "the base resource estimate has no per-API rate series to scale"
-            )
-        rates = {
-            api: [value * spec.rate_factor(api) for value in series]
-            for api, series in self.estimate.api_rates.items()
-        }
-        return self.estimator.predict(rates, step_ms=self.estimate.step_ms)
+            performance = self.performance
+            if compiled is not self._base:
+                performance = performance.scenario_view(
+                    compiled.footprint,
+                    # A faulted network can shift every API's Δ tables, so the
+                    # changed-API row reuse only applies on the base network.
+                    changed_apis=(
+                        spec.changed_payload_apis() if compiled.network is None else None
+                    ),
+                    network=compiled.network,
+                )
+            pair = self._scenario_pairs[key] = (compiled, performance)
+        return pair
 
     def qcost_vectors(
         self,
@@ -673,7 +521,7 @@ class QualityEvaluator:
         K APIs recompile, the rest keep everything: the performance model installs
         the named APIs' traces and purges their compiled state (see
         :meth:`~repro.quality.performance.ApiPerformanceModel.splice`), stale
-        results are dropped, but the compiled *scenario* contexts survive — a
+        results are dropped, but the compiled *scenarios* and their views survive — a
         scenario's estimate/footprint/cost/weights never depend on trace contents,
         its performance view shares the model's compiled sets and replay caches, and
         it rebuilds a Δ table whose edge list the splice replaced on the table's next
@@ -695,7 +543,8 @@ class QualityEvaluator:
         no cache, no bound scenario set.
         """
         self.evaluations += 1
-        ctx = self._plan_context(plan)
+        matrix = np.asarray([self._key(plan)], dtype=np.int64)
+        ctx = self._contexts(matrix, self._canonical, None, plans=[plan])[0]
         values: List[float] = []
         for objective in self.problem.objectives:
             score = objective.score_plan(ctx, plan)

@@ -25,13 +25,12 @@ S×P batched pipeline, aggregators and optimizers as a workload-only one:
   on-prem site's resource limits shrink (plans leaning on on-prem capacity become
   infeasible).
 
-Compilation happens in :meth:`QualityEvaluator._scenario_context
-<repro.quality.evaluator.QualityEvaluator._scenario_context>`: the faults of a spec
-are applied in order to a :class:`FaultedStack` holding the scenario's
+Compilation happens in :func:`~repro.quality.scenarios.compile_scenario`: the faults
+of a spec are applied in order to a :class:`FaultedStack` holding the scenario's
 network/availability/catalog/preference artifacts, and the resulting derived models
-are baked into the compiled scenario context exactly like payload-scaled footprints
-are.  Fault-free specs never construct a stack, keeping the fault-free path
-byte-identical to the pre-fault evaluator.
+are baked into the compiled scenario exactly like payload-scaled footprints are.
+Fault-free specs never construct a stack, keeping the fault-free path byte-identical
+to the pre-fault evaluator.
 """
 
 from __future__ import annotations
@@ -64,11 +63,11 @@ _ONPREM_RESOURCES = ("cpu_millicores", "memory_mb", "storage_gb")
 class FaultedStack:
     """Mutable bundle of scenario artifacts the faults of one spec transform in order.
 
-    Built by the evaluator from its base models, mutated by each
-    :meth:`FaultSpec.apply` in declaration order, then read back into the compiled
-    scenario context.  Identity comparisons against the base objects tell the
-    evaluator which artifacts actually changed (e.g. an unchanged network keeps the
-    performance view's ``changed_apis`` optimization available).
+    Built by :func:`~repro.quality.scenarios.compile_scenario` from the base stack,
+    mutated by each :meth:`FaultSpec.apply` in declaration order, then read back into
+    the compiled scenario.  Identity comparisons against the base objects tell which
+    artifacts actually changed (e.g. an unchanged network keeps the performance
+    view's ``changed_apis`` optimization available).
     """
 
     network: NetworkModel

@@ -35,7 +35,7 @@ plan).  See ``examples/custom_objective.py`` for an end-to-end K=4 recommendatio
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -97,20 +97,18 @@ class EvalContext:
 
     ``matrix`` is the ``(plans, len(components))`` integer location matrix in the
     evaluator's canonical component order.  The model fields are *scenario-resolved*:
-    under robust evaluation they are the compiled scenario's performance view, derived
-    cost model, scenario resource estimate and scenario τ_A weights; on the classic
-    path they are the evaluator's base models.
+    ``scenario``'s compiled performance view, availability model, derived cost model,
+    resource estimate, τ_A weights and preferences.  A classic pass is the baseline
+    spec's column, whose models are the evaluator's own.
 
     ``shared`` spans *all scenarios* of one evaluation call: it holds the call-wide
     stacks of :meth:`stacked`, which is how objectives and constraints hand each other
     intermediate arrays (the QCost objective and the budget constraint read one cost
     stack, so each plan's cost is computed exactly once per evaluation).
 
-    ``columns`` are the model bundles of every scenario of the call, in scenario
-    order (anything carrying ``performance`` / ``availability`` / ``cost`` /
-    ``estimate`` / ``weights`` / ``preferences``), and ``column`` is this context's
-    index among them; a classic pass leaves ``columns`` empty — its one column is the
-    context itself.
+    ``columns`` are the call's contexts, one per scenario in scenario order (weak
+    proxies, valid while the call runs), and ``column`` is this context's index among
+    them.
 
     ``plans`` is set only on the scalar reference path: a one-row matrix plus the
     corresponding :class:`MigrationPlan` (``plans[0]``) for plugins that override
@@ -126,11 +124,10 @@ class EvalContext:
     weights: Dict[str, float]
     preferences: MigrationPreferences
     evaluator: "QualityEvaluator"
-    scenario: Optional[ScenarioSpec] = None
-    base_performance: Optional["ApiPerformanceModel"] = None
-    columns: Sequence = ()
-    column: int = 0
-    shared: Dict = field(default_factory=dict)
+    scenario: ScenarioSpec
+    columns: Sequence["EvalContext"]
+    column: int
+    shared: Dict
     plans: Optional[Sequence[MigrationPlan]] = None
 
     @property
@@ -148,7 +145,7 @@ class EvalContext:
         """
         stack = self.shared.get(key)
         if stack is None:
-            stack = self.shared[key] = compute(self.columns or (self,))
+            stack = self.shared[key] = compute(self.columns)
         return stack[self.column]
 
     def column_of(self) -> Dict[str, int]:
@@ -320,7 +317,7 @@ class QPerfObjective(Objective):
         first: Dict[int, object] = {}  # view id -> the first column reading the view
         for column in columns:
             first.setdefault(id(column.performance), column)
-        base = ctx.base_performance
+        base = ctx.evaluator.performance
 
         def impact_matrix(column, base_impacts: Optional[np.ndarray] = None) -> np.ndarray:
             view = column.performance
@@ -332,7 +329,7 @@ class QPerfObjective(Objective):
             )
 
         impacts: Dict[int, np.ndarray] = {}
-        if base is not None and id(base) in first and any(
+        if id(base) in first and any(
             column.performance is not base and column.performance._changed_apis is not None
             for column in first.values()
         ):

@@ -11,12 +11,14 @@ motivates).  This module makes that family explicit:
   relative mix multipliers (``api_rate_factors``, e.g. derived from
   :meth:`repro.workload.profiles.ApiMix.reweighted`), and per-API payload-size
   multipliers (``payload_factors``, the internal-drift axis of
-  :class:`~repro.workload.profiles.BehaviorChange`).  Specs are *compiled* by the
-  evaluator into the artifacts the quality models bake in at construction time: a
-  scenario :class:`~repro.learning.estimator.ResourceEstimate` (per-API rate series →
+  :class:`~repro.workload.profiles.BehaviorChange`).  :func:`compile_scenario` turns
+  a spec into the artifacts the quality models bake in at construction time, a
+  :class:`CompiledScenario`: a scenario
+  :class:`~repro.learning.estimator.ResourceEstimate` (per-API rate series →
   autoscaler node series, storage usage, request-rate buckets), a payload-scaled
-  :class:`~repro.learning.footprint.NetworkFootprint` (edge Δ tables + traffic bytes)
-  and a scenario trace-weight vector (the τ_A of QPerf/QAvai).
+  :class:`~repro.learning.footprint.NetworkFootprint` (edge Δ tables + traffic bytes),
+  the faulted models and a scenario trace-weight vector (the τ_A of QPerf/QAvai).  The
+  baseline spec compiles to the base stack itself, an evaluator's own models.
 * :class:`ScenarioSet` is an ordered, named collection of specs — the S axis of the
   S×P objective tensor produced by
   :meth:`repro.quality.evaluator.QualityEvaluator.evaluate_vectors`.
@@ -37,10 +39,15 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
+from ..cluster.network import NetworkModel
 from ..cluster.topology import require_finite
+from ..learning.estimator import ResourceEstimate, ResourceEstimator
 from ..learning.footprint import EdgeFootprint, NetworkFootprint
 from ..workload.profiles import WorkloadScenario
-from .faults import FaultSpec
+from .availability import ApiAvailabilityModel
+from .cost import CloudCostModel
+from .faults import FaultedStack, FaultSpec
+from .preferences import MigrationPreferences
 
 __all__ = [
     "ScenarioSpec",
@@ -51,6 +58,8 @@ __all__ = [
     "WeightedMean",
     "CVaR",
     "scaled_footprint",
+    "CompiledScenario",
+    "compile_scenario",
 ]
 
 
@@ -481,7 +490,7 @@ class CVaR(RobustAggregator):
 
 
 # ---------------------------------------------------------------------------
-# Footprint compilation
+# Scenario compilation
 # ---------------------------------------------------------------------------
 
 
@@ -508,3 +517,116 @@ def scaled_footprint(footprint: NetworkFootprint, spec: ScenarioSpec) -> Network
                 )
             )
     return NetworkFootprint(edges)
+
+
+@dataclass(frozen=True)
+class CompiledScenario:
+    """What one spec compiles to that no trace changes.
+
+    ``estimate`` is the scenario's resource estimate (re-predicted per-API rate
+    series), ``footprint`` the payload-scaled footprint, ``network`` the faulted link
+    model (``None``: the base stack's), ``cost`` the derived
+    :class:`~repro.quality.cost.CloudCostModel` over all of them and ``weights`` the
+    scenario's τ_A trace-weight vector.  ``availability`` and ``preferences`` are the
+    base objects for fault-free specs, derived (outage-weighted availability,
+    evacuated/limited preferences) when the spec declares :attr:`ScenarioSpec.faults`.
+
+    An evaluator's own models are the baseline spec's compiled scenario, the base
+    stack, whose ``network`` is the base network.  Evaluators over equal content share
+    every other one through an artifact cache: a splice moves traces, and nothing
+    here reads one.
+    """
+
+    estimate: ResourceEstimate
+    footprint: NetworkFootprint
+    network: Optional[NetworkModel]
+    cost: CloudCostModel
+    weights: Dict[str, float]
+    availability: ApiAvailabilityModel
+    preferences: MigrationPreferences
+
+
+def compile_scenario(
+    spec: ScenarioSpec,
+    base: CompiledScenario,
+    estimator: Optional[ResourceEstimator],
+) -> CompiledScenario:
+    """Compile ``spec`` against the base stack ``base``; a baseline spec is ``base``.
+
+    Any other spec gets a scenario resource estimate (its per-API rate series
+    re-predicted through ``estimator``, the fitted estimator ``base.estimate`` came
+    from), one payload-scaled footprint, the faulted network / availability / catalog /
+    preference artifacts (through :class:`~repro.quality.faults.FaultedStack`), the
+    derived cost model and the scenario τ_A weights.
+
+    A factor map naming an API the base stack does not know raises ``ValueError``:
+    the factors are looked up per known API, so a typo'd name would otherwise
+    silently no-op and leave the scenario weaker than its author intended.
+    """
+    referenced = set(spec.api_rate_factors) | set(spec.payload_factors)
+    known = set(base.weights) | set(base.estimate.api_rates)
+    unknown = sorted(referenced - known)
+    if unknown:
+        raise ValueError(
+            f"scenario {spec.name!r} references unknown APIs {unknown}; "
+            f"known APIs are {sorted(known)}"
+        )
+    if spec.is_baseline:
+        return base
+    estimate = base.estimate
+    if spec.changes_rates:
+        if estimator is None:
+            raise ValueError(
+                f"scenario {spec.name!r} changes request rates; construct the "
+                "evaluator with estimator=... (the fitted ResourceEstimator) to "
+                "compile scenario resource estimates"
+            )
+        if not estimate.api_rates:
+            raise ValueError(
+                "the base resource estimate has no per-API rate series to scale"
+            )
+        rates = {
+            api: [value * spec.rate_factor(api) for value in series]
+            for api, series in estimate.api_rates.items()
+        }
+        estimate = estimator.predict(rates, step_ms=estimate.step_ms)
+    network = None
+    availability = base.availability
+    preferences = base.preferences
+    catalogs = None
+    if spec.faults:
+        stack = FaultedStack(
+            network=base.network,
+            availability=base.availability,
+            catalogs=dict(base.cost.catalogs),
+            preferences=base.preferences,
+            locations=tuple(base.network.locations()),
+        )
+        for fault in spec.faults:
+            fault.apply(stack)
+        if stack.network is not base.network:
+            network = stack.network
+        availability = stack.availability
+        preferences = stack.preferences
+        if stack.catalogs_changed:
+            catalogs = stack.catalogs
+    footprint = scaled_footprint(base.footprint, spec)
+    return CompiledScenario(
+        estimate=estimate,
+        footprint=footprint,
+        network=network,
+        cost=base.cost.derive(
+            estimate=estimate,
+            footprint=(
+                footprint
+                if base.cost.footprint is base.footprint
+                else scaled_footprint(base.cost.footprint, spec)
+            ),
+            catalogs=catalogs,
+        ),
+        weights={
+            api: weight * spec.mix_factor(api) for api, weight in base.weights.items()
+        },
+        availability=availability,
+        preferences=preferences,
+    )

@@ -532,7 +532,10 @@ class AdvisorDaemon:
         sample: MonitorSample,
     ) -> Optional["RobustnessCertificate"]:
         """Re-certify the executed plan under the refreshed workload (best-effort);
-        returns the certificate, ``None`` when the stage did not run.
+        returns the certificate, ``None`` when the stage did not run or failed on
+        this tenant's input (:data:`TENANT_FAILURES`, kept in ``last_error``; the
+        cycle goes on to ``recommend``).  Any other exception is a defect and
+        propagates.
 
         Runs only when certification is configured and the previous round's live
         recommendation (with its certificate) is still in memory — certificates
@@ -565,7 +568,7 @@ class AdvisorDaemon:
             return tenant.atlas.recertify(
                 owned, executed, budget=int(self.certify_budget)
             )
-        except Exception:
+        except TENANT_FAILURES:
             self.last_error = traceback.format_exc()
             return None
 

@@ -67,7 +67,11 @@ _MAGIC = "atlas-store"
 #: 9 = a ``RobustnessCertificate`` (same layout) is the stress families plus the
 #: all-severe corners: a journal entry the coordinate descent certified would revive
 #: another ``worst_spec`` and ``budget_spent`` for the same request.
-_VERSION = 9
+#: 10 = a compiled scenario is ``repro.quality.scenarios.CompiledScenario`` (was the
+#: evaluator module's ``_CompiledScenario``), and a certificate's corner cuts every
+#: billable site and reprices storage: an older entry names a class that is gone or
+#: revives another ``worst_spec`` and ``worst_values`` for the same request.
+_VERSION = 10
 
 
 def _key_digest(key: Tuple) -> str:

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import replace
 
-from repro.cluster import CLOUD, MigrationPlan, default_network_model
+from repro.cluster import MigrationPlan, default_network_model
 from repro.learning import ApiProfiler, FootprintLearner, ResourceEstimator
 from repro.optimizer import AtlasGA, GAConfig
 from repro.optimizer.baselines import (
@@ -250,7 +250,8 @@ GOLDEN_RUNS = {
 # -- the adversary's severity grid -----------------------------------------------------------
 _BOUNDS = AdversaryBounds()
 #: The adversary's default bounds as (neutral, mid, severe) per severity knob: rate,
-#: payload, link latency, link bandwidth, egress price, compute price, capacity.
+#: payload, link latency, link bandwidth, egress price, compute (and storage) price,
+#: capacity.
 SEVERITY_LEVELS = tuple(
     (neutral, (neutral + severe) / 2.0, severe)
     for neutral, severe in (
@@ -265,11 +266,11 @@ SEVERITY_LEVELS = tuple(
 )
 
 
-def severity_spec(levels, outage):
+def severity_spec(levels, outage, sites):
     """The grid point ``levels`` (one index into ``SEVERITY_LEVELS`` per knob) with
     ``outage``'s site down (``None``: no outage), faults in the adversary's order.
-    The capacity knob cuts site 1, the first billable site of every test stack, as
-    the adversary's does."""
+    The storage price moves with the compute price, and the capacity knob cuts every
+    site of ``sites`` (the stack's billable sites), as the adversary's do."""
     rate, payload, latency, bandwidth, egress, compute, capacity = (
         values[level] for values, level in zip(SEVERITY_LEVELS, levels)
     )
@@ -277,9 +278,11 @@ def severity_spec(levels, outage):
     if latency != 1.0 or bandwidth != 1.0:
         faults.append(LinkDegradation(latency_factor=latency, bandwidth_factor=bandwidth))
     if egress != 1.0 or compute != 1.0:
-        faults.append(PriceShock(compute_factor=compute, egress_factor=egress))
+        faults.append(
+            PriceShock(compute_factor=compute, storage_factor=compute, egress_factor=egress)
+        )
     if capacity != 1.0:
-        faults.append(CapacityCut(CLOUD, remaining_fraction=capacity))
+        faults.extend(CapacityCut(site, remaining_fraction=capacity) for site in sites)
     return ScenarioSpec(
         name="grid", rate_scale=rate, payload_scale=payload, faults=tuple(faults)
     )

@@ -135,10 +135,13 @@ class TestAdversaryBudget:
         assert certificate.worst_spec.name.startswith("corner")
 
         oracle = build()
+        sites = sorted(oracle.cost.catalogs)
         baseline = oracle.evaluate_under(plan, ScenarioSpec(name="baseline"))
         grid_max = max(
             _scalarized(
-                baseline, oracle.evaluate_under(plan, severity_spec(levels, outage)), bounds
+                baseline,
+                oracle.evaluate_under(plan, severity_spec(levels, outage, sites)),
+                bounds,
             )
             for levels in itertools.product((0, 2), repeat=7)
             for outage in [None] + remote

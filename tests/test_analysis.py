@@ -1,5 +1,7 @@
 """Tests for the analysis layer: reporting helpers and the evaluation testbed."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import (
@@ -9,7 +11,13 @@ from repro.analysis import (
     format_series,
     format_table,
 )
+from repro.analysis.experiments import (
+    figure16_personalization,
+    figure21_drl_vs_nsga2,
+    run_methods,
+)
 from repro.cluster import ON_PREM
+from repro.optimizer.atlas_ga import AtlasGA
 
 
 class TestReporting:
@@ -106,3 +114,40 @@ class TestTestbed:
     def test_unknown_application_rejected(self):
         with pytest.raises(ValueError):
             build_testbed(application="bank")
+
+
+class _SearchStarted(Exception):
+    """Raised by the spy once a search has received its configuration."""
+
+
+class TestExperimentConfigs:
+    def test_a_tuned_ga_config_survives_every_derivation(self, small_testbed, monkeypatch):
+        """``run_methods``, Figure 16 and Figure 21 hand the search the testbed's own
+        GA configuration with only the budget (and Figure 21's crossover) changed."""
+        tuned = dataclasses.replace(
+            small_testbed.atlas.config.ga,
+            mutation_rate=0.21,
+            immigrants_per_generation=3,
+            local_search_period=2,
+            max_generations=17,
+        )
+        monkeypatch.setattr(small_testbed.atlas.config, "ga", tuned)
+        received = []
+
+        def spy(self, evaluator, components, config=None, *args, **kwargs):
+            received.append(config)
+            raise _SearchStarted
+
+        monkeypatch.setattr(AtlasGA, "__init__", spy)
+        for run in (
+            lambda: run_methods(small_testbed, methods=("atlas",), search_budget=200),
+            lambda: figure16_personalization(small_testbed, {"none": []}, search_budget=200),
+            lambda: figure21_drl_vs_nsga2(small_testbed, evaluation_budget=200),
+        ):
+            with pytest.raises(_SearchStarted):
+                run()
+        assert received == [
+            dataclasses.replace(tuned, evaluation_budget=200),
+            dataclasses.replace(tuned, evaluation_budget=200),
+            dataclasses.replace(tuned, evaluation_budget=200, crossover="drl"),
+        ]

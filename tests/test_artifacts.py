@@ -358,7 +358,7 @@ class TestSpliceEquivalence:
         # Warm result caches and a compiled scenario view, then splice.
         for plan in plans[:3]:
             spliced_ev.evaluate(plan)
-        spliced_ev._scenario_context(spec)
+        spliced_ev._scenario_pair(spec)
         fresh_traces = {
             api: [_perturb(t, 1.03) for t in spliced_ev.performance._traces[api]]
         }
@@ -370,8 +370,8 @@ class TestSpliceEquivalence:
             assert spliced_ev.evaluate(plan).objectives() == (
                 fresh_ev.evaluate(plan).objectives()
             )
-        spliced_view = spliced_ev._scenario_context(spec).performance
-        fresh_view = fresh_ev._scenario_context(spec).performance
+        _, spliced_view = spliced_ev._scenario_pair(spec)
+        _, fresh_view = fresh_ev._scenario_pair(spec)
         for plan in plans:
             assert spliced_view.qperf(plan) == fresh_view.qperf(plan)
 
@@ -483,17 +483,17 @@ class TestScenarioStateReuse:
         api = evaluator.performance.apis[0]
         probe_a = ScenarioSpec(name="probe-1", rate_scale=1.5, payload_factors={api: 2.0})
         probe_b = ScenarioSpec(name="probe-2", rate_scale=1.5, payload_factors={api: 2.0})
-        context_a = evaluator._scenario_context(probe_a)
-        context_b = evaluator._scenario_context(probe_b)
+        pair_a = evaluator._scenario_pair(probe_a)
+        pair_b = evaluator._scenario_pair(probe_b)
         # The adversary probes identical workload shapes under throwaway names:
         # one compile, shared by reference; results carry the caller's name.
-        assert context_b is context_a
+        assert pair_b is pair_a
         plan = _random_plans(app, 1, seed=3)[0]
         for probe in (probe_a, probe_b):
             quality = evaluator.evaluate_under(plan, probe)
             assert [s.scenario for s in quality.scenarios] == [probe.name]
         different = ScenarioSpec(name="probe-3", rate_scale=1.5, payload_factors={api: 3.0})
-        assert evaluator._scenario_context(different).performance is not context_a.performance
+        assert evaluator._scenario_pair(different)[1] is not pair_a[1]
 
 
 # -- the serving front door -------------------------------------------------------------------

@@ -491,7 +491,7 @@ class TestMemoLaws:
 
         def census():
             models = [evaluator.cost] + [
-                context.cost for context in evaluator._scenario_contexts.values()
+                compiled.cost for compiled, _view in evaluator._scenario_pairs.values()
             ]
             held = [*models, *(model.estimate for model in models)]
             return {
@@ -504,11 +504,11 @@ class TestMemoLaws:
         score(vectors[:8])
         after_eight = census()
         score(vectors[8:])
-        assert len(evaluator._scenario_contexts) == len(ROBUST_S4) + 1
+        assert len(evaluator._scenario_pairs) == len(ROBUST_S4) + 1
         assert census() == after_eight
         # The plans did reach the kernel: every storage memo holds the one placement.
-        for context in evaluator._scenario_contexts.values():
-            assert [len(memo) for memo in context.cost._storage_cost_cache.values()] == [1]
+        for compiled, _view in evaluator._scenario_pairs.values():
+            assert [len(memo) for memo in compiled.cost._storage_cost_cache.values()] == [1]
 
 
 def _entries(value):

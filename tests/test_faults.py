@@ -312,8 +312,9 @@ class TestFaultMonotonicity:
             levels = levels[:knob] + [1] + levels[knob + 1 :]
         stepped = levels[:knob] + [levels[knob] + 1] + levels[knob + 1 :]
         plan = _plan(app, vector)
-        before = evaluator.evaluate_under(plan, severity_spec(levels, outage))
-        after = evaluator.evaluate_under(plan, severity_spec(stepped, outage))
+        sites = sorted(evaluator.cost.catalogs)
+        before = evaluator.evaluate_under(plan, severity_spec(levels, outage, sites))
+        after = evaluator.evaluate_under(plan, severity_spec(stepped, outage, sites))
         names = evaluator.objective_names
         for name, old, new in zip(names, before.objectives(), after.objectives()):
             assert new >= old, (name, levels, stepped, outage)
@@ -572,6 +573,40 @@ class TestAdversary:
         )
         assert len(certificate.regret) == len(certificate.objective_names)
         assert certificate.summary()  # renders without error
+
+    def test_the_corner_cuts_every_billable_site_and_reprices_storage(self, fault_stack):
+        """A 3-site plan leaning on site 2, with its stateful component off-prem, is
+        certified at least at its QCost under the worst case's outage and link
+        choice with every price at ``max_price_factor`` — storage included — and
+        every billable site cut to ``min_capacity_fraction``."""
+        app, build_evaluator = fault_stack
+        evaluator = build_evaluator()
+        plan = _plan(app, [0, 2, 2, 1, 1, 2])
+        certificate = ScenarioAdversary(evaluator).certify(plan)
+        worst, bounds = certificate.worst_spec, AdversaryBounds()
+        assert worst.name.startswith("corner")
+        kept = tuple(
+            fault
+            for fault in worst.faults
+            if isinstance(fault, (LocationOutage, LinkDegradation))
+        )
+        stressed = ScenarioSpec(
+            name="stressed",
+            rate_scale=worst.rate_scale,
+            payload_scale=worst.payload_scale,
+            faults=kept
+            + (
+                PriceShock(
+                    compute_factor=bounds.max_price_factor,
+                    storage_factor=bounds.max_price_factor,
+                    egress_factor=bounds.max_price_factor,
+                ),
+                CapacityCut(CLOUD, remaining_fraction=bounds.min_capacity_fraction),
+                CapacityCut(2, remaining_fraction=bounds.min_capacity_fraction),
+            ),
+        )
+        qcost = certificate.objective_names.index("qcost")
+        assert certificate.worst_values[qcost] >= evaluator.evaluate_under(plan, stressed).cost
 
     def test_certification_is_deterministic(self, fault_stack):
         app, build_evaluator = fault_stack

@@ -304,7 +304,7 @@ class TestConstraintMaskLaw:
         _app, _telemetry, build_evaluator = problem_stack
         evaluator = build_evaluator(budget=150.0)
         matrix, components = evaluator._lower(vectors, None)
-        ctx = evaluator._matrix_context(matrix, components)
+        ctx = evaluator._contexts(matrix, components, None)[0]
         for constraint in evaluator.problem.constraints:
             check = constraint.check(ctx)
             assert check.violated.shape == (matrix.shape[0],)
@@ -318,11 +318,13 @@ class TestConstraintMaskLaw:
         _app, _telemetry, build_evaluator = problem_stack
         evaluator = build_evaluator(budget=150.0)
         matrix, components = evaluator._lower(vectors, None)
-        ctx = evaluator._matrix_context(matrix, components)
+        ctx = evaluator._contexts(matrix, components, None)[0]
         checks = {c.name: c.check(ctx) for c in evaluator.problem.constraints}
         for row, vector in enumerate(matrix.tolist()):
             plan = MigrationPlan.from_vector(components, vector)
-            plan_ctx = evaluator._plan_context(plan)
+            plan_ctx = evaluator._contexts(
+                matrix[row : row + 1], components, None, plans=[plan]
+            )[0]
             for constraint in evaluator.problem.constraints:
                 batched = checks[constraint.name]
                 scalar_strings = constraint.violations_plan(plan_ctx, plan)
@@ -333,7 +335,7 @@ class TestConstraintMaskLaw:
         evaluator = build_evaluator(budget=150.0)
         vectors = [[0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1], [0, 1, 0, 1, 0, 0]]
         matrix, components = evaluator._lower(vectors, None)
-        ctx = evaluator._matrix_context(matrix, components)
+        ctx = evaluator._contexts(matrix, components, None)[0]
         violated = np.zeros(matrix.shape[0], dtype=bool)
         for constraint in evaluator.problem.constraints:
             violated |= constraint.check(ctx).violated

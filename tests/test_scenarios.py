@@ -473,7 +473,7 @@ class TestInvalidation:
         vectors = [[0, 1, 1, 0, 0, 1], [1, 1, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0]]
         evaluator.evaluate_vectors(vectors)
         chatty = next(spec for spec in S4 if spec.name == "chatty")
-        view = evaluator._scenario_context(chatty).performance
+        _, view = evaluator._scenario_pair(chatty)
         assert view is not evaluator.performance
         old_edges = list(view._edges["/read"])
         # The drifted /read stops calling its background Notifier.
@@ -496,7 +496,7 @@ class TestInvalidation:
             ]
 
         spliced = evaluator.evaluate_vectors(vectors)
-        assert evaluator._scenario_context(chatty).performance is view
+        assert evaluator._scenario_pair(chatty)[1] is view
         assert hexes(spliced) == hexes(fresh.evaluate_vectors(vectors))
         built_for, (_size, table, *_rest) = view._delta_tables["/read"]
         assert built_for is view._edges["/read"]

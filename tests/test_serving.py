@@ -605,7 +605,7 @@ class TestDurableJournal:
         writer = AdvisorService(store=ArtifactStore(store_dir))
         cold = writer.recommend(learned(result.telemetry), expected_scale=2.0)
         assert writer.stats()["journal"] == {"hits": 0, "misses": 1}
-        assert store_module._VERSION == 9
+        assert store_module._VERSION == 10
         frames = list(store_dir.rglob("*.art"))
         assert frames and all(f.read_bytes().startswith(CURRENT_FRAME) for f in frames)
         assert not any(b"_shape" in f.read_bytes() for f in frames)
@@ -938,6 +938,40 @@ class TestAdvisorDaemon:
 
         assert certified(report.certificate) == cold(executed)
         assert certified(served.certificate) == cold(replanned)
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_a_failing_recertificate_costs_the_stage_and_a_defect_propagates(
+        self, tiny_learned_atlas, daemon_script, error, monkeypatch
+    ):
+        """A tenant failure (``TENANT_FAILURES``) inside ``recertify`` leaves no
+        certificate, keeps the traceback in ``last_error`` and goes on to
+        ``recommend``; any other exception is a defect of the loop and leaves
+        ``run_cycle``."""
+        _, (on_model, drifted) = daemon_script
+        drifted = dataclasses.replace(
+            drifted, scenario=default_scenario(tiny_learned_atlas.application)
+        )
+        daemon = AdvisorDaemon(
+            AdvisorService(),
+            ScriptedMonitor({"web": [on_model, drifted]}),
+            name="t",
+            certify_budget=6,
+        )
+        daemon.register("web", _clone(tiny_learned_atlas), expected_scale=2.0, certify=6)
+        daemon.run_cycle()
+
+        def failing(self, *args, **kwargs):
+            raise error("recertify failed")
+
+        monkeypatch.setattr(Atlas, "recertify", failing)
+        if error is RuntimeError:
+            with pytest.raises(RuntimeError, match="recertify failed"):
+                daemon.run_cycle()
+            return
+        (report,) = daemon.run_cycle()
+        assert report.certificate is None and report.error is None
+        assert "ValueError: recertify failed" in daemon.last_error
+        assert report.stages[-2:] == ["recertify", "recommend"] and report.recommended
 
     def test_lost_agent_object_degrades_to_training(
         self, tmp_path, tiny_learned_atlas, daemon_script

@@ -248,7 +248,7 @@ class TestSharedStateEqualsACompileOfItsOwn:
         assert cold.content_digest is None
         for spec in problem.scenarios:
             if not spec.is_baseline:  # shared, not merely equal
-                assert warm._scenario_context(spec).cost is first._scenario_context(spec).cost
+                assert warm._scenario_pair(spec)[0].cost is first._scenario_pair(spec)[0].cost
         assert [described(q) for q in warm.evaluate_batch(plans)] == [
             described(q) for q in cold.evaluate_batch(plans)
         ]
@@ -375,7 +375,7 @@ class TestTheKeyIsComplete:
         ``cache`` (compiled there first by the unchanged advisor)."""
         kwargs.setdefault("expected_scale", SCALE)
         misses = cache.misses
-        atlas.build_evaluator(artifact_cache=cache, **kwargs)._scenario_context(
+        atlas.build_evaluator(artifact_cache=cache, **kwargs)._scenario_pair(
             TestTheKeyIsComplete.PROBE
         )
         return cache.misses == misses
