@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -72,31 +72,33 @@ class ClusterAutoscaler:
             raise ValueError("cpu and memory series must have the same length")
         return [self.nodes_for(c, m) for c, m in zip(cpu_series, memory_series)]
 
-    def nodes_for_series(
-        self, cpu_demand: np.ndarray, memory_demand: np.ndarray
-    ) -> np.ndarray:
-        """Node counts for a whole demand matrix at once (vectorized Eq. 6).
+    @property
+    def constants(self) -> Tuple[float, float, float, float]:
+        """``(1 + δ_cpu, Ω_cpu, 1 + δ_mem, Ω_mem)``: what :meth:`node_counts` reads."""
+        return (
+            1.0 + self.config.cpu_headroom,
+            self.node_spec.cpu_millicores,
+            1.0 + self.config.memory_headroom,
+            self.node_spec.memory_mb,
+        )
 
-        ``cpu_demand``/``memory_demand`` are aligned arrays of any matching shape —
-        typically a ``(plans, steps)`` matrix covering an entire GA generation.  Each
-        output element equals :meth:`nodes_for` of the corresponding demand pair
-        exactly (same float64 arithmetic, so the batched cost pipeline is bitwise
-        identical to the per-plan walk).
-        """
-        cpu = np.asarray(cpu_demand, dtype=np.float64)
-        mem = np.asarray(memory_demand, dtype=np.float64)
-        if cpu.shape != mem.shape:
-            raise ValueError("cpu and memory demand must have the same shape")
-        if cpu.size and (cpu.min() < 0 or mem.min() < 0):
-            raise ValueError("resource demand must be non-negative")
-        by_cpu = np.ceil(
-            (1.0 + self.config.cpu_headroom) * cpu / self.node_spec.cpu_millicores
-        )
-        by_mem = np.ceil(
-            (1.0 + self.config.memory_headroom) * mem / self.node_spec.memory_mb
-        )
+    @staticmethod
+    def node_counts(
+        cpu: np.ndarray,
+        memory: np.ndarray,
+        cpu_factor,
+        cpu_capacity,
+        memory_factor,
+        memory_capacity,
+    ) -> np.ndarray:
+        """Eq. 6 elementwise over non-negative demand arrays of one shape, each
+        constant a scalar or an array that broadcasts against them (one row per
+        autoscaler): the formula every batched walk runs, each element bitwise
+        :meth:`nodes_for` of its demand pair under its row's autoscaler."""
+        by_cpu = np.ceil(cpu_factor * cpu / cpu_capacity)
+        by_mem = np.ceil(memory_factor * memory / memory_capacity)
         nodes = np.maximum(np.maximum(by_cpu, by_mem), 1.0)
-        return np.where((cpu == 0.0) & (mem == 0.0), 0.0, nodes).astype(np.int64)
+        return np.where((cpu == 0.0) & (memory == 0.0), 0.0, nodes).astype(np.int64)
 
 
 class StorageAutoscaler:

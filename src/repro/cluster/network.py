@@ -71,6 +71,8 @@ class NetworkModel:
 
     #: Memo of :meth:`content_digest`; set on first use, never pickled.
     _digest: Optional[str] = None
+    #: Memo of :meth:`locations`; set on first use, never pickled.
+    _locations: Optional[Tuple[int, ...]] = None
 
     def __init__(self, links: Dict[Tuple[int, int], LinkSpec]) -> None:
         self._links: Dict[Tuple[int, int], LinkSpec] = {}
@@ -80,6 +82,7 @@ class NetworkModel:
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         state.pop("_digest", None)
+        state.pop("_locations", None)
         return state
 
     def content_digest(self) -> str:
@@ -96,12 +99,14 @@ class NetworkModel:
         return (a, b) if a <= b else (b, a)
 
     def locations(self) -> List[int]:
-        """Every location id that appears in at least one link."""
-        seen = set()
-        for a, b in self._links:
-            seen.add(a)
-            seen.add(b)
-        return sorted(seen)
+        """Every location id that appears in at least one link (computed once)."""
+        if self._locations is None:
+            seen = set()
+            for a, b in self._links:
+                seen.add(a)
+                seen.add(b)
+            self._locations = tuple(sorted(seen))
+        return list(self._locations)
 
     def has_link(self, loc_a: int, loc_b: int) -> bool:
         return self._key(loc_a, loc_b) in self._links

@@ -12,6 +12,7 @@ hybrid-burst use case).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,6 +33,10 @@ MODELED_RESOURCES = ("cpu_millicores", "memory_mb")
 #: ``(terms, block, ...)`` stack — 0.5 MB for 29 components x 18 steps — whatever the
 #: batch size.  Internal, like the primitive: shared with ``quality.cost`` only.
 PLAN_BLOCK = 128
+#: Elements behind each term of one block at most (``PLAN_BLOCK`` plans x 18 steps):
+#: wider terms, such as a site pass's reads side by side, take fewer plans per block
+#: so the stack stays that size.
+_BLOCK_ELEMENTS = PLAN_BLOCK * 18
 
 
 def ordered_masked_sum(terms: "np.ndarray", mask: "np.ndarray") -> "np.ndarray":
@@ -64,8 +69,9 @@ def ordered_masked_sum(terms: "np.ndarray", mask: "np.ndarray") -> "np.ndarray":
     inner = terms.shape[2:]
     where = mask.reshape(mask.shape + (1,) * len(inner))
     out = np.empty((n_plans,) + inner, dtype=np.float64)
-    for start in range(0, n_plans, PLAN_BLOCK):
-        stop = min(start + PLAN_BLOCK, n_plans)
+    block_plans = max(1, min(PLAN_BLOCK, _BLOCK_ELEMENTS // max(1, math.prod(inner))))
+    for start in range(0, n_plans, block_plans):
+        stop = min(start + block_plans, n_plans)
         width = stop - start
         stack = np.zeros((n_terms, max(width, 2)) + inner, dtype=np.float64)
         block = terms if terms.shape[1] == 1 else terms[:, start:stop]
@@ -86,7 +92,7 @@ class ResourceEstimate:
     usage: Dict[str, Dict[str, List[float]]]
     api_rates: Dict[str, List[float]] = field(default_factory=dict)
     #: Lazily-built lowering of one resource onto one column order for
-    #: :func:`stack_series`: the columns of the estimate's components, in storage
+    #: :class:`SitePass`: the columns of the estimate's components, in storage
     #: order, their ``(components, 1, steps)`` series and the storage order's names.
     _lowerings: Dict[
         Tuple[str, Tuple[str, ...]],
@@ -144,80 +150,71 @@ class ResourceEstimate:
         return lowering
 
 
-def stack_series(
-    estimates: Sequence[ResourceEstimate], resource: str, columns: Sequence[str]
-) -> List[Tuple[List[int], "np.ndarray", "np.ndarray"]]:
-    """The lowering of several estimates' series :func:`aggregate_stacked` reduces.
+class SitePass:
+    """Several estimates' resource series lowered for one fused site aggregation.
 
-    One group per component storage order and step count among ``estimates``: the
-    group's positions in ``estimates``, the order's columns and the group's
-    ``(components, 1, estimates, steps)`` series side by side on an inner axis.
+    ``reads`` are ``(estimate, resource)`` pairs and ``sites`` location ids:
+    :meth:`aggregate` sums every read over every site's members of a plan matrix
+    in one :func:`ordered_masked_sum` per group of reads that share a component
+    storage order and a step count (one group on a learned estimate).  The sites'
+    membership masks are concatenated on the plan axis and the group's reads sit
+    side by side on an inner axis, so the term axis stays outermost and every
+    entry is bitwise the scalar ``aggregate_series``.
     """
-    if len(estimates) == 1:
-        estimate_columns, series, _order = estimates[0]._lowering(resource, columns)
-        return [([0], estimate_columns, series[:, :, None])]
-    lowerings = [estimate._lowering(resource, columns) for estimate in estimates]
-    groups: Dict[Tuple[Tuple[str, ...], int], List[int]] = {}
-    for position, (_columns, series, order) in enumerate(lowerings):
-        groups.setdefault((order, series.shape[2]), []).append(position)
-    return [
-        (
-            positions,
-            lowerings[positions[0]][0],
-            lowerings[positions[0]][1][:, :, None]
-            if len(positions) == 1
-            else np.stack([lowerings[position][1] for position in positions], axis=2),
-        )
-        for positions in groups.values()
-    ]
 
+    def __init__(
+        self,
+        reads: Sequence[Tuple[ResourceEstimate, str]],
+        sites: Sequence[int],
+        columns: Sequence[str],
+    ) -> None:
+        self.sites = np.asarray(sites, dtype=np.int64)
+        lowerings = [estimate._lowering(resource, columns) for estimate, resource in reads]
+        groups: Dict[Tuple[Tuple[str, ...], int], List[int]] = {}
+        for index, (_columns, series, order) in enumerate(lowerings):
+            groups.setdefault((order, series.shape[2]), []).append(index)
+        #: Per read, ``(group, position)``: where :meth:`aggregate` puts it.
+        self.slots: List[Tuple[int, int]] = [(0, 0)] * len(reads)
+        #: Per group, the estimate columns and the ``(components, 1, reads, steps)`` series.
+        self.groups: List[Tuple["np.ndarray", "np.ndarray"]] = []
+        for group, indices in enumerate(groups.values()):
+            for position, index in enumerate(indices):
+                self.slots[index] = (group, position)
+            self.groups.append(
+                (
+                    lowerings[indices[0]][0],
+                    np.stack([lowerings[index][1] for index in indices], axis=2),
+                )
+            )
 
-def aggregate_stacked(
-    stacked: Sequence[Tuple[List[int], "np.ndarray", "np.ndarray"]],
-    members: "np.ndarray",
-) -> "np.ndarray":
-    """Reduce a :func:`stack_series` lowering over a boolean ``members`` matrix.
+    def aggregate(self, matrix: "np.ndarray") -> List["np.ndarray"]:
+        """Per group, ``(sites, plans, reads, steps)``: entry ``[s, p, r]`` is read
+        ``r``'s ``aggregate_series`` over the components plan ``p`` puts at site ``s``."""
+        n_sites, n_plans = self.sites.size, matrix.shape[0]
+        sums = []
+        for columns, series in self.groups:
+            members = matrix[:, columns].T[:, None, :] == self.sites[None, :, None]
+            mask = members.reshape(len(columns), n_sites * n_plans)
+            total = ordered_masked_sum(series, mask)
+            sums.append(total.reshape((n_sites, n_plans) + series.shape[2:]))
+        return sums
 
-    ``members`` is ``(plans, len(columns))`` and selects, per plan, the components to
-    sum; returns ``(plans, estimates, steps)`` (every group must hold one step
-    count).  A group's estimates share one gathered selection and one
-    :func:`ordered_masked_sum` in each estimate's storage order; the term axis stays
-    outermost, so ``out[p, e]`` is bitwise ``estimates[e].aggregate_series`` of plan
-    ``p``'s subset.
-    """
-    if len(stacked) == 1:
-        _positions, estimate_columns, series = stacked[0]
-        return ordered_masked_sum(series, members[:, estimate_columns].T)
-    n_estimates = sum(len(positions) for positions, _columns, _series in stacked)
-    out = np.empty(
-        (members.shape[0], n_estimates, stacked[0][2].shape[3]), dtype=np.float64
-    )
-    for positions, estimate_columns, series in stacked:
-        out[:, positions] = ordered_masked_sum(series, members[:, estimate_columns].T)
-    return out
+    def take(
+        self, sums: Sequence["np.ndarray"], site: int, reads: Sequence[int]
+    ) -> "np.ndarray":
+        """``(plans, len(reads), steps)``: ``reads``' sums at ``sites[site]``."""
+        slots = [self.slots[read] for read in reads]
+        if len({group for group, _position in slots}) == 1:
+            return sums[slots[0][0]][site][:, [position for _group, position in slots]]
+        return np.stack([sums[group][site, :, at] for group, at in slots], axis=1)
 
-
-def peak_stack(
-    estimates: Sequence[ResourceEstimate],
-    resource: str,
-    members: "np.ndarray",
-    columns: Sequence[str],
-) -> "np.ndarray":
-    """Per-plan peaks of one resource under several estimates: ``(plans, len(estimates))``.
-
-    ``out[p, e]`` is ``estimates[e].peak`` of plan ``p``'s subset (``0.0`` without
-    steps); each :func:`stack_series` group is one :func:`ordered_masked_sum` and one
-    ``max`` over its steps."""
-    members = np.asarray(members, dtype=bool)
-    stacked = stack_series(estimates, resource, columns)
-    if len(stacked) == 1 and stacked[0][2].shape[3]:
-        return aggregate_stacked(stacked, members).max(axis=2)
-    peaks = np.zeros((members.shape[0], len(estimates)), dtype=np.float64)
-    for positions, estimate_columns, series in stacked:
-        if series.shape[3]:
-            totals = ordered_masked_sum(series, members[:, estimate_columns].T)
-            peaks[:, positions] = totals.max(axis=2)
-    return peaks
+    def peaks(self, sums: Sequence["np.ndarray"], site: int, read: int) -> "np.ndarray":
+        """Per-plan peak of one read at ``sites[site]`` (``0.0`` without steps): the
+        scalar ``peak`` of every plan's members there."""
+        series = self.take(sums, site, [read])[:, 0]
+        if series.shape[1] == 0:
+            return np.zeros(series.shape[0], dtype=np.float64)
+        return series.max(axis=1)
 
 
 class ResourceEstimator:

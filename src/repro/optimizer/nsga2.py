@@ -208,5 +208,6 @@ def bitflip_mutation(
         if rng.random() < rate:
             choices = [loc for loc in locations if loc != result[i]]
             if choices:
-                result[i] = int(rng.choice(choices))
+                # The draw ``rng.choice(choices)`` makes, without its array round trip.
+                result[i] = int(choices[int(rng.integers(0, len(choices)))])
     return result

@@ -204,28 +204,38 @@ class ApiAvailabilityModel:
             ).T
         return apis, disrupted, factor
 
-    def qavai_stack(
-        self,
-        disruption: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
-        api_weights: Sequence[Optional[Mapping[str, float]]],
+    def weight_vector(
+        self, api_weights: Optional[Mapping[str, float]], apis: np.ndarray
     ) -> np.ndarray:
-        """QAvai of one :meth:`disruption_matrix` under several τ_A weight vectors.
-
-        Returns ``(len(api_weights), plans)``; row ``s`` is bitwise per-plan
-        :meth:`qavai` under ``api_weights[s]``.  One ordered masked sum over the APIs
-        adds each disrupted API's weight (times its factor) to every row at once;
-        the API axis stays outermost, so every element sees its additions in the
-        scalar order.
-        """
-        apis, disrupted, factor = disruption
-        weights = np.asarray(
+        """τ_A of the APIs ``apis`` indexes in :attr:`apis` (1.0 where omitted)."""
+        return np.asarray(
             [
-                [row.get(self._apis[api], 1.0) if row else 1.0 for row in api_weights]
+                api_weights.get(self._apis[api], 1.0) if api_weights else 1.0
                 for api in apis.tolist()
             ],
             dtype=np.float64,
-        ).reshape(apis.size, 1, len(api_weights))
-        terms = weights if factor is None else weights * factor[:, :, None]
+        )
+
+    def qavai_stack(
+        self,
+        disruption: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+        weights: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        """QAvai of one :meth:`disruption_matrix` under several τ_A weight vectors.
+
+        ``weights[s]`` is a :meth:`weight_vector` over the disruption's APIs; returns
+        ``(len(weights), plans)``, row ``s`` bitwise per-plan :meth:`qavai` under
+        the mapping it came from.  One ordered masked sum over the APIs adds each
+        disrupted API's weight (times its factor) to every row at once; the API axis
+        stays outermost, so every element sees its additions in the scalar order.
+        """
+        _apis, disrupted, factor = disruption
+        columns = (
+            weights[0][:, None, None]
+            if len(weights) == 1
+            else np.stack(weights, axis=1)[:, None, :]
+        )
+        terms = columns if factor is None else columns * factor[:, :, None]
         return ordered_masked_sum(terms, disrupted).T
 
     def estimate(

@@ -20,7 +20,7 @@ at compile time into a static dataflow DAG:
 * ``end(i) = max(end(c) for c in foreground(i)) + tail_gap(i)`` otherwise.
 
 Replay schedules these assignments by dependency level (longest dependency chain) and
-executes each level as one vectorized numpy operation over a ``(plans, spans)`` state
+executes each level as one vectorized numpy operation over a ``(spans, plans)`` state
 matrix — so a batch of plans replays every trace of an API in a handful of array
 passes.  Arithmetic preserves the exact IEEE-754 operation order of the recursive
 reference, so compiled latencies are bitwise identical to ``DelayInjector``'s, which
@@ -338,33 +338,37 @@ class CompiledTraceSet:
         return row
 
     def replay_batch(self, delta_rows: np.ndarray) -> np.ndarray:
-        """Latency matrix ``(plans, traces)`` for a batch of per-edge delay vectors."""
+        """Latency matrix ``(plans, traces)`` for a batch of per-edge delay vectors.
+
+        The state is laid out ``(spans, plans)``: every level's gathers and scatters
+        take whole rows, one per span, whatever the batch size.
+        """
         deltas = np.atleast_2d(np.asarray(delta_rows, dtype=np.float64))
         if deltas.shape[1] != self.n_edges:
             raise ValueError(
                 f"delta rows have {deltas.shape[1]} edges, compiled set has {self.n_edges}"
             )
-        n_plans = deltas.shape[0]
-        start = np.zeros((n_plans, self.n_spans), dtype=np.float64)
-        end = np.zeros((n_plans, self.n_spans), dtype=np.float64)
-        start[:, self._root_idx] = self._root_start
+        by_edge = np.ascontiguousarray(deltas.T)
+        start = np.zeros((self.n_spans, deltas.shape[0]), dtype=np.float64)
+        end = np.zeros(start.shape, dtype=np.float64)
+        start[self._root_idx] = self._root_start[:, None]
         for ops in self._levels:
             if len(ops.sp_idx):
-                start[:, ops.sp_idx] = (
-                    start[:, ops.sp_dep] + ops.sp_gap + deltas[:, ops.sp_edge]
+                start[ops.sp_idx] = (
+                    start[ops.sp_dep] + ops.sp_gap[:, None] + by_edge[ops.sp_edge]
                 )
             if len(ops.ss_idx):
-                start[:, ops.ss_idx] = (
-                    end[:, ops.ss_dep] + ops.ss_gap + deltas[:, ops.ss_edge]
+                start[ops.ss_idx] = (
+                    end[ops.ss_dep] + ops.ss_gap[:, None] + by_edge[ops.ss_edge]
                 )
             if len(ops.el_idx):
-                end[:, ops.el_idx] = start[:, ops.el_idx] + ops.el_dur
+                end[ops.el_idx] = start[ops.el_idx] + ops.el_dur[:, None]
             if len(ops.ea_idx):
                 segment_max = np.maximum.reduceat(
-                    end[:, ops.ea_children], ops.ea_offsets, axis=1
+                    end[ops.ea_children], ops.ea_offsets, axis=0
                 )
-                end[:, ops.ea_idx] = segment_max + ops.ea_tail
-        return end[:, self._root_idx] - start[:, self._root_idx]
+                end[ops.ea_idx] = segment_max + ops.ea_tail[:, None]
+        return (end[self._root_idx] - start[self._root_idx]).T
 
     def latencies(self, edge_delays: Mapping[Edge, float]) -> List[float]:
         """Injected latency of every compiled trace under one plan's edge delays."""

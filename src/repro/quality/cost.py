@@ -32,13 +32,7 @@ import numpy as np
 from ..cluster.autoscaler import AutoscalerConfig, ClusterAutoscaler, StorageAutoscaler
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import CLOUD, NodeSpec, ON_PREM, require_finite
-from ..learning.estimator import (
-    PLAN_BLOCK,
-    ResourceEstimate,
-    aggregate_stacked,
-    ordered_masked_sum,
-    stack_series,
-)
+from ..learning.estimator import PLAN_BLOCK, ResourceEstimate, SitePass, ordered_masked_sum
 from ..learning.footprint import NetworkFootprint
 
 __all__ = ["PricingCatalog", "CostEstimate", "CloudCostModel"]
@@ -437,36 +431,9 @@ class CloudCostModel:
         matrix = np.asarray(plan_matrix, dtype=np.int64)
         if matrix.ndim != 2 or matrix.shape[1] != len(components):
             raise ValueError("plan matrix must be (plans, len(components))")
-        distinct, model_of = _distinct(models)
-        if matrix.shape[0] == 0:
-            return np.zeros((len(models), 0), dtype=np.float64)
         key = tuple(components)
-        groups = _grouped([model.estimate.steps for model in distinct], lambda steps: steps)
-        totals = None if len(groups) == 1 else np.empty((len(distinct), matrix.shape[0]))
-        for steps, rows in groups:
-            group = [distinct[row] for row in rows]
-            if steps == 0:
-                # Degenerate estimate: the scalar storage path has a one-step
-                # fallback that is not worth vectorizing; score through the oracle.
-                scores = np.asarray(
-                    [
-                        [
-                            model.estimate_cost(
-                                MigrationPlan.from_vector(components, vector)
-                            ).total_usd
-                            for vector in matrix.tolist()
-                        ]
-                        for model in group
-                    ],
-                    dtype=np.float64,
-                )
-            else:
-                scores = _stack_rows(group, matrix, key)
-            if totals is None:
-                totals = scores
-            else:
-                totals[rows] = scores
-        return totals if len(distinct) == len(models) else totals[model_of]
+        stack = _CostStack.of(models, key)
+        return stack.qcost(models, matrix, stack.sites.aggregate(matrix))
 
     # -- combined --------------------------------------------------------------------------
     def qcost(self, plan: MigrationPlan) -> float:
@@ -489,81 +456,63 @@ class CloudCostModel:
 # Stacked kernels: one plan matrix under several sibling cost models
 # ---------------------------------------------------------------------------
 
-#: Walk = ``(autoscaler, estimate columns it walks or None for all, bills)``; a
-#: bill is ``(model row, column among the walked ones, price, step in price units)``.
-_Walk = Tuple[object, Optional[List[int]], List[Tuple[int, int, float, float]]]
-#: Site = ``(location, one stack_series per resource, walks)``.
-_Site = Tuple[int, List[List], List[_Walk]]
-
-#: The two autoscaled terms: autoscalers attribute, resources aggregated, the
-#: catalog price a node / GB-month bills at, and the length of one price unit.
-_COMPUTE = (
-    "_cluster_autoscalers",
-    ("cpu_millicores", "memory_mb"),
-    lambda catalog: catalog.node_spec.hourly_price_usd,
-    _MS_PER_HOUR,
-)
-_STORAGE = (
-    "_storage_autoscalers",
-    ("storage_gb",),
-    lambda catalog: catalog.storage_usd_per_gb_month,
-    _MS_PER_MONTH,
-)
+#: Storage walk = ``(autoscaler, the reads of the pass it walks, bills)``; a bill is
+#: ``(model row, position among the walked reads, price, step in months)``.
+_StorageWalk = Tuple[object, List[int], List[Tuple[int, int, float, float]]]
 
 
-def _sites(models: Sequence[CloudCostModel], term: Tuple, columns: Sequence[str]) -> List[_Site]:
-    """Every billable site of ``models``, sorted: the distinct estimates billed there
-    stacked per resource, and one walk per distinct autoscaler there."""
-    attribute, resources, price_of, period_ms = term
-    sites: List[_Site] = []
-    locations = {location for model in models for location in getattr(model, attribute)}
-    for location in sorted(locations):
+def _storage_sites(
+    models: Sequence[CloudCostModel], columns: Sequence[str]
+) -> Tuple[SitePass, List[List[_StorageWalk]]]:
+    """The storage term's site pass over the stateful ``columns`` — every
+    storage-billable site of ``models``, sorted, reading each distinct estimate's
+    ``storage_gb`` — and per site one capacity walk per distinct storage autoscaler."""
+    estimates, estimate_of = _distinct([model.estimate for model in models])
+    locations = sorted({loc for model in models for loc in model._storage_autoscalers})
+    site_walks: List[List[_StorageWalk]] = []
+    for location in locations:
         billing = [
-            (row, model)
-            for row, model in enumerate(models)
-            if location in getattr(model, attribute)
+            row for row, model in enumerate(models) if location in model._storage_autoscalers
         ]
-        estimates, estimate_of = _distinct([model.estimate for _row, model in billing])
-        walks: List[_Walk] = []
-        for autoscaler, walk in _grouped(
-            [getattr(model, attribute)[location] for _row, model in billing]
+        walks: List[_StorageWalk] = []
+        for autoscaler, indices in _grouped(
+            [models[row]._storage_autoscalers[location] for row in billing]
         ):
-            needed = sorted({estimate_of[index] for index in walk})
+            reads = sorted({estimate_of[billing[index]] for index in indices})
             bills = []
-            for index in walk:
-                row, model = billing[index]
+            for index in indices:
+                model = models[billing[index]]
                 bills.append(
                     (
-                        row,
-                        needed.index(estimate_of[index]),
-                        price_of(model.catalogs[location]),
-                        model.real_step_ms / period_ms,
+                        billing[index],
+                        reads.index(estimate_of[billing[index]]),
+                        model.catalogs[location].storage_usd_per_gb_month,
+                        model.real_step_ms / _MS_PER_MONTH,
                     )
                 )
-            walks.append(
-                (autoscaler, None if len(needed) == len(estimates) else needed, bills)
-            )
-        series = [stack_series(estimates, resource, columns) for resource in resources]
-        sites.append((location, series, walks))
-    return sites
+            walks.append((autoscaler, reads, bills))
+        site_walks.append(walks)
+    reads = [(estimate, "storage_gb") for estimate in estimates]
+    return SitePass(reads, locations, columns), site_walks
 
 
 def _storage_groups(
     models: Sequence[CloudCostModel], lowerings: Sequence[_CostLowering]
-) -> List[Tuple[List[int], _CostLowering, List[_Site]]]:
-    """Models whose lowerings hold the same stateful columns, baselines and GB, with
-    their storage sites."""
+) -> List[Tuple[List[int], _CostLowering, Tuple[SitePass, List[List[_StorageWalk]]]]]:
+    """Models whose lowerings hold the same stateful columns, baselines and GB, and
+    whose estimates the same step count, with their storage sites."""
     groups = []
-    for lowering, rows in _grouped(
-        lowerings,
-        lambda lowering: (
-            lowering.stateful_columns.tobytes(),
-            lowering.stateful_baseline.tobytes(),
-            lowering.stateful_gb.tobytes(),
+    for (lowering, _model), rows in _grouped(
+        list(zip(lowerings, models)),
+        lambda pair: (
+            pair[0].stateful_columns.tobytes(),
+            pair[0].stateful_baseline.tobytes(),
+            pair[0].stateful_gb.tobytes(),
+            pair[1].estimate.steps,
         ),
     ):
         if lowering.stateful_columns.size:
-            sites = _sites([models[row] for row in rows], _STORAGE, lowering.stateful_names)
+            sites = _storage_sites([models[row] for row in rows], lowering.stateful_names)
             groups.append((rows, lowering, sites))
     return groups
 
@@ -591,71 +540,199 @@ def _traffic_groups(
 class _CostStack:
     """One tuple of sibling cost models lowered onto one component order.
 
-    What :meth:`CloudCostModel.qcost_stack` reads that no plan matrix changes: the
-    billable sites with their stacked estimate series and autoscaler walks, and the
-    storage and traffic groups.  Built once per tuple and cached on its first model;
-    it holds the models only weakly (``refs`` tell a live entry from a stale one).
+    What :meth:`CloudCostModel.qcost_stack` reads that no plan matrix changes, built
+    once per tuple and cached on its first model, holding the models and estimates
+    only weakly (``refs`` tell a live entry from a stale one):
+
+    * ``sites`` — the one site pass (:class:`~repro.learning.estimator.SitePass`):
+      every billable site, plus the on-prem site when ``onprem_reads`` — the
+      ``(estimate, resource)`` pairs the call's on-prem peak constraint reads —
+      ask for it, so QCost and the peaks aggregate every site once per call;
+    * ``blocks`` — Eq. 7's walks, one per (billable site, distinct cluster
+      autoscaler there, distinct estimate it bills), in blocks whose cpu and memory
+      reads each sit in one group of the pass (one block on a learned estimate):
+      a block's demand is one take per resource and its node counts one formula
+      over its autoscalers' broadcast
+      :attr:`~repro.cluster.autoscaler.ClusterAutoscaler.constants`;
+    * ``bills`` — ``(model row, walk, price, step hours)`` in site order, then walk
+      order: each model's scalar site order;
+    * the storage and traffic groups.
+
+    Models with a step-less estimate are scored by the scalar oracle.
     """
 
     #: Entries kept per first model; a robust search reuses one tuple call after call.
     CACHED = 8
 
-    def __init__(self, models: Sequence[CloudCostModel], key: Tuple[str, ...]) -> None:
-        self.refs = tuple(weakref.ref(model) for model in models)
-        lowerings = [model._lowering(key) for model in models]
-        self.compute = _sites(models, _COMPUTE, key)
-        self.storage = _storage_groups(models, lowerings)
-        self.traffic = _traffic_groups(models, lowerings)
+    def __init__(
+        self,
+        models: Sequence[CloudCostModel],
+        key: Tuple[str, ...],
+        onprem_reads: Sequence[Tuple[ResourceEstimate, str]] = (),
+    ) -> None:
+        self.refs = tuple(
+            weakref.ref(item) for item in (*models, *(e for e, _r in onprem_reads))
+        )
+        self.key = key
+        distinct, _model_of = _distinct(models)
+        self.oracle = [row for row, one in enumerate(distinct) if not one.estimate.steps]
+        self.kernel = [row for row, one in enumerate(distinct) if one.estimate.steps]
+        kernel = [distinct[row] for row in self.kernel]
+        reads: List[Tuple[ResourceEstimate, str]] = []
+        index_of: Dict[Tuple[int, str], int] = {}
+
+        def read(estimate: ResourceEstimate, resource: str) -> int:
+            name = (id(estimate), resource)
+            if name not in index_of:
+                index_of[name] = len(reads)
+                reads.append((estimate, resource))
+            return index_of[name]
+
+        billable = sorted({loc for model in kernel for loc in model._cluster_autoscalers})
+        walks: List[Tuple[int, int, int, Tuple[float, ...]]] = []
+        self.bills: List[Tuple[int, int, float, float]] = []
+        for site, location in enumerate(billable):
+            billing = [
+                (row, model)
+                for row, model in enumerate(kernel)
+                if location in model._cluster_autoscalers
+            ]
+            for autoscaler, indices in _grouped(
+                [model._cluster_autoscalers[location] for _row, model in billing]
+            ):
+                walk_of: Dict[int, int] = {}
+                for index in indices:
+                    row, model = billing[index]
+                    estimate = model.estimate
+                    if id(estimate) not in walk_of:
+                        walk_of[id(estimate)] = len(walks)
+                        walks.append(
+                            (
+                                site,
+                                read(estimate, "cpu_millicores"),
+                                read(estimate, "memory_mb"),
+                                autoscaler.constants,
+                            )
+                        )
+                    self.bills.append(
+                        (
+                            row,
+                            walk_of[id(estimate)],
+                            model.catalogs[location].node_spec.hourly_price_usd,
+                            model.real_step_ms / _MS_PER_HOUR,
+                        )
+                    )
+        self.onprem = {(id(e), r): read(e, r) for e, r in onprem_reads}
+        sites = billable + ([ON_PREM] if onprem_reads and ON_PREM not in billable else [])
+        self.onprem_site = sites.index(ON_PREM) if ON_PREM in sites else None
+        self.sites = SitePass(reads, sites, key)
+        self.n_walks = len(walks)
+        blocks: Dict[Tuple[int, int], List[int]] = {}
+        for walk, (_site, cpu, memory, _constants) in enumerate(walks):
+            groups = (self.sites.slots[cpu][0], self.sites.slots[memory][0])
+            blocks.setdefault(groups, []).append(walk)
+        self.blocks = [
+            (
+                groups,
+                np.asarray(members, dtype=np.intp),
+                np.asarray([walks[walk][0] for walk in members], dtype=np.intp),
+                [
+                    np.asarray(
+                        [self.sites.slots[walks[walk][k]][1] for walk in members],
+                        dtype=np.intp,
+                    )
+                    for k in (1, 2)
+                ],
+                [
+                    np.asarray(
+                        [walks[walk][3][k] for walk in members], dtype=np.float64
+                    ).reshape(-1, 1, 1)
+                    for k in range(4)
+                ],
+            )
+            for groups, members in blocks.items()
+        ]
+        lowerings = [model._lowering(key) for model in kernel]
+        self.storage = _storage_groups(kernel, lowerings)
+        self.traffic = _traffic_groups(kernel, lowerings)
 
     @classmethod
-    def of(cls, models: Sequence[CloudCostModel], key: Tuple[str, ...]) -> "_CostStack":
+    def of(
+        cls,
+        models: Sequence[CloudCostModel],
+        key: Tuple[str, ...],
+        onprem_reads: Sequence[Tuple[ResourceEstimate, str]] = (),
+    ) -> "_CostStack":
         stacks = models[0]._stacks
-        name = (tuple(map(id, models)), key)
+        name = (tuple(map(id, models)), key, tuple((id(e), r) for e, r in onprem_reads))
         stack = stacks.get(name)
         if stack is None or any(
-            ref() is not model for ref, model in zip(stack.refs, models)
+            ref() is not item
+            for ref, item in zip(stack.refs, (*models, *(e for e, _r in onprem_reads)))
         ):
             if len(stacks) >= cls.CACHED:
                 stacks.clear()
-            stack = stacks[name] = cls(models, key)
+            stack = stacks[name] = cls(models, key, onprem_reads)
         return stack
 
+    def nodes(self, sums: Sequence[np.ndarray], n_plans: int) -> np.ndarray:
+        """Per-step node totals of every walk over the pass ``sums``: ``(walks, plans)``."""
+        nodes = np.empty((self.n_walks, n_plans), dtype=np.int64)
+        for (cpu_group, memory_group), walks, sites, reads, constants in self.blocks:
+            cpu = sums[cpu_group][sites, :, reads[0]]
+            memory = sums[memory_group][sites, :, reads[1]]
+            if cpu.size and (cpu.min() < 0 or memory.min() < 0):
+                raise ValueError("resource demand must be non-negative")
+            counts = ClusterAutoscaler.node_counts(cpu, memory, *constants)
+            nodes[walks] = counts.sum(axis=2)
+        return nodes
 
-def _stack_rows(
-    models: Sequence[CloudCostModel], matrix: np.ndarray, key: Tuple[str, ...]
+    def qcost(
+        self,
+        models: Sequence[CloudCostModel],
+        matrix: np.ndarray,
+        sums: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        """Eq. 11 of every row of ``matrix`` under ``models`` (the tuple the stack was
+        built for), from the stack's site pass ``sums``: ``(len(models), rows)``."""
+        n_plans = matrix.shape[0]
+        distinct, model_of = _distinct(models)
+        if n_plans == 0:
+            return np.zeros((len(models), 0), dtype=np.float64)
+        kernel = [distinct[row] for row in self.kernel]
+        totals = np.empty((len(distinct), n_plans), dtype=np.float64)
+        if kernel:
+            totals[self.kernel] = (
+                _compute_rows(self.nodes(sums, n_plans), self.bills, len(kernel))
+                + _storage_rows(kernel, matrix, self.key, self.storage)
+                + _traffic_rows(kernel, matrix, self.traffic)
+            )
+        for row in self.oracle:
+            # Degenerate estimate: the scalar storage path has a one-step fallback
+            # that is not worth vectorizing; score through the oracle.
+            plans = [MigrationPlan.from_vector(self.key, row) for row in matrix.tolist()]
+            totals[row] = [distinct[row].estimate_cost(plan).total_usd for plan in plans]
+        return totals if len(distinct) == len(models) else totals[model_of]
+
+    def peaks(
+        self, sums: Sequence[np.ndarray], estimate: ResourceEstimate, resource: str
+    ) -> np.ndarray:
+        """Per-plan on-prem peak of one of the stack's on-prem reads."""
+        read = self.onprem[(id(estimate), resource)]
+        return self.sites.peaks(sums, self.onprem_site, read)
+
+
+def _compute_rows(
+    nodes: np.ndarray, bills: Sequence[Tuple[int, int, float, float]], n_models: int
 ) -> np.ndarray:
-    """Eq. 11 of every row of ``matrix`` under ``models``: ``(len(models), rows)``."""
-    stack = _CostStack.of(models, key)
-    return (
-        _compute_rows(matrix, stack.compute, len(models))
-        + _storage_rows(models, matrix, key, stack.storage)
-        + _traffic_rows(models, matrix, stack.traffic)
-    )
+    """Eq. 7 under ``n_models`` models from the walks' node totals: ``(n_models, plans)``.
 
-
-def _compute_rows(matrix: np.ndarray, sites: Sequence[_Site], n_models: int) -> np.ndarray:
-    """Eq. 7 under ``n_models`` models: ``(n_models, plans)``.
-
-    Per billable site one membership mask and one ordered aggregation per resource
-    over the distinct estimates, one vectorized walk per distinct autoscaler; each
-    model prices its own node counts at its site rate and step length, site by site
-    in its own (sorted) order.
+    Each model prices its own node counts at its site rate and step length, site by
+    site in its own (sorted) order.
     """
-    totals = np.zeros((n_models, matrix.shape[0]), dtype=np.float64)
-    for location, (cpu_series, memory_series), walks in sites:
-        members = matrix == location
-        if not members.any():
-            continue
-        cpu = aggregate_stacked(cpu_series, members)
-        memory = aggregate_stacked(memory_series, members)
-        for autoscaler, needed, bills in walks:
-            if needed is None:
-                nodes = autoscaler.nodes_for_series(cpu, memory)
-            else:
-                nodes = autoscaler.nodes_for_series(cpu[:, needed], memory[:, needed])
-            nodes = nodes.sum(axis=2)
-            for row, column, price, step_hours in bills:
-                totals[row] += nodes[:, column] * price * step_hours
+    totals = np.zeros((n_models, nodes.shape[1]), dtype=np.float64)
+    for row, walk, price, step_hours in bills:
+        totals[row] += nodes[walk] * price * step_hours
     return totals
 
 
@@ -663,7 +740,7 @@ def _storage_rows(
     models: Sequence[CloudCostModel],
     matrix: np.ndarray,
     key: Tuple[str, ...],
-    groups: Sequence[Tuple[List[int], _CostLowering, List[_Site]]],
+    groups: Sequence[Tuple[List[int], _CostLowering, Tuple[SitePass, List]]],
 ) -> np.ndarray:
     """Eq. 9 under several models, memoized on each row's stateful placements.
 
@@ -700,27 +777,29 @@ def _storage_rows(
 def _capacity_rows(
     placements: np.ndarray,
     lowering: _CostLowering,
-    sites: Sequence[_Site],
+    sites: Tuple[SitePass, List[List[_StorageWalk]]],
     n_models: int,
 ) -> np.ndarray:
     """Eq. 9 for ``(rows, stateful components)`` placements: ``(n_models, rows)``.
 
-    Per site one capacity walk per distinct storage autoscaler, over the usage of
-    every estimate it bills at once.  The migrated size sums the moved components'
-    GB in column order, the provisioned total sums the capacity series in step
-    order — the scalar path's two :func:`_left_sum` folds.
+    One site pass over the stateful columns, then per site one capacity walk per
+    distinct storage autoscaler, over the usage of every estimate it bills at once.
+    The migrated size sums the moved components' GB in column order, the
+    provisioned total sums the capacity series in step order — the scalar path's
+    two :func:`_left_sum` folds.
     """
+    site_pass, site_walks = sites
     n_rows = placements.shape[0]
     totals = np.zeros((n_models, n_rows), dtype=np.float64)
     moved = placements != lowering.stateful_baseline
-    for location, (usage_series,), walks in sites:
+    sums = site_pass.aggregate(placements)
+    for site, (location, walks) in enumerate(zip(site_pass.sites.tolist(), site_walks)):
         at_site = placements == location
         if not at_site.any():
             continue
         migrated = ordered_masked_sum(lowering.stateful_gb, (at_site & moved).T)
-        usage = aggregate_stacked(usage_series, at_site)
-        for autoscaler, needed, bills in walks:
-            used = usage if needed is None else usage[:, needed]
+        for autoscaler, reads, bills in walks:
+            used = site_pass.take(sums, site, reads)
             width = used.shape[1]
             capacity = autoscaler.capacity_matrix(
                 used.reshape(n_rows * width, used.shape[2]), np.repeat(migrated, width)
@@ -791,6 +870,10 @@ def _traffic_block(
         / _BYTES_PER_GB
         * rates[:, None, None]
     )
+    if rates.size <= 2:
+        # Two doubles add commutatively (and an untouched bucket holds +0.0), so
+        # every bucket order is the scalar dict's insertion order.
+        return usd.sum(axis=0)
     touched = into.any(axis=0)
     first_seen = np.where(touched, into.argmax(axis=0), n_entries)
     # Each plan's buckets in first-contribution order: (buckets, plans) gathers.

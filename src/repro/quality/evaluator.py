@@ -18,7 +18,7 @@ integer location matrix, not a list of :class:`MigrationPlan` objects:
 ``evaluate_vectors`` (and ``evaluate_batch``, which lowers plan lists onto it) dedups
 the generation into one matrix and scores all K objectives plus feasibility in a
 handful of vectorized passes — one ``score_matrix`` call per objective (one compiled
-replay per API for QPerf, one autoscaler pass per billable site for QCost, one
+replay per API for QPerf, one site pass and one node formula for QCost, one
 stateful-column pass for QAvai) and one boolean mask per constraint.  Each
 plan's cost is computed exactly once per evaluation and reused by the budget check;
 violation strings are materialized lazily, only for infeasible plans.  Every entry
@@ -181,6 +181,8 @@ class QualityEvaluator:
         # (``evaluate_under``, throwaway names such as "corner") share them, and a
         # name flows into violation prefixes and result labels, never into the models.
         self._scenario_pairs: Dict[Tuple, Tuple[CompiledScenario, ApiPerformanceModel]] = {}
+        #: The classic pass's one column, ``(spec, compiled scenario, view)``.
+        self._classic = ((_CLASSIC[0], self._base, performance),)
         # The problem's scenario axis, fixed at construction: every entry point
         # (evaluate/evaluate_batch/evaluate_vectors/is_feasible/feasible_mask) scores
         # robustly over this set, with the aggregator's WorstCase default — how the
@@ -299,11 +301,15 @@ class QualityEvaluator:
         reference cycle, and every call's stacks would wait for the cyclic collector
         instead of going when the call returns."""
         shared: Dict = {}
+        key = tuple(components)
         components = list(components)
         contexts: List[EvalContext] = []
         columns: List[EvalContext] = []
-        for spec in _CLASSIC if scenario_set is None else scenario_set:
-            compiled, performance = self._scenario_pair(spec)
+        for spec, compiled, performance in (
+            self._classic
+            if scenario_set is None
+            else [(spec, *self._scenario_pair(spec)) for spec in scenario_set]
+        ):
             ctx = EvalContext(
                 matrix=matrix,
                 components=components,
@@ -318,6 +324,7 @@ class QualityEvaluator:
                 columns=columns,
                 column=len(contexts),
                 shared=shared,
+                lowered=compiled.lowering(key),
                 plans=plans,
             )
             contexts.append(ctx)

@@ -803,33 +803,37 @@ class ApiPerformanceModel:
                 impacts[index] = 1.0
         return impacts
 
+    def weight_vector(self, api_weights: Optional[Mapping[str, float]]) -> np.ndarray:
+        """τ_A per API in :attr:`apis` order (1.0 for an API the mapping omits)."""
+        return np.asarray(
+            [api_weights.get(api, 1.0) if api_weights else 1.0 for api in self._apis],
+            dtype=np.float64,
+        )
+
     def qperf_stack(
-        self,
-        impacts: Sequence[np.ndarray],
-        api_weights: Sequence[Optional[Mapping[str, float]]],
+        self, impacts: Sequence[np.ndarray], weights: Sequence[np.ndarray]
     ) -> np.ndarray:
         """Collapse :meth:`impact_matrix` results into QPerf under several weight vectors.
 
         ``impacts[s]`` (the impact matrix of scenario ``s``'s view — one object for
-        every scenario sharing the view) is weighted by ``api_weights[s]``; returns
-        ``(len(api_weights), plans)``.  One ordered sum over the API axis adds every
-        row's weighted impacts; that axis stays outermost, so each element
-        accumulates in the scalar iteration order and row ``s`` is bitwise per-plan
-        :meth:`qperf` under ``api_weights[s]``."""
-        weights = np.asarray(
-            [
-                [row.get(api, 1.0) if row else 1.0 for row in api_weights]
-                for api in self._apis
-            ],
-            dtype=np.float64,
-        ).reshape(len(self._apis), 1, len(api_weights))
+        every scenario sharing the view) is weighted by ``weights[s]``, a
+        :meth:`weight_vector`; returns ``(len(weights), plans)``.  One ordered sum
+        over the API axis adds every row's weighted impacts; that axis stays
+        outermost, so each element accumulates in the scalar iteration order and row
+        ``s`` is bitwise per-plan :meth:`qperf` under the mapping ``weights[s]``
+        came from."""
+        columns = (
+            weights[0][:, None, None]
+            if len(weights) == 1
+            else np.stack(weights, axis=1)[:, None, :]
+        )
         first = impacts[0]
         stacked = (
             first[:, :, None]
             if all(matrix is first for matrix in impacts)
             else np.stack(impacts, axis=2)
         )
-        terms = weights * stacked
+        terms = columns * stacked
         totals = ordered_masked_sum(terms, np.ones(terms.shape[:2], dtype=bool))
         return totals.T / len(self._apis)
 

@@ -9,11 +9,12 @@ and the cloud budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.placement import MigrationPlan
-from ..cluster.topology import ON_PREM
+from ..cluster.topology import ON_PREM, require_finite
 
 __all__ = ["MigrationPreferences"]
 
@@ -36,6 +37,20 @@ class MigrationPreferences:
     allowed_locations: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # A NaN passes every range check below: a NaN budget or limit would silently
+        # disable its constraint (``cost > nan`` is never true) and a NaN weight
+        # poison every QPerf / QAvai.  +inf stays the "no budget" / "no limit" value.
+        bounds = {"budget_usd": self.budget_usd}
+        bounds.update(
+            (f"on-prem limit for {resource!r}", limit)
+            for resource, limit in self.onprem_limits.items()
+        )
+        require_finite(
+            {
+                "critical_weight": self.critical_weight,
+                **{label: value for label, value in bounds.items() if value != math.inf},
+            }
+        )
         if self.critical_weight <= 0:
             raise ValueError("critical_weight must be positive")
         if self.budget_usd < 0:

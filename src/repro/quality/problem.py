@@ -52,8 +52,7 @@ import numpy as np
 
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import ON_PREM
-from ..learning.estimator import peak_stack
-from .cost import _distinct, _grouped
+from .cost import _CostStack, _grouped
 from .preferences import MigrationPreferences
 from .scenarios import RobustAggregator, ScenarioSet, ScenarioSpec
 
@@ -108,7 +107,9 @@ class EvalContext:
 
     ``columns`` are the call's contexts, one per scenario in scenario order (weak
     proxies, valid while the call runs), and ``column`` is this context's index among
-    them.
+    them.  ``lowered`` is the scenario's memo for the call's component order
+    (:meth:`~repro.quality.scenarios.CompiledScenario.lowering`): what the built-in
+    plugins read of it that no plan changes, built on first use (:meth:`once`).
 
     ``plans`` is set only on the scalar reference path: a one-row matrix plus the
     corresponding :class:`MigrationPlan` (``plans[0]``) for plugins that override
@@ -128,6 +129,7 @@ class EvalContext:
     columns: Sequence["EvalContext"]
     column: int
     shared: Dict
+    lowered: Dict[str, object]
     plans: Optional[Sequence[MigrationPlan]] = None
 
     @property
@@ -147,6 +149,17 @@ class EvalContext:
         if stack is None:
             stack = self.shared[key] = compute(self.columns)
         return stack[self.column]
+
+    def once(self, name: str, build: Callable[["EvalContext"], object]):
+        """``build(self)``, computed once per compiled scenario and component order.
+
+        For inputs that depend on neither the plans nor the call: a call pays only
+        a lookup, and the first call pays what the plugin computed every call
+        before, so a one-shot probe pays no more."""
+        value = self.lowered.get(name)
+        if value is None:
+            value = self.lowered[name] = build(self)
+        return value
 
     def column_of(self) -> Dict[str, int]:
         if "column_of" not in self.shared:  # every context of a call has these columns
@@ -259,29 +272,96 @@ class Constraint:
 
 
 def _per_object(columns: Sequence, attribute: str, compute: Callable) -> List:
-    """``compute(column.<attribute>)`` once per distinct object, one entry per column.
+    """``compute(column)`` once per distinct ``column.<attribute>`` (for the first
+    column holding it), one entry per column.
 
     The grouping rule of every stacked built-in: scenarios share a computation
     exactly when it reads the same object (a faulted spec's derived preferences or
     availability model is a different object, so it is never merged by value)."""
     entries: List = [None] * len(columns)
-    for value, indices in _grouped([getattr(column, attribute) for column in columns]):
-        result = compute(value)
+    for _value, indices in _grouped([getattr(column, attribute) for column in columns]):
+        result = compute(columns[indices[0]])
         for index in indices:
             entries[index] = result
     return entries
 
 
+def _admissible_box(ctx: EvalContext) -> Tuple[Tuple[int, ...], ...]:
+    """QPerf's admissible box: per column, the sites ``ctx``'s pins and whitelists
+    allow among those its performance view's network links."""
+    locations = ctx.performance.network.locations()
+    return ctx.preferences.admissible_box(ctx.components, locations)
+
+
+def _qperf_weights(ctx: EvalContext) -> np.ndarray:
+    """``ctx``'s τ_A in its performance view's API order."""
+    return ctx.performance.weight_vector(ctx.weights)
+
+
+def _qavai_weights(ctx: EvalContext) -> np.ndarray:
+    """``ctx``'s τ_A over its availability model's APIs with stateful components."""
+    model = ctx.availability
+    return model.weight_vector(ctx.weights, model._lowering(ctx.components)[0])
+
+
+def _pins(ctx: EvalContext) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+    """``ctx``'s pins as matrix columns, their locations and the pinned names."""
+    pins = ctx.preferences.pinned_placement
+    column_of = ctx.column_of()
+    return (
+        np.asarray([column_of[component] for component in pins], dtype=np.intp),
+        np.asarray(list(pins.values()), dtype=np.int64),
+        list(pins),
+    )
+
+
+def _onprem_limits(ctx: EvalContext) -> List[Tuple[str, str, float]]:
+    """``(resource, estimator key, limit)`` of every on-prem limit ``ctx`` declares."""
+
+    def build(ctx: EvalContext) -> List[Tuple[str, str, float]]:
+        limits = []
+        for resource, estimator_key in ONPREM_RESOURCES.items():
+            limit = ctx.preferences.onprem_limit(resource)
+            if limit is not None:
+                limits.append((resource, estimator_key, limit))
+        return limits
+
+    return ctx.once("onprem-limits", build)
+
+
+def _site_pass(ctx: EvalContext) -> Tuple["_CostStack", List[np.ndarray]]:
+    """The call's cost stack and its one site pass, run by whichever of QCost and
+    the on-prem peak constraint asks first: every billable site of every scenario's
+    cost model and, when the problem checks on-prem peaks, the on-prem site over
+    every scenario estimate's limited resources
+    (:class:`~repro.quality.cost._CostStack`)."""
+
+    def run(columns: Sequence) -> List:
+        reads: List[Tuple["ResourceEstimate", str]] = []
+        constraints = ctx.evaluator.problem.constraints
+        if any(isinstance(check, OnPremPeakConstraint) for check in constraints):
+            for column in columns:
+                limits = _onprem_limits(column)
+                reads.extend((column.estimate, key) for _resource, key, _limit in limits)
+        stack = _CostStack.of(
+            [column.cost for column in columns], tuple(ctx.components), reads
+        )
+        return [(stack, stack.sites.aggregate(ctx.matrix))] * len(columns)
+
+    return ctx.stacked("sites", run)
+
+
 def scenario_costs(ctx: EvalContext) -> np.ndarray:
     """QCost of ``ctx``'s scenario, from one :meth:`~repro.quality.cost.CloudCostModel.qcost_stack`
     pass over every scenario's cost model of the call (the QCost objective, the
-    budget constraint and ``QualityEvaluator.qcost_vectors`` all read it)."""
-    return ctx.stacked(
-        "qcost",
-        lambda columns: ctx.cost.qcost_stack(
-            [column.cost for column in columns], ctx.matrix, ctx.components
-        ),
-    )
+    budget constraint and ``QualityEvaluator.qcost_vectors`` all read it), its
+    compute term from the call's site pass (:func:`_site_pass`)."""
+
+    def run(columns: Sequence) -> np.ndarray:
+        stack, sums = _site_pass(ctx)
+        return stack.qcost([column.cost for column in columns], ctx.matrix, sums)
+
+    return ctx.stacked("qcost", run)
 
 
 def _plan_cost(ctx: EvalContext, plan: MigrationPlan) -> float:
@@ -306,7 +386,8 @@ class QPerfObjective(Objective):
         return ctx.stacked(
             "qperf",
             lambda columns: ctx.performance.qperf_stack(
-                self._impacts(ctx, columns), [column.weights for column in columns]
+                self._impacts(ctx, columns),
+                [column.once("qperf-weights", _qperf_weights) for column in columns],
             ),
         )
 
@@ -320,12 +401,11 @@ class QPerfObjective(Objective):
         base = ctx.evaluator.performance
 
         def impact_matrix(column, base_impacts: Optional[np.ndarray] = None) -> np.ndarray:
-            view = column.performance
-            box = column.preferences.admissible_box(
-                ctx.components, view.network.locations()
-            )
-            return view.impact_matrix(
-                ctx.matrix, ctx.components, base_impacts=base_impacts, admissible=box
+            return column.performance.impact_matrix(
+                ctx.matrix,
+                ctx.components,
+                base_impacts=base_impacts,
+                admissible=column.once("qperf-box", _admissible_box),
             )
 
         impacts: Dict[int, np.ndarray] = {}
@@ -364,7 +444,7 @@ class QAvaiObjective(Objective):
         for model, rows in _grouped([column.availability for column in columns]):
             totals[rows] = model.qavai_stack(
                 model.disruption_matrix(ctx.matrix, ctx.components),
-                [columns[row].weights for row in rows],
+                [columns[row].once("qavai-weights", _qavai_weights) for row in rows],
             )
         return totals
 
@@ -451,31 +531,29 @@ class PinnedPlacementConstraint(Constraint):
         return ctx.stacked(
             "pins",
             lambda columns: _per_object(
-                columns, "preferences", lambda preferences: self._check(ctx, preferences)
+                columns,
+                "preferences",
+                lambda column: self._check(ctx, column.once("pins", _pins)),
             ),
         )
 
     @staticmethod
-    def _check(ctx: EvalContext, preferences: MigrationPreferences) -> ConstraintCheck:
-        pins = preferences.pinned_placement
-        if not pins:
+    def _check(
+        ctx: EvalContext, pins: Tuple[np.ndarray, np.ndarray, List[str]]
+    ) -> ConstraintCheck:
+        columns, locations, names = pins
+        if not names:
             return ConstraintCheck.satisfied(ctx.n_plans)
-        column_of = ctx.column_of()
-        entries: List[Tuple[str, int, np.ndarray]] = []
-        violated = np.zeros(ctx.n_plans, dtype=bool)
-        for component, location in pins.items():
-            mask = ctx.matrix[:, column_of[component]] != location
-            entries.append((component, location, mask))
-            violated |= mask
+        moved = ctx.matrix[:, columns] != locations
 
         def materialize(row: int) -> List[str]:
             return [
                 f"component {component} must stay at location {location}"
-                for component, location, mask in entries
-                if mask[row]
+                for component, location, off in zip(names, locations.tolist(), moved[row])
+                if off
             ]
 
-        return ConstraintCheck(violated, materialize)
+        return ConstraintCheck(moved.any(axis=1), materialize)
 
     def violations_plan(self, ctx: EvalContext, plan: MigrationPlan) -> List[str]:
         return [
@@ -494,7 +572,7 @@ class AllowedLocationsConstraint(Constraint):
         return ctx.stacked(
             "whitelists",
             lambda columns: _per_object(
-                columns, "preferences", lambda preferences: self._check(ctx, preferences)
+                columns, "preferences", lambda column: self._check(ctx, column.preferences)
             ),
         )
 
@@ -544,9 +622,8 @@ class OnPremPeakConstraint(Constraint):
     """The on-prem cluster's configured resource limits must cover the peak demand.
 
     Reads the scenario-resolved resource estimate, so robust evaluation checks each
-    scenario's own demand series against its own limits — from one on-prem mask and
-    one :func:`~repro.learning.estimator.peak_stack` per limited resource over every
-    distinct estimate of the call.
+    scenario's own demand series against its own limits — every peak from the
+    call's one site pass (:func:`_site_pass`), which QCost's compute term shares.
     """
 
     name = "onprem-peaks"
@@ -556,29 +633,17 @@ class OnPremPeakConstraint(Constraint):
 
     @classmethod
     def _checks(cls, ctx: EvalContext, columns: Sequence) -> List[ConstraintCheck]:
-        on_prem = ctx.matrix == ON_PREM
-        estimates, estimate_of = _distinct([column.estimate for column in columns])
-        peaks: Dict[str, np.ndarray] = {}  # resource -> (plans, estimates)
-        checks = []
-        for limits, estimate in zip(
-            _per_object(columns, "preferences", cls._limits), estimate_of
-        ):
-            entries = []
-            for resource, key, limit in limits:
-                if key not in peaks:
-                    peaks[key] = peak_stack(estimates, key, on_prem, ctx.components)
-                entries.append((resource, limit, peaks[key][:, estimate]))
-            checks.append(cls._check(entries, ctx.n_plans))
-        return checks
-
-    @staticmethod
-    def _limits(preferences: MigrationPreferences) -> List[Tuple[str, str, float]]:
-        limits = []
-        for resource, estimator_key in ONPREM_RESOURCES.items():
-            limit = preferences.onprem_limit(resource)
-            if limit is not None:
-                limits.append((resource, estimator_key, limit))
-        return limits
+        stack, sums = _site_pass(ctx)
+        return [
+            cls._check(
+                [
+                    (resource, limit, stack.peaks(sums, column.estimate, key))
+                    for resource, key, limit in _onprem_limits(column)
+                ],
+                ctx.n_plans,
+            )
+            for column in columns
+        ]
 
     @staticmethod
     def _check(

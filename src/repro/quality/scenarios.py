@@ -545,6 +545,25 @@ class CompiledScenario:
     availability: ApiAvailabilityModel
     preferences: MigrationPreferences
 
+    def lowering(self, components: Tuple[str, ...]) -> Dict[str, object]:
+        """The memo of what a scoring call reads of this scenario under one component
+        order and no plan changes (the built-in plugins' boxes, weight vectors and
+        limits), filled lazily by its readers.  Never pickled: a stored scenario
+        keeps its layout, and a loaded one lowers again on first use."""
+        lowerings = self.__dict__.get("_lowerings")
+        if lowerings is None:
+            lowerings = {}
+            object.__setattr__(self, "_lowerings", lowerings)
+        memo = lowerings.get(components)
+        if memo is None:
+            memo = lowerings[components] = {}
+        return memo
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_lowerings", None)
+        return state
+
 
 def compile_scenario(
     spec: ScenarioSpec,

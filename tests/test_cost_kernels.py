@@ -1,6 +1,6 @@
 """Batched cost kernels ≡ the scalar cost loops, exactly.
 
-``stack_series`` + ``aggregate_stacked`` / ``peak_stack`` and the stacked cost terms
+``SitePass`` (sums and peaks) and the stacked cost terms
 of ``CloudCostModel.qcost_stack`` (``_compute_rows`` / ``_storage_rows`` /
 ``_traffic_rows`` over a ``_CostStack``) are ordered-reduction numpy kernels
 (``ordered_masked_sum``); the scalar ``aggregate_series`` / ``compute_cost`` /
@@ -26,14 +26,7 @@ from test_shared_scenarios import SCALE, _atlas
 from test_stacked_scenarios import ROBUST_S4
 
 from repro.cluster import CLOUD, ON_PREM, MigrationPlan, NodeSpec
-from repro.learning.estimator import (
-    PLAN_BLOCK,
-    ResourceEstimate,
-    aggregate_stacked,
-    ordered_masked_sum,
-    peak_stack,
-    stack_series,
-)
+from repro.learning.estimator import PLAN_BLOCK, ResourceEstimate, SitePass, ordered_masked_sum
 from repro.learning.footprint import EdgeFootprint, NetworkFootprint
 from repro.quality import (
     ArtifactCache,
@@ -134,10 +127,28 @@ def cost_terms(models, matrix, components):
     """The Eq. 7 / 9 / 10 rows of ``qcost_stack``'s kernel: three ``(models, plans)``."""
     key = tuple(components)
     stack = cost_module._CostStack.of(models, key)
+    nodes = stack.nodes(stack.sites.aggregate(matrix), len(matrix))
     return (
-        cost_module._compute_rows(matrix, stack.compute, len(models)),
+        cost_module._compute_rows(nodes, stack.bills, len(models)),
         cost_module._storage_rows(models, matrix, key, stack.storage),
         cost_module._traffic_rows(models, matrix, stack.traffic),
+    )
+
+
+def site_sums(estimates, resource, members, columns):
+    """``(plans, estimates, steps)`` sums of ``resource`` over each plan's
+    ``members``, through one site pass over the site they mark."""
+    site_pass = SitePass([(one, resource) for one in estimates], [ON_PREM], columns)
+    sums = site_pass.aggregate(np.where(members, ON_PREM, CLOUD))
+    return site_pass.take(sums, 0, range(len(estimates)))
+
+
+def site_peaks(estimates, resource, members, columns):
+    """``(plans, estimates)`` peaks of ``resource`` over each plan's ``members``."""
+    site_pass = SitePass([(one, resource) for one in estimates], [ON_PREM], columns)
+    sums = site_pass.aggregate(np.where(members, ON_PREM, CLOUD))
+    return np.stack(
+        [site_pass.peaks(sums, 0, read) for read in range(len(estimates))], axis=1
     )
 
 
@@ -260,15 +271,15 @@ class TestAggregateMatrix:
         members[0] = False
         members[-1] = True
         # Two more estimates with their own values: one stored in the reverse of the
-        # first's order (its own stack_series group), one in the same order (stacked
+        # first's order (its own group of the pass), one in the same order (stacked
         # beside the first in one group).
         order = list(estimate.usage["cpu_millicores"])
         reverse = random_estimate(rng, order[::-1], steps, shuffle=False)
         twin = random_estimate(rng, order, steps, shuffle=False)
         for estimates in ([estimate], [estimate, reverse, twin]):
             for resource in RESOURCES:
-                got = aggregate_stacked(stack_series(estimates, resource, columns), members)
-                peaks = peak_stack(estimates, resource, members, columns)
+                got = site_sums(estimates, resource, members, columns)
+                peaks = site_peaks(estimates, resource, members, columns)
                 assert got.shape == (n_plans, len(estimates), steps)
                 assert peaks.shape == (n_plans, len(estimates))
                 for p in range(n_plans):
@@ -282,29 +293,26 @@ class TestAggregateMatrix:
         usage = {name: [2.0**-53] for name in names}
         usage["c0"] = [1.0]
         estimate = ResourceEstimate(step_ms=1.0, usage={"cpu_millicores": usage})
-        stacked = stack_series([estimate], "cpu_millicores", names)
         for n_plans in (1, 2):
             members = np.ones((n_plans, 16), dtype=bool)
-            got = aggregate_stacked(stacked, members)[:, 0]
+            got = site_sums([estimate], "cpu_millicores", members, names)[:, 0]
             assert got.tolist() == [[1.0]] * n_plans
             assert estimate.aggregate_series("cpu_millicores", names) == [1.0]
 
     def test_unknown_resource_and_empty_batch(self):
         estimate = ResourceEstimate(step_ms=1.0, usage={"cpu_millicores": {"a": [1.0, 2.0]}})
         members = np.ones((3, 1), dtype=bool)
-        unknown = stack_series([estimate], "memory_mb", ["a"])
-        cpu = stack_series([estimate], "cpu_millicores", ["a"])
-        assert aggregate_stacked(unknown, members)[:, 0].tolist() == [[0.0, 0.0]] * 3
-        assert aggregate_stacked(cpu, members[:0])[:, 0].shape == (0, 2)
-        assert peak_stack([estimate], "cpu_millicores", members, ["b"]).tolist() == [[0.0]] * 3
+        unknown = site_sums([estimate], "memory_mb", members, ["a"])
+        assert unknown[:, 0].tolist() == [[0.0, 0.0]] * 3
+        assert site_sums([estimate], "cpu_millicores", members[:0], ["a"])[:, 0].shape == (0, 2)
+        assert site_peaks([estimate], "cpu_millicores", members, ["b"]).tolist() == [[0.0]] * 3
 
     def test_cache_fields_stay_out_of_repr_and_compare(self):
         usage = {"cpu_millicores": {"a": [1.0], "b": [2.0]}}
         touched = ResourceEstimate(step_ms=1.0, usage=usage)
         fresh = ResourceEstimate(step_ms=1.0, usage=usage)
         before = repr(touched)
-        stacked = stack_series([touched], "cpu_millicores", ["a", "b"])
-        aggregate_stacked(stacked, np.ones((2, 2), dtype=bool))
+        site_sums([touched], "cpu_millicores", np.ones((2, 2), dtype=bool), ["a", "b"])
         assert touched._lowerings
         assert repr(touched) == before
         assert touched == fresh
@@ -315,7 +323,7 @@ class TestAggregateMatrix:
         clone = pickle.loads(pickle.dumps(touched))
         members = np.asarray([[True, False], [True, True]])
         clone_sums, touched_sums = (
-            aggregate_stacked(stack_series([one], "cpu_millicores", ["a", "b"]), members)
+            site_sums([one], "cpu_millicores", members, ["a", "b"])
             for one in (clone, touched)
         )
         assert clone_sums.tolist() == touched_sums.tolist() == [[[1.0]], [[3.0]]]
@@ -404,6 +412,132 @@ class TestCostTerms:
                     assert traffic[s, p].hex() == float(one.traffic_cost(plan)).hex()
 
 
+def node_spec_sibling(model):
+    """A ``derive`` sibling whose first billable site runs another node spec (a
+    capacity cut's shape): its own autoscaler there, the model's everywhere else."""
+    first = min(model.catalogs)
+
+    def cut(catalog):
+        spec = catalog.node_spec
+        return dataclasses.replace(
+            catalog,
+            node_spec=dataclasses.replace(
+                spec, cpu_millicores=spec.cpu_millicores * 0.37, memory_mb=spec.memory_mb * 0.61
+            ),
+        )
+
+    return model.derive(
+        catalogs={
+            location: cut(catalog) if location == first else catalog
+            for location, catalog in model.catalogs.items()
+        }
+    )
+
+
+class TestSitePass:
+    """QCost's compute term and the on-prem peaks read one fused site pass: every
+    billable site and the on-prem site, every (estimate, resource) read stacked."""
+
+    @staticmethod
+    def _scored(models, matrix, components, reads):
+        stack = cost_module._CostStack.of(models, tuple(components), reads)
+        sums = stack.sites.aggregate(matrix)
+        nodes = stack.nodes(sums, len(matrix))
+        compute = cost_module._compute_rows(nodes, stack.bills, len(models))
+        return stack, sums, compute, stack.qcost(models, matrix, sums)
+
+    @pytest.mark.parametrize("n_plans", [0, 1, 2, PLAN_BLOCK + 1])
+    @pytest.mark.parametrize("topology", ["2loc", "3loc", "4loc"])
+    def test_matches_the_scalar_compute_cost_and_peaks(self, topology, n_plans):
+        rng = np.random.default_rng(31 * n_plans + len(topology))
+        model, components, n_locations = random_world(rng, 14, 18, topology)
+        matrix = rng.integers(0, n_locations, size=(n_plans, len(components)))
+        # An estimate stored in the reverse order over fewer steps: its reads sit in
+        # groups of their own, and its walks form a block of their own.
+        order = list(model.estimate.usage["cpu_millicores"])
+        other = random_estimate(rng, order[::-1], 7, shuffle=False)
+        reads = [(one, resource) for one in (model.estimate, other) for resource in RESOURCES]
+        # The stack of one, then the model beside a sibling with another node spec
+        # at one site, then beside a sibling over the other estimate too: each row
+        # is its own model's scalar answer.
+        for models in (
+            [model],
+            [model, node_spec_sibling(model)],
+            [model, node_spec_sibling(model), model.derive(estimate=other)],
+        ):
+            stack, sums, compute, total = self._scored(models, matrix, components, reads)
+            assert compute.shape == total.shape == (len(models), n_plans)
+            peaks = [(read, stack.peaks(sums, *read)) for read in reads]
+            for p, row in enumerate(matrix.tolist()):
+                plan = MigrationPlan.from_vector(components, row)
+                on_prem = plan.components_at(ON_PREM)
+                for (one, resource), peak in peaks:
+                    assert peak[p] == one.peak(resource, on_prem)
+                for s, one in enumerate(models):
+                    assert compute[s, p].hex() == one.compute_cost(plan)[0].hex()
+                    assert total[s, p].hex() == float(one.qcost(plan)).hex()
+
+    def test_a_billable_site_no_row_uses(self):
+        rng = np.random.default_rng(5)
+        model, components, n_locations = random_world(rng, 14, 18, "4loc")
+        spare = max(model.catalogs)
+        matrix = rng.integers(0, spare, size=(9, len(components)))
+        reads = [(model.estimate, "cpu_millicores")]
+        for models in ([model], [model, node_spec_sibling(model)]):
+            stack, sums, compute, total = self._scored(models, matrix, components, reads)
+            assert spare in stack.sites.sites.tolist()
+            for p, row in enumerate(matrix.tolist()):
+                plan = MigrationPlan.from_vector(components, row)
+                for s, one in enumerate(models):
+                    assert compute[s, p].hex() == one.compute_cost(plan)[0].hex()
+                    assert total[s, p].hex() == float(one.qcost(plan)).hex()
+
+    def test_negative_demand_raises_the_scalar_error(self):
+        components = ["a", "b"]
+        usage = {r: {"a": [1.0, 2.0], "b": [3.0, -5.0]} for r in RESOURCES}
+        estimate = ResourceEstimate(step_ms=1.0, usage=usage)
+        model = CloudCostModel(
+            EAST, estimate, NetworkFootprint([]), {}, MigrationPlan.all_on_prem(components)
+        )
+        plan = MigrationPlan.from_vector(components, [CLOUD, CLOUD])
+        with pytest.raises(ValueError, match="resource demand must be non-negative") as scalar:
+            model.compute_cost(plan)
+        with pytest.raises(ValueError) as batched:
+            CloudCostModel.qcost_stack([model], [[CLOUD, CLOUD], [ON_PREM, ON_PREM]], components)
+        assert str(batched.value) == str(scalar.value)
+        # On-prem alone bills nothing and aggregates no negative demand anywhere.
+        (cost,) = CloudCostModel.qcost_stack([model], [[ON_PREM, ON_PREM]], components)
+        assert cost.tolist() == [0.0]
+
+    def test_one_aggregation_per_call_for_compute_and_peaks(self, tiny_telemetry, monkeypatch):
+        app, result = tiny_telemetry
+        atlas = _atlas(app, result.telemetry, sites=3)
+        evaluator = atlas.build_evaluator(SCALE, problem=PlacementProblem.default(
+            dataclasses.replace(atlas.preferences, budget_usd=1e6)
+        ))
+        calls = {"passes": 0, "sums": 0}
+        aggregate = SitePass.aggregate
+
+        def counting_aggregate(self, matrix):
+            # The storage term's pass over the stateful columns bills no on-prem
+            # site (and runs only for placements its memo lacks): not counted.
+            if ON_PREM in self.sites.tolist():
+                calls["passes"] += 1
+                calls["sums"] += len(self.groups)  # one ordered_masked_sum per group
+                assert self.sites.tolist() == [CLOUD, 2, ON_PREM]
+            return aggregate(self, matrix)
+
+        monkeypatch.setattr(SitePass, "aggregate", counting_aggregate)
+        rng = np.random.default_rng(3)
+        for door in ("evaluate_vectors", "feasible_mask", "qcost_vectors"):
+            vectors = rng.integers(0, 3, size=(4, len(app.component_names)))
+            vectors[:, 0] = CLOUD
+            vectors[:, 1] = 2
+            before = dict(calls)
+            getattr(evaluator, door)(vectors)
+            assert {key: calls[key] - before[key] for key in calls} == {"passes": 1, "sums": 1}, door
+
+
 class TestMemoLaws:
     def _world(self, seed=5, topology="3loc"):
         rng = np.random.default_rng(seed)
@@ -489,11 +623,14 @@ class TestMemoLaws:
             for row in block.tolist():
                 evaluator.evaluate_under(MigrationPlan.from_vector(components, row), probe)
 
-        def census():
-            models = [evaluator.cost] + [
-                compiled.cost for compiled, _view in evaluator._scenario_pairs.values()
+        def scenarios():
+            return [evaluator._base] + [
+                compiled for compiled, _view in evaluator._scenario_pairs.values()
             ]
-            held = [*models, *(model.estimate for model in models)]
+
+        def census():
+            models = [compiled.cost for compiled in scenarios()]
+            held = [*models, *(model.estimate for model in models), *scenarios()]
             return {
                 (index, name): _entries(value)
                 for index, owner in enumerate(held)
@@ -509,6 +646,18 @@ class TestMemoLaws:
         # The plans did reach the kernel: every storage memo holds the one placement.
         for compiled, _view in evaluator._scenario_pairs.values():
             assert [len(memo) for memo in compiled.cost._storage_cost_cache.values()] == [1]
+        # What a call builds once is keyed by compiled scenario and component order:
+        # each scenario's lowering memo by the order, each cost stack by its models,
+        # the order and the on-prem reads — never by a plan.
+        order = tuple(components)
+        for compiled in scenarios():
+            assert set(compiled._lowerings) == {order}
+            assert set(compiled._lowerings[order]) <= {
+                "qperf-box", "qperf-weights", "qavai-weights", "onprem-limits", "pins"
+            }
+            for models, key, reads in compiled.cost._stacks:
+                assert key == order
+                assert {resource for _estimate, resource in reads} <= {"cpu_millicores"}
 
 
 def _entries(value):

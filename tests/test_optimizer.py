@@ -122,6 +122,44 @@ class TestNSGA2Machinery:
             bitflip_mutation([0], rng, rate=2.0)
 
 
+def _choice_form_mutation(vector, rng, rate, locations):
+    """``bitflip_mutation`` as it drew before: ``int(rng.choice(choices))``."""
+    result = [int(v) for v in vector]
+    for i in range(len(result)):
+        if rng.random() < rate:
+            choices = [loc for loc in locations if loc != result[i]]
+            if choices:
+                result[i] = int(rng.choice(choices))
+    return result
+
+
+class TestBitflipDraw:
+    """``choices[rng.integers(0, len(choices))]`` is the draw ``rng.choice(choices)``
+    makes: the same vector and the same generator state, call after call."""
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 4])
+    @pytest.mark.parametrize("rate", [0.05, 0.5, 1.0])
+    def test_same_vector_and_state_as_the_choice_form(self, n_sites, rate):
+        locations = list(range(n_sites))
+        for seed in range(10):
+            vector = np.random.default_rng(seed + 100).integers(0, n_sites, size=40).tolist()
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):  # interleaved calls continue one stream
+                got = bitflip_mutation(vector, fast, rate, locations=locations)
+                assert got == _choice_form_mutation(vector, slow, rate, locations)
+                assert all(type(gene) is int for gene in got)
+                assert fast.bit_generator.state == slow.bit_generator.state
+                vector = got
+
+    def test_a_one_element_choice_list_draws_nothing(self):
+        # Two sites at rate 1.0: every gene has one other site to go to, so the
+        # only draws are the per-gene rng.random() calls.
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        assert bitflip_mutation([0, 1, 1, 0], rng, 1.0, locations=(0, 1)) == [1, 0, 0, 1]
+        reference.random(4)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 class TestMLPAndAdam:
     def test_forward_shapes(self):
         net = MLP(4, [8], 3, head="sigmoid", seed=0)

@@ -4,7 +4,7 @@ The batched evaluation path (``QualityEvaluator.evaluate_vectors`` /
 ``evaluate_batch`` over a P×C location matrix) must be *bitwise* identical to the
 per-plan reference oracle (``evaluate``) — objectives, feasibility, violation strings
 and the ``evaluations`` counter — on both the 2-location and the 3-location quality
-stacks.  The building blocks carry the same contract: ``nodes_for_series`` vs
+stacks.  The building blocks carry the same contract: ``node_counts`` vs
 ``nodes_for``, ``capacity_matrix`` vs ``capacity_series``, ``qcost_stack`` vs
 ``qcost``, ``disruption_matrix`` + ``qavai_stack`` vs ``qavai``, ``impact_matrix`` +
 ``qperf_stack`` vs ``qperf``, ``feasible_mask`` vs ``is_feasible``.  Every door of
@@ -47,6 +47,7 @@ from repro.quality import (
     PricingCatalog,
     QualityEvaluator,
 )
+from repro.quality import cost as cost_module
 
 THREE_LOCATIONS = (0, 1, 2)
 
@@ -151,36 +152,40 @@ class TestAutoscalerBatch:
         )
     )
     @settings(max_examples=60)
-    def test_nodes_for_series_matches_nodes_for(self, demand):
+    def test_node_counts_match_nodes_for(self, demand):
         scaler = ClusterAutoscaler(
             NodeSpec(name="n", cpu_millicores=2_000.0, memory_mb=8_192.0, hourly_price_usd=0.1)
         )
+        small = ClusterAutoscaler(
+            NodeSpec(name="s", cpu_millicores=750.0, memory_mb=3_000.0, hourly_price_usd=0.1),
+            AutoscalerConfig(cpu_headroom=0.35, memory_headroom=0.05),
+        )
         cpu = np.asarray([c for c, _ in demand])
         mem = np.asarray([m for _, m in demand])
-        batched = scaler.nodes_for_series(cpu, mem)
-        assert batched.tolist() == [scaler.nodes_for(c, m) for c, m in demand]
+        alone = ClusterAutoscaler.node_counts(cpu, mem, *scaler.constants)
+        assert alone.tolist() == [scaler.nodes_for(c, m) for c, m in demand]
+        # One formula over both autoscalers: each row under its own broadcast constants.
+        constants = [
+            np.asarray([one, two]).reshape(2, 1)
+            for one, two in zip(scaler.constants, small.constants)
+        ]
+        both = ClusterAutoscaler.node_counts(np.stack([cpu, cpu]), np.stack([mem, mem]), *constants)
+        assert both.tolist() == [
+            [one.nodes_for(c, m) for c, m in demand] for one in (scaler, small)
+        ]
 
-    def test_nodes_for_series_matrix_shape_and_zero(self):
+    def test_node_counts_matrix_shape_and_zero(self):
         scaler = ClusterAutoscaler(
             NodeSpec(name="n", cpu_millicores=2_000.0, memory_mb=8_192.0, hourly_price_usd=0.1)
         )
         cpu = np.asarray([[0.0, 1.0], [4_000.0, 5e-324]])
         mem = np.asarray([[0.0, 0.0], [0.0, 0.0]])
-        nodes = scaler.nodes_for_series(cpu, mem)
+        nodes = ClusterAutoscaler.node_counts(cpu, mem, *scaler.constants)
         assert nodes.shape == (2, 2)
         assert nodes[0, 0] == 0  # no demand, no node
         assert nodes[0, 1] == 1  # any demand needs a node
         assert nodes[1, 1] == 1  # subnormal demand must not ceil to zero
         assert nodes[1, 0] == scaler.nodes_for(4_000.0, 0.0)
-
-    def test_nodes_for_series_rejects_negative_and_mismatched(self):
-        scaler = ClusterAutoscaler(
-            NodeSpec(name="n", cpu_millicores=2_000.0, memory_mb=8_192.0, hourly_price_usd=0.1)
-        )
-        with pytest.raises(ValueError):
-            scaler.nodes_for_series(np.asarray([-1.0]), np.asarray([0.0]))
-        with pytest.raises(ValueError):
-            scaler.nodes_for_series(np.zeros(2), np.zeros(3))
 
     @given(
         st.lists(
@@ -275,10 +280,12 @@ class TestBatchedEquivalence:
         weights = evaluator.api_weights
         performance, availability = evaluator.performance, evaluator.availability
         (qperf,) = performance.qperf_stack(
-            [performance.impact_matrix(vectors, components)], [weights]
+            [performance.impact_matrix(vectors, components)],
+            [performance.weight_vector(weights)],
         )
+        disruption = availability.disruption_matrix(vectors, components)
         (qavai,) = availability.qavai_stack(
-            availability.disruption_matrix(vectors, components), [weights]
+            disruption, [availability.weight_vector(weights, disruption[0])]
         )
         (qcost,) = CloudCostModel.qcost_stack([evaluator.cost], vectors, components)
         for index, plan in enumerate(plans):
@@ -350,9 +357,11 @@ class TestBatchedEquivalence:
         empty = np.zeros((0, len(names)), dtype=np.int64)
         performance, availability = evaluator.performance, evaluator.availability
         impacts = performance.impact_matrix(empty, names)
-        assert performance.qperf_stack([impacts], [None]).shape == (1, 0)
+        unweighted = performance.weight_vector(None)
+        assert performance.qperf_stack([impacts], [unweighted]).shape == (1, 0)
         disruption = availability.disruption_matrix(empty, names)
-        assert availability.qavai_stack(disruption, [None]).shape == (1, 0)
+        unweighted = availability.weight_vector(None, disruption[0])
+        assert availability.qavai_stack(disruption, [unweighted]).shape == (1, 0)
         assert CloudCostModel.qcost_stack([evaluator.cost], empty, names).shape == (1, 0)
 
     def test_permuted_component_order_shares_cache(self, matrix_stack):
@@ -396,20 +405,18 @@ class TestCostScoredOnce:
         evaluator = build_evaluator(preferences=prefs)
         batch_calls = []
         scalar_calls = []
-        original_batch = type(evaluator.cost).qcost_stack
+        original_batch = cost_module._CostStack.qcost
         original_scalar = type(evaluator.cost).estimate_cost
 
-        def counting_batch(models, matrix, components):
+        def counting_batch(self, models, matrix, sums):
             batch_calls.append(len(matrix))
-            return original_batch(models, matrix, components)
+            return original_batch(self, models, matrix, sums)
 
         def counting_scalar(self, plan):
             scalar_calls.append(plan)
             return original_scalar(self, plan)
 
-        monkeypatch.setattr(
-            type(evaluator.cost), "qcost_stack", staticmethod(counting_batch)
-        )
+        monkeypatch.setattr(cost_module._CostStack, "qcost", counting_batch)
         monkeypatch.setattr(type(evaluator.cost), "estimate_cost", counting_scalar)
         rng = np.random.default_rng(2)
         vectors = rng.integers(0, 2, size=(40, len(app.component_names)))

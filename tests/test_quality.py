@@ -267,6 +267,27 @@ class TestPreferences:
         with pytest.raises(ValueError):
             MigrationPreferences(onprem_limits={"cpu_millicores": -5.0})
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"critical_weight": float("nan")},
+            {"critical_weight": float("inf")},
+            {"budget_usd": float("nan")},
+            {"onprem_limits": {"cpu_millicores": float("nan")}},
+            {"onprem_limits": {"memory_mb": 10.0, "cpu_millicores": float("nan")}},
+        ],
+    )
+    def test_nan_knobs_are_rejected(self, knobs):
+        with pytest.raises(ValueError, match="finite"):
+            MigrationPreferences(**knobs)
+
+    def test_infinity_stays_no_budget_and_no_limit(self):
+        prefs = MigrationPreferences(
+            budget_usd=float("inf"), onprem_limits={"cpu_millicores": float("inf")}
+        )
+        assert prefs.budget_usd == float("inf")
+        assert prefs.onprem_limit("cpu_millicores") == float("inf")
+
 
 class TestQualityEvaluator:
     def _evaluator(self, quality_stack, preferences=None):

@@ -303,19 +303,21 @@ class TestOneWalkPerSite:
 
     @staticmethod
     def _spied(monkeypatch):
-        calls = {"walks": 0, "disruption": 0}
-        walk = ClusterAutoscaler.nodes_for_series
+        calls = {"formulas": 0, "walks": 0, "disruption": 0}
+        formula = ClusterAutoscaler.node_counts
         disruption = ApiAvailabilityModel.disruption_matrix
 
-        def counting_walk(self, *args):
-            calls["walks"] += 1
-            return walk(self, *args)
+        def counting_formula(cpu, memory, *constants):
+            # One row of the formula per (site, distinct autoscaler, estimate).
+            calls["formulas"] += 1
+            calls["walks"] += cpu.shape[0]
+            return formula(cpu, memory, *constants)
 
         def counting_disruption(self, *args):
             calls["disruption"] += 1
             return disruption(self, *args)
 
-        monkeypatch.setattr(ClusterAutoscaler, "nodes_for_series", counting_walk)
+        monkeypatch.setattr(ClusterAutoscaler, "node_counts", staticmethod(counting_formula))
         monkeypatch.setattr(ApiAvailabilityModel, "disruption_matrix", counting_disruption)
         return calls
 
@@ -339,9 +341,11 @@ class TestOneWalkPerSite:
         app, build, _median = stacked_stack
         evaluator = build(scenarios=ROBUST_S4)
         calls = self._spied(monkeypatch)
-        # Two billable sites; four scenarios share one availability model.
+        # Two billable sites, one autoscaler each, three distinct estimates (the
+        # payload-only spec bills the base one); four scenarios share one
+        # availability model.  Every walk is a row of one formula.
         assert self._fresh_calls(app, evaluator, calls) == [
-            {"walks": 2, "disruption": 1}
+            {"formulas": 1, "walks": 2 * 3, "disruption": 1}
         ] * 5
 
     def test_each_price_shock_walks_its_own_autoscalers(self, stacked_stack, monkeypatch):
@@ -355,7 +359,7 @@ class TestOneWalkPerSite:
         evaluator = build(scenarios=shocked)
         calls = self._spied(monkeypatch)
         assert self._fresh_calls(app, evaluator, calls) == [
-            {"walks": 3 * 2, "disruption": 1}
+            {"formulas": 1, "walks": 3 * 2, "disruption": 1}
         ] * 5
 
     def test_an_outage_brings_its_own_availability_model(
@@ -372,9 +376,10 @@ class TestOneWalkPerSite:
             )
         )
         calls = self._spied(monkeypatch)
-        # The outage keeps the catalogs (one walk per site) but derives availability.
+        # The outage keeps the catalogs (one autoscaler per site, walked for the
+        # base and the burst estimate) but derives availability.
         assert self._fresh_calls(app, evaluator, calls) == [
-            {"walks": 2, "disruption": 2}
+            {"formulas": 1, "walks": 2 * 2, "disruption": 2}
         ] * 5
 
 
