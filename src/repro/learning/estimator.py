@@ -94,10 +94,14 @@ class ResourceEstimate:
     #: Lazily-built lowering of one resource onto one column order for
     #: :class:`SitePass`: the columns of the estimate's components, in storage
     #: order, their ``(components, 1, steps)`` series and the storage order's names.
+    #: Process-local: pickled empty.
     _lowerings: Dict[
         Tuple[str, Tuple[str, ...]],
         Tuple["np.ndarray", "np.ndarray", Tuple[str, ...]],
     ] = field(default_factory=dict, repr=False, compare=False)
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "_lowerings": {}}
 
     @property
     def steps(self) -> int:

@@ -25,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..cluster.topology import require_finite
 from ..digest import sha_parts
 from ..workload.profiles import BehaviorChange, WorkloadScenario
 
@@ -122,6 +123,7 @@ class DriftDetector:
         """``approx_latencies`` are Atlas's delay-injection estimates made when the plan
         was recommended; ``real_latencies`` are the distributions measured right after
         the migration (the previous round's ground truth)."""
+        require_finite({"threshold_factor": threshold_factor})
         if threshold_factor <= 1.0:
             raise ValueError("threshold_factor must be greater than 1")
         missing = set(approx_latencies) ^ set(real_latencies)

@@ -6,7 +6,7 @@ programs and per-API Δ lookup tables.  The replay kernels made *evaluation*
 fast, so for repeated / multi-tenant serving the compile step now dominates
 recommend latency.  :class:`ArtifactCache` amortizes it: artifacts are keyed by
 **content fingerprints** of exactly the inputs their construction consumes —
-trace structure exports, edge orders, footprint bytes, baseline placements,
+trace shapes and timings, edge orders, footprint bytes, baseline placements,
 network links — so N tenants working off the same testbed share one physical
 compile, and a changed input can never serve a stale artifact (the key changes
 with the content).
@@ -39,13 +39,13 @@ def fingerprint_traces(traces: Sequence["Trace"]) -> str:
     """Content fingerprint of an ordered trace set — the compiled-replay identity.
 
     Hashes exactly what :class:`~repro.quality.compiled.CompiledTraceSet` consumes:
-    each trace's :meth:`~repro.telemetry.tracing.Trace.structure` export in canonical
-    span order (component, operation, ``repr``-exact start/duration floats), parent
-    positions and root position.  Equal fingerprints therefore imply bitwise-equal
+    each trace's spans in canonical span order (component, operation, ``repr``-exact
+    start/duration floats) and its :meth:`~repro.telemetry.tracing.Trace.shape`'s
+    parent positions and root position.  Equal fingerprints therefore imply bitwise-equal
     compiled arrays; ids (trace/span ids) are excluded beyond their effect on the
     canonical order, so re-profiled-but-identical traces still hit.
 
-    Only composes: every trace keeps the bytes of its own export
+    Only composes: every trace keeps its own bytes
     (:meth:`~repro.telemetry.tracing.Trace.content_stream`), while the sequence
     itself — a plain, mutable list on every caller's side — is walked on each call.
     """

@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..cluster.placement import MigrationPlan
+from ..cluster.topology import require_finite
 from ..learning.estimator import ordered_masked_sum
 
 __all__ = ["ApiAvailabilityModel", "AvailabilityEstimate"]
@@ -59,6 +60,7 @@ class ApiAvailabilityModel:
         self.baseline_plan = baseline_plan
         self.location_weights: Dict[int, float] = dict(location_weights or {})
         for location, weight in self.location_weights.items():
+            require_finite({f"disruption weight for location {location}": weight})
             if weight < 0:
                 raise ValueError(f"disruption weight for location {location} must be >= 0")
         self._apis = sorted(self._stateful)
@@ -72,6 +74,9 @@ class ApiAvailabilityModel:
         self._lowerings: Dict[
             Tuple[str, ...], Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "_lowerings": {}}  # process-local, rebuilt on first use
 
     @property
     def apis(self) -> List[str]:

@@ -211,10 +211,11 @@ class CompiledTraceSet:
         root_start: List[float],
         levels: Dict[int, _LevelOps],
     ) -> int:
-        structure = trace.structure()
-        spans = structure.spans
+        shape = trace.shape()
+        spans = trace.spans
         n = len(spans)
-        children_index = structure.children_index
+        parent_index = shape.parent_index
+        children_index = shape.children_index
 
         # Resolve per-span anchors statically, mirroring DelayInjector._adjust: process
         # each parent's children in order, tracking the processed foreground siblings.
@@ -258,12 +259,11 @@ class CompiledTraceSet:
         # max level of its foreground children's ends (aggregating ends).
         start_level = [0] * n
         end_level = [0] * n
-        root_pos = structure.root_index
+        root_pos = shape.root_index
         # Spans are stored in (start_ms, span_id) order, but a child always starts at or
         # after its anchor, so position order is a valid evaluation order for levels...
         # except for ties; compute levels with an explicit worklist to stay safe.
-        order = _topological_value_order(structure.parent_index, anchor_sibling, fg_children, root_pos)
-        for kind, pos in order:
+        for kind, pos in _topological_value_order(children_index, root_pos):
             if kind == 0:  # start
                 if pos == root_pos:
                     start_level[pos] = 0
@@ -272,7 +272,7 @@ class CompiledTraceSet:
                 dep_level = (
                     end_level[sibling]
                     if sibling >= 0
-                    else start_level[structure.parent_index[pos]]
+                    else start_level[parent_index[pos]]
                 )
                 start_level[pos] = dep_level + 1
             else:  # end
@@ -306,7 +306,7 @@ class CompiledTraceSet:
                     ops.ss_edge.append(edge_id[pos])
                 else:
                     ops.sp_idx.append(offset + pos)
-                    ops.sp_dep.append(offset + structure.parent_index[pos])
+                    ops.sp_dep.append(offset + parent_index[pos])
                     ops.sp_gap.append(gap[pos])
                     ops.sp_edge.append(edge_id[pos])
             ops = ops_at(end_level[pos])
@@ -376,26 +376,16 @@ class CompiledTraceSet:
 
 
 def _topological_value_order(
-    parent_index: Sequence[int],
-    anchor_sibling: Sequence[int],
-    fg_children: Sequence[Sequence[int]],
-    root_pos: int,
+    children_index: Sequence[Sequence[int]], root_pos: int
 ) -> List[Tuple[int, int]]:
     """DFS value order of one trace: (0=start, 1=end) events in dependency order.
 
     Mirrors the recursion of ``DelayInjector._adjust``: a span's start is emitted on
-    entry, its children are processed in order, and its end is emitted on exit — which
-    guarantees every anchor sibling's end and every foreground child's end precede the
-    values that read them.
+    entry, its children (background ones too) are processed in child-list order, and
+    its end is emitted on exit — which guarantees every anchor sibling's end and every
+    foreground child's end precede the values that read them.
     """
     order: List[Tuple[int, int]] = []
-    # Rebuild child lists from parent_index to visit every span (incl. background).
-    children: Dict[int, List[int]] = {}
-    for pos, parent in enumerate(parent_index):
-        if parent >= 0:
-            children.setdefault(parent, []).append(pos)
-    for child_list in children.values():
-        child_list.sort()  # span storage order == (start_ms, span_id) order
     stack: List[Tuple[int, bool]] = [(root_pos, False)]
     while stack:
         pos, expanded = stack.pop()
@@ -404,6 +394,6 @@ def _topological_value_order(
             continue
         order.append((0, pos))
         stack.append((pos, True))
-        for child in reversed(children.get(pos, [])):
+        for child in reversed(children_index[pos]):
             stack.append((child, False))
     return order

@@ -200,9 +200,15 @@ class CloudCostModel:
         self._stacks: Dict[Tuple, "_CostStack"] = {}
 
     def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_stacks"] = {}  # weak references do not pickle; rebuilt on first use
-        return state
+        # Every memo is process-local and rebuilt on first use (and weak references
+        # do not pickle): the keys stay, their values go.
+        return {
+            **self.__dict__,
+            "_lowerings": {},
+            "_rate_table_cache": {},
+            "_storage_cost_cache": {},
+            "_stacks": {},
+        }
 
     def derive(
         self,
@@ -558,7 +564,8 @@ class _CostStack:
       order: each model's scalar site order;
     * the storage and traffic groups.
 
-    Models with a step-less estimate are scored by the scalar oracle.
+    A step-less estimate walks no steps: its compute and traffic bill ``+0.0`` and
+    its storage bills the static stateful GB for one step (:func:`_capacity_rows`).
     """
 
     #: Entries kept per first model; a robust search reuses one tuple call after call.
@@ -575,9 +582,6 @@ class _CostStack:
         )
         self.key = key
         distinct, _model_of = _distinct(models)
-        self.oracle = [row for row, one in enumerate(distinct) if not one.estimate.steps]
-        self.kernel = [row for row, one in enumerate(distinct) if one.estimate.steps]
-        kernel = [distinct[row] for row in self.kernel]
         reads: List[Tuple[ResourceEstimate, str]] = []
         index_of: Dict[Tuple[int, str], int] = {}
 
@@ -588,13 +592,13 @@ class _CostStack:
                 reads.append((estimate, resource))
             return index_of[name]
 
-        billable = sorted({loc for model in kernel for loc in model._cluster_autoscalers})
+        billable = sorted({loc for model in distinct for loc in model._cluster_autoscalers})
         walks: List[Tuple[int, int, int, Tuple[float, ...]]] = []
         self.bills: List[Tuple[int, int, float, float]] = []
         for site, location in enumerate(billable):
             billing = [
                 (row, model)
-                for row, model in enumerate(kernel)
+                for row, model in enumerate(distinct)
                 if location in model._cluster_autoscalers
             ]
             for autoscaler, indices in _grouped(
@@ -652,9 +656,9 @@ class _CostStack:
             )
             for groups, members in blocks.items()
         ]
-        lowerings = [model._lowering(key) for model in kernel]
-        self.storage = _storage_groups(kernel, lowerings)
-        self.traffic = _traffic_groups(kernel, lowerings)
+        lowerings = [model._lowering(key) for model in distinct]
+        self.storage = _storage_groups(distinct, lowerings)
+        self.traffic = _traffic_groups(distinct, lowerings)
 
     @classmethod
     def of(
@@ -699,19 +703,11 @@ class _CostStack:
         distinct, model_of = _distinct(models)
         if n_plans == 0:
             return np.zeros((len(models), 0), dtype=np.float64)
-        kernel = [distinct[row] for row in self.kernel]
-        totals = np.empty((len(distinct), n_plans), dtype=np.float64)
-        if kernel:
-            totals[self.kernel] = (
-                _compute_rows(self.nodes(sums, n_plans), self.bills, len(kernel))
-                + _storage_rows(kernel, matrix, self.key, self.storage)
-                + _traffic_rows(kernel, matrix, self.traffic)
-            )
-        for row in self.oracle:
-            # Degenerate estimate: the scalar storage path has a one-step fallback
-            # that is not worth vectorizing; score through the oracle.
-            plans = [MigrationPlan.from_vector(self.key, row) for row in matrix.tolist()]
-            totals[row] = [distinct[row].estimate_cost(plan).total_usd for plan in plans]
+        totals = (
+            _compute_rows(self.nodes(sums, n_plans), self.bills, len(distinct))
+            + _storage_rows(distinct, matrix, self.key, self.storage)
+            + _traffic_rows(distinct, matrix, self.traffic)
+        )
         return totals if len(distinct) == len(models) else totals[model_of]
 
     def peaks(
@@ -786,7 +782,8 @@ def _capacity_rows(
     distinct storage autoscaler, over the usage of every estimate it bills at once.
     The migrated size sums the moved components' GB in column order, the
     provisioned total sums the capacity series in step order — the scalar path's
-    two :func:`_left_sum` folds.
+    two :func:`_left_sum` folds.  A step-less estimate's usage is the site's stateful
+    GB summed in column order, the scalar path's one-step fallback.
     """
     site_pass, site_walks = sites
     n_rows = placements.shape[0]
@@ -801,9 +798,12 @@ def _capacity_rows(
         for autoscaler, reads, bills in walks:
             used = site_pass.take(sums, site, reads)
             width = used.shape[1]
-            capacity = autoscaler.capacity_matrix(
-                used.reshape(n_rows * width, used.shape[2]), np.repeat(migrated, width)
-            )
+            if used.shape[2]:
+                usage = used.reshape(n_rows * width, used.shape[2])
+            else:
+                static = ordered_masked_sum(lowering.stateful_gb, at_site.T)
+                usage = np.repeat(static, width)[:, None]
+            capacity = autoscaler.capacity_matrix(usage, np.repeat(migrated, width))
             provisioned = ordered_masked_sum(
                 capacity.T, np.ones(capacity.T.shape, dtype=bool)
             ).reshape(n_rows, width)

@@ -71,7 +71,8 @@ _MAGIC = "atlas-store"
 #: evaluator module's ``_CompiledScenario``), and a certificate's corner cuts every
 #: billable site and reprices storage: an older entry names a class that is gone or
 #: revives another ``worst_spec`` and ``worst_values`` for the same request.
-_VERSION = 10
+#: 11 = a ``Trace`` pickles without its former structure memo: compiled replay reads its shape.
+_VERSION = 11
 
 
 def _key_digest(key: Tuple) -> str:

@@ -9,7 +9,6 @@ from .tracing import (
     Trace,
     TraceShape,
     TraceStore,
-    TraceStructure,
     new_trace_id,
 )
 
@@ -19,7 +18,6 @@ __all__ = [
     "TraceShape",
     "ShapeGroup",
     "TraceStore",
-    "TraceStructure",
     "new_trace_id",
     "ComponentMetricsStore",
     "MetricSample",

@@ -27,7 +27,6 @@ __all__ = [
     "Span",
     "Trace",
     "TraceShape",
-    "TraceStructure",
     "ShapeGroup",
     "TraceStore",
     "new_trace_id",
@@ -101,21 +100,6 @@ _SPAN_VALUES = attrgetter(*_SPAN_FIELDS)
 _SPAN_SETTERS = tuple(Span.__dict__[name].__set__ for name in _SPAN_FIELDS)
 
 
-class TraceStructure(NamedTuple):
-    """Flat, index-based view of one trace (the export consumed by compiled replay).
-
-    ``spans`` is the canonical span order of the trace; ``parent_index[i]`` is the
-    position of span ``i``'s parent in ``spans`` (``-1`` for the root);
-    ``children_index[i]`` lists the positions of span ``i``'s direct children in the
-    same order :meth:`Trace.children` yields them (start time, then span id).
-    """
-
-    spans: Tuple[Span, ...]
-    root_index: int
-    parent_index: Tuple[int, ...]
-    children_index: Tuple[Tuple[int, ...], ...]
-
-
 class TraceShape:
     """What every trace of one request shape has in common (interned, read-only).
 
@@ -123,8 +107,8 @@ class TraceShape:
     position and ``(component, operation)`` label, in the trace's canonical span order.
     The requests of an API fall into a handful of shapes, so everything derivable
     from the shape alone is derived here, once per *shape*, and shared by every trace
-    that has it: the topology half of :class:`TraceStructure`, the component and
-    invocation-edge lists, and the workflow keys in the order
+    that has it: the root, parent and child positions compiled replay reads, the
+    component and invocation-edge lists, and the workflow keys in the order
     :class:`~repro.learning.api_profile.ApiProfiler` visits them.
     """
 
@@ -211,7 +195,6 @@ class Trace:
                 self._children.setdefault(span.parent_id, []).append(span)
         for children in self._children.values():
             children.sort(key=lambda s: (s.start_ms, s.span_id))
-        self._structure: Optional[TraceStructure] = None
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickled traces carry content only: digest and shape memos are process-local."""
@@ -271,8 +254,8 @@ class Trace:
     def shape(self) -> TraceShape:
         """The interned :class:`TraceShape` of this trace (looked up once, cached).
 
-        Sound for the reason :meth:`structure` is: spans are frozen and ``_spans``
-        never changes after construction.
+        Sound because spans are frozen and ``_spans`` never changes after
+        construction.
         """
         shape = self._shape
         if shape is None:
@@ -296,32 +279,14 @@ class Trace:
         """(caller component, callee component) for every parent/child span pair."""
         return list(self.shape().invocation_edges)
 
-    def structure(self) -> TraceStructure:
-        """Index-based topology export (computed once, cached) for compiled replay.
-
-        Compiling a trace into flat arrays needs positions, not span ids: this returns
-        every span's parent position and ordered child positions in the canonical span
-        order, so downstream consumers never re-walk the id maps.  The positions are
-        the shape's; only the span tuple is this trace's own.
-        """
-        if self._structure is None:
-            shape = self.shape()
-            self._structure = TraceStructure(
-                spans=tuple(self._spans),
-                root_index=shape.root_index,
-                parent_index=shape.parent_index,
-                children_index=shape.children_index,
-            )
-        return self._structure
-
     def content_stream(self) -> bytes:
         """The bytes this trace contributes to a trace-set fingerprint (computed once).
 
-        The fingerprint wire encoding (:mod:`repro.digest`) of the API name and the
-        :meth:`structure` export — root position, parent positions, then per span the
-        component, operation and ``repr``-exact start/duration.  Kept next to the
-        export it is derived from, under the same soundness argument: ``Span`` is
-        frozen, ``_spans`` never changes after construction and ``api`` is read-only.
+        The fingerprint wire encoding (:mod:`repro.digest`) of the API name, the
+        :meth:`shape`'s root and parent positions, then per span the component,
+        operation and ``repr``-exact start/duration.  Memoised under the same soundness
+        argument as the shape: ``Span`` is frozen, ``_spans`` never changes after
+        construction and ``api`` is read-only.
         """
         if self._content_stream is None:
             shape = self.shape()

@@ -391,6 +391,43 @@ class TestCostTerms:
         for row, value in zip(matrix.tolist(), got):
             assert value == model.traffic_cost(MigrationPlan.from_vector(components, row))
 
+    @pytest.mark.parametrize("topology", ["2loc", "3loc"])
+    def test_a_step_less_estimate_bills_its_stateful_gb_for_one_step(self, topology):
+        # Without steps the scalar storage term prices the site's static GB as a
+        # one-step usage series; compute and traffic bill nothing.  Alone, and
+        # stacked before or after a stepped sibling, every row is its model's qcost.
+        n_locations, catalogs = TOPOLOGIES[topology]
+        components = ["a", "b", "c", "d"]
+        edges = [
+            EdgeFootprint("/x", "a", "b", 1.5e6, 2.5e6),
+            EdgeFootprint("/x", "b", "c", 3.1e5, 7.3e5),
+        ]
+
+        def estimate(series):
+            return ResourceEstimate(
+                step_ms=60_000.0,
+                usage={r: {c: list(series) for c in components} for r in RESOURCES},
+                api_rates={"/x": list(series)},
+            )
+
+        step_less = CloudCostModel(
+            EAST,
+            estimate([]),
+            NetworkFootprint(edges),
+            {"b": 1.0 + 2.0**-30, "c": 2.0**-53, "d": 2.0**-53 + 3.7},
+            MigrationPlan.all_on_prem(components),
+            time_compression=288.0,
+            catalogs=catalogs,
+        )
+        stepped = step_less.derive(estimate=estimate([40.0, 55.5, 13.25]))
+        matrix = np.asarray(list(itertools.product(range(n_locations), repeat=4)))
+        plans = [MigrationPlan.from_vector(components, row) for row in matrix.tolist()]
+        assert any(step_less.storage_cost(plan) > 0.0 for plan in plans)
+        for models in ([step_less], [step_less, stepped], [stepped, step_less]):
+            total = CloudCostModel.qcost_stack(models, matrix, components)
+            for s, one in enumerate(models):
+                assert hexes(total[s]) == [float(one.qcost(plan)).hex() for plan in plans]
+
     @pytest.mark.parametrize("stacked", [False, True])
     def test_scalar_oracle_does_not_lean_on_builtin_sum(self, monkeypatch, stacked):
         # CPython 3.12 made ``sum()`` over floats compensated; a plain left fold is

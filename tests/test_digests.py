@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_artifacts import TINY_GA, _perturb
 from test_compiled import random_trace
+from test_stacked_scenarios import ROBUST_S4
 
 from repro.analysis.testbed import build_testbed
 from repro.apps import Component, ResourceProfile
@@ -63,11 +64,11 @@ def oracle_sha(parts):
 def oracle_fingerprint_traces(traces):
     parts = []
     for trace in traces:
-        structure = trace.structure()
+        shape = trace.shape()
         parts.append(trace.api)
-        parts.append(str(structure.root_index))
-        parts.append(",".join(str(i) for i in structure.parent_index))
-        for span in structure.spans:
+        parts.append(str(shape.root_index))
+        parts.append(",".join(str(i) for i in shape.parent_index))
+        for span in trace.spans:
             parts.append(
                 f"{span.component}|{span.operation}|{span.start_ms!r}|{span.duration_ms!r}"
             )
@@ -634,7 +635,7 @@ class TestMemoSoundness:
 class TestMemosStayOutOfPickles:
     def test_trace_pickle_is_the_same_with_and_without_a_warm_memo(self):
         trace = random_trace(np.random.default_rng(5), "t")
-        trace.structure()  # pickled either way; only the digest memo is dropped
+        trace.shape()  # never pickled, like the digest memo
         cold = pickle.dumps(trace)
         fingerprint_traces([trace])
         assert trace._content_stream is not None
@@ -706,9 +707,31 @@ class TestMemosStayOutOfPickles:
         assert len(warm) == len(cold)
         assert b"_content_stream" not in warm
 
-    #: What a pickled ``Trace`` carries: the frame layout store version 2 was cut for.
-    #: A key added here changes what stored frames hold — bump ``serving.store._VERSION``.
-    TRACE_STATE = {"trace_id", "_api", "_spans", "_by_id", "_root", "_children", "_structure"}
+    def test_a_scored_compiled_scenario_pickles_to_a_fresh_compile(self, tiny_atlas):
+        """Scoring fills the lowering memos of every estimate, cost and availability
+        model a compiled scenario holds (the payload-only and fault-free specs share
+        the base's estimate and availability model), and the cost models' storage and
+        rate-table memos: none of them reaches a pickle."""
+        problem = PlacementProblem.default(tiny_atlas.preferences, scenarios=ROBUST_S4)
+
+        def compiled_bytes(evaluator):
+            return [
+                pickle.dumps(evaluator._scenario_pair(spec)[0])
+                for spec in problem.scenarios
+            ]
+
+        scored = tiny_atlas.build_evaluator(3.0, problem=problem)
+        n_components = len(tiny_atlas.application.component_names)
+        vectors = np.random.default_rng(11).integers(0, 2, size=(64, n_components))
+        scored.evaluate_vectors(vectors)
+        scored.feasible_mask(vectors)
+        assert scored._base.cost._storage_cost_cache and scored._base.estimate._lowerings
+        fresh = tiny_atlas.build_evaluator(3.0, problem=problem)
+        assert compiled_bytes(scored) == compiled_bytes(fresh)
+
+    #: What a pickled ``Trace`` carries (store frame version 11 took ``_structure`` out).
+    #: A key added or removed here changes what stored frames hold — bump ``serving.store._VERSION``.
+    TRACE_STATE = {"trace_id", "_api", "_spans", "_by_id", "_root", "_children"}
 
     def test_trace_pickle_and_deep_copy_carry_no_shape(self):
         trace = random_trace(np.random.default_rng(7), "t")

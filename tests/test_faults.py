@@ -33,6 +33,7 @@ from repro.cluster import (
     default_network_model,
 )
 from repro.learning import ApiProfiler, FootprintLearner, ResourceEstimator
+from repro.monitoring import DriftDetector
 from repro.quality import (
     AdversaryBounds,
     ApiAvailabilityModel,
@@ -154,6 +155,16 @@ FLOAT_KNOBS = [
         (
             lambda **kw: CloudCostModel(PricingCatalog(), None, None, {}, None, **kw),
             ("time_compression",),
+        ),
+        (
+            lambda **kw: ApiAvailabilityModel(
+                {}, None, location_weights={CLOUD: kw["location_weights"]}
+            ),
+            ("location_weights",),
+        ),
+        (
+            lambda **kw: DriftDetector({}, {}, **kw),
+            ("threshold_factor",),
         ),
         (
             AdversaryBounds,

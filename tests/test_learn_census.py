@@ -29,7 +29,7 @@ from repro.learning import (
     FootprintLearner,
     ResourceEstimator,
 )
-from repro.telemetry import Span, TelemetryServer, Trace, TraceStore, TraceStructure
+from repro.telemetry import Span, TelemetryServer, Trace, TraceStore
 from repro.telemetry.metrics import METRIC_NAMES, MetricSample
 
 COMPONENTS = ["A", "B", "C", "D"]
@@ -56,15 +56,13 @@ def walk_invocation_edges(trace):
 
 
 def walk_structure(trace):
+    """``(root_index, parent_index, children_index)`` of ``trace``, from its span ids."""
     spans = trace.spans
     position = {span.span_id: i for i, span in enumerate(spans)}
-    return TraceStructure(
-        spans=tuple(spans),
-        root_index=position[trace.root.span_id],
-        parent_index=tuple(
-            -1 if span.parent_id is None else position[span.parent_id] for span in spans
-        ),
-        children_index=tuple(
+    return (
+        position[trace.root.span_id],
+        tuple(-1 if span.parent_id is None else position[span.parent_id] for span in spans),
+        tuple(
             tuple(position[child.span_id] for child in trace.children(span.span_id))
             for span in spans
         ),
@@ -446,7 +444,10 @@ class TestShape:
         for trace in traces:
             assert trace.components() == walk_components(trace)
             assert trace.invocation_edges() == walk_invocation_edges(trace)
-            assert trace.structure() == walk_structure(trace)
+            shape = trace.shape()
+            assert (shape.root_index, shape.parent_index, shape.children_index) == (
+                walk_structure(trace)
+            )
             assert list(trace.shape().workflow_keys) == walk_workflow_keys(trace)
             counted = {}
             for edge in walk_invocation_edges(trace):
@@ -455,10 +456,9 @@ class TestShape:
         # Interning: one object per distinct (parent positions, labels), whatever the API.
         by_key = {}
         for trace in traces:
-            structure = walk_structure(trace)
             key = (
-                structure.parent_index,
-                tuple((s.component, s.operation) for s in structure.spans),
+                walk_structure(trace)[1],
+                tuple((s.component, s.operation) for s in trace.spans),
             )
             assert by_key.setdefault(key, trace.shape()) is trace.shape()
         assert len({id(shape) for shape in by_key.values()}) == len(by_key)
