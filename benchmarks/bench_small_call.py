@@ -126,8 +126,7 @@ class SmallCallBench:
             f"qperf.{ROW_PATH_API}",
             lambda ctx: performance._replay_means(
                 ROW_PATH_API,
-                performance._delta_rows_for(ROW_PATH_API, ctx.matrix, columns),
-                {},
+                [(performance._delta_rows_for(ROW_PATH_API, ctx.matrix, columns), False)],
             ),
         )
         part("qavai", QAvaiObjective().score_matrix)

@@ -73,6 +73,8 @@ class NetworkModel:
     _digest: Optional[str] = None
     #: Memo of :meth:`locations`; set on first use, never pickled.
     _locations: Optional[Tuple[int, ...]] = None
+    #: Memo of :meth:`linked_prefix`; set on first use, never pickled.
+    _prefix: Optional[int] = None
 
     def __init__(self, links: Dict[Tuple[int, int], LinkSpec]) -> None:
         self._links: Dict[Tuple[int, int], LinkSpec] = {}
@@ -83,6 +85,7 @@ class NetworkModel:
         state = dict(self.__dict__)
         state.pop("_digest", None)
         state.pop("_locations", None)
+        state.pop("_prefix", None)
         return state
 
     def content_digest(self) -> str:
@@ -107,6 +110,17 @@ class NetworkModel:
                 seen.add(b)
             self._locations = tuple(sorted(seen))
         return list(self._locations)
+
+    def linked_prefix(self) -> int:
+        """The largest ``k`` such that every pair of the ids ``0 .. k-1``, each id with
+        itself included, has a link (computed once): plans over those ids never
+        meet a missing link."""
+        if self._prefix is None:
+            size = 0
+            while all(self.has_link(other, size) for other in range(size + 1)):
+                size += 1
+            self._prefix = size
+        return self._prefix
 
     def has_link(self, loc_a: int, loc_b: int) -> bool:
         return self._key(loc_a, loc_b) in self._links

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from ..apps.model import Application
+from ..cluster.topology import require_finite
 from ..digest import sha_parts
 from ..telemetry.server import TelemetryServer
 
@@ -321,6 +322,11 @@ class ResourceEstimator:
         step_ms = step_ms or self.telemetry.window_ms
         if not api_rates:
             raise ValueError("api_rates must not be empty")
+        rates = [float(value) for series in api_rates.values() for value in series]
+        if not np.isfinite(rates).all():
+            # Every comparison with NaN is false: one NaN rate would pass every
+            # on-prem peak check and price every plan at NaN.
+            raise ValueError("api_rates must be finite")
         steps = max(len(series) for series in api_rates.values())
         rate_matrix = np.zeros((steps, len(self._apis)))
         for col, api in enumerate(self._apis):
@@ -348,6 +354,7 @@ class ResourceEstimator:
         This is the paper's evaluation setting: "serve API traffic with 5x more users
         than ever".
         """
+        require_finite({"scale": scale})
         if scale < 0:
             raise ValueError("scale must be non-negative")
         observed = self.telemetry.api_request_rates()

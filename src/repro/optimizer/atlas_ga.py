@@ -96,7 +96,19 @@ def affinity_seed_vectors(
     ``allowed_locations`` whitelist excludes the primary remote are never offloaded by
     the seeding (the GA's own operators may still place them at their permitted
     sites).
+
+    ``is_feasible`` is asked once per distinct vector: the greedy prefixes of the
+    seeds and the flip-and-revert passes repeat vectors, and a feasibility verdict
+    depends on the vector alone.
     """
+    verdicts: Dict[Tuple[int, ...], bool] = {}
+
+    def feasible(vector: List[int]) -> bool:
+        key = tuple(vector)
+        if key not in verdicts:
+            verdicts[key] = bool(is_feasible(vector))
+        return verdicts[key]
+
     remote = [loc for loc in locations if loc != ON_PREM]
     if not remote:
         raise ValueError("locations must include at least one remote site")
@@ -156,7 +168,7 @@ def affinity_seed_vectors(
 
         current_cut = cut_traffic()
         guard = len(components) + 1
-        while not is_feasible(vector()) and guard > 0:
+        while not feasible(vector()) and guard > 0:
             guard -= 1
             candidates = [c for c in movable if assignment[c] == ON_PREM]
             if not candidates:
@@ -180,7 +192,7 @@ def affinity_seed_vectors(
                 flipped = primary_remote if assignment[c] == ON_PREM else ON_PREM
                 original = assignment[c]
                 assignment[c] = flipped
-                if is_feasible(vector()):
+                if feasible(vector()):
                     current_cut += delta
                     improved = True
                 else:

@@ -29,10 +29,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import ON_PREM, require_finite
-from .evaluator import PlanQuality, QualityEvaluator
+from .evaluator import QualityEvaluator
 from .faults import CapacityCut, LinkDegradation, LocationOutage, PriceShock
 from .scenario_factory import ScenarioFactory
-from .scenarios import ScenarioSpec
+from .scenarios import ScenarioQuality, ScenarioSpec
 
 __all__ = ["AdversaryBounds", "RobustnessCertificate", "ScenarioAdversary"]
 
@@ -127,7 +127,7 @@ class RobustnessCertificate:
 @dataclass
 class _Candidate:
     spec: ScenarioSpec
-    quality: PlanQuality
+    quality: ScenarioQuality
     regret: Tuple[float, ...]
     score: float
 
@@ -166,10 +166,9 @@ class ScenarioAdversary:
             self._cut_sites = [ON_PREM]
 
     # -- scoring ---------------------------------------------------------------------------
-    def _score_spec(
-        self, plan: MigrationPlan, spec: ScenarioSpec, baseline: PlanQuality
+    def _candidate(
+        self, spec: ScenarioSpec, quality: ScenarioQuality, baseline: ScenarioQuality
     ) -> _Candidate:
-        quality = self.evaluator.evaluate_under(plan, spec)
         base_values = baseline.objectives()
         regret = tuple(
             value - base for value, base in zip(quality.objectives(), base_values)
@@ -225,38 +224,24 @@ class ScenarioAdversary:
         return None if spec.is_baseline else spec
 
     # -- the search ---------------------------------------------------------------------------
-    def certify(self, plan: MigrationPlan) -> RobustnessCertificate:
-        """Score the plan's bounded scenario space and certify its worst case.
+    def _probes(self) -> Tuple[List[ScenarioSpec], int]:
+        """The specs a certificate scores, in order, and how many of them are stress
+        families or extra specs.
 
-        Order of play: (1) the fault-free baseline anchors the regret; (2) every
-        factory family and extra spec is scored, whatever the budget; (3) the
-        all-severe corners — one per remote site down, in ascending site order, when
-        outages are allowed, then the outage-free one — while budget remains.
-        Distinct specs are deduplicated by compiled identity, so a repeated spec
-        never double-bills the budget.  The worst case is the first maximum, so a
-        family that ties a corner names it.
-        """
-        baseline = self.evaluator.evaluate_under(
-            plan, ScenarioSpec(name="certify-baseline")
-        )
-
+        Every factory family and extra spec, whatever the budget; then the all-severe
+        corners — one per remote site down, in ascending site order, when outages
+        are allowed, then the outage-free one — while budget remains.  Distinct
+        specs are deduplicated by compiled identity, so a repeated spec never
+        double-bills the budget."""
         seen: set = set()
-        candidates: List[_Candidate] = []
-        spent = 0
+        probes: List[ScenarioSpec] = []
 
-        def consider(spec: ScenarioSpec) -> Optional[_Candidate]:
-            nonlocal spent
+        def consider(spec: ScenarioSpec) -> None:
             identity = spec.identity_key()
-            if identity in seen:
-                return None
-            seen.add(identity)
-            spent += 1
-            candidate = self._score_spec(plan, spec, baseline)
-            candidates.append(candidate)
-            return candidate
+            if identity not in seen:
+                seen.add(identity)
+                probes.append(spec)
 
-        # (2) Every named stress family plus caller-supplied extras.
-        family_regrets: Dict[str, float] = {}
         family_specs = [
             spec
             for spec in self.factory.stress_families(include_baseline=False)
@@ -264,18 +249,38 @@ class ScenarioAdversary:
         ]
         family_specs.extend(spec for spec in self.extra_specs if self._supported(spec))
         for spec in family_specs:
-            candidate = consider(spec)
-            if candidate is not None:
-                family_regrets[spec.name] = candidate.score
-
-        # (3) The all-severe corners, metered.
+            consider(spec)
+        families = len(probes)
         outages = sorted(self.factory.remote_locations) if self.bounds.allow_outages else []
         for outage in [*outages, None]:
-            if spent >= self.budget:
+            if len(probes) >= self.budget:
                 break
             spec = self._corner(outage)
             if spec is not None:
                 consider(spec)
+        return probes, families
+
+    def certify(self, plan: MigrationPlan) -> RobustnessCertificate:
+        """Score the plan's bounded scenario space and certify its worst case.
+
+        The fault-free baseline anchors the regret, and the probes of
+        :meth:`_probes` — the families and extra specs, then the corners within
+        budget — are scored with it in one stacked pass
+        (:meth:`~repro.quality.evaluator.QualityEvaluator.evaluate_specs`), each
+        spec's values, feasibility and violations read from its column.  The worst
+        case is the first maximum, so a family that ties a corner names it.
+        """
+        probes, families = self._probes()
+        baseline, *qualities = self.evaluator.evaluate_specs(
+            plan, [ScenarioSpec(name="certify-baseline"), *probes]
+        )
+        candidates = [
+            self._candidate(spec, quality, baseline)
+            for spec, quality in zip(probes, qualities)
+        ]
+        family_regrets: Dict[str, float] = {
+            candidate.spec.name: candidate.score for candidate in candidates[:families]
+        }
 
         if not candidates:
             # Degenerate space (nothing searchable): certify the baseline itself.
@@ -298,6 +303,6 @@ class ScenarioAdversary:
             worst_regret=worst.score,
             feasible_under_fault=worst.quality.feasible,
             violations=worst.quality.violations,
-            budget_spent=spent,
+            budget_spent=len(probes),
             family_regrets=family_regrets,
         )

@@ -19,6 +19,11 @@ at compile time into a static dataflow DAG:
 * ``end(i) = start(i) + duration(i)`` for spans without foreground children;
 * ``end(i) = max(end(c) for c in foreground(i)) + tail_gap(i)`` otherwise.
 
+Only *live* spans compile: the root, and every foreground child of a live span.  A
+background child enters neither its parent's ``foreground`` anchors nor its tail, so
+nothing in its subtree can move the root's end; its edges get no Δ column, and a Δ on
+them changes no latency.
+
 Replay schedules these assignments by dependency level (longest dependency chain) and
 executes each level as one vectorized numpy operation over a ``(spans, plans)`` state
 matrix — so a batch of plans replays every trace of an API in a handful of array
@@ -83,16 +88,17 @@ class _LevelOps:
         self.ea_offsets: List[int] = []
         self.ea_tail: List[float] = []
 
-    def freeze(self) -> None:
-        """Convert the accumulated python lists into contiguous numpy arrays."""
+    def freeze(self, edge_ids: np.ndarray) -> None:
+        """Convert the accumulated python lists into contiguous numpy arrays, the
+        compile-order edge numbers renumbered through ``edge_ids``."""
         self.sp_idx = np.asarray(self.sp_idx, dtype=np.intp)
         self.sp_dep = np.asarray(self.sp_dep, dtype=np.intp)
         self.sp_gap = np.asarray(self.sp_gap, dtype=np.float64)
-        self.sp_edge = np.asarray(self.sp_edge, dtype=np.intp)
+        self.sp_edge = edge_ids[np.asarray(self.sp_edge, dtype=np.intp)]
         self.ss_idx = np.asarray(self.ss_idx, dtype=np.intp)
         self.ss_dep = np.asarray(self.ss_dep, dtype=np.intp)
         self.ss_gap = np.asarray(self.ss_gap, dtype=np.float64)
-        self.ss_edge = np.asarray(self.ss_edge, dtype=np.intp)
+        self.ss_edge = edge_ids[np.asarray(self.ss_edge, dtype=np.intp)]
         self.el_idx = np.asarray(self.el_idx, dtype=np.intp)
         self.el_dur = np.asarray(self.el_dur, dtype=np.float64)
         self.ea_idx = np.asarray(self.ea_idx, dtype=np.intp)
@@ -149,11 +155,16 @@ def _unpack_ops(
 class CompiledTraceSet:
     """All sample traces of one API, compiled for batched delay injection.
 
-    Spans of every trace are concatenated into one global index space; per span the
-    compiler resolves its anchor (parent start or reference foreground sibling end),
-    trigger gap, invocation-edge id and foreground-children segment, then buckets every
-    assignment by dependency level.  :meth:`replay_batch` evaluates a whole matrix of
-    per-plan delay vectors in one pass; :meth:`latencies` is the single-plan view.
+    Live spans of every trace are concatenated into one global index space; per span
+    the compiler resolves its anchor (parent start or reference foreground sibling
+    end), trigger gap, invocation-edge id and foreground-children segment, then buckets
+    every assignment by dependency level.  :meth:`replay_batch` evaluates a whole
+    matrix of per-plan delay vectors in one pass; :meth:`latencies` is the single-plan
+    view.
+
+    ``edge_index`` numbers the *live* edges — those of live spans — in ``edge_order``'s
+    order: the Δ columns a replay reads.  Every other edge of the traces hangs under a
+    background call, which never delays the response, and :meth:`delta_row` drops it.
 
     A set is immutable and compiled in one pass over its traces: a drift refresh
     retimes every trace of a window, so a refreshed API compiles a new set and nothing
@@ -164,23 +175,26 @@ class CompiledTraceSet:
         if not traces:
             raise ValueError("cannot compile an empty trace set")
         self.n_traces = len(traces)
-        self.edge_index: Dict[Edge, int] = {}
-        for edge in edge_order:
-            if edge not in self.edge_index:
-                self.edge_index[edge] = len(self.edge_index)
-        self.n_edges = len(self.edge_index)
         root_idx: List[int] = []
         root_start: List[float] = []
         levels: Dict[int, _LevelOps] = {}
+        # Live edges in the order the compiler meets them -> their compile-order id.
+        met: Dict[Edge, int] = {}
         offset = 0
         for trace in traces:
-            offset = self._compile_one(trace, offset, root_idx, root_start, levels)
+            offset = self._compile_one(trace, offset, root_idx, root_start, levels, met)
         self.n_spans = offset
+        self.edge_index: Dict[Edge, int] = {}
+        for edge in edge_order:
+            if edge in met and edge not in self.edge_index:
+                self.edge_index[edge] = len(self.edge_index)
+        self.n_edges = len(self.edge_index)
+        edge_ids = np.asarray([self.edge_index[edge] for edge in met], dtype=np.intp)
         self._root_idx = np.asarray(root_idx, dtype=np.intp)
         self._root_start = np.asarray(root_start, dtype=np.float64)
         self._levels = [levels[level] for level in sorted(levels)]
         for ops in self._levels:
-            ops.freeze()
+            ops.freeze(edge_ids)
 
     def __getstate__(self) -> Dict[str, object]:
         """The durable form: ``_packed_levels`` (the blobs and length table of
@@ -210,31 +224,35 @@ class CompiledTraceSet:
         root_idx: List[int],
         root_start: List[float],
         levels: Dict[int, _LevelOps],
+        met: Dict[Edge, int],
     ) -> int:
         shape = trace.shape()
         spans = trace.spans
         n = len(spans)
         parent_index = shape.parent_index
         children_index = shape.children_index
+        root_pos = shape.root_index
 
         # Resolve per-span anchors statically, mirroring DelayInjector._adjust: process
-        # each parent's children in order, tracking the processed foreground siblings.
+        # each live parent's children in order, tracking the processed foreground
+        # siblings.  A background child anchors nothing and reaches no end, so it and
+        # its subtree are never visited: liveness is decided here, where the
+        # background classification is.
         anchor_sibling = [-1] * n  # local index of the reference FG sibling, or -1
         gap = [0.0] * n
         edge_id = [0] * n
         fg_children: List[List[int]] = [[] for _ in range(n)]
         tail_gap = [0.0] * n
+        live = [root_pos]
 
-        for parent_pos in range(n):
+        for parent_pos in live:  # grows while it is walked: parents before children
             parent = spans[parent_pos]
-            child_positions = children_index[parent_pos]
-            if not child_positions:
-                continue
             # Processed foreground children: (orig_end, local position).
             foreground: List[Tuple[float, int]] = []
-            for child_pos in child_positions:
+            for child_pos in children_index[parent_pos]:
                 child = spans[child_pos]
-                background = classify_background(child, parent)
+                if classify_background(child, parent):
+                    continue
                 ref_orig = parent.start_ms
                 ref_pos = -1
                 for orig_end, prev_pos in foreground:
@@ -244,26 +262,29 @@ class CompiledTraceSet:
                         ref_orig, ref_pos = orig_end, prev_pos
                 anchor_sibling[child_pos] = ref_pos
                 gap[child_pos] = child.start_ms - ref_orig
-                edge_id[child_pos] = self.edge_index[(parent.component, child.component)]
-                if not background:
-                    foreground.append((child.end_ms, child_pos))
-                    fg_children[parent_pos].append(child_pos)
+                edge_id[child_pos] = met.setdefault(
+                    (parent.component, child.component), len(met)
+                )
+                foreground.append((child.end_ms, child_pos))
+                fg_children[parent_pos].append(child_pos)
+                live.append(child_pos)
             if fg_children[parent_pos]:
                 tail_ref_orig = max(
                     spans[pos].end_ms for pos in fg_children[parent_pos]
                 )
                 tail_gap[parent_pos] = max(parent.end_ms - tail_ref_orig, 0.0)
+        live.sort()
+        index_of = {pos: offset + rank for rank, pos in enumerate(live)}
 
         # Dependency levels: start of the root is known up front (level 0); every other
         # value is 1 + the level of its single gather dependency (starts) or 1 + the
         # max level of its foreground children's ends (aggregating ends).
         start_level = [0] * n
         end_level = [0] * n
-        root_pos = shape.root_index
         # Spans are stored in (start_ms, span_id) order, but a child always starts at or
         # after its anchor, so position order is a valid evaluation order for levels...
         # except for ties; compute levels with an explicit worklist to stay safe.
-        for kind, pos in _topological_value_order(children_index, root_pos):
+        for kind, pos in _topological_value_order(fg_children, root_pos):
             if kind == 0:  # start
                 if pos == root_pos:
                     start_level[pos] = 0
@@ -286,7 +307,7 @@ class CompiledTraceSet:
                 levels[level] = _LevelOps()
             return levels[level]
 
-        root_idx.append(offset + root_pos)
+        root_idx.append(index_of[root_pos])
         # A leaf root keeps its original duration verbatim in the reference path, so
         # the replayed latency must be exactly duration_ms, not (start + dur) - start
         # (the two can differ in the last ulp).  Its start anchors nothing, so pinning
@@ -295,28 +316,28 @@ class CompiledTraceSet:
             root_start.append(spans[root_pos].start_ms)
         else:
             root_start.append(0.0)
-        for pos in range(n):
+        for pos in live:
             if pos != root_pos:
                 ops = ops_at(start_level[pos])
                 sibling = anchor_sibling[pos]
                 if sibling >= 0:
-                    ops.ss_idx.append(offset + pos)
-                    ops.ss_dep.append(offset + sibling)
+                    ops.ss_idx.append(index_of[pos])
+                    ops.ss_dep.append(index_of[sibling])
                     ops.ss_gap.append(gap[pos])
                     ops.ss_edge.append(edge_id[pos])
                 else:
-                    ops.sp_idx.append(offset + pos)
-                    ops.sp_dep.append(offset + parent_index[pos])
+                    ops.sp_idx.append(index_of[pos])
+                    ops.sp_dep.append(index_of[parent_index[pos]])
                     ops.sp_gap.append(gap[pos])
                     ops.sp_edge.append(edge_id[pos])
             ops = ops_at(end_level[pos])
             if fg_children[pos]:
-                ops.ea_idx.append(offset + pos)
+                ops.ea_idx.append(index_of[pos])
                 ops.ea_offsets.append(len(ops.ea_children))
-                ops.ea_children.extend(offset + c for c in fg_children[pos])
+                ops.ea_children.extend(index_of[c] for c in fg_children[pos])
                 ops.ea_tail.append(tail_gap[pos])
             else:
-                ops.el_idx.append(offset + pos)
+                ops.el_idx.append(index_of[pos])
                 # The reference path extends a childless span by duration_ms, but a span
                 # whose children are all background by end_ms - start_ms; the two can
                 # differ in the last ulp, and bitwise equality is a contract here.
@@ -325,11 +346,12 @@ class CompiledTraceSet:
                     ops.el_dur.append(max(span.end_ms - span.start_ms, 0.0))
                 else:
                     ops.el_dur.append(span.duration_ms)
-        return offset + n
+        return offset + len(live)
 
     # -- replay ----------------------------------------------------------------------------
     def delta_row(self, edge_delays: Mapping[Edge, float]) -> np.ndarray:
-        """One plan's per-edge Δ vector in the compiled edge order (clipped at zero)."""
+        """One plan's per-edge Δ vector in the compiled edge order (clipped at zero);
+        an edge that is not live moves no latency and is dropped."""
         row = np.zeros(self.n_edges, dtype=np.float64)
         for edge, delta in edge_delays.items():
             index = self.edge_index.get(edge)
@@ -378,12 +400,14 @@ class CompiledTraceSet:
 def _topological_value_order(
     children_index: Sequence[Sequence[int]], root_pos: int
 ) -> List[Tuple[int, int]]:
-    """DFS value order of one trace: (0=start, 1=end) events in dependency order.
+    """DFS value order of one trace's live spans: (0=start, 1=end) events in
+    dependency order.
 
-    Mirrors the recursion of ``DelayInjector._adjust``: a span's start is emitted on
-    entry, its children (background ones too) are processed in child-list order, and
-    its end is emitted on exit — which guarantees every anchor sibling's end and every
-    foreground child's end precede the values that read them.
+    Mirrors the recursion of ``DelayInjector._adjust`` over ``children_index`` (the
+    foreground children of each live span): a span's start is emitted on entry, its
+    children are processed in child-list order, and its end is emitted on exit —
+    which guarantees every anchor sibling's end and every foreground child's end
+    precede the values that read them.
     """
     order: List[Tuple[int, int]] = []
     stack: List[Tuple[int, bool]] = [(root_pos, False)]

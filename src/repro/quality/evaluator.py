@@ -38,7 +38,8 @@ models — aggregated by identity and without a per-scenario breakdown.  What a 
 compiles to is :func:`~repro.quality.scenarios.compile_scenario`'s; the evaluator
 caches it and scores.  The axis is the problem's, so an evaluator keeps one result
 cache; a shape the problem does not declare (an adversary probe) goes through the
-uncached :meth:`QualityEvaluator.evaluate_under`.
+uncached :meth:`QualityEvaluator.evaluate_under`, or, for a whole certificate's
+probes in one stacked pass, :meth:`QualityEvaluator.evaluate_specs`.
 """
 
 from __future__ import annotations
@@ -267,6 +268,7 @@ class QualityEvaluator:
             qualities = self._score_matrix(
                 matrix, self._canonical, plans, self._scenarios, self._aggregator
             )
+            self.evaluations += len(qualities)
             for key, quality in zip(missing, qualities):
                 cache[key] = quality
         return [cache[key] for key in keys]
@@ -281,16 +283,35 @@ class QualityEvaluator:
         ``evaluated_qualities`` as they were.
         """
         matrix = np.asarray([self._key(plan)], dtype=np.int64)
-        return self._score_matrix(
-            matrix, self._canonical, [plan], ScenarioSet((spec,)), WorstCase()
-        )[0]
+        quality = self._score_matrix(matrix, self._canonical, [plan], (spec,), WorstCase())
+        self.evaluations += 1
+        return quality[0]
+
+    def evaluate_specs(
+        self, plan: MigrationPlan, specs: Sequence[ScenarioSpec]
+    ) -> Tuple[ScenarioQuality, ...]:
+        """:meth:`evaluate_under` of ``plan`` under each of ``specs``, in one stacked
+        pass: one :class:`ScenarioQuality` per spec, in order, its values, feasibility
+        and violations those ``evaluate_under(plan, spec)`` reports.
+
+        The certificate's door: the stacked pass shares every kernel's
+        scenario-invariant work and replays each API once for all the specs.  Names
+        need not be unique (a caller's extra spec may share a stress family's).
+        Nothing is cached, and the counters advance as one probe per spec would.
+        """
+        matrix = np.asarray([self._key(plan)], dtype=np.int64)
+        quality = self._score_matrix(
+            matrix, self._canonical, [plan], tuple(specs), WorstCase()
+        )
+        self.evaluations += len(specs)
+        return quality[0].scenarios
 
     # -- the K-objective execution engine --------------------------------------------------
     def _contexts(
         self,
         matrix: np.ndarray,
         components: Sequence[str],
-        scenario_set: Optional[ScenarioSet],
+        scenario_set: Optional[Sequence[ScenarioSpec]],
         plans: Optional[Sequence[MigrationPlan]] = None,
     ) -> List[EvalContext]:
         """One evaluation context per scenario column of the call — the baseline
@@ -339,20 +360,21 @@ class QualityEvaluator:
     @staticmethod
     def _aggregate(
         tensor: np.ndarray,
-        scenario_set: Optional[ScenarioSet],
+        scenario_set: Optional[Sequence[ScenarioSpec]],
         aggregator: Optional[RobustAggregator],
     ) -> np.ndarray:
         """Collapse an ``(S, P)`` tensor: the identity on the classic single pass."""
         if scenario_set is None:
             return tensor[0]
-        return aggregator.combine(tensor, scenario_set.weight_array())
+        weights = np.asarray([spec.weight for spec in scenario_set], dtype=np.float64)
+        return aggregator.combine(tensor, weights)
 
     def _score_matrix(
         self,
         matrix: np.ndarray,
         components: Sequence[str],
         plans: Sequence[MigrationPlan],
-        scenario_set: Optional[ScenarioSet],
+        scenario_set: Optional[Sequence[ScenarioSpec]],
         aggregator: Optional[RobustAggregator],
     ) -> List[PlanQuality]:
         """Score distinct, uncached plans over the S scenario columns (S = 1 without a set).
@@ -367,7 +389,7 @@ class QualityEvaluator:
         feasible iff it is feasible under every pass; violation strings are
         materialized lazily, only for infeasible rows, and prefixed with the
         scenario name when S > 1.  Results are bitwise identical to
-        :meth:`evaluate_reference`.
+        :meth:`evaluate_reference`.  The caller counts the plans in ``evaluations``.
         """
         objectives = self.problem.objectives
         names = self.problem.objective_names
@@ -394,7 +416,6 @@ class QualityEvaluator:
         feasible = [
             self._feasible_from_checks(passed, n_plans).tolist() for passed in checks
         ]
-        self.evaluations += n_plans
         breakdown: Optional[List[List[Tuple[float, ...]]]] = None
         if scenario_set is not None:
             self.scenario_evaluations += n_scenarios * n_plans

@@ -33,10 +33,18 @@ three invariants:
   its impact factors from one table of every admissible projection, built once (by
   content, through the artifact cache when there is one): all such APIs are answered
   by one fused index product and one gather.  Every other API — and a tabled API's
-  rows outside the box — projects the matrix onto the components its traces touch →
-  gathers Δ rows from per-API lookup tables → dedups by raw row bytes → replays all
-  distinct rows in one vectorized batch.  :class:`~repro.quality.evaluator.QualityEvaluator`
-  drives it from ``evaluate_vectors`` / ``evaluate_batch``.
+  rows outside the box — projects the matrix onto the components its live edges
+  touch → gathers Δ rows from per-API lookup tables → dedups by raw row bytes →
+  replays all distinct rows in one vectorized batch, once per API per call however
+  many scenario views the call scores (:meth:`ApiPerformanceModel.impact_matrices`).
+  :class:`~repro.quality.evaluator.QualityEvaluator` drives it from
+  ``evaluate_vectors`` / ``evaluate_batch``.
+* **Live reach** — a background call never delays the response, so an edge under
+  one moves no latency: QPerf's Δ tables, Δ rows, row memo, projection columns and
+  impact tables cover only the *live* edges (those of spans the root's end depends
+  on, as the compiled set classifies them) and the components they touch.  The
+  per-plan Δ map (:meth:`ApiPerformanceModel.edge_delays`) still prices every edge,
+  so a site pair with no link refuses a plan whichever edge crosses it.
 * **A stateless per-plan path** — :meth:`~ApiPerformanceModel.estimate`,
   :meth:`~ApiPerformanceModel.qperf` and the other per-plan methods compute the plan's
   Δ map and replay it every call; they keep nothing on the model, so the scalar oracle
@@ -69,7 +77,7 @@ __all__ = ["DelayInjector", "ApiPerformanceModel", "PerformanceEstimate"]
 _ENGINES = ("compiled", "reference")
 
 Edge = Tuple[str, str]
-DeltaTable = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+DeltaTable = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
 #: Per matrix column, the location ids the problem admits for that component.
 Box = Tuple[Tuple[int, ...], ...]
 
@@ -184,8 +192,8 @@ class _Gather:
     ``_OUTSIDE`` for a site off that list; the last digit column catches every id
     past the widest list.  Tabled API ``t`` owns the digit columns
     ``bounds[t]:bounds[t + 1]``; their sum indexes its table, stored in ``flat``
-    from ``offsets[t]``.  ``built_for`` keeps each tabled API's edge list as it was
-    when its table was read, so a splice anywhere in the family retires the gather.
+    from ``offsets[t]``.  ``built_for`` keeps each tabled API's reach edge list as it
+    was when its table was read, so a splice anywhere in the family retires the gather.
     """
 
     built_for: List[Tuple[str, List[Edge]]]
@@ -199,7 +207,7 @@ class _Gather:
 
     def lookup(self, matrix: np.ndarray) -> np.ndarray:
         """``(plans, tabled APIs)`` impacts of a plan matrix, NaN where a plan's
-        projection lies outside the API's box or uses a linkless site pair."""
+        projection lies outside the API's box."""
         sub = matrix[:, self.columns]
         past = self.digits.shape[1] - 1
         if sub.size and (sub.min() < 0 or sub.max() > past):
@@ -261,14 +269,20 @@ class ApiPerformanceModel:
         self._baseline_mean: Dict[str, float] = {}
         # Invocation edges per API (unioned over sample traces).
         self._edges: Dict[str, List[Edge]] = {}
-        # Components each API touches — the projection axis of the plan matrix.
+        # Components each API's edges touch.
         self._touched: Dict[str, List[str]] = {}
         for api in self._traces:
             self._derive(api)
         self._apis = sorted(self._traces)
+        placed = [int(site) for site in baseline_plan.to_vector()] or [0]
+        #: The lowest and highest site id of the baseline placement.
+        self._baseline_span = (min(placed), max(placed))
         # Compiled trace sets, built lazily on first replay of each API.
         self._compiled: Dict[str, CompiledTraceSet] = {}
-        # Plan-matrix lowering: per component order, each API's touched columns.
+        # Per API, the edges that can move its latency and the components they touch
+        # (lazy, see _reach): the projection axis of the plan matrix.
+        self._reaches: Dict[str, Tuple[List[Edge], List[str]]] = {}
+        # Plan-matrix lowering: per component order, each API's reach columns.
         self._projection_columns: Dict[Tuple[str, ...], Dict[str, np.ndarray]] = {}
         # Per-API Δ lookup tables over (edge, caller location, callee location), each
         # with the edge list it was built for: built lazily, regrown when a matrix
@@ -314,7 +328,7 @@ class ApiPerformanceModel:
 
         The view shares everything that does not depend on footprint bytes or link
         characteristics: the sample traces, baseline means, per-API edge/touched
-        sets, the compiled trace sets and the row path's replay result cache
+        sets and reaches, the compiled trace sets and the row path's replay result cache
         (``_row_means`` is keyed by the raw Δ-row bytes, and a replay depends only
         on the compiled traces plus the Δ row, never on which footprint or network
         produced it).  It owns the Δ-producing cache (the Δ lookup tables), each
@@ -358,10 +372,11 @@ class ApiPerformanceModel:
         constructor's own :meth:`_derive` and their compiled sets, row-path replay
         caches and impact tables are dropped from the dicts every scenario view
         shares, so :meth:`_compiled_set` compiles them again (through the artifact
-        cache, keyed by the new traces' fingerprint) on their next replay.  A view's
-        own Δ table of a named API was built for the old edge list and is rebuilt
-        when :meth:`_delta_table` next reads it; an impact table or fused gather is
-        checked against the edge list the same way.
+        cache, keyed by the new traces' fingerprint) on their next replay, and
+        :meth:`_reach` reads their live edges again.  A view's own Δ table of a named
+        API was built for the old reach and is rebuilt when :meth:`_delta_table` next
+        reads it; an impact table or fused gather is checked against the reach the
+        same way.
         Every other API's compiled arrays, replay caches and impact tables survive
         untouched, and
         the model scores bitwise like a fresh one over the updated traces.  Every
@@ -385,6 +400,7 @@ class ApiPerformanceModel:
             self._trace_fps.pop(api, None)
             # Shared by reference with every view, so one pop reaches the family.
             self._compiled.pop(api, None)
+            self._reaches.pop(api, None)
             self._row_means.pop(api, None)
             if self._impact_tables is not None:
                 self._impact_tables.pop(api, None)
@@ -399,7 +415,8 @@ class ApiPerformanceModel:
         return list(self._apis)
 
     def invocation_edges(self) -> List[Edge]:
-        """Union of (caller, callee) invocation edges over all profiled APIs."""
+        """Union of (caller, callee) invocation edges over all profiled APIs (live or
+        not: the search's affinity seeding reads the whole call graph)."""
         edges = set()
         for api_edges in self._edges.values():
             edges.update(api_edges)
@@ -455,6 +472,25 @@ class ApiPerformanceModel:
             self._compiled[api] = compiled
         return compiled
 
+    def _reach(self, api: str) -> Tuple[List[Edge], List[str]]:
+        """The edges QPerf reads of one API and the components they touch (sorted).
+
+        On the compiled engine these are the live edges, the compiled set's
+        ``edge_index``: the ones that can move the API's latency.  The reference
+        engine keeps every edge — the oracle replays whatever Δ map it is given, so
+        the batched path checks against it that the edges left out move nothing.
+        Lazy and shared by every view; a splice drops the named APIs' entries.
+        """
+        reach = self._reaches.get(api)
+        if reach is None:
+            if self.engine == "reference":
+                reach = (self._edges[api], self._touched[api])
+            else:
+                edges = list(self._compiled_set(api).edge_index)
+                reach = (edges, sorted({c for edge in edges for c in edge}))
+            self._reaches[api] = reach
+        return reach
+
     def _replay_reference(self, api: str, delays: Mapping[Edge, float]) -> List[float]:
         return [
             DelayInjector(trace).injected_latency_ms(delays) for trace in self._traces[api]
@@ -471,46 +507,49 @@ class ApiPerformanceModel:
 
     # -- plan-matrix pipeline ---------------------------------------------------------------
     def _columns_for(self, components: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Per-API touched-component column indices for one matrix component order."""
+        """Per-API reach-component column indices for one matrix component order."""
         key = tuple(components)
         cached = self._projection_columns.get(key)
         if cached is None:
             column_of = {c: i for i, c in enumerate(key)}
             cached = {
-                api: np.asarray([column_of[c] for c in touched], dtype=np.intp)
-                for api, touched in self._touched.items()
+                api: np.asarray([column_of[c] for c in self._reach(api)[1]], dtype=np.intp)
+                for api in self._apis
             }
             self._projection_columns[key] = cached
         return cached
 
     def _delta_key(self, api: str) -> Tuple:
-        """Content of one API's Δ table save its location count: the edge list, the
-        touched components' baseline placements, the per-edge footprint bytes and
+        """Content of one API's Δ table save its location count: the reach's edge
+        list, its components' baseline placements, the per-edge footprint bytes and
         the network links (the byte tuples and the network digest are memoised where
         they are born)."""
-        edges = tuple(self._edges[api])
+        reach, members = self._reach(api)
+        edges = tuple(reach)
         return (
             api,
             edges,
-            tuple(self.baseline_plan[c] for c in self._touched[api]),
+            tuple(self.baseline_plan[c] for c in members),
             self.footprint.edge_bytes(api, edges),
             self.network.content_digest(),
         )
 
     def _delta_table(self, api: str, n_locations: int) -> DeltaTable:
-        """Δ of every (edge, caller location, callee location) triple of one API.
+        """Δ of every (reach edge, caller location, callee location) triple of one API.
 
-        Returns ``(size, table, missing, src_pos, dst_pos)``: ``table[e, a, b]`` is
-        the scalar :meth:`_compute_edge_delays` value for edge ``e`` relocated to
-        ``(a, b)`` (zero where the pair does not move or the Δ is non-positive),
-        ``missing`` flags pairs the network has no link for, and ``src_pos``/
-        ``dst_pos`` map each edge endpoint into the API's touched-component axis.
-        Built once per edge list of the API — a splice assigns a fresh list, so a
-        table built for the old one is rebuilt on its next read — and regrown when a
-        higher location id appears.
+        Returns ``(size, table, src_pos, dst_pos)``: ``table[e, a, b]`` is the scalar
+        :meth:`_compute_edge_delays` value for edge ``e`` relocated to ``(a, b)``
+        (zero where the pair does not move, the Δ is non-positive or the network has
+        no link — :meth:`_refuse_linkless` refuses such a plan before any lookup),
+        and ``src_pos``/``dst_pos`` map each edge endpoint into the API's
+        reach-component axis.
+        Built once per reach of the API — a splice drops the reach, so a table built
+        for the old one is rebuilt on its next read — and regrown when a higher
+        location id appears.
         """
+        reach = self._reach(api)[0]
         built_for, cached = self._delta_tables.get(api, (None, None))
-        if built_for is not self._edges[api] or cached[0] < n_locations:
+        if built_for is not reach or cached[0] < n_locations:
             if self._artifact_cache is not None:
                 # Content-complete key: a table is a function of its _delta_key and
                 # the location count.  Consumers only ever read the arrays, so
@@ -524,13 +563,12 @@ class ApiPerformanceModel:
                 )
             else:
                 cached = self._build_delta_table(api, n_locations)
-            self._delta_tables[api] = (self._edges[api], cached)
+            self._delta_tables[api] = (reach, cached)
         return cached
 
     def _build_delta_table(self, api: str, n_locations: int) -> DeltaTable:
-        edges = self._edges[api]
+        edges, members = self._reach(api)
         table = np.zeros((len(edges), n_locations, n_locations), dtype=np.float64)
-        missing = np.zeros(table.shape, dtype=bool)
         for index, (caller, callee) in enumerate(edges):
             before = (self.baseline_plan[caller], self.baseline_plan[callee])
             request = self.footprint.request_bytes(api, caller, callee)
@@ -547,112 +585,115 @@ class ApiPerformanceModel:
                             )
                         )
                     except KeyError:
-                        missing[index, caller_loc, callee_loc] = True
-        position = {c: i for i, c in enumerate(self._touched[api])}
+                        pass
+        position = {c: i for i, c in enumerate(members)}
         src_pos = np.asarray([position[c] for c, _ in edges], dtype=np.intp)
         dst_pos = np.asarray([position[c] for _, c in edges], dtype=np.intp)
-        return (n_locations, table, missing, src_pos, dst_pos)
+        return (n_locations, table, src_pos, dst_pos)
 
-    def _projected_deltas(
-        self, api: str, sub: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def _projected_deltas(self, api: str, sub: np.ndarray) -> np.ndarray:
         """Δ rows of one API's projections ``sub`` (one per row, in the API's
-        touched-component order), zero-clipped exactly like the scalar path's
-        ``delta_row`` values, plus a per-row flag for a projection that uses a site
-        pair the network has no link for (``None`` when none does)."""
-        edges = self._edges[api]
+        reach-component order), zero-clipped exactly like the scalar path's
+        ``delta_row`` values."""
+        edges = self._reach(api)[0]
         if not edges:
-            return np.zeros((sub.shape[0], 0), dtype=np.float64), None
-        _size, table, missing, src_pos, dst_pos = self._delta_table(
-            api, int(sub.max()) + 1
-        )
-        edge_axis = np.arange(len(edges))[None, :]
-        src_locs = sub[:, src_pos]
-        dst_locs = sub[:, dst_pos]
-        deltas = table[edge_axis, src_locs, dst_locs]
-        linkless = None
-        if missing.any():
-            flags = missing[edge_axis, src_locs, dst_locs].any(axis=1)
-            if flags.any():
-                linkless = flags
-        return np.where(deltas > 0.0, deltas, 0.0), linkless
+            return np.zeros((sub.shape[0], 0), dtype=np.float64)
+        _size, table, src_pos, dst_pos = self._delta_table(api, int(sub.max()) + 1)
+        deltas = table[np.arange(len(edges))[None, :], sub[:, src_pos], sub[:, dst_pos]]
+        return np.where(deltas > 0.0, deltas, 0.0)
 
     def _delta_rows_for(
         self, api: str, matrix: np.ndarray, columns: np.ndarray
     ) -> np.ndarray:
-        """Per-plan Δ rows of one API over a plan matrix: ``(plans, api edges)``.
+        """Per-plan Δ rows of one API over a plan matrix: ``(plans, reach edges)``.
 
-        Projects the matrix onto the API's touched columns and gathers each plan's
-        per-edge Δ row from the API's delta table; a plan using a linkless site pair
-        raises the scalar path's ``KeyError``.
+        Projects the matrix onto the API's reach columns and gathers each plan's
+        per-edge Δ row from the API's delta table (a plan over a linkless site pair
+        was refused before, by :meth:`_refuse_linkless`).
         """
-        sub = matrix[:, columns]
-        rows, linkless = self._projected_deltas(api, sub)
-        if linkless is not None:
-            bad = int(np.nonzero(linkless)[0][0])
-            self._compute_edge_delays(
-                api, dict(zip(self._touched[api], (int(v) for v in sub[bad])))
-            )
-        return rows
+        return self._projected_deltas(api, matrix[:, columns])
 
     def _replay_means(
-        self, api: str, rows: np.ndarray, cache: Dict[bytes, float]
-    ) -> np.ndarray:
-        """Mean injected latency of every Δ row of one API.
+        self, api: str, blocks: Sequence[Tuple[np.ndarray, bool]]
+    ) -> List[np.ndarray]:
+        """Mean injected latency of every Δ row of each ``(rows, memoised)`` block of
+        one API, one array per block.
 
-        Rows dedup by their raw bytes (the cut-edge signature): the distinct rows
-        missing from ``cache`` replay in one vectorized batch and are added to it,
-        and every row reads its mean back.  (Rows are built with a +0.0 fill and
-        no NaNs, so byte equality is value equality.)
+        Rows dedup by their raw bytes (the cut-edge signature) across the blocks: the
+        distinct rows the API's row memo does not hold replay in one vectorized batch,
+        and every row reads its mean back.  A memoised block's rows join the memo
+        (``_row_means``, shared by every view); a row only the other blocks hold — a
+        tabled API's row outside its box — is kept for the call only.  (Rows are
+        built with a +0.0 fill and no NaNs, so byte equality is value equality.)
         """
-        edges = self._edges[api]
-        n_plans = rows.shape[0]
-        row_size = rows.shape[1] * rows.itemsize
-        buffer = rows.tobytes()
-        keys = [buffer[p * row_size : (p + 1) * row_size] for p in range(n_plans)]
-        means = np.empty(n_plans, dtype=np.float64)
-        unknown: Dict[bytes, int] = {}
-        for plan_index, key in enumerate(keys):
-            cached = cache.get(key)
-            if cached is None and key not in unknown:
-                unknown[key] = plan_index
+        memoised = any(flag for _rows, flag in blocks)
+        memo = (
+            self._row_means.setdefault(api, {})
+            if memoised
+            else self._row_means.get(api, {})
+        )
+        keyed: List[List[bytes]] = []
+        # Each distinct row the memo lacks -> whether a memoised block holds it.
+        unknown: Dict[bytes, bool] = {}
+        positions: List[List[int]] = []
+        for rows, flag in blocks:
+            size = rows.shape[1] * rows.itemsize
+            buffer = rows.tobytes()
+            keys = [buffer[p * size : (p + 1) * size] for p in range(rows.shape[0])]
+            new: List[int] = []
+            for position, key in enumerate(keys):
+                if key in memo:
+                    continue
+                if key not in unknown:
+                    unknown[key] = flag
+                    new.append(position)
+                elif flag:
+                    unknown[key] = True
+            keyed.append(keys)
+            positions.append(new)
+        fresh: Dict[bytes, float] = {}
         if unknown:
-            distinct = list(unknown.values())
+            distinct = np.concatenate(
+                [rows[new] for (rows, _flag), new in zip(blocks, positions) if new]
+            )
             if self.engine != "reference":
-                replayed = self._compiled_set(api).replay_batch(rows[distinct]).tolist()
+                replayed = self._compiled_set(api).replay_batch(distinct).tolist()
             else:
+                edges = self._reach(api)[0]
                 replayed = [
                     self._replay_reference(
-                        api,
-                        {
-                            edges[i]: float(rows[index, i])
-                            for i in np.nonzero(rows[index])[0]
-                        },
+                        api, {edges[i]: float(row[i]) for i in np.nonzero(row)[0]}
                     )
-                    for index in distinct
+                    for row in distinct
                 ]
             for key, latencies in zip(unknown, replayed):
                 # fmean is fsum-based, so its mean of the replayed floats is
                 # bit-identical to _resolve's — mixed scalar/batched use of one
                 # evaluator yields the same means.  (Lists: fmean iterates Python
                 # floats ≈ 2.5x faster than numpy scalars.)
-                cache[key] = float(statistics.fmean(latencies))
-        for plan_index, key in enumerate(keys):
-            means[plan_index] = cache[key]
-        return means
+                fresh[key] = float(statistics.fmean(latencies))
+            memo.update((key, fresh[key]) for key, kept in unknown.items() if kept)
+        return [
+            np.asarray(
+                [fresh[key] if key in fresh else memo[key] for key in keys],
+                dtype=np.float64,
+            )
+            for keys in keyed
+        ]
 
     def _impact_table(self, api: str, admissible: Box) -> np.ndarray:
         """One API's impact factor for every projection in its admissible box.
 
-        ``admissible`` lists, per touched component, the sites the problem allows;
+        ``admissible`` lists, per reach component, the sites the problem allows;
         entry ``i`` of the table is the projection whose mixed-radix digits over
         those lists (last component fastest) spell ``i``, and holds exactly the
-        row path's ``mean / baseline`` — NaN for a projection over a linkless pair.
-        Built once per edge list and box; with an artifact cache, once per content:
+        row path's ``mean / baseline``.
+        Built once per reach and box; with an artifact cache, once per content:
         the Δ table's content, the trace fingerprint and the box.
         """
+        reach = self._reach(api)[0]
         built_for, lists, table = self._impact_tables.get(api, (None, None, None))
-        if built_for is not self._edges[api] or lists != admissible:
+        if built_for is not reach or lists != admissible:
             if self._artifact_cache is not None:
                 table = self._artifact_cache.get_or_build(
                     ("impact", *self._delta_key(api), self._trace_fingerprint(api), admissible),
@@ -660,7 +701,7 @@ class ApiPerformanceModel:
                 )
             else:
                 table = self._build_impact_table(api, admissible)
-            self._impact_tables[api] = (self._edges[api], admissible, table)
+            self._impact_tables[api] = (reach, admissible, table)
         return table
 
     def _build_impact_table(self, api: str, admissible: Box) -> np.ndarray:
@@ -670,19 +711,16 @@ class ApiPerformanceModel:
             if axes
             else np.zeros((1, 0), dtype=np.int64)
         )
-        rows, linkless = self._projected_deltas(api, projections)
-        impacts = self._replay_means(api, rows, {}) / self._baseline_mean[api]
-        if linkless is not None:
-            impacts[linkless] = np.nan
-        return impacts
+        rows = self._projected_deltas(api, projections)
+        return self._replay_means(api, [(rows, False)])[0] / self._baseline_mean[api]
 
     def _gather(self, components: Sequence[str], box: Box) -> _Gather:
         """The fused lookup of one (component order, box), rebuilt when a splice
-        gave one of its APIs a new edge list."""
+        gave one of its APIs a new reach."""
         key = (tuple(components), box)
         gather = self._gathers.get(key)
         if gather is None or not all(
-            self._edges[api] is edges for api, edges in gather.built_for
+            self._reach(api)[0] is edges for api, edges in gather.built_for
         ):
             gather = self._build_gather(components, box)
             self._gathers[key] = gather
@@ -702,7 +740,7 @@ class ApiPerformanceModel:
                 untabled.append(index)
                 continue
             tables.append(self._impact_table(api, admissible))
-            built_for.append((api, self._edges[api]))
+            built_for.append((api, self._reach(api)[0]))
             rows.append(index)
             stride = count
             for column, sites in zip(columns[api], admissible):
@@ -732,7 +770,6 @@ class ApiPerformanceModel:
         self,
         plan_matrix: np.ndarray,
         components: Sequence[str],
-        base_impacts: Optional[np.ndarray] = None,
         admissible: Optional[Box] = None,
     ) -> np.ndarray:
         """Per-API impact factors of a whole plan matrix: ``(apis, plans)``.
@@ -744,64 +781,162 @@ class ApiPerformanceModel:
 
         ``admissible`` is the problem's box — per column of ``components``, the
         sites its pins and whitelists allow (default: every site the network
-        links).  On a compiled base model every API whose touched components admit
+        links).  On a compiled base model every API whose reach components admit
         at most ``_TABLE_LIMIT`` projections reads its row from its impact table,
-        all such APIs in one fused gather; a plan outside an API's box, or over a
-        linkless pair, takes that API's row path for that plan alone.  The other
-        APIs take the row path (:meth:`_delta_rows_for` + :meth:`_replay_means`).
+        all such APIs in one fused gather; a plan outside an API's box takes that
+        API's row path for that plan alone.  The other APIs take the row path
+        (:meth:`_delta_rows_for` + :meth:`_replay_means`).
 
-        ``base_impacts`` is the base model's impact matrix for the *same* plan
-        matrix: when this view knows which APIs its footprint actually changes
-        (``scenario_view(..., changed_apis=...)``), unchanged APIs' rows are copied
-        from it — their Δ rows would be byte-identical anyway.
+        The one-view case of :meth:`impact_matrices`.
+        """
+        return self.impact_matrices(plan_matrix, components, [(self, admissible)])[0]
+
+    def impact_matrices(
+        self,
+        plan_matrix: np.ndarray,
+        components: Sequence[str],
+        views: Sequence[Tuple["ApiPerformanceModel", Optional[Box]]],
+    ) -> List[np.ndarray]:
+        """:meth:`impact_matrix` of several views of this model over one plan matrix,
+        one ``(apis, plans)`` array per ``(view, admissible box)`` of ``views``.
+
+        The views are this model or its scenario views, each at most once.  Every
+        untabled API's Δ rows — from every view, out-of-box rows included — replay
+        in one :meth:`_replay_means` per API: they dedup by bytes across the views
+        and through the row memo the views share, so a scoring call replays each
+        API's compiled set once, however many scenario views it scores.  When this
+        model is among ``views``, a view that knows which APIs its footprint changes
+        (``scenario_view(..., changed_apis=...)``) copies the others' rows from this
+        model's matrix — their Δ rows would be byte-identical anyway.
+        A plan whose Δ map crosses a site pair with no link raises the scalar path's
+        ``KeyError`` (:meth:`_refuse_linkless`).
         """
         matrix = np.asarray(plan_matrix, dtype=np.int64)
         if matrix.ndim != 2 or matrix.shape[1] != len(components):
             raise ValueError("plan matrix must be (plans, len(components))")
-        columns = self._columns_for(components)
-        impacts = np.empty((len(self._apis), matrix.shape[0]), dtype=np.float64)
+        results = [
+            np.empty((len(self._apis), matrix.shape[0]), dtype=np.float64) for _ in views
+        ]
         if matrix.shape[0] == 0:
-            return impacts
-        untabled: Sequence[int] = range(len(self._apis))
-        outside: Dict[int, np.ndarray] = {}
-        if self._impact_tables is not None:
-            if admissible is None:
-                admissible = (tuple(self.network.locations()),) * len(components)
-            gather = self._gather(components, admissible)
-            untabled = gather.untabled
-            if gather.rows.size:
-                values = gather.lookup(matrix)
-                impacts[gather.rows] = values.T
-                missed = np.isnan(values)
-                if missed.any():
-                    for slot in np.nonzero(missed.any(axis=0))[0]:
-                        outside[int(gather.rows[slot])] = np.nonzero(missed[:, slot])[0]
-                    untabled = sorted([*untabled, *outside])
-        reusable = (
-            self._changed_apis
-            if base_impacts is not None and self._changed_apis is not None
-            else None
-        )
-        for index in untabled:
+            return results
+        span = (int(matrix.min()), int(matrix.max()))
+        columns = self._columns_for(components)
+        # Per API index: (impacts, Δ rows, out-of-box plans or None for all) blocks.
+        blocks: Dict[int, List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]] = {}
+        copies: List[Tuple[np.ndarray, int]] = []
+        source: Optional[np.ndarray] = None
+        for (view, admissible), impacts in zip(views, results):
+            view._refuse_linkless(matrix, components, span)
+            if view is self:
+                source = impacts
+        for (view, admissible), impacts in zip(views, results):
+            untabled, outside = view._read_tables(matrix, components, admissible, impacts)
+            reusable = (
+                view._changed_apis
+                if source is not None and source is not impacts
+                else None
+            )
+            for index in untabled:
+                api = self._apis[index]
+                if index in outside:
+                    plans = outside[index]
+                    rows = view._delta_rows_for(api, matrix[plans], columns[api])
+                    blocks.setdefault(index, []).append((impacts, rows, plans))
+                elif reusable is not None and api not in reusable:
+                    copies.append((impacts, index))
+                elif self._baseline_mean[api] > 0:
+                    rows = view._delta_rows_for(api, matrix, columns[api])
+                    blocks.setdefault(index, []).append((impacts, rows, None))
+                else:
+                    impacts[index] = 1.0
+        for index, entries in blocks.items():
             api = self._apis[index]
-            if index in outside:
-                plans = outside[index]
-                rows = self._delta_rows_for(api, matrix[plans], columns[api])
-                impacts[index, plans] = (
-                    self._replay_means(api, rows, {}) / self._baseline_mean[api]
-                )
+            means = self._replay_means(
+                api, [(rows, plans is None) for _impacts, rows, plans in entries]
+            )
+            for (impacts, _rows, plans), values in zip(entries, means):
+                if plans is None:
+                    impacts[index] = values / self._baseline_mean[api]
+                else:
+                    impacts[index, plans] = values / self._baseline_mean[api]
+        for impacts, index in copies:
+            impacts[index] = source[index]
+        return results
+
+    def _read_tables(
+        self,
+        matrix: np.ndarray,
+        components: Sequence[str],
+        admissible: Optional[Box],
+        impacts: np.ndarray,
+    ) -> Tuple[Sequence[int], Dict[int, np.ndarray]]:
+        """Fill the tabled APIs' rows of ``impacts`` from their fused gather.
+
+        Returns the API indices the row path answers, in API order, and per tabled
+        API among them the plans outside its box.  A scenario view and the
+        reference engine tabulate nothing: every API is left to the row path."""
+        if self._impact_tables is None:
+            return range(len(self._apis)), {}
+        if admissible is None:
+            admissible = (tuple(self.network.locations()),) * len(components)
+        gather = self._gather(components, admissible)
+        outside: Dict[int, np.ndarray] = {}
+        if gather.rows.size:
+            values = gather.lookup(matrix)
+            impacts[gather.rows] = values.T
+            missed = np.isnan(values)
+            if missed.any():
+                for slot in np.nonzero(missed.any(axis=0))[0]:
+                    outside[int(gather.rows[slot])] = np.nonzero(missed[:, slot])[0]
+        return sorted([*gather.untabled, *outside]), outside
+
+    def _refuse_linkless(
+        self, matrix: np.ndarray, components: Sequence[str], span: Tuple[int, int]
+    ) -> None:
+        """Raise the scalar path's ``KeyError`` for the first API and plan whose Δ
+        map crosses a site pair this view's network has no link for.
+
+        Every edge counts, also one no replay reads: a background call moves no
+        latency, but :meth:`edge_delays` still prices its edge, so the batched path
+        refuses exactly the plans the scalar one does.  ``span`` is the matrix's
+        lowest and highest site id; a network that links every pair of ids up to
+        the highest one in play (every built-in network does) returns at once.
+        """
+        low = min(span[0], self._baseline_span[0])
+        high = max(span[1], self._baseline_span[1])
+        if low >= 0 and high < self.network.linked_prefix():
+            return
+        column_of = {c: i for i, c in enumerate(components)}
+        linked = self.network.has_link
+        for api in self._apis:
+            edges = self._edges[api]
+            if not edges:
                 continue
-            if reusable is not None and api not in reusable:
-                impacts[index] = base_impacts[index]
+            before = np.asarray(
+                [(self.baseline_plan[a], self.baseline_plan[b]) for a, b in edges],
+                dtype=np.int64,
+            )
+            after = np.stack(
+                [
+                    matrix[:, [column_of[a] for a, _b in edges]],
+                    matrix[:, [column_of[b] for _a, b in edges]],
+                ],
+                axis=-1,
+            )
+            moved = (after != before[None, :, :]).any(axis=-1)
+            broken = np.asarray([not linked(a, b) for a, b in before.tolist()])
+            pairs = {tuple(pair) for pair in after[moved].tolist()}
+            gaps = {pair for pair in pairs if not linked(*pair)}
+            if not (gaps or broken[moved.any(axis=0)].any()):
                 continue
-            baseline = self._baseline_mean[api]
-            if baseline > 0:
-                rows = self._delta_rows_for(api, matrix, columns[api])
-                means = self._replay_means(api, rows, self._row_means.setdefault(api, {}))
-                impacts[index] = means / baseline
-            else:
-                impacts[index] = 1.0
-        return impacts
+            for row in range(matrix.shape[0]):
+                if any(
+                    moved[row, e] and (broken[e] or tuple(after[row, e].tolist()) in gaps)
+                    for e in range(len(edges))
+                ):
+                    self._compute_edge_delays(
+                        api, dict(zip(components, matrix[row].tolist()))
+                    )
 
     def weight_vector(self, api_weights: Optional[Mapping[str, float]]) -> np.ndarray:
         """τ_A per API in :attr:`apis` order (1.0 for an API the mapping omits)."""

@@ -375,8 +375,10 @@ class QPerfObjective(Objective):
     """Expected API slowdown (Eq. 1): weighted mean impact factor over all APIs.
 
     Batched scoring reuses the compiled-replay kernel: one impact matrix per distinct
-    performance view of the call (payload-neutral scenarios share the base view's
-    Δ-row gather/replay), then every scenario's τ_A weights in one API-ordered sum
+    performance view of the call (payload-neutral scenarios share the base view's),
+    all of them from one :meth:`~repro.quality.performance.ApiPerformanceModel.impact_matrices`
+    pass that replays each API's distinct Δ rows once, then every scenario's τ_A
+    weights in one API-ordered sum
     (:meth:`~repro.quality.performance.ApiPerformanceModel.qperf_stack`).
     """
 
@@ -393,32 +395,21 @@ class QPerfObjective(Objective):
 
     @staticmethod
     def _impacts(ctx: EvalContext, columns: Sequence) -> List[np.ndarray]:
-        """One impact matrix per column, computed once per distinct view, over the
-        admissible box of the first column's preferences that reads the view."""
+        """One impact matrix per column: one per distinct view, each over the
+        admissible box of the first column that reads the view, from one pass of the
+        evaluator's model over them all."""
         first: Dict[int, object] = {}  # view id -> the first column reading the view
         for column in columns:
             first.setdefault(id(column.performance), column)
-        base = ctx.evaluator.performance
-
-        def impact_matrix(column, base_impacts: Optional[np.ndarray] = None) -> np.ndarray:
-            return column.performance.impact_matrix(
-                ctx.matrix,
-                ctx.components,
-                base_impacts=base_impacts,
-                admissible=column.once("qperf-box", _admissible_box),
-            )
-
-        impacts: Dict[int, np.ndarray] = {}
-        if id(base) in first and any(
-            column.performance is not base and column.performance._changed_apis is not None
-            for column in first.values()
-        ):
-            # A payload-scaled view copies its unchanged APIs' rows from the base
-            # view's impacts, which some scenario needs anyway: compute them first.
-            impacts[id(base)] = impact_matrix(first[id(base)])
-        for key, column in first.items():
-            if key not in impacts:
-                impacts[key] = impact_matrix(column, impacts.get(id(base)))
+        matrices = ctx.evaluator.performance.impact_matrices(
+            ctx.matrix,
+            ctx.components,
+            [
+                (column.performance, column.once("qperf-box", _admissible_box))
+                for column in first.values()
+            ],
+        )
+        impacts = dict(zip(first, matrices))
         return [impacts[id(column.performance)] for column in columns]
 
     def score_plan(self, ctx: EvalContext, plan: MigrationPlan) -> float:

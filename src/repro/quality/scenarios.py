@@ -294,9 +294,6 @@ class ScenarioSet:
     def names(self) -> List[str]:
         return [spec.name for spec in self.scenarios]
 
-    def weight_array(self) -> np.ndarray:
-        return np.asarray([spec.weight for spec in self.scenarios], dtype=np.float64)
-
     # -- construction ----------------------------------------------------------------------
     @classmethod
     def baseline(cls, name: str = "baseline") -> "ScenarioSet":

@@ -72,7 +72,10 @@ _MAGIC = "atlas-store"
 #: billable site and reprices storage: an older entry names a class that is gone or
 #: revives another ``worst_spec`` and ``worst_values`` for the same request.
 #: 11 = a ``Trace`` pickles without its former structure memo: compiled replay reads its shape.
-_VERSION = 11
+#: 12 = a ``CompiledTraceSet`` holds its live spans and live edges only (an older frame
+#: replays background subtrees and numbers every edge), and QPerf's Δ and impact
+#: tables cover the live edges and mark no linkless pair.
+_VERSION = 12
 
 
 def _key_digest(key: Tuple) -> str:

@@ -15,6 +15,10 @@ The oracle: at the default budget a certificate spends the families plus the
 corners, and its worst regret is the maximum over the {neutral, severe} knob grid
 × outage choices, each point scored through ``evaluate_under`` and the documented
 scalarization.
+
+The one stacked pass: ``certify`` scores the baseline and every probe in one
+``evaluate_specs`` call, and equals — field by field, counters included — the
+per-spec loop it replaced, written out below as :func:`_per_spec_certificate`.
 """
 
 import itertools
@@ -25,6 +29,9 @@ from fingerprints import build_tiny_evaluator, fingerprint_certificate, severity
 from repro.cluster import MigrationPlan
 from repro.quality import (
     AdversaryBounds,
+    MigrationPreferences,
+    PriceShock,
+    RobustnessCertificate,
     ScenarioAdversary,
     ScenarioFactory,
     ScenarioSpec,
@@ -68,6 +75,103 @@ def _scalarized(baseline, quality, bounds):
     if baseline.feasible and not quality.feasible:
         score += bounds.infeasibility_penalty
     return score
+
+
+def _per_spec_certificate(adversary, plan):
+    """The certificate as the adversary computed it before its one stacked pass: the
+    baseline, then every family and extra spec, then the corners within budget, each
+    deduplicated by identity and scored alone through ``evaluate_under``."""
+    evaluator, bounds = adversary.evaluator, adversary.bounds
+    baseline = evaluator.evaluate_under(plan, ScenarioSpec(name="certify-baseline"))
+    seen, candidates = set(), []
+
+    def consider(spec):
+        if spec.identity_key() in seen:
+            return None
+        seen.add(spec.identity_key())
+        quality = evaluator.evaluate_under(plan, spec)
+        regret = tuple(v - b for v, b in zip(quality.objectives(), baseline.objectives()))
+        candidates.append((spec, quality, regret, _scalarized(baseline, quality, bounds)))
+        return candidates[-1]
+
+    family_regrets = {}
+    families = [
+        spec
+        for spec in [
+            *adversary.factory.stress_families(include_baseline=False),
+            *adversary.extra_specs,
+        ]
+        if adversary._supported(spec)
+    ]
+    for spec in families:
+        candidate = consider(spec)
+        if candidate is not None:
+            family_regrets[spec.name] = candidate[3]
+    outages = sorted(adversary.factory.remote_locations) if bounds.allow_outages else []
+    for outage in [*outages, None]:
+        if len(candidates) >= adversary.budget:
+            break
+        corner = adversary._corner(outage)
+        if corner is not None:
+            consider(corner)
+    spec, worst, regret, score = max(candidates, key=lambda candidate: candidate[3])
+    return RobustnessCertificate(
+        plan=plan,
+        objective_names=evaluator.objective_names,
+        baseline_values=baseline.objectives(),
+        baseline_feasible=baseline.feasible,
+        worst_spec=spec,
+        worst_values=worst.objectives(),
+        regret=regret,
+        worst_regret=score,
+        feasible_under_fault=worst.feasible,
+        violations=worst.violations,
+        budget_spent=len(candidates),
+        family_regrets=family_regrets,
+    )
+
+
+class TestOneStackedPass:
+    @pytest.mark.parametrize("budget", [1, 9, 48])
+    @pytest.mark.parametrize("limited", [True, False])
+    def test_certify_is_the_per_spec_loop(
+        self, adversary_stack, tiny_telemetry, budget, limited
+    ):
+        """Every field and float bit, and the evaluator's counters, with a drift spec
+        and an extra spec named like a family: under the tiny stack's on-prem limit
+        (no plan is feasible, so violations differ by spec) and without it (the
+        on-premises plan survives, one with a remote component loses feasibility)."""
+        _build, _plan, families = adversary_stack
+        app, result = tiny_telemetry
+        preferences = None if limited else MigrationPreferences(pinned_placement={"Database": 0})
+
+        def build():
+            return build_tiny_evaluator(app, result.telemetry, preferences=preferences)
+
+        extras = (
+            ScenarioSpec(name="drift-refresh", rate_scale=1.7),
+            ScenarioSpec(name=families[0].name, faults=(PriceShock(compute_factor=3.0),)),
+        )
+        survived = set()
+        for vector in ([0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 0], [0, 1, 1, 0, 1, 0]):
+            plan = MigrationPlan.from_vector(app.component_names, vector)
+            stacked, looped = build(), build()
+            got = ScenarioAdversary(stacked, budget=budget, extra_specs=extras).certify(plan)
+            want = _per_spec_certificate(
+                ScenarioAdversary(looped, budget=budget, extra_specs=extras), plan
+            )
+            assert got == want
+            assert repr(got) == repr(want)  # every float's repr, the specs' too
+            assert got.family_regrets[families[0].name] == want.family_regrets[families[0].name]
+            assert (stacked.evaluations, stacked.scenario_evaluations) == (
+                looped.evaluations,
+                looped.scenario_evaluations,
+            ) == (got.budget_spent + 1, got.budget_spent + 1)
+            survived.add((got.baseline_feasible, got.survives))
+        # Without the limit, two plans move the pinned Database.
+        assert survived == (
+            {(False, False)} if limited else {(True, True), (True, False), (False, False)}
+        )
 
 
 class TestAdversaryBudget:

@@ -280,10 +280,12 @@ class TestSpliceEquivalence:
         matrix = np.asarray([plan.to_vector() for plan in plans])
 
         def scores(base, view):
-            impacts = base.impact_matrix(matrix, components)
+            impacts, viewed = base.impact_matrices(
+                matrix, components, [(base, None), (view, None)]
+            )
             return (
                 _hexes(impacts)
-                + _hexes(view.impact_matrix(matrix, components, base_impacts=impacts))
+                + _hexes(viewed)
                 + _hexes([base.qperf(plan) for plan in plans])
                 + _hexes([view.qperf(plan) for plan in plans])
                 + [
@@ -460,7 +462,13 @@ class TestImpactTables:
         # needs the missing 1 <-> 2 link.
         matrix = rng.integers(0, 2, size=(30, len(names))) * rng.integers(1, 3, size=(30, 1))
         impacts = batched.impact_matrix(matrix, names)
-        assert any(np.isnan(table).any() for _e, _b, table in batched._impact_tables.values())
+        # The tables span every linked site, so they hold projections over the
+        # missing 1 <-> 2 link too: only the linkless refusal keeps a plan off them.
+        assert batched._impact_tables and all(
+            set(sites) == {0, 1, 2}
+            for _e, box, _table in batched._impact_tables.values()
+            for sites in box
+        )
         plans = [MigrationPlan.from_vector(names, row) for row in matrix.tolist()]
         assert _hexes(impacts.T) == _hexes(
             [[scalar._impact_factor(api, plan) for api in scalar.apis] for plan in plans]
@@ -473,6 +481,56 @@ class TestImpactTables:
         with pytest.raises(KeyError) as batched_error:
             batched.impact_matrix(np.vstack([matrix, [crossing.to_vector()]]), names)
         assert str(batched_error.value) == str(scalar_error.value)
+
+    def test_a_linkless_pair_on_a_background_edge_still_raises(self):
+        """The edge to a background call moves no latency and leaves the replay, but
+        the scalar Δ map prices it: a plan that puts its ends on a linkless pair is
+        refused by the tabled, the view's and the reference engine's batched paths
+        with the scalar path's error, and a plan that does not is scored."""
+        traces = []
+        for k in range(4):
+            spans = [
+                Span(f"t{k}", "root", None, "A", "op", 0.0, 100.0 + k),
+                Span(f"t{k}", "fg", "root", "F", "op", 10.0, 30.0 + k),
+                Span(f"t{k}", "bg", "root", "B", "op", 50.0, 80.0 + k),  # outlives root
+            ]
+            traces.append(Trace(f"t{k}", "/api", spans))
+        full = default_multi_location_network(locations=(0, 1, 2))
+        links = NetworkModel(
+            {pair: full.link(*pair) for pair in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2))}
+        )
+        names = ["A", "B", "F"]
+
+        def build(engine="compiled"):
+            return ApiPerformanceModel(
+                traces_by_api={"/api": traces},
+                footprint=NetworkFootprint([]),
+                network=links,
+                baseline_plan=MigrationPlan.all_on_prem(names),
+                engine=engine,
+            )
+
+        model = build()
+        assert list(model._compiled_set("/api").edge_index) == [("A", "F")]
+        assert model.edge_delays("/api", MigrationPlan.from_vector(names, [1, 0, 0])) == {
+            ("A", "B"): 23.015 - 0.168,
+            ("A", "F"): 23.015 - 0.168,
+        }
+        scored = np.asarray([[1, 0, 1], [0, 2, 2], [1, 1, 0]])
+        crossing = MigrationPlan.from_vector(names, [1, 2, 1])  # only A -> B crosses 1 <-> 2
+        with pytest.raises(KeyError) as scalar_error:
+            build().qperf(crossing)
+        view = build().scenario_view(NetworkFootprint([]))
+        engines = {"tabled": model, "view": view, "reference": build("reference")}
+        for label, batched in engines.items():
+            impacts = batched.impact_matrix(scored, names)
+            assert _hexes(impacts[0]) == _hexes(
+                [build()._impact_factor("/api", MigrationPlan.from_vector(names, row)) for row in scored.tolist()]
+            ), label
+            with pytest.raises(KeyError) as batched_error:
+                batched.impact_matrix(np.vstack([scored, [crossing.to_vector()]]), names)
+            assert str(batched_error.value) == str(scalar_error.value), label
+        assert model._impact_tables["/api"][1] == ((0, 1, 2),) * 2  # over A and F only
 
 
 # -- scenario-state reuse across probe names --------------------------------------------------

@@ -111,6 +111,58 @@ class TestCompiledEquivalence:
             compiled.replay_batch(np.zeros((1, compiled.n_edges + 3)))
 
 
+def background_trace(rng: np.random.Generator, trace_id: str) -> Trace:
+    """:func:`random_trace` with a background subtree hung off a random span: a call
+    that outlives its parent (the background pattern), on components ``B0``, ``B1``, …
+    no foreground span uses, with children of its own — so its edges are never live."""
+    trace = random_trace(rng, trace_id)
+    spans = list(trace.spans)
+    parent = spans[int(rng.integers(0, len(spans)))]
+    start = parent.start_ms + float(np.round(rng.uniform(0, parent.duration_ms), 1))
+    hanging = [
+        Span(
+            trace_id, "b0", parent.span_id, "B0", "op", start,
+            float(np.round(parent.end_ms - start + rng.uniform(1.0, 20.0), 1)),
+        )
+    ]
+    for i in range(1, int(rng.integers(1, 5))):
+        above = hanging[int(rng.integers(0, len(hanging)))]
+        offset = float(np.round(rng.uniform(0, above.duration_ms), 1))
+        duration = float(np.round(rng.uniform(0, above.duration_ms * 1.5), 1))
+        hanging.append(
+            Span(trace_id, f"b{i}", above.span_id, f"B{i}", "op", above.start_ms + offset, duration)
+        )
+    return Trace(trace_id, "/api", spans + hanging)
+
+
+class TestLiveReach:
+    """A background call never delays the response: its subtree leaves the compiled
+    replay, and a Δ on any of its edges moves no latency, in the oracle or the replay."""
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=80)
+    def test_background_edges_move_no_latency(self, seed):
+        rng = np.random.default_rng(seed)
+        traces = [background_trace(rng, f"t{k}") for k in range(int(rng.integers(1, 4)))]
+        edges = sorted({edge for trace in traces for edge in trace.invocation_edges()})
+        compiled = CompiledTraceSet(traces, edges)
+        live = list(compiled.edge_index)
+        dead = [edge for edge in edges if edge not in compiled.edge_index]
+        assert live == [edge for edge in edges if edge in compiled.edge_index]
+        assert any(callee == "B0" for _caller, callee in dead)
+        assert compiled.n_spans < sum(len(trace.spans) for trace in traces)
+        for _ in range(3):
+            delays = random_delays(rng, edges)
+            moved = {**delays, **{edge: float(rng.uniform(-5, 500)) for edge in dead}}
+            replayed = compiled.latencies(delays)
+            assert compiled.latencies(moved) == replayed
+            for trace, got in zip(traces, replayed):
+                injector = DelayInjector(trace)
+                want = injector.injected_latency_ms(delays)
+                assert injector.injected_latency_ms(moved).hex() == want.hex()
+                assert got.hex() == want.hex()
+
+
 @pytest.fixture(scope="module")
 def tiny_models(tiny_telemetry):
     """Performance models (both engines) + full evaluators over the tiny app."""

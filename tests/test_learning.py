@@ -16,6 +16,8 @@ from repro.learning import (
     classify_sibling,
 )
 from repro.learning.footprint import EdgeFootprint
+from repro.quality import MigrationPreferences
+from repro.recommend import Atlas
 from repro.telemetry import Span, TelemetryServer
 
 
@@ -256,6 +258,26 @@ class TestResourceEstimator:
         with pytest.raises(ValueError):
             estimator.predict({})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_traffic(self, tiny_telemetry, bad):
+        """Every comparison with NaN is false: a NaN or infinite traffic forecast
+        priced every plan at NaN and passed every on-prem peak check, so an advisor
+        asked for ``expected_scale=nan`` called every plan feasible."""
+        app, result = tiny_telemetry
+        estimator = ResourceEstimator(app, result.telemetry).fit()
+        with pytest.raises(ValueError, match="scale must be finite"):
+            estimator.predict_scaled(bad)
+        for rates in (
+            {"/read": [10.0, bad], "/write": [5.0, 5.0]},
+            {"/read": [10.0], "/unknown": [bad]},
+        ):
+            with pytest.raises(ValueError, match="api_rates must be finite"):
+                estimator.predict(rates)
+        atlas = Atlas(app, MigrationPreferences.pin_on_prem(["Database"]))
+        atlas.learn(result.telemetry)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            atlas.build_evaluator(expected_scale=bad)
+
 
 def _predict_element_by_element(estimator, api_rates):
     """The per-element fill and clamp ``ResourceEstimator.predict`` vectorises."""
@@ -278,7 +300,8 @@ class TestVectorisedPredict:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
     def test_predict_is_the_element_by_element_loop(self, tiny_telemetry, seed, n_extra):
         """Random models (negative, ``-0.0`` and ``nan`` idles and coefficients) over
-        ragged, empty and partly missing rate series, compared by ``float.hex``."""
+        ragged, empty and partly missing rate series, compared by ``float.hex``; a
+        ``nan`` rate is refused, and the same series with it zeroed compared."""
         app, result = tiny_telemetry
         rng = np.random.default_rng(seed)
         estimator = ResourceEstimator(app, result.telemetry).fit()
@@ -302,6 +325,13 @@ class TestVectorisedPredict:
                 series = [int(abs(v)) if v == v else 0 for v in series]
             rates[api] = series
         rates.setdefault("/unknown", [1.0])
+        if any(v != v for series in rates.values() for v in series):
+            # A NaN rate would pass every peak check: predict refuses it.
+            with pytest.raises(ValueError, match="finite"):
+                estimator.predict(rates, step_ms=100.0)
+            rates = {
+                api: [0.0 if v != v else v for v in series] for api, series in rates.items()
+            }
         predicted = estimator.predict(rates, step_ms=100.0)
         expected = _predict_element_by_element(estimator, rates)
         for (resource, component), series in expected.items():

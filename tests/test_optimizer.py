@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import CLOUD, ON_PREM, MigrationPlan
 from repro.optimizer import (
@@ -280,6 +282,128 @@ class TestAtlasGAHelpers:
         )
         # Offloading C cuts only the 1-byte edge; A/B stay together.
         assert seeds[0] == [ON_PREM, ON_PREM, CLOUD]
+
+
+def _unmemoised_seed_vectors(
+    components, pinned, pair_traffic, is_feasible, rng, count, noise, locations, allowed_locations
+):
+    """``affinity_seed_vectors`` as it was before it asked ``is_feasible`` once per
+    distinct vector: the oracle of the memoised one."""
+    primary_remote = [loc for loc in locations if loc != ON_PREM][0]
+    movable = [
+        c
+        for c in components
+        if c not in pinned
+        and (allowed_locations.get(c) is None or primary_remote in allowed_locations[c])
+    ]
+    incident = {c: [] for c in components}
+    for (src, dst), bytes_ in pair_traffic.items():
+        if src != dst and src in incident and dst in incident:
+            incident[src].append((dst, bytes_))
+            incident[dst].append((src, bytes_))
+    seeds = []
+    for _ in range(count):
+        assignment = {c: pinned.get(c, ON_PREM) for c in components}
+
+        def flip_delta(c):
+            side = assignment[c]
+            target = primary_remote if side == ON_PREM else ON_PREM
+            delta = 0.0
+            for neighbour, bytes_ in incident[c]:
+                crosses_now = assignment[neighbour] != side
+                crosses_after = assignment[neighbour] != target
+                if crosses_after and not crosses_now:
+                    delta += bytes_
+                elif crosses_now and not crosses_after:
+                    delta -= bytes_
+            return delta
+
+        def vector():
+            return [assignment[c] for c in components]
+
+        current_cut = sum(
+            bytes_
+            for (src, dst), bytes_ in pair_traffic.items()
+            if src in assignment and dst in assignment and assignment[src] != assignment[dst]
+        )
+        guard = len(components) + 1
+        while not is_feasible(vector()) and guard > 0:
+            guard -= 1
+            candidates = [c for c in movable if assignment[c] == ON_PREM]
+            if not candidates:
+                break
+            _score, chosen = min(
+                ((current_cut + flip_delta(c)) * (1.0 + noise * rng.random()), c)
+                for c in candidates
+            )
+            current_cut += flip_delta(chosen)
+            assignment[chosen] = primary_remote
+        for _ in range(2):
+            improved = False
+            for c in movable:
+                delta = flip_delta(c)
+                if delta >= 0.0:
+                    continue
+                original = assignment[c]
+                assignment[c] = primary_remote if original == ON_PREM else ON_PREM
+                if is_feasible(vector()):
+                    current_cut += delta
+                    improved = True
+                else:
+                    assignment[c] = original
+            if not improved:
+                break
+        seeds.append(vector())
+    return seeds
+
+
+class TestAffinitySeedMemo:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_one_probe_per_distinct_vector(self, seed):
+        """The seeds and the generator's state are the unmemoised function's; the
+        feasibility probes are its distinct vectors, each asked once — fewer, since
+        every seed starts from the same pinned vector."""
+        draw = np.random.default_rng(seed)
+        components = [f"C{i}" for i in range(int(draw.integers(3, 12)))]
+        traffic = {
+            (a, b): float(np.round(draw.uniform(0.0, 100.0), 1))
+            for a in components
+            for b in components
+            if a != b and draw.random() < 0.3
+        }
+        pinned = {components[0]: ON_PREM}
+        allowed = {components[-1]: (ON_PREM, 2)} if draw.random() < 0.5 else {}
+        need = int(draw.integers(0, len(components)))
+        heavy = frozenset(int(i) for i in draw.choice(len(components), size=2))
+
+        def feasible(vector):
+            remote = [i for i, location in enumerate(vector) if location != ON_PREM]
+            return len(remote) >= need and not heavy <= set(remote)
+
+        asked = {"memo": [], "plain": []}
+
+        def spy(label):
+            def is_feasible(vector):
+                asked[label].append(tuple(vector))
+                return feasible(vector)
+
+            return is_feasible
+
+        rngs = {label: np.random.default_rng(seed) for label in asked}
+        kwargs = dict(pinned=pinned, pair_traffic=traffic, count=4, noise=0.15,
+                      locations=(ON_PREM, CLOUD, 2), allowed_locations=allowed)
+        got = affinity_seed_vectors(
+            components, is_feasible=spy("memo"), rng=rngs["memo"], **kwargs
+        )
+        want = _unmemoised_seed_vectors(
+            components, is_feasible=spy("plain"), rng=rngs["plain"], **kwargs
+        )
+        assert got == want
+        assert rngs["memo"].bit_generator.state == rngs["plain"].bit_generator.state
+        assert len(asked["memo"]) == len(set(asked["memo"]))
+        assert set(asked["memo"]) == set(asked["plain"])
+        assert len(asked["memo"]) < len(asked["plain"])
 
 
 class TestGAConfig:

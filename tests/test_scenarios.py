@@ -243,7 +243,7 @@ class TestTensorMatchesIndependentEvaluators:
         qualities = build_evaluator(
             problem=PlacementProblem.default(scenarios=S4, aggregator=aggregator)
         ).evaluate_vectors(vectors)
-        weights = S4.weight_array()
+        weights = np.asarray([spec.weight for spec in S4], dtype=np.float64)
         for quality in qualities:
             perf = np.asarray([[s.perf] for s in quality.scenarios])
             avail = np.asarray([[s.avail] for s in quality.scenarios])
@@ -467,7 +467,8 @@ class TestInvalidation:
     def test_invalidate_reaches_scenario_views(self, scenario_stack):
         """A view built before a splice that moves an API's edge list scores like a
         fresh evaluator over the spliced window, by ``float.hex``, and its Δ table
-        covers the new edge list."""
+        covers the new reach (the live edges: the background Notifier call never had
+        a Δ column)."""
         _app, _telemetry, build_evaluator = scenario_stack
         evaluator = build_evaluator(problem=S4_PROBLEM)
         vectors = [[0, 1, 1, 0, 0, 1], [1, 1, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0]]
@@ -476,6 +477,7 @@ class TestInvalidation:
         _, view = evaluator._scenario_pair(chatty)
         assert view is not evaluator.performance
         old_edges = list(view._edges["/read"])
+        assert not any(callee == "Notifier" for _caller, callee in view._reach("/read")[0])
         # The drifted /read stops calling its background Notifier.
         window = [
             trace.with_spans([s for s in trace.spans if s.component != "Notifier"])
@@ -499,8 +501,8 @@ class TestInvalidation:
         assert evaluator._scenario_pair(chatty)[1] is view
         assert hexes(spliced) == hexes(fresh.evaluate_vectors(vectors))
         built_for, (_size, table, *_rest) = view._delta_tables["/read"]
-        assert built_for is view._edges["/read"]
-        assert table.shape[0] == len(view._edges["/read"])
+        assert built_for is view._reach("/read")[0]  # the live edges: no Notifier call
+        assert table.shape[0] == len(view._reach("/read")[0])
 
     def test_drift_detector_emits_refreshed_scenario(self):
         rng = np.random.default_rng(2)

@@ -42,6 +42,7 @@ from repro.cluster import (
 from repro.cluster.autoscaler import ClusterAutoscaler
 from repro.learning import ApiProfiler, FootprintLearner, ResourceEstimator
 from repro.learning.estimator import PLAN_BLOCK
+from repro.quality.compiled import CompiledTraceSet
 from repro.quality import (
     CVaR,
     ApiAvailabilityModel,
@@ -267,7 +268,7 @@ class TestStackedPassEqualsIndependentEvaluators:
                 assert list(quality.violations) == expected_violations
             else:
                 assert quality.violations == quality.scenarios[0].violations
-        weights = scenario_set.weight_array()
+        weights = np.asarray([spec.weight for spec in scenario_set], dtype=np.float64)
         for k in range(len(robust[0].values)):
             tensor = np.asarray([[q.values[k] for q in single] for single in singles])
             assert hexes(aggregator.combine(tensor, weights)) == hexes(
@@ -381,6 +382,102 @@ class TestOneWalkPerSite:
         assert self._fresh_calls(app, evaluator, calls) == [
             {"formulas": 1, "walks": 2 * 2, "disruption": 2}
         ] * 5
+
+
+class TestOneReplayPerApi:
+    """QPerf's mechanism: every view of a robust call hands its row-path APIs' Δ rows
+    to one replay per API, deduplicated across the views."""
+
+    def test_a_robust_call_replays_each_api_once(self, stacked_stack, monkeypatch):
+        app, build, _median = stacked_stack
+        # Three performance views: the base (tabled), the payload view of
+        # chatty-posts (its /write rows) and a degraded network's (every API).
+        scenarios = ScenarioSet(
+            (*ROBUST_S4, ScenarioSpec(name="slow-links", faults=(LinkDegradation(latency_factor=3.0),)))
+        )
+        evaluator = build(scenarios=scenarios)
+        rng = np.random.default_rng(17)
+        names = app.component_names
+
+        def boxed():  # plans inside the base's admissible box: its pin and whitelist
+            vectors = rng.integers(0, len(SITES), size=(6, len(names)))
+            vectors[:, names.index("Database")] = ON_PREM
+            vectors[:, names.index("Cache")] = CLOUD
+            return vectors
+
+        evaluator.evaluate_vectors(boxed())  # tables built
+        replays, passes = [], []
+        replay_batch = CompiledTraceSet.replay_batch
+        replay_means = ApiPerformanceModel._replay_means
+
+        def counting_replay(compiled, rows):
+            replays.append(id(compiled))
+            return replay_batch(compiled, rows)
+
+        def counting_means(model, api, blocks):
+            passes.append((api, len(blocks)))
+            return replay_means(model, api, blocks)
+
+        monkeypatch.setattr(CompiledTraceSet, "replay_batch", counting_replay)
+        monkeypatch.setattr(ApiPerformanceModel, "_replay_means", counting_means)
+        for _ in range(5):
+            replays.clear()
+            passes.clear()
+            vectors = boxed()
+            reference = build(scenarios=scenarios).evaluate_vectors(vectors)
+            replays.clear()
+            passes.clear()
+            evaluator.performance._row_means.clear()  # every row replays: none is memoised
+            robust = evaluator.evaluate_vectors(vectors)
+            assert [hexes(q.values) for q in robust] == [hexes(q.values) for q in reference]
+            # One pass per row-path API, holding the blocks of both views that read
+            # /write (the payload and the degraded view) and the degraded view's /read.
+            assert sorted(passes) == [("/read", 1), ("/write", 2)]
+            assert len(replays) == len(set(replays)) == 2
+
+    def test_out_of_box_rows_stay_out_of_the_row_memo(self, stacked_stack, monkeypatch):
+        """A tabled API's rows outside the base's box replay in the same pass as the
+        degraded view's rows of that API, but only the views' rows are memoised:
+        after a call from an empty memo, each API's memo holds exactly the rows of
+        its memoised blocks."""
+        app, build, _median = stacked_stack
+        scenarios = ScenarioSet(
+            (*ROBUST_S4, ScenarioSpec(name="slow-links", faults=(LinkDegradation(latency_factor=3.0),)))
+        )
+        evaluator = build(scenarios=scenarios)
+        names = app.component_names
+        rng = np.random.default_rng(23)
+        warm, vectors = (rng.integers(0, len(SITES), size=(6, len(names))) for _ in range(2))
+        warm[:, names.index("Database")] = ON_PREM
+        warm[:, names.index("Cache")] = CLOUD
+        vectors[:, names.index("Cache")] = CLOUD
+        vectors[:3, names.index("Database")] = ON_PREM
+        vectors[3:, names.index("Database")] = CLOUD  # off the pin: outside the box
+        evaluator.evaluate_vectors(warm)  # tables built
+        reference = build(scenarios=scenarios).evaluate_vectors(vectors)
+        seen = {}
+        replay_means = ApiPerformanceModel._replay_means
+
+        def spying(model, api, blocks):
+            seen.setdefault(api, []).extend(blocks)
+            return replay_means(model, api, blocks)
+
+        monkeypatch.setattr(ApiPerformanceModel, "_replay_means", spying)
+        memo = evaluator.performance._row_means
+        memo.clear()
+        robust = evaluator.evaluate_vectors(vectors)
+        assert [hexes(q.values) for q in robust] == [hexes(q.values) for q in reference]
+
+        def keys(rows):
+            return {rows[p].tobytes() for p in range(rows.shape[0])}
+
+        call_only = 0
+        for api, blocks in seen.items():
+            kept = set().union(*(keys(rows) for rows, flag in blocks if flag))
+            others = set().union(*(keys(rows) for rows, flag in blocks if not flag))
+            assert set(memo.get(api, {})) == kept, api
+            call_only += len(others - kept)
+        assert call_only > 0  # the base's out-of-box rows were replayed, not kept
 
 
 class TestBudgetAcrossDoors:
