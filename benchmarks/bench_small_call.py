@@ -4,16 +4,17 @@ The DRL crossover agent trains on Eq. 5 rewards, and each reward block scores a
 median of two new plans: what such a call costs is its fixed cost, not its rows.
 This bench times the parts of ``QualityEvaluator._score_matrix`` on the seed-7
 end-to-end testbed, for calls of 1, 2, 4 and 64 distinct rows that no cache holds
-(the result cache and QPerf's row memo are cleared before every timed call; the
-storage memo, keyed by stateful placements, stays warm as in a search)::
+(the result cache is cleared and QPerf's memos that were not pre-filled are restarted
+before every timed call; the pre-filled memos and the storage memo, keyed by stateful
+placements, stay warm as in a search)::
 
     PYTHONPATH=src python benchmarks/bench_small_call.py [--quick]
 
 It prints one table, median microseconds per part:
 
-* ``qperf`` — the whole objective, split into ``qperf.gather`` (the fused lookup of
-  the tabled APIs) and ``qperf./composePost`` (the deepest untabled API's Δ-row
-  gather and replay);
+* ``qperf`` — the whole objective; ``qperf.miss`` is its impact matrix alone (every
+  API reads its memo, and the codes the restarted memos miss — ``/composePost``'s —
+  replay), ``qperf.hit`` the same read once the memos hold every row;
 * ``qavai``;
 * ``qcost`` — the whole objective, split into ``qcost.sites`` (the call's one site
   pass, which the on-prem peak constraint shares), ``qcost.compute``,
@@ -52,8 +53,6 @@ from repro.quality.problem import (  # noqa: E402
 )
 
 ROWS = (1, 2, 4, 64)
-#: The untabled API with the deepest replay on the social network.
-ROW_PATH_API = "/composePost"
 
 
 def _median_us(function: Callable[[int], object], repeats: int) -> float:
@@ -83,7 +82,10 @@ class SmallCallBench:
 
     def _fresh(self) -> None:
         self.evaluator._cache.clear()
-        self.evaluator.performance._row_means.clear()
+        for memos in self.evaluator.performance._memo_store.values():
+            for memo in memos.values():
+                if not any(memo.boxes.values()):  # filled by misses: restart it
+                    memo.entries = type(memo)(memo.entries[0].dtype).entries
 
     def _context(self, matrix: np.ndarray):
         self._fresh()
@@ -113,22 +115,19 @@ class SmallCallBench:
                 objective.score_matrix(ctx)
             return (ctx,)
 
+        def impacts(ctx):
+            return performance.impact_matrix(
+                ctx.matrix, ctx.components, ctx.once("qperf-box", _admissible_box)
+            )
+
+        def held(ctx):
+            impacts(ctx)  # the memos now hold every row
+            return (ctx,)
+
         total = _median_us(whole, repeats)
         part("qperf", QPerfObjective().score_matrix)
-        part(
-            "qperf.gather",
-            lambda ctx: performance._gather(
-                ctx.components, ctx.once("qperf-box", _admissible_box)
-            ).lookup(ctx.matrix),
-        )
-        columns = performance._columns_for(self.components)[ROW_PATH_API]
-        part(
-            f"qperf.{ROW_PATH_API}",
-            lambda ctx: performance._replay_means(
-                ROW_PATH_API,
-                [(performance._delta_rows_for(ROW_PATH_API, ctx.matrix, columns), False)],
-            ),
-        )
+        part("qperf.miss", impacts)
+        part("qperf.hit", impacts, held)
         part("qavai", QAvaiObjective().score_matrix)
         part("qcost", QCostObjective().score_matrix)
         part("qcost.sites", _site_pass)

@@ -37,6 +37,15 @@ def _shared_order(components: Tuple[str, ...]) -> Tuple[Tuple[str, ...], Dict[st
     return components, {c: i for i, c in enumerate(components)}
 
 
+def _sites(components: Sequence[str], given: Tuple) -> Tuple[int, ...]:
+    """``given`` as location ids, refusing a value no int equals (1.9 names no site)."""
+    locations = tuple(map(int, given))
+    if locations != given:
+        bad = next(i for i, (site, value) in enumerate(zip(locations, given)) if site != value)
+        raise ValueError(f"non-integral location {given[bad]!r} for component {components[bad]!r}")
+    return locations
+
+
 class MigrationPlan(Mapping[str, int]):
     """An immutable assignment of every component to a location.
 
@@ -55,7 +64,7 @@ class MigrationPlan(Mapping[str, int]):
             missing = set(order) ^ set(assignment)
             if missing:
                 raise ValueError(f"order and assignment disagree on components: {sorted(missing)}")
-        self._fill(tuple(order), tuple(int(assignment[c]) for c in order))
+        self._fill(tuple(order), _sites(order, tuple(assignment[c] for c in order)))
 
     def _fill(self, components: Tuple[str, ...], locations: Tuple[int, ...]) -> None:
         """Slot assignment and validation — where every construction route ends."""
@@ -129,7 +138,7 @@ class MigrationPlan(Mapping[str, int]):
             )
         # Straight to the slots: no assignment dict, no order/assignment cross-check.
         plan = cls.__new__(cls)
-        plan._fill(tuple(components), tuple(map(int, vector)))
+        plan._fill(tuple(components), _sites(components, tuple(vector)))
         return plan
 
     # -- views -----------------------------------------------------------------------

@@ -248,7 +248,7 @@ class QualityEvaluator:
             [tuple(row) for row in matrix.tolist()],
             lambda missing: (
                 matrix[list(missing.values())],
-                [MigrationPlan.from_vector(components, list(key)) for key in missing],
+                [MigrationPlan.from_vector(components, key) for key in missing],
             ),
         )
 
@@ -637,11 +637,20 @@ class QualityEvaluator:
         mismatched component set or a location the network does not have.
         """
         components = self._columns(components)
-        matrix = np.asarray(vectors, dtype=np.int64)
+        given = np.asarray(vectors)
+        with np.errstate(invalid="ignore"):
+            matrix = given.astype(np.int64, copy=False)
         if matrix.size == 0:
             matrix = matrix.reshape(0, len(components))
         if matrix.ndim != 2 or matrix.shape[1] != len(components):
             raise ValueError("vectors must form a (plans, len(components)) matrix")
+        # A location is a site id: 1.5 names none (the int64 cast would read 1).
+        if matrix.size and given.dtype.kind not in "iub" and (matrix != given).any():
+            row, column = np.argwhere(matrix != given)[0]
+            raise ValueError(
+                f"non-integral location {given[row, column].item()!r} for component "
+                f"{components[column]!r}"
+            )
         known = self.performance.network.locations()
         plain = known == list(range(len(known)))  # ids 0..N-1: a range check decides
         if matrix.size and not (plain and 0 <= matrix.min() and matrix.max() < len(known)):

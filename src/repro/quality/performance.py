@@ -28,23 +28,25 @@ three invariants:
   fixed-seed search trajectory.
 * **Batched evaluation** — :meth:`ApiPerformanceModel.impact_matrix` +
   :meth:`~ApiPerformanceModel.qperf_stack` score a whole generation as one plan
-  matrix.  An API whose touched components admit at most ``_TABLE_LIMIT``
-  projections under the problem's pins and whitelists (the *admissible box*) reads
-  its impact factors from one table of every admissible projection, built once (by
-  content, through the artifact cache when there is one): all such APIs are answered
-  by one fused index product and one gather.  Every other API — and a tabled API's
-  rows outside the box — projects the matrix onto the components its live edges
-  touch → gathers Δ rows from per-API lookup tables → dedups by raw row bytes →
-  replays all distinct rows in one vectorized batch, once per API per call however
-  many scenario views the call scores (:meth:`ApiPerformanceModel.impact_matrices`).
+  matrix.  Every API reads one memo: its mean latency per *projection code*, the
+  sites of the components its live edges touch read as one mixed-radix number over
+  the network's sites.  One matrix product codes every API's plans, and each API's
+  codes are read with one sorted search.  The codes a memo misses replay in one
+  vectorized batch per API per call, however many scenario views the call scores
+  (:meth:`ApiPerformanceModel.impact_matrices`).  On its first miss, an API whose
+  touched components admit at most ``_TABLE_LIMIT`` projections under the problem's
+  pins and whitelists (the *admissible box*) pre-fills its memo with all of them
+  (by content, through the artifact cache when there is one).  Each scenario view
+  reads memos of its own footprint and network, and a splice restarts only the
+  spliced APIs' memos.
   :class:`~repro.quality.evaluator.QualityEvaluator` drives it from
   ``evaluate_vectors`` / ``evaluate_batch``.
 * **Live reach** — a background call never delays the response, so an edge under
-  one moves no latency: QPerf's Δ tables, Δ rows, row memo, projection columns and
-  impact tables cover only the *live* edges (those of spans the root's end depends
-  on, as the compiled set classifies them) and the components they touch.  The
-  per-plan Δ map (:meth:`ApiPerformanceModel.edge_delays`) still prices every edge,
-  so a site pair with no link refuses a plan whichever edge crosses it.
+  one moves no latency: QPerf's Δ tables, Δ rows and projection codes cover only the
+  *live* edges (those of spans the root's end depends on, as the compiled set
+  classifies them) and the components they touch.  The per-plan Δ map
+  (:meth:`ApiPerformanceModel.edge_delays`) still prices every edge, so a site pair
+  with no link refuses a plan whichever edge crosses it.
 * **A stateless per-plan path** — :meth:`~ApiPerformanceModel.estimate`,
   :meth:`~ApiPerformanceModel.qperf` and the other per-plan methods compute the plan's
   Δ map and replay it every call; they keep nothing on the model, so the scalar oracle
@@ -81,14 +83,12 @@ DeltaTable = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
 #: Per matrix column, the location ids the problem admits for that component.
 Box = Tuple[Tuple[int, ...], ...]
 
-#: An API is tabled when its admissible projections number at most this many: a
-#: table of 4 096 float64 impacts is 32 KB.  The unpinned social network's
-#: ``/register`` (3^8 = 6 561 projections) costs more to build than a cold search
-#: spends replaying its rows, so it stays on the row path until pins shrink its box
-#: (docs/architecture.md, decision record №11).
+#: On its first miss, an API whose admissible projections number at most this many
+#: pre-fills its memo with all of them (4 096 float64 means are 32 KB).  The unpinned
+#: social network's ``/register`` (3^8 = 6 561 projections) costs more to pre-fill
+#: than a cold search spends replaying its misses, so it fills lazily until pins
+#: shrink its box (docs/architecture.md, decision record №11).
 _TABLE_LIMIT = 4096
-#: A position digit no admissible site has: any projection with one indexes below 0.
-_OUTSIDE = -(1 << 40)
 
 
 class DelayInjector:
@@ -183,41 +183,102 @@ class PerformanceEstimate:
         return self.estimated_mean_ms / self.baseline_mean_ms
 
 
-@dataclass
-class _Gather:
-    """The fused lookup of every tabled API under one (component order, box).
+class _Memo:
+    """One API's mean injected latency per projection code, under one footprint and
+    network.
 
-    ``digits[j, site]`` is matrix column ``columns[j]``'s mixed-radix digit of
-    ``site`` (its position in the column's admissible list × the column's stride),
-    ``_OUTSIDE`` for a site off that list; the last digit column catches every id
-    past the widest list.  Tabled API ``t`` owns the digit columns
-    ``bounds[t]:bounds[t + 1]``; their sum indexes its table, stored in ``flat``
-    from ``offsets[t]``.  ``built_for`` keeps each tabled API's reach edge list as it
-    was when its table was read, so a splice anywhere in the family retires the gather.
+    ``entries`` is ``(codes, means)``, the codes sorted and closed by a sentinel above
+    every code, so a search always lands on an entry.  A fill replaces the pair whole
+    from one snapshot: a reader never sees one array without the other, and a fill
+    racing another thread's loses that fill's entries or holds a code twice (equal
+    means), never a wrong mean.  ``boxes`` maps each box it was offered to whether it
+    pre-filled it.
     """
 
-    built_for: List[Tuple[str, List[Edge]]]
-    rows: np.ndarray
-    columns: np.ndarray
-    digits: np.ndarray
-    bounds: np.ndarray
-    offsets: np.ndarray
-    flat: np.ndarray
-    untabled: List[int]
+    __slots__ = ("entries", "boxes")
 
-    def lookup(self, matrix: np.ndarray) -> np.ndarray:
-        """``(plans, tabled APIs)`` impacts of a plan matrix, NaN where a plan's
-        projection lies outside the API's box."""
-        sub = matrix[:, self.columns]
-        past = self.digits.shape[1] - 1
-        if sub.size and (sub.min() < 0 or sub.max() > past):
-            sub = np.where((sub < 0) | (sub > past), past, sub)
-        digits = self.digits[np.arange(len(self.columns))[None, :], sub]
-        sums = np.zeros((matrix.shape[0], len(self.columns) + 1), dtype=np.int64)
-        np.cumsum(digits, axis=1, out=sums[:, 1:])
-        index = sums[:, self.bounds[1:]] - sums[:, self.bounds[:-1]]
-        values = self.flat[np.maximum(index + self.offsets, 0)]
-        return np.where(index < 0, np.nan, values)
+    def __init__(self, dtype: np.dtype) -> None:
+        # The largest int64 is above every one-word code; all-ones bytes are above
+        # every byte string of non-negative little-endian words (bytes compare
+        # unsigned, and each word ends in a byte below 0x80).
+        if dtype.kind == "V":
+            self.entries = (np.full(dtype.itemsize // 8, -1, dtype=np.int64).view(dtype), _NO_MEAN)
+        else:
+            self.entries = (_TOP, _NO_MEAN)
+        self.boxes: Dict[Box, bool] = {}
+
+    def read(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(means, missed)`` of ``codes``; a missed code's mean is meaningless."""
+        known, means = self.entries
+        at = known.searchsorted(codes)
+        return means[at], known[at] != codes
+
+    def fill(self, codes: np.ndarray, means: np.ndarray) -> None:
+        """Hold ``means`` under ``codes`` (sorted)."""
+        entries = self.entries
+        at = entries[0].searchsorted(codes) + np.arange(len(codes))
+        kept = np.ones(len(entries[0]) + len(codes), dtype=bool)
+        kept[at] = False
+        merged = (np.empty(len(kept), dtype=entries[0].dtype), np.empty(len(kept)))
+        for target, old, new in zip(merged, entries, (codes, means)):
+            target[at] = new
+            target[kept] = old
+        self.entries = merged
+
+
+_TOP = np.full(1, np.iinfo(np.int64).max)
+_NO_MEAN = np.full(1, np.nan)
+
+
+class _Coder:
+    """Every API's projection codes over one (component order, radix).
+
+    An API's code reads its projection — the sites of its reach components, matrix
+    columns ``reach[i]`` in reach order — as a mixed-radix number of base ``radix``,
+    last component fastest: one int64 word while ``radix ** len(reach)`` stays below
+    2^63, past that several words compared as one byte string.  ``places[w, c]`` is
+    column ``c``'s place value in word ``w``, so one integer product computes every
+    word of every API; API ``i`` owns the words ``words[i][0]:words[i][1]`` (one empty
+    word, code 0, when it reaches nothing).
+    """
+
+    def __init__(self, key: Tuple, reaches: Sequence[Sequence[int]]) -> None:
+        self.key = key
+        components, self.radix = key
+        per_word = 1
+        while per_word < 62 and self.radix ** (per_word + 1) < 1 << 63:
+            per_word += 1
+        self.reach = [np.asarray(reach, dtype=np.intp) for reach in reaches]
+        places: List[np.ndarray] = []
+        self.words: List[Tuple[int, int]] = []
+        for reach in reaches:
+            first = len(places)
+            for start in range(0, max(len(reach), 1), per_word):
+                chunk = reach[start : start + per_word]
+                places.append(np.zeros(len(components), dtype=np.int64))
+                places[-1][chunk] = self.radix ** np.arange(len(chunk) - 1, -1, -1)
+            self.words.append((first, len(places)))
+        self.places = np.stack(places)
+
+    def codes(self, matrix: np.ndarray) -> List[np.ndarray]:
+        """Every API's codes of the plans of a matrix, from one product."""
+        words = self.places @ matrix.T
+        return [
+            words[first] if last - first == 1 else _as_codes(words[first:last].T)
+            for first, last in self.words
+        ]
+
+    def encode(self, index: int, projections: np.ndarray) -> np.ndarray:
+        """Codes of API ``index``'s projections, one per row in reach order."""
+        first, last = self.words[index]
+        return _as_codes(projections @ self.places[first:last, self.reach[index]].T)
+
+
+def _as_codes(words: np.ndarray) -> np.ndarray:
+    """One code per row of ``(rows, words)``: the word itself, or the row's bytes."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
 
 
 class ApiPerformanceModel:
@@ -282,23 +343,22 @@ class ApiPerformanceModel:
         # Per API, the edges that can move its latency and the components they touch
         # (lazy, see _reach): the projection axis of the plan matrix.
         self._reaches: Dict[str, Tuple[List[Edge], List[str]]] = {}
-        # Plan-matrix lowering: per component order, each API's reach columns.
-        self._projection_columns: Dict[Tuple[str, ...], Dict[str, np.ndarray]] = {}
+        # Projection coders, per (component order, radix).
+        self._coders: Dict[Tuple[Tuple[str, ...], int], _Coder] = {}
         # Per-API Δ lookup tables over (edge, caller location, callee location), each
         # with the edge list it was built for: built lazily, regrown when a matrix
         # mentions a higher location id, rebuilt when a splice gave the API a new list.
         self._delta_tables: Dict[str, Tuple[List[Edge], DeltaTable]] = {}
-        # Row-path result cache of the untabled APIs: raw Δ-row bytes -> mean latency.
-        self._row_means: Dict[str, Dict[bytes, float]] = {}
-        # Per-API impact tables over the admissible projections, each with the edge
-        # list and admissible lists it was built for.  ``None`` where nothing is
-        # tabled: the reference engine (the oracle shares nothing with the fast
-        # path) and scenario views.
-        self._impact_tables: Optional[Dict[str, Tuple[List[Edge], Box, np.ndarray]]] = (
-            {} if engine == "compiled" else None
-        )
-        # The fused gathers over those tables, per (component order, box).
-        self._gathers: Dict[Tuple[Tuple[str, ...], Box], _Gather] = {}
+        # Per API, its memos by (footprint, network) (see _memos_for): shared by
+        # every view.
+        self._memo_store: Dict[str, Dict[Tuple, _Memo]] = {}
+        # Per coder key, this model's memo of every API, with the coder it was
+        # found for.
+        self._memos: Dict[Tuple, Tuple[_Coder, List[_Memo]]] = {}
+        # Whether a first miss pre-fills the admissible box: on the compiled base
+        # model only (the oracle replays trace by trace, and a view's one-plan probe
+        # over a degraded network should not pay for a box).
+        self._prefills = engine == "compiled"
         # Set on scenario views: APIs whose footprint bytes differ from the base
         # model's (None = unknown/all).  The base model changes nothing.
         self._changed_apis: Optional[frozenset] = frozenset()
@@ -328,14 +388,13 @@ class ApiPerformanceModel:
 
         The view shares everything that does not depend on footprint bytes or link
         characteristics: the sample traces, baseline means, per-API edge/touched
-        sets and reaches, the compiled trace sets and the row path's replay result cache
-        (``_row_means`` is keyed by the raw Δ-row bytes, and a replay depends only
-        on the compiled traces plus the Δ row, never on which footprint or network
-        produced it).  It owns the Δ-producing cache (the Δ lookup tables), each
-        table checked at read time against the API's current edge list, so a splice
-        on any member of the family reaches it without the splice knowing the view.
-        A view tabulates nothing: every API it scores takes the row path, so a
-        one-plan probe over a degraded network never pays for a table.
+        sets and reaches, the compiled trace sets, the projection coders and the
+        store of memos.  It owns its Δ lookup tables, each checked at read time
+        against the API's current edge list, and its memos (under its footprint and
+        network in the shared store), found for one coder (a splice replaces every
+        coder), so a splice on any member of the family reaches it without the
+        splice knowing the view.  A view pre-fills nothing: it fills on misses only,
+        so a one-plan probe over a degraded network never pays for a whole box.
         Scenarios that scale no payloads and keep the base network get back
         ``self``, sharing everything.
 
@@ -358,7 +417,8 @@ class ApiPerformanceModel:
         if network is not None:
             view.network = network
         view._delta_tables = {}
-        view._impact_tables = None
+        view._memos = {}
+        view._prefills = False
         view._changed_apis = (
             frozenset(changed_apis) if changed_apis is not None else None
         )
@@ -369,16 +429,14 @@ class ApiPerformanceModel:
 
         K APIs recompile, the rest keep everything: the named APIs' traces, baseline
         means, edge vocabularies and touched sets are recomputed by the
-        constructor's own :meth:`_derive` and their compiled sets, row-path replay
-        caches and impact tables are dropped from the dicts every scenario view
-        shares, so :meth:`_compiled_set` compiles them again (through the artifact
-        cache, keyed by the new traces' fingerprint) on their next replay, and
-        :meth:`_reach` reads their live edges again.  A view's own Δ table of a named
-        API was built for the old reach and is rebuilt when :meth:`_delta_table` next
-        reads it; an impact table or fused gather is checked against the reach the
-        same way.
-        Every other API's compiled arrays, replay caches and impact tables survive
-        untouched, and
+        constructor's own :meth:`_derive` and their compiled sets and memos are
+        dropped from the dicts every scenario view shares, so :meth:`_compiled_set`
+        compiles them again (through the artifact cache, keyed by the new traces'
+        fingerprint) on their next replay, :meth:`_reach` reads their live edges
+        again and their memos restart.  A view's own Δ table of a named API was
+        built for the old reach and is rebuilt on its next read, and every memo slot
+        is found again, since the splice drops every coder.
+        Every other API's compiled arrays and memos survive untouched, and
         the model scores bitwise like a fresh one over the updated traces.  Every
         target is validated before anything changes: an unknown API raises
         ``KeyError``, an empty window ``ValueError``, and either leaves the model as
@@ -401,13 +459,10 @@ class ApiPerformanceModel:
             # Shared by reference with every view, so one pop reaches the family.
             self._compiled.pop(api, None)
             self._reaches.pop(api, None)
-            self._row_means.pop(api, None)
-            if self._impact_tables is not None:
-                self._impact_tables.pop(api, None)
-        # Touched sets may have changed, so the per-order projection columns and
-        # fused gathers (shared by reference with every view) are stale.
-        self._projection_columns.clear()
-        self._gathers.clear()
+            self._memo_store.pop(api, None)
+        # Reaches may have changed, so the coders (shared by reference with every
+        # view) are stale.
+        self._coders.clear()
 
     # -- public API ------------------------------------------------------------------------
     @property
@@ -506,18 +561,23 @@ class ApiPerformanceModel:
         return latencies, float(statistics.fmean(latencies))
 
     # -- plan-matrix pipeline ---------------------------------------------------------------
-    def _columns_for(self, components: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Per-API reach-component column indices for one matrix component order."""
-        key = tuple(components)
-        cached = self._projection_columns.get(key)
-        if cached is None:
-            column_of = {c: i for i, c in enumerate(key)}
-            cached = {
-                api: np.asarray([column_of[c] for c in self._reach(api)[1]], dtype=np.intp)
-                for api in self._apis
-            }
-            self._projection_columns[key] = cached
-        return cached
+    def _radix(self) -> int:
+        """The base of this view's projection codes: one past the highest site its
+        network links or the baseline uses.  A matrix :meth:`_refuse_linkless`
+        passes holds nothing else in a reach column: a component off its baseline
+        site moves an edge, so the site is a linked one."""
+        return max(max(self.network.locations(), default=-1), self._baseline_span[1]) + 1
+
+    def _coder(self, components: Sequence[str], radix: int) -> _Coder:
+        """The projection coder of one matrix component order (family-shared)."""
+        key = (tuple(components), radix)
+        coder = self._coders.get(key)
+        if coder is None:
+            column_of = {c: i for i, c in enumerate(components)}
+            coder = self._coders[key] = _Coder(
+                key, [[column_of[c] for c in self._reach(api)[1]] for api in self._apis]
+            )
+        return coder
 
     def _delta_key(self, api: str) -> Tuple:
         """Content of one API's Δ table save its location count: the reach's edge
@@ -579,13 +639,11 @@ class ApiPerformanceModel:
                     if after == before:
                         continue
                     try:
-                        table[index, caller_loc, callee_loc] = (
-                            self.network.extra_delay_ms(
-                                before, after, request, response
-                            )
-                        )
+                        delta = self.network.extra_delay_ms(before, after, request, response)
                     except KeyError:
-                        pass
+                        continue
+                    if delta > 0.0:
+                        table[index, caller_loc, callee_loc] = delta
         position = {c: i for i, c in enumerate(members)}
         src_pos = np.asarray([position[c] for c, _ in edges], dtype=np.intp)
         dst_pos = np.asarray([position[c] for _, c in edges], dtype=np.intp)
@@ -593,178 +651,92 @@ class ApiPerformanceModel:
 
     def _projected_deltas(self, api: str, sub: np.ndarray) -> np.ndarray:
         """Δ rows of one API's projections ``sub`` (one per row, in the API's
-        reach-component order), zero-clipped exactly like the scalar path's
-        ``delta_row`` values."""
+        reach-component order): the Δ map the scalar path replays, as a row."""
         edges = self._reach(api)[0]
         if not edges:
             return np.zeros((sub.shape[0], 0), dtype=np.float64)
         _size, table, src_pos, dst_pos = self._delta_table(api, int(sub.max()) + 1)
-        deltas = table[np.arange(len(edges))[None, :], sub[:, src_pos], sub[:, dst_pos]]
-        return np.where(deltas > 0.0, deltas, 0.0)
+        return table[np.arange(len(edges))[None, :], sub[:, src_pos], sub[:, dst_pos]]
 
-    def _delta_rows_for(
-        self, api: str, matrix: np.ndarray, columns: np.ndarray
-    ) -> np.ndarray:
-        """Per-plan Δ rows of one API over a plan matrix: ``(plans, reach edges)``.
-
-        Projects the matrix onto the API's reach columns and gathers each plan's
-        per-edge Δ row from the API's delta table (a plan over a linkless site pair
-        was refused before, by :meth:`_refuse_linkless`).
-        """
-        return self._projected_deltas(api, matrix[:, columns])
-
-    def _replay_means(
-        self, api: str, blocks: Sequence[Tuple[np.ndarray, bool]]
-    ) -> List[np.ndarray]:
-        """Mean injected latency of every Δ row of each ``(rows, memoised)`` block of
-        one API, one array per block.
-
-        Rows dedup by their raw bytes (the cut-edge signature) across the blocks: the
-        distinct rows the API's row memo does not hold replay in one vectorized batch,
-        and every row reads its mean back.  A memoised block's rows join the memo
-        (``_row_means``, shared by every view); a row only the other blocks hold — a
-        tabled API's row outside its box — is kept for the call only.  (Rows are
-        built with a +0.0 fill and no NaNs, so byte equality is value equality.)
-        """
-        memoised = any(flag for _rows, flag in blocks)
-        memo = (
-            self._row_means.setdefault(api, {})
-            if memoised
-            else self._row_means.get(api, {})
-        )
-        keyed: List[List[bytes]] = []
-        # Each distinct row the memo lacks -> whether a memoised block holds it.
-        unknown: Dict[bytes, bool] = {}
-        positions: List[List[int]] = []
-        for rows, flag in blocks:
-            size = rows.shape[1] * rows.itemsize
-            buffer = rows.tobytes()
-            keys = [buffer[p * size : (p + 1) * size] for p in range(rows.shape[0])]
-            new: List[int] = []
-            for position, key in enumerate(keys):
-                if key in memo:
-                    continue
-                if key not in unknown:
-                    unknown[key] = flag
-                    new.append(position)
-                elif flag:
-                    unknown[key] = True
-            keyed.append(keys)
-            positions.append(new)
-        fresh: Dict[bytes, float] = {}
-        if unknown:
-            distinct = np.concatenate(
-                [rows[new] for (rows, _flag), new in zip(blocks, positions) if new]
-            )
-            if self.engine != "reference":
-                replayed = self._compiled_set(api).replay_batch(distinct).tolist()
-            else:
-                edges = self._reach(api)[0]
-                replayed = [
-                    self._replay_reference(
-                        api, {edges[i]: float(row[i]) for i in np.nonzero(row)[0]}
-                    )
-                    for row in distinct
-                ]
-            for key, latencies in zip(unknown, replayed):
-                # fmean is fsum-based, so its mean of the replayed floats is
-                # bit-identical to _resolve's — mixed scalar/batched use of one
-                # evaluator yields the same means.  (Lists: fmean iterates Python
-                # floats ≈ 2.5x faster than numpy scalars.)
-                fresh[key] = float(statistics.fmean(latencies))
-            memo.update((key, fresh[key]) for key, kept in unknown.items() if kept)
-        return [
-            np.asarray(
-                [fresh[key] if key in fresh else memo[key] for key in keys],
-                dtype=np.float64,
-            )
-            for keys in keyed
-        ]
-
-    def _impact_table(self, api: str, admissible: Box) -> np.ndarray:
-        """One API's impact factor for every projection in its admissible box.
-
-        ``admissible`` lists, per reach component, the sites the problem allows;
-        entry ``i`` of the table is the projection whose mixed-radix digits over
-        those lists (last component fastest) spell ``i``, and holds exactly the
-        row path's ``mean / baseline``.
-        Built once per reach and box; with an artifact cache, once per content:
-        the Δ table's content, the trace fingerprint and the box.
-        """
-        reach = self._reach(api)[0]
-        built_for, lists, table = self._impact_tables.get(api, (None, None, None))
-        if built_for is not reach or lists != admissible:
-            if self._artifact_cache is not None:
-                table = self._artifact_cache.get_or_build(
-                    ("impact", *self._delta_key(api), self._trace_fingerprint(api), admissible),
-                    lambda: self._build_impact_table(api, admissible),
+    def _replay_means(self, api: str, deltas: np.ndarray) -> np.ndarray:
+        """Mean injected latency of one API under each Δ row, in one vectorized batch."""
+        if self.engine != "reference":
+            replayed = self._compiled_set(api).replay_batch(deltas).tolist()
+        else:
+            edges = self._reach(api)[0]
+            replayed = [
+                self._replay_reference(
+                    api, {edges[i]: float(row[i]) for i in np.nonzero(row)[0]}
                 )
-            else:
-                table = self._build_impact_table(api, admissible)
-            self._impact_tables[api] = (reach, admissible, table)
-        return table
+                for row in deltas
+            ]
+        # fmean is fsum-based, so its mean of the replayed floats is bit-identical to
+        # _resolve's — mixed scalar/batched use of one evaluator yields the same
+        # means.  (Lists: fmean iterates Python floats ≈ 2.5x faster than numpy
+        # scalars.)
+        return np.asarray(
+            [statistics.fmean(latencies) for latencies in replayed], dtype=np.float64
+        )
 
-    def _build_impact_table(self, api: str, admissible: Box) -> np.ndarray:
+    def _memos_for(self, coder: _Coder, codes: Sequence[np.ndarray]) -> List[_Memo]:
+        """This view's memo of every API, for ``coder``'s ``codes``.
+
+        The store every view shares holds an API's memos under the footprint and
+        network whose Δs they replayed (with the family's traces and baseline, that
+        is their content), so a splice restarts the spliced APIs' memos in every
+        view.  Kept per view with the coder they were found for: a splice replaces
+        every coder, so they are found again after one."""
+        found_for, memos = self._memos.get(coder.key, (None, None))
+        if found_for is not coder:
+            content = (self.footprint, self.network)
+            memos = []
+            for api, api_codes in zip(self._apis, codes):
+                store = self._memo_store.setdefault(api, {})
+                if content not in store:
+                    store[content] = _Memo(api_codes.dtype)
+                memos.append(store[content])
+            self._memos[coder.key] = (coder, memos)
+        return memos
+
+    def _prefill(self, api: str, memo: _Memo, coder: _Coder, index: int, box: Box) -> bool:
+        """On this model's first miss of ``memo`` under ``box`` (per matrix column,
+        the sites the problem allows), fill it with every projection of the API's
+        admissible lists when they span at most ``_TABLE_LIMIT``; returns whether it
+        filled.  The codes and means are one replay, or with an artifact cache one
+        entry per content and lists."""
+        if not self._prefills or box in memo.boxes:
+            return False
+        admissible = tuple(
+            tuple(site for site in box[column] if 0 <= site < coder.radix)
+            for column in coder.reach[index]
+        )
+        memo.boxes[box] = 0 < math.prod(len(sites) for sites in admissible) <= _TABLE_LIMIT
+        if not memo.boxes[box]:
+            return False
+        if self._artifact_cache is not None:
+            codes, means = self._artifact_cache.get_or_build(
+                ("impact", *self._delta_key(api), self._trace_fingerprint(api), coder.radix, admissible),
+                lambda: self._box_means(api, coder, index, admissible),
+            )
+        else:
+            codes, means = self._box_means(api, coder, index, admissible)
+        _held, missed = memo.read(codes)
+        memo.fill(codes[missed], means[missed])
+        return True
+
+    def _box_means(
+        self, api: str, coder: _Coder, index: int, admissible: Box
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Codes and means of every projection of one API's admissible lists."""
         axes = [np.asarray(sites, dtype=np.int64) for sites in admissible]
         projections = (
             np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
             if axes
             else np.zeros((1, 0), dtype=np.int64)
         )
-        rows = self._projected_deltas(api, projections)
-        return self._replay_means(api, [(rows, False)])[0] / self._baseline_mean[api]
-
-    def _gather(self, components: Sequence[str], box: Box) -> _Gather:
-        """The fused lookup of one (component order, box), rebuilt when a splice
-        gave one of its APIs a new reach."""
-        key = (tuple(components), box)
-        gather = self._gathers.get(key)
-        if gather is None or not all(
-            self._reach(api)[0] is edges for api, edges in gather.built_for
-        ):
-            gather = self._build_gather(components, box)
-            self._gathers[key] = gather
-        return gather
-
-    def _build_gather(self, components: Sequence[str], box: Box) -> _Gather:
-        columns = self._columns_for(components)
-        past = max((site for sites in box for site in sites), default=-1) + 1
-        built_for, rows, untabled, tables = [], [], [], []
-        digit_rows: List[np.ndarray] = []
-        digit_columns: List[int] = []
-        bounds = [0]
-        for index, api in enumerate(self._apis):
-            admissible = tuple(box[column] for column in columns[api])
-            count = math.prod(len(sites) for sites in admissible)
-            if self._baseline_mean[api] <= 0 or not 0 < count <= _TABLE_LIMIT:
-                untabled.append(index)
-                continue
-            tables.append(self._impact_table(api, admissible))
-            built_for.append((api, self._reach(api)[0]))
-            rows.append(index)
-            stride = count
-            for column, sites in zip(columns[api], admissible):
-                stride //= len(sites)
-                digits = np.full(past + 1, _OUTSIDE, dtype=np.int64)
-                digits[list(sites)] = np.arange(len(sites), dtype=np.int64) * stride
-                digit_rows.append(digits)
-                digit_columns.append(int(column))
-            bounds.append(len(digit_columns))
-        sizes = [len(table) for table in tables]
-        return _Gather(
-            built_for=built_for,
-            rows=np.asarray(rows, dtype=np.intp),
-            columns=np.asarray(digit_columns, dtype=np.intp),
-            digits=(
-                np.stack(digit_rows)
-                if digit_rows
-                else np.zeros((0, past + 1), dtype=np.int64)
-            ),
-            bounds=np.asarray(bounds, dtype=np.intp),
-            offsets=np.cumsum([0] + sizes[:-1], dtype=np.int64),
-            flat=np.concatenate(tables) if tables else np.zeros(0, dtype=np.float64),
-            untabled=untabled,
-        )
+        codes = coder.encode(index, projections)
+        order = codes.argsort()
+        return codes[order], self._replay_means(api, self._projected_deltas(api, projections[order]))
 
     def impact_matrix(
         self,
@@ -781,11 +753,7 @@ class ApiPerformanceModel:
 
         ``admissible`` is the problem's box — per column of ``components``, the
         sites its pins and whitelists allow (default: every site the network
-        links).  On a compiled base model every API whose reach components admit
-        at most ``_TABLE_LIMIT`` projections reads its row from its impact table,
-        all such APIs in one fused gather; a plan outside an API's box takes that
-        API's row path for that plan alone.  The other APIs take the row path
-        (:meth:`_delta_rows_for` + :meth:`_replay_means`).
+        links); it sizes the pre-fill of :meth:`impact_matrices`.
 
         The one-view case of :meth:`impact_matrices`.
         """
@@ -801,94 +769,102 @@ class ApiPerformanceModel:
         one ``(apis, plans)`` array per ``(view, admissible box)`` of ``views``.
 
         The views are this model or its scenario views, each at most once.  Every
-        untabled API's Δ rows — from every view, out-of-box rows included — replay
-        in one :meth:`_replay_means` per API: they dedup by bytes across the views
-        and through the row memo the views share, so a scoring call replays each
-        API's compiled set once, however many scenario views it scores.  When this
-        model is among ``views``, a view that knows which APIs its footprint changes
+        API reads one memo per view (:meth:`_memo`) through its projection codes:
+        one digit pass per call codes every API, and each API's codes are read at
+        once.  On a compiled base model an API's first miss pre-fills its admissible
+        box when the box holds at most ``_TABLE_LIMIT`` projections
+        (:meth:`_prefill`).  The codes still missed, of every view, replay in one
+        batch per API (:meth:`_fill_misses`), so a scoring call replays each API's
+        compiled set once, however many scenario views it scores.  When this model
+        is among ``views``, a view that knows which APIs its footprint changes
         (``scenario_view(..., changed_apis=...)``) copies the others' rows from this
-        model's matrix — their Δ rows would be byte-identical anyway.
+        model's matrix.
         A plan whose Δ map crosses a site pair with no link raises the scalar path's
         ``KeyError`` (:meth:`_refuse_linkless`).
         """
         matrix = np.asarray(plan_matrix, dtype=np.int64)
         if matrix.ndim != 2 or matrix.shape[1] != len(components):
             raise ValueError("plan matrix must be (plans, len(components))")
-        results = [
-            np.empty((len(self._apis), matrix.shape[0]), dtype=np.float64) for _ in views
-        ]
+        results = [np.ones((len(self._apis), matrix.shape[0])) for _ in views]
         if matrix.shape[0] == 0:
             return results
         span = (int(matrix.min()), int(matrix.max()))
-        columns = self._columns_for(components)
-        # Per API index: (impacts, Δ rows, out-of-box plans or None for all) blocks.
-        blocks: Dict[int, List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]] = {}
-        copies: List[Tuple[np.ndarray, int]] = []
         source: Optional[np.ndarray] = None
-        for (view, admissible), impacts in zip(views, results):
+        for (view, _box), impacts in zip(views, results):
             view._refuse_linkless(matrix, components, span)
             if view is self:
                 source = impacts
-        for (view, admissible), impacts in zip(views, results):
-            untabled, outside = view._read_tables(matrix, components, admissible, impacts)
+        # Per API index, the reads that missed: (view, memo, means row, codes, missed).
+        misses: Dict[int, List[Tuple]] = {}
+        copies: List[Tuple[np.ndarray, int]] = []
+        codes_of: Dict[int, List[np.ndarray]] = {}
+        for (view, box), impacts in zip(views, results):
             reusable = (
                 view._changed_apis
                 if source is not None and source is not impacts
                 else None
             )
-            for index in untabled:
-                api = self._apis[index]
-                if index in outside:
-                    plans = outside[index]
-                    rows = view._delta_rows_for(api, matrix[plans], columns[api])
-                    blocks.setdefault(index, []).append((impacts, rows, plans))
-                elif reusable is not None and api not in reusable:
+            radix = view._radix()
+            coder = self._coder(components, radix)
+            if radix not in codes_of:
+                codes_of[radix] = coder.codes(matrix)
+            codes = codes_of[radix]
+            if box is None:
+                box = (tuple(view.network.locations()),) * len(components)
+            memos = view._memos_for(coder, codes)
+            for index, api in enumerate(self._apis):
+                if reusable is not None and api not in reusable:
                     copies.append((impacts, index))
-                elif self._baseline_mean[api] > 0:
-                    rows = view._delta_rows_for(api, matrix, columns[api])
-                    blocks.setdefault(index, []).append((impacts, rows, None))
-                else:
-                    impacts[index] = 1.0
-        for index, entries in blocks.items():
-            api = self._apis[index]
-            means = self._replay_means(
-                api, [(rows, plans is None) for _impacts, rows, plans in entries]
-            )
-            for (impacts, _rows, plans), values in zip(entries, means):
-                if plans is None:
-                    impacts[index] = values / self._baseline_mean[api]
-                else:
-                    impacts[index, plans] = values / self._baseline_mean[api]
+                    continue
+                if self._baseline_mean[api] <= 0:
+                    continue  # the row stays 1.0
+                memo = memos[index]
+                means, missed = memo.read(codes[index])
+                count = np.count_nonzero(missed)
+                if count and view._prefill(api, memo, coder, index, box):
+                    means, missed = memo.read(codes[index])
+                    count = np.count_nonzero(missed)
+                impacts[index] = means
+                if count:
+                    misses.setdefault(index, []).append(
+                        (view, memo, impacts[index], codes[index], missed)
+                    )
+        for index, reads in misses.items():  # every coder has the same reach columns
+            self._fill_misses(index, matrix, coder.reach[index], reads)
+        # A row that holds no means holds 1.0 and is divided by 1.0.
+        divisors = [self._baseline_mean[api] for api in self._apis]
+        divisors = np.asarray([1.0 if d <= 0 else d for d in divisors])[:, None]
+        for impacts in results:
+            impacts /= divisors
         for impacts, index in copies:
             impacts[index] = source[index]
         return results
 
-    def _read_tables(
-        self,
-        matrix: np.ndarray,
-        components: Sequence[str],
-        admissible: Optional[Box],
-        impacts: np.ndarray,
-    ) -> Tuple[Sequence[int], Dict[int, np.ndarray]]:
-        """Fill the tabled APIs' rows of ``impacts`` from their fused gather.
-
-        Returns the API indices the row path answers, in API order, and per tabled
-        API among them the plans outside its box.  A scenario view and the
-        reference engine tabulate nothing: every API is left to the row path."""
-        if self._impact_tables is None:
-            return range(len(self._apis)), {}
-        if admissible is None:
-            admissible = (tuple(self.network.locations()),) * len(components)
-        gather = self._gather(components, admissible)
-        outside: Dict[int, np.ndarray] = {}
-        if gather.rows.size:
-            values = gather.lookup(matrix)
-            impacts[gather.rows] = values.T
-            missed = np.isnan(values)
-            if missed.any():
-                for slot in np.nonzero(missed.any(axis=0))[0]:
-                    outside[int(gather.rows[slot])] = np.nonzero(missed[:, slot])[0]
-        return sorted([*gather.untabled, *outside]), outside
+    def _fill_misses(
+        self, index: int, matrix: np.ndarray, columns: np.ndarray, reads: Sequence[Tuple]
+    ) -> None:
+        """Replay the codes the reads of API ``index`` missed, in one batch (each
+        read's distinct codes once, through its view's Δ table), fill each read's
+        memo and write the missed means into its row."""
+        api = self._apis[index]
+        missed = [np.flatnonzero(read[4]) for read in reads]
+        distinct = [
+            np.unique(codes[plans], return_index=True, return_inverse=True)
+            for (_v, _m, _r, codes, _missed), plans in zip(reads, missed)
+        ]
+        deltas = [
+            view._projected_deltas(api, matrix.take(plans[first], axis=0).take(columns, axis=1))
+            for (view, *_rest), plans, (_codes, first, _inverse) in zip(reads, missed, distinct)
+        ]
+        means = self._replay_means(api, np.concatenate(deltas))
+        start = 0
+        for (_view, memo, row, _codes, _missed), plans, (codes, _first, inverse) in zip(
+            reads, missed, distinct
+        ):
+            values = means[start : start + len(codes)]
+            start += len(codes)
+            memo.fill(codes, values)
+            row[plans] = values[inverse]
 
     def _refuse_linkless(
         self, matrix: np.ndarray, components: Sequence[str], span: Tuple[int, int]

@@ -75,7 +75,10 @@ _MAGIC = "atlas-store"
 #: 12 = a ``CompiledTraceSet`` holds its live spans and live edges only (an older frame
 #: replays background subtrees and numbers every edge), and QPerf's Δ and impact
 #: tables cover the live edges and mark no linkless pair.
-_VERSION = 12
+#: 13 = QPerf's ``"impact"`` entry is a memo pre-fill, the projection codes of a box and
+#: their means (was one impact table in box order), and a Δ table holds 0.0 where the
+#: Δ is not positive.
+_VERSION = 13
 
 
 def _key_digest(key: Tuple) -> str:

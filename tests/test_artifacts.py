@@ -42,6 +42,7 @@ from repro.quality import (
     ScenarioSpec,
     fingerprint_traces,
 )
+from repro.quality import performance as performance_module
 from repro.quality.compiled import CompiledTraceSet
 from repro.quality.scenarios import scaled_footprint
 from repro.recommend import AdvisorService, Atlas, AtlasConfig
@@ -87,6 +88,12 @@ def _leaf_component(traces):
     parents = {(span.trace_id, span.parent_id) for span in spans}
     inner = {s.component for s in spans if (s.trace_id, s.span_id) in parents or s.parent_id is None}
     return sorted({span.component for span in spans} - inner)[0]
+
+
+def _memo_of(model, api):
+    """The one QPerf memo of ``api`` a model with no scenario view holds."""
+    (memo,) = model._memo_store[api].values()
+    return memo
 
 
 def _hexes(values):
@@ -378,9 +385,10 @@ class TestSpliceEquivalence:
             assert spliced_view.qperf(plan) == fresh_view.qperf(plan)
 
 
-# -- impact tables: shared by content, rebuilt per splice ---------------------------------------
+# -- QPerf memos: pre-fills shared by content, restarted per splice ----------------------------
 class TestImpactTables:
-    """Every tiny-app API fits under the table bound, so each is one impact table."""
+    """Every tiny-app API fits under the pre-fill bound, so each memo's first miss
+    fills its whole box."""
 
     @staticmethod
     def _replays(monkeypatch):
@@ -396,8 +404,21 @@ class TestImpactTables:
         return rows
 
     @staticmethod
+    def _replayed_apis(model, monkeypatch):
+        """APIs of ``model`` whose compiled set replays from now on, in order."""
+        apis = []
+        original = CompiledTraceSet.replay_batch
+
+        def spy(self, delta_rows):
+            apis.extend(api for api, compiled in model._compiled.items() if compiled is self)
+            return original(self, delta_rows)
+
+        monkeypatch.setattr(CompiledTraceSet, "replay_batch", spy)
+        return apis
+
+    @staticmethod
     def _impact_misses(cache, monkeypatch):
-        """APIs whose impact table missed ``cache`` from now on."""
+        """APIs whose pre-fill missed ``cache`` from now on."""
         missed = []
         original = cache.get_or_build
 
@@ -411,6 +432,11 @@ class TestImpactTables:
         monkeypatch.setattr(cache, "get_or_build", spy)
         return missed
 
+    @staticmethod
+    def _entries(model, api):
+        codes, means = _memo_of(model, api).entries
+        return codes.tobytes(), _hexes(means)
+
     def test_a_second_model_over_one_cache_replays_nothing(self, tiny_model_factory, monkeypatch):
         app, build = tiny_model_factory
         cache = ArtifactCache()
@@ -419,15 +445,15 @@ class TestImpactTables:
         matrix = np.asarray([plan.to_vector() for plan in plans])
         one = build(cache=cache)
         want = one.impact_matrix(matrix, components)
-        assert sorted(one._impact_tables) == one.apis
+        assert all(any(_memo_of(one, api).boxes.values()) for api in one.apis)  # all pre-filled
         replayed = self._replays(monkeypatch)
         two = build(cache=cache)
         got = two.impact_matrix(matrix, components)
         assert replayed == []
-        assert not two._row_means  # the row path's memo stays empty for tabled APIs
         assert _hexes(got) == _hexes(want)
         for api in one.apis:
-            assert two._impact_tables[api][2] is one._impact_tables[api][2]
+            # Each memo holds its box, read from the cache, and nothing else.
+            assert self._entries(two, api) == self._entries(one, api)
 
     def test_a_splice_rebuilds_exactly_its_table(self, tiny_model_factory, monkeypatch):
         app, build = tiny_model_factory
@@ -444,10 +470,49 @@ class TestImpactTables:
         assert missed == [api]
         traces = {a: list(model._traces[a]) for a in model.apis}
         shared = build(cache=cache, traces=traces).impact_matrix(matrix, components)
-        assert missed == [api]  # a fresh model over the spliced traces hits every table
+        assert missed == [api]  # a fresh model over the spliced traces hits every pre-fill
         fresh = build(traces=traces).impact_matrix(matrix, components)
         reference = build("reference", traces=traces).impact_matrix(matrix, components)
         assert _hexes(spliced) == _hexes(shared) == _hexes(fresh) == _hexes(reference)
+
+    def test_after_a_splice_only_the_spliced_api_and_lazy_misses_replay(
+        self, tiny_model_factory, monkeypatch
+    ):
+        """A pre-filled API's splice replays that API's box on the next call and
+        nothing of the other pre-filled APIs; an API above the pre-fill bound replays
+        only the projections it has not seen."""
+        app, build = tiny_model_factory
+        model = build()
+        sizes = {api: len(model._reach(api)[1]) for api in model.apis}
+        # Lower the bound under the widest APIs' boxes (two sites per component), so
+        # they fill lazily.
+        limit = 2 ** max(sizes.values()) - 1
+        monkeypatch.setattr(performance_module, "_TABLE_LIMIT", limit)
+        lazy = [api for api in model.apis if 2 ** sizes[api] > limit]
+        tabled = next(api for api in model.apis if api not in lazy)
+        plans = _random_plans(app, 24, seed=47)
+        components = plans[0].components
+        matrix = np.asarray([plan.to_vector() for plan in plans])
+        fresh = np.asarray([plan.to_vector() for plan in _random_plans(app, 24, seed=53)])
+        model.impact_matrix(matrix, components)
+        assert [api for api in model.apis if not any(_memo_of(model, api).boxes.values())] == lazy
+        coder = model._coder(components, model._radix())
+
+        def projections(rows, api):
+            columns = coder.reach[model.apis.index(api)]
+            return {tuple(row) for row in rows[:, columns].tolist()}
+
+        unseen = [api for api in lazy if projections(fresh, api) - projections(matrix, api)]
+        assert unseen
+        replayed = self._replayed_apis(model, monkeypatch)
+        model.impact_matrix(matrix, components)
+        assert replayed == []  # every projection is held now
+        model.splice({tabled: _window(model._traces[tabled], 20, 1.3)})
+        both = np.vstack([matrix, fresh])
+        spliced = model.impact_matrix(both, components)
+        assert sorted(replayed) == sorted([tabled, *unseen])
+        traces = {a: list(model._traces[a]) for a in model.apis}
+        assert _hexes(spliced) == _hexes(build(traces=traces).impact_matrix(both, components))
 
     def test_a_linkless_pair_raises_only_for_the_plans_that_use_it(self, tiny_model_factory):
         app, build = tiny_model_factory
@@ -462,13 +527,12 @@ class TestImpactTables:
         # needs the missing 1 <-> 2 link.
         matrix = rng.integers(0, 2, size=(30, len(names))) * rng.integers(1, 3, size=(30, 1))
         impacts = batched.impact_matrix(matrix, names)
-        # The tables span every linked site, so they hold projections over the
+        # The pre-fills span every linked site, so they hold projections over the
         # missing 1 <-> 2 link too: only the linkless refusal keeps a plan off them.
-        assert batched._impact_tables and all(
-            set(sites) == {0, 1, 2}
-            for _e, box, _table in batched._impact_tables.values()
-            for sites in box
-        )
+        boxes = [
+            box for api in batched.apis for box, filled in _memo_of(batched, api).boxes.items() if filled
+        ]
+        assert boxes and all(set(sites) == {0, 1, 2} for box in boxes for sites in box)
         plans = [MigrationPlan.from_vector(names, row) for row in matrix.tolist()]
         assert _hexes(impacts.T) == _hexes(
             [[scalar._impact_factor(api, plan) for api in scalar.apis] for plan in plans]
@@ -481,6 +545,41 @@ class TestImpactTables:
         with pytest.raises(KeyError) as batched_error:
             batched.impact_matrix(np.vstack([matrix, [crossing.to_vector()]]), names)
         assert str(batched_error.value) == str(scalar_error.value)
+
+    def test_codes_past_one_word_key_by_their_bytes(self, monkeypatch):
+        """An API reaching 41 components over 3 sites codes its projections in two
+        int64 words (3^41 > 2^63): its memo keys by their bytes, and scores like the
+        scalar oracle, misses and hits alike."""
+        names = [f"C{k:02d}" for k in range(41)]
+        traces = []
+        for t in range(3):
+            spans = [
+                Span(f"t{t}", f"s{k}", f"s{k - 1}" if k else None, c, "op", k, 100.0 - 2 * k + t)
+                for k, c in enumerate(names)
+            ]
+            traces.append(Trace(f"t{t}", "/chain", spans))
+        model = ApiPerformanceModel(
+            traces_by_api={"/chain": traces},
+            footprint=NetworkFootprint([]),
+            network=default_multi_location_network(locations=(0, 1, 2)),
+            baseline_plan=MigrationPlan.all_on_prem(names),
+        )
+        assert len(model._reach("/chain")[1]) == 41
+        rng = np.random.default_rng(11)
+        matrix = rng.integers(0, 3, size=(12, len(names)))
+        matrix[6:] = matrix[:6]  # every projection twice
+        impacts = model.impact_matrix(matrix, names)
+        memo = _memo_of(model, "/chain")
+        assert memo.entries[0].dtype == np.dtype((np.void, 16))
+        assert len(memo.entries[0]) == 6 + 1  # six codes and the sentinel
+        oracle = [
+            model._impact_factor("/chain", MigrationPlan.from_vector(names, row))
+            for row in matrix.tolist()
+        ]
+        assert _hexes(impacts[0]) == _hexes(oracle)
+        replayed = self._replays(monkeypatch)
+        again = model.impact_matrix(matrix[::-1], names)
+        assert replayed == [] and _hexes(again[0]) == _hexes(oracle[::-1])
 
     def test_a_linkless_pair_on_a_background_edge_still_raises(self):
         """The edge to a background call moves no latency and leaves the replay, but
@@ -530,7 +629,7 @@ class TestImpactTables:
             with pytest.raises(KeyError) as batched_error:
                 batched.impact_matrix(np.vstack([scored, [crossing.to_vector()]]), names)
             assert str(batched_error.value) == str(scalar_error.value), label
-        assert model._impact_tables["/api"][1] == ((0, 1, 2),) * 2  # over A and F only
+        assert len(_memo_of(model, "/api").entries[0]) == 3**2 + 1  # over A and F only, and the sentinel
 
 
 # -- scenario-state reuse across probe names --------------------------------------------------

@@ -737,6 +737,18 @@ class TestFromVector:
         assert plan.to_vector() == [1, 0]
         assert all(type(v) is int for v in plan.to_vector())
 
+    def test_a_non_integral_location_is_refused(self):
+        """1.9 names no site: both constructors refuse it instead of truncating it
+        to 1; a float an int equals is that int."""
+        with pytest.raises(ValueError, match="non-integral location 1.9 for component 'a'"):
+            MigrationPlan({"a": 1.9})
+        with pytest.raises(ValueError, match="non-integral location 1.5 for component 'b'"):
+            MigrationPlan.from_vector(["a", "b"], [0, 1.5])
+        with pytest.raises(ValueError, match="non-integral location"):
+            MigrationPlan.from_vector(["a"], np.asarray([0.5]))
+        plan = MigrationPlan.from_vector(["a", "b"], [1.0, np.float64(2.0)])
+        assert plan.to_vector() == [1, 2] and all(type(v) is int for v in plan.to_vector())
+
     def test_both_errors_keep_their_messages(self):
         with pytest.raises(ValueError, match="vector length 1 does not match component count 2"):
             MigrationPlan.from_vector(["a", "b"], [1])

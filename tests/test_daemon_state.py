@@ -529,7 +529,7 @@ class TestShrunkExamples:
         assert resumed.record("a")["stage"] == "done"
         assert _sample_key(resumed, "a", 2) in resumed.store  # the leak: one object, once
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7(a): a splice lives in process memory")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: a splice lives in process memory")
     def test_a_second_drift_cycle_after_a_restart_knows_the_first_splice(
         self, tmp_path, tiny_learned_atlas, daemon_script
     ):
@@ -1045,7 +1045,7 @@ class DaemonProtocolMachine(RuleBasedStateMachine):
     reference's path like any other damage.  A tenant drifts at
     most once per example: the splice of an *earlier* cycle lives in process memory
     (a restarted process learns its knowledge again, without it), so a second drift
-    cycle after a restart is not the uninterrupted run's — ROADMAP item 7(a), and not
+    cycle after a restart is not the uninterrupted run's — ROADMAP item 10, and not
     a property of the write protocol.
     """
 

@@ -248,7 +248,8 @@ class TestBatchedEquivalence:
             assert g.objectives() == w.objectives()  # bitwise
             assert g.feasible == w.feasible
             assert g.violations == w.violations
-        assert batched.performance._impact_tables  # the tabled path scored them
+        memos = [m for memos in batched.performance._memo_store.values() for m in memos.values()]
+        assert any(any(memo.boxes.values()) for memo in memos)  # a pre-filled memo scored them
         # Plan by plan: same count, same distinct-plan cache, same evaluation order.
         single = build_evaluator(preferences=prefs, **topology)
         for plan in plans:
@@ -503,6 +504,27 @@ class TestUnknownLocations:
                 evaluator.is_feasible(MigrationPlan.from_vector(names, vector))
             else:
                 getattr(evaluator, door)([vector], names)
+
+
+    @pytest.mark.parametrize("door", ["evaluate_vectors", "feasible_mask", "qcost_vectors"])
+    def test_every_door_refuses_a_non_integral_location(self, matrix_stack, door):
+        """1.5 names no site: the lowering refuses it instead of scoring site 1; a
+        float an int equals scores as that int."""
+        app, build_evaluator = matrix_stack
+        evaluator = build_evaluator(**THREE_DC_KWARGS)
+        names = app.component_names
+        vector = [float(CLOUD)] * len(names)
+        vector[names.index("Cache")] = 1.5
+        with pytest.raises(
+            ValueError, match=re.escape("non-integral location 1.5 for component 'Cache'")
+        ):
+            getattr(evaluator, door)([vector], names)
+        whole = [float(CLOUD)] * len(names)
+        got = getattr(evaluator, door)(np.asarray([whole]), names)
+        want = getattr(build_evaluator(**THREE_DC_KWARGS), door)([[CLOUD] * len(names)], names)
+        if door == "evaluate_vectors":
+            got, want = [q.values for q in got], [q.values for q in want]
+        assert np.array_equal(got, want)
 
 
 class TestAllowedLocations:

@@ -605,7 +605,7 @@ class TestDurableJournal:
         writer = AdvisorService(store=ArtifactStore(store_dir))
         cold = writer.recommend(learned(result.telemetry), expected_scale=2.0)
         assert writer.stats()["journal"] == {"hits": 0, "misses": 1}
-        assert store_module._VERSION == 12
+        assert store_module._VERSION == 13
         frames = list(store_dir.rglob("*.art"))
         assert frames and all(f.read_bytes().startswith(CURRENT_FRAME) for f in frames)
         assert not any(b"_shape" in f.read_bytes() for f in frames)

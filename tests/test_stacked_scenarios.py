@@ -385,16 +385,20 @@ class TestOneWalkPerSite:
 
 
 class TestOneReplayPerApi:
-    """QPerf's mechanism: every view of a robust call hands its row-path APIs' Δ rows
-    to one replay per API, deduplicated across the views."""
+    """QPerf's mechanism: every view of a robust call hands the projections its
+    memos miss to one replay per API, pooled across the views."""
+
+    @staticmethod
+    def _scenarios():
+        return ScenarioSet(
+            (*ROBUST_S4, ScenarioSpec(name="slow-links", faults=(LinkDegradation(latency_factor=3.0),)))
+        )
 
     def test_a_robust_call_replays_each_api_once(self, stacked_stack, monkeypatch):
         app, build, _median = stacked_stack
-        # Three performance views: the base (tabled), the payload view of
-        # chatty-posts (its /write rows) and a degraded network's (every API).
-        scenarios = ScenarioSet(
-            (*ROBUST_S4, ScenarioSpec(name="slow-links", faults=(LinkDegradation(latency_factor=3.0),)))
-        )
+        # Three performance views: the base (pre-filled), the payload view of
+        # chatty-posts (its /write memo) and a degraded network's (every API).
+        scenarios = self._scenarios()
         evaluator = build(scenarios=scenarios)
         rng = np.random.default_rng(17)
         names = app.component_names
@@ -405,45 +409,44 @@ class TestOneReplayPerApi:
             vectors[:, names.index("Cache")] = CLOUD
             return vectors
 
-        evaluator.evaluate_vectors(boxed())  # tables built
+        evaluator.evaluate_vectors(boxed())  # the base's memos pre-filled
         replays, passes = [], []
         replay_batch = CompiledTraceSet.replay_batch
-        replay_means = ApiPerformanceModel._replay_means
+        fill_misses = ApiPerformanceModel._fill_misses
 
         def counting_replay(compiled, rows):
             replays.append(id(compiled))
             return replay_batch(compiled, rows)
 
-        def counting_means(model, api, blocks):
-            passes.append((api, len(blocks)))
-            return replay_means(model, api, blocks)
+        def counting_misses(model, index, matrix, columns, reads):
+            passes.append((model.apis[index], len({id(read[1]) for read in reads})))
+            return fill_misses(model, index, matrix, columns, reads)
 
         monkeypatch.setattr(CompiledTraceSet, "replay_batch", counting_replay)
-        monkeypatch.setattr(ApiPerformanceModel, "_replay_means", counting_means)
+        monkeypatch.setattr(ApiPerformanceModel, "_fill_misses", counting_misses)
         for _ in range(5):
-            replays.clear()
-            passes.clear()
             vectors = boxed()
             reference = build(scenarios=scenarios).evaluate_vectors(vectors)
             replays.clear()
             passes.clear()
-            evaluator.performance._row_means.clear()  # every row replays: none is memoised
+            for memos in evaluator.performance._memo_store.values():
+                for memo in memos.values():
+                    if not any(memo.boxes.values()):  # every view row replays: none is memoised
+                        memo.entries = type(memo)(memo.entries[0].dtype).entries
             robust = evaluator.evaluate_vectors(vectors)
             assert [hexes(q.values) for q in robust] == [hexes(q.values) for q in reference]
-            # One pass per row-path API, holding the blocks of both views that read
-            # /write (the payload and the degraded view) and the degraded view's /read.
+            # One pass per API the views miss, holding the memos of both views that
+            # read /write (the payload and the degraded view) and the degraded
+            # view's /read.
             assert sorted(passes) == [("/read", 1), ("/write", 2)]
             assert len(replays) == len(set(replays)) == 2
 
-    def test_out_of_box_rows_stay_out_of_the_row_memo(self, stacked_stack, monkeypatch):
-        """A tabled API's rows outside the base's box replay in the same pass as the
-        degraded view's rows of that API, but only the views' rows are memoised:
-        after a call from an empty memo, each API's memo holds exactly the rows of
-        its memoised blocks."""
+    def test_out_of_box_rows_join_the_memo(self, stacked_stack, monkeypatch):
+        """A pre-filled API's projections outside the base's box replay in the same
+        pass as the degraded view's misses of that API, and join the base's memo:
+        scoring them again replays nothing."""
         app, build, _median = stacked_stack
-        scenarios = ScenarioSet(
-            (*ROBUST_S4, ScenarioSpec(name="slow-links", faults=(LinkDegradation(latency_factor=3.0),)))
-        )
+        scenarios = self._scenarios()
         evaluator = build(scenarios=scenarios)
         names = app.component_names
         rng = np.random.default_rng(23)
@@ -453,31 +456,35 @@ class TestOneReplayPerApi:
         vectors[:, names.index("Cache")] = CLOUD
         vectors[:3, names.index("Database")] = ON_PREM
         vectors[3:, names.index("Database")] = CLOUD  # off the pin: outside the box
-        evaluator.evaluate_vectors(warm)  # tables built
+        evaluator.evaluate_vectors(warm)  # the base's memos pre-filled
         reference = build(scenarios=scenarios).evaluate_vectors(vectors)
-        seen = {}
-        replay_means = ApiPerformanceModel._replay_means
+        base = evaluator.performance
+        # The base's memos: the pre-filled ones (a view pre-fills nothing).
+        prefilled = {
+            api: memo
+            for api, memos in base._memo_store.items()
+            for memo in memos.values()
+            if any(memo.boxes.values())
+        }
+        held = {api: len(memo.entries[0]) for api, memo in prefilled.items()}
+        replays = []
+        replay_batch = CompiledTraceSet.replay_batch
 
-        def spying(model, api, blocks):
-            seen.setdefault(api, []).extend(blocks)
-            return replay_means(model, api, blocks)
+        def counting_replay(compiled, rows):
+            replays.append(id(compiled))
+            return replay_batch(compiled, rows)
 
-        monkeypatch.setattr(ApiPerformanceModel, "_replay_means", spying)
-        memo = evaluator.performance._row_means
-        memo.clear()
+        monkeypatch.setattr(CompiledTraceSet, "replay_batch", counting_replay)
         robust = evaluator.evaluate_vectors(vectors)
         assert [hexes(q.values) for q in robust] == [hexes(q.values) for q in reference]
-
-        def keys(rows):
-            return {rows[p].tobytes() for p in range(rows.shape[0])}
-
-        call_only = 0
-        for api, blocks in seen.items():
-            kept = set().union(*(keys(rows) for rows, flag in blocks if flag))
-            others = set().union(*(keys(rows) for rows, flag in blocks if not flag))
-            assert set(memo.get(api, {})) == kept, api
-            call_only += len(others - kept)
-        assert call_only > 0  # the base's out-of-box rows were replayed, not kept
+        assert len(replays) == len(set(replays))  # one replay per API
+        grown = [api for api, memo in prefilled.items() if len(memo.entries[0]) > held[api]]
+        assert grown  # the base's out-of-box projections were kept
+        evaluator._cache.clear()
+        replays.clear()
+        again = evaluator.evaluate_vectors(vectors)
+        assert replays == []
+        assert [hexes(q.values) for q in again] == [hexes(q.values) for q in reference]
 
 
 class TestBudgetAcrossDoors:
