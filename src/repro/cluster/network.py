@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..digest import sha_parts
-from .topology import CLOUD, ON_PREM
+from ..digest import Memoized, sha_parts
+from .topology import CLOUD, ON_PREM, require_finite
 
 __all__ = [
     "LinkSpec",
@@ -46,6 +46,7 @@ class LinkSpec:
     bandwidth_mbps: float
 
     def __post_init__(self) -> None:
+        require_finite(vars(self))
         if self.latency_ms < 0:
             raise ValueError("latency must be non-negative")
         if self.bandwidth_mbps <= 0:
@@ -62,31 +63,25 @@ class LinkSpec:
         return 0.5 * self.latency_ms + payload_bytes / self.bytes_per_ms
 
 
-class NetworkModel:
+class NetworkModel(Memoized):
     """Symmetric latency/bandwidth matrix over datacenter locations.
 
     Immutable after construction (the fault hooks :meth:`derive` / :meth:`degraded`
     return siblings), which is what lets it own its content digest.
     """
 
-    #: Memo of :meth:`content_digest`; set on first use, never pickled.
+    _MEMOS = {"_digest": None, "_locations": None, "_prefix": None}
+    #: Memo of :meth:`content_digest`; set on first use.
     _digest: Optional[str] = None
-    #: Memo of :meth:`locations`; set on first use, never pickled.
+    #: Memo of :meth:`locations`; set on first use.
     _locations: Optional[Tuple[int, ...]] = None
-    #: Memo of :meth:`linked_prefix`; set on first use, never pickled.
+    #: Memo of :meth:`linked_prefix`; set on first use.
     _prefix: Optional[int] = None
 
     def __init__(self, links: Dict[Tuple[int, int], LinkSpec]) -> None:
         self._links: Dict[Tuple[int, int], LinkSpec] = {}
         for (a, b), spec in links.items():
             self._links[self._key(a, b)] = spec
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_digest", None)
-        state.pop("_locations", None)
-        state.pop("_prefix", None)
-        return state
 
     def content_digest(self) -> str:
         """Content fingerprint of the link table, latency + bandwidth (computed once)."""
@@ -206,6 +201,13 @@ class NetworkModel:
         injector: the degraded model feeds a performance scenario view whose Δ
         tables price every cross-site edge against the faulted links.
         """
+        require_finite(
+            {
+                "latency_factor": latency_factor,
+                "bandwidth_factor": bandwidth_factor,
+                "extra_latency_ms": extra_latency_ms,
+            }
+        )
         if latency_factor < 0:
             raise ValueError("latency_factor must be non-negative")
         if bandwidth_factor <= 0:

@@ -21,7 +21,7 @@ from scipy.optimize import nnls
 
 from ..apps.model import Application
 from ..cluster.topology import require_finite
-from ..digest import sha_parts
+from ..digest import Memoized, sha_parts
 from ..telemetry.server import TelemetryServer
 
 __all__ = ["ResourceEstimate", "ResourceEstimator"]
@@ -82,7 +82,7 @@ def ordered_masked_sum(terms: "np.ndarray", mask: "np.ndarray") -> "np.ndarray":
 
 
 @dataclass
-class ResourceEstimate:
+class ResourceEstimate(Memoized):
     """Expected per-component usage series for a period of interest.
 
     ``usage[resource][component]`` is a list over time steps; all series share
@@ -92,17 +92,14 @@ class ResourceEstimate:
     step_ms: float
     usage: Dict[str, Dict[str, List[float]]]
     api_rates: Dict[str, List[float]] = field(default_factory=dict)
+    _MEMOS = {"_lowerings": dict}
     #: Lazily-built lowering of one resource onto one column order for
     #: :class:`SitePass`: the columns of the estimate's components, in storage
     #: order, their ``(components, 1, steps)`` series and the storage order's names.
-    #: Process-local: pickled empty.
     _lowerings: Dict[
         Tuple[str, Tuple[str, ...]],
         Tuple["np.ndarray", "np.ndarray", Tuple[str, ...]],
-    ] = field(default_factory=dict, repr=False, compare=False)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return {**self.__dict__, "_lowerings": {}}
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def steps(self) -> int:
@@ -222,7 +219,7 @@ class SitePass:
         return series.max(axis=1)
 
 
-class ResourceEstimator:
+class ResourceEstimator(Memoized):
     """API-aware linear resource estimator (DeepRest substitute).
 
     For every component and resource it fits ``usage[t] ≈ idle + Σ_A coef_A * rate_A[t]``
@@ -230,7 +227,8 @@ class ResourceEstimator:
     ``A`` observed in window ``t``.
     """
 
-    #: Memo of :meth:`content_digest`; dropped by :meth:`fit`, never copied or pickled.
+    _MEMOS = {"_digest": None}
+    #: Memo of :meth:`content_digest`; dropped by :meth:`fit`.
     _digest: Optional[str] = None
     #: Traces the telemetry held when :meth:`fit` began (``None``: never fitted).
     _fit_traces: Optional[int] = None
@@ -242,11 +240,6 @@ class ResourceEstimator:
         # (resource, component) -> (idle, coefficients aligned with self._apis)
         self._models: Dict[Tuple[str, str], Tuple[float, np.ndarray]] = {}
         self._fitted = False
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_digest", None)
-        return state
 
     # -- fitting --------------------------------------------------------------------------
     def fit(self) -> "ResourceEstimator":

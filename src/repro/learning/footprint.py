@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import nnls
 
-from ..digest import sha_parts
+from ..digest import Memoized, sha_parts
 from ..telemetry.server import TelemetryServer
 
 __all__ = ["EdgeFootprint", "NetworkFootprint", "FootprintLearner"]
@@ -43,28 +43,23 @@ class EdgeFootprint:
         return self.request_bytes + self.response_bytes
 
 
-class NetworkFootprint:
+class NetworkFootprint(Memoized):
     """The learned footprints of all APIs: ``footprint[api][(src, dst)] -> EdgeFootprint``.
 
     Immutable after construction (frozen edges, no mutator, ``edges_of`` hands out
     copies), which is what lets it own its content digest.
     """
 
-    #: Memo of :meth:`content_digest`; set on first use, never pickled.
+    _MEMOS = {"_digest": None, "_edge_bytes": None}
+    #: Memo of :meth:`content_digest`; set on first use.
     _digest: Optional[str] = None
-    #: Memo of :meth:`edge_bytes` per ``(api, edges)``; never pickled.
+    #: Memo of :meth:`edge_bytes` per ``(api, edges)``.
     _edge_bytes: Optional[Dict[Tuple[str, Tuple[Pair, ...]], Tuple]] = None
 
     def __init__(self, edges: Sequence[EdgeFootprint]) -> None:
         self._by_api: Dict[str, Dict[Pair, EdgeFootprint]] = {}
         for edge in edges:
             self._by_api.setdefault(edge.api, {})[(edge.source, edge.destination)] = edge
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_digest", None)
-        state.pop("_edge_bytes", None)
-        return state
 
     def content_digest(self) -> str:
         """Content fingerprint of every learned edge size (computed once)."""

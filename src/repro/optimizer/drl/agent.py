@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...digest import part_stream
+from ...digest import Memoized, part_stream
 from ..nsga2 import allowed_repair_targets, apply_allowed_repair
 from .mlp import MLP, AdamOptimizer
 
@@ -68,10 +68,11 @@ class TrainingHistory:
         return out
 
 
-class CrossoverAgent:
+class CrossoverAgent(Memoized):
     """Actor–critic agent producing offspring plans from parent pairs."""
 
-    #: Memo of :meth:`content_digest`; dropped by :meth:`train`, never pickled.
+    _MEMOS = {"_digest": None}
+    #: Memo of :meth:`content_digest`; dropped by :meth:`train`.
     _digest: Optional[str] = None
 
     def __init__(
@@ -133,11 +134,6 @@ class CrossoverAgent:
         self._critic_opt = AdamOptimizer(learning_rate=critic_learning_rate)
         self._rng = np.random.default_rng(seed)
         self.history = TrainingHistory()
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_digest", None)
-        return state
 
     # -- the agent as learned knowledge ----------------------------------------------------
     def for_inference(self) -> "CrossoverAgent":

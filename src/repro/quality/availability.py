@@ -28,6 +28,7 @@ import numpy as np
 
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import require_finite
+from ..digest import Memoized
 from ..learning.estimator import ordered_masked_sum
 
 __all__ = ["ApiAvailabilityModel", "AvailabilityEstimate"]
@@ -45,8 +46,10 @@ class AvailabilityEstimate:
         return len(self.disrupted_apis)
 
 
-class ApiAvailabilityModel:
+class ApiAvailabilityModel(Memoized):
     """Computes QAvai from per-API stateful component sets learned from traces."""
+
+    _MEMOS = {"_lowerings": dict}
 
     def __init__(
         self,
@@ -74,9 +77,6 @@ class ApiAvailabilityModel:
         self._lowerings: Dict[
             Tuple[str, ...], Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = {}
-
-    def __getstate__(self) -> Dict[str, object]:
-        return {**self.__dict__, "_lowerings": {}}  # process-local, rebuilt on first use
 
     @property
     def apis(self) -> List[str]:

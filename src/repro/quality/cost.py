@@ -32,6 +32,7 @@ import numpy as np
 from ..cluster.autoscaler import AutoscalerConfig, ClusterAutoscaler, StorageAutoscaler
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import CLOUD, NodeSpec, ON_PREM, require_finite
+from ..digest import Memoized
 from ..learning.estimator import PLAN_BLOCK, ResourceEstimate, SitePass, ordered_masked_sum
 from ..learning.footprint import NetworkFootprint
 
@@ -147,8 +148,16 @@ class _CostLowering:
     total_bytes: np.ndarray
 
 
-class CloudCostModel:
+class CloudCostModel(Memoized):
     """Computes QCost for any plan from a resource estimate and learned footprints."""
+
+    #: Weak references among the stacks' values do not pickle either.
+    _MEMOS = {
+        "_lowerings": dict,
+        "_rate_table_cache": dict,
+        "_storage_cost_cache": dict,
+        "_stacks": dict,
+    }
 
     def __init__(
         self,
@@ -198,17 +207,6 @@ class CloudCostModel:
         self._storage_cost_cache: Dict[Tuple[str, ...], Dict[bytes, float]] = {}
         # Lowered stacks of sibling models this model heads (see _CostStack.of).
         self._stacks: Dict[Tuple, "_CostStack"] = {}
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Every memo is process-local and rebuilt on first use (and weak references
-        # do not pickle): the keys stay, their values go.
-        return {
-            **self.__dict__,
-            "_lowerings": {},
-            "_rate_table_cache": {},
-            "_storage_cost_cache": {},
-            "_stacks": {},
-        }
 
     def derive(
         self,

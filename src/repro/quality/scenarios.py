@@ -41,6 +41,7 @@ import numpy as np
 
 from ..cluster.network import NetworkModel
 from ..cluster.topology import require_finite
+from ..digest import Memoized
 from ..learning.estimator import ResourceEstimate, ResourceEstimator
 from ..learning.footprint import EdgeFootprint, NetworkFootprint
 from ..workload.profiles import WorkloadScenario
@@ -517,7 +518,7 @@ def scaled_footprint(footprint: NetworkFootprint, spec: ScenarioSpec) -> Network
 
 
 @dataclass(frozen=True)
-class CompiledScenario:
+class CompiledScenario(Memoized):
     """What one spec compiles to that no trace changes.
 
     ``estimate`` is the scenario's resource estimate (re-predicted per-API rate
@@ -541,25 +542,20 @@ class CompiledScenario:
     weights: Dict[str, float]
     availability: ApiAvailabilityModel
     preferences: MigrationPreferences
+    _lowerings: Dict[Tuple[str, ...], Dict[str, object]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    _MEMOS = {"_lowerings": dict}
 
     def lowering(self, components: Tuple[str, ...]) -> Dict[str, object]:
         """The memo of what a scoring call reads of this scenario under one component
         order and no plan changes (the built-in plugins' boxes, weight vectors and
-        limits), filled lazily by its readers.  Never pickled: a stored scenario
-        keeps its layout, and a loaded one lowers again on first use."""
-        lowerings = self.__dict__.get("_lowerings")
-        if lowerings is None:
-            lowerings = {}
-            object.__setattr__(self, "_lowerings", lowerings)
-        memo = lowerings.get(components)
+        limits), filled lazily by its readers."""
+        memo = self._lowerings.get(components)
         if memo is None:
-            memo = lowerings[components] = {}
+            memo = self._lowerings[components] = {}
         return memo
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_lowerings", None)
-        return state
 
 
 def compile_scenario(

@@ -44,7 +44,7 @@ from ..apps.model import Application
 from ..cluster.network import NetworkModel, default_network_model
 from ..cluster.placement import MigrationPlan
 from ..cluster.topology import CLOUD, ON_PREM, HybridCluster
-from ..digest import sha_parts
+from ..digest import Memoized, sha_parts
 from ..learning.api_profile import ApiProfile, ApiProfiler
 from ..learning.component_profile import ComponentProfile, ComponentProfiler
 from ..learning.estimator import ResourceEstimate, ResourceEstimator
@@ -339,8 +339,10 @@ class Recommendation:
         return rows
 
 
-class Atlas:
+class Atlas(Memoized):
     """Hybrid cloud migration advisor for interactive microservices."""
+
+    _MEMOS = {"_part_memos": dict}
 
     def __init__(
         self,
@@ -364,17 +366,8 @@ class Atlas:
         )
         self.telemetry: Optional[TelemetryServer] = None
         self.knowledge: Optional[ApplicationKnowledge] = None
-        #: ``_memoised``'s process-local memos: never pickled or copied.
+        #: ``_memoised``'s memos.
         self._part_memos: Dict[object, Tuple[tuple, Optional[str]]] = {}
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state.pop("_part_memos", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._part_memos = {}
 
     # -- topology ---------------------------------------------------------------------------
     @property

@@ -46,39 +46,11 @@ __all__ = ["ArtifactStore", "STORE_DIR_DEFAULT"]
 STORE_DIR_DEFAULT = ".atlas_store"
 
 _MAGIC = "atlas-store"
-#: Frame version: bumped whenever a stored class changes its pickled layout, so a
-#: frame written by older code is a clean miss and is never unpickled into the new
-#: class.  The version is per store, not per class: a bump also retires the journal
-#: entries and daemon samples older code wrote, so the first process after an upgrade
-#: searches each journaled request once more (and writes it back) and a cycle killed
-#: before the upgrade is abandoned and re-polled.
-#: 2 = packed ``CompiledTraceSet`` state (1 pickled every level array).
-#: 3 = results store ``values`` + ``names`` only (2 kept perf/avail/cost as fields).
-#: 4 = ``SearchResult`` names its crossover agent (``agent`` + ``agent_digest``).
-#: 5 = ``SearchResult`` packs its archive, ``CompiledTraceSet`` packs its splice state
-#: apart from its replay state and names its traces by content stream.
-#: 6 = ``SearchResult`` lost a field and ``GAConfig``, whose repr is part of every
-#: journal key, lost four: the island fork and the converged-front exit are gone.
-#: 7 = ``CompiledTraceSet`` keeps its replay state only (no per-trace fragments or
-#: content streams).
-#: 8 = ``SearchResult`` archives ``all_evaluated`` only; ``CloudCostModel`` lost its
-#: per-plan-row memo and ``ResourceEstimate`` its resource-matrix memo (both inside
-#: stored compiled scenarios).
-#: 9 = a ``RobustnessCertificate`` (same layout) is the stress families plus the
-#: all-severe corners: a journal entry the coordinate descent certified would revive
-#: another ``worst_spec`` and ``budget_spent`` for the same request.
-#: 10 = a compiled scenario is ``repro.quality.scenarios.CompiledScenario`` (was the
-#: evaluator module's ``_CompiledScenario``), and a certificate's corner cuts every
-#: billable site and reprices storage: an older entry names a class that is gone or
-#: revives another ``worst_spec`` and ``worst_values`` for the same request.
-#: 11 = a ``Trace`` pickles without its former structure memo: compiled replay reads its shape.
-#: 12 = a ``CompiledTraceSet`` holds its live spans and live edges only (an older frame
-#: replays background subtrees and numbers every edge), and QPerf's Δ and impact
-#: tables cover the live edges and mark no linkless pair.
-#: 13 = QPerf's ``"impact"`` entry is a memo pre-fill, the projection codes of a box and
-#: their means (was one impact table in box order), and a Δ table holds 0.0 where the
-#: Δ is not positive.
-_VERSION = 13
+#: Frame version: a frame written under another is a clean miss, never unpickled.  Any
+#: change to a stored class's pickled layout needs a new one (``tests/test_store_layout.py``
+#: records each version's layout); it retires every older frame, so journaled requests
+#: are searched once more and a daemon cycle killed before the upgrade is re-polled.
+_VERSION = 14
 
 
 def _key_digest(key: Tuple) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..digest import part_stream
+from ..digest import Memoized, part_stream
 
 __all__ = [
     "Span",
@@ -163,13 +163,13 @@ class TraceShape:
 _SHAPES: "weakref.WeakValueDictionary[tuple, TraceShape]" = weakref.WeakValueDictionary()
 
 
-class Trace:
+class Trace(Memoized):
     """All spans created while serving one API request."""
 
-    #: Memo of :meth:`content_stream`; set on first use, never pickled.
+    _MEMOS = {"_content_stream": None, "_shape": None}
+    #: Memo of :meth:`content_stream`; set on first use.
     _content_stream: Optional[bytes] = None
-    #: Memo of :meth:`shape`; set on first use, never pickled (a trace unpickled from
-    #: a frame written before shapes existed simply has none yet).
+    #: Memo of :meth:`shape`; set on first use.
     _shape: Optional[TraceShape] = None
 
     def __init__(self, trace_id: str, api: str, spans: Sequence[Span]) -> None:
@@ -195,13 +195,6 @@ class Trace:
                 self._children.setdefault(span.parent_id, []).append(span)
         for children in self._children.values():
             children.sort(key=lambda s: (s.start_ms, s.span_id))
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickled traces carry content only: digest and shape memos are process-local."""
-        state = dict(self.__dict__)
-        state.pop("_content_stream", None)
-        state.pop("_shape", None)
-        return state
 
     # -- accessors -----------------------------------------------------------------
     @property
@@ -396,7 +389,7 @@ class _Census:
         self.requests: Tuple[Optional[tuple], Dict[str, Dict[int, int]]] = (None, {})
 
 
-class TraceStore:
+class TraceStore(Memoized):
     """Queryable archive of traces, indexed by API and time.
 
     Queries are answered from a lazily built *census* — per API the time-sorted
@@ -404,16 +397,12 @@ class TraceStore:
     so an answer is always what walking the traces one by one would give.
     """
 
+    _MEMOS = {"_census": None}
+
     def __init__(self) -> None:
         self._traces: List[Trace] = []
         self._by_api: Dict[str, List[Trace]] = {}
         self._census: Optional[_Census] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickles and deep copies carry the traces only, never the census."""
-        state = dict(self.__dict__)
-        state["_census"] = None
-        return state
 
     def add(self, trace: Trace) -> None:
         self._traces.append(trace)

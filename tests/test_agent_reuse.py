@@ -136,19 +136,10 @@ class TestInferenceAgent:
         assert lean.content_digest() == pickle.loads(pickle.dumps(lean)).content_digest()
 
 
-# -- (e) the agent's durable form ----------------------------------------------------------------
-#: What a trained agent pickles, no more: a table the agent derives is rebuilt, not
-#: stored, so the store's agent objects keep their bytes and its frame version.
-PICKLED_AGENT_KEYS = {
-    "_actor_opt", "_allowed_repair", "_binary", "_critic_opt", "_loc_index", "_rng",
-    "actor", "allowed", "critic", "history", "locations", "n_components", "n_locations",
-    "pinned",
-}
-
-
+# -- (e) the agent's durable form (its pickled keys: ``test_store_layout.LAYOUT``) ------------
 class TestDurableAgent:
     @pytest.mark.parametrize("locations", [(0, 1), (0, 1, 2)])
-    def test_a_round_trip_keeps_the_keys_the_digest_and_the_children(self, locations):
+    def test_a_round_trip_keeps_the_digest_and_the_children(self, locations):
         agent = CrossoverAgent(
             n_components=6, pinned={4: 0}, locations=locations, allowed={2: (0, 1)}, seed=3
         )
@@ -161,8 +152,6 @@ class TestDurableAgent:
         )
         agent.crossover(*parents[0])  # whatever inference leaves behind must not pickle
         loaded = pickle.loads(pickle.dumps(agent))
-        assert set(vars(loaded)) == PICKLED_AGENT_KEYS
-        assert set(vars(pickle.loads(pickle.dumps(agent.for_inference())))) == PICKLED_AGENT_KEYS
         assert loaded.content_digest() == agent.content_digest()
 
         parents_a, parents_b = [a for a, _ in parents], [b for _, b in parents]

@@ -17,7 +17,9 @@ Run deeper with ``--hypothesis-profile=ci`` (see ``tests/conftest.py``).
 import copy
 import dataclasses
 import hashlib
+import importlib
 import pickle
+import pkgutil
 from typing import Mapping
 
 import numpy as np
@@ -28,12 +30,24 @@ from test_artifacts import TINY_GA, _perturb
 from test_compiled import random_trace
 from test_stacked_scenarios import ROBUST_S4
 
+import repro
 from repro.analysis.testbed import build_testbed
 from repro.apps import Component, ResourceProfile
-from repro.cluster import AutoscalerConfig, LinkSpec, MigrationPlan, NetworkModel, NodeSpec
+from repro.cluster import (
+    AutoscalerConfig,
+    LinkSpec,
+    MigrationPlan,
+    NetworkModel,
+    NodeSpec,
+    default_multi_location_network,
+)
+from repro.digest import Memoized
 from repro.learning import EdgeFootprint, NetworkFootprint, ResourceEstimator
+from repro.learning.estimator import ResourceEstimate, SitePass
 from repro.optimizer import CrossoverAgent
 from repro.quality import (
+    ApiAvailabilityModel,
+    CloudCostModel,
     CompiledTraceSet,
     EgressTrafficObjective,
     MigrationChurnObjective,
@@ -41,8 +55,11 @@ from repro.quality import (
     Objective,
     PlacementProblem,
     PricingCatalog,
+    ScenarioSet,
+    ScenarioSpec,
 )
-from repro.quality.artifacts import fingerprint_traces
+from repro.quality.artifacts import ArtifactCache, fingerprint_traces
+from repro.quality.scenarios import CompiledScenario
 from repro.recommend import AdvisorService, Atlas, AtlasConfig, ReplanPrior
 from repro.recommend import advisor
 from repro.recommend.advisor import _describe
@@ -632,69 +649,168 @@ class TestMemoSoundness:
 
 
 # -- (c) the memos are process-local ------------------------------------------------------------
+def _memo_classes():
+    """Every class under ``src/`` that declares memos (``Memoized._MEMOS``)."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, stack = [], [Memoized]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("repro.") and "_MEMOS" in vars(cls):
+                found.append(cls)
+    return sorted(found, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+
+
+def _plan_matrix(atlas):
+    components = atlas.application.component_names
+    return components, np.random.default_rng(11).integers(0, 2, size=(32, len(components)))
+
+
+def _footprint_case(atlas):
+    learned = atlas.knowledge.footprint
+    edges = [edge for api in learned.apis for edge in learned.edges_of(api).values()]
+
+    def read(footprint):
+        return footprint.content_digest(), [
+            footprint.edge_bytes(api, tuple(sorted(footprint.edges_of(api))))
+            for api in footprint.apis
+        ]
+
+    return NetworkFootprint(edges), read
+
+
+def _estimate_case(atlas):
+    components, matrix = _plan_matrix(atlas)
+
+    def read(estimate):
+        reads = [(estimate, resource) for resource in sorted(estimate.usage)]
+        return [sums.tobytes() for sums in SitePass(reads, [0, 1], components).aggregate(matrix)]
+
+    return atlas.knowledge.estimator.predict_scaled(3.0), read
+
+
+def _estimator_case(atlas):
+    estimator = ResourceEstimator(atlas.application, atlas.telemetry).fit()
+    return estimator, ResourceEstimator.content_digest
+
+
+def _network_case(atlas):
+    def read(network):
+        return network.content_digest(), network.locations(), network.linked_prefix()
+
+    return default_multi_location_network(), read
+
+
+def _atlas_case(atlas):
+    return atlas, lambda atlas: AdvisorService()._request_key(atlas, {"expected_scale": 2.0})
+
+
+def _agent_case(atlas):
+    return CrossoverAgent(n_components=6, pinned={4: 0}, seed=3), CrossoverAgent.content_digest
+
+
+def _trace_case(atlas):
+    # Shapes are interned: a clone reads the very shape its original did.
+    return random_trace(np.random.default_rng(5), "t"), lambda trace: (
+        fingerprint_traces([trace]),
+        trace.shape(),
+    )
+
+
+def _trace_store_case(atlas):
+    store = TraceStore()
+    store.extend(atlas.telemetry.get_traces())
+    api = store.apis[0]
+
+    def read(store):
+        return (
+            store.request_counts(5_000.0),
+            store.invocation_counts(api, 5_000.0),
+            store.latencies(api),
+            [group.count for group in store.shape_groups(api)],
+        )
+
+    return store, read
+
+
+def _availability_case(atlas):
+    components, matrix = _plan_matrix(atlas)
+    model = ApiAvailabilityModel(
+        atlas.knowledge.stateful_components_by_api(), atlas.current_plan
+    )
+    return model, lambda model: [
+        None if part is None else part.tobytes()
+        for part in model.disruption_matrix(matrix, components)
+    ]
+
+
+def _cost_case(atlas):
+    components, matrix = _plan_matrix(atlas)
+    return atlas.build_evaluator(3.0).cost, lambda cost: (
+        CloudCostModel.qcost_stack([cost], matrix, components).tobytes()
+    )
+
+
+def _scenario_case(atlas):
+    """A compiled scenario is read by the evaluator that finds it in its artifact
+    cache: the way a stored one serves a request."""
+    _components, matrix = _plan_matrix(atlas)
+    burst = ScenarioSpec(name="burst", rate_scale=2.0)
+    problem = PlacementProblem.default(
+        atlas.preferences, scenarios=ScenarioSet((ScenarioSpec(name="observed"), burst))
+    )
+
+    def read(compiled):
+        cache = ArtifactCache()
+        evaluator = atlas.build_evaluator(3.0, problem=problem, artifact_cache=cache)
+        key = ("scenario", evaluator.content_digest, burst.identity_key())
+        assert cache.get_or_build(key, lambda: compiled) is compiled
+        qualities = evaluator.evaluate_vectors(matrix)
+        assert evaluator._scenario_pair(burst)[0] is compiled
+        return [([value.hex() for value in q.values], q.feasible) for q in qualities]
+
+    evaluator = atlas.build_evaluator(3.0, problem=problem, artifact_cache=ArtifactCache())
+    return evaluator._scenario_pair(burst)[0], read
+
+
+#: Per class that declares memos: ``case(atlas) -> (a cold object, its reader)``; the
+#: reader fills every memo and returns what it answered.
+MEMO_CASES = {
+    NetworkFootprint: _footprint_case,
+    ResourceEstimate: _estimate_case,
+    ResourceEstimator: _estimator_case,
+    NetworkModel: _network_case,
+    Atlas: _atlas_case,
+    CrossoverAgent: _agent_case,
+    Trace: _trace_case,
+    TraceStore: _trace_store_case,
+    ApiAvailabilityModel: _availability_case,
+    CloudCostModel: _cost_case,
+    CompiledScenario: _scenario_case,
+}
+
+
+def _unfilled(cls):
+    return {name: None if empty is None else empty() for name, empty in cls._MEMOS.items()}
+
+
 class TestMemosStayOutOfPickles:
-    def test_trace_pickle_is_the_same_with_and_without_a_warm_memo(self):
-        trace = random_trace(np.random.default_rng(5), "t")
-        trace.shape()  # never pickled, like the digest memo
-        cold = pickle.dumps(trace)
-        fingerprint_traces([trace])
-        assert trace._content_stream is not None
-        warm = pickle.dumps(trace)
-        assert len(warm) == len(cold) and warm == cold
-        assert b"_content_stream" not in warm
-        loaded = pickle.loads(warm)
-        assert loaded._content_stream is None
-        assert fingerprint_traces([loaded]) == fingerprint_traces([trace])
-
-    def test_atlas_pickle_and_copies_carry_no_part_memo(self, tiny_atlas):
-        service = AdvisorService()
-        kwargs = {"expected_scale": 2.0}
-        cold = pickle.dumps(tiny_atlas)
-        key = service._request_key(tiny_atlas, kwargs)
-        assert tiny_atlas._part_memos
-        warm = pickle.dumps(tiny_atlas)
-        assert len(warm) == len(cold) and b"_part_memos" not in warm
-        for clone in (pickle.loads(warm), copy.deepcopy(tiny_atlas), copy.copy(tiny_atlas)):
-            assert clone._part_memos == {}
-            assert service._request_key(clone, kwargs) == key
-
-    def test_estimator_copy_carries_no_digest(self, tiny_atlas):
-        # An estimator holds its telemetry server, whose stores do not pickle; a deep
-        # copy goes through the same ``__getstate__``.
-        estimator = tiny_atlas.knowledge.estimator
-        digest = estimator.content_digest()
-        clone = copy.deepcopy(estimator)
-        assert "_digest" not in vars(clone) and clone.content_digest() == digest
-
-    def test_footprint_pickle_carries_no_digest(self, tiny_atlas):
-        footprint = tiny_atlas.knowledge.footprint
-        cold = pickle.dumps(footprint)
-        digest = footprint.content_digest()
-        assert footprint._digest == digest
-        warm = pickle.dumps(footprint)
-        assert len(warm) == len(cold) and b"_digest" not in warm
-        loaded = pickle.loads(warm)
-        assert loaded._digest is None and loaded.content_digest() == digest
-
-    def test_footprint_pickle_carries_no_edge_bytes(self, tiny_atlas):
-        footprint = tiny_atlas.knowledge.footprint
-        cold = pickle.dumps(footprint)
-        api = footprint.apis[0]
-        edges = tuple(sorted(footprint.edges_of(api)))
-        sizes = footprint.edge_bytes(api, edges)
-        warm = pickle.dumps(footprint)
-        assert warm == cold and b"_edge_bytes" not in warm
-        assert pickle.loads(warm).edge_bytes(api, edges) == sizes
-
-    def test_network_pickle_carries_no_digest(self, tiny_atlas):
-        network = tiny_atlas.network
-        cold = pickle.dumps(network)
-        digest = network.content_digest()
-        assert network._digest == digest
-        warm = pickle.dumps(network)
-        assert warm == cold and b"_digest" not in warm
-        loaded = pickle.loads(warm)
-        assert loaded._digest is None and loaded.content_digest() == digest
+    @pytest.mark.parametrize("cls", _memo_classes(), ids=lambda cls: cls.__qualname__)
+    def test_a_warm_memo_reaches_no_pickle_and_no_copy(self, cls, tiny_atlas):
+        assert cls in MEMO_CASES, f"{cls.__qualname__} declares memos and has no case here"
+        obj, read = MEMO_CASES[cls](tiny_atlas)
+        assert type(obj) is cls
+        cold = pickle.dumps(obj)
+        answers = read(obj)
+        for name in cls._MEMOS:
+            assert vars(obj)[name] not in (None, {}), f"the reader left {name} unfilled"
+        warm = pickle.dumps(obj)
+        assert warm == cold
+        assert not any(name.encode() in warm for name in cls._MEMOS)
+        for clone in (pickle.loads(warm), copy.deepcopy(obj), copy.copy(obj)):
+            assert {name: vars(clone)[name] for name in cls._MEMOS} == _unfilled(cls)
+            assert read(clone) == answers
 
     def test_stored_compiled_set_carries_no_digest(self):
         rng = np.random.default_rng(6)
@@ -729,56 +845,13 @@ class TestMemosStayOutOfPickles:
         fresh = tiny_atlas.build_evaluator(3.0, problem=problem)
         assert compiled_bytes(scored) == compiled_bytes(fresh)
 
-    #: What a pickled ``Trace`` carries (store frame version 11 took ``_structure`` out).
-    #: A key added or removed here changes what stored frames hold — bump ``serving.store._VERSION``.
-    TRACE_STATE = {"trace_id", "_api", "_spans", "_by_id", "_root", "_children"}
-
-    def test_trace_pickle_and_deep_copy_carry_no_shape(self):
-        trace = random_trace(np.random.default_rng(7), "t")
-        cold = pickle.dumps(trace)
-        shape = trace.shape()
-        assert vars(trace)["_shape"] is shape
-        warm = pickle.dumps(trace)
-        assert warm == cold and b"_shape" not in warm
-        assert set(trace.__getstate__()) == self.TRACE_STATE
-        for clone in (pickle.loads(warm), copy.deepcopy(trace)):
-            assert "_shape" not in vars(clone)  # what a frame written before shapes holds
-            assert clone.invocation_edges() == trace.invocation_edges()
-            assert clone.shape() is shape  # interned again on first use
-            assert fingerprint_traces([clone]) == fingerprint_traces([trace])
-
-    def test_trace_store_pickle_and_deep_copy_carry_no_census(self, tiny_telemetry):
-        _app, result = tiny_telemetry
-        store = TraceStore()
-        store.extend(result.telemetry.get_traces())
-        cold = pickle.dumps(store)
-        api = store.apis[0]
-        answers = (
-            store.request_counts(5_000.0),
-            store.invocation_counts(api, 5_000.0),
-            store.latencies(api),
-            [group.count for group in store.shape_groups(api)],
-        )
-        assert store._census is not None
-        warm = pickle.dumps(store)
-        assert len(warm) == len(cold) and b"_shape" not in warm
-        for clone in (pickle.loads(warm), copy.deepcopy(store)):
-            assert clone._census is None
-            assert all("_shape" not in vars(trace) for trace in clone.traces())
-            assert answers == (
-                clone.request_counts(5_000.0),
-                clone.invocation_counts(api, 5_000.0),
-                clone.latencies(api),
-                [group.count for group in clone.shape_groups(api)],
-            )
-
     def test_learning_from_memoless_telemetry_is_identical(self, tiny_telemetry, tiny_atlas):
-        """Traces as a frame written before shapes existed holds them (no ``_shape``, no
-        census on their store) learn to the same knowledge, digest for digest."""
+        """Traces whose shape and content memos are unfilled, on a store with no
+        census, learn to the same knowledge, digest for digest."""
         app, result = tiny_telemetry
         reread = copy.deepcopy(result.telemetry)
         assert reread.traces._census is None
-        assert all(set(vars(t)) <= self.TRACE_STATE for t in reread.get_traces())
+        assert all(vars(t)["_shape"] is None for t in reread.get_traces())
         twin = _learn_tiny(app, reread)
         ours, theirs = tiny_atlas.knowledge, twin.knowledge
         assert list(theirs.api_profiles) == list(ours.api_profiles)

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.cluster import (
     CLOUD,
     ON_PREM,
+    LinkSpec,
     MigrationPlan,
     NodeSpec,
     default_multi_location_network,
@@ -150,6 +151,14 @@ FLOAT_KNOBS = [
                 **{"name": "n", "cpu_millicores": 1.0, "memory_mb": 1.0, **kw}
             ),
             ("cpu_millicores", "memory_mb", "storage_gb", "hourly_price_usd"),
+        ),
+        (
+            lambda **kw: LinkSpec(**{"latency_ms": 1.0, "bandwidth_mbps": 100.0, **kw}),
+            ("latency_ms", "bandwidth_mbps"),
+        ),
+        (
+            lambda **kw: default_network_model().degraded(**kw),
+            ("latency_factor", "bandwidth_factor", "extra_latency_ms"),
         ),
         (PricingCatalog, ("storage_usd_per_gb_month", "egress_usd_per_gb")),
         (
